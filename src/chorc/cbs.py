@@ -4,6 +4,14 @@ An atomic component is a guarded labelled transition system over locations,
 ports and local variables. A composite system is a set of atomic components
 plus an interaction set gamma; its semantics steps over joint locations, a
 global valuation and per-receive-port FIFO buffers.
+
+A component keeps its transitions indexed by source location and by port
+then source location; a system keeps its components indexed by id and, per
+interaction, the tables of the ports it wires. The tables are built on first
+use and cached on the instance, so ``dataclasses.replace`` yields a system
+or component with fresh ones. System states memoize their
+structural hash (see ``core.memo_hash``); their valuations share the slot
+layout of the initial valuation (see ``core.Valuation``).
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    Expr, Port, Update, Valuation, apply_update, evaluate,
-    expr_vars, format_expr, format_update, update_vars,
+    Expr, Port, Update, Valuation, Value, apply_update, cached_attr, evaluate,
+    expr_vars, format_expr, format_update, memo_hash, requeue, update_vars,
 )
 from .lang import Diagnostic
 
@@ -42,8 +50,26 @@ class AtomicComponent:
     init: str
     end: Optional[str] = None  # location marking successful termination
 
-    def outgoing(self, loc: str):
-        return [t for t in self.transitions if t.src == loc]
+    def outgoing(self, loc: str) -> tuple:
+        return self._by_src.get(loc, ())
+
+    @cached_attr
+    def _by_src(self) -> dict:
+        return _group(self.transitions, lambda t: t.src)
+
+    @cached_attr
+    def _by_port(self) -> dict:
+        """port -> source location -> transitions on that port."""
+        by_port = _group(self.transitions, lambda t: t.port)
+        return {p: _group(ts, lambda t: t.src) for p, ts in by_port.items()}
+
+
+def _group(transitions, key) -> dict:
+    """Transitions grouped by ``key``, each group in declaration order."""
+    out = {}
+    for t in transitions:
+        out.setdefault(key(t), []).append(t)
+    return {k: tuple(ts) for k, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -51,7 +77,7 @@ class Interaction:
     send: Port
     receivers: tuple  # of Port, nonempty
 
-    @property
+    @cached_attr
     def pids(self) -> frozenset:
         return frozenset({self.send.pid} | {r.pid for r in self.receivers})
 
@@ -62,16 +88,29 @@ class CompositeSystem:
     gamma: tuple  # of Interaction
 
     def component(self, cid: str) -> AtomicComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
+        return self.components[self._slot[cid]]
 
     def index(self, cid: str) -> int:
+        return self._slot[cid]
+
+    @cached_attr
+    def _slot(self) -> dict:
+        """Component id -> position of its first occurrence."""
+        out = {}
         for i, c in enumerate(self.components):
-            if c.id == cid:
-                return i
-        raise KeyError(cid)
+            out.setdefault(c.id, i)
+        return out
+
+    @cached_attr
+    def _wiring(self) -> tuple:
+        """Per interaction of gamma: the interaction, its sender's end and
+        its receivers' ends. An end is the owner's position and the owner's
+        transitions on the end's port, by source location."""
+        def end(port):
+            i = self.index(port.owner)
+            return i, self.components[i]._by_port.get(port, {})
+        return tuple((inter, end(inter.send), tuple(end(r) for r in inter.receivers))
+                     for inter in self.gamma)
 
     def initial_state(self) -> "SysState":
         sigma = Valuation({
@@ -86,6 +125,7 @@ class CompositeSystem:
         )
 
 
+@memo_hash
 @dataclass(frozen=True)
 class SysState:
     locations: tuple  # aligned with CompositeSystem.components
@@ -99,31 +139,12 @@ class SysState:
         return ()
 
 
-def _buf_append(buffers: tuple, pid: str, value: Value) -> tuple:
-    d = dict(buffers)
-    d[pid] = d.get(pid, ()) + (value,)
-    return tuple(sorted(d.items()))
-
-
-def _buf_pop(buffers: tuple, pid: str) -> tuple:
-    d = dict(buffers)
-    queue = d[pid][1:]
-    if queue:
-        d[pid] = queue
-    else:
-        del d[pid]
-    return tuple(sorted(d.items()))
-
-
 # --------------------------------------------------------------------------
 # Semantics
 # --------------------------------------------------------------------------
 
-def _enabled(comp: AtomicComponent, loc: str, port: Port, sigma: Valuation):
-    return [
-        t for t in comp.outgoing(loc)
-        if t.port == port and evaluate(t.guard, sigma)
-    ]
+def _enabled(offered: tuple, sigma: Valuation) -> list:
+    return [t for t in offered if evaluate(t.guard, sigma)]
 
 
 def sys_steps_tagged(sys: CompositeSystem, state: SysState):
@@ -131,10 +152,12 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
     out = []
 
     # Interactions: synch-send / asynch-send.
-    for inter in sys.gamma:
+    for inter, (si, send_by_src), rcv_ends in sys._wiring:
+        offered = send_by_src.get(state.locations[si])
+        if not offered:
+            continue
         snd = inter.send
-        si = sys.index(snd.owner)
-        sender_ts = _enabled(sys.components[si], state.locations[si], snd, state.sigma)
+        sender_ts = _enabled(offered, state.sigma)
         if not sender_ts:
             continue
         if snd.ctype == "as":
@@ -143,7 +166,7 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
                 sigma = apply_update(t.update, state.sigma)
                 buffers = state.buffers
                 for r in inter.receivers:
-                    buffers = _buf_append(buffers, r.pid, payload)
+                    buffers = requeue(buffers, r.pid, push=(payload,))
                 locs = list(state.locations)
                 locs[si] = t.dst
                 out.append((
@@ -156,12 +179,11 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
         # port and that port's buffer must be empty; all step together.
         choices = []
         ok = True
-        for r in inter.receivers:
+        for r, (ri, by_src) in zip(inter.receivers, rcv_ends):
             if state.buffer(r.pid):
                 ok = False
                 break
-            ri = sys.index(r.owner)
-            ts = _enabled(sys.components[ri], state.locations[ri], r, state.sigma)
+            ts = _enabled(by_src.get(state.locations[ri], ()), state.sigma)
             if not ts:
                 ok = False
                 break
@@ -207,13 +229,9 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
                 out.append((
                     "recv",
                     TAU,
-                    SysState(tuple(locs), sigma, _buf_pop(state.buffers, t.port.pid)),
+                    SysState(tuple(locs), sigma, requeue(state.buffers, t.port.pid, pop=True)),
                 ))
     return out
-
-
-def sys_steps(sys: CompositeSystem, state: SysState):
-    return [(label, s) for _, label, s in sys_steps_tagged(sys, state)]
 
 
 def is_terminal(sys: CompositeSystem, state: SysState) -> bool:
@@ -239,7 +257,7 @@ class SysExploreResult:
 
 def sys_explore(sys: CompositeSystem, s0: Optional[SysState] = None,
                 max_configs: int = 200_000, max_depth: int = 10_000) -> SysExploreResult:
-    """Breadth-first closure of sys_steps with memoization."""
+    """Breadth-first closure of sys_steps_tagged with memoization."""
     result = SysExploreResult()
     start = sys.initial_state() if s0 is None else s0
     result.initial = start

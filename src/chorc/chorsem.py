@@ -15,13 +15,12 @@ coverage.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from functools import lru_cache
 
-from .core import Valuation, apply_update, evaluate, transfer
+from .core import Valuation, apply_update, evaluate, memo_hash, requeue, transfer
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
 _participants = lru_cache(maxsize=None)(participants)
@@ -57,6 +56,7 @@ PendingRecv = tuple  # (Port, Update, Value)
 Pending = tuple
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Running:
     term: Optional[Chor]  # None once the term itself has terminated
@@ -74,22 +74,6 @@ ChorConfig = Union[Running, Final]
 
 def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
-
-
-def _pending_append(pending: Pending, chan, items) -> Pending:
-    d = dict(pending)
-    d[chan] = d.get(chan, ()) + tuple(items)
-    return tuple(sorted(d.items()))
-
-
-def _pending_pop(pending: Pending, chan) -> Pending:
-    d = dict(pending)
-    queue = d[chan][1:]
-    if queue:
-        d[chan] = queue
-    else:
-        del d[chan]
-    return tuple(sorted(d.items()))
 
 
 def _step_term(term: Chor, sigma: Valuation):
@@ -201,7 +185,7 @@ def chor_steps_tagged(config: ChorConfig):
         port, f, value = queue[0]
         sigma = config.sigma.set(port.var.qname, value)
         sigma = apply_update(f, sigma)
-        rest = _pending_pop(config.pending, chan)
+        rest = requeue(config.pending, chan, pop=True)
         if config.term is None and not rest:
             succ: ChorConfig = Final(sigma)
         else:
@@ -213,18 +197,13 @@ def chor_steps_tagged(config: ChorConfig):
         for tags, label, nxt, sigma, sent in _step_term(config.term, config.sigma):
             pending = config.pending
             for chan, item in sent:
-                pending = _pending_append(pending, chan, [item])
+                pending = requeue(pending, chan, push=(item,))
             if nxt is None and not pending:
                 succ = Final(sigma)
             else:
                 succ = Running(nxt, sigma, pending)
             out.append((tags, label, succ))
     return out
-
-
-def chor_steps(config: ChorConfig):
-    """Successors of a configuration as (label, configuration)."""
-    return [(label, succ) for _, label, succ in chor_steps_tagged(config)]
 
 
 # --------------------------------------------------------------------------
@@ -243,7 +222,8 @@ class ExploreResult:
 
 def explore(ch: Chor, sigma0: Valuation,
             max_configs: int = 200_000, max_depth: int = 10_000) -> ExploreResult:
-    """Breadth-first closure of chor_steps with memoization on configurations."""
+    """Breadth-first closure of chor_steps_tagged with memoization on
+    configurations."""
     result = ExploreResult()
     start = initial_config(ch, sigma0)
     result.initial = start
@@ -315,27 +295,3 @@ def lts_to_dot(result: ExploreResult) -> str:
             lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Seeded random traces
-# --------------------------------------------------------------------------
-
-def random_trace(ch: Chor, sigma0: Valuation, seed: int, max_steps: int):
-    """Resolve nondeterminism with a seeded PRNG.
-
-    Returns (trace of labels, terminal configuration, truncated flag).
-    """
-    rng = random.Random(seed)
-    config: ChorConfig = initial_config(ch, sigma0)
-    trace = []
-    for _ in range(max_steps):
-        if isinstance(config, Final):
-            return trace, config, False
-        succs = chor_steps(config)
-        if not succs:
-            return trace, config, False
-        succs.sort(key=lambda e: (_label_text(e[0]), _config_key(e[1])))
-        label, config = succs[rng.randrange(len(succs))]
-        trace.append(label)
-    return trace, config, not isinstance(config, Final)

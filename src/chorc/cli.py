@@ -2,7 +2,7 @@
 
 Subcommands: check, synth, explore, equiv, simulate, promela, ltl.
 Exit codes: 0 success, 1 analysis failure (diagnostics, mismatch, failed
-validation), 2 usage or I/O error.
+validation, synthesis error, runtime evaluation error), 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .core import EvalError
 from .parser import ParseError, parse_source, parse_chor_source
 from .lang import check_well_formed
 from .chorsem import explore, lts_to_dot
@@ -84,11 +85,7 @@ def cmd_synth(args) -> int:
     decl, name, ch = _load(args)
     if _check(decl, ch):
         return 1
-    try:
-        system = synthesize(decl, ch, _profile(args))
-    except SynthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    system = synthesize(decl, ch, _profile(args))
     text = serialize_system(system)
     if args.output:
         _write(args.output, text)
@@ -252,7 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (SynthError, EvalError) as exc:
+        # Input-dependent failures of synthesis and of evaluation during
+        # exploration or simulation (division or modulo by zero).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

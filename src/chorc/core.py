@@ -1,13 +1,26 @@
 """Shared data model: values, variables, expressions, updates, valuations, ports.
 
 Everything here is immutable and hashable so that interpreter configurations
-can be memoized structurally.
+can be memoized structurally. The explorers hash the same subterms over and
+over, so the frozen dataclasses that make up states (expressions, ports,
+updates here; choreography terms and explorer states elsewhere) are wrapped
+by ``memo_hash``: each instance computes its structural hash once, on first
+use, and keeps it as an instance attribute. Equality and ``repr`` stay the
+dataclass-generated ones over the fields.
+
+A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
+keys. The layout, a dict from key to slot, is built once by the
+constructor and shared by every valuation derived from it by ``set``,
+``apply_update`` and ``transfer``, so a derived valuation costs one tuple
+splice per assignment rather than a dict copy and a sort.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 
@@ -15,21 +28,50 @@ class EvalError(Exception):
     """Runtime evaluation failure (division/modulo by zero, unbound variable)."""
 
 
-class _Neutral:
-    """The neutral communication element. Compares equal only to itself."""
+def memo_hash(cls):
+    """Class decorator for a frozen dataclass: keep the dataclass-generated
+    structural hash on the instance after its first computation.
 
-    _instance = None
+    The cached hash is stored with ``object.__setattr__``, past the frozen
+    ``__setattr__``; ``dataclasses.replace`` builds a new instance and so
+    starts without one. String hashes differ between interpreter runs, so an
+    instance must not be pickled into another process once hashed.
+    """
+    structural = cls.__hash__
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
 
-    def __repr__(self):
-        return "NEUTRAL"
+    cls._hash = None
+    cls.__hash__ = __hash__
+    return cls
 
 
-NEUTRAL = _Neutral()
+class cached_attr:
+    """A read-only attribute computed on first access and then kept as an
+    instance attribute, which shadows this non-data descriptor.
+
+    Used on frozen dataclasses. Unlike ``functools.cached_property`` before
+    Python 3.12, the first access takes no lock, which matters for objects
+    that the front end creates by the thousand and reads a few times each.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
 
 #: Closed set of data type tags.
 DATA_TYPES = ("int", "bool", "str")
@@ -38,7 +80,7 @@ DATA_TYPES = ("int", "bool", "str")
 #: send, receive, internal.
 PORT_TYPES = ("ss", "as", "r", "in")
 
-Value = Union[int, bool, str, _Neutral]
+Value = Union[int, bool, str]
 
 _DEFAULTS = {"int": 0, "bool": False, "str": ""}
 
@@ -57,6 +99,7 @@ def value_dtype(value: Value) -> str:
     raise TypeError(f"not a data value: {value!r}")
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Variable:
     """A typed variable owned by one component.
@@ -68,11 +111,12 @@ class Variable:
     owner: str
     dtype: str
 
-    @property
+    @cached_attr
     def qname(self) -> str:
         return f"{self.owner}.{self.name}"
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Port:
     """A typed communication endpoint bound to one variable of its owner."""
@@ -86,7 +130,7 @@ class Port:
         assert self.ctype in PORT_TYPES, self.ctype
         assert self.var.owner == self.owner, (self.var, self.owner)
 
-    @property
+    @cached_attr
     def pid(self) -> str:
         return f"{self.owner}.{self.name}"
 
@@ -108,11 +152,13 @@ CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 BOOL_OPS = ("and", "or")
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Lit:
     value: Value
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Ref:
     """Reference to a variable by qualified name."""
@@ -120,6 +166,7 @@ class Ref:
     qname: str
 
 
+@memo_hash
 @dataclass(frozen=True)
 class BinOp:
     op: str
@@ -127,11 +174,13 @@ class BinOp:
     right: "Expr"
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Not:
     operand: "Expr"
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Neg:
     operand: "Expr"
@@ -144,48 +193,62 @@ FALSE = Lit(False)
 
 
 class Valuation(Mapping):
-    """An immutable total mapping from qualified variable names to values."""
+    """An immutable total mapping from qualified variable names to values.
 
-    __slots__ = ("_items", "_dict", "_hash")
+    Stored as ``_values``, a tuple aligned with the sorted keys, plus
+    ``_slots``, the shared layout mapping each key to its position.
+    """
+
+    __slots__ = ("_slots", "_values", "_hash")
 
     def __init__(self, bindings: Mapping[str, Value] | Iterable[tuple[str, Value]] = ()):
         d = dict(bindings)
-        object.__setattr__(self, "_dict", d)
-        object.__setattr__(self, "_items", tuple(sorted(d.items(), key=lambda kv: kv[0])))
-        object.__setattr__(self, "_hash", hash(self._items))
+        keys = sorted(d)
+        self._slots = {k: i for i, k in enumerate(keys)}
+        self._values = tuple(d[k] for k in keys)
+        self._hash = None
 
     def __getitem__(self, qname: str) -> Value:
         try:
-            return self._dict[qname]
+            return self._values[self._slots[qname]]
         except KeyError:
             raise EvalError(f"unbound variable {qname!r}") from None
 
     def __iter__(self):
-        return iter(self._dict)
+        return iter(self._slots)
 
     def __len__(self):
-        return len(self._dict)
+        return len(self._values)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._values)
+        return h
 
     def __eq__(self, other):
         if isinstance(other, Valuation):
-            return self._items == other._items
+            return (self._values == other._values
+                    and (self._slots is other._slots or self._slots == other._slots))
         return NotImplemented
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in self._items)
+        inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._slots, self._values))
         return f"{{{inner}}}"
 
     def set(self, qname: str, value: Value) -> "Valuation":
-        d = dict(self._dict)
-        d[qname] = value
-        return Valuation(d)
+        i = self._slots.get(qname)
+        if i is None:
+            return Valuation({**self, qname: value})
+        out = object.__new__(Valuation)
+        out._slots = self._slots
+        out._values = self._values[:i] + (value,) + self._values[i + 1:]
+        out._hash = None
+        return out
 
     def restrict(self, qnames) -> "Valuation":
         keep = set(qnames)
-        return Valuation({k: v for k, v in self._dict.items() if k in keep})
+        return Valuation({k: v for k, v in zip(self._slots, self._values) if k in keep})
 
 
 def evaluate(expr: Expr, v: Valuation) -> Value:
@@ -243,6 +306,7 @@ def evaluate(expr: Expr, v: Valuation) -> Value:
 Assignment = tuple[str, Expr]  # (target qualified name, right-hand side)
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Update:
     """An ordered sequence of assignments. The empty sequence is skip."""
@@ -262,12 +326,9 @@ SKIP = Update()
 
 def apply_update(f: Update, v: Valuation) -> Valuation:
     """Apply assignments left to right; each rhs sees the latest bindings."""
-    if f.is_skip:
-        return v
-    d = dict(v)
     for target, rhs in f.assignments:
-        d[target] = evaluate(rhs, Valuation(d))
-    return Valuation(d)
+        v = v.set(target, evaluate(rhs, v))
+    return v
 
 
 def override(hi: Valuation, lo: Valuation) -> Valuation:
@@ -286,14 +347,30 @@ def override(hi: Valuation, lo: Valuation) -> Valuation:
 def transfer(v: Valuation, snd: Port, rcvs: Iterable[Port]) -> Valuation:
     """Rebind each receiver's port variable to the sender's current value."""
     assert snd.is_send, snd
-    d = dict(v)
     payload = v[snd.var.qname]
     for r in rcvs:
         assert r.ctype == "r", r
         if r.dtype != snd.dtype:
             raise TypeError(f"transfer dtype mismatch: {snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
-        d[r.var.qname] = payload
-    return Valuation(d)
+        v = v.set(r.var.qname, payload)
+    return v
+
+
+_queue_key = itemgetter(0)
+
+
+def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
+    """Update a table of FIFO queues kept as a tuple of (key, queue) pairs
+    sorted by key: drop the head of ``key``'s queue if ``pop``, then append
+    ``push``. A queue left empty is removed from the table."""
+    i = bisect_left(queues, key, key=_queue_key)
+    if i < len(queues) and queues[i][0] == key:
+        queue, j = queues[i][1], i + 1
+    else:
+        queue, j = (), i
+    queue = (queue[1:] if pop else queue) + push
+    return queues[:i] + (((key, queue),) if queue else ()) + queues[j:]
+
 
 
 # --------------------------------------------------------------------------

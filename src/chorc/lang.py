@@ -7,7 +7,7 @@ from typing import Union
 
 from .core import (
     Expr, Port, TRUE, Update, Valuation, Variable, default_value, expr_vars,
-    format_expr, format_update, infer_type, update_vars, Value,
+    format_expr, format_update, infer_type, memo_hash, update_vars, Value,
 )
 
 
@@ -70,6 +70,7 @@ class SystemDecl:
 # Choreography terms
 # --------------------------------------------------------------------------
 
+@memo_hash
 @dataclass(frozen=True)
 class GuardedSend:
     """A send port together with its guard and update function."""
@@ -79,11 +80,13 @@ class GuardedSend:
     update: Update
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Nil:
     pass
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Comm:
     """One send port wired to a nonempty list of receive ports."""
@@ -92,6 +95,7 @@ class Comm:
     rcvs: tuple[tuple[Port, Update], ...]
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Branch:
     """Master-decided choice between guarded continuations."""
@@ -100,18 +104,21 @@ class Branch:
     conts: tuple[tuple[GuardedSend, "Chor"], ...]
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Loop:
     cond: GuardedSend
     body: "Chor"
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Seq:
     first: "Chor"
     second: "Chor"
 
 
+@memo_hash
 @dataclass(frozen=True)
 class Par:
     left: "Chor"

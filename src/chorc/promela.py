@@ -547,10 +547,10 @@ def validate_promela(text: str) -> list:
             stack.append(("do", lineno))
         if re.search(r"(^|\s|::\s)if$", line) or line.endswith("-> if") or line == "if":
             stack.append(("if", lineno))
-        if line.startswith("od"):
+        if line in ("od", "od;"):
             if not stack or stack.pop()[0] != "do":
                 errors.append(f"line {lineno}: 'od' without matching 'do'")
-        if line.startswith("fi"):
+        if line in ("fi", "fi;"):
             if not stack or stack.pop()[0] != "if":
                 errors.append(f"line {lineno}: 'fi' without matching 'if'")
         if not any(p.match(line) for p in _LINE_PATTERNS):

@@ -156,6 +156,25 @@ class TestPromelaAndLtl:
         assert "ltl termination" in out
 
 
+DIV_ZERO = """
+comp A { var x: int = 4; var z: int = 0; port p: ss of int binds x; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography divzero = A.p[true, x := x / z] -> { B.q[skip] }
+"""
+
+
+class TestRuntimeErrors:
+    @pytest.mark.parametrize("command", ["explore", "equiv", "simulate"])
+    def test_division_by_zero_is_a_diagnostic(self, command, tmp_path):
+        src = tmp_path / "divzero.chor"
+        src.write_text(DIV_ZERO)
+        proc = subprocess.run([sys.executable, "-m", "chorc.cli", command, str(src)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error: division by zero" in proc.stderr
+
+
 class TestUsage:
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -35,6 +35,19 @@ class TestValuation:
         assert Valuation([("a", 1), ("b", 2)]) == Valuation([("b", 2), ("a", 1)])
         assert hash(v(a=1, b=2)) == hash(v(b=2, a=1))
 
+    def test_set_chain_equals_dict_built(self):
+        chained = v(a=1, b=2, c=3).set("c", 30).set("a", 10).set("b", 2)
+        built = Valuation({"c": 30, "b": 2, "a": 10})
+        assert chained == built
+        assert hash(chained) == hash(built)
+        assert repr(chained) == repr(built) == "{a=10, b=2, c=30}"
+        assert v(a=1).set("b", 2) == v(a=1, b=2)
+
+    def test_different_key_sets_are_unequal(self):
+        assert v(a=1, b=2) != v(a=1, c=2)
+        assert v(a=1) != v(a=1, b=2)
+        assert v() == Valuation()
+
     def test_restrict(self):
         sigma = v(a=1, b=2, c=3).restrict(["a", "c"])
         assert dict(sigma) == {"a": 1, "c": 3}
@@ -42,6 +55,8 @@ class TestValuation:
     def test_missing_name_raises(self):
         with pytest.raises(EvalError):
             v(x=1)["y"]
+        with pytest.raises(EvalError):
+            evaluate(Ref("y"), v(x=1).set("x", 2))
 
 
 class TestEvaluate:

@@ -9,7 +9,8 @@ from chorc.promela import (
     MAX_LEN, PromelaError, PromelaOptions, format_ltl, generate_promela,
     ltl_templates, sanitize, validate_promela,
 )
-from chorc.synthesis import synthesize
+from chorc.parser import parse_source
+from chorc.synthesis import PROFILES, synthesize
 
 from conftest import load_stem
 
@@ -127,6 +128,16 @@ class TestValidator:
     def test_catches_garbage_lines(self):
         _, model = model_for("comm_sync")
         assert validate_promela(model.text + "\nnot promela at all ((\n")
+
+    def test_keyword_prefixed_names_are_not_keywords(self):
+        decl, _, ch = parse_source(
+            "comp fiA { var x: int = 1; port p: as of int binds x; }\n"
+            "comp odB { var y: int = 0; port q: r of int binds y; }\n"
+            "choreography prefixes = fiA.p[true, x := x + 1] -> { odB.q[y := y * 2] }\n")
+        for profile in PROFILES:
+            model = generate_promela(synthesize(decl, ch, profile))
+            assert re.search(r"^\s*(fi|od)\w", model.text, re.M)
+            assert validate_promela(model.text) == []
 
 
 class TestSanitize:

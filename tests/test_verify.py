@@ -88,6 +88,21 @@ class TestMutations:
                 break
         assert all(flipped.values()), flipped
 
+    def test_mutants_get_fresh_tables_and_are_refuted(self):
+        decl, _, ch = load_stem("buying")
+        base = synthesize(decl, ch)
+        assert equiv_check(decl, ch, base).equivalent  # builds base's tables
+        for mname, mfn in MUTATIONS.items():
+            mutant = mfn(base)
+            assert mutant is not None, mname
+            for i, comp in enumerate(mutant.components):
+                assert mutant.index(comp.id) == i
+                assert mutant.component(comp.id) is comp
+                for loc in comp.locations:
+                    assert comp.outgoing(loc) == tuple(
+                        t for t in comp.transitions if t.src == loc), (mname, loc)
+            assert equiv_check(decl, ch, mutant).verdict != "equivalent", mname
+
     def test_mutation_report_shape(self):
         decl, _, ch = load_stem("loop_countdown")
         rows = mutation_report(decl, ch)
