@@ -214,6 +214,14 @@ class Valuation(Mapping):
         except KeyError:
             raise EvalError(f"unbound variable {qname!r}") from None
 
+    # The Mapping mixins expect __getitem__ to raise KeyError, not EvalError.
+    def __contains__(self, qname) -> bool:
+        return qname in self._slots
+
+    def get(self, qname: str, default=None):
+        i = self._slots.get(qname)
+        return default if i is None else self._values[i]
+
     def __iter__(self):
         return iter(self._slots)
 

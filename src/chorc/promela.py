@@ -57,7 +57,7 @@ def sanitize(name: str) -> str:
 _OPS = {
     "and": "&&", "or": "||",
     "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-    "+": "+", "-": "-", "*": "*", "/": "/", "%": "%",
+    "+": "+", "-": "-", "*": "*", "/": "/",
 }
 
 
@@ -102,8 +102,12 @@ def _pexpr(e: Expr, strings: _Strings) -> str:
     if isinstance(e, Neg):
         return f"-({_pexpr(e.operand, strings)})"
     if isinstance(e, BinOp):
-        op = _OPS[e.op]
-        return f"({_pexpr(e.left, strings)} {op} {_pexpr(e.right, strings)})"
+        left, right = _pexpr(e.left, strings), _pexpr(e.right, strings)
+        if e.op == "mod":
+            # Floor modulo, as in core.evaluate: C's truncating % shifted
+            # into the divisor's sign. Only the divisor is repeated.
+            return f"((({left} % {right}) + {right}) % {right})"
+        return f"({left} {_OPS[e.op]} {right})"
     raise AssertionError(e)
 
 
@@ -163,12 +167,12 @@ def _sender_of_receive(sys: CompositeSystem, port: Port):
 
 def _used_ports(sys: CompositeSystem) -> list:
     """Ports appearing on transitions, in stable component/transition order."""
-    out = []
+    out = {}
     for comp in sys.components:
         for t in comp.transitions:
-            if t.port is not None and t.port not in out:
-                out.append(t.port)
-    return out
+            if t.port is not None:
+                out.setdefault(t.port)
+    return list(out)
 
 
 def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model:
@@ -184,12 +188,14 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     # Port symbols (currPort values).
     ports = _used_ports(sys)
     codes = {}
+    symbols = set()
     w("/* port symbols */")
     w("#define PORT_NONE 0")
     for i, p in enumerate(ports, start=1):
         sym = port_symbol(p)
-        if sym in {port_symbol(q) for q in codes}:
+        if sym in symbols:
             raise PromelaError(f"port symbol collision on {sym}")
+        symbols.add(sym)
         codes[p] = i
         w(f"#define {sym} {i}")
     w("")

@@ -13,6 +13,13 @@ given (system, seed) pair always reproduces the same trace byte for byte.
 Every executed action is one step of the composite-system semantics, which
 makes any reachable final state a member of the exhaustive exploration's
 terminal set by construction.
+
+The successors of a state are computed once, when the scheduler first
+needs them: the steps that backpressure does not refuse are split, in
+successor order, into one list per component that initiates them (the
+sender of an interaction, the moving component of a local step). Each turn
+is then a lookup of the turn's component in those lists; they are dropped
+when a step moves the system to a new state.
 """
 
 from __future__ import annotations
@@ -27,27 +34,15 @@ from .promela import MAX_LEN
 
 @dataclass
 class RunResult:
-    outcome: str  # "completed" | "deadlock" | "step-limit"
+    # "completed": every component at its end location, buffers empty;
+    # "deadlock": the state has no successor and is not terminal;
+    # "backpressure": every successor was refused because it would overfill
+    #   a queue beyond max_chan_len;
+    # "step-limit": max_steps were taken and the state still has successors.
+    outcome: str
     steps: int
     final: SysState
     events: list = field(default_factory=list)  # serialized JSONL lines
-
-
-def _actor(sys: CompositeSystem, state: SysState, rule: str, label,
-           succ: SysState) -> str:
-    """Component that initiated a step (sender for interactions, the moving
-    component for local steps)."""
-    if rule in ("recv", "internal"):
-        for comp, before, after in zip(sys.components, state.locations,
-                                       succ.locations):
-            if before != after:
-                return comp.id
-        raise AssertionError("local step moved no component")
-    for comp in sys.components:
-        for p in comp.ports:
-            if p.pid in label and p.is_send:
-                return comp.id
-    raise AssertionError(f"no sender in label {label}")
 
 
 def _event_line(step: int, actor: str, rule: str, label, succ: SysState,
@@ -63,7 +58,27 @@ def _event_line(step: int, actor: str, rule: str, label, succ: SysState,
 def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
              max_chan_len: int = MAX_LEN, collect_events: bool = True) -> RunResult:
     rngs = {c.id: random.Random(f"{seed}:{c.id}") for c in sys.components}
+    # Send port id -> id of the first component that owns it.
+    senders = {}
+    for c in sys.components:
+        for p in c.ports:
+            if p.is_send:
+                senders.setdefault(p.pid, c.id)
+
+    def actor(src: SysState, rule, label, succ) -> str:
+        """Component that initiated a step from ``src``: the owner of the
+        label's send port, or for a local step the first component whose
+        location changed."""
+        if rule in ("recv", "internal"):
+            for comp, before, after in zip(sys.components, src.locations,
+                                           succ.locations):
+                if before != after:
+                    return comp.id
+            raise AssertionError("local step moved no component")
+        return next(senders[pid] for pid in label if pid in senders)
+
     state = sys.initial_state()
+    succs = by_actor = None  # successors of ``state``, computed on demand
     events = []
     steps = 0
     order = [c.id for c in sys.components]
@@ -73,28 +88,35 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
         for cid in order:
             if steps >= max_steps:
                 break
-            succs = []
-            for rule, label, succ in sys_steps_tagged(sys, state):
-                # Backpressure: refuse deliveries that would overfill a queue.
-                if any(len(q) > max_chan_len for _, q in succ.buffers):
-                    continue
-                if _actor(sys, state, rule, label, succ) == cid:
-                    succs.append((rule, label, succ))
-            if not succs:
+            if by_actor is None:
+                succs = sys_steps_tagged(sys, state)
+                by_actor = {}
+                for step in succs:
+                    # Backpressure: refuse deliveries that would overfill a queue.
+                    if any(len(q) > max_chan_len for _, q in step[2].buffers):
+                        continue
+                    by_actor.setdefault(actor(state, *step), []).append(step)
+            mine = by_actor.get(cid)
+            if not mine:
                 continue
-            rule, label, succ = succs[rngs[cid].randrange(len(succs))]
+            rule, label, succ = mine[rngs[cid].randrange(len(mine))]
             steps += 1
             if collect_events:
                 events.append(_event_line(steps, cid, rule, label, succ, sys))
             state = succ
+            succs = by_actor = None
             progressed = True
         if not progressed:
             break
 
-    if steps >= max_steps and sys_steps_tagged(sys, state):
+    if succs is None:
+        succs = sys_steps_tagged(sys, state)
+    if steps >= max_steps and succs:
         outcome = "step-limit"
     elif is_terminal(sys, state):
         outcome = "completed"
+    elif succs:
+        outcome = "backpressure"
     else:
         outcome = "deadlock"
     if collect_events:

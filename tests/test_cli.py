@@ -155,6 +155,23 @@ class TestPromelaAndLtl:
         assert code == 0
         assert "ltl termination" in out
 
+    @pytest.mark.parametrize("command", ["promela", "ltl"])
+    def test_mod_operator(self, command, tmp_path, capsys):
+        src = tmp_path / "mod.chor"
+        src.write_text(MOD)
+        code, out, err = run([command, str(src)], capsys)
+        assert code == 0
+        assert err == ""
+        if command == "promela":
+            assert "(((A_x % 3) + 3) % 3)" in out
+
+
+MOD = """
+comp A { var x: int = -7; port p: ss of int binds x; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography modulo = A.p[x mod 3 != 1, x := x mod 3] -> { B.q[y := y mod 2] }
+"""
+
 
 DIV_ZERO = """
 comp A { var x: int = 4; var z: int = 0; port p: ss of int binds x; }

@@ -58,6 +58,17 @@ class TestValuation:
         with pytest.raises(EvalError):
             evaluate(Ref("y"), v(x=1).set("x", 2))
 
+    def test_membership_and_get(self):
+        sigma = v(a=1).set("a", 2)
+        assert "a" in sigma
+        assert "b" not in sigma
+        assert "b" not in Valuation({"a": 1})
+        assert sigma.get("a") == 2
+        assert sigma.get("b") is None
+        assert sigma.get("b", 0) == 0
+        with pytest.raises(EvalError):
+            sigma["b"]
+
 
 class TestEvaluate:
     def test_arithmetic(self):

@@ -1,13 +1,15 @@
 """Tests for Promela emission and the LTL property templates."""
 
+import math
 import os
 import re
 
 import pytest
 
+from chorc.core import BinOp, Ref, Valuation, evaluate
 from chorc.promela import (
-    MAX_LEN, PromelaError, PromelaOptions, format_ltl, generate_promela,
-    ltl_templates, sanitize, validate_promela,
+    MAX_LEN, PromelaError, PromelaOptions, _pexpr, _Strings, format_ltl,
+    generate_promela, ltl_templates, sanitize, validate_promela,
 )
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
@@ -138,6 +140,32 @@ class TestValidator:
             model = generate_promela(synthesize(decl, ch, profile))
             assert re.search(r"^\s*(fi|od)\w", model.text, re.M)
             assert validate_promela(model.text) == []
+
+
+class _CInt(int):
+    """An int whose % truncates toward zero, as in C and Promela."""
+
+    def __mod__(self, other):
+        return _CInt(int(math.fmod(self, other)))
+
+    def __add__(self, other):
+        return _CInt(int(self) + int(other))
+
+
+class TestArithmetic:
+    MOD = BinOp("mod", Ref("A.a"), Ref("A.b"))
+
+    def test_mod_text(self):
+        assert (_pexpr(self.MOD, _Strings(False))
+                == "(((A_a % A_b) + A_b) % A_b)")
+
+    def test_mod_is_floor_modulo_under_truncating_remainder(self):
+        text = _pexpr(self.MOD, _Strings(False))
+        for a in range(-6, 7):
+            for b in (-3, -2, -1, 1, 2, 3):
+                c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
+                python_value = evaluate(self.MOD, Valuation({"A.a": a, "A.b": b}))
+                assert c_value == python_value == a % b, (a, b)
 
 
 class TestSanitize:

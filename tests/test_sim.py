@@ -1,13 +1,19 @@
 """Tests for the deterministic simulation harness."""
 
 import json
+import random
 
-from chorc.cbs import sys_explore
-from chorc.sim import simulate, trace_text
-from chorc.synthesis import synthesize
+import pytest
+
+import chorc.sim
+from chorc.cbs import is_terminal, sys_explore, sys_steps_tagged
+from chorc.cli import main
+from chorc.promela import MAX_LEN
+from chorc.sim import RunResult, _event_line, simulate, trace_text
+from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import project, user_variables
 
-from conftest import load_stem
+from conftest import corpus_path, corpus_paths, load, load_stem
 
 
 def run_stem(stem, seed=0, **kw):
@@ -87,3 +93,101 @@ class TestBackpressure:
         sys = synthesize(decl, ch)
         res = simulate(sys, 0, max_chan_len=1, collect_events=False)
         assert res.outcome == "completed"
+
+    def test_stall_under_backpressure_has_its_own_outcome(self):
+        decl, _, ch = load_stem("producer_consumer")
+        sys = synthesize(decl, ch)
+        res = simulate(sys, 0, max_chan_len=0)
+        assert res.outcome == "backpressure"
+        assert not is_terminal(sys, res.final)
+        assert sys_steps_tagged(sys, res.final)
+        assert json.loads(res.events[-1])["outcome"] == "backpressure"
+
+    def test_cli_reports_backpressure_and_exits_1(self, capsys):
+        code = main(["simulate", corpus_path("producer_consumer"),
+                     "--max-chan-len", "0"])
+        out, _ = capsys.readouterr()
+        assert code == 1
+        assert out == "producer_consumer: backpressure after 2 step(s), seed 0\n"
+
+
+def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
+    """The per-turn scheduler the simulator started from: every turn
+    recomputes all successors of the state and keeps the actor's own; the
+    actor is found by scanning every port of every component."""
+    def actor(state, rule, label, succ):
+        if rule in ("recv", "internal"):
+            for comp, before, after in zip(sys.components, state.locations,
+                                           succ.locations):
+                if before != after:
+                    return comp.id
+            raise AssertionError("local step moved no component")
+        for comp in sys.components:
+            for p in comp.ports:
+                if p.pid in label and p.is_send:
+                    return comp.id
+        raise AssertionError(f"no sender in label {label}")
+
+    rngs = {c.id: random.Random(f"{seed}:{c.id}") for c in sys.components}
+    state = sys.initial_state()
+    events = []
+    steps = 0
+    while steps < max_steps:
+        progressed = False
+        for cid in [c.id for c in sys.components]:
+            if steps >= max_steps:
+                break
+            succs = [(rule, label, succ)
+                     for rule, label, succ in sys_steps_tagged(sys, state)
+                     if all(len(q) <= max_chan_len for _, q in succ.buffers)
+                     and actor(state, rule, label, succ) == cid]
+            if not succs:
+                continue
+            rule, label, succ = succs[rngs[cid].randrange(len(succs))]
+            steps += 1
+            events.append(_event_line(steps, cid, rule, label, succ, sys))
+            state = succ
+            progressed = True
+        if not progressed:
+            break
+    succs = sys_steps_tagged(sys, state)
+    if steps >= max_steps and succs:
+        outcome = "step-limit"
+    elif is_terminal(sys, state):
+        outcome = "completed"
+    elif succs:
+        outcome = "backpressure"
+    else:
+        outcome = "deadlock"
+    final = {k: state.sigma[k] for k in sorted(state.sigma.keys())}
+    events.append(json.dumps({"outcome": outcome, "steps": steps, "final": final},
+                             sort_keys=True, separators=(",", ":")))
+    return RunResult(outcome=outcome, steps=steps, final=state, events=events)
+
+
+class TestScheduler:
+    @pytest.mark.parametrize("path", corpus_paths(),
+                             ids=lambda p: p.rsplit("/", 1)[-1])
+    def test_traces_match_per_turn_reference(self, path):
+        decl, _, ch = load(path)
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            for seed in range(5):
+                for kw in ({}, {"max_chan_len": 1}, {"max_steps": 5}):
+                    assert (trace_text(simulate(sys, seed, **kw))
+                            == trace_text(reference_simulate(sys, seed, **kw))), \
+                        (path, profile, seed, kw)
+
+    def test_successors_computed_once_per_state(self, monkeypatch):
+        decl, _, ch = load_stem("buying")
+        sys = synthesize(decl, ch)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return sys_steps_tagged(*args)
+
+        monkeypatch.setattr(chorc.sim, "sys_steps_tagged", counting)
+        res = simulate(sys, 4)
+        assert res.outcome == "completed"
+        assert len(calls) <= res.steps + 2
