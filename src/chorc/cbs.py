@@ -11,18 +11,21 @@ interaction, the tables of the ports it wires. The tables are built on first
 use and cached on the instance, so ``dataclasses.replace`` yields a system
 or component with fresh ones. System states memoize their
 structural hash (see ``core.memo_hash``); their valuations share the slot
-layout of the initial valuation (see ``core.Valuation``).
+layout of the initial valuation (see ``core.Valuation``). ``sys_explore``
+runs the shared breadth-first explorer (``core.explore_lts``) over
+``sys_steps_tagged``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Expr, Port, Update, Valuation, Value, apply_update, cached_attr, evaluate,
-    expr_vars, format_expr, format_update, memo_hash, requeue, update_vars,
+    Exploration, Expr, Port, Update, Valuation, Value, apply_update, cached_attr,
+    evaluate, explore_lts, expr_vars, format_expr, format_update, memo_hash,
+    requeue, update_vars,
 )
 from .lang import Diagnostic
 
@@ -245,49 +248,12 @@ def is_terminal(sys: CompositeSystem, state: SysState) -> bool:
     return True
 
 
-@dataclass
-class SysExploreResult:
-    terminals: set = field(default_factory=set)   # of SysState
-    deadlocks: set = field(default_factory=set)   # of SysState
-    graph: dict = field(default_factory=dict)     # state -> [(label, state)]
-    truncated: bool = False
-    rules_seen: set = field(default_factory=set)
-    initial: SysState = None
-
-
-def sys_explore(sys: CompositeSystem, s0: Optional[SysState] = None,
-                max_configs: int = 200_000, max_depth: int = 10_000) -> SysExploreResult:
-    """Breadth-first closure of sys_steps_tagged with memoization."""
-    result = SysExploreResult()
-    start = sys.initial_state() if s0 is None else s0
-    result.initial = start
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            result.truncated = True
-            break
-        nxt_frontier = []
-        for state in frontier:
-            succs = sys_steps_tagged(sys, state)
-            result.graph[state] = [(label, s) for _, label, s in succs]
-            if not succs:
-                if is_terminal(sys, state):
-                    result.terminals.add(state)
-                else:
-                    result.deadlocks.add(state)
-            for rule, label, succ in succs:
-                result.rules_seen.add(rule)
-                if succ not in seen:
-                    if len(seen) >= max_configs:
-                        result.truncated = True
-                        continue
-                    seen.add(succ)
-                    nxt_frontier.append(succ)
-        frontier = nxt_frontier
-        depth += 1
-    return result
+def sys_explore(sys: CompositeSystem, max_configs: int = 200_000,
+                max_depth: int = 10_000) -> Exploration:
+    """Breadth-first closure of sys_steps_tagged from the initial state (see
+    ``core.explore_lts``)."""
+    return explore_lts(sys.initial_state(), lambda s: sys_steps_tagged(sys, s),
+                       lambda s: is_terminal(sys, s), max_configs, max_depth)
 
 
 # --------------------------------------------------------------------------

@@ -10,17 +10,22 @@ per-port buffers of the synthesized component system.
 
 Each transition is tagged with the chain of semantic rules that produced it
 (outermost rule first); the test suite uses the tags to measure rule
-coverage.
+coverage. ``explore`` runs the shared breadth-first explorer
+(``core.explore_lts``) over ``chor_steps_tagged``; the final configurations
+it reaches are its terminals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from functools import lru_cache
 
-from .core import Valuation, apply_update, evaluate, memo_hash, requeue, transfer
+from .core import (
+    Exploration, Valuation, apply_update, evaluate, explore_lts, memo_hash, requeue,
+    transfer,
+)
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
 _participants = lru_cache(maxsize=None)(participants)
@@ -210,50 +215,13 @@ def chor_steps_tagged(config: ChorConfig):
 # Exhaustive exploration
 # --------------------------------------------------------------------------
 
-@dataclass
-class ExploreResult:
-    finals: set = field(default_factory=set)       # of Valuation
-    deadlocks: set = field(default_factory=set)    # of Running
-    graph: dict = field(default_factory=dict)      # config -> [(label, config)]
-    truncated: bool = False
-    rules_seen: set = field(default_factory=set)
-    initial: ChorConfig = None
-
-
 def explore(ch: Chor, sigma0: Valuation,
-            max_configs: int = 200_000, max_depth: int = 10_000) -> ExploreResult:
-    """Breadth-first closure of chor_steps_tagged with memoization on
-    configurations."""
-    result = ExploreResult()
-    start = initial_config(ch, sigma0)
-    result.initial = start
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            result.truncated = True
-            break
-        nxt_frontier = []
-        for config in frontier:
-            succs = chor_steps_tagged(config)
-            if not succs:
-                result.deadlocks.add(config)
-            result.graph[config] = [(label, s) for _, label, s in succs]
-            for tags, label, succ in succs:
-                result.rules_seen.update(tags)
-                if isinstance(succ, Final):
-                    result.finals.add(succ.sigma)
-                    result.graph.setdefault(succ, [])
-                    continue
-                if succ not in seen:
-                    if len(seen) >= max_configs:
-                        result.truncated = True
-                        continue
-                    seen.add(succ)
-                    nxt_frontier.append(succ)
-        frontier = nxt_frontier
-        depth += 1
+            max_configs: int = 200_000, max_depth: int = 10_000) -> Exploration:
+    """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``);
+    ``rules_seen`` holds rule names, not tag chains."""
+    result = explore_lts(initial_config(ch, sigma0), chor_steps_tagged,
+                         lambda c: isinstance(c, Final), max_configs, max_depth)
+    result.rules_seen = {rule for tags in result.rules_seen for rule in tags}
     return result
 
 
@@ -267,7 +235,7 @@ def _config_key(config: ChorConfig) -> str:
     return repr(config)
 
 
-def lts_to_dot(result: ExploreResult) -> str:
+def lts_to_dot(result: Exploration) -> str:
     """Render an explored LTS as a DOT digraph."""
     ids = {}
 
@@ -278,7 +246,7 @@ def lts_to_dot(result: ExploreResult) -> str:
 
     lines = ["digraph lts {", "  rankdir=LR;"]
     ordering = sorted(result.graph, key=_config_key)
-    if result.initial is not None and result.initial in result.graph:
+    if result.initial in result.graph:
         ordering.remove(result.initial)
         ordering.insert(0, result.initial)
     for config in ordering:

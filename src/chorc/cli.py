@@ -197,6 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="acknowledge over the data channel itself "
                                 "(implies --profile compat)")
 
+    def limits(p):
+        p.add_argument("--max-configs", type=int, default=200_000,
+                       help="store at most this many states per exploration")
+        p.add_argument("--max-depth", type=int, default=10_000,
+                       help="expand at most this many BFS levels per exploration")
+
     p = sub.add_parser("check", help="parse and check well-formedness")
     common(p, profile=False)
     p.set_defaults(fn=cmd_check)
@@ -209,15 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", help="explore the choreography semantics")
     common(p, profile=False)
-    p.add_argument("--max-configs", type=int, default=200_000)
-    p.add_argument("--max-depth", type=int, default=10_000)
+    limits(p)
     p.add_argument("--dump-lts", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("equiv", help="check choreography/system equivalence")
     common(p)
-    p.add_argument("--max-configs", type=int, default=200_000)
-    p.add_argument("--max-depth", type=int, default=10_000)
+    limits(p)
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("simulate", help="run the simulation harness")

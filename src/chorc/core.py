@@ -13,13 +13,18 @@ keys. The layout, a dict from key to slot, is built once by the
 constructor and shared by every valuation derived from it by ``set``,
 ``apply_update`` and ``transfer``, so a derived valuation costs one tuple
 splice per assignment rather than a dict copy and a sort.
+
+``explore_lts`` is the one breadth-first explorer: the choreography
+semantics (``chorsem.explore``) and the component-system semantics
+(``cbs.sys_explore``) each pass it their start state, successor function and
+termination test, and both get an ``Exploration`` back.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Union
 
@@ -254,10 +259,6 @@ class Valuation(Mapping):
         out._hash = None
         return out
 
-    def restrict(self, qnames) -> "Valuation":
-        keep = set(qnames)
-        return Valuation({k: v for k, v in zip(self._slots, self._values) if k in keep})
-
 
 def evaluate(expr: Expr, v: Valuation) -> Value:
     """Evaluate an expression against a valuation. Pure."""
@@ -325,9 +326,6 @@ class Update:
     def is_skip(self) -> bool:
         return not self.assignments
 
-    def targets(self) -> set[str]:
-        return {t for t, _ in self.assignments}
-
 
 SKIP = Update()
 
@@ -337,19 +335,6 @@ def apply_update(f: Update, v: Valuation) -> Valuation:
     for target, rhs in f.assignments:
         v = v.set(target, evaluate(rhs, v))
     return v
-
-
-def override(hi: Valuation, lo: Valuation) -> Valuation:
-    """Combine valuations; ``hi`` wins on overlap.
-
-    Keys of ``hi`` outside ``lo``'s domain are dropped, keeping the result
-    total over the declared domain.
-    """
-    d = dict(lo)
-    for k, val in hi.items():
-        if k in d:
-            d[k] = val
-    return Valuation(d)
 
 
 def transfer(v: Valuation, snd: Port, rcvs: Iterable[Port]) -> Valuation:
@@ -379,6 +364,68 @@ def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
     queue = (queue[1:] if pop else queue) + push
     return queues[:i] + (((key, queue),) if queue else ()) + queues[j:]
 
+
+# --------------------------------------------------------------------------
+# Breadth-first exploration, shared by both semantics
+# --------------------------------------------------------------------------
+
+@dataclass
+class Exploration:
+    """The part of a labelled transition system that ``explore_lts`` reached."""
+
+    initial: object
+    graph: dict = field(default_factory=dict)      # state -> [(label, state)]
+    terminals: set = field(default_factory=set)    # no successor, terminated
+    deadlocks: set = field(default_factory=set)    # no successor, not terminated
+    rules_seen: set = field(default_factory=set)   # rule tags of every edge
+    truncated: bool = False
+
+    @property
+    def finals(self) -> set:
+        """Valuations of the terminal states."""
+        return {s.sigma for s in self.terminals}
+
+
+def explore_lts(start, successors, is_terminal,
+                max_configs: int, max_depth: int) -> Exploration:
+    """Breadth-first closure of ``successors`` from ``start``, with
+    memoization on states.
+
+    ``successors(state)`` returns (rule tag, label, state) triples. Every
+    stored state is expanded once; a state without successors is a terminal
+    if ``is_terminal(state)`` and a deadlock otherwise. At most
+    ``max_configs`` states are stored and at most ``max_depth`` BFS levels
+    are expanded; a state left out by either limit marks the result
+    truncated, and the graph then holds edges to states it does not store.
+    """
+    result = Exploration(start)
+    seen = {start}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            result.truncated = True
+            break
+        nxt_frontier = []
+        for state in frontier:
+            succs = successors(state)
+            result.graph[state] = [(label, s) for _, label, s in succs]
+            if not succs:
+                if is_terminal(state):
+                    result.terminals.add(state)
+                else:
+                    result.deadlocks.add(state)
+            for rule, _, succ in succs:
+                result.rules_seen.add(rule)
+                if succ not in seen:
+                    if len(seen) >= max_configs:
+                        result.truncated = True
+                        continue
+                    seen.add(succ)
+                    nxt_frontier.append(succ)
+        frontier = nxt_frontier
+        depth += 1
+    return result
 
 
 # --------------------------------------------------------------------------

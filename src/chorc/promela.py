@@ -150,19 +150,14 @@ class Model:
     ltl: list = field(default_factory=list)  # (name, formula)
 
 
-def _interaction_of_send(sys: CompositeSystem, port: Port):
+def _port_interactions(sys: CompositeSystem) -> dict:
+    """Port -> the first interaction of gamma that wires it."""
+    out = {}
     for inter in sys.gamma:
-        if inter.send == port:
-            return inter
-    return None
-
-
-def _sender_of_receive(sys: CompositeSystem, port: Port):
-    for inter in sys.gamma:
+        out.setdefault(inter.send, inter)
         for r in inter.receivers:
-            if r == port:
-                return inter.send
-    return None
+            out.setdefault(r, inter)
+    return out
 
 
 def _used_ports(sys: CompositeSystem) -> list:
@@ -242,8 +237,9 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
                 w(f"chan {ack_chan_name(r)} = [0] of {{ int }};")
     w("")
 
+    wiring = _port_interactions(sys)
     for comp in sys.components:
-        lines.extend(_emit_process(sys, comp, codes, strings, opts))
+        lines.extend(_emit_process(wiring, comp, codes, strings, opts))
         w("")
 
     w("init {")
@@ -271,7 +267,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     return Model(text=text, port_codes=codes, strings=dict(strings.table), ltl=ltl)
 
 
-def _emit_process(sys, comp, codes, strings, opts):
+def _emit_process(wiring, comp, codes, strings, opts):
     cid = sanitize(comp.id)
     lines = []
     w = lines.append
@@ -287,7 +283,7 @@ def _emit_process(sys, comp, codes, strings, opts):
             continue
         if not outs:
             continue
-        body = _emit_location(sys, comp, loc, outs, strings, opts)
+        body = _emit_location(wiring, comp, loc, outs, strings, opts)
         w(f"     :: (currentLocation == {sanitize(loc)}) ->")
         for stmt in body:
             w("        " + stmt)
@@ -297,7 +293,7 @@ def _emit_process(sys, comp, codes, strings, opts):
     return lines
 
 
-def _emit_location(sys, comp, loc, outs, strings, opts):
+def _emit_location(wiring, comp, loc, outs, strings, opts):
     cid = sanitize(comp.id)
 
     def arm(t: Transition) -> list:
@@ -309,8 +305,8 @@ def _emit_location(sys, comp, loc, outs, strings, opts):
             stmts.append(f"currPort_{cid} = {port_symbol(p)};")
             stmts.extend(_passign(t.update, strings))
         elif p.ctype == "r":
-            sender = _sender_of_receive(sys, p)
-            sync = sender is not None and sender.ctype == "ss"
+            inter = wiring.get(p)
+            sync = inter is not None and inter.send.ctype == "ss"
             if sync:
                 if opts.paper_ack:
                     stmts.append(f"sendAck({chan_name(p)});")
@@ -320,7 +316,7 @@ def _emit_location(sys, comp, loc, outs, strings, opts):
             stmts.append(f"{var_symbol(p.var)} = value;")
             stmts.extend(_passign(t.update, strings))
         else:  # send
-            inter = _interaction_of_send(sys, p)
+            inter = wiring.get(p)
             if inter is None:
                 raise PromelaError(f"send port {p.pid} not wired in gamma")
             stmts.append(f"value = {var_symbol(p.var)};")
@@ -343,8 +339,8 @@ def _emit_location(sys, comp, loc, outs, strings, opts):
         if receives:
             # Single receive: block on the channel directly.
             p = t.port
-            sender = _sender_of_receive(sys, p)
-            sync = sender is not None and sender.ctype == "ss"
+            inter = wiring.get(p)
+            sync = inter is not None and inter.send.ctype == "ss"
             stmts = []
             if sync and opts.paper_ack:
                 stmts.append(f"synchRecv({chan_name(p)});")
@@ -479,14 +475,16 @@ def ltl_templates(sys: CompositeSystem) -> list:
     # 4. Correct transaction: a send that follows a receive (possibly through
     #    silent/control synchronization steps) does not happen before the
     #    matching trigger send.
+    wiring = _port_interactions(sys)
     for comp in sys.components:
         for t in comp.transitions:
             p = t.port
             if p is None or p.ctype != "r" or _is_control(p):
                 continue
-            trigger = _sender_of_receive(sys, p)
-            if trigger is None or _is_control(trigger):
+            inter = wiring.get(p)
+            if inter is None or _is_control(inter.send):
                 continue
+            trigger = inter.send
             q = _next_data_send(comp, t.dst)
             if q is None:
                 continue

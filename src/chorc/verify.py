@@ -65,7 +65,7 @@ def equiv_check(decl: SystemDecl, ch: Chor, sys: CompositeSystem,
         chor_states=len(chor_res.graph),
         sys_states=len(sys_res.graph),
         chor_finals={project(s, keys) for s in chor_res.finals},
-        sys_finals={project(st.sigma, keys) for st in sys_res.terminals},
+        sys_finals={project(s, keys) for s in sys_res.finals},
         chor_deadlocks=len(chor_res.deadlocks),
         sys_deadlocks=len(sys_res.deadlocks),
     )

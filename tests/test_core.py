@@ -5,7 +5,7 @@ import pytest
 from chorc.core import (
     SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
     Variable, apply_update, default_value, evaluate, expr_vars, format_expr,
-    format_update, infer_type, override, transfer, update_vars, value_dtype,
+    format_update, infer_type, transfer, update_vars, value_dtype,
 )
 
 
@@ -47,10 +47,6 @@ class TestValuation:
         assert v(a=1, b=2) != v(a=1, c=2)
         assert v(a=1) != v(a=1, b=2)
         assert v() == Valuation()
-
-    def test_restrict(self):
-        sigma = v(a=1, b=2, c=3).restrict(["a", "c"])
-        assert dict(sigma) == {"a": 1, "c": 3}
 
     def test_missing_name_raises(self):
         with pytest.raises(EvalError):
@@ -112,7 +108,6 @@ class TestUpdate:
 
     def test_targets_and_vars(self):
         f = Update((("A.x", BinOp("+", Ref("A.x"), Lit(1))),))
-        assert f.targets() == {"A.x"}
         assert update_vars(f) == {"A.x"}
 
 
@@ -125,11 +120,6 @@ class TestTransfer:
         out = transfer(sigma, snd, [r1, r2])
         assert out["B.y"] == 9 and out["C.z"] == 9
         assert out["A.x"] == 9
-
-
-class TestOverride:
-    def test_left_wins(self):
-        assert dict(override(v(a=1), v(a=2, b=3))) == {"a": 1, "b": 3}
 
 
 class TestTypesAndFormatting:

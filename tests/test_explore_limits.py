@@ -1,0 +1,63 @@
+"""The exploration limits mean the same on both semantics.
+
+``max_configs`` bounds the number of stored states, final configurations
+and terminal states included; ``max_depth`` bounds the number of BFS levels
+expanded. Either limit marks the result truncated exactly when it left a
+state of the full exploration out. Checked against the full exploration of
+every corpus file, for the choreography explorer and for the system explorer
+under both synthesis profiles.
+"""
+
+import os
+from collections import deque
+
+import pytest
+
+from chorc.cbs import sys_explore
+from chorc.chorsem import explore
+from chorc.synthesis import PROFILES, synthesize
+
+from conftest import corpus_paths, load
+
+LIMITS = (1, 2, 3, 5)
+SEMANTICS = ("chor",) + PROFILES
+
+
+def explorer(path, semantics):
+    """``run(**limits)`` exploring one side of a corpus file."""
+    decl, _, ch = load(path)
+    if semantics == "chor":
+        return lambda **limits: explore(ch, decl.initial_valuation(), **limits)
+    system = synthesize(decl, ch, semantics)
+    return lambda **limits: sys_explore(system, **limits)
+
+
+def distances(result) -> dict:
+    """BFS distance from the initial state of every state in the graph."""
+    dist = {result.initial: 0}
+    todo = deque([result.initial])
+    while todo:
+        state = todo.popleft()
+        for _, succ in result.graph[state]:
+            if succ not in dist:
+                dist[succ] = dist[state] + 1
+                todo.append(succ)
+    return dist
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("path", corpus_paths(), ids=os.path.basename)
+def test_limits_match_full_exploration(path, semantics):
+    run = explorer(path, semantics)
+    full = run()
+    assert not full.truncated
+    dist = distances(full)
+    assert set(dist) == set(full.graph)
+    for k in LIMITS:
+        res = run(max_configs=k)
+        assert len(res.graph) <= k, ("max_configs", k)
+        assert res.truncated == (len(full.graph) > k), ("max_configs", k)
+
+        res = run(max_depth=k)
+        assert set(res.graph) == {s for s, d in dist.items() if d < k}, ("max_depth", k)
+        assert res.truncated == any(d >= k for d in dist.values()), ("max_depth", k)

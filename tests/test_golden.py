@@ -1,10 +1,13 @@
 """Golden counts that pin the explorers' and the simulator's behaviour.
 
 ``golden/corpus_counts.json`` records, for every corpus file, the
-configurations, final valuations and deadlocks of the choreography explorer,
-and under each synthesis profile the states, terminals and deadlocks of the
+configurations, final valuations, deadlocks and rules seen of the
+choreography explorer and the SHA-256 of its ``lts_to_dot`` text, and under
+each synthesis profile the states, terminals, deadlocks and rules seen of the
 system explorer plus the SHA-256 of the simulation trace for seeds 0 and 1.
-A change to the state representation must leave all of them unchanged.
+A change to the state representation or to the explorer must leave all of
+them unchanged. The DOT text orders nodes and edges by their text, so its
+digest does not depend on the hash seed.
 
 Regenerate (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -15,7 +18,7 @@ import json
 import os
 
 from chorc.cbs import sys_explore
-from chorc.chorsem import explore
+from chorc.chorsem import explore, lts_to_dot
 from chorc.sim import simulate, trace_text
 from chorc.synthesis import PROFILES, synthesize
 
@@ -26,19 +29,25 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SIM_SEEDS = (0, 1)
 
 
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def corpus_counts(path) -> dict:
     decl, _, ch = load(path)
     chor = explore(ch, decl.initial_valuation())
     out = {"chor": {"configs": len(chor.graph), "finals": len(chor.finals),
-                    "deadlocks": len(chor.deadlocks)}}
+                    "deadlocks": len(chor.deadlocks),
+                    "rules": sorted(chor.rules_seen),
+                    "dot": sha256(lts_to_dot(chor))}}
     for profile in PROFILES:
         system = synthesize(decl, ch, profile)
         res = sys_explore(system)
         out[profile] = {
             "states": len(res.graph), "terminals": len(res.terminals),
-            "deadlocks": len(res.deadlocks),
-            "traces": [hashlib.sha256(trace_text(simulate(system, seed)).encode())
-                       .hexdigest() for seed in SIM_SEEDS],
+            "deadlocks": len(res.deadlocks), "rules": sorted(res.rules_seen),
+            "traces": [sha256(trace_text(simulate(system, seed)))
+                       for seed in SIM_SEEDS],
         }
     return out
 
