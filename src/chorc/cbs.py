@@ -5,15 +5,22 @@ ports and local variables. A composite system is a set of atomic components
 plus an interaction set gamma; its semantics steps over joint locations, a
 global valuation and per-receive-port FIFO buffers.
 
+Every step is started by one component: the sender of an interaction (with
+its receivers for a synchronous one, alone for an asynchronous one, whose
+payload goes to the receivers' buffers) or the component taking a local
+recv/internal step. ``component_steps`` returns one component's steps; the
+simulator asks for them once per turn, and ``sys_steps_tagged``, the
+successor function of the explorer, concatenates them over all components.
+
 A component keeps its transitions indexed by source location and by port
 then source location; a system keeps its components indexed by id and, per
-interaction, the tables of the ports it wires. The tables are built on first
-use and cached on the instance, so ``dataclasses.replace`` yields a system
-or component with fresh ones. System states memoize their
-structural hash (see ``core.memo_hash``); their valuations share the slot
-layout of the initial valuation (see ``core.Valuation``). ``sys_explore``
-runs the shared breadth-first explorer (``core.explore_lts``) over
-``sys_steps_tagged``.
+component and location, the interactions that component sends there
+together with the receivers' tables. The tables are built on first use and
+cached on the instance, so ``dataclasses.replace`` yields a system or
+component with fresh ones. System states memoize their structural hash (see
+``core.memo_hash``); their valuations share the slot layout of the initial
+valuation (see ``core.Valuation``). ``sys_explore`` runs the shared
+breadth-first explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    Exploration, Expr, Port, Update, Valuation, Value, apply_update, cached_attr,
+    Exploration, Expr, Lit, Port, Update, Valuation, apply_update, cached_attr,
     evaluate, explore_lts, expr_vars, format_expr, format_update, memo_hash,
     requeue, update_vars,
 )
@@ -105,15 +112,22 @@ class CompositeSystem:
         return out
 
     @cached_attr
-    def _wiring(self) -> tuple:
-        """Per interaction of gamma: the interaction, its sender's end and
-        its receivers' ends. An end is the owner's position and the owner's
-        transitions on the end's port, by source location."""
+    def _sends(self) -> tuple:
+        """Per component position: location -> the interactions that
+        component sends there, in gamma order. An entry is the interaction,
+        the sender's transitions on its send port from that location and
+        the receivers' ends: the owner's position and the owner's
+        transitions on the receive port, by source location."""
         def end(port):
             i = self.index(port.owner)
             return i, self.components[i]._by_port.get(port, {})
-        return tuple((inter, end(inter.send), tuple(end(r) for r in inter.receivers))
-                     for inter in self.gamma)
+        out = tuple({} for _ in self.components)
+        for inter in self.gamma:
+            si, by_src = end(inter.send)
+            rcv_ends = tuple(end(r) for r in inter.receivers)
+            for loc, offered in by_src.items():
+                out[si].setdefault(loc, []).append((inter, offered, rcv_ends))
+        return out
 
     def initial_state(self) -> "SysState":
         sigma = Valuation({
@@ -150,19 +164,17 @@ def _enabled(offered: tuple, sigma: Valuation) -> list:
     return [t for t in offered if evaluate(t.guard, sigma)]
 
 
-def sys_steps_tagged(sys: CompositeSystem, state: SysState):
-    """Successors of a system state as (rule, label, state)."""
+def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
+    """Steps that component ``ci`` starts from ``state``, as (rule, label,
+    state): the interactions it sends at its location, in gamma order, then
+    its own recv/internal steps, in transition order."""
     out = []
-
-    # Interactions: synch-send / asynch-send.
-    for inter, (si, send_by_src), rcv_ends in sys._wiring:
-        offered = send_by_src.get(state.locations[si])
-        if not offered:
-            continue
-        snd = inter.send
+    loc = state.locations[ci]
+    for inter, offered, rcv_ends in sys._sends[ci].get(loc, ()):
         sender_ts = _enabled(offered, state.sigma)
         if not sender_ts:
             continue
+        snd = inter.send
         if snd.ctype == "as":
             payload = state.sigma[snd.var.qname]
             for t in sender_ts:
@@ -171,7 +183,7 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
                 for r in inter.receivers:
                     buffers = requeue(buffers, r.pid, push=(payload,))
                 locs = list(state.locations)
-                locs[si] = t.dst
+                locs[ci] = t.dst
                 out.append((
                     "asynch-send",
                     frozenset({snd.pid}),
@@ -181,60 +193,60 @@ def sys_steps_tagged(sys: CompositeSystem, state: SysState):
         # Synchronous: every receiver must offer an enabled transition on its
         # port and that port's buffer must be empty; all step together.
         choices = []
-        ok = True
         for r, (ri, by_src) in zip(inter.receivers, rcv_ends):
             if state.buffer(r.pid):
-                ok = False
                 break
             ts = _enabled(by_src.get(state.locations[ri], ()), state.sigma)
             if not ts:
-                ok = False
                 break
             choices.append((ri, ts))
-        if not ok:
-            continue
-        payload = state.sigma[snd.var.qname]
-        for t_s in sender_ts:
-            for combo in itertools.product(*[ts for _, ts in choices]):
-                sigma = state.sigma
-                for r in inter.receivers:
-                    sigma = sigma.set(r.var.qname, payload)
-                sigma = apply_update(t_s.update, sigma)
-                locs = list(state.locations)
-                locs[si] = t_s.dst
-                for (ri, _), t_r in zip(choices, combo):
-                    sigma = apply_update(t_r.update, sigma)
-                    locs[ri] = t_r.dst
-                out.append((
-                    "synch-send",
-                    inter.pids,
-                    SysState(tuple(locs), sigma, state.buffers),
-                ))
+        else:
+            payload = state.sigma[snd.var.qname]
+            for t_s in sender_ts:
+                for combo in itertools.product(*[ts for _, ts in choices]):
+                    sigma = state.sigma
+                    for r in inter.receivers:
+                        sigma = sigma.set(r.var.qname, payload)
+                    sigma = apply_update(t_s.update, sigma)
+                    locs = list(state.locations)
+                    locs[ci] = t_s.dst
+                    for (ri, _), t_r in zip(choices, combo):
+                        sigma = apply_update(t_r.update, sigma)
+                        locs[ri] = t_r.dst
+                    out.append((
+                        "synch-send",
+                        inter.pids,
+                        SysState(tuple(locs), sigma, state.buffers),
+                    ))
 
-    # Local steps: recv / internal.
-    for ci, comp in enumerate(sys.components):
-        for t in comp.outgoing(state.locations[ci]):
-            if t.port is None or t.port.ctype == "in":
-                if not evaluate(t.guard, state.sigma):
-                    continue
-                sigma = apply_update(t.update, state.sigma)
-                locs = list(state.locations)
-                locs[ci] = t.dst
-                out.append(("internal", TAU, SysState(tuple(locs), sigma, state.buffers)))
-            elif t.port.ctype == "r":
-                queue = state.buffer(t.port.pid)
-                if not queue or not evaluate(t.guard, state.sigma):
-                    continue
-                sigma = state.sigma.set(t.port.var.qname, queue[0])
-                sigma = apply_update(t.update, sigma)
-                locs = list(state.locations)
-                locs[ci] = t.dst
-                out.append((
-                    "recv",
-                    TAU,
-                    SysState(tuple(locs), sigma, requeue(state.buffers, t.port.pid, pop=True)),
-                ))
+    for t in sys.components[ci].outgoing(loc):
+        if t.port is None or t.port.ctype == "in":
+            if not evaluate(t.guard, state.sigma):
+                continue
+            sigma = apply_update(t.update, state.sigma)
+            buffers = state.buffers
+            rule = "internal"
+        elif t.port.ctype == "r":
+            queue = state.buffer(t.port.pid)
+            if not queue or not evaluate(t.guard, state.sigma):
+                continue
+            sigma = state.sigma.set(t.port.var.qname, queue[0])
+            sigma = apply_update(t.update, sigma)
+            buffers = requeue(state.buffers, t.port.pid, pop=True)
+            rule = "recv"
+        else:
+            continue  # a send: taken above, through its interaction
+        locs = list(state.locations)
+        locs[ci] = t.dst
+        out.append((rule, TAU, SysState(tuple(locs), sigma, buffers)))
     return out
+
+
+def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:
+    """Successors of a system state as (rule, label, state): the steps of
+    each component in turn (see ``component_steps``)."""
+    return [step for ci in range(len(sys.components))
+            for step in component_steps(sys, state, ci)]
 
 
 def is_terminal(sys: CompositeSystem, state: SysState) -> bool:
@@ -364,8 +376,7 @@ def serialize_system(sys: CompositeSystem) -> str:
     for comp in sorted(sys.components, key=lambda c: c.id):
         lines.append(f"component {comp.id} {{")
         for var, init in sorted(comp.vars, key=lambda vi: vi[0].name):
-            shown = format_expr_value(init)
-            lines.append(f"  var {var.name}: {var.dtype} = {shown}")
+            lines.append(f"  var {var.name}: {var.dtype} = {format_expr(Lit(init))}")
         for p in sorted(comp.ports, key=lambda p: p.name):
             lines.append(f"  port {p.name}: {p.ctype} of {p.dtype} binds {p.var.name}")
         lines.append(f"  init {comp.init}")
@@ -390,14 +401,6 @@ def serialize_system(sys: CompositeSystem) -> str:
 
 def _port_name(port: Optional[Port]) -> str:
     return "eps" if port is None else port.name
-
-
-def format_expr_value(value: Value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(value)
 
 
 def system_to_dot(sys: CompositeSystem) -> str:

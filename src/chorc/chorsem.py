@@ -236,7 +236,8 @@ def _config_key(config: ChorConfig) -> str:
 
 
 def lts_to_dot(result: Exploration) -> str:
-    """Render an explored LTS as a DOT digraph."""
+    """Render an explored LTS as a DOT digraph. On a truncated exploration,
+    edge targets the graph does not store are drawn dashed."""
     ids = {}
 
     def node_id(config):
@@ -244,22 +245,27 @@ def lts_to_dot(result: Exploration) -> str:
             ids[config] = f"n{len(ids)}"
         return ids[config]
 
+    def declare(config, style=""):
+        nid = node_id(config)
+        if isinstance(config, Final):
+            lines.append(f'  {nid} [shape=doublecircle, label="final"{style}];')
+        else:
+            shape = "box" if config in result.deadlocks else "circle"
+            lines.append(f'  {nid} [shape={shape}, label=""{style}];')
+
     lines = ["digraph lts {", "  rankdir=LR;"]
     ordering = sorted(result.graph, key=_config_key)
     if result.initial in result.graph:
         ordering.remove(result.initial)
         ordering.insert(0, result.initial)
     for config in ordering:
-        nid = node_id(config)
-        if isinstance(config, Final):
-            lines.append(f'  {nid} [shape=doublecircle, label="final"];')
-        else:
-            shape = "box" if config in result.deadlocks else "circle"
-            lines.append(f'  {nid} [shape={shape}, label=""];')
+        declare(config)
     for config in ordering:
         nid = node_id(config)
         for label, succ in sorted(result.graph[config],
                                   key=lambda e: (_label_text(e[0]), _config_key(e[1]))):
+            if succ not in ids:
+                declare(succ, ", style=dashed")
             lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

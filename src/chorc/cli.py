@@ -18,7 +18,8 @@ from .cbs import serialize_system, system_to_dot
 from .synthesis import PROFILES, SynthError, synthesize
 from .verify import equiv_check, invariant_suite
 from .promela import (
-    MAX_LEN, PromelaOptions, format_ltl, generate_promela, validate_promela,
+    MAX_LEN, PromelaError, PromelaOptions, format_ltl, generate_promela,
+    ltl_templates, validate_promela,
 )
 from .sim import simulate, trace_text
 
@@ -169,14 +170,23 @@ def cmd_ltl(args) -> int:
     if _check(decl, ch):
         return 1
     system = synthesize(decl, ch, _profile(args))
-    model = generate_promela(system, PromelaOptions(
-        paper_ack=args.paper_ack_encoding))
-    text = format_ltl(model.ltl)
+    text = format_ltl(ltl_templates(system))
     if args.output:
         _write(args.output, text)
     else:
         print(text, end="")
     return 0
+
+
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # names the type in argparse's "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(implies --profile compat)")
 
     def limits(p):
-        p.add_argument("--max-configs", type=int, default=200_000,
+        p.add_argument("--max-configs", type=_int_at_least(1), default=200_000,
                        help="store at most this many states per exploration")
-        p.add_argument("--max-depth", type=int, default=10_000,
+        p.add_argument("--max-depth", type=_int_at_least(1), default=10_000,
                        help="expand at most this many BFS levels per exploration")
 
     p = sub.add_parser("check", help="parse and check well-formedness")
@@ -227,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the simulation harness")
     common(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--max-chan-len", type=int, default=MAX_LEN)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=100_000)
+    p.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL trace")
     p.set_defaults(fn=cmd_simulate)
@@ -238,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--strict", action="store_true",
                    help="reject string-typed data instead of interning")
-    p.add_argument("--max-chan-len", type=int, default=MAX_LEN)
+    p.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
     p.add_argument("--inline-ltl", action="store_true",
                    help="append ltl blocks to the model")
     p.set_defaults(fn=cmd_promela)
@@ -255,9 +265,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SynthError, EvalError) as exc:
-        # Input-dependent failures of synthesis and of evaluation during
-        # exploration or simulation (division or modulo by zero).
+    except (SynthError, EvalError, PromelaError) as exc:
+        # Input-dependent failures of synthesis, of evaluation during
+        # exploration or simulation (division or modulo by zero) and of
+        # Promela emission (string data under --strict).
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

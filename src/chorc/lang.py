@@ -44,13 +44,6 @@ class SystemDecl:
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 
-    def port(self, pid: str) -> Port:
-        for c in self.components:
-            for p in c.ports:
-                if p.pid == pid:
-                    return p
-        raise KeyError(pid)
-
     def type_env(self) -> dict[str, str]:
         return {
             var.qname: var.dtype

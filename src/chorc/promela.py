@@ -25,9 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import (
-    BinOp, Expr, Lit, Neg, Not, Port, Ref, Update, Variable, Value,
-)
+from .core import BinOp, Expr, Lit, Neg, Not, Port, Ref, Update, Variable
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
 MAX_LEN = 8
@@ -122,14 +120,6 @@ def _passign(update: Update, strings: _Strings) -> list:
 # Model generation
 # --------------------------------------------------------------------------
 
-def _pml_value(v: Value, strings: _Strings) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return str(strings.code(v))
-    return str(v)
-
-
 def port_symbol(port: Port) -> str:
     return sanitize(port.pid)
 
@@ -223,7 +213,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     for comp in sys.components:
         for var, init in comp.vars:
             dtype = "bool" if var.dtype == "bool" else "int"
-            w(f"{dtype} {var_symbol(var)} = {_pml_value(init, strings)};")
+            w(f"{dtype} {var_symbol(var)} = {_pexpr(Lit(init), strings)};")
     w("")
 
     # Channels: one per receive port occurring in gamma.
@@ -511,19 +501,21 @@ def format_ltl(ltl: list) -> str:
 # Minimal syntactic validator
 # --------------------------------------------------------------------------
 
-_LINE_PATTERNS = [
-    re.compile(r"^#define \w+(\(\w+\))? .+$"),
-    re.compile(r"^(/\*.*)|(.*\*/)$"),
-    re.compile(r"^(bool|int) \w+( = .+)?;$"),
-    re.compile(r"^chan \w+ = \[\w+\] of \{ (int|bool) \};$"),
-    re.compile(r"^proctype \w+\(\) \{$"),
-    re.compile(r"^(init|atomic) \{$"),
-    re.compile(r"^run \w+\(\);$"),
-    re.compile(r"^(do|od;|if|fi;|\}|break;|skip;|:: if)$"),
-    re.compile(r"^:: .*(->|;|break;)$"),
-    re.compile(r"^ltl \w+ \{ .+ \}$"),
-    re.compile(r"^[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;$"),  # plain statements
-]
+_LINE_PATTERNS = (
+    r"^#define \w+(\(\w+\))? .+$",
+    r"^(/\*.*)|(.*\*/)$",
+    r"^(bool|int) \w+( = .+)?;$",
+    r"^chan \w+ = \[\w+\] of \{ (int|bool) \};$",
+    r"^proctype \w+\(\) \{$",
+    r"^(init|atomic) \{$",
+    r"^run \w+\(\);$",
+    r"^(do|od;|if|fi;|\}|break;|skip;|:: if)$",
+    r"^:: .*(->|;|break;)$",
+    r"^ltl \w+ \{ .+ \}$",
+    r"^[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;$",  # plain statements
+)
+_LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in _LINE_PATTERNS))
+_OPENER = re.compile(r"(?:^|\s)(do|if)$")  # a line that opens a do/if block
 
 
 def validate_promela(text: str) -> list:
@@ -547,17 +539,16 @@ def validate_promela(text: str) -> list:
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:
             errors.append(f"line {lineno}: unbalanced '}}'")
-        if re.search(r"(^|\s)do$", line):
-            stack.append(("do", lineno))
-        if re.search(r"(^|\s|::\s)if$", line) or line.endswith("-> if") or line == "if":
-            stack.append(("if", lineno))
+        opener = _OPENER.search(line)
+        if opener:
+            stack.append((opener.group(1), lineno))
         if line in ("od", "od;"):
             if not stack or stack.pop()[0] != "do":
                 errors.append(f"line {lineno}: 'od' without matching 'do'")
         if line in ("fi", "fi;"):
             if not stack or stack.pop()[0] != "if":
                 errors.append(f"line {lineno}: 'fi' without matching 'if'")
-        if not any(p.match(line) for p in _LINE_PATTERNS):
+        if not _LINE_SHAPE.match(line):
             errors.append(f"line {lineno}: unrecognized statement: {line!r}")
     if depth_brace != 0:
         errors.append("unbalanced braces at end of file")

@@ -6,20 +6,17 @@ rendezvous for synchronous ports, buffered delivery with backpressure for
 asynchronous ones); at receive locations it consumes the head of a port
 queue; internal and silent transitions execute locally.
 
-Logical concurrency is driven by a cooperative round-robin scheduler. All
-remaining nondeterminism (which enabled action a component takes on its
-turn) is resolved by a per-component PRNG seeded from the run seed, so a
-given (system, seed) pair always reproduces the same trace byte for byte.
-Every executed action is one step of the composite-system semantics, which
-makes any reachable final state a member of the exhaustive exploration's
-terminal set by construction.
-
-The successors of a state are computed once, when the scheduler first
-needs them: the steps that backpressure does not refuse are split, in
-successor order, into one list per component that initiates them (the
-sender of an interaction, the moving component of a local step). Each turn
-is then a lookup of the turn's component in those lists; they are dropped
-when a step moves the system to a new state.
+Logical concurrency is driven by a cooperative round-robin scheduler. On
+its turn a component asks the system semantics for the steps it starts
+(``cbs.component_steps``), drops those that backpressure refuses and takes
+one of the rest; the run ends at the step limit or after a full round of
+turns in which no component could move. All remaining nondeterminism
+(which enabled step a component takes on its turn) is resolved by a
+per-component PRNG seeded from the run seed, so a given (system, seed)
+pair always reproduces the same trace byte for byte. Every executed action
+is one step of the composite-system semantics, which makes any reachable
+final state a member of the exhaustive exploration's terminal set by
+construction.
 """
 
 from __future__ import annotations
@@ -28,7 +25,9 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .cbs import CompositeSystem, SysState, is_terminal, sys_steps_tagged
+from .cbs import (
+    CompositeSystem, SysState, component_steps, is_terminal, sys_steps_tagged,
+)
 from .promela import MAX_LEN
 
 
@@ -56,61 +55,28 @@ def _event_line(step: int, actor: str, rule: str, label, succ: SysState,
 
 
 def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
-             max_chan_len: int = MAX_LEN, collect_events: bool = True) -> RunResult:
-    rngs = {c.id: random.Random(f"{seed}:{c.id}") for c in sys.components}
-    # Send port id -> id of the first component that owns it.
-    senders = {}
-    for c in sys.components:
-        for p in c.ports:
-            if p.is_send:
-                senders.setdefault(p.pid, c.id)
-
-    def actor(src: SysState, rule, label, succ) -> str:
-        """Component that initiated a step from ``src``: the owner of the
-        label's send port, or for a local step the first component whose
-        location changed."""
-        if rule in ("recv", "internal"):
-            for comp, before, after in zip(sys.components, src.locations,
-                                           succ.locations):
-                if before != after:
-                    return comp.id
-            raise AssertionError("local step moved no component")
-        return next(senders[pid] for pid in label if pid in senders)
-
+             max_chan_len: int = MAX_LEN) -> RunResult:
+    rngs = [random.Random(f"{seed}:{c.id}") for c in sys.components]
     state = sys.initial_state()
-    succs = by_actor = None  # successors of ``state``, computed on demand
     events = []
-    steps = 0
-    order = [c.id for c in sys.components]
-
-    while steps < max_steps:
-        progressed = False
-        for cid in order:
-            if steps >= max_steps:
-                break
-            if by_actor is None:
-                succs = sys_steps_tagged(sys, state)
-                by_actor = {}
-                for step in succs:
-                    # Backpressure: refuse deliveries that would overfill a queue.
-                    if any(len(q) > max_chan_len for _, q in step[2].buffers):
-                        continue
-                    by_actor.setdefault(actor(state, *step), []).append(step)
-            mine = by_actor.get(cid)
-            if not mine:
-                continue
-            rule, label, succ = mine[rngs[cid].randrange(len(mine))]
+    steps = idle = ci = 0
+    # Round-robin turns; n idle turns in a row mean no component can move.
+    while steps < max_steps and idle < len(sys.components):
+        # Backpressure: refuse deliveries that would overfill a queue.
+        mine = [step for step in component_steps(sys, state, ci)
+                if all(len(q) <= max_chan_len for _, q in step[2].buffers)]
+        if mine:
+            rule, label, succ = mine[rngs[ci].randrange(len(mine))]
             steps += 1
-            if collect_events:
-                events.append(_event_line(steps, cid, rule, label, succ, sys))
+            events.append(_event_line(steps, sys.components[ci].id, rule, label,
+                                      succ, sys))
             state = succ
-            succs = by_actor = None
-            progressed = True
-        if not progressed:
-            break
+            idle = 0
+        else:
+            idle += 1
+        ci = (ci + 1) % len(sys.components)
 
-    if succs is None:
-        succs = sys_steps_tagged(sys, state)
+    succs = sys_steps_tagged(sys, state)
     if steps >= max_steps and succs:
         outcome = "step-limit"
     elif is_terminal(sys, state):
@@ -119,11 +85,10 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
         outcome = "backpressure"
     else:
         outcome = "deadlock"
-    if collect_events:
-        final = {k: state.sigma[k] for k in sorted(state.sigma.keys())}
-        events.append(json.dumps(
-            {"outcome": outcome, "steps": steps, "final": final},
-            sort_keys=True, separators=(",", ":")))
+    final = {k: state.sigma[k] for k in sorted(state.sigma.keys())}
+    events.append(json.dumps(
+        {"outcome": outcome, "steps": steps, "final": final},
+        sort_keys=True, separators=(",", ":")))
     return RunResult(outcome=outcome, steps=steps, final=state, events=events)
 
 

@@ -8,10 +8,11 @@ import dataclasses
 
 from chorc.cbs import (
     SYS_RULES, TAU, AtomicComponent, CompositeSystem, Interaction, Transition,
-    check_structure, is_terminal, serialize_system, sys_explore,
-    sys_steps_tagged,
+    check_structure, component_steps, is_terminal, serialize_system,
+    sys_explore, sys_steps_tagged,
 )
 from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Update, Variable
+from chorc.synthesis import PROFILES, synthesize
 
 
 def var(owner, name, dtype="int"):
@@ -163,6 +164,35 @@ class TestInternal:
             [Transition("a0", A_INT, Lit(False), SKIP, "a1")],
             [], [], b_end="b0")
         assert sys_steps_tagged(sys, sys.initial_state()) == []
+
+
+class TestComponentSteps:
+    def test_each_step_is_started_by_its_component(self, corpus):
+        """On every reached state of every corpus system, a send of
+        ``component_steps(sys, s, ci)`` is on a send port of ``ci`` and a
+        recv/internal step moves ``ci`` alone; the system's successors are
+        the components' steps in component order."""
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                senders = {p.pid: c.id for c in sys.components
+                           for p in c.ports if p.is_send}
+                for state in sys_explore(sys).graph:
+                    per_comp = [component_steps(sys, state, ci)
+                                for ci in range(len(sys.components))]
+                    assert sys_steps_tagged(sys, state) == [
+                        step for steps in per_comp for step in steps]
+                    for ci, steps in enumerate(per_comp):
+                        others = state.locations[:ci] + state.locations[ci + 1:]
+                        for rule, label, succ in steps:
+                            where = (path, profile, ci, rule, label)
+                            if rule in ("synch-send", "asynch-send"):
+                                assert [senders[pid] for pid in label
+                                        if pid in senders] == [sys.components[ci].id], where
+                            else:
+                                assert rule in ("recv", "internal"), where
+                                assert succ.locations[:ci] + succ.locations[ci + 1:] \
+                                    == others, where
 
 
 class TestRuleNames:

@@ -192,11 +192,46 @@ class TestRuntimeErrors:
         assert "error: division by zero" in proc.stderr
 
 
+class TestPromelaErrors:
+    def test_strict_string_data_is_a_diagnostic(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chorc.cli", "promela",
+             corpus_path("strings"), "--strict"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: string value")
+
+
 class TestUsage:
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["synth", SYNC, "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", SYNC, "--max-configs", "0"],
+        ["explore", SYNC, "--max-depth", "0"],
+        ["equiv", SYNC, "--max-configs", "0"],
+        ["equiv", SYNC, "--max-depth", "-3"],
+        ["simulate", SYNC, "--max-steps", "-1"],
+        ["simulate", SYNC, "--max-chan-len", "-1"],
+        ["promela", SYNC, "--max-chan-len", "-1"],
+        ["simulate", SYNC, "--max-steps", "many"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[2:]))
+    def test_out_of_range_limit_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert f"argument {argv[2]}: " in err
+
+    def test_smallest_limits_are_accepted(self, capsys):
+        assert run(["explore", SYNC, "--max-configs", "1", "--max-depth", "1"],
+                   capsys)[0] == 1  # truncated
+        assert run(["simulate", SYNC, "--max-steps", "0", "--max-chan-len", "0"],
+                   capsys)[0] == 1  # step limit at step 0
+        assert run(["promela", SYNC, "--max-chan-len", "0"], capsys)[0] == 0
 
     def test_help_for_subcommands(self):
         for cmd in ("check", "synth", "explore", "equiv", "simulate",

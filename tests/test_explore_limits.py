@@ -9,12 +9,13 @@ under both synthesis profiles.
 """
 
 import os
+import re
 from collections import deque
 
 import pytest
 
 from chorc.cbs import sys_explore
-from chorc.chorsem import explore
+from chorc.chorsem import explore, lts_to_dot
 from chorc.synthesis import PROFILES, synthesize
 
 from conftest import corpus_paths, load
@@ -61,3 +62,15 @@ def test_limits_match_full_exploration(path, semantics):
         res = run(max_depth=k)
         assert set(res.graph) == {s for s, d in dist.items() if d < k}, ("max_depth", k)
         assert res.truncated == any(d >= k for d in dist.values()), ("max_depth", k)
+
+
+@pytest.mark.parametrize("path", corpus_paths(), ids=os.path.basename)
+def test_truncated_dot_declares_every_node(path):
+    """Edges of a truncated exploration may end at states the graph does
+    not store; each such node still gets its own declaration line."""
+    run = explorer(path, "chor")
+    for limits in [{"max_configs": k} for k in (1, 2, 3)] + [{"max_depth": 2}]:
+        dot = lts_to_dot(run(**limits))
+        declared = set(re.findall(r"^  (n\d+) \[", dot, re.M))
+        used = set(re.findall(r"^  (n\d+) -> (n\d+) ", dot, re.M))
+        assert {n for edge in used for n in edge} <= declared, (path, limits)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import chorc.sim
-from chorc.cbs import is_terminal, sys_explore, sys_steps_tagged
+from chorc.cbs import component_steps, is_terminal, sys_explore, sys_steps_tagged
 from chorc.cli import main
 from chorc.promela import MAX_LEN
 from chorc.sim import RunResult, _event_line, simulate, trace_text
@@ -32,7 +32,7 @@ class TestOutcomes:
         for path, decl, name, ch in corpus:
             sys = synthesize(decl, ch)
             for seed in (0, 1):
-                res = simulate(sys, seed, collect_events=False)
+                res = simulate(sys, seed)
                 assert res.outcome == "completed", (path, seed)
 
     def test_step_limit(self):
@@ -49,7 +49,7 @@ class TestSoundness:
             keys = user_variables(decl)
             projections = {project(t.sigma, keys) for t in terms}
             for seed in (0, 3):
-                res = simulate(sys, seed, collect_events=False)
+                res = simulate(sys, seed)
                 assert res.outcome == "completed", (path, seed)
                 assert project(res.final.sigma, keys) in projections, path
 
@@ -91,7 +91,7 @@ class TestBackpressure:
     def test_tiny_channel_capacity_still_completes(self):
         decl, _, ch = load_stem("producer_consumer")
         sys = synthesize(decl, ch)
-        res = simulate(sys, 0, max_chan_len=1, collect_events=False)
+        res = simulate(sys, 0, max_chan_len=1)
         assert res.outcome == "completed"
 
     def test_stall_under_backpressure_has_its_own_outcome(self):
@@ -181,13 +181,19 @@ class TestScheduler:
     def test_successors_computed_once_per_state(self, monkeypatch):
         decl, _, ch = load_stem("buying")
         sys = synthesize(decl, ch)
-        calls = []
+        turns, classified = [], []
 
-        def counting(*args):
-            calls.append(args)
+        def counting_component(sys, state, ci):
+            turns.append((state, ci))  # keeps the state alive: ids stay unique
+            return component_steps(sys, state, ci)
+
+        def counting_all(*args):
+            classified.append(args)
             return sys_steps_tagged(*args)
 
-        monkeypatch.setattr(chorc.sim, "sys_steps_tagged", counting)
+        monkeypatch.setattr(chorc.sim, "component_steps", counting_component)
+        monkeypatch.setattr(chorc.sim, "sys_steps_tagged", counting_all)
         res = simulate(sys, 4)
         assert res.outcome == "completed"
-        assert len(calls) <= res.steps + 2
+        assert len({(id(state), ci) for state, ci in turns}) == len(turns)
+        assert len(classified) == 1
