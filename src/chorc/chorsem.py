@@ -8,11 +8,17 @@ channel and are consumed one at a time, in any interleaving with the rest of
 the choreography. This makes the pending pool behave exactly like the
 per-port buffers of the synthesized component system.
 
-Each transition is tagged with the chain of semantic rules that produced it
-(outermost rule first); the test suite uses the tags to measure rule
-coverage. ``explore`` runs the shared breadth-first explorer
-(``core.explore_lts``) over ``chor_steps_tagged``; the final configurations
-it reaches are its terminals.
+Each term is compiled once, on first use, into a step table kept on the term
+instance: one static step (rule tags, label, guard, update, sends, next term)
+per way the term can move. A synchronous send becomes one update whose first
+assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
+their operands' tables, and ``Par`` decides the independence of its operands
+once. ``chor_steps_tagged`` then only evaluates guards and applies updates.
+
+Rule tags list the semantic rules that produced a transition, outermost
+first; the test suite uses them to measure rule coverage. ``explore`` runs
+the shared breadth-first explorer (``core.explore_lts``) over
+``chor_steps_tagged``; the final configurations it reaches are its terminals.
 """
 
 from __future__ import annotations
@@ -20,15 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from functools import lru_cache
-
 from .core import (
-    Exploration, Valuation, apply_update, evaluate, explore_lts, memo_hash, requeue,
-    transfer,
+    SKIP, TRUE, Exploration, Not, Ref, Update, Valuation, apply_update, evaluate,
+    explore_lts, memo_hash, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
-
-_participants = lru_cache(maxsize=None)(participants)
 
 #: Silent label.
 TAU = "tau"
@@ -81,100 +83,91 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _step_term(term: Chor, sigma: Valuation):
-    """Term-level successors of (term, sigma).
+def _config(term: Optional[Chor], sigma: Valuation, pending: Pending) -> ChorConfig:
+    """Final once neither the term nor a pending receive is left."""
+    if term is None and not pending:
+        return Final(sigma)
+    return Running(term, sigma, pending)
 
-    Yields (tags, label, next_term, sigma', sent) where next_term is None
-    when the term has terminated and sent lists residual receives created by
-    an asynchronous send as (channel key, (port, update, value)).
-    """
-    out = []
+
+def _steps(term: Chor) -> tuple:
+    """The step table of ``term``: compiled on first use, then kept on the
+    term instance."""
+    try:
+        return term._steps
+    except AttributeError:
+        steps = _compile(term)
+        object.__setattr__(term, "_steps", steps)
+        return steps
+
+
+def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
+    """An operand's steps seen from the enclosing ``Seq`` or ``Par``: a step
+    that terminates the operand continues with ``rest``, any other step with
+    ``wrap`` of the operand's next term."""
+    return tuple(
+        ((terminated,) + tags, label, guard, update, sends, rest) if nxt is None
+        else ((running,) + tags, label, guard, update, sends, wrap(nxt))
+        for tags, label, guard, update, sends, nxt in steps
+    )
+
+
+def _compile(term: Chor) -> tuple:
+    """Static steps of ``term`` as (tags, label, guard, update, sends, next
+    term); next term is None when the step terminates the term. ``sends``
+    lists the residual receives of an asynchronous send as (channel key,
+    receive port, receive update, sent variable)."""
     if isinstance(term, Nil):
-        out.append((("nil",), TAU, None, sigma, ()))
-        return out
+        return ((("nil",), TAU, TRUE, SKIP, (), None),)
 
     if isinstance(term, Comm):
-        snd = term.send
-        if evaluate(snd.guard, sigma):
-            if snd.port.ctype == "ss":
-                rcv_ports = [p for p, _ in term.rcvs]
-                after = transfer(sigma, snd.port, rcv_ports)
-                after = apply_update(snd.update, after)
-                for _, f in term.rcvs:
-                    after = apply_update(f, after)
-                label = frozenset({snd.port.pid} | {p.pid for p in rcv_ports})
-                out.append((("synch-sendrcv",), label, None, after, ()))
-            else:
-                payload = sigma[snd.port.var.qname]
-                after = apply_update(snd.update, sigma)
-                sent = tuple(
-                    ((snd.port.pid, p.pid), (p, f, payload))
-                    for p, f in term.rcvs
-                )
-                out.append((
-                    ("asynch-sendrcv-1",),
-                    frozenset({snd.port.pid}),
-                    None, after, sent,
-                ))
-        return out
+        snd = term.send.port
+        if snd.ctype == "ss":
+            # The transfer comes first, then the sender's update, then the
+            # receivers' in order.
+            assignments = []
+            for r, _ in term.rcvs:
+                if r.dtype != snd.dtype:
+                    raise TypeError(f"transfer dtype mismatch: "
+                                    f"{snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
+                assignments.append((r.var.qname, Ref(snd.var.qname)))
+            assignments += term.send.update.assignments
+            for _, f in term.rcvs:
+                assignments += f.assignments
+            label = frozenset({snd.pid} | {r.pid for r, _ in term.rcvs})
+            return ((("synch-sendrcv",), label, term.send.guard,
+                     Update(tuple(assignments)), (), None),)
+        sends = tuple(((snd.pid, r.pid), r, f, snd.var.qname) for r, f in term.rcvs)
+        return ((("asynch-sendrcv-1",), frozenset({snd.pid}), term.send.guard,
+                 term.send.update, sends, None),)
 
     if isinstance(term, Branch):
-        for gs, cont in term.conts:
-            if evaluate(gs.guard, sigma):
-                out.append((
-                    ("master-branching",),
-                    frozenset({gs.port.pid}),
-                    cont,
-                    apply_update(gs.update, sigma),
-                    (),
-                ))
-        return out
+        return tuple(
+            (("master-branching",), frozenset({gs.port.pid}), gs.guard, gs.update, (), cont)
+            for gs, cont in term.conts
+        )
 
     if isinstance(term, Loop):
-        if evaluate(term.cond.guard, sigma):
-            out.append((
-                ("iterative-tt",),
-                frozenset({term.cond.port.pid}),
-                Seq(term.body, term),
-                apply_update(term.cond.update, sigma),
-                (),
-            ))
-        else:
-            out.append((("iterative-ff",), TAU, None, sigma, ()))
-        return out
+        cond = term.cond
+        return (
+            (("iterative-tt",), frozenset({cond.port.pid}), cond.guard, cond.update, (),
+             Seq(term.body, term)),
+            (("iterative-ff",), TAU, Not(cond.guard), SKIP, (), None),
+        )
 
     if isinstance(term, Seq):
-        for tags, label, nxt, sig, sent in _step_term(term.first, sigma):
-            if nxt is None:
-                out.append((("sequential-2",) + tags, label, term.second, sig, sent))
-            else:
-                out.append((
-                    ("sequential-1",) + tags, label,
-                    Seq(nxt, term.second), sig, sent,
-                ))
-        return out
+        return _lift(_steps(term.first), "sequential-1", "sequential-2", term.second,
+                     lambda nxt: Seq(nxt, term.second))
 
     if isinstance(term, Par):
+        left = _lift(_steps(term.left), "parallel-1", "parallel-3", term.right,
+                     lambda nxt: Par(nxt, term.right))
         # Dependent operands (shared components) run in a fixed left-to-right
         # order, so that every component keeps a single execution flow.
-        independent = not (_participants(term.left) & _participants(term.right))
-        for tags, label, nxt, sig, sent in _step_term(term.left, sigma):
-            if nxt is None:
-                out.append((("parallel-3",) + tags, label, term.right, sig, sent))
-            else:
-                out.append((
-                    ("parallel-1",) + tags, label, Par(nxt, term.right), sig, sent,
-                ))
-        if not independent:
-            return out
-        for tags, label, nxt, sig, sent in _step_term(term.right, sigma):
-            if nxt is None:
-                out.append((("parallel-4",) + tags, label, term.left, sig, sent))
-            else:
-                out.append((
-                    ("parallel-2",) + tags, label, Par(term.left, nxt), sig, sent,
-                ))
-        return out
+        if participants(term.left) & participants(term.right):
+            return left
+        return left + _lift(_steps(term.right), "parallel-2", "parallel-4", term.left,
+                            lambda nxt: Par(term.left, nxt))
 
     raise AssertionError(term)
 
@@ -191,23 +184,18 @@ def chor_steps_tagged(config: ChorConfig):
         sigma = config.sigma.set(port.var.qname, value)
         sigma = apply_update(f, sigma)
         rest = requeue(config.pending, chan, pop=True)
-        if config.term is None and not rest:
-            succ: ChorConfig = Final(sigma)
-        else:
-            succ = Running(config.term, sigma, rest)
-        out.append((("asynch-sendrcv-2",), frozenset({port.pid}), succ))
+        out.append((("asynch-sendrcv-2",), frozenset({port.pid}),
+                    _config(config.term, sigma, rest)))
 
-    # Term steps.
+    # Term steps: the payload of a send is read before the update runs.
     if config.term is not None:
-        for tags, label, nxt, sigma, sent in _step_term(config.term, config.sigma):
+        for tags, label, guard, update, sends, nxt in _steps(config.term):
+            if not evaluate(guard, config.sigma):
+                continue
             pending = config.pending
-            for chan, item in sent:
-                pending = requeue(pending, chan, push=(item,))
-            if nxt is None and not pending:
-                succ = Final(sigma)
-            else:
-                succ = Running(nxt, sigma, pending)
-            out.append((tags, label, succ))
+            for chan, port, f, var in sends:
+                pending = requeue(pending, chan, push=((port, f, config.sigma[var]),))
+            out.append((tags, label, _config(nxt, apply_update(update, config.sigma), pending)))
     return out
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .core import EvalError
-from .parser import ParseError, parse_source, parse_chor_source
+from .parser import ParseError, parse_chor_source, parse_decls, parse_source
 from .lang import check_well_formed
 from .chorsem import explore, lts_to_dot
 from .cbs import serialize_system, system_to_dot
@@ -42,19 +42,22 @@ def _write(path: str, text: str):
         raise SystemExit(2)
 
 
+def _parse(path: str, parse, *extra):
+    """Parse the file at ``path``; a parse error names that file."""
+    try:
+        return parse(_read(path), *extra)
+    except ParseError as exc:
+        print(f"{path}: parse error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def _load(args):
     """Parse the input (single file, or --config declarations + chor file)."""
-    try:
-        if args.config:
-            from .parser import parse_decls
-            decl = parse_decls(_read(args.config))
-            name, ch = parse_chor_source(_read(args.file), decl)
-        else:
-            decl, name, ch = parse_source(_read(args.file))
-    except ParseError as exc:
-        print(f"{args.file}: parse error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-    return decl, name, ch
+    if args.config:
+        decl = _parse(args.config, parse_decls)
+        name, ch = _parse(args.file, parse_chor_source, decl)
+        return decl, name, ch
+    return _parse(args.file, parse_source)
 
 
 def _check(decl, ch, quiet=False):
@@ -270,6 +273,12 @@ def main(argv=None) -> int:
         # exploration or simulation (division or modulo by zero) and of
         # Promela emission (string data under --strict).
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # The parser, the structural hashes and the printers recurse over the
+        # term structure, so a very long `;` chain exhausts the stack.
+        print("error: input nested too deeply "
+              f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1
 
 

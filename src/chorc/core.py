@@ -10,9 +10,11 @@ dataclass-generated ones over the fields.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
-constructor and shared by every valuation derived from it by ``set``,
-``apply_update`` and ``transfer``, so a derived valuation costs one tuple
-splice per assignment rather than a dict copy and a sort.
+constructor and shared by every valuation derived from it by ``set`` and
+``apply_update``, so a derived valuation costs one tuple splice per
+assignment rather than a dict copy and a sort. A synchronous transfer is no
+special case: the choreography's step tables express it as leading
+``receiver := sender`` assignments of an ``Update``.
 
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
@@ -334,18 +336,6 @@ def apply_update(f: Update, v: Valuation) -> Valuation:
     """Apply assignments left to right; each rhs sees the latest bindings."""
     for target, rhs in f.assignments:
         v = v.set(target, evaluate(rhs, v))
-    return v
-
-
-def transfer(v: Valuation, snd: Port, rcvs: Iterable[Port]) -> Valuation:
-    """Rebind each receiver's port variable to the sender's current value."""
-    assert snd.is_send, snd
-    payload = v[snd.var.qname]
-    for r in rcvs:
-        assert r.ctype == "r", r
-        if r.dtype != snd.dtype:
-            raise TypeError(f"transfer dtype mismatch: {snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
-        v = v.set(r.var.qname, payload)
     return v
 
 

@@ -135,7 +135,6 @@ def ack_chan_name(port: Port) -> str:
 @dataclass
 class Model:
     text: str
-    port_codes: dict           # Port -> int (symbol define value)
     strings: dict              # str -> int
     ltl: list = field(default_factory=list)  # (name, formula)
 
@@ -172,7 +171,6 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
 
     # Port symbols (currPort values).
     ports = _used_ports(sys)
-    codes = {}
     symbols = set()
     w("/* port symbols */")
     w("#define PORT_NONE 0")
@@ -181,7 +179,6 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
         if sym in symbols:
             raise PromelaError(f"port symbol collision on {sym}")
         symbols.add(sym)
-        codes[p] = i
         w(f"#define {sym} {i}")
     w("")
 
@@ -229,7 +226,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
 
     wiring = _port_interactions(sys)
     for comp in sys.components:
-        lines.extend(_emit_process(wiring, comp, codes, strings, opts))
+        lines.extend(_emit_process(wiring, comp, strings, opts))
         w("")
 
     w("init {")
@@ -254,10 +251,10 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
         header.append("*/")
         text = "\n".join(header) + "\n" + text
 
-    return Model(text=text, port_codes=codes, strings=dict(strings.table), ltl=ltl)
+    return Model(text=text, strings=dict(strings.table), ltl=ltl)
 
 
-def _emit_process(wiring, comp, codes, strings, opts):
+def _emit_process(wiring, comp, strings, opts):
     cid = sanitize(comp.id)
     lines = []
     w = lines.append
@@ -352,15 +349,12 @@ def _emit_location(wiring, comp, loc, outs, strings, opts):
     stmts = ["if"]
     for t in outs:
         if t.port is not None and t.port.ctype == "r":
+            # The channel read happens here; ``arm`` does not read again.
             cond = f"recv({chan_name(t.port)})"
         else:
             cond = f"({_pexpr(t.guard, strings)})"
         stmts.append(f":: {cond} ->")
-        body = arm(t)
-        if t.port is not None and t.port.ctype == "r":
-            # The channel read already happened in the condition.
-            pass
-        stmts.extend("   " + s for s in body)
+        stmts.extend("   " + s for s in arm(t))
     stmts.append("fi;")
     return stmts
 

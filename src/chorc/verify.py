@@ -22,7 +22,6 @@ from .cbs import (
     check_structure, sys_explore,
 )
 from .lang import Chor, Diagnostic, SystemDecl
-from .synthesis import synthesize
 
 
 # --------------------------------------------------------------------------
@@ -205,18 +204,3 @@ MUTATIONS = {
     "unmark-end": mutate_unmark_end,
 }
 
-
-def mutation_report(decl: SystemDecl, ch: Chor, profile: str = "default",
-                    max_configs: int = 200_000, max_depth: int = 10_000) -> dict:
-    """Apply every applicable mutation and report each verdict."""
-    base = synthesize(decl, ch, profile)
-    out = {}
-    for name, op in MUTATIONS.items():
-        mutant = op(base)
-        if mutant is None:
-            out[name] = "inapplicable"
-            continue
-        report = equiv_check(decl, ch, mutant,
-                             max_configs=max_configs, max_depth=max_depth)
-        out[name] = report.verdict
-    return out

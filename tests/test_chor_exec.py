@@ -5,12 +5,15 @@ out by hand against the definitions; the final test measures rule-tag
 coverage over the whole corpus.
 """
 
+from chorc import chorsem
 from chorc.chorsem import (
     CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
     initial_config,
 )
 from chorc.lang import Seq
 from chorc.parser import parse_source
+
+from conftest import load_stem
 
 DECLS = """
 comp A {
@@ -246,3 +249,20 @@ class TestRuleCoverage:
             seen |= res.rules_seen
         missing = set(CHOR_RULES) - seen
         assert not missing, f"rules never exercised by the corpus: {missing}"
+
+
+class TestStepTables:
+    def test_each_term_is_compiled_once(self, monkeypatch):
+        decl, _, ch = load_stem("microservice")
+        compiled = []  # keeps every compiled term alive, so ids stay unique
+        compile_table = chorsem._compile
+
+        def counting(term):
+            compiled.append(term)
+            return compile_table(term)
+
+        monkeypatch.setattr(chorsem, "_compile", counting)
+        res = explore(ch, decl.initial_valuation())
+        assert len({id(term) for term in compiled}) == len(compiled)
+        # A few dozen distinct terms serve thousands of configurations.
+        assert 10 * len(compiled) < len(res.graph)

@@ -89,6 +89,21 @@ class TestTwoFileMode:
                             "--config", str(tmp_path / "decls.chor")], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("broken", ["decls", "main"])
+    def test_parse_error_names_the_failing_file(self, broken, tmp_path, capsys):
+        src = open(SYNC).read()
+        head, _, tail = src.partition("choreography")
+        files = {"decls": head, "main": "choreography" + tail}
+        files[broken] += "\n@@\n"
+        for stem, text in files.items():
+            (tmp_path / f"{stem}.chor").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(tmp_path / "main.chor"),
+                  "--config", str(tmp_path / "decls.chor")])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{tmp_path / (broken + '.chor')}: parse error: ")
+
 
 class TestExplore:
     def test_reports_rules(self, capsys):
@@ -190,6 +205,21 @@ class TestRuntimeErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "error: division by zero" in proc.stderr
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize("command", ["check", "explore", "synth"])
+    def test_long_chain_is_a_diagnostic(self, command, tmp_path):
+        src = tmp_path / "chain.chor"
+        src.write_text(
+            "comp A { var x: int = 1; port p: ss of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "choreography chain = " + " ;\n".join(["A.p -> { B.r }"] * 1000))
+        proc = subprocess.run([sys.executable, "-m", "chorc.cli", command, str(src)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: input nested too deeply")
 
 
 class TestPromelaErrors:

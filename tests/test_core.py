@@ -1,11 +1,11 @@
-"""Unit tests for expressions, valuations, updates and value transfer."""
+"""Unit tests for expressions, valuations and updates."""
 
 import pytest
 
 from chorc.core import (
     SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
     Variable, apply_update, default_value, evaluate, expr_vars, format_expr,
-    format_update, infer_type, transfer, update_vars, value_dtype,
+    format_update, infer_type, update_vars, value_dtype,
 )
 
 
@@ -109,17 +109,6 @@ class TestUpdate:
     def test_targets_and_vars(self):
         f = Update((("A.x", BinOp("+", Ref("A.x"), Lit(1))),))
         assert update_vars(f) == {"A.x"}
-
-
-class TestTransfer:
-    def test_copies_send_binding_to_every_receiver(self):
-        snd = port("A", "p", "ss", "x")
-        r1 = port("B", "q", "r", "y")
-        r2 = port("C", "q", "r", "z")
-        sigma = v(**{"A.x": 9, "B.y": 0, "C.z": 0})
-        out = transfer(sigma, snd, [r1, r2])
-        assert out["B.y"] == 9 and out["C.z"] == 9
-        assert out["A.x"] == 9
 
 
 class TestTypesAndFormatting:

@@ -2,7 +2,7 @@
 
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import (
-    MUTATIONS, equiv_check, invariant_suite, mutation_report, project,
+    MUTATIONS, equiv_check, invariant_suite, project,
     user_variables,
 )
 
@@ -102,10 +102,3 @@ class TestMutations:
                     assert comp.outgoing(loc) == tuple(
                         t for t in comp.transitions if t.src == loc), (mname, loc)
             assert equiv_check(decl, ch, mutant).verdict != "equivalent", mname
-
-    def test_mutation_report_shape(self):
-        decl, _, ch = load_stem("loop_countdown")
-        rows = mutation_report(decl, ch)
-        assert set(rows) == set(MUTATIONS)
-        assert all(v in ("equivalent", "mismatch", "inconclusive",
-                         "inapplicable") for v in rows.values())
