@@ -24,11 +24,11 @@ termination test, and both get an ``Exploration`` back.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class EvalError(Exception):
@@ -154,9 +154,49 @@ class Port:
 # Expressions
 # --------------------------------------------------------------------------
 
-ARITH_OPS = ("+", "-", "*", "/", "mod")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-BOOL_OPS = ("and", "or")
+def _div(a: int, b: int) -> int:
+    """Integer division truncating toward zero, as in C and Promela."""
+    if b == 0:
+        raise EvalError("division by zero")
+    q = a // b
+    return q + 1 if q < 0 and q * b != a else q
+
+
+def _mod(a: int, b: int) -> int:
+    """Floor modulo: the result takes the sign of the divisor."""
+    if b == 0:
+        raise EvalError("modulo by zero")
+    return a % b
+
+
+class BinaryOp(NamedTuple):
+    prec: int       # binding strength; higher binds tighter
+    kind: str       # "arith", "cmp" or "bool"
+    fn: Callable    # the meaning on two evaluated operands
+
+
+#: Every binary operator of the expression language, by spelling: the parser,
+#: the printer, the evaluator and the type checker all read it. Each level is
+#: left-associative except the comparisons, which do not chain. ``evaluate``
+#: short-circuits ``and`` and ``or``.
+BINARY_OPS = {
+    "or": BinaryOp(1, "bool", lambda a, b: bool(a) or bool(b)),
+    "and": BinaryOp(2, "bool", lambda a, b: bool(a) and bool(b)),
+    "==": BinaryOp(3, "cmp", operator.eq),
+    "!=": BinaryOp(3, "cmp", operator.ne),
+    "<": BinaryOp(3, "cmp", operator.lt),
+    "<=": BinaryOp(3, "cmp", operator.le),
+    ">": BinaryOp(3, "cmp", operator.gt),
+    ">=": BinaryOp(3, "cmp", operator.ge),
+    "+": BinaryOp(4, "arith", operator.add),
+    "-": BinaryOp(4, "arith", operator.sub),
+    "*": BinaryOp(5, "arith", operator.mul),
+    "/": BinaryOp(5, "arith", _div),
+    "mod": BinaryOp(5, "arith", _mod),
+}
+
+#: ``not`` and unary ``-`` bind tighter than every binary operator.
+UNARY_PREC = 1 + max(op.prec for op in BINARY_OPS.values())
 
 
 @memo_hash
@@ -273,40 +313,12 @@ def evaluate(expr: Expr, v: Valuation) -> Value:
     if isinstance(expr, Not):
         return not evaluate(expr.operand, v)
     if isinstance(expr, BinOp):
-        op = expr.op
-        if op == "and":
-            return bool(evaluate(expr.left, v)) and bool(evaluate(expr.right, v))
-        if op == "or":
-            return bool(evaluate(expr.left, v)) or bool(evaluate(expr.right, v))
+        _, kind, fn = BINARY_OPS[expr.op]
         a = evaluate(expr.left, v)
-        b = evaluate(expr.right, v)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0:
-                raise EvalError("division by zero")
-            return a // b
-        if op == "mod":
-            if b == 0:
-                raise EvalError("modulo by zero")
-            return a % b
-        if op == "==":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-        raise AssertionError(f"unknown operator {op!r}")
+        # A false left operand decides `and`, a true one `or`.
+        if kind == "bool" and bool(a) is (expr.op == "or"):
+            return bool(a)
+        return fn(a, evaluate(expr.right, v))
     raise AssertionError(f"not an expression: {expr!r}")
 
 
@@ -339,7 +351,7 @@ def apply_update(f: Update, v: Valuation) -> Valuation:
     return v
 
 
-_queue_key = itemgetter(0)
+_queue_key = operator.itemgetter(0)
 
 
 def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
@@ -462,32 +474,27 @@ def infer_type(expr: Expr, env: Mapping[str, str]) -> str:
     if isinstance(expr, BinOp):
         lt = infer_type(expr.left, env)
         rt = infer_type(expr.right, env)
-        if expr.op in ARITH_OPS:
+        kind = BINARY_OPS[expr.op].kind
+        if kind == "arith":
             if expr.op == "+" and lt == rt == "str":
                 return "str"
             if lt == rt == "int":
                 return "int"
             raise TypeError(f"operator {expr.op!r} needs int operands, got {lt}/{rt}")
-        if expr.op in CMP_OPS:
+        if kind == "cmp":
             if lt != rt:
                 raise TypeError(f"comparison {expr.op!r} across types {lt}/{rt}")
             if expr.op not in ("==", "!=") and lt == "bool":
                 raise TypeError(f"ordering {expr.op!r} on bool")
             return "bool"
-        if expr.op in BOOL_OPS:
-            if lt == rt == "bool":
-                return "bool"
-            raise TypeError(f"operator {expr.op!r} needs bool operands, got {lt}/{rt}")
+        if lt == rt == "bool":
+            return "bool"
+        raise TypeError(f"operator {expr.op!r} needs bool operands, got {lt}/{rt}")
     raise AssertionError(f"not an expression: {expr!r}")
 
 
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5, "mod": 5,
-}
+#: The escapes the lexer reads inside a string literal.
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 def format_expr(expr: Expr, strip_owner: str | None = None) -> str:
@@ -506,18 +513,19 @@ def format_expr(expr: Expr, strip_owner: str | None = None) -> str:
             if isinstance(e.value, bool):
                 return "true" if e.value else "false"
             if isinstance(e.value, str):
-                escaped = e.value.replace("\\", "\\\\").replace('"', '\\"')
-                return f'"{escaped}"'
+                return f'"{e.value.translate(_STRING_ESCAPES)}"'
             return str(e.value)
         if isinstance(e, Ref):
             return ref_name(e.qname)
         if isinstance(e, Neg):
-            return f"-{fmt(e.operand, 6)}"
+            return f"-{fmt(e.operand, UNARY_PREC)}"
         if isinstance(e, Not):
-            return f"not {fmt(e.operand, 6)}"
+            return f"not {fmt(e.operand, UNARY_PREC)}"
         if isinstance(e, BinOp):
-            prec = _PRECEDENCE[e.op]
-            text = f"{fmt(e.left, prec)} {e.op} {fmt(e.right, prec + 1)}"
+            prec, kind, _ = BINARY_OPS[e.op]
+            # Left-associative, except that comparisons do not chain.
+            left = fmt(e.left, prec + 1 if kind == "cmp" else prec)
+            text = f"{left} {e.op} {fmt(e.right, prec + 1)}"
             if prec < parent_prec:
                 return f"({text})"
             return text

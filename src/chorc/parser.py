@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    BinOp, Expr, FALSE, Lit, Neg, Not, Port, Ref, SKIP, TRUE, Update,
-    Variable, default_value,
+    BINARY_OPS, BinOp, Expr, FALSE, Lit, Neg, Not, Port, Ref, SKIP, TRUE,
+    UNARY_PREC, Update, Variable, default_value,
 )
 from .lang import (
     Branch, Chor, Comm, ComponentDecl, GuardedSend, Loop, Nil, Par, Seq,
@@ -402,49 +402,22 @@ class Parser:
         raise ParseError(f"component {comp_id} has no variable {name!r}",
                          tok.line, tok.col)
 
-    def parse_expr(self, decl: SystemDecl, owner: str) -> Expr:
-        return self.parse_or(decl, owner)
-
-    def parse_or(self, decl, owner) -> Expr:
-        left = self.parse_and(decl, owner)
-        while self.accept("or"):
-            left = BinOp("or", left, self.parse_and(decl, owner))
-        return left
-
-    def parse_and(self, decl, owner) -> Expr:
-        left = self.parse_cmp(decl, owner)
-        while self.accept("and"):
-            left = BinOp("and", left, self.parse_cmp(decl, owner))
-        return left
-
-    def parse_cmp(self, decl, owner) -> Expr:
-        left = self.parse_add(decl, owner)
-        for op in ("==", "!=", "<=", ">=", "<", ">"):
-            if self.accept(op):
-                return BinOp(op, left, self.parse_add(decl, owner))
-        return left
-
-    def parse_add(self, decl, owner) -> Expr:
-        left = self.parse_mul(decl, owner)
-        while True:
-            if self.accept("+"):
-                left = BinOp("+", left, self.parse_mul(decl, owner))
-            elif self.accept("-"):
-                left = BinOp("-", left, self.parse_mul(decl, owner))
-            else:
-                return left
-
-    def parse_mul(self, decl, owner) -> Expr:
+    def parse_expr(self, decl: SystemDecl, owner: str, min_prec: int = 1) -> Expr:
+        """Precedence climbing over ``BINARY_OPS``: the longest expression
+        whose binary operators bind at least as tightly as ``min_prec``."""
         left = self.parse_unary(decl, owner)
+        max_prec = UNARY_PREC
         while True:
-            if self.accept("*"):
-                left = BinOp("*", left, self.parse_unary(decl, owner))
-            elif self.accept("/"):
-                left = BinOp("/", left, self.parse_unary(decl, owner))
-            elif self.accept("mod"):
-                left = BinOp("mod", left, self.parse_unary(decl, owner))
-            else:
+            op = self.cur.kind
+            info = BINARY_OPS.get(op)
+            if info is None or not min_prec <= info.prec <= max_prec:
                 return left
+            self.pos += 1
+            left = BinOp(op, left, self.parse_expr(decl, owner, info.prec + 1))
+            # Left-associative: the right operand took every tighter
+            # operator. A comparison does not chain, so after one only
+            # looser operators may follow.
+            max_prec = info.prec - 1 if info.kind == "cmp" else info.prec
 
     def parse_unary(self, decl, owner) -> Expr:
         if self.accept("not"):

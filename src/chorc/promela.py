@@ -52,11 +52,8 @@ def sanitize(name: str) -> str:
 # Expression translation
 # --------------------------------------------------------------------------
 
-_OPS = {
-    "and": "&&", "or": "||",
-    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-    "+": "+", "-": "-", "*": "*", "/": "/",
-}
+#: The operators Promela spells differently; the rest keep their spelling.
+_OPS = {"and": "&&", "or": "||"}
 
 
 class _Strings:
@@ -105,7 +102,7 @@ def _pexpr(e: Expr, strings: _Strings) -> str:
             # Floor modulo, as in core.evaluate: C's truncating % shifted
             # into the divisor's sign. Only the divisor is repeated.
             return f"((({left} % {right}) + {right}) % {right})"
-        return f"({left} {_OPS[e.op]} {right})"
+        return f"({left} {_OPS.get(e.op, e.op)} {right})"
     raise AssertionError(e)
 
 
@@ -247,7 +244,9 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     if strings.table:
         header = ["/* interned strings:"]
         for s, c in sorted(strings.table.items(), key=lambda kv: kv[1]):
-            header.append(f"   {c} = {s!r}")
+            # Still a Python literal of s, but one that cannot end the comment.
+            literal = repr(s).replace("*/", "*\\x2f")
+            header.append(f"   {c} = {literal}")
         header.append("*/")
         text = "\n".join(header) + "\n" + text
 

@@ -3,7 +3,7 @@
 import pytest
 
 from chorc.core import (
-    SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
+    FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
     Variable, apply_update, default_value, evaluate, expr_vars, format_expr,
     format_update, infer_type, update_vars, value_dtype,
 )
@@ -76,10 +76,23 @@ class TestEvaluate:
         sigma = Valuation()
         assert evaluate(BinOp("/", Lit(7), Lit(2)), sigma) == 3
         assert evaluate(BinOp("mod", Lit(7), Lit(2)), sigma) == 1
+        # `/` truncates toward zero, as in Promela; `mod` floors.
+        for a, b, q in [(-7, 2, -3), (7, -2, -3), (-7, -2, 3), (-8, 2, -4), (-1, 2, 0)]:
+            assert evaluate(BinOp("/", Lit(a), Lit(b)), sigma) == q, (a, b)
+        assert evaluate(BinOp("mod", Lit(-7), Lit(2)), sigma) == 1
 
     def test_division_by_zero_raises(self):
         with pytest.raises(EvalError):
             evaluate(BinOp("/", Lit(1), Lit(0)), Valuation())
+        with pytest.raises(EvalError, match="modulo by zero"):
+            evaluate(BinOp("mod", Lit(1), Lit(0)), Valuation())
+
+    def test_and_or_short_circuit(self):
+        boom = BinOp("==", BinOp("/", Lit(1), Lit(0)), Lit(0))
+        assert evaluate(BinOp("and", FALSE, boom), Valuation()) is False
+        assert evaluate(BinOp("or", TRUE, boom), Valuation()) is True
+        with pytest.raises(EvalError):
+            evaluate(BinOp("and", TRUE, boom), Valuation())
 
     def test_comparison_and_boolean(self):
         sigma = v(**{"A.x": 3})
@@ -133,6 +146,15 @@ class TestTypesAndFormatting:
         assert format_expr(e, strip_owner="A") == "(x + 1) * 2"
         e2 = BinOp("+", BinOp("*", Ref("A.x"), Lit(1)), Lit(2))
         assert format_expr(e2, strip_owner="A") == "x * 1 + 2"
+
+    def test_format_expr_parenthesizes_comparison_operands_of_comparisons(self):
+        eq = BinOp("==", Ref("A.x"), Lit(1))
+        assert format_expr(BinOp("==", eq, TRUE), "A") == "(x == 1) == true"
+        assert format_expr(BinOp("!=", TRUE, eq), "A") == "true != (x == 1)"
+        assert format_expr(BinOp("and", eq, eq), "A") == "x == 1 and x == 1"
+
+    def test_format_expr_escapes_strings(self):
+        assert format_expr(Lit('a\nb\t"c\\')) == '"a\\nb\\t\\"c\\\\"'
 
     def test_format_update(self):
         f = Update((("A.x", Lit(1)),))

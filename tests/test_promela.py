@@ -1,5 +1,6 @@
 """Tests for Promela emission and the LTL property templates."""
 
+import ast
 import math
 import os
 import re
@@ -112,6 +113,18 @@ class TestStrings:
         assert model.strings  # at least one literal interned
         assert "of { int }" in model.text  # str channels carry codes
 
+    def test_comment_closer_in_a_string_keeps_the_header_a_comment(self):
+        decl, _, ch = parse_source(
+            'comp A { var s: str = "a*/b"; port p: ss of str binds s; }\n'
+            'comp B { var t: str = ""; port r: r of str binds t; }\n'
+            "choreography t = A.p -> { B.r }")
+        model = generate_promela(synthesize(decl, ch, "default"))
+        assert model.strings == {"a*/b": 1, "": 2}
+        assert validate_promela(model.text) == []
+        header = model.text.split("\n*/\n", 1)[0]
+        assert "*/" not in header
+        assert ast.literal_eval(header.splitlines()[1].split(" = ", 1)[1]) == "a*/b"
+
     def test_strict_mode_rejects_strings(self):
         with pytest.raises(PromelaError):
             model_for("strings", strict=True)
@@ -143,13 +156,17 @@ class TestValidator:
 
 
 class _CInt(int):
-    """An int whose % truncates toward zero, as in C and Promela."""
+    """An int whose / and % truncate toward zero, as in C and Promela."""
 
     def __mod__(self, other):
         return _CInt(int(math.fmod(self, other)))
 
     def __add__(self, other):
         return _CInt(int(self) + int(other))
+
+    def __truediv__(self, other):
+        q = abs(int(self)) // abs(int(other))
+        return _CInt(q if (self < 0) == (other < 0) else -q)
 
 
 class TestArithmetic:
@@ -166,6 +183,16 @@ class TestArithmetic:
                 c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
                 python_value = evaluate(self.MOD, Valuation({"A.a": a, "A.b": b}))
                 assert c_value == python_value == a % b, (a, b)
+
+    def test_div_agrees_with_truncating_division(self):
+        div = BinOp("/", Ref("A.a"), Ref("A.b"))
+        text = _pexpr(div, _Strings(False))
+        assert text == "(A_a / A_b)"
+        for a in range(-6, 7):
+            for b in (-3, -2, -1, 1, 2, 3):
+                c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
+                python_value = evaluate(div, Valuation({"A.a": a, "A.b": b}))
+                assert c_value == python_value == math.trunc(a / b), (a, b)
 
 
 class TestSanitize:
