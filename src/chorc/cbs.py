@@ -17,16 +17,19 @@ then source location; a system keeps its components indexed by id and, per
 component and location, the interactions that component sends there
 together with the receivers' tables. The tables are built on first use and
 cached on the instance, so ``dataclasses.replace`` yields a system or
-component with fresh ones. System states memoize their structural hash (see
-``core.memo_hash``); their valuations share the slot layout of the initial
-valuation (see ``core.Valuation``). ``sys_explore`` runs the shared
-breadth-first explorer (``core.explore_lts``) over ``sys_steps_tagged``.
+component with fresh ones. System states are slotted frozen dataclasses
+that keep their memoized structural hash in a slot (see ``core.memo_hash``);
+their valuations share the slot layout of the initial valuation (see
+``core.Valuation``). An asynchronous send is labelled with its port's shared
+``Port.label`` and a synchronous one with its interaction's cached ``pids``,
+so no step builds a label. ``sys_explore`` runs the shared breadth-first
+explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -143,11 +146,12 @@ class CompositeSystem:
 
 
 @memo_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SysState:
     locations: tuple  # aligned with CompositeSystem.components
     sigma: Valuation
     buffers: tuple  # sorted tuple of (receive port id, tuple of values)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def buffer(self, pid: str) -> tuple:
         for key, queue in self.buffers:
@@ -186,7 +190,7 @@ def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
                 locs[ci] = t.dst
                 out.append((
                     "asynch-send",
-                    frozenset({snd.pid}),
+                    snd.label,
                     SysState(tuple(locs), sigma, buffers),
                 ))
             continue

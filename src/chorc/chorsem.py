@@ -19,11 +19,16 @@ Rule tags list the semantic rules that produced a transition, outermost
 first; the test suite uses them to measure rule coverage. ``explore`` runs
 the shared breadth-first explorer (``core.explore_lts``) over
 ``chor_steps_tagged``; the final configurations it reaches are its terminals.
+
+Configurations are slotted frozen dataclasses: no per-instance ``__dict__``,
+and ``Running`` keeps its memoized hash in a slot (see ``core.memo_hash``).
+A label on one port is that port's shared ``Port.label``, so neither the
+step tables nor a residual receive build a frozenset per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .core import (
@@ -64,14 +69,15 @@ Pending = tuple
 
 
 @memo_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Running:
     term: Optional[Chor]  # None once the term itself has terminated
     sigma: Valuation
     pending: Pending = ()
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Final:
     sigma: Valuation
 
@@ -138,19 +144,19 @@ def _compile(term: Chor) -> tuple:
             return ((("synch-sendrcv",), label, term.send.guard,
                      Update(tuple(assignments)), (), None),)
         sends = tuple(((snd.pid, r.pid), r, f, snd.var.qname) for r, f in term.rcvs)
-        return ((("asynch-sendrcv-1",), frozenset({snd.pid}), term.send.guard,
+        return ((("asynch-sendrcv-1",), snd.label, term.send.guard,
                  term.send.update, sends, None),)
 
     if isinstance(term, Branch):
         return tuple(
-            (("master-branching",), frozenset({gs.port.pid}), gs.guard, gs.update, (), cont)
+            (("master-branching",), gs.port.label, gs.guard, gs.update, (), cont)
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
         return (
-            (("iterative-tt",), frozenset({cond.port.pid}), cond.guard, cond.update, (),
+            (("iterative-tt",), cond.port.label, cond.guard, cond.update, (),
              Seq(term.body, term)),
             (("iterative-ff",), TAU, Not(cond.guard), SKIP, (), None),
         )
@@ -184,7 +190,7 @@ def chor_steps_tagged(config: ChorConfig):
         sigma = config.sigma.set(port.var.qname, value)
         sigma = apply_update(f, sigma)
         rest = requeue(config.pending, chan, pop=True)
-        out.append((("asynch-sendrcv-2",), frozenset({port.pid}),
+        out.append((("asynch-sendrcv-2",), port.label,
                     _config(config.term, sigma, rest)))
 
     # Term steps: the payload of a send is read before the update runs.

@@ -19,7 +19,10 @@ special case: the choreography's step tables express it as leading
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
 (``cbs.sys_explore``) each pass it their start state, successor function and
-termination test, and both get an ``Exploration`` back.
+termination test, and both get an ``Exploration`` back. Every state it
+stores is one object, and every edge to a stored state points at that
+object, so an exploration holds each reached state once and code that walks
+the graph may compare stored states by identity.
 """
 
 from __future__ import annotations
@@ -41,8 +44,11 @@ def memo_hash(cls):
 
     The cached hash is stored with ``object.__setattr__``, past the frozen
     ``__setattr__``; ``dataclasses.replace`` builds a new instance and so
-    starts without one. String hashes differ between interpreter runs, so an
-    instance must not be pickled into another process once hashed.
+    starts without one. A slotted dataclass declares the cache itself, as
+    ``_hash: Optional[int] = field(default=None, init=False, repr=False,
+    compare=False)``; any other class gets a class-level ``None`` default.
+    String hashes differ between interpreter runs, so an instance must not
+    be pickled into another process once hashed.
     """
     structural = cls.__hash__
 
@@ -53,7 +59,8 @@ def memo_hash(cls):
             object.__setattr__(self, "_hash", h)
         return h
 
-    cls._hash = None
+    if "_hash" not in getattr(cls, "__slots__", ()):
+        cls._hash = None
     cls.__hash__ = __hash__
     return cls
 
@@ -140,6 +147,12 @@ class Port:
     @cached_attr
     def pid(self) -> str:
         return f"{self.owner}.{self.name}"
+
+    @cached_attr
+    def label(self) -> frozenset:
+        """The transition label of a step on this port alone, shared by
+        every such step."""
+        return frozenset({self.pid})
 
     @property
     def dtype(self) -> str:
@@ -373,7 +386,12 @@ def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
 
 @dataclass
 class Exploration:
-    """The part of a labelled transition system that ``explore_lts`` reached."""
+    """The part of a labelled transition system that ``explore_lts`` reached.
+
+    The keys of ``graph`` are the stored states, one object each; every edge
+    target equal to a key is that key object. ``initial``, ``terminals`` and
+    ``deadlocks`` hold the same objects.
+    """
 
     initial: object
     graph: dict = field(default_factory=dict)      # state -> [(label, state)]
@@ -399,9 +417,14 @@ def explore_lts(start, successors, is_terminal,
     ``max_configs`` states are stored and at most ``max_depth`` BFS levels
     are expanded; a state left out by either limit marks the result
     truncated, and the graph then holds edges to states it does not store.
+
+    Every stored state is one object, the first one equal to it that the
+    search met. Each edge to a stored state points at that object, so a
+    fresh successor equal to a stored one is not kept. A successor left out
+    by ``max_configs`` stays the fresh object of its edge.
     """
     result = Exploration(start)
-    seen = {start}
+    seen = {start: start}
     frontier = [start]
     depth = 0
     while frontier:
@@ -411,20 +434,24 @@ def explore_lts(start, successors, is_terminal,
         nxt_frontier = []
         for state in frontier:
             succs = successors(state)
-            result.graph[state] = [(label, s) for _, label, s in succs]
+            edges = result.graph[state] = []
             if not succs:
                 if is_terminal(state):
                     result.terminals.add(state)
                 else:
                     result.deadlocks.add(state)
-            for rule, _, succ in succs:
+            for rule, label, succ in succs:
                 result.rules_seen.add(rule)
-                if succ not in seen:
+                stored = seen.get(succ)
+                if stored is None:
                     if len(seen) >= max_configs:
                         result.truncated = True
-                        continue
-                    seen.add(succ)
-                    nxt_frontier.append(succ)
+                    else:
+                        seen[succ] = succ
+                        nxt_frontier.append(succ)
+                else:
+                    succ = stored
+                edges.append((label, succ))
         frontier = nxt_frontier
         depth += 1
     return result
@@ -494,7 +521,8 @@ def infer_type(expr: Expr, env: Mapping[str, str]) -> str:
 
 
 #: The escapes the lexer reads inside a string literal.
-_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+                                  "\t": "\\t"})
 
 
 def format_expr(expr: Expr, strip_owner: str | None = None) -> str:

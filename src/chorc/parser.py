@@ -100,7 +100,7 @@ def tokenize(source: str) -> list[Token]:
             col += 1
             chars = []
             while True:
-                if i >= n or source[i] == "\n":
+                if i >= n or source[i] in "\n\r":
                     raise ParseError("unterminated string literal", start_line, start_col)
                 ch = source[i]
                 if ch == '"':
@@ -113,6 +113,8 @@ def tokenize(source: str) -> list[Token]:
                     nxt = source[i + 1]
                     if nxt == "n":
                         chars.append("\n")
+                    elif nxt == "r":
+                        chars.append("\r")
                     elif nxt == "t":
                         chars.append("\t")
                     elif nxt in ('"', "\\"):

@@ -18,6 +18,12 @@ comp A { var x: int = 0; port p: ss of int binds x; }
 choreography broken = A.p -> { A.p }
 """
 
+CR_STRING = r"""
+comp A { var msg: str = "a\rb"; port p: ss of str binds msg; }
+comp B { var got: str = ""; port q: r of str binds got; }
+choreography cr = A.p[msg != "\r", msg := msg + "\r"] -> { B.q[skip] }
+"""
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -49,6 +55,18 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", str(bad)])
         assert exc.value.code == 1
+
+    def test_escaped_carriage_return_survives_a_file(self, tmp_path, capsys):
+        """Files are read with universal newlines, so a carriage return in
+        a string literal is written as the escape \\r, and printed back so."""
+        src = tmp_path / "cr.chor"
+        src.write_text(CR_STRING)
+        code, out, _ = run(["check", str(src)], capsys)
+        assert code == 0
+        assert "ok" in out
+        code, out, _ = run(["synth", str(src)], capsys)
+        assert code == 0
+        assert 'var msg: str = "a\\rb"' in out
 
 
 class TestSynth:

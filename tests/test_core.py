@@ -1,11 +1,15 @@
-"""Unit tests for expressions, valuations and updates."""
+"""Unit tests for expressions, valuations, updates and hash memoization."""
+
+import dataclasses
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
 from chorc.core import (
     FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
     Variable, apply_update, default_value, evaluate, expr_vars, format_expr,
-    format_update, infer_type, update_vars, value_dtype,
+    format_update, infer_type, memo_hash, update_vars, value_dtype,
 )
 
 
@@ -155,6 +159,7 @@ class TestTypesAndFormatting:
 
     def test_format_expr_escapes_strings(self):
         assert format_expr(Lit('a\nb\t"c\\')) == '"a\\nb\\t\\"c\\\\"'
+        assert format_expr(Lit("a\rb")) == '"a\\rb"'
 
     def test_format_update(self):
         f = Update((("A.x", Lit(1)),))
@@ -169,3 +174,60 @@ class TestTypesAndFormatting:
         assert p.pid == "A.p"
         assert p.is_send
         assert not port("A", "q", "r", "x").is_send
+
+    def test_port_label_is_shared(self):
+        p = port("A", "p", "as", "x")
+        assert p.label == frozenset({"A.p"})
+        assert p.label is p.label
+
+
+class Counted:
+    """A field value that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        Counted.calls += 1
+        return 7
+
+    def __repr__(self):
+        return "Counted()"
+
+
+@memo_hash
+@dataclass(frozen=True, slots=True)
+class Slotted:
+    a: int
+    b: object = None
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+
+class TestMemoHashOnSlots:
+    def test_cache_is_a_slot(self):
+        s = Slotted(1)
+        assert not hasattr(s, "__dict__")
+        assert type(Slotted.__dict__["_hash"]).__name__ == "member_descriptor"
+        assert s._hash is None
+
+    def test_hash_is_computed_once(self):
+        s = Slotted(1, Counted())
+        before = Counted.calls
+        assert hash(s) == hash(s) == s._hash
+        assert Counted.calls == before + 1
+
+    def test_replace_starts_without_a_cached_hash(self):
+        s = Slotted(1, (2,))
+        hash(s)
+        assert dataclasses.replace(s)._hash is None
+        t = dataclasses.replace(s, a=3)
+        assert t._hash is None
+        assert hash(t) == hash((3, (2,)))
+
+    def test_cache_takes_no_part_in_eq_repr_or_hash(self):
+        hashed, fresh = Slotted(1, "x"), Slotted(1, "x")
+        hash(hashed)
+        assert hashed._hash is not None and fresh._hash is None
+        assert hashed == fresh
+        assert repr(hashed) == repr(fresh) == "Slotted(a=1, b='x')"
+        assert hash(hashed) == hash(fresh) == hash((1, "x"))
+        assert hashed != Slotted(2, "x")

@@ -6,6 +6,10 @@ expanded. Either limit marks the result truncated exactly when it left a
 state of the full exploration out. Checked against the full exploration of
 every corpus file, for the choreography explorer and for the system explorer
 under both synthesis profiles.
+
+Every stored state is one object: each edge to a stored state points at the
+graph's key, and states carry no instance ``__dict__``. Labels on one port
+are that port's shared ``Port.label``.
 """
 
 import os
@@ -74,3 +78,33 @@ def test_truncated_dot_declares_every_node(path):
         declared = set(re.findall(r"^  (n\d+) \[", dot, re.M))
         used = set(re.findall(r"^  (n\d+) -> (n\d+) ", dot, re.M))
         assert {n for edge in used for n in edge} <= declared, (path, limits)
+
+
+def assert_targets_are_stored_objects(result):
+    """Every edge target equal to a stored state is that state's object."""
+    stored = {state: state for state in result.graph}
+    for edges in result.graph.values():
+        for _, succ in edges:
+            assert succ in stored or result.truncated
+            if succ in stored:
+                assert succ is stored[succ], succ
+
+
+@pytest.mark.parametrize("semantics", SEMANTICS)
+@pytest.mark.parametrize("path", corpus_paths(), ids=os.path.basename)
+def test_each_state_is_stored_once(path, semantics):
+    run = explorer(path, semantics)
+    full = run()
+    assert not full.truncated
+    assert_targets_are_stored_objects(full)
+    for k in (1, 2, 3):
+        assert_targets_are_stored_objects(run(max_configs=k))
+    for state in full.graph:
+        assert not hasattr(state, "__dict__"), state
+    # Asynchronous sends, residual receives and, on the choreography side,
+    # branch and loop choices are labelled by one port: one object per port.
+    labels = {}
+    for edges in full.graph.values():
+        for label, _ in edges:
+            if isinstance(label, frozenset) and len(label) == 1:
+                assert labels.setdefault(label, label) is label, label

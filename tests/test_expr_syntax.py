@@ -77,11 +77,11 @@ OPS = {kind: sorted(op for op, info in BINARY_OPS.items() if info.kind == kind)
 
 # Only terms the parser can produce: it never builds a negative Lit, since
 # "-3" parses as Neg(Lit(3)), and string literals hold only characters the
-# lexer reads raw or through an escape (\n \t \" \\).
+# lexer reads raw or through an escape (\n \r \t \" \\).
 LEAVES = {
     "int": st.one_of(st.integers(0, 20).map(Lit), st.sampled_from([X, Y])),
     "bool": st.sampled_from([TRUE, FALSE, BV]),
-    "str": st.one_of(st.text('a "\\\n\t*/', max_size=4).map(Lit), st.just(S)),
+    "str": st.one_of(st.text('a "\\\n\r\t*/', max_size=4).map(Lit), st.just(S)),
 }
 
 # dtype -> its compound expressions: a unary node or a binary operator,

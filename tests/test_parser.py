@@ -126,3 +126,10 @@ class TestErrors:
 
     def test_trailing_garbage(self):
         self.err(MINI + "\nextra tokens here")
+
+    @pytest.mark.parametrize("raw", ["\n", "\r"])
+    def test_raw_line_break_in_string(self, raw):
+        e = self.err(f'comp A {{ var s: str = "a{raw}b"; port p: ss of str binds s; }}\n'
+                     "choreography t = nil")
+        assert e.message == "unterminated string literal"
+        assert (e.line, e.col) == (1, 23)
