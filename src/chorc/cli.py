@@ -3,11 +3,18 @@
 Subcommands: check, synth, explore, equiv, simulate, promela, ltl.
 Exit codes: 0 success, 1 analysis failure (diagnostics, mismatch, failed
 validation, synthesis error, runtime evaluation error), 2 usage or I/O error.
+
+``main`` is the one front end. It parses the arguments with a parser built
+once per process (``build_parser``), reads and parses the input, runs the
+well-formedness check and, for the subcommands that take a synthesis
+profile, synthesizes the system. Each ``cmd_*`` function then does only its
+own work on what the front end produced.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import EvalError
@@ -31,6 +38,9 @@ def _read(path: str) -> str:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _write(path: str, text: str):
@@ -40,6 +50,14 @@ def _write(path: str, text: str):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _emit(path, text: str):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        _write(path, text)
+    else:
+        print(text, end="")
 
 
 def _parse(path: str, parse, *extra):
@@ -60,41 +78,18 @@ def _load(args):
     return _parse(args.file, parse_source)
 
 
-def _check(decl, ch, quiet=False):
-    diags = check_well_formed(decl, ch)
-    errors = [d for d in diags if d.severity == "error"]
-    if not quiet:
-        for d in diags:
-            print(d, file=sys.stderr)
-    return errors
+# Each subcommand receives the parsed arguments, the declarations, the
+# choreography's name, the choreography and the synthesized system (None for
+# the subcommands without a profile).
 
-
-def _profile(args) -> str:
-    if getattr(args, "paper_ack_encoding", False):
-        return "compat"
-    return args.profile
-
-
-def cmd_check(args) -> int:
-    decl, name, ch = _load(args)
-    errors = _check(decl, ch)
-    if errors:
-        return 1
+def cmd_check(args, decl, name, ch, system) -> int:
     print(f"{args.file}: ok ({name}: "
           f"{len(decl.components)} components)")
     return 0
 
 
-def cmd_synth(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
-    system = synthesize(decl, ch, _profile(args))
-    text = serialize_system(system)
-    if args.output:
-        _write(args.output, text)
-    else:
-        print(text, end="")
+def cmd_synth(args, decl, name, ch, system) -> int:
+    _emit(args.output, serialize_system(system))
     print(f"{name}: {len(system.components)} components, "
           f"{len(system.gamma)} interactions", file=sys.stderr)
     if args.emit_dot:
@@ -102,10 +97,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_explore(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
+def cmd_explore(args, decl, name, ch, system) -> int:
     result = explore(ch, decl.initial_valuation(),
                      max_configs=args.max_configs, max_depth=args.max_depth)
     print(f"{name}: {len(result.graph)} configurations, "
@@ -118,11 +110,7 @@ def cmd_explore(args) -> int:
     return 1 if (result.deadlocks or result.truncated) else 0
 
 
-def cmd_equiv(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
-    system = synthesize(decl, ch, _profile(args))
+def cmd_equiv(args, decl, name, ch, system) -> int:
     findings = invariant_suite(system)
     for d in findings:
         print(d, file=sys.stderr)
@@ -135,11 +123,7 @@ def cmd_equiv(args) -> int:
     return 0 if (report.equivalent and not findings) else 1
 
 
-def cmd_simulate(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
-    system = synthesize(decl, ch, _profile(args))
+def cmd_simulate(args, decl, name, ch, system) -> int:
     result = simulate(system, seed=args.seed, max_steps=args.max_steps,
                       max_chan_len=args.max_chan_len)
     if args.trace:
@@ -148,36 +132,19 @@ def cmd_simulate(args) -> int:
     return 0 if result.outcome == "completed" else 1
 
 
-def cmd_promela(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
-    system = synthesize(decl, ch, _profile(args))
+def cmd_promela(args, decl, name, ch, system) -> int:
     opts = PromelaOptions(paper_ack=args.paper_ack_encoding, strict=args.strict,
                           max_len=args.max_chan_len, inline_ltl=args.inline_ltl)
     model = generate_promela(system, opts)
     problems = validate_promela(model.text)
-    if args.output:
-        _write(args.output, model.text)
-    else:
-        print(model.text, end="")
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
-        return 1
-    return 0
+    _emit(args.output, model.text)
+    for p in problems:
+        print(p, file=sys.stderr)
+    return 1 if problems else 0
 
 
-def cmd_ltl(args) -> int:
-    decl, name, ch = _load(args)
-    if _check(decl, ch):
-        return 1
-    system = synthesize(decl, ch, _profile(args))
-    text = format_ltl(ltl_templates(system))
-    if args.output:
-        _write(args.output, text)
-    else:
-        print(text, end="")
+def cmd_ltl(args, decl, name, ch, system) -> int:
+    _emit(args.output, format_ltl(ltl_templates(system)))
     return 0
 
 
@@ -192,82 +159,73 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
+    # Option groups shared by several subcommands (argparse ``parents``).
+    inputs, profile, limits, output, chan_len = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    inputs.add_argument("file", help="input .chor file")
+    inputs.add_argument("--config", default=None,
+                        help="separate declarations file (two-file mode)")
+    profile.add_argument("--profile", choices=PROFILES, default="default",
+                         help="synthesis profile")
+    profile.add_argument("--paper-ack-encoding", action="store_true",
+                         help="acknowledge over the data channel itself "
+                              "(implies --profile compat)")
+    limits.add_argument("--max-configs", type=_int_at_least(1), default=200_000,
+                        help="store at most this many states per exploration")
+    limits.add_argument("--max-depth", type=_int_at_least(1), default=10_000,
+                        help="expand at most this many BFS levels per exploration")
+    output.add_argument("-o", "--output", default=None)
+    chan_len.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
+
     top = argparse.ArgumentParser(
         prog="chorc",
         description="Choreography compiler: synthesis, verification, "
                     "simulation and Promela generation.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, profile=True):
-        p.add_argument("file", help="input .chor file")
-        p.add_argument("--config", default=None,
-                       help="separate declarations file (two-file mode)")
-        if profile:
-            p.add_argument("--profile", choices=PROFILES, default="default",
-                           help="synthesis profile")
-            p.add_argument("--paper-ack-encoding", action="store_true",
-                           help="acknowledge over the data channel itself "
-                                "(implies --profile compat)")
+    def command(name, fn, help, *parents):
+        # A subcommand that takes a profile works on the synthesized system.
+        p = sub.add_parser(name, help=help, parents=[inputs, *parents])
+        p.set_defaults(fn=fn, synthesize=profile in parents)
+        return p
 
-    def limits(p):
-        p.add_argument("--max-configs", type=_int_at_least(1), default=200_000,
-                       help="store at most this many states per exploration")
-        p.add_argument("--max-depth", type=_int_at_least(1), default=10_000,
-                       help="expand at most this many BFS levels per exploration")
-
-    p = sub.add_parser("check", help="parse and check well-formedness")
-    common(p, profile=False)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("synth", help="synthesize a component system")
-    common(p)
-    p.add_argument("-o", "--output", default=None)
+    command("check", cmd_check, "parse and check well-formedness")
+    p = command("synth", cmd_synth, "synthesize a component system", profile, output)
     p.add_argument("--emit-dot", default=None, metavar="PATH")
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("explore", help="explore the choreography semantics")
-    common(p, profile=False)
-    limits(p)
+    p = command("explore", cmd_explore, "explore the choreography semantics", limits)
     p.add_argument("--dump-lts", default=None, metavar="PATH")
-    p.set_defaults(fn=cmd_explore)
-
-    p = sub.add_parser("equiv", help="check choreography/system equivalence")
-    common(p)
-    limits(p)
-    p.set_defaults(fn=cmd_equiv)
-
-    p = sub.add_parser("simulate", help="run the simulation harness")
-    common(p)
+    command("equiv", cmd_equiv, "check choreography/system equivalence", profile, limits)
+    p = command("simulate", cmd_simulate, "run the simulation harness", profile, chan_len)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_int_at_least(0), default=100_000)
-    p.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL trace")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("promela", help="emit a Promela model")
-    common(p)
-    p.add_argument("-o", "--output", default=None)
+    p = command("promela", cmd_promela, "emit a Promela model", profile, output, chan_len)
     p.add_argument("--strict", action="store_true",
                    help="reject string-typed data instead of interning")
-    p.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
     p.add_argument("--inline-ltl", action="store_true",
                    help="append ltl blocks to the model")
-    p.set_defaults(fn=cmd_promela)
-
-    p = sub.add_parser("ltl", help="emit LTL property templates")
-    common(p)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=cmd_ltl)
-
+    command("ltl", cmd_ltl, "emit LTL property templates", profile, output)
     return top
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        decl, name, ch = _load(args)
+        diags = check_well_formed(decl, ch)
+        for d in diags:
+            print(d, file=sys.stderr)
+        if any(d.severity == "error" for d in diags):
+            return 1
+        system = None
+        if args.synthesize:
+            profile = "compat" if args.paper_ack_encoding else args.profile
+            system = synthesize(decl, ch, profile)
+        return args.fn(args, decl, name, ch, system)
     except (SynthError, EvalError, PromelaError) as exc:
         # Input-dependent failures of synthesis, of evaluation during
         # exploration or simulation (division or modulo by zero) and of

@@ -87,9 +87,6 @@ class cached_attr:
         return value
 
 
-#: Closed set of data type tags.
-DATA_TYPES = ("int", "bool", "str")
-
 #: Closed set of port communication types: synchronous send, asynchronous
 #: send, receive, internal.
 PORT_TYPES = ("ss", "as", "r", "in")

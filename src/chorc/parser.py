@@ -16,6 +16,7 @@ then rejected by the well-formedness checker).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import (
@@ -56,89 +57,70 @@ _SYMBOLS = (
     "+", "-", "*", "/", "=", "|",
 )
 
+# The characters that continue a string literal: anything but a quote, a
+# backslash or a line break, or one of the five escapes.
+_STRING_BODY = r'[^"\\\n\r]*(?:\\[nrt"\\][^"\\\n\r]*)*'
+_ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+
+# One alternative per token class, tried in this order at the current
+# position. Identifiers and integers are ASCII only (see docs/grammar.md).
+_TOKEN = re.compile("|".join((
+    r"(?P<space>[ \t\r]+|//[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<INT>[0-9]+)",
+    f'(?P<STRING>"{_STRING_BODY}")',
+    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+)))
+_STRING_PREFIX = re.compile(f'"{_STRING_BODY}')
+
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, pos, n = 1, 0, 0, len(source)
+    match = _TOKEN.match
+    m = None
+    while pos < n:
+        m = match(source, pos)
+        if m is None:
+            raise _lex_error(source, pos, line, pos - line_start + 1)
+        kind, col, pos = m.lastgroup, pos - line_start + 1, m.end()
+        if kind == "space":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            kind = text if text in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, text, line, col))
-            col += i - start
-            continue
-        if c.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", source[start:i], line, col))
-            col += i - start
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars = []
-            while True:
-                if i >= n or source[i] in "\n\r":
-                    raise ParseError("unterminated string literal", start_line, start_col)
-                ch = source[i]
-                if ch == '"':
-                    i += 1
-                    col += 1
-                    break
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", line, col)
-                    nxt = source[i + 1]
-                    if nxt == "n":
-                        chars.append("\n")
-                    elif nxt == "r":
-                        chars.append("\r")
-                    elif nxt == "t":
-                        chars.append("\t")
-                    elif nxt in ('"', "\\"):
-                        chars.append(nxt)
-                    else:
-                        raise ParseError(f"unknown escape \\{nxt}", line, col)
-                    i += 2
-                    col += 2
-                    continue
-                chars.append(ch)
-                i += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(chars), start_line, start_col))
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
+        text = m.group()
+        if kind == "IDENT":
+            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(text, text, line, col))
+        elif kind == "STRING":
+            body = text[1:-1]
+            if "\\" in body:
+                body = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], body)
+            tokens.append(Token("STRING", body, line, col))
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(kind, text, line, col))
+    # A comment does not advance the column, so input that ends in one has
+    # its end token where the comment starts.
+    if m is not None and m.group().startswith("//"):
+        pos = m.start()
+    tokens.append(Token("EOF", "", line, pos - line_start + 1))
     return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, col: int) -> ParseError:
+    """The error for the text at ``pos``, which starts no token. A string
+    literal fails at the first character that cannot continue it."""
+    if source[pos] != '"':
+        return ParseError(f"unexpected character {source[pos]!r}", line, col)
+    stop = _STRING_PREFIX.match(source, pos).end()
+    if stop == len(source) or source[stop] in "\n\r":
+        return ParseError("unterminated string literal", line, col)
+    if stop + 1 == len(source):
+        return ParseError("unterminated escape", line, col + stop - pos)
+    return ParseError(f"unknown escape \\{source[stop + 1]}", line, col + stop - pos)
 
 
 class Parser:

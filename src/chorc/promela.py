@@ -162,44 +162,48 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     lines = []
     w = lines.append
 
+    declared = set()
+
+    def declare(name: str) -> str:
+        """Claim a top-level name: a macro, a global, a channel or a
+        proctype. Sanitizing can map two names onto one (``a_b.c`` and
+        ``a.b_c``), and a component can take a macro's name (``send``)."""
+        if name in declared:
+            raise PromelaError(f"Promela name {name} is declared twice")
+        declared.add(name)
+        return name
+
     w("/* Generated Promela model of a synthesized component system. */")
-    w(f"#define MAX_LEN {opts.max_len}")
+    w(f"#define {declare('MAX_LEN')} {opts.max_len}")
     w("")
 
     # Port symbols (currPort values).
-    ports = _used_ports(sys)
-    symbols = set()
     w("/* port symbols */")
-    w("#define PORT_NONE 0")
-    for i, p in enumerate(ports, start=1):
-        sym = port_symbol(p)
-        if sym in symbols:
-            raise PromelaError(f"port symbol collision on {sym}")
-        symbols.add(sym)
-        w(f"#define {sym} {i}")
+    w(f"#define {declare('PORT_NONE')} 0")
+    for i, p in enumerate(_used_ports(sys), start=1):
+        w(f"#define {declare(port_symbol(p))} {i}")
     w("")
 
     # Location symbols.
     w("/* location symbols */")
     for comp in sys.components:
         for i, loc in enumerate(comp.locations):
-            w(f"#define {sanitize(loc)} {i}")
+            w(f"#define {declare(sanitize(loc))} {i}")
     w("")
 
     w("/* messaging macros */")
-    w("#define recv(ch) ch?value")
-    w("#define recvAck(ch) ch?(_)")
-    w("#define send(ch) ch!value")
-    w("#define sendAck(ch) ch!ack")
-    w("#define synchRecv(ch) ch?value; sendAck(ch)")
+    for name, body in (("recv", "ch?value"), ("recvAck", "ch?(_)"),
+                       ("send", "ch!value"), ("sendAck", "ch!ack"),
+                       ("synchRecv", "ch?value; sendAck(ch)")):
+        w(f"#define {declare(name)}(ch) {body}")
     w("")
-    w("int ack = 0;")
+    w(f"int {declare('ack')} = 0;")
     w("")
 
     # Observable current-port variable per component.
     w("/* observable state */")
     for comp in sys.components:
-        w(f"int currPort_{sanitize(comp.id)} = PORT_NONE;")
+        w(f"int {declare('currPort_' + sanitize(comp.id))} = PORT_NONE;")
     w("")
 
     # Component variables as prefixed globals.
@@ -207,7 +211,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     for comp in sys.components:
         for var, init in comp.vars:
             dtype = "bool" if var.dtype == "bool" else "int"
-            w(f"{dtype} {var_symbol(var)} = {_pexpr(Lit(init), strings)};")
+            w(f"{dtype} {declare(var_symbol(var))} = {_pexpr(Lit(init), strings)};")
     w("")
 
     # Channels: one per receive port occurring in gamma.
@@ -216,13 +220,14 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
         sync = inter.send.ctype == "ss"
         for r in inter.receivers:
             length = "0" if sync else "MAX_LEN"
-            w(f"chan {chan_name(r)} = [{length}] of {{ int }};")
+            w(f"chan {declare(chan_name(r))} = [{length}] of {{ int }};")
             if sync and not opts.paper_ack:
-                w(f"chan {ack_chan_name(r)} = [0] of {{ int }};")
+                w(f"chan {declare(ack_chan_name(r))} = [0] of {{ int }};")
     w("")
 
     wiring = _port_interactions(sys)
     for comp in sys.components:
+        declare(sanitize(comp.id))
         lines.extend(_emit_process(wiring, comp, strings, opts))
         w("")
 

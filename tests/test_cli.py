@@ -49,6 +49,15 @@ class TestCheck:
             main(["check", "no/such/file.chor"])
         assert exc.value.code == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.chor"
+        bad.write_bytes(b"// caf\xe9\nchoreography x = nil\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(bad)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.chor"
         bad.write_text("choreography x = @@")
@@ -249,6 +258,71 @@ class TestPromelaErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("error: string value")
+
+
+class TestNonAsciiInput:
+    def test_superscript_digit_is_a_parse_error(self, tmp_path):
+        src = tmp_path / "sup.chor"
+        src.write_text("comp A { var n: int = \u00b2; port p: ss of int binds n; }\n"
+                       "choreography t = nil\n", encoding="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "chorc.cli", "check", str(src)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stderr.startswith(f"{src}: parse error: 1:23: unexpected character")
+
+
+#: Two components whose variables sanitize to one global ``a_b_c``.
+SAME_GLOBAL = """
+comp a_b { var c: int = 0; port p: ss of int binds c; }
+comp a { var b_c: int = 0; port q: r of int binds b_c; }
+choreography clash = a_b.p -> { a.q }
+"""
+
+#: A component named like the ``send`` macro.
+MACRO_NAME = """
+comp send { var x: int = 0; port p: ss of int binds x; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography clash = send.p -> { B.q }
+"""
+
+
+class TestPromelaNames:
+    @pytest.mark.parametrize("source, name", [(SAME_GLOBAL, "a_b_c"),
+                                              (MACRO_NAME, "send")],
+                             ids=["global", "macro"])
+    def test_repeated_name_is_a_diagnostic(self, source, name, tmp_path, capsys):
+        src = tmp_path / "clash.chor"
+        src.write_text(source)
+        code, out, err = run(["promela", str(src)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: Promela name {name} is declared twice\n"
+
+
+class TestRepeatedCalls:
+    """The argument parser is built once per process; no call sees the
+    options of an earlier one."""
+
+    def test_seed_defaults_again(self, capsys):
+        assert "seed 5" in run(["simulate", BUYING, "--seed", "5"], capsys)[1]
+        assert "seed 0" in run(["simulate", BUYING], capsys)[1]
+
+    def test_ack_encoding_defaults_again(self, capsys):
+        assert "chan ack_" not in run(["promela", BUYING, "--paper-ack-encoding"],
+                                      capsys)[1]
+        assert "chan ack_" in run(["promela", BUYING], capsys)[1]
+
+    def test_single_file_after_config(self, tmp_path, capsys):
+        head, _, tail = open(SYNC).read().partition("choreography")
+        (tmp_path / "decls.chor").write_text(head)
+        (tmp_path / "main.chor").write_text("choreography" + tail)
+        code, out, _ = run(["check", str(tmp_path / "main.chor"),
+                            "--config", str(tmp_path / "decls.chor")], capsys)
+        assert code == 0
+        code, out, _ = run(["check", SYNC], capsys)
+        assert code == 0
+        assert out.startswith(f"{SYNC}: ok")
 
 
 class TestUsage:

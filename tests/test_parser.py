@@ -133,3 +133,27 @@ class TestErrors:
                      "choreography t = nil")
         assert e.message == "unterminated string literal"
         assert (e.line, e.col) == (1, 23)
+
+    @pytest.mark.parametrize("source, message, line, col", [
+        ('comp A { var x: int = 0; }\nchoreography t = A.p -> { @ }',
+         "unexpected character '@'", 2, 27),
+        ('comp A { var s: str = "abc', "unterminated string literal", 1, 23),
+        ('comp A { var s: str = "ab\\', "unterminated escape", 1, 26),
+        ('comp A { var s: str = "a\\tb\\', "unterminated escape", 1, 28),
+        ('comp A { var s: str = "a\\qb"; }', "unknown escape \\q", 1, 25),
+        # The leftmost fault decides: the escape comes before the line break.
+        ('comp A { var s: str = "a\\pb\ncomp B { }', "unknown escape \\p", 1, 25),
+        # Identifiers and integers are ASCII only.
+        ("comp A {\n  var n: int = ²;\n}", "unexpected character '²'", 2, 16),
+        ("comp é { }", "unexpected character 'é'", 1, 6),
+        ("comp Aé { }", "unexpected character 'é'", 1, 7),
+        # A trailing comment does not advance the end-of-input position.
+        ("comp A { }\nchoreography t = // nothing yet",
+         "expected 'IDENT', found 'EOF'", 2, 18),
+    ], ids=["unexpected", "eof-in-literal",
+            "eof-after-backslash", "eof-after-escapes", "unknown-escape",
+            "unknown-escape-unterminated", "superscript-two", "e-acute",
+            "e-acute-in-ident", "eof-after-comment"])
+    def test_lexer_errors(self, source, message, line, col):
+        e = self.err(source)
+        assert (e.message, e.line, e.col) == (message, line, col)
