@@ -17,24 +17,24 @@ then source location; a system keeps its components indexed by id and, per
 component and location, the interactions that component sends there
 together with the receivers' tables. The tables are built on first use and
 cached on the instance, so ``dataclasses.replace`` yields a system or
-component with fresh ones. System states are slotted frozen dataclasses
-that keep their memoized structural hash in a slot (see ``core.memo_hash``);
-their valuations share the slot layout of the initial valuation (see
-``core.Valuation``). An asynchronous send is labelled with its port's shared
-``Port.label`` and a synchronous one with its interaction's cached ``pids``,
-so no step builds a label. ``sys_explore`` runs the shared breadth-first
-explorer (``core.explore_lts``) over ``sys_steps_tagged``.
+component with fresh ones. System states are named tuples, hashed over
+their fields with no cache of their own; their valuations share the slot
+layout of the initial valuation (see ``core.Valuation``). An asynchronous
+send is labelled with its port's shared ``Port.label`` and a synchronous one
+with its interaction's cached ``pids``, so no step builds a label.
+``sys_explore`` runs the shared breadth-first explorer (``core.explore_lts``)
+over ``sys_steps_tagged``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from .core import (
     Exploration, Expr, Lit, Port, Update, Valuation, apply_update, cached_attr,
-    evaluate, explore_lts, expr_vars, format_expr, format_update, memo_hash,
+    evaluate, explore_lts, expr_vars, find_queue, format_expr, format_update,
     requeue, update_vars,
 )
 from .lang import Diagnostic
@@ -138,26 +138,16 @@ class CompositeSystem:
             for c in self.components
             for var, init in c.vars
         })
-        return SysState(
-            locations=tuple(c.init for c in self.components),
-            sigma=sigma,
-            buffers=(),
-        )
+        return SysState(tuple(c.init for c in self.components), sigma, ())
 
 
-@memo_hash
-@dataclass(frozen=True, slots=True)
-class SysState:
+class SysState(NamedTuple):
     locations: tuple  # aligned with CompositeSystem.components
     sigma: Valuation
     buffers: tuple  # sorted tuple of (receive port id, tuple of values)
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def buffer(self, pid: str) -> tuple:
-        for key, queue in self.buffers:
-            if key == pid:
-                return queue
-        return ()
+        return find_queue(self.buffers, pid)[1]
 
 
 # --------------------------------------------------------------------------
@@ -180,19 +170,15 @@ def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
             continue
         snd = inter.send
         if snd.ctype == "as":
-            payload = state.sigma[snd.var.qname]
+            payload, buffers = state.sigma[snd.var.qname], state.buffers
+            for r in inter.receivers:
+                buffers = requeue(buffers, r.pid, push=(payload,))
             for t in sender_ts:
-                sigma = apply_update(t.update, state.sigma)
-                buffers = state.buffers
-                for r in inter.receivers:
-                    buffers = requeue(buffers, r.pid, push=(payload,))
                 locs = list(state.locations)
                 locs[ci] = t.dst
-                out.append((
-                    "asynch-send",
-                    snd.label,
-                    SysState(tuple(locs), sigma, buffers),
-                ))
+                sigma = apply_update(t.update, state.sigma)
+                out.append(("asynch-send", snd.label,
+                            SysState(tuple(locs), sigma, buffers)))
             continue
         # Synchronous: every receiver must offer an enabled transition on its
         # port and that port's buffer must be empty; all step together.
@@ -217,11 +203,8 @@ def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
                     for (ri, _), t_r in zip(choices, combo):
                         sigma = apply_update(t_r.update, sigma)
                         locs[ri] = t_r.dst
-                    out.append((
-                        "synch-send",
-                        inter.pids,
-                        SysState(tuple(locs), sigma, state.buffers),
-                    ))
+                    out.append(("synch-send", inter.pids,
+                                SysState(tuple(locs), sigma, state.buffers)))
 
     for t in sys.components[ci].outgoing(loc):
         if t.port is None or t.port.ctype == "in":

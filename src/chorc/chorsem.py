@@ -20,20 +20,20 @@ first; the test suite uses them to measure rule coverage. ``explore`` runs
 the shared breadth-first explorer (``core.explore_lts``) over
 ``chor_steps_tagged``; the final configurations it reaches are its terminals.
 
-Configurations are slotted frozen dataclasses: no per-instance ``__dict__``,
-and ``Running`` keeps its memoized hash in a slot (see ``core.memo_hash``).
-A label on one port is that port's shared ``Port.label``, so neither the
-step tables nor a residual receive build a frozenset per step.
+Configurations are named tuples. Equality and hashing run over the fields,
+whose own hashes are memoized (terms, valuations, ports, updates), so a
+configuration keeps no hash of its own; ``lts_to_dot`` orders nodes by its
+repr. A label on one port is that port's shared ``Port.label``, so neither
+the step tables nor a residual receive build a frozenset per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import (
     SKIP, TRUE, Exploration, Not, Ref, Update, Valuation, apply_update, evaluate,
-    explore_lts, memo_hash, requeue,
+    explore_lts, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
@@ -68,17 +68,13 @@ PendingRecv = tuple  # (Port, Update, Value)
 Pending = tuple
 
 
-@memo_hash
-@dataclass(frozen=True, slots=True)
-class Running:
+class Running(NamedTuple):
     term: Optional[Chor]  # None once the term itself has terminated
     sigma: Valuation
     pending: Pending = ()
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class Final:
+class Final(NamedTuple):
     sigma: Valuation
 
 

@@ -2,11 +2,11 @@
 
 Everything here is immutable and hashable so that interpreter configurations
 can be memoized structurally. The explorers hash the same subterms over and
-over, so the frozen dataclasses that make up states (expressions, ports,
-updates here; choreography terms and explorer states elsewhere) are wrapped
-by ``memo_hash``: each instance computes its structural hash once, on first
-use, and keeps it as an instance attribute. Equality and ``repr`` stay the
-dataclass-generated ones over the fields.
+over, so the frozen dataclasses that states are built from (expressions,
+ports, updates here; choreography terms in ``lang``) are wrapped by
+``memo_hash``: each instance computes its structural hash once, on first use,
+and keeps it as an instance attribute; equality and ``repr`` stay generated.
+The explorer states are named tuples over them with no hash of their own.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
@@ -364,15 +364,23 @@ def apply_update(f: Update, v: Valuation) -> Valuation:
 _queue_key = operator.itemgetter(0)
 
 
-def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
-    """Update a table of FIFO queues kept as a tuple of (key, queue) pairs
-    sorted by key: drop the head of ``key``'s queue if ``pop``, then append
-    ``push``. A queue left empty is removed from the table."""
+def find_queue(queues: tuple, key) -> tuple:
+    """``key``'s position and queue in a table of nonempty FIFO queues kept
+    as a tuple of (key, queue) pairs sorted by key; ``()`` if it has none."""
+    if not queues:  # the common case, and the simulator's hot path
+        return 0, ()
     i = bisect_left(queues, key, key=_queue_key)
     if i < len(queues) and queues[i][0] == key:
-        queue, j = queues[i][1], i + 1
-    else:
-        queue, j = (), i
+        return i, queues[i][1]
+    return i, ()
+
+
+def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
+    """Update a table of FIFO queues (see ``find_queue``): drop the head of
+    ``key``'s queue if ``pop``, then append ``push``. A queue left empty is
+    removed from the table."""
+    i, queue = find_queue(queues, key)
+    j = i + 1 if queue else i
     queue = (queue[1:] if pop else queue) + push
     return queues[:i] + (((key, queue),) if queue else ()) + queues[j:]
 

@@ -35,6 +35,16 @@ class PromelaError(Exception):
     pass
 
 
+#: SPIN's reserved words and predefined names, which a model may not declare:
+#: a component ``init``, or variable ``code`` of component ``c`` (``c_code``).
+KEYWORDS = frozenset("""active assert atomic bit bool break byte c_code c_decl
+    c_expr c_state c_track chan d_step D_proctype do else empty enabled eval false
+    fi for full get_priority goto hidden if in init inline int len local ltl mtype
+    nempty never nfull notrace np_ od of pc_value pid print printf printm priority
+    proctype provided return run select set_priority short show skip STDIN timeout
+    trace true typedef unless unsigned xr xs _ _last _nr_pr _pid _priority""".split())
+
+
 @dataclass
 class PromelaOptions:
     paper_ack: bool = False
@@ -162,15 +172,17 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     lines = []
     w = lines.append
 
-    declared = set()
+    # Taken name -> why it cannot be declared again.
+    declared = dict.fromkeys(KEYWORDS, "is a Promela keyword")
+    declared.update(dict.fromkeys(("value", "currentLocation"), "is a proctype local"))
 
     def declare(name: str) -> str:
         """Claim a top-level name: a macro, a global, a channel or a
         proctype. Sanitizing can map two names onto one (``a_b.c`` and
         ``a.b_c``), and a component can take a macro's name (``send``)."""
         if name in declared:
-            raise PromelaError(f"Promela name {name} is declared twice")
-        declared.add(name)
+            raise PromelaError(f"Promela name {name} {declared[name]}")
+        declared[name] = "is declared twice"
         return name
 
     w("/* Generated Promela model of a synthesized component system. */")

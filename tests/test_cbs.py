@@ -4,8 +4,6 @@ Each of the four execution rules (synch-send, asynch-send, recv, internal)
 has a dedicated test with a hand-computed successor set.
 """
 
-import dataclasses
-
 from chorc.cbs import (
     SYS_RULES, TAU, AtomicComponent, CompositeSystem, Interaction, Transition,
     check_structure, component_steps, is_terminal, serialize_system,
@@ -80,8 +78,7 @@ class TestSynchSend:
     def test_blocked_by_nonempty_buffer(self):
         # A pending buffered value on the receive port defers the rendezvous.
         sys = self.make()
-        state = dataclasses.replace(
-            sys.initial_state(), buffers=((("B.r"), (7,)),))
+        state = sys.initial_state()._replace(buffers=((("B.r"), (7,)),))
         rules = {r for r, _, _ in sys_steps_tagged(sys, state)}
         assert "synch-send" not in rules
         assert "recv" in rules

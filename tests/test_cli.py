@@ -286,6 +286,27 @@ comp B { var y: int = 0; port q: r of int binds y; }
 choreography clash = send.p -> { B.q }
 """
 
+#: A component named like the model's own ``init`` process.
+INIT_NAME = """
+comp init { var x: int = 0; port p: ss of int binds x; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography clash = init.p -> { B.q }
+"""
+
+#: Variable ``code`` of component ``c`` becomes the global ``c_code``.
+KEYWORD_GLOBAL = """
+comp c { var code: int = 0; port p: ss of int binds code; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography clash = c.p -> { B.q }
+"""
+
+#: A component named like the ``value`` local of every proctype.
+LOCAL_NAME = """
+comp value { var x: int = 0; port p: ss of int binds x; }
+comp B { var y: int = 0; port q: r of int binds y; }
+choreography clash = value.p -> { B.q }
+"""
+
 
 class TestPromelaNames:
     @pytest.mark.parametrize("source, name", [(SAME_GLOBAL, "a_b_c"),
@@ -298,6 +319,19 @@ class TestPromelaNames:
         assert code == 1
         assert out == ""
         assert err == f"error: Promela name {name} is declared twice\n"
+
+    @pytest.mark.parametrize("source, message", [
+        (INIT_NAME, "init is a Promela keyword"),
+        (KEYWORD_GLOBAL, "c_code is a Promela keyword"),
+        (LOCAL_NAME, "value is a proctype local"),
+    ], ids=["proctype", "global", "local"])
+    def test_reserved_name_is_a_diagnostic(self, source, message, tmp_path, capsys):
+        src = tmp_path / "clash.chor"
+        src.write_text(source)
+        code, out, err = run(["promela", str(src)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: Promela name {message}\n"
 
 
 class TestRepeatedCalls:
