@@ -8,12 +8,20 @@ channel and are consumed one at a time, in any interleaving with the rest of
 the choreography. This makes the pending pool behave exactly like the
 per-port buffers of the synthesized component system.
 
-Each term is compiled once, on first use, into a step table kept on the term
-instance: one static step (rule tags, label, guard, update, sends, next term)
-per way the term can move. A synchronous send becomes one update whose first
+Each term structure is compiled once, on first use, into a step table: one
+static step (rule tags, label, guard, update, sends, next term) per way the
+term can move. A synchronous send becomes one update whose first
 assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
 their operands' tables, and ``Par`` decides the independence of its operands
 once. ``chor_steps_tagged`` then only evaluates guards and applies updates.
+
+The tables of a root term and of every term reached from it live in one
+tables object kept on the root, so every exploration of the root reuses
+them. They are hash-consed: each next term in a table is the one canonical
+object of its structure, and each residual receive a step leaves behind is
+one ``Receipt`` per (receive port, update), built with its hash. So the terms
+of the configurations an exploration meets compare by identity, and a pool
+of pending receives hashes without a Python call per port or update.
 
 Rule tags list the semantic rules that produced a transition, outermost
 first; the test suite uses them to measure rule coverage. ``explore`` runs
@@ -21,10 +29,13 @@ the shared breadth-first explorer (``core.explore_lts``) over
 ``chor_steps_tagged``; the final configurations it reaches are its terminals.
 
 Configurations are named tuples. Equality and hashing run over the fields,
-whose own hashes are memoized (terms, valuations, ports, updates), so a
-configuration keeps no hash of its own; ``lts_to_dot`` orders nodes by its
-repr. A label on one port is that port's shared ``Port.label``, so neither
-the step tables nor a residual receive build a frozenset per step.
+whose own hashes are memoized (terms, valuations) or stored (receipts), so
+a configuration keeps no hash of its own. Equality stays structural, so
+configurations from two parses of one choreography compare equal.
+``lts_to_dot`` orders nodes by the repr, in which a pending entry prints as
+(port, update, value). A label on one port is that port's shared
+``Port.label``, so neither the step tables nor a residual receive build a
+frozenset per step.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .core import (
-    SKIP, TRUE, Exploration, Not, Ref, Update, Valuation, apply_update, evaluate,
+    SKIP, TRUE, Exploration, Not, Port, Ref, Update, Valuation, apply_update, evaluate,
     explore_lts, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
@@ -59,9 +70,44 @@ CHOR_RULES = (
 
 Label = Union[str, frozenset]
 
-#: One residual receive: the receive port, its update function and the value
-#: captured at send time.
-PendingRecv = tuple  # (Port, Update, Value)
+
+class Receipt:
+    """The receive side of an asynchronous send: the receive port and its
+    update. Built once per (port, update) when a step table is compiled.
+
+    Its structural hash is stored when it is built, and equality tests
+    identity first, so a configuration with pending receives hashes and
+    compares its pool without a call per port or update. Receipts from
+    different tables still compare by structure. The repr prints the port
+    and the update, so that a pending entry reads as a (port, update, value)
+    triple.
+    """
+
+    __slots__ = ("port", "update", "qname", "label", "_hash")
+
+    def __init__(self, port: Port, update: Update):
+        self.port = port
+        self.update = update
+        self.qname = port.var.qname
+        self.label = port.label
+        self._hash = hash((port, update))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, Receipt):
+            return self.port == other.port and self.update == other.update
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{self.port!r}, {self.update!r}"
+
+
+#: One residual receive: its receipt and the value captured at send time.
+PendingRecv = tuple  # (Receipt, Value)
 
 #: Pending pool: sorted tuple of (channel key, FIFO queue of PendingRecv).
 #: The channel key is (send port id, receive port id).
@@ -81,25 +127,65 @@ class Final(NamedTuple):
 ChorConfig = Union[Running, Final]
 
 
+#: Builds a ``Running`` or ``Final`` from its fields without the Python-level
+#: ``__new__`` that ``NamedTuple`` generates: one call less per successor.
+_new = tuple.__new__
+
+
 def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _config(term: Optional[Chor], sigma: Valuation, pending: Pending) -> ChorConfig:
-    """Final once neither the term nor a pending receive is left."""
-    if term is None and not pending:
-        return Final(sigma)
-    return Running(term, sigma, pending)
+class _Tables:
+    """The compiled steps of one root term and of every term reached from
+    it: step tables keyed by term structure, one canonical object per term
+    structure that a step can reach, and one ``Receipt`` per (receive port,
+    update). A term registered here keeps the tables as ``_tables`` unless it
+    already kept others."""
+
+    __slots__ = ("steps", "terms", "receipts")
+
+    def __init__(self):
+        self.steps = {}
+        self.terms = {}
+        self.receipts = {}
+
+    def canon(self, term: Chor) -> Chor:
+        """The canonical object equal to ``term``. A ``Seq`` or ``Par``
+        built from canonical operands is cheap to look up: its equality test
+        compares the operands by identity."""
+        stored = self.terms.setdefault(term, term)
+        if stored is term and "_tables" not in vars(term):
+            object.__setattr__(term, "_tables", self)
+        return stored
+
+    def receipt(self, port: Port, update: Update) -> Receipt:
+        key = (port, update)
+        try:
+            return self.receipts[key]
+        except KeyError:
+            receipt = self.receipts[key] = Receipt(port, update if update.assignments else SKIP)
+            return receipt
 
 
-def _steps(term: Chor) -> tuple:
-    """The step table of ``term``: compiled on first use, then kept on the
-    term instance."""
+def _tables(term: Chor) -> _Tables:
+    """The tables that ``term`` was registered in; otherwise new ones, kept
+    on ``term``, which becomes their root."""
     try:
-        return term._steps
+        return term._tables
     except AttributeError:
-        steps = _compile(term)
-        object.__setattr__(term, "_steps", steps)
+        tables = _Tables()
+        tables.canon(term)
+        return tables
+
+
+def _steps(term: Chor, tables: _Tables) -> tuple:
+    """The step table of ``term``'s structure: compiled on first use, then
+    kept in ``tables``."""
+    try:
+        return tables.steps[term]
+    except KeyError:
+        steps = tables.steps[term] = _compile(term, tables)
         return steps
 
 
@@ -114,11 +200,20 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     )
 
 
-def _compile(term: Chor) -> tuple:
+def _step(tags, label, guard, update, sends, nxt) -> tuple:
+    """One static step, with a literal ``true`` guard as ``TRUE`` and an
+    empty update as ``SKIP``, which ``chor_steps_tagged`` skips by
+    identity."""
+    return (tags, label, TRUE if guard == TRUE else guard,
+            update if update.assignments else SKIP, sends, nxt)
+
+
+def _compile(term: Chor, tables: _Tables) -> tuple:
     """Static steps of ``term`` as (tags, label, guard, update, sends, next
-    term); next term is None when the step terminates the term. ``sends``
-    lists the residual receives of an asynchronous send as (channel key,
-    receive port, receive update, sent variable)."""
+    term); next term is None when the step terminates the term, and
+    otherwise canonical in ``tables``. ``sends`` lists the residual receives
+    of an asynchronous send as (channel key, receipt, sent variable)."""
+    canon = tables.canon
     if isinstance(term, Nil):
         return ((("nil",), TAU, TRUE, SKIP, (), None),)
 
@@ -137,67 +232,81 @@ def _compile(term: Chor) -> tuple:
             for _, f in term.rcvs:
                 assignments += f.assignments
             label = frozenset({snd.pid} | {r.pid for r, _ in term.rcvs})
-            return ((("synch-sendrcv",), label, term.send.guard,
-                     Update(tuple(assignments)), (), None),)
-        sends = tuple(((snd.pid, r.pid), r, f, snd.var.qname) for r, f in term.rcvs)
-        return ((("asynch-sendrcv-1",), snd.label, term.send.guard,
-                 term.send.update, sends, None),)
+            return (_step(("synch-sendrcv",), label, term.send.guard,
+                          Update(tuple(assignments)), (), None),)
+        sends = tuple(((snd.pid, r.pid), tables.receipt(r, f), snd.var.qname)
+                      for r, f in term.rcvs)
+        return (_step(("asynch-sendrcv-1",), snd.label, term.send.guard,
+                      term.send.update, sends, None),)
 
     if isinstance(term, Branch):
         return tuple(
-            (("master-branching",), gs.port.label, gs.guard, gs.update, (), cont)
+            _step(("master-branching",), gs.port.label, gs.guard, gs.update, (), canon(cont))
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
         return (
-            (("iterative-tt",), cond.port.label, cond.guard, cond.update, (),
-             Seq(term.body, term)),
-            (("iterative-ff",), TAU, Not(cond.guard), SKIP, (), None),
+            _step(("iterative-tt",), cond.port.label, cond.guard, cond.update, (),
+                  canon(Seq(canon(term.body), canon(term)))),
+            _step(("iterative-ff",), TAU, Not(cond.guard), SKIP, (), None),
         )
 
     if isinstance(term, Seq):
-        return _lift(_steps(term.first), "sequential-1", "sequential-2", term.second,
-                     lambda nxt: Seq(nxt, term.second))
+        second = canon(term.second)
+        return _lift(_steps(term.first, tables), "sequential-1", "sequential-2", second,
+                     lambda nxt: canon(Seq(nxt, second)))
 
     if isinstance(term, Par):
-        left = _lift(_steps(term.left), "parallel-1", "parallel-3", term.right,
-                     lambda nxt: Par(nxt, term.right))
+        left, right = canon(term.left), canon(term.right)
+        lifted = _lift(_steps(left, tables), "parallel-1", "parallel-3", right,
+                       lambda nxt: canon(Par(nxt, right)))
         # Dependent operands (shared components) run in a fixed left-to-right
         # order, so that every component keeps a single execution flow.
-        if participants(term.left) & participants(term.right):
-            return left
-        return left + _lift(_steps(term.right), "parallel-2", "parallel-4", term.left,
-                            lambda nxt: Par(term.left, nxt))
+        if participants(left) & participants(right):
+            return lifted
+        return lifted + _lift(_steps(right, tables), "parallel-2", "parallel-4", left,
+                              lambda nxt: canon(Par(left, nxt)))
 
     raise AssertionError(term)
 
 
-def chor_steps_tagged(config: ChorConfig):
-    """Successors of a configuration as (rule tags, label, configuration)."""
+def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
+    """Successors of a configuration as (rule tags, label, configuration).
+
+    ``tables`` holds the compiled steps; by default, the tables of the
+    configuration's term (see ``_tables``)."""
     if isinstance(config, Final):
         return []
+    term, sigma, pending = config
     out = []
 
     # Residual receives: consume the head of any channel queue.
-    for chan, queue in config.pending:
-        port, f, value = queue[0]
-        sigma = config.sigma.set(port.var.qname, value)
-        sigma = apply_update(f, sigma)
-        rest = requeue(config.pending, chan, pop=True)
-        out.append((("asynch-sendrcv-2",), port.label,
-                    _config(config.term, sigma, rest)))
+    for i, (chan, queue) in enumerate(pending):
+        receipt, value = queue[0]
+        after = sigma.set(receipt.qname, value)
+        if receipt.update is not SKIP:
+            after = apply_update(receipt.update, after)
+        if len(queue) > 1:
+            rest = pending[:i] + ((chan, queue[1:]),) + pending[i + 1:]
+        else:
+            rest = pending[:i] + pending[i + 1:]
+        out.append((("asynch-sendrcv-2",), receipt.label,
+                    _new(Running, (term, after, rest)) if term is not None or rest
+                    else _new(Final, (after,))))
 
     # Term steps: the payload of a send is read before the update runs.
-    if config.term is not None:
-        for tags, label, guard, update, sends, nxt in _steps(config.term):
-            if not evaluate(guard, config.sigma):
+    if term is not None:
+        for tags, label, guard, update, sends, nxt in _steps(term, tables or _tables(term)):
+            if guard is not TRUE and not evaluate(guard, sigma):
                 continue
-            pending = config.pending
-            for chan, port, f, var in sends:
-                pending = requeue(pending, chan, push=((port, f, config.sigma[var]),))
-            out.append((tags, label, _config(nxt, apply_update(update, config.sigma), pending)))
+            queues = pending
+            for chan, receipt, var in sends:
+                queues = requeue(queues, chan, push=((receipt, sigma[var]),))
+            after = sigma if update is SKIP else apply_update(update, sigma)
+            out.append((tags, label, _new(Running, (nxt, after, queues))
+                        if nxt is not None or queues else _new(Final, (after,))))
     return out
 
 
@@ -209,7 +318,11 @@ def explore(ch: Chor, sigma0: Valuation,
             max_configs: int = 200_000, max_depth: int = 10_000) -> Exploration:
     """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``);
     ``rules_seen`` holds rule names, not tag chains."""
-    result = explore_lts(initial_config(ch, sigma0), chor_steps_tagged,
+    tables = _tables(ch)
+    # The successor function is looked up at each call, so that a wrapper
+    # installed on this module sees every call.
+    result = explore_lts(initial_config(tables.canon(ch), sigma0),
+                         lambda config: chor_steps_tagged(config, tables),
                          lambda c: isinstance(c, Final), max_configs, max_depth)
     result.rules_seen = {rule for tags in result.rules_seen for rule in tags}
     return result

@@ -1,12 +1,14 @@
 """Shared data model: values, variables, expressions, updates, valuations, ports.
 
 Everything here is immutable and hashable so that interpreter configurations
-can be memoized structurally. The explorers hash the same subterms over and
-over, so the frozen dataclasses that states are built from (expressions,
-ports, updates here; choreography terms in ``lang``) are wrapped by
-``memo_hash``: each instance computes its structural hash once, on first use,
-and keeps it as an instance attribute; equality and ``repr`` stay generated.
-The explorer states are named tuples over them with no hash of their own.
+can be memoized structurally. The frozen dataclasses here and the
+choreography terms in ``lang`` are wrapped by ``memo_hash``: each instance
+computes its structural hash once, on first use, and keeps it as an
+instance attribute; equality and ``repr`` stay generated. The explorer
+states are named tuples with no hash of their own. Their fields hash
+cheaply: a choreography term by its memoized hash, a valuation by its
+cached one, and a residual receive by the hash its ``chorsem.Receipt``
+stored when it was built, so no port or update is hashed per state.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
@@ -22,7 +24,9 @@ semantics (``chorsem.explore``) and the component-system semantics
 termination test, and both get an ``Exploration`` back. Every state it
 stores is one object, and every edge to a stored state points at that
 object, so an exploration holds each reached state once and code that walks
-the graph may compare stored states by identity.
+the graph may compare stored states by identity. It hashes each successor
+once to find or store it, and each stored state once more when it is
+expanded.
 """
 
 from __future__ import annotations
@@ -43,10 +47,8 @@ def memo_hash(cls):
     structural hash on the instance after its first computation.
 
     The cached hash is stored with ``object.__setattr__``, past the frozen
-    ``__setattr__``; ``dataclasses.replace`` builds a new instance and so
-    starts without one. A slotted dataclass declares the cache itself, as
-    ``_hash: Optional[int] = field(default=None, init=False, repr=False,
-    compare=False)``; any other class gets a class-level ``None`` default.
+    ``__setattr__``, over a class-level ``None`` default;
+    ``dataclasses.replace`` builds a new instance and so starts without one.
     String hashes differ between interpreter runs, so an instance must not
     be pickled into another process once hashed.
     """
@@ -59,8 +61,7 @@ def memo_hash(cls):
             object.__setattr__(self, "_hash", h)
         return h
 
-    if "_hash" not in getattr(cls, "__slots__", ()):
-        cls._hash = None
+    cls._hash = None
     cls.__hash__ = __hash__
     return cls
 
@@ -430,6 +431,8 @@ def explore_lts(start, successors, is_terminal,
     """
     result = Exploration(start)
     seen = {start: start}
+    store = seen.setdefault
+    stored_count = 1
     frontier = [start]
     depth = 0
     while frontier:
@@ -447,12 +450,13 @@ def explore_lts(start, successors, is_terminal,
                     result.deadlocks.add(state)
             for rule, label, succ in succs:
                 result.rules_seen.add(rule)
-                stored = seen.get(succ)
-                if stored is None:
-                    if len(seen) >= max_configs:
+                stored = store(succ, succ)
+                if len(seen) > stored_count:  # a new state
+                    if stored_count >= max_configs:
+                        del seen[succ]
                         result.truncated = True
                     else:
-                        seen[succ] = succ
+                        stored_count += 1
                         nxt_frontier.append(succ)
                 else:
                     succ = stored

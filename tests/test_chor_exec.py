@@ -8,7 +8,7 @@ coverage over the whole corpus.
 from chorc import chorsem
 from chorc.chorsem import (
     CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
-    initial_config,
+    initial_config, lts_to_dot,
 )
 from chorc.lang import Seq
 from chorc.parser import parse_source
@@ -90,8 +90,8 @@ class TestAsynchSendRcv1:
         assert succ.sigma["A.x"] == 0  # sender update applied
         ((chan, queue),) = succ.pending
         assert chan == ("A.a", "B.r")
-        (port, update, value), = queue
-        assert port.pid == "B.r"
+        (receipt, value), = queue
+        assert receipt.port.pid == "B.r"
         assert value == 2  # captured before x := 0
 
     def test_two_sends_queue_fifo(self):
@@ -102,7 +102,7 @@ class TestAsynchSendRcv1:
         assert send2, "second send must be possible before delivery"
         ((chan, queue),) = send2[0].pending
         # First send captures x=2 before its own update; the second sees 3.
-        assert [val for _, _, val in queue] == [2, 3]
+        assert [val for _, val in queue] == [2, 3]
 
 
 class TestAsynchSendRcv2:
@@ -257,12 +257,85 @@ class TestStepTables:
         compiled = []  # keeps every compiled term alive, so ids stay unique
         compile_table = chorsem._compile
 
-        def counting(term):
+        def counting(term, tables):
             compiled.append(term)
-            return compile_table(term)
+            return compile_table(term, tables)
 
         monkeypatch.setattr(chorsem, "_compile", counting)
         res = explore(ch, decl.initial_valuation())
         assert len({id(term) for term in compiled}) == len(compiled)
         # A few dozen distinct terms serve thousands of configurations.
         assert 10 * len(compiled) < len(res.graph)
+        # One table per term structure, however many objects carry it.
+        assert len(set(compiled)) == len(compiled) == 94
+        # The tables stay with the root: exploring it again compiles nothing.
+        explore(ch, decl.initial_valuation())
+        assert len(compiled) == 94
+
+
+def reachable(ch, sigma):
+    """Brute-force oracle: every configuration reachable from the initial
+    one, deduplicated by a plain set (structural equality)."""
+    seen = {initial_config(ch, sigma)}
+    todo = list(seen)
+    while todo:
+        for _, _, succ in chor_steps_tagged(todo.pop()):
+            if succ not in seen:
+                seen.add(succ)
+                todo.append(succ)
+    return seen
+
+
+class TestHashConsing:
+    def test_identical_async_comms_dedup_as_brute_force(self):
+        # Both branches hold textually identical asynchronous comms, parsed
+        # into distinct objects; their residual receives meet in one queue.
+        comms = "A.a -> { B.r[y := y + 1] } ; A.a -> { B.r[y := y + 1] }"
+        ch, sigma = setup(f"choice A {{ A.d => {comms} | A.d[b] => {comms} }}")
+        left, right = (succ for _, _, succ in chor_steps_tagged(initial_config(ch, sigma)))
+        assert left == right and left.term is right.term
+        res = explore(ch, sigma)
+        assert set(res.graph) == reachable(ch, sigma)
+        queues = [queue for c in res.graph if isinstance(c, Running)
+                  for _, queue in c.pending if len(queue) == 2]
+        assert queues and all(q[0][0] is q[1][0] for q in queues)
+
+    def test_configurations_equal_across_parses(self):
+        body = "A.a -> { B.r, C.r } ; ( A.a -> { B.r } || D.s -> { C.r } )"
+        first, second = (explore(*setup(body)) for _ in range(2))
+        assert set(first.graph) == set(second.graph)
+        stored = {c: c for c in second.graph}
+        pooled = [c for c in first.graph if isinstance(c, Running) and c.pending]
+        assert pooled
+        for config in pooled:
+            twin = stored[config]
+            assert hash(twin) == hash(config)
+            assert twin.pending[0][1][0][0] is not config.pending[0][1][0][0]
+
+    def test_truncated_then_full_matches_fresh(self):
+        decl, _, ch = load_stem("producer_consumer")
+        sigma = decl.initial_valuation()
+        assert explore(ch, sigma, max_configs=50).truncated
+        assert explore(ch, sigma, max_depth=3).truncated
+        full = explore(ch, sigma)
+        fresh_decl, _, fresh_ch = load_stem("producer_consumer")
+        fresh = explore(fresh_ch, fresh_decl.initial_valuation())
+        assert full.graph == fresh.graph
+        assert lts_to_dot(full) == lts_to_dot(fresh)
+
+    def test_running_repr_is_pinned(self):
+        # lts_to_dot orders nodes by this text, so it must not change.
+        succs, _ = steps("A.a[x > 0, x := 0] -> { B.r[y := y + 1], C.r } ; A.a -> { B.r }")
+        port_b = ("Port(name='r', owner='B', var=Variable(name='y', owner='B', "
+                  "dtype='int'), ctype='r')")
+        port_c = ("Port(name='r', owner='C', var=Variable(name='z', owner='C', "
+                  "dtype='int'), ctype='r')")
+        assert repr(succs[0][2]) == (
+            "Running(term=Comm(send=GuardedSend(port=Port(name='a', owner='A', "
+            "var=Variable(name='x', owner='A', dtype='int'), ctype='as'), "
+            "guard=Lit(value=True), update=Update(assignments=())), "
+            f"rcvs=(({port_b}, Update(assignments=())),)), "
+            "sigma={A.b=True, A.x=0, B.c=True, B.y=0, C.z=0, D.w=0}, "
+            f"pending=((('A.a', 'B.r'), (({port_b}, Update(assignments=(('B.y', "
+            "BinOp(op='+', left=Ref(qname='B.y'), right=Lit(value=1))),)), 2),)), "
+            f"(('A.a', 'C.r'), (({port_c}, Update(assignments=()), 2),))))")

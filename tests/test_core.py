@@ -1,15 +1,11 @@
-"""Unit tests for expressions, valuations, updates and hash memoization."""
-
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional
+"""Unit tests for expressions, valuations, updates and the shared explorer."""
 
 import pytest
 
 from chorc.core import (
     FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
-    Variable, apply_update, default_value, evaluate, expr_vars, format_expr,
-    format_update, infer_type, memo_hash, update_vars, value_dtype,
+    Variable, apply_update, default_value, evaluate, explore_lts, expr_vars, format_expr,
+    format_update, infer_type, update_vars, value_dtype,
 )
 
 
@@ -181,53 +177,55 @@ class TestTypesAndFormatting:
         assert p.label is p.label
 
 
-class Counted:
-    """A field value that counts how often it is hashed."""
+class RingState:
+    """An explorer state that counts how often states are hashed."""
 
-    calls = 0
+    hashes = 0
+
+    def __init__(self, n):
+        self.n = n
 
     def __hash__(self):
-        Counted.calls += 1
-        return 7
+        RingState.hashes += 1
+        return hash(self.n)
 
-    def __repr__(self):
-        return "Counted()"
-
-
-@memo_hash
-@dataclass(frozen=True, slots=True)
-class Slotted:
-    a: int
-    b: object = None
-    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    def __eq__(self, other):
+        return isinstance(other, RingState) and self.n == other.n
 
 
-class TestMemoHashOnSlots:
-    def test_cache_is_a_slot(self):
-        s = Slotted(1)
-        assert not hasattr(s, "__dict__")
-        assert type(Slotted.__dict__["_hash"]).__name__ == "member_descriptor"
-        assert s._hash is None
+def ring(state):
+    """Six states, each with three fresh successors."""
+    return [("r", label, RingState((state.n + step) % 6))
+            for label, step in (("a", 1), ("b", 2), ("c", -1))]
 
-    def test_hash_is_computed_once(self):
-        s = Slotted(1, Counted())
-        before = Counted.calls
-        assert hash(s) == hash(s) == s._hash
-        assert Counted.calls == before + 1
 
-    def test_replace_starts_without_a_cached_hash(self):
-        s = Slotted(1, (2,))
-        hash(s)
-        assert dataclasses.replace(s)._hash is None
-        t = dataclasses.replace(s, a=3)
-        assert t._hash is None
-        assert hash(t) == hash((3, (2,)))
+def explore_ring(**limits):
+    limits = {"max_configs": 100, "max_depth": 100, **limits}
+    return explore_lts(RingState(0), ring, lambda s: False, **limits)
 
-    def test_cache_takes_no_part_in_eq_repr_or_hash(self):
-        hashed, fresh = Slotted(1, "x"), Slotted(1, "x")
-        hash(hashed)
-        assert hashed._hash is not None and fresh._hash is None
-        assert hashed == fresh
-        assert repr(hashed) == repr(fresh) == "Slotted(a=1, b='x')"
-        assert hash(hashed) == hash(fresh) == hash((1, "x"))
-        assert hashed != Slotted(2, "x")
+
+class TestExploreLts:
+    def test_each_successor_is_hashed_once(self):
+        # Once to find or store each successor, once more to expand each
+        # stored state, and once for the start.
+        before = RingState.hashes
+        res = explore_ring()
+        edges = sum(len(out) for out in res.graph.values())
+        assert (len(res.graph), edges) == (6, 18)
+        assert RingState.hashes - before == edges + len(res.graph) + 1
+
+    def test_max_configs_leaves_states_out(self):
+        res = explore_ring(max_configs=2)
+        assert res.truncated
+        assert sorted(s.n for s in res.graph) == [0, 1]
+        # After 2 and 5 are left out, the edge 1 -> 0 still finds 0.
+        stored = {s: s for s in res.graph}
+        for out in res.graph.values():
+            for _, succ in out:
+                assert succ not in stored or succ is stored[succ]
+        assert [succ.n for _, succ in res.graph[stored[RingState(1)]]] == [2, 3, 0]
+
+    def test_successor_may_be_the_state_itself(self):
+        res = explore_lts("s", lambda s: [("r", "loop", s)], lambda s: False, 10, 10)
+        assert res.graph == {"s": [("loop", "s")]}
+        assert not res.truncated
