@@ -1,4 +1,7 @@
-"""Unit tests for expressions, valuations, updates and the shared explorer."""
+"""Unit tests for expressions, valuations, updates, hash memoization and the
+shared explorer."""
+
+import dataclasses
 
 import pytest
 
@@ -175,6 +178,28 @@ class TestTypesAndFormatting:
         p = port("A", "p", "as", "x")
         assert p.label == frozenset({"A.p"})
         assert p.label is p.label
+
+
+class TestMemoHash:
+    def test_hash_is_kept_and_takes_no_part_in_eq_or_repr(self):
+        def fresh():
+            return Update((("A.x", BinOp("+", Ref("A.x"), Lit(1))),))
+
+        hashed, unhashed = fresh(), fresh()
+        assert hashed._hash is None
+        h = hash(hashed)
+        assert hashed._hash == h == hash((hashed.assignments,))
+        assert unhashed._hash is None
+        assert hashed == unhashed and repr(hashed) == repr(unhashed)
+        assert "_hash" not in repr(hashed)
+        assert hash(unhashed) == h
+
+    def test_replace_starts_without_a_cached_hash(self):
+        u = Update((("A.x", Lit(1)),))
+        hash(u)
+        v = dataclasses.replace(u, assignments=(("A.x", Lit(2)),))
+        assert v._hash is None
+        assert hash(v) == hash(((("A.x", Lit(2)),),))
 
 
 class RingState:
