@@ -2,13 +2,14 @@
 shared explorer."""
 
 import dataclasses
+from dataclasses import dataclass
 
 import pytest
 
 from chorc.core import (
     FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
     Variable, apply_update, default_value, evaluate, explore_lts, expr_vars, format_expr,
-    format_update, infer_type, update_vars, value_dtype,
+    format_update, infer_type, memo_hash, update_vars, value_dtype,
 )
 
 
@@ -200,6 +201,47 @@ class TestMemoHash:
         v = dataclasses.replace(u, assignments=(("A.x", Lit(2)),))
         assert v._hash is None
         assert hash(v) == hash(((("A.x", Lit(2)),),))
+
+
+class Counted:
+    """A field value that counts how often it is hashed."""
+
+    calls = 0
+
+    def __hash__(self):
+        Counted.calls += 1
+        return 7
+
+    def __repr__(self):
+        return "Counted()"
+
+
+@memo_hash
+@dataclass(frozen=True)
+class Plain:
+    a: int
+    b: object = None
+
+
+class TestMemoHashOnSlots:
+    """memo_hash on a frozen dataclass declared here, apart from the core
+    classes. The kept hash lives in the instance ``__dict__``, over the
+    class-level ``None`` default; no slotted class uses memo_hash."""
+
+    def test_hash_is_computed_once(self):
+        s = Plain(1, Counted())
+        before = Counted.calls
+        assert hash(s) == hash(s) == s._hash
+        assert Counted.calls == before + 1
+
+    def test_cache_takes_no_part_in_eq_repr_or_hash(self):
+        hashed, fresh = Plain(1, "x"), Plain(1, "x")
+        hash(hashed)
+        assert hashed._hash is not None and fresh._hash is None
+        assert hashed == fresh
+        assert repr(hashed) == repr(fresh) == "Plain(a=1, b='x')"
+        assert hash(hashed) == hash(fresh) == hash((1, "x"))
+        assert hashed != Plain(2, "x")
 
 
 class RingState:
