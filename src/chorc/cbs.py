@@ -9,21 +9,32 @@ Every step is started by one component: the sender of an interaction (with
 its receivers for a synchronous one, alone for an asynchronous one, whose
 payload goes to the receivers' buffers) or the component taking a local
 recv/internal step. ``component_steps`` returns one component's steps; the
-simulator asks for them once per turn, and ``sys_steps_tagged``, the
-successor function of the explorer, concatenates them over all components.
+simulator asks for them once per turn. ``sys_steps_tagged``, the successor
+function of the explorer, returns every component's steps in turn. Both run
+one loop, ``_fire``, over a set of components.
+
+The semantics is compiled once per system, lazily: each component gets a
+table from location to a flat tuple of static steps, built by
+``_compile_location`` on the first visit to that location and kept on the
+system. A step holds its rule, its guards and updates as compiled closures
+(None for a literal ``true`` guard or a skip update, so they cost nothing),
+its target locations and the port ids, variables and receiver tables it
+needs, so firing it only calls closures and builds the successor. A send
+step covers one interaction and all of its sender's transitions on the
+send port from that location. The tables are cached on the instance, so
+``dataclasses.replace`` yields a system with fresh ones, and a run pays only
+for the locations it reaches.
 
 A component keeps its transitions indexed by source location and by port
 then source location; a system keeps its components indexed by id and, per
 component and location, the interactions that component sends there
-together with the receivers' tables. The tables are built on first use and
-cached on the instance, so ``dataclasses.replace`` yields a system or
-component with fresh ones. System states are named tuples, hashed over
-their fields with no cache of their own; their valuations share the slot
-layout of the initial valuation (see ``core.Valuation``). An asynchronous
-send is labelled with its port's shared ``Port.label`` and a synchronous one
-with its interaction's cached ``pids``, so no step builds a label.
-``sys_explore`` runs the shared breadth-first explorer (``core.explore_lts``)
-over ``sys_steps_tagged``.
+together with the receivers' transitions. System states are named tuples,
+hashed over their fields with no cache of their own; their valuations
+share the slot layout of the initial valuation (see ``core.Valuation``). An
+asynchronous send is labelled with its port's shared ``Port.label`` and a
+synchronous one with its interaction's cached ``pids``, so no step builds a
+label. ``sys_explore`` runs the shared breadth-first explorer
+(``core.explore_lts``) over ``sys_steps_tagged``.
 """
 
 from __future__ import annotations
@@ -33,9 +44,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
-    Exploration, Expr, Lit, Port, Update, Valuation, apply_update, cached_attr,
-    evaluate, explore_lts, expr_vars, find_queue, format_expr, format_update,
-    requeue, update_vars,
+    TRUE, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr, explore_lts,
+    expr_vars, find_queue, format_expr, format_update, requeue, update_vars,
 )
 from .lang import Diagnostic
 
@@ -132,6 +142,12 @@ class CompositeSystem:
                 out[si].setdefault(loc, []).append((inter, offered, rcv_ends))
         return out
 
+    @cached_attr
+    def _steps(self) -> tuple:
+        """Per component position: its compiled steps by location, each
+        location's built on first visit (see ``_LocationSteps``)."""
+        return tuple(_LocationSteps(c, sends) for c, sends in zip(self.components, self._sends))
+
     def initial_state(self) -> "SysState":
         sigma = Valuation({
             var.qname: init
@@ -154,86 +170,159 @@ class SysState(NamedTuple):
 # Semantics
 # --------------------------------------------------------------------------
 
-def _enabled(offered: tuple, sigma: Valuation) -> list:
-    return [t for t in offered if evaluate(t.guard, sigma)]
+#: Builds a ``SysState`` from its fields without the Python-level ``__new__``
+#: that ``NamedTuple`` generates.
+_new = tuple.__new__
+
+
+class _LocationSteps(dict):
+    """One component's compiled steps by location: each location's tuple is
+    built by ``_compile_location`` on first lookup and then kept."""
+
+    __slots__ = ("comp", "sends")
+
+    def __init__(self, comp: AtomicComponent, sends: dict):
+        super().__init__()
+        self.comp = comp
+        self.sends = sends
+
+    def __missing__(self, loc: str) -> tuple:
+        steps = self[loc] = _compile_location(self.comp, self.sends, loc)
+        return steps
+
+
+def _alt(t: Transition) -> tuple:
+    """A transition as (guard, update, target location), with the guard and
+    the update as their compiled closures, or None for ``true`` and skip."""
+    return (None if t.guard == TRUE else t.guard.compiled,
+            t.update.compiled if t.update.assignments else None, t.dst)
+
+
+def _alts(transitions) -> tuple:
+    return tuple(map(_alt, transitions))
+
+
+def _compile_location(comp: AtomicComponent, sends: dict, loc: str) -> tuple:
+    """The static steps that ``comp`` starts at ``loc``: the interactions it
+    sends there, in gamma order, then its recv/internal transitions, in
+    transition order (see ``_fire`` for what each step does).
+
+    A send step is (rule, label, alternatives, sent variable, receivers): its
+    alternatives are the sender's transitions on the send port (see
+    ``_alt``); an asynchronous send's receivers are their port ids, and a
+    synchronous send's are (component position, port id, bound variable,
+    location -> alternatives). A local step is (rule, guard, update, target
+    location) for an internal transition, plus (port id, bound variable)
+    for a receive."""
+    steps = []
+    for inter, offered, rcv_ends in sends.get(loc, ()):
+        snd = inter.send
+        if snd.ctype == "as":
+            rcvs = tuple(r.pid for r in inter.receivers)
+            steps.append(("asynch-send", snd.label, _alts(offered), snd.var.qname, rcvs))
+        else:
+            rcvs = tuple((ri, r.pid, r.var.qname,
+                          {src: _alts(ts) for src, ts in by_src.items()})
+                         for r, (ri, by_src) in zip(inter.receivers, rcv_ends))
+            steps.append(("synch-send", inter.pids, _alts(offered), snd.var.qname, rcvs))
+    for t in comp.outgoing(loc):
+        guard, update, dst = _alt(t)
+        if t.port is None or t.port.ctype == "in":
+            steps.append(("internal", guard, update, dst))
+        elif t.port.ctype == "r":
+            steps.append(("recv", guard, update, dst, t.port.pid, t.port.var.qname))
+        # A send is taken above, through its interaction.
+    return tuple(steps)
+
+
+def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
+    """The steps that components ``cis`` start from ``state``, in that
+    order, as (rule, label, state): each component's compiled steps at its
+    location (see ``_compile_location``) whose guards hold."""
+    locations, sigma, buffers = state
+    tables = sys._steps
+    out = []
+    for ci in cis:
+        for step in tables[ci][locations[ci]]:
+            rule = step[0]
+            if rule == "internal":
+                _, guard, update, dst = step
+                if guard is not None and not guard(sigma):
+                    continue
+                after = sigma if update is None else update(sigma)
+                out.append((rule, TAU, _new(SysState, (
+                    locations[:ci] + (dst,) + locations[ci + 1:], after, buffers))))
+                continue
+            if rule == "recv":
+                _, guard, update, dst, pid, var = step
+                queue = find_queue(buffers, pid)[1]
+                if not queue or guard is not None and not guard(sigma):
+                    continue
+                after = sigma.set(var, queue[0])
+                if update is not None:
+                    after = update(after)
+                out.append((rule, TAU, _new(SysState, (
+                    locations[:ci] + (dst,) + locations[ci + 1:], after,
+                    requeue(buffers, pid, pop=True)))))
+                continue
+            _, label, alts, var, rcvs = step
+            enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
+            if not enabled:
+                continue
+            if rule == "asynch-send":
+                # The payload goes to every receiver's buffer before the
+                # sender's update runs.
+                payload, queues = (sigma[var],), buffers
+                for pid in rcvs:
+                    queues = requeue(queues, pid, push=payload)
+                for _, update, dst in enabled:
+                    out.append((rule, label, _new(SysState, (
+                        locations[:ci] + (dst,) + locations[ci + 1:],
+                        sigma if update is None else update(sigma), queues))))
+                continue
+            # Synchronous: every receiver must offer an enabled transition on
+            # its port and that port's buffer must be empty; all step
+            # together. The payload is copied first, then the sender's update
+            # runs, then the receivers' in order.
+            choices = []
+            for ri, pid, _, by_loc in rcvs:
+                if find_queue(buffers, pid)[1]:
+                    break
+                ts = [alt for alt in by_loc.get(locations[ri], ())
+                      if alt[0] is None or alt[0](sigma)]
+                if not ts:
+                    break
+                choices.append(ts)
+            else:
+                payload = sigma[var]
+                for _, update, dst in enabled:
+                    for combo in itertools.product(*choices):
+                        after = sigma
+                        for rcv in rcvs:
+                            after = after.set(rcv[2], payload)
+                        if update is not None:
+                            after = update(after)
+                        locs = list(locations)
+                        locs[ci] = dst
+                        for rcv, (_, r_update, r_dst) in zip(rcvs, combo):
+                            if r_update is not None:
+                                after = r_update(after)
+                            locs[rcv[0]] = r_dst
+                        out.append((rule, label, _new(SysState, (tuple(locs), after, buffers))))
+    return out
 
 
 def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
     """Steps that component ``ci`` starts from ``state``, as (rule, label,
     state): the interactions it sends at its location, in gamma order, then
     its own recv/internal steps, in transition order."""
-    out = []
-    loc = state.locations[ci]
-    for inter, offered, rcv_ends in sys._sends[ci].get(loc, ()):
-        sender_ts = _enabled(offered, state.sigma)
-        if not sender_ts:
-            continue
-        snd = inter.send
-        if snd.ctype == "as":
-            payload, buffers = state.sigma[snd.var.qname], state.buffers
-            for r in inter.receivers:
-                buffers = requeue(buffers, r.pid, push=(payload,))
-            for t in sender_ts:
-                locs = list(state.locations)
-                locs[ci] = t.dst
-                sigma = apply_update(t.update, state.sigma)
-                out.append(("asynch-send", snd.label,
-                            SysState(tuple(locs), sigma, buffers)))
-            continue
-        # Synchronous: every receiver must offer an enabled transition on its
-        # port and that port's buffer must be empty; all step together.
-        choices = []
-        for r, (ri, by_src) in zip(inter.receivers, rcv_ends):
-            if state.buffer(r.pid):
-                break
-            ts = _enabled(by_src.get(state.locations[ri], ()), state.sigma)
-            if not ts:
-                break
-            choices.append((ri, ts))
-        else:
-            payload = state.sigma[snd.var.qname]
-            for t_s in sender_ts:
-                for combo in itertools.product(*[ts for _, ts in choices]):
-                    sigma = state.sigma
-                    for r in inter.receivers:
-                        sigma = sigma.set(r.var.qname, payload)
-                    sigma = apply_update(t_s.update, sigma)
-                    locs = list(state.locations)
-                    locs[ci] = t_s.dst
-                    for (ri, _), t_r in zip(choices, combo):
-                        sigma = apply_update(t_r.update, sigma)
-                        locs[ri] = t_r.dst
-                    out.append(("synch-send", inter.pids,
-                                SysState(tuple(locs), sigma, state.buffers)))
-
-    for t in sys.components[ci].outgoing(loc):
-        if t.port is None or t.port.ctype == "in":
-            if not evaluate(t.guard, state.sigma):
-                continue
-            sigma = apply_update(t.update, state.sigma)
-            buffers = state.buffers
-            rule = "internal"
-        elif t.port.ctype == "r":
-            queue = state.buffer(t.port.pid)
-            if not queue or not evaluate(t.guard, state.sigma):
-                continue
-            sigma = state.sigma.set(t.port.var.qname, queue[0])
-            sigma = apply_update(t.update, sigma)
-            buffers = requeue(state.buffers, t.port.pid, pop=True)
-            rule = "recv"
-        else:
-            continue  # a send: taken above, through its interaction
-        locs = list(state.locations)
-        locs[ci] = t.dst
-        out.append((rule, TAU, SysState(tuple(locs), sigma, buffers)))
-    return out
+    return _fire(sys, state, (ci,))
 
 
 def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:
     """Successors of a system state as (rule, label, state): the steps of
     each component in turn (see ``component_steps``)."""
-    return [step for ci in range(len(sys.components))
-            for step in component_steps(sys, state, ci)]
+    return _fire(sys, state, range(len(sys.components)))
 
 
 def is_terminal(sys: CompositeSystem, state: SysState) -> bool:

@@ -13,7 +13,9 @@ static step (rule tags, label, guard, update, sends, next term) per way the
 term can move. A synchronous send becomes one update whose first
 assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
 their operands' tables, and ``Par`` decides the independence of its operands
-once. ``chor_steps_tagged`` then only evaluates guards and applies updates.
+once. A step keeps its guard and update as their compiled closures (see
+``core``), None for a literal ``true`` guard and for skip, so
+``chor_steps_tagged`` only calls closures and builds configurations.
 
 The tables of a root term and of every term reached from it live in one
 tables object kept on the root, so every exploration of the root reuses
@@ -32,8 +34,9 @@ Configurations are named tuples. Equality and hashing run over the fields,
 whose own hashes are memoized (terms, valuations) or stored (receipts), so
 a configuration keeps no hash of its own. Equality stays structural, so
 configurations from two parses of one choreography compare equal.
-``lts_to_dot`` orders nodes by the repr, in which a pending entry prints as
-(port, update, value). A label on one port is that port's shared
+``lts_to_dot`` orders nodes and edges by the repr, built once per
+configuration drawn, in which a pending entry prints as (port, update,
+value). A label on one port is that port's shared
 ``Port.label``, so neither the step tables nor a residual receive build a
 frozenset per step.
 """
@@ -43,8 +46,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .core import (
-    SKIP, TRUE, Exploration, Not, Port, Ref, Update, Valuation, apply_update, evaluate,
-    explore_lts, requeue,
+    SKIP, TRUE, Exploration, Not, Port, Ref, Update, Valuation, explore_lts, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
@@ -73,7 +75,8 @@ Label = Union[str, frozenset]
 
 class Receipt:
     """The receive side of an asynchronous send: the receive port and its
-    update. Built once per (port, update) when a step table is compiled.
+    update. Built once per (port, update) when a step table is compiled,
+    with the update's closure, or None for skip, as ``apply``.
 
     Its structural hash is stored when it is built, and equality tests
     identity first, so a configuration with pending receives hashes and
@@ -83,11 +86,12 @@ class Receipt:
     triple.
     """
 
-    __slots__ = ("port", "update", "qname", "label", "_hash")
+    __slots__ = ("port", "update", "apply", "qname", "label", "_hash")
 
     def __init__(self, port: Port, update: Update):
         self.port = port
         self.update = update
+        self.apply = update.compiled if update.assignments else None
         self.qname = port.var.qname
         self.label = port.label
         self._hash = hash((port, update))
@@ -201,21 +205,21 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
 
 
 def _step(tags, label, guard, update, sends, nxt) -> tuple:
-    """One static step, with a literal ``true`` guard as ``TRUE`` and an
-    empty update as ``SKIP``, which ``chor_steps_tagged`` skips by
-    identity."""
-    return (tags, label, TRUE if guard == TRUE else guard,
-            update if update.assignments else SKIP, sends, nxt)
+    """One static step, with the guard and the update as their compiled
+    closures, or None for a literal ``true`` guard and for skip."""
+    return (tags, label, None if guard == TRUE else guard.compiled,
+            update.compiled if update.assignments else None, sends, nxt)
 
 
 def _compile(term: Chor, tables: _Tables) -> tuple:
     """Static steps of ``term`` as (tags, label, guard, update, sends, next
-    term); next term is None when the step terminates the term, and
-    otherwise canonical in ``tables``. ``sends`` lists the residual receives
-    of an asynchronous send as (channel key, receipt, sent variable)."""
+    term), built by ``_step``; next term is None when the step terminates
+    the term, and otherwise canonical in ``tables``. ``sends`` lists the
+    residual receives of an asynchronous send as (channel key, receipt,
+    sent variable)."""
     canon = tables.canon
     if isinstance(term, Nil):
-        return ((("nil",), TAU, TRUE, SKIP, (), None),)
+        return ((("nil",), TAU, None, None, (), None),)
 
     if isinstance(term, Comm):
         snd = term.send.port
@@ -286,8 +290,8 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
     for i, (chan, queue) in enumerate(pending):
         receipt, value = queue[0]
         after = sigma.set(receipt.qname, value)
-        if receipt.update is not SKIP:
-            after = apply_update(receipt.update, after)
+        if receipt.apply is not None:
+            after = receipt.apply(after)
         if len(queue) > 1:
             rest = pending[:i] + ((chan, queue[1:]),) + pending[i + 1:]
         else:
@@ -299,12 +303,12 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
     # Term steps: the payload of a send is read before the update runs.
     if term is not None:
         for tags, label, guard, update, sends, nxt in _steps(term, tables or _tables(term)):
-            if guard is not TRUE and not evaluate(guard, sigma):
+            if guard is not None and not guard(sigma):
                 continue
             queues = pending
             for chan, receipt, var in sends:
                 queues = requeue(queues, chan, push=((receipt, sigma[var]),))
-            after = sigma if update is SKIP else apply_update(update, sigma)
+            after = sigma if update is None else update(sigma)
             out.append((tags, label, _new(Running, (nxt, after, queues))
                         if nxt is not None or queues else _new(Final, (after,))))
     return out
@@ -356,8 +360,17 @@ def lts_to_dot(result: Exploration) -> str:
             shape = "box" if config in result.deadlocks else "circle"
             lines.append(f'  {nid} [shape={shape}, label=""{style}];')
 
+    keys = {}
+
+    def key(config):
+        """``_config_key`` of ``config``, computed once per configuration."""
+        k = keys.get(config)
+        if k is None:
+            k = keys[config] = _config_key(config)
+        return k
+
     lines = ["digraph lts {", "  rankdir=LR;"]
-    ordering = sorted(result.graph, key=_config_key)
+    ordering = sorted(result.graph, key=key)
     if result.initial in result.graph:
         ordering.remove(result.initial)
         ordering.insert(0, result.initial)
@@ -366,7 +379,7 @@ def lts_to_dot(result: Exploration) -> str:
     for config in ordering:
         nid = node_id(config)
         for label, succ in sorted(result.graph[config],
-                                  key=lambda e: (_label_text(e[0]), _config_key(e[1]))):
+                                  key=lambda e: (_label_text(e[0]), key(e[1]))):
             if succ not in ids:
                 declare(succ, ", style=dashed")
             lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(label)}"];')

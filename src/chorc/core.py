@@ -18,6 +18,13 @@ assignment rather than a dict copy and a sort. A synchronous transfer is no
 special case: the choreography's step tables express it as leading
 ``receiver := sender`` assignments of an ``Update``.
 
+An expression or update compiles itself, on first use, into a closure over
+a valuation, kept on the instance as ``compiled``: a tree of closures that
+mirrors the expression tree, with the operand closures and the operator's
+function bound when it is built. ``evaluate`` and ``apply_update`` call it,
+and the step tables of both semantics store it, so no step dispatches on an
+expression's type. ``dataclasses.replace`` builds an instance without one.
+
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
 (``cbs.sys_explore``) each pass it their start state, successor function and
@@ -215,6 +222,11 @@ UNARY_PREC = 1 + max(op.prec for op in BINARY_OPS.values())
 class Lit:
     value: Value
 
+    @cached_attr
+    def compiled(self) -> Callable:
+        value = self.value
+        return lambda v: value
+
 
 @memo_hash
 @dataclass(frozen=True)
@@ -222,6 +234,11 @@ class Ref:
     """Reference to a variable by qualified name."""
 
     qname: str
+
+    @cached_attr
+    def compiled(self) -> Callable:
+        qname = self.qname
+        return lambda v: v[qname]
 
 
 @memo_hash
@@ -231,17 +248,38 @@ class BinOp:
     left: "Expr"
     right: "Expr"
 
+    @cached_attr
+    def compiled(self) -> Callable:
+        left, right = self.left.compiled, self.right.compiled
+        # A false left operand decides `and`, a true one `or`.
+        if self.op == "and":
+            return lambda v: bool(left(v)) and bool(right(v))
+        if self.op == "or":
+            return lambda v: bool(left(v)) or bool(right(v))
+        fn = BINARY_OPS[self.op].fn
+        return lambda v: fn(left(v), right(v))
+
 
 @memo_hash
 @dataclass(frozen=True)
 class Not:
     operand: "Expr"
 
+    @cached_attr
+    def compiled(self) -> Callable:
+        operand = self.operand.compiled
+        return lambda v: not operand(v)
+
 
 @memo_hash
 @dataclass(frozen=True)
 class Neg:
     operand: "Expr"
+
+    @cached_attr
+    def compiled(self) -> Callable:
+        operand = self.operand.compiled
+        return lambda v: -operand(v)
 
 
 Expr = Union[Lit, Ref, BinOp, Not, Neg]
@@ -315,22 +353,7 @@ class Valuation(Mapping):
 
 def evaluate(expr: Expr, v: Valuation) -> Value:
     """Evaluate an expression against a valuation. Pure."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Ref):
-        return v[expr.qname]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, v)
-    if isinstance(expr, Not):
-        return not evaluate(expr.operand, v)
-    if isinstance(expr, BinOp):
-        _, kind, fn = BINARY_OPS[expr.op]
-        a = evaluate(expr.left, v)
-        # A false left operand decides `and`, a true one `or`.
-        if kind == "bool" and bool(a) is (expr.op == "or"):
-            return bool(a)
-        return fn(a, evaluate(expr.right, v))
-    raise AssertionError(f"not an expression: {expr!r}")
+    return expr.compiled(v)
 
 
 # --------------------------------------------------------------------------
@@ -351,15 +374,27 @@ class Update:
     def is_skip(self) -> bool:
         return not self.assignments
 
+    @cached_attr
+    def compiled(self) -> Callable:
+        """The update as a closure from a valuation to the updated one."""
+        steps = tuple((target, rhs.compiled) for target, rhs in self.assignments)
+        if len(steps) == 1:
+            (target, rhs), = steps
+            return lambda v: v.set(target, rhs(v))
+
+        def run(v):
+            for target, rhs in steps:
+                v = v.set(target, rhs(v))
+            return v
+        return run
+
 
 SKIP = Update()
 
 
 def apply_update(f: Update, v: Valuation) -> Valuation:
     """Apply assignments left to right; each rhs sees the latest bindings."""
-    for target, rhs in f.assignments:
-        v = v.set(target, evaluate(rhs, v))
-    return v
+    return f.compiled(v)
 
 
 _queue_key = operator.itemgetter(0)

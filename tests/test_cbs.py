@@ -4,13 +4,25 @@ Each of the four execution rules (synch-send, asynch-send, recv, internal)
 has a dedicated test with a hand-computed successor set.
 """
 
+import dataclasses
+import itertools
+
+import pytest
+
+from chorc import cbs
 from chorc.cbs import (
-    SYS_RULES, TAU, AtomicComponent, CompositeSystem, Interaction, Transition,
+    SYS_RULES, TAU, AtomicComponent, CompositeSystem, Interaction, SysState, Transition,
     check_structure, component_steps, is_terminal, serialize_system,
     sys_explore, sys_steps_tagged,
 )
-from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Update, Variable
+from chorc.core import (
+    SKIP, TRUE, BinOp, Lit, Port, Ref, Update, Variable, apply_update, evaluate, requeue,
+)
+from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
+from chorc.verify import MUTATIONS
+
+from conftest import load_stem
 
 
 def var(owner, name, dtype="int"):
@@ -190,6 +202,185 @@ class TestComponentSteps:
                                 assert rule in ("recv", "internal"), where
                                 assert succ.locations[:ci] + succ.locations[ci + 1:] \
                                     == others, where
+
+
+def reference_component_steps(sys, state, ci):
+    """The successor function the compiled step tables replaced, reading
+    the transitions and gamma directly on every call."""
+    def enabled(owner, port):
+        i = sys.index(owner)
+        return [t for t in sys.components[i].transitions
+                if t.src == state.locations[i] and t.port == port
+                and evaluate(t.guard, state.sigma)]
+
+    out = []
+    comp = sys.components[ci]
+    for inter in sys.gamma:
+        snd = inter.send
+        if sys.index(snd.owner) != ci:
+            continue
+        sender_ts = enabled(snd.owner, snd)
+        if not sender_ts:
+            continue
+        if snd.ctype == "as":
+            payload, buffers = state.sigma[snd.var.qname], state.buffers
+            for r in inter.receivers:
+                buffers = requeue(buffers, r.pid, push=(payload,))
+            for t in sender_ts:
+                locs = list(state.locations)
+                locs[ci] = t.dst
+                sigma = apply_update(t.update, state.sigma)
+                out.append(("asynch-send", snd.label,
+                            SysState(tuple(locs), sigma, buffers)))
+            continue
+        choices = []
+        for r in inter.receivers:
+            if state.buffer(r.pid):
+                break
+            ts = enabled(r.owner, r)
+            if not ts:
+                break
+            choices.append((sys.index(r.owner), ts))
+        else:
+            payload = state.sigma[snd.var.qname]
+            for t_s in sender_ts:
+                for combo in itertools.product(*[ts for _, ts in choices]):
+                    sigma = state.sigma
+                    for r in inter.receivers:
+                        sigma = sigma.set(r.var.qname, payload)
+                    sigma = apply_update(t_s.update, sigma)
+                    locs = list(state.locations)
+                    locs[ci] = t_s.dst
+                    for (ri, _), t_r in zip(choices, combo):
+                        sigma = apply_update(t_r.update, sigma)
+                        locs[ri] = t_r.dst
+                    out.append(("synch-send", inter.pids,
+                                SysState(tuple(locs), sigma, state.buffers)))
+
+    for t in comp.transitions:
+        if t.src != state.locations[ci]:
+            continue
+        if t.port is None or t.port.ctype == "in":
+            if not evaluate(t.guard, state.sigma):
+                continue
+            sigma = apply_update(t.update, state.sigma)
+            buffers = state.buffers
+            rule = "internal"
+        elif t.port.ctype == "r":
+            queue = state.buffer(t.port.pid)
+            if not queue or not evaluate(t.guard, state.sigma):
+                continue
+            sigma = state.sigma.set(t.port.var.qname, queue[0])
+            sigma = apply_update(t.update, sigma)
+            buffers = requeue(state.buffers, t.port.pid, pop=True)
+            rule = "recv"
+        else:
+            continue
+        locs = list(state.locations)
+        locs[ci] = t.dst
+        out.append((rule, TAU, SysState(tuple(locs), sigma, buffers)))
+    return out
+
+
+def assert_steps_match_reference(sys, where):
+    """Per component, on every state ``sys_explore`` reaches, the compiled
+    successors equal the reference's, in order; returns the exploration."""
+    res = sys_explore(sys)
+    for state in res.graph:
+        for ci in range(len(sys.components)):
+            assert component_steps(sys, state, ci) == \
+                reference_component_steps(sys, state, ci), (where, state, ci)
+    return res
+
+
+class TestCompiledStepsAgainstReference:
+    def test_corpus(self, corpus):
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                assert_steps_match_reference(synthesize(decl, ch, profile),
+                                             (path, profile))
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_buying_mutants(self, name):
+        decl, _, ch = load_stem("buying")
+        for profile in PROFILES:
+            mutant = MUTATIONS[name](synthesize(decl, ch, profile))
+            assert mutant is not None, (name, profile)
+            assert_steps_match_reference(mutant, (name, profile))
+
+    def test_several_sender_transitions_and_receivers(self):
+        # Two enabled sender transitions on one port times two enabled
+        # receiver transitions, and an asynchronous send with two.
+        cz = var("C", "z")
+        c_r = port("C", "r", "r", cz)
+        zero_x = Update((("A.x", Lit(0)),))
+        a = AtomicComponent(
+            id="A", vars=((AX, 2),), ports=(AP_SS, AP_AS), locations=("a0", "a1", "a2"),
+            transitions=(Transition("a0", AP_SS, TRUE, INC_X, "a1"),
+                         Transition("a0", AP_SS, TRUE, SKIP, "a1"),
+                         Transition("a1", AP_AS, TRUE, SKIP, "a2"),
+                         Transition("a1", AP_AS, BinOp(">", Ref("A.x"), Lit(2)), zero_x,
+                                    "a2")),
+            init="a0", end="a2")
+        b = AtomicComponent(
+            id="B", vars=((BY, 0),), ports=(BR,), locations=("b0", "b1"),
+            transitions=(Transition("b0", BR, TRUE, DBL_Y, "b1"),
+                         Transition("b0", BR, TRUE, SKIP, "b1")),
+            init="b0", end="b1")
+        c = AtomicComponent(
+            id="C", vars=((cz, 0),), ports=(c_r,), locations=("c0", "c1"),
+            transitions=(Transition("c0", c_r, TRUE, SKIP, "c1"),), init="c0", end="c1")
+        sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR,)),
+                                          Interaction(AP_AS, (c_r,))))
+        res = assert_steps_match_reference(sys, "hand-built")
+        assert res.rules_seen == {"synch-send", "asynch-send", "recv"}
+        assert len(sys_steps_tagged(sys, sys.initial_state())) == 4
+
+
+class TestLazyStepTables:
+    def counting(self, monkeypatch):
+        built = []
+        compile_location = cbs._compile_location
+
+        def counted(comp, sends, loc):
+            built.append((comp.id, loc))
+            return compile_location(comp, sends, loc)
+
+        monkeypatch.setattr(cbs, "_compile_location", counted)
+        return built
+
+    def test_built_once_per_visited_location(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        decl, _, ch = load_stem("buying")
+        sys = synthesize(decl, ch)
+        res = sys_explore(sys)
+        visited = {(c.id, state.locations[ci]) for state in res.graph
+                   for ci, c in enumerate(sys.components)}
+        assert len(built) == len(set(built))
+        assert set(built) == visited
+        sys_explore(sys)
+        assert len(built) == len(visited)
+
+    def test_unvisited_locations_are_not_built(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        decl, _, ch = load_stem("seq_chain")
+        sys = synthesize(decl, ch)
+        res = simulate(sys, 0, max_steps=1)
+        assert res.steps == 1
+        visited = {(sys.components[ci].id, loc) for state in (sys.initial_state(), res.final)
+                   for ci, loc in enumerate(state.locations)}
+        assert built and set(built) <= visited
+        assert len(built) == len(set(built))
+        every = {(c.id, loc) for c in sys.components for loc in c.locations}
+        assert len(every) > len(visited)
+
+    def test_replace_starts_without_tables(self):
+        sys = TestCheckStructure().clean()
+        sys_steps_tagged(sys, sys.initial_state())
+        assert set(sys._steps[0]) == {"a0"}
+        twin = dataclasses.replace(sys, gamma=())
+        assert "_steps" not in vars(twin)
+        assert sys_steps_tagged(twin, twin.initial_state()) == []
 
 
 class TestRuleNames:

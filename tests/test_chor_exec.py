@@ -339,3 +339,25 @@ class TestHashConsing:
             f"pending=((('A.a', 'B.r'), (({port_b}, Update(assignments=(('B.y', "
             "BinOp(op='+', left=Ref(qname='B.y'), right=Lit(value=1))),)), 2),)), "
             f"(('A.a', 'C.r'), (({port_c}, Update(assignments=()), 2),))))")
+
+
+class TestDot:
+    def test_sort_key_built_once_per_configuration(self, monkeypatch):
+        keyed = []
+        config_key = chorsem._config_key
+
+        def counting(config):
+            keyed.append(config)
+            return config_key(config)
+
+        monkeypatch.setattr(chorsem, "_config_key", counting)
+        decl, _, ch = load_stem("producer_consumer")
+        for limits in ({}, {"max_configs": 50}):
+            res = explore(ch, decl.initial_valuation(), **limits)
+            keyed.clear()
+            dot = lts_to_dot(res)
+            drawn = set(res.graph) | {succ for edges in res.graph.values()
+                                      for _, succ in edges}
+            assert len(keyed) == len(set(keyed)) == len(drawn), limits
+            assert dot.count("style=dashed") == len(drawn - set(res.graph)), limits
+        assert "style=dashed" in dot

@@ -5,12 +5,16 @@ import dataclasses
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chorc.core import (
-    FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update, Valuation,
-    Variable, apply_update, default_value, evaluate, explore_lts, expr_vars, format_expr,
-    format_update, infer_type, memo_hash, update_vars, value_dtype,
+    BINARY_OPS, FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update,
+    Valuation, Variable, apply_update, default_value, evaluate, explore_lts, expr_vars,
+    format_expr, format_update, infer_type, memo_hash, update_vars, value_dtype,
 )
+
+from test_expr_syntax import EXPRS, UPDATE
 
 
 def port(owner, name, ctype, var):
@@ -126,6 +130,89 @@ class TestUpdate:
     def test_targets_and_vars(self):
         f = Update((("A.x", BinOp("+", Ref("A.x"), Lit(1))),))
         assert update_vars(f) == {"A.x"}
+
+
+def reference_evaluate(expr, v):
+    """The tree-walking evaluator that the compiled closures replaced."""
+    if isinstance(expr, Lit):
+        return expr.value
+    if isinstance(expr, Ref):
+        return v[expr.qname]
+    if isinstance(expr, Neg):
+        return -reference_evaluate(expr.operand, v)
+    if isinstance(expr, Not):
+        return not reference_evaluate(expr.operand, v)
+    if isinstance(expr, BinOp):
+        _, kind, fn = BINARY_OPS[expr.op]
+        a = reference_evaluate(expr.left, v)
+        # A false left operand decides `and`, a true one `or`.
+        if kind == "bool" and bool(a) is (expr.op == "or"):
+            return bool(a)
+        return fn(a, reference_evaluate(expr.right, v))
+    raise AssertionError(f"not an expression: {expr!r}")
+
+
+def reference_apply_update(f, v):
+    for target, rhs in f.assignments:
+        v = v.set(target, reference_evaluate(rhs, v))
+    return v
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value with its type (so that ``True``
+    and ``1`` differ), or the message of the ``EvalError`` it raises."""
+    try:
+        value = fn(*args)
+    except EvalError as exc:
+        return "EvalError", str(exc)
+    return type(value), value
+
+
+VALUATIONS = st.builds(
+    lambda x, y, b, s: Valuation({"A.x": x, "A.y": y, "A.b": b, "A.s": s}),
+    st.integers(-4, 4), st.integers(-4, 4), st.booleans(), st.text("ab", max_size=2))
+
+X, Y = Ref("A.x"), Ref("A.y")
+BOOM = BinOp("==", BinOp("/", X, Lit(0)), Lit(0))
+SIGMA = Valuation({"A.x": 1, "A.y": 0, "A.b": True, "A.s": ""})
+
+
+class TestCompiledAgainstReference:
+    """``evaluate`` and ``apply_update`` run closures compiled once per
+    expression; the tree walker above is their oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.one_of(*(EXPRS[t, 3] for t in ("int", "bool", "str"))), VALUATIONS)
+    @example(BinOp("/", X, Y), SIGMA)
+    @example(BinOp("mod", Lit(3), BinOp("-", X, X)), SIGMA)
+    @example(BinOp("and", Ref("A.b"), BOOM), SIGMA)
+    @example(BinOp("and", Not(Ref("A.b")), BOOM), SIGMA)
+    @example(BinOp("or", Ref("A.b"), BOOM), SIGMA)
+    @example(BinOp("or", Not(Ref("A.b")), BOOM), SIGMA)
+    @example(BinOp("or", BinOp("<", X, Lit(0)), BinOp("==", X, Lit(1))), SIGMA)
+    @example(BinOp("+", Ref("A.z"), Lit(1)), SIGMA)
+    def test_evaluate(self, expr, sigma):
+        assert outcome(evaluate, expr, sigma) == outcome(reference_evaluate, expr, sigma)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(UPDATE, VALUATIONS)
+    @example(Update((("A.x", BinOp("/", Lit(1), Y)),)), SIGMA)
+    @example(Update((("A.y", X), ("A.x", BinOp("mod", X, Y)))), SIGMA)
+    @example(Update((("A.x", Y), ("A.y", X), ("A.b", BinOp("or", Ref("A.b"), BOOM)))),
+             SIGMA)
+    def test_apply_update(self, update, sigma):
+        ours = outcome(apply_update, update, sigma)
+        assert ours == outcome(reference_apply_update, update, sigma)
+        if ours[0] is Valuation:
+            assert repr(ours[1]) == repr(reference_apply_update(update, sigma))
+
+    def test_compiled_once_per_instance(self):
+        e = BinOp("+", X, Lit(1))
+        assert e.compiled is e.compiled
+        assert evaluate(e, SIGMA) == 2 and e.left.compiled is X.compiled
+        twin = dataclasses.replace(e)
+        assert twin == e and "compiled" not in vars(twin)
+        assert "compiled" not in repr(e) and hash(twin) == hash(e)
 
 
 class TestTypesAndFormatting:
