@@ -16,24 +16,28 @@ one loop, ``_fire``, over a set of components.
 The semantics is compiled once per system, lazily: each component gets a
 table from location to a flat tuple of static steps, built by
 ``_compile_location`` on the first visit to that location and kept on the
-system. A step holds its rule, its guards and updates as compiled closures
-(None for a literal ``true`` guard or a skip update, so they cost nothing),
-its target locations and the port ids, variables and receiver tables it
-needs, so firing it only calls closures and builds the successor. A send
-step covers one interaction and all of its sender's transitions on the
-send port from that location. The tables are cached on the instance, so
-``dataclasses.replace`` yields a system with fresh ones, and a run pays only
-for the locations it reaches.
+system. A step holds its rule, its event, its guards and updates as
+compiled closures (None for a literal ``true`` guard or a skip update, so
+they cost nothing), its target locations and the port ids, variables and
+receiver tables it needs, so firing it only calls closures and builds the
+successor. A send step covers one interaction and all of its sender's
+transitions on the send port from that location. The tables are cached on
+the instance, so ``dataclasses.replace`` yields a system with fresh ones,
+and a run pays only for the locations it reaches.
 
-A component keeps its transitions indexed by source location and by port
-then source location; a system keeps its components indexed by id and, per
-component and location, the interactions that component sends there
-together with the receivers' transitions. System states are named tuples,
-hashed over their fields with no cache of their own; their valuations
-share the slot layout of the initial valuation (see ``core.Valuation``). An
-asynchronous send is labelled with its port's shared ``Port.label`` and a
-synchronous one with its interaction's cached ``pids``, so no step builds a
-label. ``sys_explore`` runs the shared breadth-first explorer
+A component keeps its transitions indexed by source location, and, once it
+receives a synchronous send, by port then source location; a system keeps
+its components indexed by id and its interactions by sender. System states
+are named tuples, hashed over their fields with no cache of their own;
+their valuations share the slot layout of the initial valuation (see
+``core.Valuation``).
+
+A step's event (see ``core.Event``) names its rule and the ports of the
+transitions it fires, the sender's first: an asynchronous send moves its
+sender alone, a synchronous one its sender and every receiver. The sends of
+one interaction share one event, whatever location they leave. Only sends
+are shown in the label; a receive or internal step is ``TAU``.
+``sys_explore`` runs the shared breadth-first explorer
 (``core.explore_lts``) over ``sys_steps_tagged``.
 """
 
@@ -44,14 +48,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
-    TRUE, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr, explore_lts,
-    expr_vars, find_queue, format_expr, format_update, requeue, update_vars,
+    TAU, TRUE, Event, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr,
+    explore_lts, expr_vars, find_queue, format_expr, format_update, requeue, update_vars,
 )
 from .lang import Diagnostic
 
-TAU = "tau"
-
 SYS_RULES = ("synch-send", "asynch-send", "recv", "internal")
+
+#: The port types of a send (see ``Port.is_send``).
+_SEND_TYPES = ("ss", "as")
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,8 @@ class AtomicComponent:
 
     @cached_attr
     def _by_port(self) -> dict:
-        """port -> source location -> transitions on that port."""
+        """port -> source location -> transitions on that port, built when
+        the component first receives a synchronous send."""
         by_port = _group(self.transitions, lambda t: t.port)
         return {p: _group(ts, lambda t: t.src) for p, ts in by_port.items()}
 
@@ -125,28 +131,31 @@ class CompositeSystem:
         return out
 
     @cached_attr
-    def _sends(self) -> tuple:
-        """Per component position: location -> the interactions that
-        component sends there, in gamma order. An entry is the interaction,
-        the sender's transitions on its send port from that location and
-        the receivers' ends: the owner's position and the owner's
-        transitions on the receive port, by source location."""
-        def end(port):
-            i = self.index(port.owner)
-            return i, self.components[i]._by_port.get(port, {})
-        out = tuple({} for _ in self.components)
+    def _gamma_by_sender(self) -> tuple:
+        """Per component position: the interactions that component sends,
+        in gamma order, each with its event and its receivers' ends, the
+        (position, component) of each receive port's owner. The event of
+        an asynchronous send moves its sender alone, that of a synchronous
+        one its sender and every receiver."""
+        out = tuple([] for _ in self.components)
+        labels = {}
         for inter in self.gamma:
-            si, by_src = end(inter.send)
-            rcv_ends = tuple(end(r) for r in inter.receivers)
-            for loc, offered in by_src.items():
-                out[si].setdefault(loc, []).append((inter, offered, rcv_ends))
+            snd = inter.send
+            if snd.ctype == "as":
+                event = Event.of(("asynch-send",), (snd,), labels)
+            else:
+                event = Event.of(("synch-send",), (snd,) + inter.receivers, labels)
+            ends = tuple((self.index(r.owner), self.component(r.owner))
+                         for r in inter.receivers)
+            out[self.index(snd.owner)].append((inter, event, ends))
         return out
 
     @cached_attr
     def _steps(self) -> tuple:
         """Per component position: its compiled steps by location, each
         location's built on first visit (see ``_LocationSteps``)."""
-        return tuple(_LocationSteps(c, sends) for c, sends in zip(self.components, self._sends))
+        return tuple(_LocationSteps(c, sends)
+                     for c, sends in zip(self.components, self._gamma_by_sender))
 
     def initial_state(self) -> "SysState":
         sigma = Valuation({
@@ -170,8 +179,8 @@ class SysState(NamedTuple):
 # Semantics
 # --------------------------------------------------------------------------
 
-#: Builds a ``SysState`` from its fields without the Python-level ``__new__``
-#: that ``NamedTuple`` generates.
+#: Builds a ``SysState`` or an ``Event`` from its fields without the
+#: Python-level ``__new__`` that ``NamedTuple`` generates.
 _new = tuple.__new__
 
 
@@ -181,7 +190,7 @@ class _LocationSteps(dict):
 
     __slots__ = ("comp", "sends")
 
-    def __init__(self, comp: AtomicComponent, sends: dict):
+    def __init__(self, comp: AtomicComponent, sends: list):
         super().__init__()
         self.comp = comp
         self.sends = sends
@@ -202,42 +211,55 @@ def _alts(transitions) -> tuple:
     return tuple(map(_alt, transitions))
 
 
-def _compile_location(comp: AtomicComponent, sends: dict, loc: str) -> tuple:
+def _compile_location(comp: AtomicComponent, sends: list, loc: str) -> tuple:
     """The static steps that ``comp`` starts at ``loc``: the interactions it
-    sends there, in gamma order, then its recv/internal transitions, in
-    transition order (see ``_fire`` for what each step does).
+    sends there (of ``sends``, see ``CompositeSystem._gamma_by_sender``), in
+    gamma order, then its recv/internal transitions, in transition order
+    (see ``_fire`` for what each step does). Each step keeps its rule in
+    slot 0 and its event in slot 1.
 
-    A send step is (rule, label, alternatives, sent variable, receivers): its
-    alternatives are the sender's transitions on the send port (see
+    A send step is (rule, event, alternatives, sent variable, receivers):
+    its alternatives are the sender's transitions on the send port (see
     ``_alt``); an asynchronous send's receivers are their port ids, and a
     synchronous send's are (component position, port id, bound variable,
-    location -> alternatives). A local step is (rule, guard, update, target
-    location) for an internal transition, plus (port id, bound variable)
-    for a receive."""
+    location -> alternatives on the port). A local step is
+    (rule, event, guard, update, target location) for an internal
+    transition, plus (port id, bound variable) for a receive. Only sends
+    are shown in the label; a receive or internal step is hidden."""
+    outgoing = comp.outgoing(loc)
+    offered = {}  # send port -> the transitions on it
+    for t in outgoing:
+        if t.port is not None and t.port.ctype in _SEND_TYPES:
+            offered.setdefault(t.port, []).append(t)
     steps = []
-    for inter, offered, rcv_ends in sends.get(loc, ()):
+    for inter, event, ends in sends if offered else ():
         snd = inter.send
+        ts = offered.get(snd)
+        if ts is None:
+            continue
         if snd.ctype == "as":
             rcvs = tuple(r.pid for r in inter.receivers)
-            steps.append(("asynch-send", snd.label, _alts(offered), snd.var.qname, rcvs))
         else:
             rcvs = tuple((ri, r.pid, r.var.qname,
-                          {src: _alts(ts) for src, ts in by_src.items()})
-                         for r, (ri, by_src) in zip(inter.receivers, rcv_ends))
-            steps.append(("synch-send", inter.pids, _alts(offered), snd.var.qname, rcvs))
-    for t in comp.outgoing(loc):
+                          {src: _alts(rts) for src, rts in rcomp._by_port.get(r, {}).items()})
+                         for r, (ri, rcomp) in zip(inter.receivers, ends))
+        steps.append((event.rules[0], event, _alts(ts), snd.var.qname, rcvs))
+    for t in outgoing:
         guard, update, dst = _alt(t)
         if t.port is None or t.port.ctype == "in":
-            steps.append(("internal", guard, update, dst))
+            ports = () if t.port is None else (t.port,)
+            steps.append(("internal", _new(Event, (("internal",), ports, TAU)),
+                          guard, update, dst))
         elif t.port.ctype == "r":
-            steps.append(("recv", guard, update, dst, t.port.pid, t.port.var.qname))
+            steps.append(("recv", _new(Event, (("recv",), (t.port,), TAU)),
+                          guard, update, dst, t.port.pid, t.port.var.qname))
         # A send is taken above, through its interaction.
     return tuple(steps)
 
 
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
-    order, as (rule, label, state): each component's compiled steps at its
+    order, as (event, state): each component's compiled steps at its
     location (see ``_compile_location``) whose guards hold."""
     locations, sigma, buffers = state
     tables = sys._steps
@@ -246,26 +268,26 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
         for step in tables[ci][locations[ci]]:
             rule = step[0]
             if rule == "internal":
-                _, guard, update, dst = step
+                _, event, guard, update, dst = step
                 if guard is not None and not guard(sigma):
                     continue
                 after = sigma if update is None else update(sigma)
-                out.append((rule, TAU, _new(SysState, (
+                out.append((event, _new(SysState, (
                     locations[:ci] + (dst,) + locations[ci + 1:], after, buffers))))
                 continue
             if rule == "recv":
-                _, guard, update, dst, pid, var = step
+                _, event, guard, update, dst, pid, var = step
                 queue = find_queue(buffers, pid)[1]
                 if not queue or guard is not None and not guard(sigma):
                     continue
                 after = sigma.set(var, queue[0])
                 if update is not None:
                     after = update(after)
-                out.append((rule, TAU, _new(SysState, (
+                out.append((event, _new(SysState, (
                     locations[:ci] + (dst,) + locations[ci + 1:], after,
                     requeue(buffers, pid, pop=True)))))
                 continue
-            _, label, alts, var, rcvs = step
+            _, event, alts, var, rcvs = step
             enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
             if not enabled:
                 continue
@@ -276,7 +298,7 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
                 for pid in rcvs:
                     queues = requeue(queues, pid, push=payload)
                 for _, update, dst in enabled:
-                    out.append((rule, label, _new(SysState, (
+                    out.append((event, _new(SysState, (
                         locations[:ci] + (dst,) + locations[ci + 1:],
                         sigma if update is None else update(sigma), queues))))
                 continue
@@ -308,20 +330,20 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
                             if r_update is not None:
                                 after = r_update(after)
                             locs[rcv[0]] = r_dst
-                        out.append((rule, label, _new(SysState, (tuple(locs), after, buffers))))
+                        out.append((event, _new(SysState, (tuple(locs), after, buffers))))
     return out
 
 
 def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
-    """Steps that component ``ci`` starts from ``state``, as (rule, label,
-    state): the interactions it sends at its location, in gamma order, then
-    its own recv/internal steps, in transition order."""
+    """Steps that component ``ci`` starts from ``state``, as (event, state):
+    the interactions it sends at its location, in gamma order, then its own
+    recv/internal steps, in transition order."""
     return _fire(sys, state, (ci,))
 
 
 def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:
-    """Successors of a system state as (rule, label, state): the steps of
-    each component in turn (see ``component_steps``)."""
+    """Successors of a system state as (event, state): the steps of each
+    component in turn (see ``component_steps``)."""
     return _fire(sys, state, range(len(sys.components)))
 
 

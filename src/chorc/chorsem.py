@@ -9,13 +9,13 @@ the choreography. This makes the pending pool behave exactly like the
 per-port buffers of the synthesized component system.
 
 Each term structure is compiled once, on first use, into a step table: one
-static step (rule tags, label, guard, update, sends, next term) per way the
-term can move. A synchronous send becomes one update whose first
-assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
-their operands' tables, and ``Par`` decides the independence of its operands
-once. A step keeps its guard and update as their compiled closures (see
-``core``), None for a literal ``true`` guard and for skip, so
-``chor_steps_tagged`` only calls closures and builds configurations.
+static step (event, guard, update, sends, next term) per way the term can
+move. A synchronous send becomes one update whose first assignments copy
+the sent value to the receivers; ``Seq`` and ``Par`` lift their operands'
+tables, and ``Par`` decides the independence of its operands once. A step
+keeps its guard and update as their compiled closures (see ``core``), None
+for a literal ``true`` guard and for skip, so ``chor_steps_tagged`` only
+calls closures and builds configurations.
 
 The tables of a root term and of every term reached from it live in one
 tables object kept on the root, so every exploration of the root reuses
@@ -25,10 +25,17 @@ one ``Receipt`` per (receive port, update), built with its hash. So the terms
 of the configurations an exploration meets compare by identity, and a pool
 of pending receives hashes without a Python call per port or update.
 
-Rule tags list the semantic rules that produced a transition, outermost
-first; the test suite uses them to measure rule coverage. ``explore`` runs
-the shared breadth-first explorer (``core.explore_lts``) over
-``chor_steps_tagged``; the final configurations it reaches are its terminals.
+A step's event (see ``core.Event``) lists the semantic rules that derive
+it, outermost first, as its rules: a lifted step's event is its operand's
+with the ``Seq`` or ``Par`` rule put in front, sharing the ports and the
+label. Its ports are the ports that move: the sender and, for a synchronous
+send, the receivers; the port of a choice or a loop's test; the receive port
+of a delivery, whose event its ``Receipt`` keeps. A step moves no port only
+for ``nil`` and a loop's exit, whose label is ``TAU``; every other label is
+the set of the ports' ids. ``explore`` runs the shared breadth-first
+explorer (``core.explore_lts``) over ``chor_steps_tagged``; the final
+configurations it reaches are its terminals, and its ``rules_seen`` measure
+rule coverage.
 
 Configurations are named tuples. Equality and hashing run over the fields,
 whose own hashes are memoized (terms, valuations) or stored (receipts), so
@@ -36,9 +43,7 @@ a configuration keeps no hash of its own. Equality stays structural, so
 configurations from two parses of one choreography compare equal.
 ``lts_to_dot`` orders nodes and edges by the repr, built once per
 configuration drawn, in which a pending entry prints as (port, update,
-value). A label on one port is that port's shared
-``Port.label``, so neither the step tables nor a residual receive build a
-frozenset per step.
+value).
 """
 
 from __future__ import annotations
@@ -46,12 +51,10 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Union
 
 from .core import (
-    SKIP, TRUE, Exploration, Not, Port, Ref, Update, Valuation, explore_lts, requeue,
+    SKIP, TAU, TRUE, Event, Exploration, Label, Not, Port, Ref, Update, Valuation,
+    explore_lts, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
-
-#: Silent label.
-TAU = "tau"
 
 #: Rule names appearing in transition tags.
 CHOR_RULES = (
@@ -70,13 +73,12 @@ CHOR_RULES = (
     "parallel-4",
 )
 
-Label = Union[str, frozenset]
-
 
 class Receipt:
     """The receive side of an asynchronous send: the receive port and its
     update. Built once per (port, update) when a step table is compiled,
-    with the update's closure, or None for skip, as ``apply``.
+    with the update's closure, or None for skip, as ``apply``, and the
+    event of the delivery as ``event``.
 
     Its structural hash is stored when it is built, and equality tests
     identity first, so a configuration with pending receives hashes and
@@ -86,14 +88,14 @@ class Receipt:
     triple.
     """
 
-    __slots__ = ("port", "update", "apply", "qname", "label", "_hash")
+    __slots__ = ("port", "update", "apply", "qname", "event", "_hash")
 
-    def __init__(self, port: Port, update: Update):
+    def __init__(self, port: Port, update: Update, event: Event):
         self.port = port
         self.update = update
         self.apply = update.compiled if update.assignments else None
         self.qname = port.var.qname
-        self.label = port.label
+        self.event = event
         self._hash = hash((port, update))
 
     def __hash__(self):
@@ -143,16 +145,17 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
 class _Tables:
     """The compiled steps of one root term and of every term reached from
     it: step tables keyed by term structure, one canonical object per term
-    structure that a step can reach, and one ``Receipt`` per (receive port,
-    update). A term registered here keeps the tables as ``_tables`` unless it
-    already kept others."""
+    structure that a step can reach, one ``Receipt`` per (receive port,
+    update) and one label object per set of port ids. A term registered
+    here keeps the tables as ``_tables`` unless it already kept others."""
 
-    __slots__ = ("steps", "terms", "receipts")
+    __slots__ = ("steps", "terms", "receipts", "labels")
 
     def __init__(self):
         self.steps = {}
         self.terms = {}
         self.receipts = {}
+        self.labels = {}
 
     def canon(self, term: Chor) -> Chor:
         """The canonical object equal to ``term``. A ``Seq`` or ``Par``
@@ -168,8 +171,18 @@ class _Tables:
         try:
             return self.receipts[key]
         except KeyError:
-            receipt = self.receipts[key] = Receipt(port, update if update.assignments else SKIP)
+            receipt = self.receipts[key] = Receipt(
+                port, update if update.assignments else SKIP,
+                Event.of(("asynch-sendrcv-2",), (port,), self.labels))
             return receipt
+
+    def step(self, rule: str, ports: tuple, guard, update, sends, nxt) -> tuple:
+        """One static step, with its event, and with the guard and the
+        update as their compiled closures, or None for a literal ``true``
+        guard and for skip."""
+        return (Event.of((rule,), ports, self.labels),
+                None if guard == TRUE else guard.compiled,
+                update.compiled if update.assignments else None, sends, nxt)
 
 
 def _tables(term: Chor) -> _Tables:
@@ -198,28 +211,22 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     that terminates the operand continues with ``rest``, any other step with
     ``wrap`` of the operand's next term."""
     return tuple(
-        ((terminated,) + tags, label, guard, update, sends, rest) if nxt is None
-        else ((running,) + tags, label, guard, update, sends, wrap(nxt))
-        for tags, label, guard, update, sends, nxt in steps
+        (event._replace(rules=(terminated,) + event.rules), guard, update, sends, rest)
+        if nxt is None else
+        (event._replace(rules=(running,) + event.rules), guard, update, sends, wrap(nxt))
+        for event, guard, update, sends, nxt in steps
     )
 
 
-def _step(tags, label, guard, update, sends, nxt) -> tuple:
-    """One static step, with the guard and the update as their compiled
-    closures, or None for a literal ``true`` guard and for skip."""
-    return (tags, label, None if guard == TRUE else guard.compiled,
-            update.compiled if update.assignments else None, sends, nxt)
-
-
 def _compile(term: Chor, tables: _Tables) -> tuple:
-    """Static steps of ``term`` as (tags, label, guard, update, sends, next
-    term), built by ``_step``; next term is None when the step terminates
-    the term, and otherwise canonical in ``tables``. ``sends`` lists the
+    """Static steps of ``term`` as (event, guard, update, sends, next term),
+    built by ``_Tables.step``; next term is None when the step terminates the
+    term, and otherwise canonical in ``tables``. ``sends`` lists the
     residual receives of an asynchronous send as (channel key, receipt,
     sent variable)."""
-    canon = tables.canon
+    canon, step = tables.canon, tables.step
     if isinstance(term, Nil):
-        return ((("nil",), TAU, None, None, (), None),)
+        return (step("nil", (), TRUE, SKIP, (), None),)
 
     if isinstance(term, Comm):
         snd = term.send.port
@@ -235,26 +242,26 @@ def _compile(term: Chor, tables: _Tables) -> tuple:
             assignments += term.send.update.assignments
             for _, f in term.rcvs:
                 assignments += f.assignments
-            label = frozenset({snd.pid} | {r.pid for r, _ in term.rcvs})
-            return (_step(("synch-sendrcv",), label, term.send.guard,
+            ports = (snd,) + tuple(r for r, _ in term.rcvs)
+            return (step("synch-sendrcv", ports, term.send.guard,
                           Update(tuple(assignments)), (), None),)
         sends = tuple(((snd.pid, r.pid), tables.receipt(r, f), snd.var.qname)
                       for r, f in term.rcvs)
-        return (_step(("asynch-sendrcv-1",), snd.label, term.send.guard,
+        return (step("asynch-sendrcv-1", (snd,), term.send.guard,
                       term.send.update, sends, None),)
 
     if isinstance(term, Branch):
         return tuple(
-            _step(("master-branching",), gs.port.label, gs.guard, gs.update, (), canon(cont))
+            step("master-branching", (gs.port,), gs.guard, gs.update, (), canon(cont))
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
         return (
-            _step(("iterative-tt",), cond.port.label, cond.guard, cond.update, (),
+            step("iterative-tt", (cond.port,), cond.guard, cond.update, (),
                   canon(Seq(canon(term.body), canon(term)))),
-            _step(("iterative-ff",), TAU, Not(cond.guard), SKIP, (), None),
+            step("iterative-ff", (), Not(cond.guard), SKIP, (), None),
         )
 
     if isinstance(term, Seq):
@@ -277,7 +284,7 @@ def _compile(term: Chor, tables: _Tables) -> tuple:
 
 
 def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
-    """Successors of a configuration as (rule tags, label, configuration).
+    """Successors of a configuration as (event, configuration) pairs.
 
     ``tables`` holds the compiled steps; by default, the tables of the
     configuration's term (see ``_tables``)."""
@@ -296,20 +303,19 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
             rest = pending[:i] + ((chan, queue[1:]),) + pending[i + 1:]
         else:
             rest = pending[:i] + pending[i + 1:]
-        out.append((("asynch-sendrcv-2",), receipt.label,
-                    _new(Running, (term, after, rest)) if term is not None or rest
-                    else _new(Final, (after,))))
+        out.append((receipt.event, _new(Running, (term, after, rest))
+                    if term is not None or rest else _new(Final, (after,))))
 
     # Term steps: the payload of a send is read before the update runs.
     if term is not None:
-        for tags, label, guard, update, sends, nxt in _steps(term, tables or _tables(term)):
+        for event, guard, update, sends, nxt in _steps(term, tables or _tables(term)):
             if guard is not None and not guard(sigma):
                 continue
             queues = pending
             for chan, receipt, var in sends:
                 queues = requeue(queues, chan, push=((receipt, sigma[var]),))
             after = sigma if update is None else update(sigma)
-            out.append((tags, label, _new(Running, (nxt, after, queues))
+            out.append((event, _new(Running, (nxt, after, queues))
                         if nxt is not None or queues else _new(Final, (after,))))
     return out
 
@@ -320,16 +326,13 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
 
 def explore(ch: Chor, sigma0: Valuation,
             max_configs: int = 200_000, max_depth: int = 10_000) -> Exploration:
-    """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``);
-    ``rules_seen`` holds rule names, not tag chains."""
+    """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``)."""
     tables = _tables(ch)
     # The successor function is looked up at each call, so that a wrapper
     # installed on this module sees every call.
-    result = explore_lts(initial_config(tables.canon(ch), sigma0),
-                         lambda config: chor_steps_tagged(config, tables),
-                         lambda c: isinstance(c, Final), max_configs, max_depth)
-    result.rules_seen = {rule for tags in result.rules_seen for rule in tags}
-    return result
+    return explore_lts(initial_config(tables.canon(ch), sigma0),
+                       lambda config: chor_steps_tagged(config, tables),
+                       lambda c: isinstance(c, Final), max_configs, max_depth)
 
 
 def _label_text(label: Label) -> str:
@@ -378,10 +381,10 @@ def lts_to_dot(result: Exploration) -> str:
         declare(config)
     for config in ordering:
         nid = node_id(config)
-        for label, succ in sorted(result.graph[config],
-                                  key=lambda e: (_label_text(e[0]), key(e[1]))):
+        for event, succ in sorted(result.graph[config],
+                                  key=lambda e: (_label_text(e[0].label), key(e[1]))):
             if succ not in ids:
                 declare(succ, ", style=dashed")
-            lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(label)}"];')
+            lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(event.label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

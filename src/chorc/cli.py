@@ -229,7 +229,8 @@ def main(argv=None) -> int:
     except (SynthError, EvalError, PromelaError) as exc:
         # Input-dependent failures of synthesis, of evaluation during
         # exploration or simulation (division or modulo by zero) and of
-        # Promela emission (string data under --strict).
+        # Promela emission (string data under --strict, and string
+        # operators that interned codes cannot express).
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -25,6 +25,12 @@ function bound when it is built. ``evaluate`` and ``apply_update`` call it,
 and the step tables of both semantics store it, so no step dispatches on an
 expression's type. ``dataclasses.replace`` builds an instance without one.
 
+Both semantics describe a step by an ``Event``: the rules that derive it,
+the ports that move and its transition label. Each semantics builds its
+events when it compiles its step tables, at most one per static step, and
+every edge a static step produces carries that step's event, so no step
+allocates a label. A successor function returns (event, state) pairs.
+
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
 (``cbs.sys_explore``) each pass it their start state, successor function and
@@ -33,7 +39,7 @@ stores is one object, and every edge to a stored state points at that
 object, so an exploration holds each reached state once and code that walks
 the graph may compare stored states by identity. It hashes each successor
 once to find or store it, and each stored state once more when it is
-expanded.
+expanded. The rules an exploration used are read off its edges' events.
 """
 
 from __future__ import annotations
@@ -152,12 +158,6 @@ class Port:
     @cached_attr
     def pid(self) -> str:
         return f"{self.owner}.{self.name}"
-
-    @cached_attr
-    def label(self) -> frozenset:
-        """The transition label of a step on this port alone, shared by
-        every such step."""
-        return frozenset({self.pid})
 
     @property
     def dtype(self) -> str:
@@ -422,8 +422,36 @@ def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
 
 
 # --------------------------------------------------------------------------
-# Breadth-first exploration, shared by both semantics
+# Events and breadth-first exploration, shared by both semantics
 # --------------------------------------------------------------------------
+
+#: The label of a hidden step.
+TAU = "tau"
+
+Label = Union[str, frozenset]
+
+
+
+class Event(NamedTuple):
+    """What one static step of a semantics does, shared by every edge that
+    step produces: the names of the semantic rules that derive it, outermost
+    first; the ports that move, sender first; and its transition label, the
+    frozenset of those ports' ids, or ``TAU`` for a hidden step."""
+
+    rules: tuple
+    ports: tuple
+    label: Label
+
+    @classmethod
+    def of(cls, rules: tuple, ports: tuple, labels: dict) -> "Event":
+        """The event of a step shown on ``ports``, hidden if no port moves.
+        ``labels`` keeps one label object per set of port ids, so that the
+        events built with it share their labels."""
+        if not ports:
+            return tuple.__new__(cls, (rules, ports, TAU))
+        label = frozenset([p.pid for p in ports])
+        return tuple.__new__(cls, (rules, ports, labels.setdefault(label, label)))
+
 
 @dataclass
 class Exploration:
@@ -435,10 +463,9 @@ class Exploration:
     """
 
     initial: object
-    graph: dict = field(default_factory=dict)      # state -> [(label, state)]
+    graph: dict = field(default_factory=dict)      # state -> [(event, state)]
     terminals: set = field(default_factory=set)    # no successor, terminated
     deadlocks: set = field(default_factory=set)    # no successor, not terminated
-    rules_seen: set = field(default_factory=set)   # rule tags of every edge
     truncated: bool = False
 
     @property
@@ -446,13 +473,19 @@ class Exploration:
         """Valuations of the terminal states."""
         return {s.sigma for s in self.terminals}
 
+    @property
+    def rules_seen(self) -> set:
+        """Names of the rules that derive the stored edges."""
+        chains = {event.rules for edges in self.graph.values() for event, _ in edges}
+        return {rule for rules in chains for rule in rules}
+
 
 def explore_lts(start, successors, is_terminal,
                 max_configs: int, max_depth: int) -> Exploration:
     """Breadth-first closure of ``successors`` from ``start``, with
     memoization on states.
 
-    ``successors(state)`` returns (rule tag, label, state) triples. Every
+    ``successors(state)`` returns (event, state) pairs. Every
     stored state is expanded once; a state without successors is a terminal
     if ``is_terminal(state)`` and a deadlock otherwise. At most
     ``max_configs`` states are stored and at most ``max_depth`` BFS levels
@@ -462,7 +495,8 @@ def explore_lts(start, successors, is_terminal,
     Every stored state is one object, the first one equal to it that the
     search met. Each edge to a stored state points at that object, so a
     fresh successor equal to a stored one is not kept. A successor left out
-    by ``max_configs`` stays the fresh object of its edge.
+    by ``max_configs`` stays the fresh object of its edge. An edge is the
+    successor's own pair unless its state was already stored.
     """
     result = Exploration(start)
     seen = {start: start}
@@ -483,8 +517,8 @@ def explore_lts(start, successors, is_terminal,
                     result.terminals.add(state)
                 else:
                     result.deadlocks.add(state)
-            for rule, label, succ in succs:
-                result.rules_seen.add(rule)
+            for edge in succs:
+                succ = edge[1]
                 stored = store(succ, succ)
                 if len(seen) > stored_count:  # a new state
                     if stored_count >= max_configs:
@@ -493,9 +527,9 @@ def explore_lts(start, successors, is_terminal,
                     else:
                         stored_count += 1
                         nxt_frontier.append(succ)
-                else:
-                    succ = stored
-                edges.append((label, succ))
+                elif stored is not succ:
+                    edge = (edge[0], stored)
+                edges.append(edge)
         frontier = nxt_frontier
         depth += 1
     return result

@@ -17,7 +17,9 @@ are supported:
   ``synchRecv``), reusing the data channel for acknowledgements.
 
 String values are interned to small integers (Promela has no string type);
-``strict`` mode rejects string-typed data instead.
+``strict`` mode rejects string-typed data instead. Interned codes agree with
+the strings only on ``==`` and ``!=``, so ``+`` and the orderings on string
+operands are refused.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .core import BinOp, Expr, Lit, Neg, Not, Port, Ref, Update, Variable
+from .core import (
+    BinOp, Expr, Lit, Neg, Not, Port, Ref, Update, Variable, format_expr, infer_type,
+)
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
 MAX_LEN = 8
@@ -65,12 +69,17 @@ def sanitize(name: str) -> str:
 #: The operators Promela spells differently; the rest keep their spelling.
 _OPS = {"and": "&&", "or": "||"}
 
+#: The operators that would act on the intern codes of string operands.
+_NOT_ON_STRINGS = frozenset({"+", "<", "<=", ">", ">="})
+
 
 class _Strings:
-    """Interning table for string literals/initial values."""
+    """Interning table for string literals/initial values, with the types
+    of the system's variables, which tell a string operand from an int."""
 
-    def __init__(self, strict: bool):
+    def __init__(self, strict: bool, types: dict):
         self.strict = strict
+        self.types = types
         self.table: dict[str, int] = {}
 
     def code(self, s: str) -> int:
@@ -107,6 +116,9 @@ def _pexpr(e: Expr, strings: _Strings) -> str:
     if isinstance(e, Neg):
         return f"-({_pexpr(e.operand, strings)})"
     if isinstance(e, BinOp):
+        if e.op in _NOT_ON_STRINGS and infer_type(e.left, strings.types) == "str":
+            raise PromelaError(f"operator {e.op!r} on strings cannot be expressed "
+                               f"in Promela: {format_expr(e)}")
         left, right = _pexpr(e.left, strings), _pexpr(e.right, strings)
         if e.op == "mod":
             # Floor modulo, as in core.evaluate: C's truncating % shifted
@@ -168,7 +180,8 @@ def _used_ports(sys: CompositeSystem) -> list:
 
 def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model:
     opts = opts or PromelaOptions()
-    strings = _Strings(opts.strict)
+    strings = _Strings(opts.strict, {var.qname: var.dtype
+                                     for comp in sys.components for var, _ in comp.vars})
     lines = []
     w = lines.append
 

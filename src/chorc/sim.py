@@ -10,13 +10,14 @@ Logical concurrency is driven by a cooperative round-robin scheduler. On
 its turn a component asks the system semantics for the steps it starts
 (``cbs.component_steps``), drops those that backpressure refuses and takes
 one of the rest; the run ends at the step limit or after a full round of
-turns in which no component could move. All remaining nondeterminism
-(which enabled step a component takes on its turn) is resolved by a
-per-component PRNG seeded from the run seed, so a given (system, seed)
-pair always reproduces the same trace byte for byte. Every executed action
-is one step of the composite-system semantics, which makes any reachable
-final state a member of the exhaustive exploration's terminal set by
-construction.
+turns in which no component could move. Each step taken becomes one trace
+line, read off the step's event: its rule and the ports of its label. All
+remaining nondeterminism (which enabled step a component takes on its
+turn) is resolved by a per-component PRNG seeded from the run seed, so a
+given (system, seed) pair always reproduces the same trace byte for byte.
+Every executed action is one step of the composite-system semantics, which
+makes any reachable final state a member of the exhaustive exploration's
+terminal set by construction.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 from .cbs import (
     CompositeSystem, SysState, component_steps, is_terminal, sys_steps_tagged,
 )
+from .core import Event
 from .promela import MAX_LEN
 
 
@@ -44,12 +46,14 @@ class RunResult:
     events: list = field(default_factory=list)  # serialized JSONL lines
 
 
-def _event_line(step: int, actor: str, rule: str, label, succ: SysState,
+def _event_line(step: int, actor: str, event: Event, succ: SysState,
                 sys: CompositeSystem) -> str:
-    ports = sorted(label) if isinstance(label, frozenset) else []
+    """One trace line: the step's rule, the port ids of its label (none for
+    a hidden step) and every component's location after it."""
+    ports = sorted(event.label) if isinstance(event.label, frozenset) else []
     locs = {c.id: loc for c, loc in zip(sys.components, succ.locations)}
     return json.dumps(
-        {"step": step, "comp": actor, "rule": rule, "ports": ports,
+        {"step": step, "comp": actor, "rule": event.rules[0], "ports": ports,
          "locations": locs},
         sort_keys=True, separators=(",", ":"))
 
@@ -64,12 +68,11 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
     while steps < max_steps and idle < len(sys.components):
         # Backpressure: refuse deliveries that would overfill a queue.
         mine = [step for step in component_steps(sys, state, ci)
-                if all(len(q) <= max_chan_len for _, q in step[2].buffers)]
+                if all(len(q) <= max_chan_len for _, q in step[1].buffers)]
         if mine:
-            rule, label, succ = mine[rngs[ci].randrange(len(mine))]
+            event, succ = mine[rngs[ci].randrange(len(mine))]
             steps += 1
-            events.append(_event_line(steps, sys.components[ci].id, rule, label,
-                                      succ, sys))
+            events.append(_event_line(steps, sys.components[ci].id, event, succ, sys))
             state = succ
             idle = 0
         else:

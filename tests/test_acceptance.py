@@ -9,6 +9,7 @@ re-derive their expectations instead of trusting other tests.
 import os
 import re
 import time
+from pathlib import Path
 
 from chorc.cbs import check_structure, sys_explore
 from chorc.chorsem import CHOR_RULES, explore
@@ -53,7 +54,7 @@ def test_criterion_1_buying_interaction_count():
         # two counts is a shipped document and the pin below.
         assert len(default.gamma) == 21
         derivation = os.path.join(ROOT, "docs", "interaction-count.md")
-        text = open(derivation).read()
+        text = Path(derivation).read_text()
         assert "21" in text and "27" in text
         assert elapsed < 1.0, f"synthesis took {elapsed:.2f}s"
 
@@ -203,7 +204,7 @@ def test_criterion_7_ltl_golden_file():
                 assert sym in defined or sym.startswith("currPort_"), (name, sym)
         golden = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               "golden", "buying_compat.ltl")
-        assert format_ltl(props) == open(golden).read()
+        assert format_ltl(props) == Path(golden).read_text()
 
 
 def test_criterion_8_invariant_suite(corpus):

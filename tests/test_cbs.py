@@ -16,7 +16,8 @@ from chorc.cbs import (
     sys_explore, sys_steps_tagged,
 )
 from chorc.core import (
-    SKIP, TRUE, BinOp, Lit, Port, Ref, Update, Variable, apply_update, evaluate, requeue,
+    SKIP, TRUE, BinOp, Event, Lit, Port, Ref, Update, Variable, apply_update, evaluate,
+    requeue,
 )
 from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
@@ -67,9 +68,10 @@ class TestSynchSend:
     def test_joint_step(self):
         sys = self.make()
         succs = sys_steps_tagged(sys, sys.initial_state())
-        (rule, label, succ), = succs
-        assert rule == "synch-send"
-        assert label == frozenset({"A.p", "B.r"})
+        (event, succ), = succs
+        assert event.rules == ("synch-send",)
+        assert event.ports == (AP_SS, BR)
+        assert event.label == frozenset({"A.p", "B.r"})
         assert succ.locations == ("a1", "b1")
         # y gets x=2, then the sender update, then the receiver update.
         assert succ.sigma["B.y"] == 20 and succ.sigma["A.x"] == 3
@@ -91,7 +93,7 @@ class TestSynchSend:
         # A pending buffered value on the receive port defers the rendezvous.
         sys = self.make()
         state = sys.initial_state()._replace(buffers=((("B.r"), (7,)),))
-        rules = {r for r, _, _ in sys_steps_tagged(sys, state)}
+        rules = {e.rules[0] for e, _ in sys_steps_tagged(sys, state)}
         assert "synch-send" not in rules
         assert "recv" in rules
 
@@ -106,9 +108,10 @@ class TestAsynchSend:
     def test_sender_moves_alone_and_buffers_capture_value(self):
         sys = self.make()
         succs = sys_steps_tagged(sys, sys.initial_state())
-        (rule, label, succ), = succs
-        assert rule == "asynch-send"
-        assert label == frozenset({"A.a"})
+        (event, succ), = succs
+        assert event.rules == ("asynch-send",)
+        assert event.ports == (AP_AS,)  # the receivers do not move
+        assert event.label == frozenset({"A.a"})
         assert succ.locations == ("a1", "b0")
         assert succ.sigma["A.x"] == 3  # sender update applied after capture
         assert succ.buffer("B.r") == (2,)  # pre-update value captured
@@ -121,8 +124,8 @@ class TestAsynchSend:
             [Interaction(AP_AS, (BR,))])
         s = sys.initial_state()
         for _ in range(2):
-            sends = [x for r, _, x in sys_steps_tagged(sys, s)
-                     if r == "asynch-send"]
+            sends = [x for e, x in sys_steps_tagged(sys, s)
+                     if e.rules == ("asynch-send",)]
             s = sends[0]
         assert s.buffer("B.r") == (2, 3)
 
@@ -134,10 +137,11 @@ class TestRecv:
             [Transition("b0", BR, TRUE, DBL_Y, "b1")],
             [Interaction(AP_AS, (BR,))])
         s = sys.initial_state()
-        (_, _, s), = sys_steps_tagged(sys, s)  # the send
-        (rule, label, succ), = sys_steps_tagged(sys, s)
-        assert rule == "recv"
-        assert label == TAU
+        (_, s), = sys_steps_tagged(sys, s)  # the send
+        (event, succ), = sys_steps_tagged(sys, s)
+        assert event.rules == ("recv",)
+        assert event.ports == (BR,)
+        assert event.label == TAU
         assert succ.sigma["B.y"] == 20  # y := 2, then y := y * 10
         assert succ.buffer("B.r") == ()
         assert is_terminal(sys, succ)
@@ -155,17 +159,18 @@ class TestInternal:
         sys = make_sys(
             [Transition("a0", A_INT, BinOp(">", Ref("A.x"), Lit(0)), INC_X, "a1")],
             [], [], b_end="b0")
-        (rule, label, succ), = sys_steps_tagged(sys, sys.initial_state())
-        assert rule == "internal"
-        assert label == TAU
+        (event, succ), = sys_steps_tagged(sys, sys.initial_state())
+        assert event.rules == ("internal",)
+        assert event.ports == (A_INT,)
+        assert event.label == TAU
         assert succ.sigma["A.x"] == 3
 
     def test_portless_epsilon_steps_silently(self):
         sys = make_sys(
             [Transition("a0", None, TRUE, SKIP, "a1")],
             [], [], b_end="b0")
-        (rule, label, succ), = sys_steps_tagged(sys, sys.initial_state())
-        assert rule == "internal"
+        (event, succ), = sys_steps_tagged(sys, sys.initial_state())
+        assert event == Event(("internal",), (), TAU)
         assert succ.locations == ("a1", "b0")
 
     def test_false_guard_blocks(self):
@@ -193,11 +198,13 @@ class TestComponentSteps:
                         step for steps in per_comp for step in steps]
                     for ci, steps in enumerate(per_comp):
                         others = state.locations[:ci] + state.locations[ci + 1:]
-                        for rule, label, succ in steps:
+                        for event, succ in steps:
+                            rule, label = event.rules[0], event.label
                             where = (path, profile, ci, rule, label)
                             if rule in ("synch-send", "asynch-send"):
                                 assert [senders[pid] for pid in label
                                         if pid in senders] == [sys.components[ci].id], where
+                                assert event.ports[0].owner == sys.components[ci].id, where
                             else:
                                 assert rule in ("recv", "internal"), where
                                 assert succ.locations[:ci] + succ.locations[ci + 1:] \
@@ -206,7 +213,8 @@ class TestComponentSteps:
 
 def reference_component_steps(sys, state, ci):
     """The successor function the compiled step tables replaced, reading
-    the transitions and gamma directly on every call."""
+    the transitions and gamma directly on every call. Each step's event
+    lists the ports of the transitions it fires, the sender's first."""
     def enabled(owner, port):
         i = sys.index(owner)
         return [t for t in sys.components[i].transitions
@@ -230,7 +238,7 @@ def reference_component_steps(sys, state, ci):
                 locs = list(state.locations)
                 locs[ci] = t.dst
                 sigma = apply_update(t.update, state.sigma)
-                out.append(("asynch-send", snd.label,
+                out.append((Event(("asynch-send",), (t.port,), frozenset({snd.pid})),
                             SysState(tuple(locs), sigma, buffers)))
             continue
         choices = []
@@ -254,7 +262,8 @@ def reference_component_steps(sys, state, ci):
                     for (ri, _), t_r in zip(choices, combo):
                         sigma = apply_update(t_r.update, sigma)
                         locs[ri] = t_r.dst
-                    out.append(("synch-send", inter.pids,
+                    fired = (t_s.port,) + tuple(t_r.port for t_r in combo)
+                    out.append((Event(("synch-send",), fired, inter.pids),
                                 SysState(tuple(locs), sigma, state.buffers)))
 
     for t in comp.transitions:
@@ -278,13 +287,15 @@ def reference_component_steps(sys, state, ci):
             continue
         locs = list(state.locations)
         locs[ci] = t.dst
-        out.append((rule, TAU, SysState(tuple(locs), sigma, buffers)))
+        fired = () if t.port is None else (t.port,)
+        out.append((Event((rule,), fired, TAU), SysState(tuple(locs), sigma, buffers)))
     return out
 
 
 def assert_steps_match_reference(sys, where):
     """Per component, on every state ``sys_explore`` reaches, the compiled
-    successors equal the reference's, in order; returns the exploration."""
+    successors equal the reference's, in order, events included; returns
+    the exploration."""
     res = sys_explore(sys)
     for state in res.graph:
         for ci in range(len(sys.components)):

@@ -10,6 +10,7 @@ from chorc.chorsem import (
     CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
     initial_config, lts_to_dot,
 )
+from chorc.core import Event
 from chorc.lang import Seq
 from chorc.parser import parse_source
 
@@ -55,16 +56,17 @@ def steps(body):
 class TestNil:
     def test_nil_terminates_silently(self):
         succs, sigma = steps("nil")
-        assert succs == [(("nil",), TAU, Final(sigma))]
+        assert succs == [(Event(("nil",), (), TAU), Final(sigma))]
 
 
 class TestSynchSendRcv:
     def test_transfer_then_sender_then_receiver_updates(self):
         succs, sigma = steps("A.p[x > 0, x := x - 1] -> { B.r[y := y * 10] }")
         assert len(succs) == 1
-        tags, label, succ = succs[0]
-        assert tags == ("synch-sendrcv",)
-        assert label == frozenset({"A.p", "B.r"})
+        event, succ = succs[0]
+        assert event.rules == ("synch-sendrcv",)
+        assert event.label == frozenset({"A.p", "B.r"})
+        assert [p.pid for p in event.ports] == ["A.p", "B.r"]
         # y receives x=2, then the sender update runs, then the receiver's.
         expect = sigma.set("B.y", 20).set("A.x", 1)
         assert succ == Final(expect)
@@ -75,17 +77,17 @@ class TestSynchSendRcv:
 
     def test_multicast(self):
         succs, sigma = steps("A.p -> { B.r, C.r }")
-        (_, label, succ), = succs
-        assert label == frozenset({"A.p", "B.r", "C.r"})
+        (event, succ), = succs
+        assert event.label == frozenset({"A.p", "B.r", "C.r"})
         assert succ == Final(sigma.set("B.y", 2).set("C.z", 2))
 
 
 class TestAsynchSendRcv1:
     def test_send_captures_value_before_sender_update(self):
         succs, sigma = steps("A.a[x > 0, x := 0] -> { B.r[y := y + 1] }")
-        (tags, label, succ), = succs
-        assert tags == ("asynch-sendrcv-1",)
-        assert label == frozenset({"A.a"})  # receivers are not synchronized
+        (event, succ), = succs
+        assert event.rules == ("asynch-sendrcv-1",)
+        assert event.label == frozenset({"A.a"})  # receivers are not synchronized
         assert isinstance(succ, Running) and succ.term is None
         assert succ.sigma["A.x"] == 0  # sender update applied
         ((chan, queue),) = succ.pending
@@ -96,9 +98,9 @@ class TestAsynchSendRcv1:
 
     def test_two_sends_queue_fifo(self):
         succs, _ = steps("A.a[true, x := x + 1] -> { B.r } ; A.a -> { B.r }")
-        (_, _, mid), = succs
+        (_, mid), = succs
         succs2 = chor_steps_tagged(mid)
-        send2 = [s for t, _, s in succs2 if "asynch-sendrcv-1" in t]
+        send2 = [s for e, s in succs2 if "asynch-sendrcv-1" in e.rules]
         assert send2, "second send must be possible before delivery"
         ((chan, queue),) = send2[0].pending
         # First send captures x=2 before its own update; the second sees 3.
@@ -108,32 +110,32 @@ class TestAsynchSendRcv1:
 class TestAsynchSendRcv2:
     def test_delivery_sets_variable_then_update(self):
         succs, _ = steps("A.a -> { B.r[y := y + 1] }")
-        (_, _, mid), = succs
+        (_, mid), = succs
         succs2 = chor_steps_tagged(mid)
-        (tags, label, succ), = succs2
-        assert tags == ("asynch-sendrcv-2",)
-        assert label == frozenset({"B.r"})
+        (event, succ), = succs2
+        assert event.rules == ("asynch-sendrcv-2",)
+        assert event.label == frozenset({"B.r"})
         assert isinstance(succ, Final)
         assert succ.sigma["B.y"] == 3  # y := 2 then y := y + 1
 
     def test_only_queue_heads_are_deliverable(self):
         succs, _ = steps("A.a[true, x := 5] -> { B.r } ; A.a -> { B.r }")
-        (_, _, mid), = succs
+        (_, mid), = succs
         # Take the second send as well: queue now holds [2, 5].
-        send2 = [s for t, _, s in chor_steps_tagged(mid)
-                 if "asynch-sendrcv-1" in t]
+        send2 = [s for e, s in chor_steps_tagged(mid)
+                 if "asynch-sendrcv-1" in e.rules]
         state = send2[0]
-        deliveries = [s for t, _, s in chor_steps_tagged(state)
-                      if t == ("asynch-sendrcv-2",)]
+        deliveries = [s for e, s in chor_steps_tagged(state)
+                      if e.rules == ("asynch-sendrcv-2",)]
         assert len(deliveries) == 1  # one channel, one head
         assert deliveries[0].sigma["B.y"] == 2
 
     def test_final_only_when_pool_drains(self):
         succs, _ = steps("A.a -> { B.r } ; A.a -> { C.r }")
-        (_, _, s1), = succs
+        (_, s1), = succs
         # Deliver to B before the second send: still Running (term remains).
-        d = [s for t, _, s in chor_steps_tagged(s1)
-             if t == ("asynch-sendrcv-2",)]
+        d = [s for e, s in chor_steps_tagged(s1)
+             if e.rules == ("asynch-sendrcv-2",)]
         assert all(isinstance(s, Running) for s in d)
 
 
@@ -142,9 +144,9 @@ class TestMasterBranching:
         succs, _ = steps(
             "choice A { A.d[b] => nil | A.d[not b] => A.p -> { B.r } }")
         assert len(succs) == 1
-        tags, label, succ = succs[0]
-        assert tags == ("master-branching",)
-        assert label == frozenset({"A.d"})
+        event, succ = succs[0]
+        assert event.rules == ("master-branching",)
+        assert event.label == frozenset({"A.d"})
 
     def test_nondeterministic_when_both_hold(self):
         succs, _ = steps("choice A { A.d => nil | A.d => nil }")
@@ -152,24 +154,24 @@ class TestMasterBranching:
 
     def test_choice_update_applied(self):
         succs, sigma = steps("choice A { A.d[b, b := not b] => nil }")
-        (_, _, succ), = succs
+        (_, succ), = succs
         assert succ.sigma["A.b"] is False
 
 
 class TestIterative:
     def test_true_guard_unfolds_to_seq(self):
         succs, sigma = steps("while (A.p[x > 0, x := x - 1]) { B.s -> { C.r } }")
-        (tags, label, succ), = succs
-        assert tags == ("iterative-tt",)
-        assert label == frozenset({"A.p"})
+        (event, succ), = succs
+        assert event.rules == ("iterative-tt",)
+        assert event.label == frozenset({"A.p"})
         assert isinstance(succ.term, Seq)
         assert succ.sigma["A.x"] == 1
 
     def test_false_guard_terminates(self):
         succs, sigma = steps("while (A.p[x < 0]) { B.s -> { C.r } }")
-        (tags, label, succ), = succs
-        assert tags == ("iterative-ff",)
-        assert label == TAU
+        (event, succ), = succs
+        assert event.rules == ("iterative-ff",)
+        assert event.label == TAU and event.ports == ()
         assert succ == Final(sigma)
 
 
@@ -177,14 +179,14 @@ class TestSequential:
     def test_seq1_first_keeps_running(self):
         succs, _ = steps(
             "( A.p -> { B.r } ; B.s -> { C.r } ) ; D.s -> { C.r }")
-        (tags, _, succ), = succs
-        assert tags == ("sequential-1", "sequential-2", "synch-sendrcv")
+        (event, succ), = succs
+        assert event.rules == ("sequential-1", "sequential-2", "synch-sendrcv")
         assert isinstance(succ.term, Seq)
 
     def test_seq2_first_terminates(self):
         succs, _ = steps("A.p -> { B.r } ; B.s -> { C.r }")
-        (tags, _, succ), = succs
-        assert tags == ("sequential-2", "synch-sendrcv")
+        (event, succ), = succs
+        assert event.rules == ("sequential-2", "synch-sendrcv")
         # The residual term is exactly the second operand.
         assert succ.term == setup("B.s -> { C.r }")[0]
 
@@ -194,23 +196,23 @@ class TestParallel:
         succs, _ = steps(
             "( A.p -> { B.r } ; B.s -> { A.p } ) || ( C.r ; nil )"
             .replace("( C.r ; nil )", "( while (D.s[w < 1, w := w + 1]) { D.s -> { C.r } } ; nil )"))
-        chains = {t[0] for t, _, _ in succs}
+        chains = {e.rules[0] for e, _ in succs}
         assert "parallel-1" in chains and "parallel-2" in chains
 
     def test_par3_left_terminates_to_right(self):
         succs, _ = steps("( A.p -> { B.r } ) || ( D.s -> { C.r } )")
-        left = [s for t, _, s in succs if t[0] == "parallel-3"]
+        left = [s for e, s in succs if e.rules[0] == "parallel-3"]
         assert left and left[0].term == setup("D.s -> { C.r }")[0]
 
     def test_par4_right_terminates_to_left(self):
         succs, _ = steps("( A.p -> { B.r } ) || ( D.s -> { C.r } )")
-        right = [s for t, _, s in succs if t[0] == "parallel-4"]
+        right = [s for e, s in succs if e.rules[0] == "parallel-4"]
         assert right and right[0].term == setup("A.p -> { B.r }")[0]
 
     def test_dependent_operands_run_left_first(self):
         # Both operands involve A: only the left may move.
         succs, _ = steps("( A.p -> { B.r } ) || ( A.p -> { C.r } )")
-        assert {t[0] for t, _, _ in succs} == {"parallel-3"}
+        assert {e.rules[0] for e, _ in succs} == {"parallel-3"}
 
 
 class TestBruteForceCrossCheck:
@@ -225,7 +227,7 @@ class TestBruteForceCrossCheck:
             if cfg in seen:
                 continue
             seen.add(cfg)
-            for _, _, succ in chor_steps_tagged(cfg):
+            for _, succ in chor_steps_tagged(cfg):
                 if isinstance(succ, Final):
                     finals.add(succ.sigma)
                 else:
@@ -249,6 +251,19 @@ class TestRuleCoverage:
             seen |= res.rules_seen
         missing = set(CHOR_RULES) - seen
         assert not missing, f"rules never exercised by the corpus: {missing}"
+
+
+class TestEventLabels:
+    def test_label_is_the_moving_ports(self, corpus):
+        """A choreography step is hidden exactly when no port moves;
+        otherwise its label is the set of the moving ports' ids."""
+        for path, decl, name, ch in corpus:
+            for edges in explore(ch, decl.initial_valuation()).graph.values():
+                for event, _ in edges:
+                    if event.ports:
+                        assert event.label == frozenset(p.pid for p in event.ports), path
+                    else:
+                        assert event.label == TAU, path
 
 
 class TestStepTables:
@@ -279,7 +294,7 @@ def reachable(ch, sigma):
     seen = {initial_config(ch, sigma)}
     todo = list(seen)
     while todo:
-        for _, _, succ in chor_steps_tagged(todo.pop()):
+        for _, succ in chor_steps_tagged(todo.pop()):
             if succ not in seen:
                 seen.add(succ)
                 todo.append(succ)
@@ -292,7 +307,7 @@ class TestHashConsing:
         # into distinct objects; their residual receives meet in one queue.
         comms = "A.a -> { B.r[y := y + 1] } ; A.a -> { B.r[y := y + 1] }"
         ch, sigma = setup(f"choice A {{ A.d => {comms} | A.d[b] => {comms} }}")
-        left, right = (succ for _, _, succ in chor_steps_tagged(initial_config(ch, sigma)))
+        left, right = (succ for _, succ in chor_steps_tagged(initial_config(ch, sigma)))
         assert left == right and left.term is right.term
         res = explore(ch, sigma)
         assert set(res.graph) == reachable(ch, sigma)
@@ -330,7 +345,7 @@ class TestHashConsing:
                   "dtype='int'), ctype='r')")
         port_c = ("Port(name='r', owner='C', var=Variable(name='z', owner='C', "
                   "dtype='int'), ctype='r')")
-        assert repr(succs[0][2]) == (
+        assert repr(succs[0][1]) == (
             "Running(term=Comm(send=GuardedSend(port=Port(name='a', owner='A', "
             "var=Variable(name='x', owner='A', dtype='int'), ctype='as'), "
             "guard=Lit(value=True), update=Update(assignments=())), "

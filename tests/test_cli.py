@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,7 +109,7 @@ class TestSynth:
 
 class TestTwoFileMode:
     def test_config_split(self, tmp_path, capsys):
-        src = open(SYNC).read()
+        src = Path(SYNC).read_text()
         head, _, tail = src.partition("choreography")
         (tmp_path / "decls.chor").write_text(head)
         (tmp_path / "main.chor").write_text("choreography" + tail)
@@ -118,7 +119,7 @@ class TestTwoFileMode:
 
     @pytest.mark.parametrize("broken", ["decls", "main"])
     def test_parse_error_names_the_failing_file(self, broken, tmp_path, capsys):
-        src = open(SYNC).read()
+        src = Path(SYNC).read_text()
         head, _, tail = src.partition("choreography")
         files = {"decls": head, "main": "choreography" + tail}
         files[broken] += "\n@@\n"
@@ -259,6 +260,31 @@ class TestPromelaErrors:
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("error: string value")
 
+    STRING_DECLS = ('comp A { var s: str = "b"; var n: int = 0; port p: ss of int binds n; }\n'
+                    'comp B { var u: str = ""; var m: int = 0; port r: r of int binds m; }\n')
+
+    @pytest.mark.parametrize("op, chor, shown", [
+        ("+", 'A.p[true, n := 1] -> { B.r[u := u + "x"] }', 'B.u + "x"'),
+    ] + [(op, f'A.p[s {op} "a", n := 1] -> {{ B.r }}', f'A.s {op} "a"')
+         for op in ("<", "<=", ">", ">=")])
+    def test_string_arithmetic_and_ordering_are_refused(self, op, chor, shown,
+                                                        tmp_path, capsys):
+        """Interned codes do not add or order like the strings they stand
+        for, so these operators on strings are a diagnostic, not a model."""
+        path = tmp_path / "ord.chor"
+        path.write_text(self.STRING_DECLS + f"choreography c = {chor}\n")
+        assert run(["promela", str(path)], capsys) == (
+            1, "", f"error: operator {op!r} on strings cannot be expressed "
+                   f"in Promela: {shown}\n")
+
+    def test_string_equality_is_emitted(self, tmp_path, capsys):
+        path = tmp_path / "eq.chor"
+        path.write_text(self.STRING_DECLS + 'choreography c = '
+                        'A.p[s != "a" and s == "b", n := 1] -> { B.r }\n')
+        code, out, _ = run(["promela", str(path)], capsys)
+        assert code == 0
+        assert "((A_s != 3) && (A_s == 1))" in out  # "a" is 3, "b" is 1
+
 
 class TestNonAsciiInput:
     def test_superscript_digit_is_a_parse_error(self, tmp_path):
@@ -348,7 +374,7 @@ class TestRepeatedCalls:
         assert "chan ack_" in run(["promela", BUYING], capsys)[1]
 
     def test_single_file_after_config(self, tmp_path, capsys):
-        head, _, tail = open(SYNC).read().partition("choreography")
+        head, _, tail = Path(SYNC).read_text().partition("choreography")
         (tmp_path / "decls.chor").write_text(head)
         (tmp_path / "main.chor").write_text("choreography" + tail)
         code, out, _ = run(["check", str(tmp_path / "main.chor"),

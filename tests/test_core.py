@@ -8,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chorc import chorsem
+from chorc.cbs import component_steps, sys_explore
 from chorc.core import (
-    BINARY_OPS, FALSE, SKIP, TRUE, BinOp, EvalError, Lit, Neg, Not, Port, Ref, Update,
-    Valuation, Variable, apply_update, default_value, evaluate, explore_lts, expr_vars,
-    format_expr, format_update, infer_type, memo_hash, update_vars, value_dtype,
+    BINARY_OPS, FALSE, SKIP, TAU, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Port, Ref,
+    Update, Valuation, Variable, apply_update, default_value, evaluate, explore_lts,
+    expr_vars, format_expr, format_update, infer_type, memo_hash, update_vars, value_dtype,
 )
+from chorc.synthesis import PROFILES, synthesize
 
 from test_expr_syntax import EXPRS, UPDATE
 
@@ -262,10 +265,58 @@ class TestTypesAndFormatting:
         assert p.is_send
         assert not port("A", "q", "r", "x").is_send
 
-    def test_port_label_is_shared(self):
-        p = port("A", "p", "as", "x")
-        assert p.label == frozenset({"A.p"})
-        assert p.label is p.label
+
+
+def carried_in_order(edges, events) -> bool:
+    """Whether each edge carries one of ``events``, that very object, and
+    the edges follow the order of ``events``; an event may repeat."""
+    i = 0
+    for event, _ in edges:
+        while i < len(events) and events[i] is not event:
+            i += 1
+        if i == len(events):
+            return False
+    return True
+
+
+class TestEvent:
+    def test_of_labels_a_step_by_its_ports(self):
+        p, q = port("A", "p", "ss", "x"), port("B", "q", "r", "y")
+        labels = {}
+        assert Event.of(("r",), (p, q), labels) == \
+            Event(("r",), (p, q), frozenset({"A.p", "B.q"}))
+        assert Event.of(("r",), (), labels).label == TAU
+        # Events built with one table share one label per set of ports.
+        assert Event.of(("s",), (q, p), labels).label is Event.of(("r",), (p, q), labels).label
+
+    def test_each_static_step_shares_one_event(self, corpus):
+        """On every reached state of both semantics, each edge carries the
+        very event object of the static step that produced it, so all the
+        edges one static step produces share that object."""
+        carried = []
+        for path, decl, _, ch in corpus:
+            res = chorsem.explore(ch, decl.initial_valuation())
+            tables = chorsem._tables(ch)
+            for config, edges in res.graph.items():
+                if isinstance(config, chorsem.Final):
+                    continue
+                # A delivery per pending channel, then the term's steps.
+                delivered = [queue[0][0].event for _, queue in config.pending]
+                static = ([] if config.term is None else
+                          [step[0] for step in chorsem._steps(config.term, tables)])
+                n = len(delivered)
+                assert all(e is d for (e, _), d in zip(edges, delivered)), path
+                assert carried_in_order(edges[n:], static), (path, config)
+            carried += [e for out in res.graph.values() for e, _ in out]
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for state in sys_explore(sys).graph:
+                    for ci, loc in enumerate(state.locations):
+                        static = [step[1] for step in sys._steps[ci][loc]]
+                        assert carried_in_order(component_steps(sys, state, ci), static), \
+                            (path, profile, state, ci)
+        # Most static steps produce several edges.
+        assert 2 * len({id(e) for e in carried}) < len(carried)
 
 
 class TestMemoHash:
@@ -349,7 +400,7 @@ class RingState:
 
 def ring(state):
     """Six states, each with three fresh successors."""
-    return [("r", label, RingState((state.n + step) % 6))
+    return [(label, RingState((state.n + step) % 6))
             for label, step in (("a", 1), ("b", 2), ("c", -1))]
 
 
@@ -380,6 +431,6 @@ class TestExploreLts:
         assert [succ.n for _, succ in res.graph[stored[RingState(1)]]] == [2, 3, 0]
 
     def test_successor_may_be_the_state_itself(self):
-        res = explore_lts("s", lambda s: [("r", "loop", s)], lambda s: False, 10, 10)
+        res = explore_lts("s", lambda s: [("loop", s)], lambda s: False, 10, 10)
         assert res.graph == {"s": [("loop", "s")]}
         assert not res.truncated

@@ -8,8 +8,8 @@ every corpus file, for the choreography explorer and for the system explorer
 under both synthesis profiles.
 
 Every stored state is one object: each edge to a stored state points at the
-graph's key, and states carry no instance ``__dict__``. Labels on one port
-are that port's shared ``Port.label``.
+graph's key, and states carry no instance ``__dict__``. The labels of the
+steps on one port are one object (see ``core.Event.of``).
 """
 
 import os
@@ -106,6 +106,7 @@ def test_each_state_is_stored_once(path, semantics):
     # branch and loop choices are labelled by one port: one object per port.
     labels = {}
     for edges in full.graph.values():
-        for label, _ in edges:
+        for event, _ in edges:
+            label = event.label
             if isinstance(label, frozenset) and len(label) == 1:
                 assert labels.setdefault(label, label) is label, label

@@ -173,11 +173,11 @@ class TestArithmetic:
     MOD = BinOp("mod", Ref("A.a"), Ref("A.b"))
 
     def test_mod_text(self):
-        assert (_pexpr(self.MOD, _Strings(False))
+        assert (_pexpr(self.MOD, _Strings(False, {}))
                 == "(((A_a % A_b) + A_b) % A_b)")
 
     def test_mod_is_floor_modulo_under_truncating_remainder(self):
-        text = _pexpr(self.MOD, _Strings(False))
+        text = _pexpr(self.MOD, _Strings(False, {}))
         for a in range(-6, 7):
             for b in (-3, -2, -1, 1, 2, 3):
                 c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
@@ -186,7 +186,7 @@ class TestArithmetic:
 
     def test_div_agrees_with_truncating_division(self):
         div = BinOp("/", Ref("A.a"), Ref("A.b"))
-        text = _pexpr(div, _Strings(False))
+        text = _pexpr(div, _Strings(False, {}))
         assert text == "(A_a / A_b)"
         for a in range(-6, 7):
             for b in (-3, -2, -1, 1, 2, 3):

@@ -114,8 +114,10 @@ class TestBackpressure:
 def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
     """The per-turn scheduler the simulator started from: every turn
     recomputes all successors of the state and keeps the actor's own; the
-    actor is found by scanning every port of every component."""
-    def actor(state, rule, label, succ):
+    actor is found by scanning every port of every component, and for a send
+    it must be the owner of the event's first port."""
+    def actor(state, event, succ):
+        rule, label = event.rules[0], event.label
         if rule in ("recv", "internal"):
             for comp, before, after in zip(sys.components, state.locations,
                                            succ.locations):
@@ -125,6 +127,7 @@ def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
         for comp in sys.components:
             for p in comp.ports:
                 if p.pid in label and p.is_send:
+                    assert comp.id == event.ports[0].owner, (label, event.ports)
                     return comp.id
         raise AssertionError(f"no sender in label {label}")
 
@@ -137,15 +140,15 @@ def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
         for cid in [c.id for c in sys.components]:
             if steps >= max_steps:
                 break
-            succs = [(rule, label, succ)
-                     for rule, label, succ in sys_steps_tagged(sys, state)
+            succs = [(event, succ)
+                     for event, succ in sys_steps_tagged(sys, state)
                      if all(len(q) <= max_chan_len for _, q in succ.buffers)
-                     and actor(state, rule, label, succ) == cid]
+                     and actor(state, event, succ) == cid]
             if not succs:
                 continue
-            rule, label, succ = succs[rngs[cid].randrange(len(succs))]
+            event, succ = succs[rngs[cid].randrange(len(succs))]
             steps += 1
-            events.append(_event_line(steps, cid, rule, label, succ, sys))
+            events.append(_event_line(steps, cid, event, succ, sys))
             state = succ
             progressed = True
         if not progressed:
