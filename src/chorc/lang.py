@@ -233,8 +233,7 @@ def format_chor(ch: Chor) -> str:
 # Well-formedness
 # --------------------------------------------------------------------------
 
-def _check_local(diags, decl, owner: str, guard: Expr, update: Update, what: str):
-    env = decl.type_env()
+def _check_local(diags, env, owner: str, guard: Expr, update: Update, what: str):
     used = expr_vars(guard) | update_vars(update)
     for qname in used:
         if not qname.startswith(owner + "."):
@@ -267,19 +266,22 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
     Returns an empty list iff the choreography is well formed.
     """
     diags: list[Diagnostic] = []
+    env = decl.type_env()
+
+    def guarded_send(gs: GuardedSend, context: str):
+        """A communication's send, a choice arm or a loop condition."""
+        if not gs.port.is_send:
+            diags.append(Diagnostic(
+                "send-port-type", f"port {gs.port.pid} is not a send port"))
+        _check_local(diags, env, gs.port.owner, gs.guard, gs.update,
+                     f"{context} {gs.port.pid}")
 
     def walk(term: Chor):
         if isinstance(term, Nil):
             return
         if isinstance(term, Comm):
             snd = term.send
-            if not snd.port.is_send:
-                diags.append(Diagnostic(
-                    "send-port-type",
-                    f"port {snd.port.pid} is not a send port",
-                ))
-            _check_local(diags, decl, snd.port.owner, snd.guard, snd.update,
-                         f"send {snd.port.pid}")
+            guarded_send(snd, "send")
             if not term.rcvs:
                 diags.append(Diagnostic("empty-receivers", "communication without receivers"))
             owners = [snd.port.owner]
@@ -299,8 +301,7 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
                         f"component {p.owner} occurs twice in one communication",
                     ))
                 owners.append(p.owner)
-                _check_local(diags, decl, p.owner, TRUE, f,
-                             f"receive {p.pid}")
+                _check_local(diags, env, p.owner, TRUE, f, f"receive {p.pid}")
             return
         if isinstance(term, Branch):
             for gs, cont in term.conts:
@@ -310,20 +311,11 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
                         f"continuation port {gs.port.pid} does not belong to "
                         f"master {term.master}",
                     ))
-                if not gs.port.is_send:
-                    diags.append(Diagnostic(
-                        "send-port-type", f"port {gs.port.pid} is not a send port"))
-                _check_local(diags, decl, gs.port.owner, gs.guard, gs.update,
-                             f"choice {gs.port.pid}")
+                guarded_send(gs, "choice")
                 walk(cont)
             return
         if isinstance(term, Loop):
-            gs = term.cond
-            if not gs.port.is_send:
-                diags.append(Diagnostic(
-                    "send-port-type", f"port {gs.port.pid} is not a send port"))
-            _check_local(diags, decl, gs.port.owner, gs.guard, gs.update,
-                         f"loop condition {gs.port.pid}")
+            guarded_send(term.cond, "loop condition")
             walk(term.body)
             return
         if isinstance(term, Seq):

@@ -155,18 +155,30 @@ class Parser:
     def fail(self, message: str):
         raise ParseError(message, self.cur.line, self.cur.col)
 
+    @staticmethod
+    def component(decl: SystemDecl, cid: str, at: Token) -> ComponentDecl:
+        """The declaration of component ``cid``; an error at ``at`` if none."""
+        try:
+            return decl.component(cid)
+        except KeyError:
+            raise ParseError(f"unknown component {cid!r}", at.line, at.col) from None
+
     # -- declarations --------------------------------------------------------
 
     def parse_file(self) -> tuple[SystemDecl, str, Chor]:
-        decl = self.parse_decls(stop_at_choreography=True)
+        decl = self.parse_decls()
+        return (decl, *self.parse_named_chor(decl))
+
+    def parse_named_chor(self, decl: SystemDecl) -> tuple[str, Chor]:
+        """``choreography NAME = term``, which must end the input."""
         self.expect("choreography")
         name = self.expect("IDENT").text
         self.expect("=")
         ch = self.parse_chor(decl)
         self.expect("EOF")
-        return decl, name, ch
+        return name, ch
 
-    def parse_decls(self, stop_at_choreography: bool = False) -> SystemDecl:
+    def parse_decls(self) -> SystemDecl:
         comps = []
         seen = set()
         while self.at("comp"):
@@ -175,8 +187,6 @@ class Parser:
                 self.fail(f"duplicate component {c.id!r}")
             seen.add(c.id)
             comps.append(c)
-        if not stop_at_choreography:
-            self.expect("EOF")
         return SystemDecl(components=tuple(comps))
 
     def parse_component(self) -> ComponentDecl:
@@ -273,10 +283,7 @@ class Parser:
 
     def parse_branch(self, decl: SystemDecl) -> Branch:
         master = self.expect("IDENT").text
-        try:
-            decl.component(master)
-        except KeyError:
-            self.fail(f"unknown component {master!r}")
+        self.component(decl, master, self.cur)
         self.expect("{")
         conts = []
         while True:
@@ -345,11 +352,7 @@ class Parser:
         tok = self.expect("IDENT")
         self.expect(".")
         name = self.expect("IDENT").text
-        try:
-            comp = decl.component(tok.text)
-        except KeyError:
-            raise ParseError(f"unknown component {tok.text!r}", tok.line, tok.col)
-        for p in comp.ports:
+        for p in self.component(decl, tok.text, tok).ports:
             if p.name == name:
                 return p
         raise ParseError(f"component {tok.text} has no port {name!r}",
@@ -376,11 +379,7 @@ class Parser:
             comp_id, name = first, self.expect("IDENT").text
         else:
             comp_id, name = owner, first
-        try:
-            comp = decl.component(comp_id)
-        except KeyError:
-            raise ParseError(f"unknown component {comp_id!r}", tok.line, tok.col)
-        for var, _ in comp.vars:
+        for var, _ in self.component(decl, comp_id, tok).vars:
             if var.name == name:
                 return var.qname
         raise ParseError(f"component {comp_id} has no variable {name!r}",
@@ -437,15 +436,12 @@ def parse_source(source: str) -> tuple[SystemDecl, str, Chor]:
 
 def parse_decls(source: str) -> SystemDecl:
     """Parse a declarations-only file (two-file configuration mode)."""
-    return Parser(tokenize(source)).parse_decls()
+    p = Parser(tokenize(source))
+    decl = p.parse_decls()
+    p.expect("EOF")
+    return decl
 
 
 def parse_chor_source(source: str, decl: SystemDecl) -> tuple[str, Chor]:
     """Parse a choreography-only file against an existing declaration."""
-    p = Parser(tokenize(source))
-    p.expect("choreography")
-    name = p.expect("IDENT").text
-    p.expect("=")
-    ch = p.parse_chor(decl)
-    p.expect("EOF")
-    return name, ch
+    return Parser(tokenize(source)).parse_named_chor(decl)

@@ -7,6 +7,15 @@ variable and one guarded alternative per location inside a ``do`` loop; an
 observable ``currPort_<comp>`` variable records the last port used, which is
 what the LTL templates quantify over.
 
+One function builds the statements of every transition, whatever its
+port: a location with one receive, or one transition guarded ``true``,
+runs them directly, with the receive's channel read in front; any other
+location wraps them in an inner ``if`` with one alternative per
+transition, whose condition is the guard or the channel read. A receive
+must be unguarded, as synthesis always makes it: the channel read is its
+only condition, so ``generate_promela`` refuses a receive guard rather
+than drop it.
+
 Synchronous interactions are acknowledged by the receivers. Two encodings
 are supported:
 
@@ -28,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 
 from .core import (
-    BinOp, Expr, Lit, Neg, Not, Port, Ref, Update, Variable, format_expr, infer_type,
+    BinOp, Expr, Lit, Neg, Not, Port, Ref, TRUE, Update, Variable, format_expr,
 )
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
@@ -102,29 +111,36 @@ def qname_symbol(qname: str) -> str:
 
 
 def _pexpr(e: Expr, strings: _Strings) -> str:
+    return _ptyped(e, strings)[0]
+
+
+def _ptyped(e: Expr, strings: _Strings) -> tuple:
+    """The Promela text of ``e`` and whether ``e`` is a string, in one walk."""
     if isinstance(e, Lit):
         v = e.value
         if isinstance(v, bool):
-            return "true" if v else "false"
+            return ("true" if v else "false"), False
         if isinstance(v, str):
-            return str(strings.code(v))
-        return str(v)
+            return str(strings.code(v)), True
+        return str(v), False
     if isinstance(e, Ref):
-        return qname_symbol(e.qname)
+        return qname_symbol(e.qname), strings.types.get(e.qname) == "str"
     if isinstance(e, Not):
-        return f"!({_pexpr(e.operand, strings)})"
+        return f"!({_pexpr(e.operand, strings)})", False
     if isinstance(e, Neg):
-        return f"-({_pexpr(e.operand, strings)})"
+        return f"-({_pexpr(e.operand, strings)})", False
     if isinstance(e, BinOp):
-        if e.op in _NOT_ON_STRINGS and infer_type(e.left, strings.types) == "str":
+        left, left_str = _ptyped(e.left, strings)
+        if left_str and e.op in _NOT_ON_STRINGS:
             raise PromelaError(f"operator {e.op!r} on strings cannot be expressed "
                                f"in Promela: {format_expr(e)}")
-        left, right = _pexpr(e.left, strings), _pexpr(e.right, strings)
+        right = _pexpr(e.right, strings)
         if e.op == "mod":
             # Floor modulo, as in core.evaluate: C's truncating % shifted
             # into the divisor's sign. Only the divisor is repeated.
-            return f"((({left} % {right}) + {right}) % {right})"
-        return f"({left} {_OPS.get(e.op, e.op)} {right})"
+            return f"((({left} % {right}) + {right}) % {right})", False
+        # No operation yields a string: a string operand of + is refused.
+        return f"({left} {_OPS.get(e.op, e.op)} {right})", False
     raise AssertionError(e)
 
 
@@ -299,7 +315,7 @@ def _emit_process(wiring, comp, strings, opts):
             continue
         if not outs:
             continue
-        body = _emit_location(wiring, comp, loc, outs, strings, opts)
+        body = _emit_location(wiring, comp, outs, strings, opts)
         w(f"     :: (currentLocation == {sanitize(loc)}) ->")
         for stmt in body:
             w("        " + stmt)
@@ -309,81 +325,62 @@ def _emit_process(wiring, comp, strings, opts):
     return lines
 
 
-def _emit_location(wiring, comp, loc, outs, strings, opts):
+def _emit_location(wiring, comp, outs, strings, opts):
     cid = sanitize(comp.id)
 
-    def arm(t: Transition) -> list:
+    def receives(t: Transition) -> bool:
+        return t.port is not None and t.port.ctype == "r"
+
+    def ack_chan(r: Port) -> str:
+        return chan_name(r) if opts.paper_ack else ack_chan_name(r)
+
+    def arm(t: Transition, read: bool) -> list:
+        """The statements of ``t``. A receive reads its channel first when
+        ``read`` is set; otherwise the read is the alternative's condition."""
         stmts = []
         p = t.port
-        if p is None:
-            stmts.extend(_passign(t.update, strings))
-        elif p.ctype == "in":
-            stmts.append(f"currPort_{cid} = {port_symbol(p)};")
-            stmts.extend(_passign(t.update, strings))
-        elif p.ctype == "r":
+        if receives(t):
+            if t.guard != TRUE:
+                raise PromelaError(
+                    f"receive {p.pid} has a guard ({format_expr(t.guard)}), "
+                    f"which Promela emission cannot express")
             inter = wiring.get(p)
             sync = inter is not None and inter.send.ctype == "ss"
-            if sync:
-                if opts.paper_ack:
-                    stmts.append(f"sendAck({chan_name(p)});")
-                else:
-                    stmts.append(f"sendAck({ack_chan_name(p)});")
-            stmts.append(f"currPort_{cid} = {port_symbol(p)};")
-            stmts.append(f"{var_symbol(p.var)} = value;")
-            stmts.extend(_passign(t.update, strings))
-        else:  # send
+            if read and sync and opts.paper_ack:
+                stmts.append(f"synchRecv({chan_name(p)});")
+            else:
+                if read:
+                    stmts.append(f"recv({chan_name(p)});")
+                if sync:
+                    stmts.append(f"sendAck({ack_chan(p)});")
+        elif p is not None and p.ctype != "in":  # send
             inter = wiring.get(p)
             if inter is None:
                 raise PromelaError(f"send port {p.pid} not wired in gamma")
             stmts.append(f"value = {var_symbol(p.var)};")
-            for r in inter.receivers:
-                stmts.append(f"send({chan_name(r)});")
+            stmts.extend(f"send({chan_name(r)});" for r in inter.receivers)
             if p.ctype == "ss":
-                for r in inter.receivers:
-                    if opts.paper_ack:
-                        stmts.append(f"recvAck({chan_name(r)});")
-                    else:
-                        stmts.append(f"recvAck({ack_chan_name(r)});")
+                stmts.extend(f"recvAck({ack_chan(r)});" for r in inter.receivers)
+        if p is not None:
             stmts.append(f"currPort_{cid} = {port_symbol(p)};")
-            stmts.extend(_passign(t.update, strings))
+            if p.ctype == "r":
+                stmts.append(f"{var_symbol(p.var)} = value;")
+        stmts.extend(_passign(t.update, strings))
         stmts.append(f"currentLocation = {sanitize(t.dst)};")
         return stmts
 
-    receives = [t for t in outs if t.port is not None and t.port.ctype == "r"]
-    if len(outs) == 1:
-        t = outs[0]
-        if receives:
-            # Single receive: block on the channel directly.
-            p = t.port
-            inter = wiring.get(p)
-            sync = inter is not None and inter.send.ctype == "ss"
-            stmts = []
-            if sync and opts.paper_ack:
-                stmts.append(f"synchRecv({chan_name(p)});")
-            else:
-                stmts.append(f"recv({chan_name(p)});")
-                if sync:
-                    stmts.append(f"sendAck({ack_chan_name(p)});")
-            stmts.append(f"currPort_{cid} = {port_symbol(p)};")
-            stmts.append(f"{var_symbol(p.var)} = value;")
-            stmts.extend(_passign(t.update, strings))
-            stmts.append(f"currentLocation = {sanitize(t.dst)};")
-            return stmts
-        guard = _pexpr(t.guard, strings)
-        if guard == "true":
-            return arm(t)
-        return ["if", f":: ({guard}) ->"] + ["   " + s for s in arm(t)] + ["fi;"]
-
-    # Several alternatives: inner if with one executability condition each.
+    if len(outs) == 1 and (receives(outs[0]) or outs[0].guard == TRUE):
+        # A lone receive blocks on its channel; a lone true guard is dropped.
+        return arm(outs[0], read=True)
+    # Otherwise an inner if with one executability condition per transition.
     stmts = ["if"]
     for t in outs:
-        if t.port is not None and t.port.ctype == "r":
-            # The channel read happens here; ``arm`` does not read again.
+        if receives(t):
             cond = f"recv({chan_name(t.port)})"
         else:
             cond = f"({_pexpr(t.guard, strings)})"
         stmts.append(f":: {cond} ->")
-        stmts.extend("   " + s for s in arm(t))
+        stmts.extend("   " + s for s in arm(t, read=False))
     stmts.append("fi;")
     return stmts
 
@@ -449,8 +446,9 @@ def _obs(comp_id: str, port: Port) -> str:
 
 
 def ltl_templates(sys: CompositeSystem) -> list:
-    """Instantiate the four property templates; returns (name, formula)."""
-    out = []
+    """Instantiate the four property templates; returns (name, formula)
+    pairs, keeping the first formula of each name."""
+    out = {}
 
     # 1. Correct termination: if any process reaches its ending interface,
     #    eventually all of them do.
@@ -459,19 +457,17 @@ def ltl_templates(sys: CompositeSystem) -> list:
     if ends:
         any_end = " || ".join(_obs(cid, p) for cid, p in ends)
         all_end = " && ".join(_obs(cid, p) for cid, p in ends)
-        out.append(("termination", f"[] (({any_end}) -> <> ({all_end}))"))
+        out["termination"] = f"[] (({any_end}) -> <> ({all_end}))"
 
     # 2. Absence of livelock: no recurring receive port is used infinitely
     #    often.
     for comp in sys.components:
-        seen = []
         for t in _cyclic_transitions(comp):
             p = t.port
-            if p is None or p.ctype != "r" or _is_control(p) or p in seen:
+            if p is None or p.ctype != "r" or _is_control(p):
                 continue
-            seen.append(p)
-            out.append((f"livelock_{port_symbol(p)}",
-                        f"! ([] <> {_obs(comp.id, p)})"))
+            out.setdefault(f"livelock_{port_symbol(p)}",
+                           f"! ([] <> {_obs(comp.id, p)})")
 
     # 3. Uniqueness of interface calls: a non-recurring send port fires at
     #    most once.
@@ -482,8 +478,8 @@ def ltl_templates(sys: CompositeSystem) -> list:
             if p is None or not p.is_send or _is_control(p) or t in cyclic:
                 continue
             obs = _obs(comp.id, p)
-            out.append((f"uniqueness_{port_symbol(p)}",
-                        f"[] ({obs} -> X ([] (! {obs})))"))
+            out.setdefault(f"uniqueness_{port_symbol(p)}",
+                           f"[] ({obs} -> X ([] (! {obs})))")
 
     # 4. Correct transaction: a send that follows a receive (possibly through
     #    silent/control synchronization steps) does not happen before the
@@ -501,19 +497,10 @@ def ltl_templates(sys: CompositeSystem) -> list:
             q = _next_data_send(comp, t.dst)
             if q is None:
                 continue
-            out.append((
-                f"transaction_{port_symbol(q)}",
-                f"[] ((! {_obs(comp.id, q)}) U "
-                f"{_obs(trigger.owner, trigger)})"))
-    # Deduplicate by name, keeping first occurrences.
-    seen_names = set()
-    unique = []
-    for name, formula in out:
-        if name in seen_names:
-            continue
-        seen_names.add(name)
-        unique.append((name, formula))
-    return unique
+            out.setdefault(f"transaction_{port_symbol(q)}",
+                           f"[] ((! {_obs(comp.id, q)}) U "
+                           f"{_obs(trigger.owner, trigger)})")
+    return list(out.items())
 
 
 def format_ltl(ltl: list) -> str:

@@ -5,6 +5,13 @@ growing each component's automaton from its unique context location. Send
 and receive ports are copied per communication so that every copy is wired
 to exactly one interaction, which is what makes the result controller-free.
 
+Control interactions are wired in three places of ``_Builder``: ``notify``
+(a master telling the participants which choice arm or loop iteration
+follows, ``br``/``cont`` ports), the break of ``synth_loop`` (``brk``) and
+``synth_seq_sync`` (``cs``/``cr``). All of them, like every data
+communication, go through ``wire``, the one place that adds an interaction;
+``advance`` is the one place that moves a context along a new transition.
+
 Two profiles are supported:
 
 * ``default`` is the lean placement: the end set of a synchronous
@@ -31,7 +38,7 @@ from .cbs import (
     AtomicComponent, CompositeSystem, Interaction, Transition, check_structure,
 )
 from .lang import (
-    Branch, Chor, Comm, Loop, Nil, Par, Seq, SystemDecl,
+    Branch, Chor, Comm, GuardedSend, Loop, Nil, Par, Seq, SystemDecl,
     participants, start_set, end_set,
 )
 
@@ -135,7 +142,7 @@ class _Builder:
 
     # -- primitive growth steps ----------------------------------------------
 
-    def advance(self, cid: str, port, guard: Expr, update: Update) -> str:
+    def advance(self, cid: str, port, guard: Expr, update: Update):
         """Add a transition from the component's context to a fresh location
         and move the context there. A ``None`` port is a silent epsilon."""
         dst = self.fresh_loc(cid)
@@ -143,7 +150,6 @@ class _Builder:
             Transition(self.context[cid], port, guard, update, dst))
         self.context[cid] = dst
         self.assert_context()
-        return dst
 
     def add_eps(self, cid: str, src: str, dst: str):
         t = Transition(src, None, TRUE, SKIP, dst)
@@ -165,6 +171,19 @@ class _Builder:
             self.advance(port.owner, port, TRUE, f)
             receivers.append(port)
         self.gamma.append(Interaction(send=send, receivers=tuple(receivers)))
+
+    def notify(self, master: str, gs: GuardedSend, K: list, klass: str):
+        """The master's notification of a choice arm or a loop entry: a copy
+        of its send port wired to a fresh ``klass`` control port of each
+        component of ``K``. With nobody to notify, it is a local step of the
+        master on a copy of the port re-typed ``in``."""
+        if K:
+            send = self.fresh_copy(gs.port)
+            rcvs = [(self.ctl_port(k, klass, "r", send.dtype), SKIP) for k in K]
+            self.wire(send, gs.guard, gs.update, rcvs)
+        else:
+            port = self.fresh_copy(gs.port, ctype="in")
+            self.advance(master, port, gs.guard, gs.update)
 
     # -- transformation proper -----------------------------------------------
 
@@ -199,81 +218,51 @@ class _Builder:
         snapshots = []
         for gs, cont in ch.conts:
             self.context = dict(base)
-            if K:
-                send = self.fresh_copy(gs.port)
-                rcvs = [(self.ctl_port(k, "br", "r", send.dtype), SKIP)
-                        for k in K]
-                self.wire(send, gs.guard, gs.update, rcvs)
-            else:
-                # Degenerate notification: nobody to notify, the choice is a
-                # local step of the master on a re-typed copy of its port.
-                port = self.fresh_copy(gs.port, ctype="in")
-                self.advance(ch.master, port, gs.guard, gs.update)
+            self.notify(ch.master, gs, K, "br")
             self.synth(cont)
             snapshots.append(dict(self.context))
-        if self.profile == "default":
-            self.union_eps(base, snapshots)
-        else:
-            self.union_merge(snapshots)
+        self.join(base, snapshots)
         self.assert_context()
 
-    def union_eps(self, base, snapshots):
-        """Join the per-choice contexts with epsilon transitions into a
-        fresh location. Components untouched by every choice keep their
-        context: giving them a silent hop as well would be harmless but
-        multiplies interleavings during exploration."""
-        for cid in self.decl.component_ids():
-            ends = []
-            for snap in snapshots:
-                if snap[cid] not in ends:
-                    ends.append(snap[cid])
-            if ends == [base[cid]]:
-                self.context[cid] = base[cid]
-                continue
-            join = self.fresh_loc(cid)
-            for end in ends:
-                self.add_eps(cid, end, join)
-            self.context[cid] = join
+    def join(self, base, snapshots):
+        """Join the per-choice contexts of each component into one location.
 
-    def union_merge(self, snapshots):
-        """Join per-choice contexts by merging them into a single location
-        (context locations have no outgoing transitions, so retargeting
-        incoming transitions is a sound quotient)."""
+        The default profile adds a fresh location and silent epsilon
+        transitions to it. A component untouched by every choice keeps its
+        context: giving it a silent hop as well would be harmless but
+        multiplies interleavings during exploration. The compat profile
+        merges the contexts into a fresh location instead (context locations
+        have no outgoing transitions, so retargeting incoming transitions is
+        a sound quotient), and keeps a context all choices share."""
         for cid in self.decl.component_ids():
-            ends = []
-            for snap in snapshots:
-                if snap[cid] not in ends:
-                    ends.append(snap[cid])
-            if len(ends) == 1:
+            ends = list(dict.fromkeys(snap[cid] for snap in snapshots))
+            if ends == [base[cid]] or (len(ends) == 1 and self.profile == "compat"):
                 self.context[cid] = ends[0]
                 continue
             join = self.fresh_loc(cid)
-            dropped = set(ends)
-            for t in self.transitions[cid]:
-                assert t.src not in dropped, (
-                    f"cannot merge location {t.src} of {cid}: it has an "
-                    f"outgoing transition")
-            self.transitions[cid] = [
-                t if t.dst not in dropped
-                else Transition(t.src, t.port, t.guard, t.update, join)
-                for t in self.transitions[cid]
-            ]
-            self.locations[cid] = [
-                l for l in self.locations[cid] if l not in dropped]
+            if self.profile == "default":
+                for end in ends:
+                    self.add_eps(cid, end, join)
+            else:
+                dropped = set(ends)
+                for t in self.transitions[cid]:
+                    assert t.src not in dropped, (
+                        f"cannot merge location {t.src} of {cid}: it has an "
+                        f"outgoing transition")
+                self.transitions[cid] = [
+                    t if t.dst not in dropped
+                    else Transition(t.src, t.port, t.guard, t.update, join)
+                    for t in self.transitions[cid]
+                ]
+                self.locations[cid] = [
+                    l for l in self.locations[cid] if l not in dropped]
             self.context[cid] = join
 
     def synth_loop(self, ch: Loop):
         master = ch.cond.port.owner
         K = self.order(participants(ch.body) - {master})
         before = dict(self.context)
-        if K:
-            send = self.fresh_copy(ch.cond.port)
-            rcvs = [(self.ctl_port(k, "cont", "r", send.dtype), SKIP)
-                    for k in K]
-            self.wire(send, ch.cond.guard, ch.cond.update, rcvs)
-        else:
-            port = self.fresh_copy(ch.cond.port, ctype="in")
-            self.advance(master, port, ch.cond.guard, ch.cond.update)
+        self.notify(master, ch.cond, K, "cont")
         self.synth(ch.body)
         # Re-iteration: silent back edges to the loop head.
         for cid in K + [master]:
@@ -281,42 +270,23 @@ class _Builder:
             self.context[cid] = before[cid]
         # Break: the master evaluates the negated condition; participants
         # follow unconditionally through one synchronous interaction.
+        brk_guard = Not(ch.cond.guard)
         if K:
             brk = self.ctl_port(master, "brk", "ss")
-            dst = self.fresh_loc(master)
-            self.transitions[master].append(
-                Transition(before[master], brk, Not(ch.cond.guard), SKIP, dst))
-            self.context[master] = dst
-            receivers = []
-            for cid in K:
-                p = self.ctl_port(cid, "brk", "r")
-                dst_k = self.fresh_loc(cid)
-                self.transitions[cid].append(
-                    Transition(before[cid], p, TRUE, SKIP, dst_k))
-                self.context[cid] = dst_k
-                receivers.append(p)
-            self.gamma.append(Interaction(send=brk, receivers=tuple(receivers)))
+            self.wire(brk, brk_guard, SKIP,
+                      [(self.ctl_port(k, "brk", "r"), SKIP) for k in K])
         else:
-            brk = self.ctl_port(master, "brk", "in")
-            dst = self.fresh_loc(master)
-            self.transitions[master].append(
-                Transition(before[master], brk, Not(ch.cond.guard), SKIP, dst))
-            self.context[master] = dst
+            self.advance(master, self.ctl_port(master, "brk", "in"), brk_guard, SKIP)
         self.assert_context()
 
     def synth_seq_sync(self, first: Chor, second: Chor):
         """Synchronize the end of ``first`` with the start of ``second``."""
-        if self.profile == "default":
-            ends = end_set(first)
-        else:
-            ends = end_set_compat(first)
+        default = self.profile == "default"
+        ends = end_set(first) if default else end_set_compat(first)
         starts = start_set(second)
         if not ends or not starts:
             return
-        if self.profile == "default":
-            anchor = self.order(starts)[0]
-        else:
-            anchor = self.order(ends)[0]
+        anchor = self.order(starts if default else ends)[0]
         J = self.order((ends | starts) - {anchor})
         if not J:
             return

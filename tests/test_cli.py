@@ -265,6 +265,7 @@ class TestPromelaErrors:
 
     @pytest.mark.parametrize("op, chor, shown", [
         ("+", 'A.p[true, n := 1] -> { B.r[u := u + "x"] }', 'B.u + "x"'),
+        ("<", 'A.p["a" < s, n := 1] -> { B.r }', '"a" < A.s'),
     ] + [(op, f'A.p[s {op} "a", n := 1] -> {{ B.r }}', f'A.s {op} "a"')
          for op in ("<", "<=", ">", ">=")])
     def test_string_arithmetic_and_ordering_are_refused(self, op, chor, shown,

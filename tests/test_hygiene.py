@@ -1,0 +1,63 @@
+"""Source hygiene of the ``chorc`` package, read with ``ast``: no module
+imports a name it does not use, and every module-level private function or
+class is referenced somewhere in the package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import chorc
+
+PACKAGE = Path(chorc.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names_used(tree, attributes: bool) -> set:
+    """Every name read, plus the strings listed in ``__all__`` and, with
+    ``attributes``, every attribute name read (``module._helper``)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and attributes:
+            used.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = _names_used(tree, attributes=False)
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items()
+                    if name not in used)
+    assert unused == [], f"{path.name} imports names it does not use"
+
+
+def test_private_definitions_are_referenced():
+    trees = {path.name: _tree(path) for path in MODULES}
+    used = set().union(*(_names_used(tree, attributes=True) for tree in trees.values()))
+    unreferenced = [
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert unreferenced == []

@@ -1,5 +1,7 @@
 """Tests for participant sets, start/end sets and static well-formedness."""
 
+import pytest
+
 from chorc.lang import check_well_formed, end_set, participants, start_set
 from chorc.parser import parse_source
 
@@ -99,6 +101,27 @@ class TestWellFormed:
         from chorc.parser import ParseError
         with pytest.raises(ParseError):
             chor("A.p[y > 0] -> { B.r }")
+
+    # A guarded send is checked alike in each of its three contexts.
+    CONTEXTS = {
+        "send": "PORT -> { B.r }",
+        "choice": "choice A { PORT => nil }",
+        "loop condition": "while (PORT) { nil }",
+    }
+    GUARDED_SEND_CASES = [
+        ("send-port-type", "A.i", "port A.i is not a send port"),
+        ("guard-type", "A.p[x + 1]", "CONTEXT A.p guard is not boolean"),
+        ("locality", "A.p[B.y > 0]", "CONTEXT A.p on component A uses foreign variable B.y"),
+        ("assign-type", "A.p[true, x := true]",
+         "CONTEXT A.p: assigning bool to A.x of type int"),
+    ]
+
+    @pytest.mark.parametrize("context", CONTEXTS)
+    @pytest.mark.parametrize("code,port,message", GUARDED_SEND_CASES)
+    def test_guarded_send_diagnostics(self, context, code, port, message):
+        body = self.CONTEXTS[context].replace("PORT", port)
+        errors = [(d.code, d.message) for d in self.errors(body)]
+        assert errors == [(code, message.replace("CONTEXT", context))]
 
     def test_guard_must_be_boolean(self):
         assert any(d.code == "guard-type"

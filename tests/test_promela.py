@@ -7,7 +7,10 @@ import re
 
 import pytest
 
-from chorc.core import BinOp, Ref, Valuation, evaluate
+from chorc.cbs import (
+    AtomicComponent, CompositeSystem, Interaction, Transition, check_structure, sys_explore,
+)
+from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Valuation, Variable, evaluate
 from chorc.promela import (
     MAX_LEN, PromelaError, PromelaOptions, _pexpr, _Strings, format_ltl,
     generate_promela, ltl_templates, sanitize, validate_promela,
@@ -193,6 +196,65 @@ class TestArithmetic:
                 c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
                 python_value = evaluate(div, Valuation({"A.a": a, "A.b": b}))
                 assert c_value == python_value == math.trunc(a / b), (a, b)
+
+
+class TestExpressionWalk:
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_each_node_visited_once(self, n):
+        # A left-deep chain of + under an ordering: each level's left operand
+        # is the whole chain below it, so a walk that looks into the left
+        # operand again at every level reads some node's ``left`` n*n/2 times.
+        reads = []
+
+        class Counted(BinOp):
+            def __getattribute__(self, name):
+                if name == "left":
+                    reads.append(name)
+                return super().__getattribute__(name)
+
+        chain = Ref("A.x")
+        for i in range(n):
+            chain = Counted("+", chain, Lit(i))
+        expr = Counted("<", chain, Ref("A.x"))
+        text = _pexpr(expr, _Strings(False, {"A.x": "int"}))
+        assert text.startswith("(" * (n + 1) + "A_x + 0)")
+        assert len(reads) == n + 1
+
+
+def _guarded_receive_system(extra_b=()):
+    """``A`` sends asynchronously to ``B.r``, which ``B`` receives only when
+    ``B.y > 5``; ``extra_b`` adds transitions leaving ``B``'s start."""
+    ax, by = Variable("x", "A", "int"), Variable("y", "B", "int")
+    send, recv = Port("a", "A", ax, "as"), Port("r", "B", by, "r")
+    a = AtomicComponent(
+        id="A", vars=((ax, 1),), ports=(send,), locations=("a0", "a1"),
+        transitions=(Transition("a0", send, TRUE, SKIP, "a1"),), init="a0", end="a1")
+    b = AtomicComponent(
+        id="B", vars=((by, 0),), ports=(recv,), locations=("b0", "b1", "b2"),
+        transitions=(Transition("b0", recv, BinOp(">", Ref("B.y"), Lit(5)), SKIP, "b1"),
+                     *extra_b),
+        init="b0", end="b1")
+    return CompositeSystem(components=(a, b), gamma=(Interaction(send, (recv,)),))
+
+
+class TestReceiveGuard:
+    SHAPES = {
+        "single receive": (),
+        "several alternatives": (Transition("b0", None, TRUE, SKIP, "b2"),),
+    }
+
+    @pytest.mark.parametrize("paper_ack", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_guarded_receive_is_refused(self, shape, paper_ack):
+        sys = _guarded_receive_system(self.SHAPES[shape])
+        assert check_structure(sys) == []
+        with pytest.raises(PromelaError, match=r"receive B\.r has a guard \(B\.y > 5\)"):
+            generate_promela(sys, PromelaOptions(paper_ack=paper_ack))
+
+    def test_the_guard_blocks_the_system(self):
+        # What an unguarded recv(ch_B_r) would hide: B never receives.
+        result = sys_explore(_guarded_receive_system())
+        assert len(result.finals) == 0 and len(result.deadlocks) == 1
 
 
 class TestSanitize:
