@@ -389,12 +389,13 @@ def check_structure(sys: CompositeSystem) -> list:
             diags.append(Diagnostic(
                 "bad-end", f"{comp.id}: end location {comp.end} undeclared"))
         own_vars = {var.qname for var, _ in comp.vars}
+        own_ports = set(comp.ports)
         for t in comp.transitions:
             if t.src not in locs or t.dst not in locs:
                 diags.append(Diagnostic(
                     "bad-transition",
                     f"{comp.id}: transition {t.src}->{t.dst} uses undeclared location"))
-            if t.port is not None and (t.port.owner != comp.id or t.port not in comp.ports):
+            if t.port is not None and (t.port.owner != comp.id or t.port not in own_ports):
                 diags.append(Diagnostic(
                     "foreign-port", f"{comp.id}: transition uses port {t.port.pid}"))
             used = expr_vars(t.guard) | update_vars(t.update)

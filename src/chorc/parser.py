@@ -17,7 +17,7 @@ then rejected by the well-formedness checker).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BINARY_OPS, BinOp, Expr, FALSE, Lit, Neg, Not, Port, Ref, SKIP, TRUE,
@@ -37,8 +37,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, STRING, OP, EOF
     text: str
     line: int
@@ -73,40 +72,44 @@ _TOKEN = re.compile("|".join((
     "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
 )))
 _STRING_PREFIX = re.compile(f'"{_STRING_BODY}')
+_ESCAPE = re.compile(r"\\(.)")
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos, n = 1, 0, 0, len(source)
-    match = _TOKEN.match
+    append = tokens.append
+    new = tuple.__new__  # Token(...) without NamedTuple's keyword handling
+    line, line_start, pos = 1, 0, 0
     m = None
-    while pos < n:
-        m = match(source, pos)
-        if m is None:
+    for m in _TOKEN.finditer(source):
+        start = m.start()
+        if start != pos:  # finditer skipped text that starts no token
             raise _lex_error(source, pos, line, pos - line_start + 1)
-        kind, col, pos = m.lastgroup, pos - line_start + 1, m.end()
+        kind, pos = m.lastgroup, m.end()
         if kind == "space":
             continue
         if kind == "newline":
             line, line_start = line + 1, pos
             continue
-        text = m.group()
+        text, col = m.group(), start - line_start + 1
         if kind == "IDENT":
-            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, line, col))
+            append(new(Token, (text if text in KEYWORDS else "IDENT", text, line, col)))
         elif kind == "symbol":
-            tokens.append(Token(text, text, line, col))
+            append(new(Token, (text, text, line, col)))
         elif kind == "STRING":
             body = text[1:-1]
             if "\\" in body:
-                body = re.sub(r"\\(.)", lambda e: _ESCAPES[e[1]], body)
-            tokens.append(Token("STRING", body, line, col))
+                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
+            append(new(Token, ("STRING", body, line, col)))
         else:
-            tokens.append(Token(kind, text, line, col))
+            append(new(Token, (kind, text, line, col)))
+    if pos != len(source):
+        raise _lex_error(source, pos, line, pos - line_start + 1)
     # A comment does not advance the column, so input that ends in one has
     # its end token where the comment starts.
     if m is not None and m.group().startswith("//"):
         pos = m.start()
-    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+    append(new(Token, ("EOF", "", line, pos - line_start + 1)))
     return tokens
 
 
@@ -282,8 +285,8 @@ class Parser:
         return self.parse_comm(decl)
 
     def parse_branch(self, decl: SystemDecl) -> Branch:
-        master = self.expect("IDENT").text
-        self.component(decl, master, self.cur)
+        master = self.expect("IDENT")
+        self.component(decl, master.text, master)
         self.expect("{")
         conts = []
         while True:
@@ -293,7 +296,7 @@ class Parser:
             if not self.accept("|"):
                 break
         self.expect("}")
-        return Branch(master=master, conts=tuple(conts))
+        return Branch(master=master.text, conts=tuple(conts))
 
     def parse_loop(self, decl: SystemDecl) -> Loop:
         self.expect("(")

@@ -66,9 +66,12 @@ class PromelaOptions:
     inline_ltl: bool = False
 
 
+_UNSAFE = re.compile(r"[^A-Za-z0-9_]")
+
+
 def sanitize(name: str) -> str:
     """Turn a port/variable identifier into a Promela-safe symbol."""
-    return re.sub(r"[^A-Za-z0-9_]", "_", name)
+    return _UNSAFE.sub("_", name)
 
 
 # --------------------------------------------------------------------------
@@ -399,25 +402,45 @@ def _end_port(comp: AtomicComponent):
     return None
 
 
-def _cyclic_transitions(comp: AtomicComponent):
-    """Transitions that lie on a cycle of the component's location graph."""
-    adj = {}
+def _cyclic_transitions(comp: AtomicComponent) -> list:
+    """Transitions that lie on a cycle of the component's location graph,
+    in declaration order: those whose source and target share a strongly
+    connected component, a self-loop included. One iterative pass of
+    Tarjan's algorithm finds the components."""
+    succ = {}
     for t in comp.transitions:
-        adj.setdefault(t.src, []).append(t.dst)
-
-    def reaches(src, dst):
-        seen, todo = set(), [src]
-        while todo:
-            cur = todo.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            todo.extend(adj.get(cur, []))
-        return False
-
-    return [t for t in comp.transitions if reaches(t.dst, t.src)]
+        succ.setdefault(t.src, []).append(t.dst)
+    index, low = {}, {}
+    root_of = {}   # location -> the root of its component, once it is closed
+    stack = []     # visited locations whose component is still open
+    for start in succ:
+        if start in index:
+            continue
+        index[start] = low[start] = len(index)
+        stack.append(start)
+        work = [(start, iter(succ[start]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if w not in root_of:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        root_of[w] = v
+                        if w == v:
+                            break
+    return [t for t in comp.transitions if root_of[t.src] == root_of[t.dst]]
 
 
 def _is_control(port: Port) -> bool:
@@ -459,10 +482,12 @@ def ltl_templates(sys: CompositeSystem) -> list:
         all_end = " && ".join(_obs(cid, p) for cid, p in ends)
         out["termination"] = f"[] (({any_end}) -> <> ({all_end}))"
 
+    cyclic = [_cyclic_transitions(comp) for comp in sys.components]
+
     # 2. Absence of livelock: no recurring receive port is used infinitely
     #    often.
-    for comp in sys.components:
-        for t in _cyclic_transitions(comp):
+    for comp, comp_cyclic in zip(sys.components, cyclic):
+        for t in comp_cyclic:
             p = t.port
             if p is None or p.ctype != "r" or _is_control(p):
                 continue
@@ -471,11 +496,11 @@ def ltl_templates(sys: CompositeSystem) -> list:
 
     # 3. Uniqueness of interface calls: a non-recurring send port fires at
     #    most once.
-    for comp in sys.components:
-        cyclic = set(_cyclic_transitions(comp))
+    for comp, comp_cyclic in zip(sys.components, cyclic):
+        recurring = set(comp_cyclic)
         for t in comp.transitions:
             p = t.port
-            if p is None or not p.is_send or _is_control(p) or t in cyclic:
+            if p is None or not p.is_send or _is_control(p) or t in recurring:
                 continue
             obs = _obs(comp.id, p)
             out.setdefault(f"uniqueness_{port_symbol(p)}",
@@ -549,9 +574,10 @@ def validate_promela(text: str) -> list:
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:
             errors.append(f"line {lineno}: unbalanced '}}'")
-        opener = _OPENER.search(line)
-        if opener:
-            stack.append((opener.group(1), lineno))
+        if line.endswith(("do", "if")):
+            opener = _OPENER.search(line)
+            if opener:
+                stack.append((opener.group(1), lineno))
         if line in ("od", "od;"):
             if not stack or stack.pop()[0] != "do":
                 errors.append(f"line {lineno}: 'od' without matching 'do'")

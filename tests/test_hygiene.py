@@ -1,6 +1,7 @@
 """Source hygiene of the ``chorc`` package, read with ``ast``: no module
-imports a name it does not use, and every module-level private function or
-class is referenced somewhere in the package."""
+imports a name it does not use, every module-level private function or
+class is referenced somewhere in the package, and no function matches with
+a literal pattern that ``re`` would look up again on every call."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,27 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+#: The ``re`` functions that look a string pattern up in ``re``'s cache, and
+#: compile it when it has been evicted, on every call.
+_RE_CALLS = frozenset({"sub", "match", "search", "fullmatch", "findall", "finditer", "split"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_uncompiled_regex_in_functions(path):
+    """A function body matches with module-level compiled patterns, never
+    with ``re.sub(r"...", ...)`` and the like on a literal pattern."""
+    calls = []
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "re"
+                    and node.func.attr in _RE_CALLS
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, (str, bytes))):
+                calls.append(f"re.{node.func.attr} (line {node.lineno})")
+    assert sorted(set(calls)) == [], f"{path.name} matches uncompiled patterns"

@@ -1,11 +1,20 @@
 """Parser tests: corpus acceptance, round-tripping and error reporting."""
 
-import pytest
+import importlib.util
+import os
+import re
+import sys
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chorc import parser
 from chorc.lang import Branch, Comm, Loop, Nil, Par, Seq, format_chor
 from chorc.parser import ParseError, parse_chor_source, parse_decls, parse_source
 
-from conftest import load_stem
+from conftest import ROOT, corpus_paths, load_stem
 
 MINI = """
 comp A {
@@ -147,13 +156,135 @@ class TestErrors:
         ("comp A {\n  var n: int = ²;\n}", "unexpected character '²'", 2, 16),
         ("comp é { }", "unexpected character 'é'", 1, 6),
         ("comp Aé { }", "unexpected character 'é'", 1, 7),
+        # A character that starts no token, last in the input.
+        ("comp A { }\n@", "unexpected character '@'", 2, 1),
         # A trailing comment does not advance the end-of-input position.
         ("comp A { }\nchoreography t = // nothing yet",
          "expected 'IDENT', found 'EOF'", 2, 18),
     ], ids=["unexpected", "eof-in-literal",
             "eof-after-backslash", "eof-after-escapes", "unknown-escape",
             "unknown-escape-unterminated", "superscript-two", "e-acute",
-            "e-acute-in-ident", "eof-after-comment"])
+            "e-acute-in-ident", "unexpected-last", "eof-after-comment"])
     def test_lexer_errors(self, source, message, line, col):
         e = self.err(source)
         assert (e.message, e.line, e.col) == (message, line, col)
+
+    # An unknown component is reported at its name in every context.
+    @pytest.mark.parametrize("term, name, col", [
+        ("choice Z { A.p => nil }", "Z", 28),
+        ("Q.p -> { B.r }", "Q", 21),
+        ("while (W.p) { nil }", "W", 28),
+    ], ids=["choice-master", "send", "loop"])
+    def test_unknown_component_position(self, term, name, col):
+        e = self.err("comp A { var x: int = 0; port p: as of int binds x; }\n"
+                     "comp B { var y: int = 0; port r: r of int binds y; }\n"
+                     f"choreography main = {term}")
+        assert (e.message, e.line, e.col) == (f"unknown component {name!r}", 3, col)
+
+
+# -- the lexer against a reference ------------------------------------------
+
+def reference_tokenize(source: str) -> list:
+    """The lexer as it was before the one-pass ``finditer`` loop: one
+    ``match`` per position and a ``re.sub`` for the escapes."""
+    Token, tokens = parser.Token, []
+    line, line_start, pos, n = 1, 0, 0, len(source)
+    m = None
+    while pos < n:
+        m = parser._TOKEN.match(source, pos)
+        if m is None:
+            raise parser._lex_error(source, pos, line, pos - line_start + 1)
+        kind, col, pos = m.lastgroup, pos - line_start + 1, m.end()
+        if kind == "space":
+            continue
+        if kind == "newline":
+            line, line_start = line + 1, pos
+            continue
+        text = m.group()
+        if kind == "IDENT":
+            tokens.append(Token(text if text in parser.KEYWORDS else "IDENT", text, line, col))
+        elif kind == "symbol":
+            tokens.append(Token(text, text, line, col))
+        elif kind == "STRING":
+            body = text[1:-1]
+            if "\\" in body:
+                body = re.sub(r"\\(.)", lambda e: parser._ESCAPES[e[1]], body)
+            tokens.append(Token("STRING", body, line, col))
+        else:
+            tokens.append(Token(kind, text, line, col))
+    if m is not None and m.group().startswith("//"):
+        pos = m.start()
+    tokens.append(Token("EOF", "", line, pos - line_start + 1))
+    return tokens
+
+
+def _load_gen():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses look their module up there
+    spec.loader.exec_module(gen)
+    return gen
+
+
+_GEN = _load_gen()
+SOURCES = [Path(path).read_text() for path in corpus_paths()] + [
+    make(seed).text for make in _GEN.GENERATORS.values() for seed in (0, 1)] + [
+    # String literals with every escape, for edits inside literals.
+    'comp A { var s: str = "a\\tb\\n"; var t: str = "q\\"\\\\r\\r";\n'
+    '  port p: as of str binds s; }\n'
+    'comp B { var u: str = ""; port r: r of str binds u; }\n'
+    'choreography c = A.p[s == "x\\\\", s := "y\\"z"] -> { B.r[u := "w"] }\n']
+#: What an edit inserts: white space, line breaks, comment and string
+#: delimiters, a backslash, two non-ASCII characters and every symbol.
+ALPHABET = [" ", "\t", "\r", "\n", "//", '"', "\\", "é", "²", *parser._SYMBOLS]
+
+
+def lex(tokenize, source):
+    """The token tuples, or the error's message and position."""
+    try:
+        return [tuple(t) for t in tokenize(source)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+#: An edit: where (a fraction of the text, or of its quotes, so that
+#: escapes inside string literals get edited too), and what: text to insert
+#: or a number of characters to delete.
+_edits = st.lists(st.tuples(
+    st.booleans(),
+    st.floats(0, 1, exclude_max=True),
+    st.one_of(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=3).map("".join),
+              st.integers(1, 8))),
+    min_size=1, max_size=4)
+
+
+def apply_edits(source, edits):
+    for in_quotes, at, edit in edits:
+        quotes = [i + 1 for i, c in enumerate(source) if c == '"']
+        if in_quotes and quotes:
+            i = quotes[int(at * len(quotes))]
+        else:
+            i = int(at * (len(source) + 1))
+        if isinstance(edit, int):
+            source = source[:i] + source[i + edit:]
+        else:
+            source = source[:i] + edit + source[i:]
+    return source
+
+
+class TestLexerReference:
+    def test_sources_agree(self):
+        for source in SOURCES:
+            assert lex(parser.tokenize, source) == lex(reference_tokenize, source)
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(st.sampled_from(range(len(SOURCES))), _edits)
+    def test_edited_sources_agree(self, which, edits):
+        source = apply_edits(SOURCES[which], edits)
+        assert lex(parser.tokenize, source) == lex(reference_tokenize, source)
+
+    def test_tokens_are_tuples(self):
+        tok = parser.tokenize("comp")[0]
+        assert tok == parser.Token("comp", "comp", 1, 1) == ("comp", "comp", 1, 1)
+        assert (tok.kind, tok.text, tok.line, tok.col) == ("comp", "comp", 1, 1)

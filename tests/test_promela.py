@@ -3,10 +3,12 @@
 import ast
 import math
 import os
+import random
 import re
 
 import pytest
 
+from chorc import promela
 from chorc.cbs import (
     AtomicComponent, CompositeSystem, Interaction, Transition, check_structure, sys_explore,
 )
@@ -17,6 +19,7 @@ from chorc.promela import (
 )
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
+from chorc.verify import MUTATIONS
 
 from conftest import load_stem
 
@@ -294,3 +297,174 @@ class TestLtl:
         _, model = model_for("buying", "compat", inline_ltl=True)
         assert re.search(r"ltl termination \{.*\}", model.text)
         assert validate_promela(model.text) == []
+
+
+# -- cycle detection and the validator against references -----------------
+
+def reference_cyclic_transitions(comp):
+    """Cycle detection as it was before the SCC pass: one DFS per
+    transition, asking whether its target reaches its source."""
+    adj = {}
+    for t in comp.transitions:
+        adj.setdefault(t.src, []).append(t.dst)
+
+    def reaches(src, dst):
+        seen, todo = set(), [src]
+        while todo:
+            cur = todo.pop()
+            if cur == dst:
+                return True
+            if cur in seen:
+                continue
+            seen.add(cur)
+            todo.extend(adj.get(cur, []))
+        return False
+
+    return [t for t in comp.transitions if reaches(t.dst, t.src)]
+
+
+def graph_component(locations, edges):
+    """A component whose location graph has the given ``(src, dst)`` edges,
+    each a silent transition."""
+    return AtomicComponent(
+        id="G", vars=(), ports=(), locations=tuple(locations),
+        transitions=tuple(Transition(a, None, TRUE, SKIP, b) for a, b in edges),
+        init=locations[0])
+
+
+def assert_cycles_match(sys, where):
+    for comp in sys.components:
+        got = promela._cyclic_transitions(comp)
+        want = reference_cyclic_transitions(comp)
+        assert [id(t) for t in got] == [id(t) for t in want], (where, comp.id)
+
+
+class TestCyclicTransitions:
+    def test_corpus(self, corpus):
+        found = 0
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                assert_cycles_match(sys, (path, profile))
+                found += sum(len(promela._cyclic_transitions(c)) for c in sys.components)
+        assert found > 0
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_buying_mutants(self, name):
+        decl, _, ch = load_stem("buying")
+        for profile in PROFILES:
+            assert_cycles_match(MUTATIONS[name](synthesize(decl, ch, profile)),
+                                (name, profile))
+
+    def test_random_graphs(self):
+        # Self-loops, parallel edges, locations only entered (never left)
+        # and unconnected parts all occur among these graphs.
+        rng = random.Random(15)
+        for case in range(400):
+            n = rng.randint(1, 9)
+            locs = [f"l{i}" for i in range(n)]
+            edges = [(rng.choice(locs), rng.choice(locs)) for _ in range(rng.randint(0, 2 * n))]
+            if edges and case % 3 == 0:
+                edges.append(edges[rng.randrange(len(edges))])
+            if case % 5 == 0:
+                edges.append((locs[-1], locs[-1]))
+            comp = graph_component(locs, edges)
+            assert_cycles_match(CompositeSystem(components=(comp,), gamma=()), edges)
+
+    def test_long_ring_and_chain(self):
+        # Deeper than Python's recursion limit: the pass is iterative.
+        n = 5000
+        locs = [f"l{i}" for i in range(n)]
+        ring = graph_component(locs, [(locs[i], locs[(i + 1) % n]) for i in range(n)])
+        assert promela._cyclic_transitions(ring) == list(ring.transitions)
+        chain = graph_component(locs, [(locs[i], locs[i + 1]) for i in range(n - 1)])
+        assert promela._cyclic_transitions(chain) == []
+
+    def test_computed_once_per_component(self, monkeypatch, corpus):
+        calls = []
+        real = promela._cyclic_transitions
+
+        def counting(comp):
+            calls.append(comp)
+            return real(comp)
+
+        monkeypatch.setattr(promela, "_cyclic_transitions", counting)
+        for _, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for run in (ltl_templates, generate_promela):
+                    calls.clear()
+                    run(sys)
+                    assert calls == list(sys.components), (run.__name__, profile)
+
+
+def reference_validate_promela(text):
+    """The validator as it was before the opener prefilter: ``_OPENER`` is
+    searched on every line."""
+    errors = []
+    depth_brace = 0
+    stack = []
+    in_comment = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if in_comment:
+            if "*/" in line:
+                in_comment = False
+            continue
+        if line.startswith("/*") and "*/" not in line:
+            in_comment = True
+            continue
+        depth_brace += line.count("{") - line.count("}")
+        if depth_brace < 0:
+            errors.append(f"line {lineno}: unbalanced '}}'")
+        opener = promela._OPENER.search(line)
+        if opener:
+            stack.append((opener.group(1), lineno))
+        if line in ("od", "od;"):
+            if not stack or stack.pop()[0] != "do":
+                errors.append(f"line {lineno}: 'od' without matching 'do'")
+        if line in ("fi", "fi;"):
+            if not stack or stack.pop()[0] != "if":
+                errors.append(f"line {lineno}: 'fi' without matching 'if'")
+        if not promela._LINE_SHAPE.match(line):
+            errors.append(f"line {lineno}: unrecognized statement: {line!r}")
+    if depth_brace != 0:
+        errors.append("unbalanced braces at end of file")
+    for kind, lineno in stack:
+        errors.append(f"line {lineno}: unclosed '{kind}'")
+    return errors
+
+
+def damaged(text, rng):
+    """``text`` with a few lines deleted, duplicated or cut short."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(lines))
+        how = rng.choice(("delete", "duplicate", "truncate"))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = lines[i][:rng.randint(0, len(lines[i]))]
+    return "\n".join(lines) + "\n"
+
+
+class TestValidatorReference:
+    def test_damaged_corpus_models(self, corpus):
+        rng = random.Random(15)
+        faults = set()
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                text = generate_promela(synthesize(decl, ch, profile),
+                                        PromelaOptions(inline_ltl=True)).text
+                assert validate_promela(text) == reference_validate_promela(text) == []
+                for _ in range(10):
+                    broken = damaged(text, rng)
+                    errors = validate_promela(broken)
+                    assert errors == reference_validate_promela(broken), (path, profile)
+                    faults.update(e.split(": ", 1)[-1].split(" ", 1)[0] for e in errors)
+        # The damage reaches the block pairing, not just line shapes.
+        assert {"'od'", "'fi'", "unclosed", "unrecognized"} <= faults, faults
