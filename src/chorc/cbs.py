@@ -171,9 +171,6 @@ class SysState(NamedTuple):
     sigma: Valuation
     buffers: tuple  # sorted tuple of (receive port id, tuple of values)
 
-    def buffer(self, pid: str) -> tuple:
-        return find_queue(self.buffers, pid)[1]
-
 
 # --------------------------------------------------------------------------
 # Semantics

@@ -8,22 +8,21 @@ channel and are consumed one at a time, in any interleaving with the rest of
 the choreography. This makes the pending pool behave exactly like the
 per-port buffers of the synthesized component system.
 
-Each term structure is compiled once, on first use, into a step table: one
-static step (event, guard, update, sends, next term) per way the term can
-move. A synchronous send becomes one update whose first assignments copy
-the sent value to the receivers; ``Seq`` and ``Par`` lift their operands'
-tables, and ``Par`` decides the independence of its operands once. A step
-keeps its guard and update as their compiled closures (see ``core``), None
-for a literal ``true`` guard and for skip, so ``chor_steps_tagged`` only
-calls closures and builds configurations.
+Each term is compiled once, on first use, into a step table kept on the
+term: one static step (event, guard, update, sends, next term) per way the
+term can move. A synchronous send becomes one update whose first
+assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
+their operands' tables, and ``Par`` decides the independence of its
+operands once. A step keeps its guard and update as their compiled closures
+(see ``core``), None for a literal ``true`` guard and for skip, so
+``chor_steps_tagged`` only calls closures and builds configurations.
 
-The tables of a root term and of every term reached from it live in one
-tables object kept on the root, so every exploration of the root reuses
-them. They are hash-consed: each next term in a table is the one canonical
-object of its structure, and each residual receive a step leaves behind is
-one ``Receipt`` per (receive port, update), built with its hash. So the terms
-of the configurations an exploration meets compare by identity, and a pool
-of pending receives hashes without a Python call per port or update.
+Terms are hash-consed (see ``core``), so every exploration of a term, and
+of any term equal to it, reuses the tables built for it while it lives. A
+residual receive that a step leaves behind is a ``Receipt``, hash-consed
+too: one live object per (receive port, update), holding the update's
+closure and the delivery's event. Each event's label comes from one table
+of labels, one object per set of port ids.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -37,22 +36,22 @@ explorer (``core.explore_lts``) over ``chor_steps_tagged``; the final
 configurations it reaches are its terminals, and its ``rules_seen`` measure
 rule coverage.
 
-Configurations are named tuples. Equality and hashing run over the fields,
-whose own hashes are memoized (terms, valuations) or stored (receipts), so
-a configuration keeps no hash of its own. Equality stays structural, so
-configurations from two parses of one choreography compare equal.
-``lts_to_dot`` orders nodes and edges by the repr, built once per
-configuration drawn, in which a pending entry prints as (port, update,
-value).
+Configurations are named tuples with no hash of their own. Their terms and
+receipts hash and compare by identity and their valuations by a cached
+hash, so equal configurations, from two parses of one choreography too,
+are equal tuples. ``lts_to_dot`` orders nodes and edges by the repr, built
+once per configuration drawn, in which a pending entry prints as (port,
+update, value).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+import weakref
+from typing import NamedTuple, Optional
 
 from .core import (
-    SKIP, TAU, TRUE, Event, Exploration, Label, Not, Port, Ref, Update, Valuation,
-    explore_lts, requeue,
+    SKIP, TAU, TRUE, Event, Exploration, Interned, Label, Not, Port, Ref, Update,
+    Valuation, explore_lts, interned, requeue,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
@@ -74,39 +73,19 @@ CHOR_RULES = (
 )
 
 
-class Receipt:
+class Receipt(Interned):
     """The receive side of an asynchronous send: the receive port and its
-    update. Built once per (port, update) when a step table is compiled,
-    with the update's closure, or None for skip, as ``apply``, and the
-    event of the delivery as ``event``.
-
-    Its structural hash is stored when it is built, and equality tests
-    identity first, so a configuration with pending receives hashes and
-    compares its pool without a call per port or update. Receipts from
-    different tables still compare by structure. The repr prints the port
-    and the update, so that a pending entry reads as a (port, update, value)
-    triple.
+    update, with the update's closure, or None for skip, as ``apply``, and
+    the event of the delivery as ``event``. Hash-consed: one live object
+    per (port, update). The repr prints the port and the update, so that a
+    pending entry reads as a (port, update, value) triple.
     """
 
-    __slots__ = ("port", "update", "apply", "qname", "event", "_hash")
-
-    def __init__(self, port: Port, update: Update, event: Event):
-        self.port = port
-        self.update = update
-        self.apply = update.compiled if update.assignments else None
-        self.qname = port.var.qname
-        self.event = event
-        self._hash = hash((port, update))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, Receipt):
-            return self.port == other.port and self.update == other.update
-        return NotImplemented
+    def __new__(cls, port: Port, update: Update):
+        return interned(cls, (id(port), id(update)), port=port, update=update,
+                        apply=update.compiled if update.assignments else None,
+                        qname=port.var.qname,
+                        event=Event.of(("asynch-sendrcv-2",), (port,), _LABELS))
 
     def __repr__(self):
         return f"{self.port!r}, {self.update!r}"
@@ -130,7 +109,7 @@ class Final(NamedTuple):
     sigma: Valuation
 
 
-ChorConfig = Union[Running, Final]
+ChorConfig = Running | Final  # not typing.Union: see core.Expr
 
 
 #: Builds a ``Running`` or ``Final`` from its fields without the Python-level
@@ -142,67 +121,27 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-class _Tables:
-    """The compiled steps of one root term and of every term reached from
-    it: step tables keyed by term structure, one canonical object per term
-    structure that a step can reach, one ``Receipt`` per (receive port,
-    update) and one label object per set of port ids. A term registered
-    here keeps the tables as ``_tables`` unless it already kept others."""
-
-    __slots__ = ("steps", "terms", "receipts", "labels")
-
-    def __init__(self):
-        self.steps = {}
-        self.terms = {}
-        self.receipts = {}
-        self.labels = {}
-
-    def canon(self, term: Chor) -> Chor:
-        """The canonical object equal to ``term``. A ``Seq`` or ``Par``
-        built from canonical operands is cheap to look up: its equality test
-        compares the operands by identity."""
-        stored = self.terms.setdefault(term, term)
-        if stored is term and "_tables" not in vars(term):
-            object.__setattr__(term, "_tables", self)
-        return stored
-
-    def receipt(self, port: Port, update: Update) -> Receipt:
-        key = (port, update)
-        try:
-            return self.receipts[key]
-        except KeyError:
-            receipt = self.receipts[key] = Receipt(
-                port, update if update.assignments else SKIP,
-                Event.of(("asynch-sendrcv-2",), (port,), self.labels))
-            return receipt
-
-    def step(self, rule: str, ports: tuple, guard, update, sends, nxt) -> tuple:
-        """One static step, with its event, and with the guard and the
-        update as their compiled closures, or None for a literal ``true``
-        guard and for skip."""
-        return (Event.of((rule,), ports, self.labels),
-                None if guard == TRUE else guard.compiled,
-                update.compiled if update.assignments else None, sends, nxt)
+#: One label object per set of port ids (see ``core.Event.of``).
+_LABELS = weakref.WeakValueDictionary()
 
 
-def _tables(term: Chor) -> _Tables:
-    """The tables that ``term`` was registered in; otherwise new ones, kept
-    on ``term``, which becomes their root."""
+def _step(rule: str, ports: tuple, guard, update, sends, nxt) -> tuple:
+    """One static step, with its event, and with the guard and the update
+    as their compiled closures, or None for a literal ``true`` guard and
+    for skip."""
+    return (Event.of((rule,), ports, _LABELS),
+            None if guard is TRUE else guard.compiled,
+            update.compiled if update.assignments else None, sends, nxt)
+
+
+def _steps(term: Chor) -> tuple:
+    """The step table of ``term``: compiled on first use, then kept on the
+    term."""
     try:
-        return term._tables
+        return term._steps
     except AttributeError:
-        tables = _Tables()
-        tables.canon(term)
-        return tables
-
-
-def _steps(term: Chor, tables: _Tables) -> tuple:
-    """The step table of ``term``'s structure: compiled on first use, then
-    kept in ``tables``."""
-    try:
-        return tables.steps[term]
-    except KeyError:
-        steps = tables.steps[term] = _compile(term, tables)
+        steps = _compile(term)
+        object.__setattr__(term, "_steps", steps)
         return steps
 
 
@@ -218,15 +157,13 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     )
 
 
-def _compile(term: Chor, tables: _Tables) -> tuple:
+def _compile(term: Chor) -> tuple:
     """Static steps of ``term`` as (event, guard, update, sends, next term),
-    built by ``_Tables.step``; next term is None when the step terminates the
-    term, and otherwise canonical in ``tables``. ``sends`` lists the
-    residual receives of an asynchronous send as (channel key, receipt,
-    sent variable)."""
-    canon, step = tables.canon, tables.step
+    built by ``_step``; next term is None when the step terminates the term.
+    ``sends`` lists the residual receives of an asynchronous send as
+    (channel key, receipt, sent variable)."""
     if isinstance(term, Nil):
-        return (step("nil", (), TRUE, SKIP, (), None),)
+        return (_step("nil", (), TRUE, SKIP, (), None),)
 
     if isinstance(term, Comm):
         snd = term.send.port
@@ -243,51 +180,48 @@ def _compile(term: Chor, tables: _Tables) -> tuple:
             for _, f in term.rcvs:
                 assignments += f.assignments
             ports = (snd,) + tuple(r for r, _ in term.rcvs)
-            return (step("synch-sendrcv", ports, term.send.guard,
+            return (_step("synch-sendrcv", ports, term.send.guard,
                           Update(tuple(assignments)), (), None),)
-        sends = tuple(((snd.pid, r.pid), tables.receipt(r, f), snd.var.qname)
+        sends = tuple(((snd.pid, r.pid), Receipt(r, f), snd.var.qname)
                       for r, f in term.rcvs)
-        return (step("asynch-sendrcv-1", (snd,), term.send.guard,
+        return (_step("asynch-sendrcv-1", (snd,), term.send.guard,
                       term.send.update, sends, None),)
 
     if isinstance(term, Branch):
         return tuple(
-            step("master-branching", (gs.port,), gs.guard, gs.update, (), canon(cont))
+            _step("master-branching", (gs.port,), gs.guard, gs.update, (), cont)
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
         return (
-            step("iterative-tt", (cond.port,), cond.guard, cond.update, (),
-                  canon(Seq(canon(term.body), canon(term)))),
-            step("iterative-ff", (), Not(cond.guard), SKIP, (), None),
+            _step("iterative-tt", (cond.port,), cond.guard, cond.update, (),
+                  Seq(term.body, term)),
+            _step("iterative-ff", (), Not(cond.guard), SKIP, (), None),
         )
 
     if isinstance(term, Seq):
-        second = canon(term.second)
-        return _lift(_steps(term.first, tables), "sequential-1", "sequential-2", second,
-                     lambda nxt: canon(Seq(nxt, second)))
+        second = term.second
+        return _lift(_steps(term.first), "sequential-1", "sequential-2", second,
+                     lambda nxt: Seq(nxt, second))
 
     if isinstance(term, Par):
-        left, right = canon(term.left), canon(term.right)
-        lifted = _lift(_steps(left, tables), "parallel-1", "parallel-3", right,
-                       lambda nxt: canon(Par(nxt, right)))
+        left, right = term.left, term.right
+        lifted = _lift(_steps(left), "parallel-1", "parallel-3", right,
+                       lambda nxt: Par(nxt, right))
         # Dependent operands (shared components) run in a fixed left-to-right
         # order, so that every component keeps a single execution flow.
         if participants(left) & participants(right):
             return lifted
-        return lifted + _lift(_steps(right, tables), "parallel-2", "parallel-4", left,
-                              lambda nxt: canon(Par(left, nxt)))
+        return lifted + _lift(_steps(right), "parallel-2", "parallel-4", left,
+                              lambda nxt: Par(left, nxt))
 
     raise AssertionError(term)
 
 
-def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
-    """Successors of a configuration as (event, configuration) pairs.
-
-    ``tables`` holds the compiled steps; by default, the tables of the
-    configuration's term (see ``_tables``)."""
+def chor_steps_tagged(config: ChorConfig):
+    """Successors of a configuration as (event, configuration) pairs."""
     if isinstance(config, Final):
         return []
     term, sigma, pending = config
@@ -308,7 +242,7 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
 
     # Term steps: the payload of a send is read before the update runs.
     if term is not None:
-        for event, guard, update, sends, nxt in _steps(term, tables or _tables(term)):
+        for event, guard, update, sends, nxt in _steps(term):
             if guard is not None and not guard(sigma):
                 continue
             queues = pending
@@ -327,11 +261,9 @@ def chor_steps_tagged(config: ChorConfig, tables: Optional[_Tables] = None):
 def explore(ch: Chor, sigma0: Valuation,
             max_configs: int = 200_000, max_depth: int = 10_000) -> Exploration:
     """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``)."""
-    tables = _tables(ch)
-    # The successor function is looked up at each call, so that a wrapper
-    # installed on this module sees every call.
-    return explore_lts(initial_config(tables.canon(ch), sigma0),
-                       lambda config: chor_steps_tagged(config, tables),
+    # The successor function is looked up on this module at each call of
+    # ``explore``, so that a wrapper installed on it sees every step.
+    return explore_lts(initial_config(ch, sigma0), chor_steps_tagged,
                        lambda c: isinstance(c, Final), max_configs, max_depth)
 
 

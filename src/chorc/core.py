@@ -1,29 +1,31 @@
 """Shared data model: values, variables, expressions, updates, valuations, ports.
 
-Everything here is immutable and hashable so that interpreter configurations
-can be memoized structurally. The frozen dataclasses here and the
-choreography terms in ``lang`` are wrapped by ``memo_hash``: each instance
-computes its structural hash once, on first use, and keeps it as an
-instance attribute; equality and ``repr`` stay generated. The explorer
-states are named tuples with no hash of their own. Their fields hash
-cheaply: a choreography term by its memoized hash, a valuation by its
-cached one, and a residual receive by the hash its ``chorsem.Receipt``
-stored when it was built, so no port or update is hashed per state.
+Everything here is immutable. The syntax classes here and the choreography
+terms in ``lang`` are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006): each derives from ``Interned``, and its
+constructor, ``dataclasses.replace`` included, returns the one live object
+with the given structure, building one only when none is alive. So two
+parses of one text yield the same objects, equality and hashing are object
+identity, and a hash needs neither a Python call nor a walk of the
+structure. A literal is keyed by its value's type as well as its value, so
+``Lit(1)`` and ``Lit(True)`` stay two objects. The explorer states are
+named tuples with no hash of their own, over interned fields and a
+valuation that caches its hash.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
-constructor and shared by every valuation derived from it by ``set`` and
-``apply_update``, so a derived valuation costs one tuple splice per
-assignment rather than a dict copy and a sort. A synchronous transfer is no
-special case: the choreography's step tables express it as leading
-``receiver := sender`` assignments of an ``Update``.
+constructor and shared by every valuation derived from it by ``set``, so a
+derived valuation costs one tuple splice per assignment rather than a dict
+copy and a sort. A synchronous transfer is no special case: the
+choreography's step tables express it as leading ``receiver := sender``
+assignments of an ``Update``.
 
 An expression or update compiles itself, on first use, into a closure over
 a valuation, kept on the instance as ``compiled``: a tree of closures that
 mirrors the expression tree, with the operand closures and the operator's
-function bound when it is built. ``evaluate`` and ``apply_update`` call it,
-and the step tables of both semantics store it, so no step dispatches on an
-expression's type. ``dataclasses.replace`` builds an instance without one.
+function bound when it is built. The step tables of both semantics store
+it, so no step dispatches on an expression's type, and since a structure is
+one object, it is compiled once for as long as it lives.
 
 Both semantics describe a step by an ``Event``: the rules that derive it,
 the ports that move and its transition label. Each semantics builds its
@@ -45,6 +47,7 @@ expanded. The rules an exploration used are read off its edges' events.
 from __future__ import annotations
 
 import operator
+import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
@@ -55,28 +58,50 @@ class EvalError(Exception):
     """Runtime evaluation failure (division/modulo by zero, unbound variable)."""
 
 
-def memo_hash(cls):
-    """Class decorator for a frozen dataclass: keep the dataclass-generated
-    structural hash on the instance after its first computation.
+class Interned:
+    """Base of the hash-consed classes: one live object per structure.
 
-    The cached hash is stored with ``object.__setattr__``, past the frozen
-    ``__setattr__``, over a class-level ``None`` default;
-    ``dataclasses.replace`` builds a new instance and so starts without one.
-    String hashes differ between interpreter runs, so an instance must not
-    be pickled into another process once hashed.
+    Each subclass has its own table from a key to a weak reference to the
+    object built for it, and its ``__new__`` returns ``interned`` of a key
+    made from its arguments, with each node argument by ``id``. An object
+    holds the nodes it was built from, so the ids in its key stay theirs
+    while it lives. Nothing in a table reaches a node, so an object is freed
+    once nothing else holds it. A dead entry is replaced when its key comes
+    up again, and a table drops its dead entries whenever it has doubled
+    since it last did.
     """
-    structural = cls.__hash__
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    __slots__ = ()
 
-    cls._hash = None
-    cls.__hash__ = __hash__
-    return cls
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._nodes = {}
+        cls._sweep_at = 64
+
+
+_alloc, _setattr, _weakref = object.__new__, object.__setattr__, weakref.ref
+
+
+def interned(cls, key, **fields):
+    """The live object of the ``Interned`` subclass ``cls`` entered under
+    ``key``, or else a new one, with ``fields`` as its attributes."""
+    nodes = cls._nodes
+    ref = nodes.get(key)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = _alloc(cls)
+    # One attribute at a time keeps them in the object's inline values; a
+    # whole dict set as ``__dict__`` reads about a sixth slower.
+    for name, value in fields.items():
+        _setattr(node, name, value)
+    nodes[key] = _weakref(node)
+    if len(nodes) >= cls._sweep_at:
+        for dead in [k for k, ref in nodes.items() if ref() is None]:
+            del nodes[dead]
+        cls._sweep_at = 2 * len(nodes) + 64
+    return node
 
 
 class cached_attr:
@@ -124,9 +149,8 @@ def value_dtype(value: Value) -> str:
     raise TypeError(f"not a data value: {value!r}")
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Variable:
+@dataclass(frozen=True, eq=False, init=False)
+class Variable(Interned):
     """A typed variable owned by one component.
 
     The qualified name ``owner.name`` is unique system-wide.
@@ -136,14 +160,16 @@ class Variable:
     owner: str
     dtype: str
 
+    def __new__(cls, name: str, owner: str, dtype: str):
+        return interned(cls, (name, owner, dtype), name=name, owner=owner, dtype=dtype)
+
     @cached_attr
     def qname(self) -> str:
         return f"{self.owner}.{self.name}"
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Port:
+@dataclass(frozen=True, eq=False, init=False)
+class Port(Interned):
     """A typed communication endpoint bound to one variable of its owner."""
 
     name: str
@@ -151,9 +177,11 @@ class Port:
     var: Variable
     ctype: str  # one of PORT_TYPES
 
-    def __post_init__(self):
-        assert self.ctype in PORT_TYPES, self.ctype
-        assert self.var.owner == self.owner, (self.var, self.owner)
+    def __new__(cls, name: str, owner: str, var: Variable, ctype: str):
+        assert ctype in PORT_TYPES, ctype
+        assert var.owner == owner, (var, owner)
+        return interned(cls, (name, owner, id(var), ctype),
+                        name=name, owner=owner, var=var, ctype=ctype)
 
     @cached_attr
     def pid(self) -> str:
@@ -195,8 +223,8 @@ class BinaryOp(NamedTuple):
 
 #: Every binary operator of the expression language, by spelling: the parser,
 #: the printer, the evaluator and the type checker all read it. Each level is
-#: left-associative except the comparisons, which do not chain. ``evaluate``
-#: short-circuits ``and`` and ``or``.
+#: left-associative except the comparisons, which do not chain. A compiled
+#: ``BinOp`` short-circuits ``and`` and ``or``.
 BINARY_OPS = {
     "or": BinaryOp(1, "bool", lambda a, b: bool(a) or bool(b)),
     "and": BinaryOp(2, "bool", lambda a, b: bool(a) and bool(b)),
@@ -217,10 +245,12 @@ BINARY_OPS = {
 UNARY_PREC = 1 + max(op.prec for op in BINARY_OPS.values())
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Lit:
+@dataclass(frozen=True, eq=False, init=False)
+class Lit(Interned):
     value: Value
+
+    def __new__(cls, value: Value):
+        return interned(cls, (type(value), value), value=value)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -228,12 +258,14 @@ class Lit:
         return lambda v: value
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Ref:
+@dataclass(frozen=True, eq=False, init=False)
+class Ref(Interned):
     """Reference to a variable by qualified name."""
 
     qname: str
+
+    def __new__(cls, qname: str):
+        return interned(cls, qname, qname=qname)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -241,12 +273,14 @@ class Ref:
         return lambda v: v[qname]
 
 
-@memo_hash
-@dataclass(frozen=True)
-class BinOp:
+@dataclass(frozen=True, eq=False, init=False)
+class BinOp(Interned):
     op: str
     left: "Expr"
     right: "Expr"
+
+    def __new__(cls, op: str, left: "Expr", right: "Expr"):
+        return interned(cls, (op, id(left), id(right)), op=op, left=left, right=right)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -260,10 +294,12 @@ class BinOp:
         return lambda v: fn(left(v), right(v))
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, init=False)
+class Not(Interned):
     operand: "Expr"
+
+    def __new__(cls, operand: "Expr"):
+        return interned(cls, id(operand), operand=operand)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -271,10 +307,12 @@ class Not:
         return lambda v: not operand(v)
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, init=False)
+class Neg(Interned):
     operand: "Expr"
+
+    def __new__(cls, operand: "Expr"):
+        return interned(cls, id(operand), operand=operand)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -282,7 +320,9 @@ class Neg:
         return lambda v: -operand(v)
 
 
-Expr = Union[Lit, Ref, BinOp, Not, Neg]
+# A ``|`` union: ``typing.Union`` caches its arguments, which would keep the
+# classes, and so their intern tables, alive after the module is re-imported.
+Expr = Lit | Ref | BinOp | Not | Neg
 
 TRUE = Lit(True)
 FALSE = Lit(False)
@@ -351,11 +391,6 @@ class Valuation(Mapping):
         return out
 
 
-def evaluate(expr: Expr, v: Valuation) -> Value:
-    """Evaluate an expression against a valuation. Pure."""
-    return expr.compiled(v)
-
-
 # --------------------------------------------------------------------------
 # Update functions
 # --------------------------------------------------------------------------
@@ -363,12 +398,15 @@ def evaluate(expr: Expr, v: Valuation) -> Value:
 Assignment = tuple[str, Expr]  # (target qualified name, right-hand side)
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Update:
+@dataclass(frozen=True, eq=False, init=False)
+class Update(Interned):
     """An ordered sequence of assignments. The empty sequence is skip."""
 
     assignments: tuple[Assignment, ...] = ()
+
+    def __new__(cls, assignments: tuple[Assignment, ...] = ()):
+        return interned(cls, tuple([(target, id(rhs)) for target, rhs in assignments]),
+                        assignments=tuple(assignments))
 
     @property
     def is_skip(self) -> bool:
@@ -390,11 +428,6 @@ class Update:
 
 
 SKIP = Update()
-
-
-def apply_update(f: Update, v: Valuation) -> Valuation:
-    """Apply assignments left to right; each rhs sees the latest bindings."""
-    return f.compiled(v)
 
 
 _queue_key = operator.itemgetter(0)

@@ -1,13 +1,15 @@
-"""Choreography AST, declarations, structural functions and static checks."""
+"""Choreography AST, declarations, structural functions and static checks.
+
+The choreography terms are hash-consed like the syntax in ``core``: one live
+object per term structure, compared and hashed by identity."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .core import (
-    Expr, Port, TRUE, Update, Valuation, Variable, default_value, expr_vars,
-    format_expr, format_update, infer_type, memo_hash, update_vars, Value,
+    Expr, Interned, Port, TRUE, Update, Valuation, Variable, default_value, expr_vars,
+    format_expr, format_update, infer_type, interned, update_vars, Value,
 )
 
 
@@ -63,62 +65,77 @@ class SystemDecl:
 # Choreography terms
 # --------------------------------------------------------------------------
 
-@memo_hash
-@dataclass(frozen=True)
-class GuardedSend:
+@dataclass(frozen=True, eq=False, init=False)
+class GuardedSend(Interned):
     """A send port together with its guard and update function."""
 
     port: Port
     guard: Expr
     update: Update
 
-
-@memo_hash
-@dataclass(frozen=True)
-class Nil:
-    pass
+    def __new__(cls, port: Port, guard: Expr, update: Update):
+        return interned(cls, (id(port), id(guard), id(update)),
+                        port=port, guard=guard, update=update)
 
 
-@memo_hash
-@dataclass(frozen=True)
-class Comm:
+@dataclass(frozen=True, eq=False, init=False)
+class Nil(Interned):
+    def __new__(cls):
+        return interned(cls, ())
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Comm(Interned):
     """One send port wired to a nonempty list of receive ports."""
 
     send: GuardedSend
     rcvs: tuple[tuple[Port, Update], ...]
 
+    def __new__(cls, send: GuardedSend, rcvs: tuple[tuple[Port, Update], ...]):
+        return interned(cls, (id(send), tuple([(id(p), id(f)) for p, f in rcvs])),
+                        send=send, rcvs=tuple(rcvs))
 
-@memo_hash
-@dataclass(frozen=True)
-class Branch:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Branch(Interned):
     """Master-decided choice between guarded continuations."""
 
     master: str
     conts: tuple[tuple[GuardedSend, "Chor"], ...]
 
+    def __new__(cls, master: str, conts: tuple[tuple[GuardedSend, "Chor"], ...]):
+        return interned(cls, (master, tuple([(id(gs), id(cont)) for gs, cont in conts])),
+                        master=master, conts=tuple(conts))
 
-@memo_hash
-@dataclass(frozen=True)
-class Loop:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Loop(Interned):
     cond: GuardedSend
     body: "Chor"
 
+    def __new__(cls, cond: GuardedSend, body: "Chor"):
+        return interned(cls, (id(cond), id(body)), cond=cond, body=body)
 
-@memo_hash
-@dataclass(frozen=True)
-class Seq:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Seq(Interned):
     first: "Chor"
     second: "Chor"
 
+    def __new__(cls, first: "Chor", second: "Chor"):
+        return interned(cls, (id(first), id(second)), first=first, second=second)
 
-@memo_hash
-@dataclass(frozen=True)
-class Par:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Par(Interned):
     left: "Chor"
     right: "Chor"
 
+    def __new__(cls, left: "Chor", right: "Chor"):
+        return interned(cls, (id(left), id(right)), left=left, right=right)
 
-Chor = Union[Nil, Comm, Branch, Loop, Seq, Par]
+
+Chor = Nil | Comm | Branch | Loop | Seq | Par  # not typing.Union: see core.Expr
 
 
 # --------------------------------------------------------------------------

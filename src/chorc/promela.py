@@ -139,8 +139,8 @@ def _ptyped(e: Expr, strings: _Strings) -> tuple:
                                f"in Promela: {format_expr(e)}")
         right = _pexpr(e.right, strings)
         if e.op == "mod":
-            # Floor modulo, as in core.evaluate: C's truncating % shifted
-            # into the divisor's sign. Only the divisor is repeated.
+            # Floor modulo, as core.BINARY_OPS has it: C's truncating %
+            # shifted into the divisor's sign. Only the divisor is repeated.
             return f"((({left} % {right}) + {right}) % {right})", False
         # No operation yields a string: a string operand of + is refused.
         return f"({left} {_OPS.get(e.op, e.op)} {right})", False

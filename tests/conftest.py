@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from chorc.core import find_queue
 from chorc.parser import parse_source
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -22,6 +23,22 @@ def corpus_path(stem):
         if base.split("_", 1)[-1] == stem + ".chor":
             return path
     raise FileNotFoundError(stem)
+
+
+def evaluate(expr, v):
+    """Evaluate an expression against a valuation, by its compiled closure."""
+    return expr.compiled(v)
+
+
+def apply_update(f, v):
+    """Apply an update's assignments left to right, each right-hand side
+    seeing the latest bindings, by its compiled closure."""
+    return f.compiled(v)
+
+
+def buffer(state, pid):
+    """The FIFO buffer of receive port ``pid`` in a system state."""
+    return find_queue(state.buffers, pid)[1]
 
 
 def load(path):

@@ -15,15 +15,12 @@ from chorc.cbs import (
     check_structure, component_steps, is_terminal, serialize_system,
     sys_explore, sys_steps_tagged,
 )
-from chorc.core import (
-    SKIP, TRUE, BinOp, Event, Lit, Port, Ref, Update, Variable, apply_update, evaluate,
-    requeue,
-)
+from chorc.core import SKIP, TRUE, BinOp, Event, Lit, Port, Ref, Update, Variable, requeue
 from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
-from conftest import load_stem
+from conftest import apply_update, buffer, evaluate, load_stem
 
 
 def var(owner, name, dtype="int"):
@@ -114,7 +111,7 @@ class TestAsynchSend:
         assert event.label == frozenset({"A.a"})
         assert succ.locations == ("a1", "b0")
         assert succ.sigma["A.x"] == 3  # sender update applied after capture
-        assert succ.buffer("B.r") == (2,)  # pre-update value captured
+        assert buffer(succ, "B.r") == (2,)  # pre-update value captured
 
     def test_fifo_order(self):
         sys = make_sys(
@@ -127,7 +124,7 @@ class TestAsynchSend:
             sends = [x for e, x in sys_steps_tagged(sys, s)
                      if e.rules == ("asynch-send",)]
             s = sends[0]
-        assert s.buffer("B.r") == (2, 3)
+        assert buffer(s, "B.r") == (2, 3)
 
 
 class TestRecv:
@@ -143,7 +140,7 @@ class TestRecv:
         assert event.ports == (BR,)
         assert event.label == TAU
         assert succ.sigma["B.y"] == 20  # y := 2, then y := y * 10
-        assert succ.buffer("B.r") == ()
+        assert buffer(succ, "B.r") == ()
         assert is_terminal(sys, succ)
 
     def test_empty_buffer_blocks(self):
@@ -243,7 +240,7 @@ def reference_component_steps(sys, state, ci):
             continue
         choices = []
         for r in inter.receivers:
-            if state.buffer(r.pid):
+            if buffer(state, r.pid):
                 break
             ts = enabled(r.owner, r)
             if not ts:
@@ -276,7 +273,7 @@ def reference_component_steps(sys, state, ci):
             buffers = state.buffers
             rule = "internal"
         elif t.port.ctype == "r":
-            queue = state.buffer(t.port.pid)
+            queue = buffer(state, t.port.pid)
             if not queue or not evaluate(t.guard, state.sigma):
                 continue
             sigma = state.sigma.set(t.port.var.qname, queue[0])

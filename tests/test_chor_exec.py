@@ -11,7 +11,7 @@ from chorc.chorsem import (
     initial_config, lts_to_dot,
 )
 from chorc.core import Event
-from chorc.lang import Seq
+from chorc.lang import Branch, Comm, Loop, Nil, Par, Seq
 from chorc.parser import parse_source
 
 from conftest import load_stem
@@ -266,25 +266,38 @@ class TestEventLabels:
                         assert event.label == TAU, path
 
 
+def forget_step_tables():
+    """Drop the step table kept on every live term, as in a fresh process."""
+    for cls in (Nil, Comm, Branch, Loop, Seq, Par):
+        for ref in list(cls._nodes.values()):
+            term = ref()
+            if term is not None:
+                vars(term).pop("_steps", None)
+
+
 class TestStepTables:
     def test_each_term_is_compiled_once(self, monkeypatch):
         decl, _, ch = load_stem("microservice")
+        forget_step_tables()
         compiled = []  # keeps every compiled term alive, so ids stay unique
         compile_table = chorsem._compile
 
-        def counting(term, tables):
+        def counting(term):
             compiled.append(term)
-            return compile_table(term, tables)
+            return compile_table(term)
 
         monkeypatch.setattr(chorsem, "_compile", counting)
         res = explore(ch, decl.initial_valuation())
         assert len({id(term) for term in compiled}) == len(compiled)
         # A few dozen distinct terms serve thousands of configurations.
         assert 10 * len(compiled) < len(res.graph)
-        # One table per term structure, however many objects carry it.
-        assert len(set(compiled)) == len(compiled) == 94
-        # The tables stay with the root: exploring it again compiles nothing.
+        # One table per term structure: no two compiled terms print alike.
+        assert len({repr(term) for term in compiled}) == len(compiled) == 94
+        # The tables stay with the terms: exploring the choreography again,
+        # from a fresh parse too, compiles nothing.
         explore(ch, decl.initial_valuation())
+        again_decl, _, again = load_stem("microservice")
+        explore(again, again_decl.initial_valuation())
         assert len(compiled) == 94
 
 
@@ -325,7 +338,8 @@ class TestHashConsing:
         for config in pooled:
             twin = stored[config]
             assert hash(twin) == hash(config)
-            assert twin.pending[0][1][0][0] is not config.pending[0][1][0][0]
+            # Both parses share their terms, so one receipt serves both.
+            assert twin.pending[0][1][0][0] is config.pending[0][1][0][0]
 
     def test_truncated_then_full_matches_fresh(self):
         decl, _, ch = load_stem("producer_consumer")

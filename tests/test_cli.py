@@ -235,19 +235,36 @@ class TestRuntimeErrors:
         assert "error: division by zero" in proc.stderr
 
 
+def chain(tmp_path, n):
+    """A file holding a `;` chain of ``n`` synchronous interactions."""
+    src = tmp_path / "chain.chor"
+    src.write_text(
+        "comp A { var x: int = 1; port p: ss of int binds x; }\n"
+        "comp B { var y: int = 0; port r: r of int binds y; }\n"
+        "choreography chain = " + " ;\n".join(["A.p -> { B.r }"] * n))
+    return str(src)
+
+
 class TestDeepNesting:
     @pytest.mark.parametrize("command", ["check", "explore", "synth"])
     def test_long_chain_is_a_diagnostic(self, command, tmp_path):
-        src = tmp_path / "chain.chor"
-        src.write_text(
-            "comp A { var x: int = 1; port p: ss of int binds x; }\n"
-            "comp B { var y: int = 0; port r: r of int binds y; }\n"
-            "choreography chain = " + " ;\n".join(["A.p -> { B.r }"] * 1000))
-        proc = subprocess.run([sys.executable, "-m", "chorc.cli", command, str(src)],
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-m", "chorc.cli", command,
+                               chain(tmp_path, 1000)], capture_output=True, text=True)
         assert proc.returncode == 1
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stderr.startswith("error: input nested too deeply")
+
+    @pytest.mark.parametrize("command, shown", [
+        ("explore", "chain: 601 configurations, 1 final valuation(s), 0 deadlock(s)\n"),
+        ("equiv", "chain: equivalent (chor: 601 states, sys: 1200 states)\n"),
+    ], ids=["explore", "equiv"])
+    def test_explorers_take_a_chain_the_parser_takes(self, command, shown, tmp_path):
+        """No hash or step table recurses over the chain, so 600 interactions
+        explore within the default recursion limit."""
+        proc = subprocess.run([sys.executable, "-m", "chorc.cli", command,
+                               chain(tmp_path, 600)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(shown)
 
 
 class TestPromelaErrors:

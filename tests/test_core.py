@@ -1,8 +1,11 @@
-"""Unit tests for expressions, valuations, updates, hash memoization and the
+"""Unit tests for expressions, valuations, updates, hash-consing and the
 shared explorer."""
 
 import dataclasses
-from dataclasses import dataclass
+import os
+import subprocess
+import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,11 +15,14 @@ from chorc import chorsem
 from chorc.cbs import component_steps, sys_explore
 from chorc.core import (
     BINARY_OPS, FALSE, SKIP, TAU, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Port, Ref,
-    Update, Valuation, Variable, apply_update, default_value, evaluate, explore_lts,
-    expr_vars, format_expr, format_update, infer_type, memo_hash, update_vars, value_dtype,
+    Update, Valuation, Variable, default_value, explore_lts, expr_vars, format_expr,
+    format_update, infer_type, update_vars, value_dtype,
 )
+from chorc.lang import Branch, Comm, GuardedSend, Loop, Nil, Par, Seq
+from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 
+from conftest import ROOT, apply_update, evaluate, load_stem
 from test_expr_syntax import EXPRS, UPDATE
 
 
@@ -213,9 +219,11 @@ class TestCompiledAgainstReference:
         e = BinOp("+", X, Lit(1))
         assert e.compiled is e.compiled
         assert evaluate(e, SIGMA) == 2 and e.left.compiled is X.compiled
+        # One object per structure, so one closure per structure.
         twin = dataclasses.replace(e)
-        assert twin == e and "compiled" not in vars(twin)
-        assert "compiled" not in repr(e) and hash(twin) == hash(e)
+        assert twin is e and twin.compiled is e.compiled
+        assert BinOp("+", Ref("A.x"), Lit(1)).compiled is e.compiled
+        assert "compiled" not in repr(e)
 
 
 class TestTypesAndFormatting:
@@ -296,14 +304,13 @@ class TestEvent:
         carried = []
         for path, decl, _, ch in corpus:
             res = chorsem.explore(ch, decl.initial_valuation())
-            tables = chorsem._tables(ch)
             for config, edges in res.graph.items():
                 if isinstance(config, chorsem.Final):
                     continue
                 # A delivery per pending channel, then the term's steps.
                 delivered = [queue[0][0].event for _, queue in config.pending]
                 static = ([] if config.term is None else
-                          [step[0] for step in chorsem._steps(config.term, tables)])
+                          [step[0] for step in chorsem._steps(config.term)])
                 n = len(delivered)
                 assert all(e is d for (e, _), d in zip(edges, delivered)), path
                 assert carried_in_order(edges[n:], static), (path, config)
@@ -319,67 +326,113 @@ class TestEvent:
         assert 2 * len({id(e) for e in carried}) < len(carried)
 
 
-class TestMemoHash:
-    def test_hash_is_kept_and_takes_no_part_in_eq_or_repr(self):
-        def fresh():
-            return Update((("A.x", BinOp("+", Ref("A.x"), Lit(1))),))
+#: The hash-consed classes.
+INTERNED = (Variable, Port, Lit, Ref, BinOp, Not, Neg, Update,
+            GuardedSend, Nil, Comm, Branch, Loop, Seq, Par)
 
-        hashed, unhashed = fresh(), fresh()
-        assert hashed._hash is None
-        h = hash(hashed)
-        assert hashed._hash == h == hash((hashed.assignments,))
-        assert unhashed._hash is None
-        assert hashed == unhashed and repr(hashed) == repr(unhashed)
-        assert "_hash" not in repr(hashed)
-        assert hash(unhashed) == h
+#: Checks, in a fresh interpreter that has built nothing else, that a term
+#: is freed once the last reference to it is dropped.
+FREED = """
+import gc, sys, weakref
+from chorc.cbs import sys_explore
+from chorc.chorsem import explore
+from chorc.lang import check_well_formed
+from chorc.parser import parse_source
+from chorc.synthesis import PROFILES, synthesize
 
-    def test_replace_starts_without_a_cached_hash(self):
+with open(sys.argv[1]) as fh:
+    decl, _, ch = parse_source(fh.read())
+assert not check_well_formed(decl, ch)
+assert explore(ch, decl.initial_valuation()).terminals
+for profile in PROFILES:
+    assert sys_explore(synthesize(decl, ch, profile)).terminals
+root = weakref.ref(ch)
+del decl, ch
+gc.collect()
+print("freed" if root() is None else "alive")
+"""
+
+
+class TestInterning:
+    def test_identity_is_equality(self):
+        for cls in INTERNED:
+            assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
+            assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls
+        assert Lit(3) is Lit(3) and Ref("A.x") is Ref("A.x")
+        assert Update() is SKIP and Lit(True) is TRUE and Nil() is Nil()
+
+    def test_literals_keep_their_type(self):
+        assert Lit(1) is not Lit(True) and Lit(0) is not Lit(False)
+        assert Lit(1) is not TRUE and Lit(0) is not FALSE
+        assert [format_expr(Lit(x)) for x in (1, True, 0, False)] == \
+            ["1", "true", "0", "false"]
+        assert [infer_type(Lit(x), {}) for x in (1, True, 0, False)] == \
+            ["int", "bool", "int", "bool"]
+        two = BinOp("+", Lit(1), Lit(1))
+        assert format_expr(two) == "1 + 1" and infer_type(two, {}) == "int"
+
+    def test_hand_built_term_is_the_parsed_one(self):
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 1; port p: as of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "choreography c = A.p[x > 0, x := x - 1] -> { B.r[y := y + 1] } ; nil\n")
+        x, y = Variable("x", "A", "int"), Variable("y", "B", "int")
+        built = Seq(Comm(GuardedSend(Port("p", "A", x, "as"),
+                                     BinOp(">", Ref("A.x"), Lit(0)),
+                                     Update((("A.x", BinOp("-", Ref("A.x"), Lit(1))),))),
+                         ((Port("r", "B", y, "r"),
+                           Update((("B.y", BinOp("+", Ref("B.y"), Lit(1))),))),)),
+                    Nil())
+        assert built is ch
+        assert decl.component("A").ports == (ch.first.send.port,)
+
+    def test_replace_returns_the_canonical_node(self):
         u = Update((("A.x", Lit(1)),))
-        hash(u)
-        v = dataclasses.replace(u, assignments=(("A.x", Lit(2)),))
-        assert v._hash is None
-        assert hash(v) == hash(((("A.x", Lit(2)),),))
+        assert dataclasses.replace(u) is u
+        assert dataclasses.replace(u, assignments=(("A.x", Lit(2)),)) is \
+            Update((("A.x", Lit(2)),))
+        p = Port("p", "A", Variable("x", "A", "int"), "ss")
+        assert dataclasses.replace(p, ctype="as") is Port("p", "A", p.var, "as")
+        seq = Seq(Nil(), Nil())
+        assert dataclasses.replace(seq.first) is seq.second
+        assert dataclasses.replace(seq, second=seq) is Seq(Nil(), seq)
 
+    def test_two_parses_yield_the_same_objects(self):
+        first_decl, _, first = load_stem("buying")
+        second_decl, _, second = load_stem("buying")
+        assert first is second
+        for a, b in zip(first_decl.components, second_decl.components):
+            assert all(p is q for p, q in zip(a.ports, b.ports))
+            assert all(v is w for (v, _), (w, _) in zip(a.vars, b.vars))
 
-class Counted:
-    """A field value that counts how often it is hashed."""
+    def test_a_dropped_term_is_freed(self):
+        path = os.path.join(ROOT, "corpus", "13_branch_in_loop.chor")
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-c", FREED, path], capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "freed\n", "")
 
-    calls = 0
+    def test_tables_reach_no_node(self):
+        """A table's keys hold strings, ints and types only, and its values
+        are weak references, so no table keeps a node alive."""
+        def atoms(key):
+            if isinstance(key, tuple):
+                for part in key:
+                    yield from atoms(part)
+            else:
+                yield key
 
-    def __hash__(self):
-        Counted.calls += 1
-        return 7
-
-    def __repr__(self):
-        return "Counted()"
-
-
-@memo_hash
-@dataclass(frozen=True)
-class Plain:
-    a: int
-    b: object = None
-
-
-class TestMemoHashOnSlots:
-    """memo_hash on a frozen dataclass declared here, apart from the core
-    classes. The kept hash lives in the instance ``__dict__``, over the
-    class-level ``None`` default; no slotted class uses memo_hash."""
-
-    def test_hash_is_computed_once(self):
-        s = Plain(1, Counted())
-        before = Counted.calls
-        assert hash(s) == hash(s) == s._hash
-        assert Counted.calls == before + 1
-
-    def test_cache_takes_no_part_in_eq_repr_or_hash(self):
-        hashed, fresh = Plain(1, "x"), Plain(1, "x")
-        hash(hashed)
-        assert hashed._hash is not None and fresh._hash is None
-        assert hashed == fresh
-        assert repr(hashed) == repr(fresh) == "Plain(a=1, b='x')"
-        assert hash(hashed) == hash(fresh) == hash((1, "x"))
-        assert hashed != Plain(2, "x")
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 1; port p: as of int binds x; port q: ss of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "choreography c = while (A.q[not (x < 0), x := -x]) {\n"
+            "  choice A { A.p => A.p -> { B.r } | A.q => nil } } || nil\n")
+        chorsem.explore(ch, decl.initial_valuation())
+        for cls in INTERNED + (chorsem.Receipt,):
+            assert cls._nodes, cls
+            for key, ref in cls._nodes.items():
+                assert all(isinstance(x, (str, int, type)) for x in atoms(key)), (cls, key)
+                assert type(ref) is weakref.ref
 
 
 class RingState:

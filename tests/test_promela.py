@@ -12,7 +12,7 @@ from chorc import promela
 from chorc.cbs import (
     AtomicComponent, CompositeSystem, Interaction, Transition, check_structure, sys_explore,
 )
-from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Valuation, Variable, evaluate
+from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Valuation, Variable
 from chorc.promela import (
     MAX_LEN, PromelaError, PromelaOptions, _pexpr, _Strings, format_ltl,
     generate_promela, ltl_templates, sanitize, validate_promela,
@@ -21,7 +21,7 @@ from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
-from conftest import load_stem
+from conftest import evaluate, load_stem
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
