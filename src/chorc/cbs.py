@@ -13,32 +13,31 @@ simulator asks for them once per turn. ``sys_steps_tagged``, the successor
 function of the explorer, returns every component's steps in turn. Both run
 one loop, ``_fire``, over a set of components.
 
-The semantics is compiled once per system, lazily: each component gets a
-table from location to a flat tuple of static steps, built by
-``_compile_location`` on the first visit to that location and kept on the
-system. A step holds its rule, its event, its guards and updates as
-compiled closures (None for a literal ``true`` guard or a skip update, so
-they cost nothing), its target locations and the port ids, variables and
-receiver tables it needs, so firing it only calls closures and builds the
-successor. A send step covers one interaction and all of its sender's
-transitions on the send port from that location. The tables are cached on
-the instance, so ``dataclasses.replace`` yields a system with fresh ones,
-and a run pays only for the locations it reaches.
+The semantics is compiled once per system, in one eager pass on the first
+step (``CompositeSystem._steps``): each component gets a plain table from
+every location a state can hold there, its initial location and every
+transition target, to a flat tuple of static steps, built by
+``_compile_location``. A step holds its rule, its event, its guards and
+updates as compiled closures (None for a literal ``true`` guard or a skip
+update, so they cost nothing), its target locations and the port ids,
+variables and receiver tables it needs, so firing it only calls closures
+and builds the successor. A send step covers one interaction and all of
+its sender's transitions on the send port from that location. The tables
+are cached on the instance, so ``dataclasses.replace`` yields a system
+with fresh ones.
 
-A component keeps its transitions indexed by source location, and, once it
-receives a synchronous send, by port then source location; a system keeps
-its components indexed by id and its interactions by sender. System states
-are named tuples, hashed over their fields with no cache of their own;
-their valuations share the slot layout of the initial valuation (see
+A component keeps its transitions indexed by source location. System
+states are named tuples, hashed over their fields with no cache of their
+own; their valuations share the slot layout of the initial valuation (see
 ``core.Valuation``).
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
 sender alone, a synchronous one its sender and every receiver. The sends of
-one interaction share one event, whatever location they leave. Only sends
-are shown in the label; a receive or internal step is ``TAU``.
-``sys_explore`` runs the shared breadth-first explorer
-(``core.explore_lts``) over ``sys_steps_tagged``.
+one interaction share one event, built once with its label, whatever
+location they leave. Only sends are shown in the label; a receive or
+internal step is ``TAU``. ``sys_explore`` runs the shared breadth-first
+explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ from .core import (
 from .lang import Diagnostic
 
 SYS_RULES = ("synch-send", "asynch-send", "recv", "internal")
-
-#: The port types of a send (see ``Port.is_send``).
-_SEND_TYPES = ("ss", "as")
 
 
 @dataclass(frozen=True)
@@ -83,22 +79,11 @@ class AtomicComponent:
 
     @cached_attr
     def _by_src(self) -> dict:
-        return _group(self.transitions, lambda t: t.src)
-
-    @cached_attr
-    def _by_port(self) -> dict:
-        """port -> source location -> transitions on that port, built when
-        the component first receives a synchronous send."""
-        by_port = _group(self.transitions, lambda t: t.port)
-        return {p: _group(ts, lambda t: t.src) for p, ts in by_port.items()}
-
-
-def _group(transitions, key) -> dict:
-    """Transitions grouped by ``key``, each group in declaration order."""
-    out = {}
-    for t in transitions:
-        out.setdefault(key(t), []).append(t)
-    return {k: tuple(ts) for k, ts in out.items()}
+        """Source location -> its transitions, in declaration order."""
+        out = {}
+        for t in self.transitions:
+            out.setdefault(t.src, []).append(t)
+        return {src: tuple(ts) for src, ts in out.items()}
 
 
 @dataclass(frozen=True)
@@ -116,46 +101,45 @@ class CompositeSystem:
     components: tuple  # of AtomicComponent
     gamma: tuple  # of Interaction
 
-    def component(self, cid: str) -> AtomicComponent:
-        return self.components[self._slot[cid]]
-
-    def index(self, cid: str) -> int:
-        return self._slot[cid]
-
     @cached_attr
-    def _slot(self) -> dict:
-        """Component id -> position of its first occurrence."""
-        out = {}
+    def _steps(self) -> tuple:
+        """Per component position: a table from each location a state can
+        hold there, the initial location and every transition target, to
+        the static steps the component starts at it (see
+        ``_compile_location``). Built in one pass: a component id names
+        its first position, a port's alternatives by source location are
+        those of the transitions that position's component takes on it
+        (see ``_alt``), and each interaction of gamma, in gamma order,
+        becomes one send step entry of its sender, with one event and, for
+        a synchronous send, its receivers' alternatives."""
+        position = {}
         for i, c in enumerate(self.components):
-            out.setdefault(c.id, i)
-        return out
-
-    @cached_attr
-    def _gamma_by_sender(self) -> tuple:
-        """Per component position: the interactions that component sends,
-        in gamma order, each with its event and its receivers' ends, the
-        (position, component) of each receive port's owner. The event of
-        an asynchronous send moves its sender alone, that of a synchronous
-        one its sender and every receiver."""
-        out = tuple([] for _ in self.components)
-        labels = {}
+            position.setdefault(c.id, i)
+        offers = {}  # port -> source location -> alternatives on that port
+        for i, c in enumerate(self.components):
+            for t in c.transitions:
+                if t.port is not None and position.get(t.port.owner) == i:
+                    offers.setdefault(t.port, {}).setdefault(t.src, []).append(_alt(t))
+        offers = {p: {src: tuple(alts) for src, alts in by_src.items()}
+                  for p, by_src in offers.items()}
+        sends = tuple([] for _ in self.components)
         for inter in self.gamma:
             snd = inter.send
             if snd.ctype == "as":
-                event = Event.of(("asynch-send",), (snd,), labels)
+                rule, ports = "asynch-send", (snd,)
+                rcvs = tuple(r.pid for r in inter.receivers)
+            elif snd.ctype == "ss":
+                rule, ports = "synch-send", (snd,) + inter.receivers
+                rcvs = tuple((position[r.owner], r.pid, r.var.qname, offers.get(r, {}))
+                             for r in inter.receivers)
             else:
-                event = Event.of(("synch-send",), (snd,) + inter.receivers, labels)
-            ends = tuple((self.index(r.owner), self.component(r.owner))
-                         for r in inter.receivers)
-            out[self.index(snd.owner)].append((inter, event, ends))
-        return out
-
-    @cached_attr
-    def _steps(self) -> tuple:
-        """Per component position: its compiled steps by location, each
-        location's built on first visit (see ``_LocationSteps``)."""
-        return tuple(_LocationSteps(c, sends)
-                     for c, sends in zip(self.components, self._gamma_by_sender))
+                continue  # not a send port (``check_structure``): never fires
+            sends[position[snd.owner]].append(
+                (rule, Event.of((rule,), ports), offers.get(snd, {}), snd.var.qname, rcvs))
+        return tuple(
+            {loc: _compile_location(c, s, loc)
+             for loc in dict.fromkeys((c.init, *(t.dst for t in c.transitions)))}
+            for c, s in zip(self.components, sends))
 
     def initial_state(self) -> "SysState":
         sigma = Valuation({
@@ -181,22 +165,6 @@ class SysState(NamedTuple):
 _new = tuple.__new__
 
 
-class _LocationSteps(dict):
-    """One component's compiled steps by location: each location's tuple is
-    built by ``_compile_location`` on first lookup and then kept."""
-
-    __slots__ = ("comp", "sends")
-
-    def __init__(self, comp: AtomicComponent, sends: list):
-        super().__init__()
-        self.comp = comp
-        self.sends = sends
-
-    def __missing__(self, loc: str) -> tuple:
-        steps = self[loc] = _compile_location(self.comp, self.sends, loc)
-        return steps
-
-
 def _alt(t: Transition) -> tuple:
     """A transition as (guard, update, target location), with the guard and
     the update as their compiled closures, or None for ``true`` and skip."""
@@ -204,44 +172,26 @@ def _alt(t: Transition) -> tuple:
             t.update.compiled if t.update.assignments else None, t.dst)
 
 
-def _alts(transitions) -> tuple:
-    return tuple(map(_alt, transitions))
-
-
 def _compile_location(comp: AtomicComponent, sends: list, loc: str) -> tuple:
     """The static steps that ``comp`` starts at ``loc``: the interactions it
-    sends there (of ``sends``, see ``CompositeSystem._gamma_by_sender``), in
-    gamma order, then its recv/internal transitions, in transition order
-    (see ``_fire`` for what each step does). Each step keeps its rule in
-    slot 0 and its event in slot 1.
+    sends there, in gamma order, then its recv/internal transitions, in
+    transition order (see ``_fire`` for what each step does). ``sends``
+    holds one (rule, event, location -> alternatives, sent variable,
+    receivers) per interaction ``comp`` sends (see
+    ``CompositeSystem._steps``). Each step keeps its rule in slot 0 and its
+    event in slot 1.
 
     A send step is (rule, event, alternatives, sent variable, receivers):
-    its alternatives are the sender's transitions on the send port (see
-    ``_alt``); an asynchronous send's receivers are their port ids, and a
+    its alternatives are the sender's transitions on the send port from
+    ``loc``; an asynchronous send's receivers are their port ids, and a
     synchronous send's are (component position, port id, bound variable,
     location -> alternatives on the port). A local step is
     (rule, event, guard, update, target location) for an internal
     transition, plus (port id, bound variable) for a receive. Only sends
     are shown in the label; a receive or internal step is hidden."""
-    outgoing = comp.outgoing(loc)
-    offered = {}  # send port -> the transitions on it
-    for t in outgoing:
-        if t.port is not None and t.port.ctype in _SEND_TYPES:
-            offered.setdefault(t.port, []).append(t)
-    steps = []
-    for inter, event, ends in sends if offered else ():
-        snd = inter.send
-        ts = offered.get(snd)
-        if ts is None:
-            continue
-        if snd.ctype == "as":
-            rcvs = tuple(r.pid for r in inter.receivers)
-        else:
-            rcvs = tuple((ri, r.pid, r.var.qname,
-                          {src: _alts(rts) for src, rts in rcomp._by_port.get(r, {}).items()})
-                         for r, (ri, rcomp) in zip(inter.receivers, ends))
-        steps.append((event.rules[0], event, _alts(ts), snd.var.qname, rcvs))
-    for t in outgoing:
+    steps = [(rule, event, by_src[loc], var, rcvs)
+             for rule, event, by_src, var, rcvs in sends if loc in by_src]
+    for t in comp.outgoing(loc):
         guard, update, dst = _alt(t)
         if t.port is None or t.port.ctype == "in":
             ports = () if t.port is None else (t.port,)
@@ -370,8 +320,12 @@ def sys_explore(sys: CompositeSystem, max_configs: int = 200_000,
 def check_structure(sys: CompositeSystem) -> list:
     """Structural sanity of a composite system; empty iff clean."""
     diags: list[Diagnostic] = []
+    ids = set()
     all_ports = {}
     for comp in sys.components:
+        if comp.id in ids:
+            diags.append(Diagnostic("duplicate-component", f"component {comp.id} declared twice"))
+        ids.add(comp.id)
         for p in comp.ports:
             if p.pid in all_ports:
                 diags.append(Diagnostic("duplicate-port", f"port {p.pid} declared twice"))

@@ -21,8 +21,8 @@ Terms are hash-consed (see ``core``), so every exploration of a term, and
 of any term equal to it, reuses the tables built for it while it lives. A
 residual receive that a step leaves behind is a ``Receipt``, hash-consed
 too: one live object per (receive port, update), holding the update's
-closure and the delivery's event. Each event's label comes from one table
-of labels, one object per set of port ids.
+closure and the delivery's event. A label is built once per static step,
+with its event, and never per edge.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -39,14 +39,14 @@ rule coverage.
 Configurations are named tuples with no hash of their own. Their terms and
 receipts hash and compare by identity and their valuations by a cached
 hash, so equal configurations, from two parses of one choreography too,
-are equal tuples. ``lts_to_dot`` orders nodes and edges by the repr, built
-once per configuration drawn, in which a pending entry prints as (port,
-update, value).
+are equal tuples. ``lts_to_dot`` orders nodes and edges as the repr does,
+in which a pending entry prints as (port, update, value), by a key built
+once per configuration drawn from the repr of each field, with each term
+printed once.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -85,7 +85,7 @@ class Receipt(Interned):
         return interned(cls, (id(port), id(update)), port=port, update=update,
                         apply=update.compiled if update.assignments else None,
                         qname=port.var.qname,
-                        event=Event.of(("asynch-sendrcv-2",), (port,), _LABELS))
+                        event=Event.of(("asynch-sendrcv-2",), (port,)))
 
     def __repr__(self):
         return f"{self.port!r}, {self.update!r}"
@@ -121,15 +121,11 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-#: One label object per set of port ids (see ``core.Event.of``).
-_LABELS = weakref.WeakValueDictionary()
-
-
 def _step(rule: str, ports: tuple, guard, update, sends, nxt) -> tuple:
     """One static step, with its event, and with the guard and the update
     as their compiled closures, or None for a literal ``true`` guard and
     for skip."""
-    return (Event.of((rule,), ports, _LABELS),
+    return (Event.of((rule,), ports),
             None if guard is TRUE else guard.compiled,
             update.compiled if update.assignments else None, sends, nxt)
 
@@ -273,8 +269,23 @@ def _label_text(label: Label) -> str:
     return "{" + ", ".join(sorted(label)) + "}"
 
 
-def _config_key(config: ChorConfig) -> str:
-    return repr(config)
+def _config_key(config: ChorConfig, term_texts: dict) -> tuple:
+    """A sort key that orders configurations as their ``repr`` does. That
+    text is ``Final(sigma=...)`` or ``Running(term=..., sigma=...,
+    pending=...)``, so the key is the class name, then each field's repr:
+    comparing those one by one gives the order of the whole text because
+    no term, valuation or pool repr is a proper prefix of another of its
+    kind. Each is ``None`` or ends at the bracket that closes its first
+    one, outside any string literal, so two of them that differ do so at a
+    character both have. ``term_texts`` keeps each term's repr, so a term
+    shared by many configurations is printed once."""
+    if isinstance(config, Final):
+        return ("Final", repr(config.sigma))
+    term, sigma, pending = config
+    text = term_texts.get(term)
+    if text is None:
+        text = term_texts[term] = repr(term)
+    return ("Running", text, repr(sigma), repr(pending))
 
 
 def lts_to_dot(result: Exploration) -> str:
@@ -295,13 +306,13 @@ def lts_to_dot(result: Exploration) -> str:
             shape = "box" if config in result.deadlocks else "circle"
             lines.append(f'  {nid} [shape={shape}, label=""{style}];')
 
-    keys = {}
+    keys, term_texts = {}, {}
 
     def key(config):
         """``_config_key`` of ``config``, computed once per configuration."""
         k = keys.get(config)
         if k is None:
-            k = keys[config] = _config_key(config)
+            k = keys[config] = _config_key(config, term_texts)
         return k
 
     lines = ["digraph lts {", "  rankdir=LR;"]

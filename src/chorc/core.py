@@ -476,14 +476,10 @@ class Event(NamedTuple):
     label: Label
 
     @classmethod
-    def of(cls, rules: tuple, ports: tuple, labels: dict) -> "Event":
-        """The event of a step shown on ``ports``, hidden if no port moves.
-        ``labels`` keeps one label object per set of port ids, so that the
-        events built with it share their labels."""
-        if not ports:
-            return tuple.__new__(cls, (rules, ports, TAU))
-        label = frozenset([p.pid for p in ports])
-        return tuple.__new__(cls, (rules, ports, labels.setdefault(label, label)))
+    def of(cls, rules: tuple, ports: tuple) -> "Event":
+        """The event of a step shown on ``ports``, hidden if no port moves."""
+        label = frozenset([p.pid for p in ports]) if ports else TAU
+        return tuple.__new__(cls, (rules, ports, label))
 
 
 @dataclass

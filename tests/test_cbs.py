@@ -211,9 +211,14 @@ class TestComponentSteps:
 def reference_component_steps(sys, state, ci):
     """The successor function the compiled step tables replaced, reading
     the transitions and gamma directly on every call. Each step's event
-    lists the ports of the transitions it fires, the sender's first."""
+    lists the ports of the transitions it fires, the sender's first. A
+    component id names its first position."""
+    position = {}
+    for i, c in enumerate(sys.components):
+        position.setdefault(c.id, i)
+
     def enabled(owner, port):
-        i = sys.index(owner)
+        i = position[owner]
         return [t for t in sys.components[i].transitions
                 if t.src == state.locations[i] and t.port == port
                 and evaluate(t.guard, state.sigma)]
@@ -222,7 +227,7 @@ def reference_component_steps(sys, state, ci):
     comp = sys.components[ci]
     for inter in sys.gamma:
         snd = inter.send
-        if sys.index(snd.owner) != ci:
+        if position[snd.owner] != ci:
             continue
         sender_ts = enabled(snd.owner, snd)
         if not sender_ts:
@@ -245,7 +250,7 @@ def reference_component_steps(sys, state, ci):
             ts = enabled(r.owner, r)
             if not ts:
                 break
-            choices.append((sys.index(r.owner), ts))
+            choices.append((position[r.owner], ts))
         else:
             payload = state.sigma[snd.var.qname]
             for t_s in sender_ts:
@@ -345,7 +350,7 @@ class TestCompiledStepsAgainstReference:
         assert len(sys_steps_tagged(sys, sys.initial_state())) == 4
 
 
-class TestLazyStepTables:
+class TestEagerStepTables:
     def counting(self, monkeypatch):
         built = []
         compile_location = cbs._compile_location
@@ -357,38 +362,56 @@ class TestLazyStepTables:
         monkeypatch.setattr(cbs, "_compile_location", counted)
         return built
 
-    def test_built_once_per_visited_location(self, monkeypatch):
+    @pytest.mark.parametrize("stem", ["buying", "seq_chain", "branch_in_loop"])
+    def test_built_once_per_location_a_state_can_hold(self, monkeypatch, stem):
+        """The first step compiles every (component, location) that is the
+        initial location or a transition target, each once, and nothing
+        else; a second exploration and a simulation compile nothing."""
         built = self.counting(monkeypatch)
-        decl, _, ch = load_stem("buying")
-        sys = synthesize(decl, ch)
-        res = sys_explore(sys)
-        visited = {(c.id, state.locations[ci]) for state in res.graph
-                   for ci, c in enumerate(sys.components)}
-        assert len(built) == len(set(built))
-        assert set(built) == visited
-        sys_explore(sys)
-        assert len(built) == len(visited)
-
-    def test_unvisited_locations_are_not_built(self, monkeypatch):
-        built = self.counting(monkeypatch)
-        decl, _, ch = load_stem("seq_chain")
-        sys = synthesize(decl, ch)
-        res = simulate(sys, 0, max_steps=1)
-        assert res.steps == 1
-        visited = {(sys.components[ci].id, loc) for state in (sys.initial_state(), res.final)
-                   for ci, loc in enumerate(state.locations)}
-        assert built and set(built) <= visited
-        assert len(built) == len(set(built))
-        every = {(c.id, loc) for c in sys.components for loc in c.locations}
-        assert len(every) > len(visited)
+        decl, _, ch = load_stem(stem)
+        for profile in PROFILES:
+            built.clear()
+            sys = synthesize(decl, ch, profile)
+            assert len({c.id for c in sys.components}) == len(sys.components)
+            res = sys_explore(sys)
+            holdable = {(c.id, loc) for c in sys.components
+                        for loc in (c.init, *(t.dst for t in c.transitions))}
+            assert len(built) == len(set(built)), (stem, profile)
+            assert set(built) == holdable, (stem, profile)
+            visited = {(c.id, state.locations[ci]) for state in res.graph
+                       for ci, c in enumerate(sys.components)}
+            assert visited <= holdable
+            sys_explore(sys)
+            simulate(sys, 0)
+            assert len(built) == len(holdable), (stem, profile)
 
     def test_replace_starts_without_tables(self):
         sys = TestCheckStructure().clean()
         sys_steps_tagged(sys, sys.initial_state())
-        assert set(sys._steps[0]) == {"a0"}
+        assert [set(table) for table in sys._steps] == [{"a0", "a1"}, {"b0", "b1"}]
         twin = dataclasses.replace(sys, gamma=())
         assert "_steps" not in vars(twin)
         assert sys_steps_tagged(twin, twin.initial_state()) == []
+        assert twin._steps is not sys._steps
+
+    def test_undeclared_locations_explore_as_the_reference(self):
+        # A's initial location and one transition target lie outside its
+        # declared locations; the tables still hold every location a state
+        # can reach.
+        a = AtomicComponent(
+            id="A", vars=((AX, 2),), ports=(AP_SS, A_INT), locations=("a0", "a1"),
+            transitions=(Transition("z0", AP_SS, TRUE, INC_X, "z1"),
+                         Transition("z1", A_INT, TRUE, SKIP, "a1")),
+            init="z0", end="a1")
+        b = AtomicComponent(
+            id="B", vars=((BY, 0),), ports=(BR,), locations=("b0", "b1"),
+            transitions=(Transition("b0", BR, TRUE, DBL_Y, "b1"),), init="b0", end="b1")
+        sys = CompositeSystem((a, b), (Interaction(AP_SS, (BR,)),))
+        assert {"bad-init", "bad-transition"} <= {d.code for d in check_structure(sys)}
+        res = assert_steps_match_reference(sys, "undeclared")
+        assert {state.locations for state in res.graph} == \
+            {("z0", "b0"), ("z1", "b1"), ("a1", "b1")}
+        assert len(res.terminals) == 1 and not res.deadlocks
 
 
 class TestRuleNames:
@@ -444,6 +467,30 @@ class TestCheckStructure:
             [Interaction(AP_SS, (BR,))],
             a_ports=(AP_SS, AP_AS, A_INT, recv_a))
         assert "mixed-location" in self.codes(sys)
+
+    def test_duplicate_component(self):
+        # Two components A, each sending to B on its own port, which B
+        # takes either of: only the first A is the sender of A's
+        # interactions, so the second never sends, and p2 stays unfired.
+        p2 = port("A", "p2", "ss", AX)
+        r2 = port("B", "r2", "r", BY)
+        a1 = AtomicComponent("A", ((AX, 0),), (AP_SS,), ("a0", "a1"),
+                             (Transition("a0", AP_SS, TRUE, SKIP, "a1"),), "a0", "a1")
+        a2 = AtomicComponent("A", ((AX, 0),), (p2,), ("a0", "a1"),
+                             (Transition("a0", p2, TRUE, SKIP, "a1"),), "a0", "a1")
+        b = AtomicComponent("B", ((BY, 0),), (BR, r2), ("b0", "b1", "b2"),
+                            (Transition("b0", BR, TRUE, SKIP, "b1"),
+                             Transition("b0", r2, TRUE, SKIP, "b2")), "b0", "b1")
+        sys = CompositeSystem((a1, a2, b), (Interaction(AP_SS, (BR,)),
+                                            Interaction(p2, (r2,))))
+        diags = check_structure(sys)
+        assert [(d.code, d.message) for d in diags] == \
+            [("duplicate-component", "component A declared twice")]
+        res = assert_steps_match_reference(sys, "duplicate")
+        assert {state.locations for state in res.graph} == \
+            {("a0", "a0", "b0"), ("a1", "a0", "b1")}
+        assert len(res.deadlocks) == 1
+        assert check_structure(self.clean()) == []
 
     def test_port_in_two_interactions(self):
         sys = make_sys(

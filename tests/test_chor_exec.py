@@ -375,9 +375,9 @@ class TestDot:
         keyed = []
         config_key = chorsem._config_key
 
-        def counting(config):
+        def counting(config, term_texts):
             keyed.append(config)
-            return config_key(config)
+            return config_key(config, term_texts)
 
         monkeypatch.setattr(chorsem, "_config_key", counting)
         decl, _, ch = load_stem("producer_consumer")
@@ -390,3 +390,15 @@ class TestDot:
             assert len(keyed) == len(set(keyed)) == len(drawn), limits
             assert dot.count("style=dashed") == len(drawn - set(res.graph)), limits
         assert "style=dashed" in dot
+
+    def test_sort_key_orders_as_repr(self, corpus):
+        """The key orders the configurations of every corpus exploration,
+        full and truncated, as their repr text does."""
+        for path, decl, _, ch in corpus:
+            for limits in ({}, {"max_configs": 40}):
+                res = explore(ch, decl.initial_valuation(), **limits)
+                drawn = list(set(res.graph) | {succ for edges in res.graph.values()
+                                               for _, succ in edges})
+                term_texts = {}
+                assert sorted(drawn, key=lambda c: chorsem._config_key(c, term_texts)) \
+                    == sorted(drawn, key=repr), (path, limits)

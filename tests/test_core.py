@@ -290,12 +290,9 @@ def carried_in_order(edges, events) -> bool:
 class TestEvent:
     def test_of_labels_a_step_by_its_ports(self):
         p, q = port("A", "p", "ss", "x"), port("B", "q", "r", "y")
-        labels = {}
-        assert Event.of(("r",), (p, q), labels) == \
+        assert Event.of(("r",), (p, q)) == \
             Event(("r",), (p, q), frozenset({"A.p", "B.q"}))
-        assert Event.of(("r",), (), labels).label == TAU
-        # Events built with one table share one label per set of ports.
-        assert Event.of(("s",), (q, p), labels).label is Event.of(("r",), (p, q), labels).label
+        assert Event.of(("r",), ()).label == TAU
 
     def test_each_static_step_shares_one_event(self, corpus):
         """On every reached state of both semantics, each edge carries the

@@ -8,8 +8,7 @@ every corpus file, for the choreography explorer and for the system explorer
 under both synthesis profiles.
 
 Every stored state is one object: each edge to a stored state points at the
-graph's key, and states carry no instance ``__dict__``. The labels of the
-steps on one port are one object (see ``core.Event.of``).
+graph's key, and states carry no instance ``__dict__``.
 """
 
 import os
@@ -102,11 +101,3 @@ def test_each_state_is_stored_once(path, semantics):
         assert_targets_are_stored_objects(run(max_configs=k))
     for state in full.graph:
         assert not hasattr(state, "__dict__"), state
-    # Asynchronous sends, residual receives and, on the choreography side,
-    # branch and loop choices are labelled by one port: one object per port.
-    labels = {}
-    for edges in full.graph.values():
-        for event, _ in edges:
-            label = event.label
-            if isinstance(label, frozenset) and len(label) == 1:
-                assert labels.setdefault(label, label) is label, label
