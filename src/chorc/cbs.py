@@ -14,22 +14,51 @@ function of the explorer, returns every component's steps in turn. Both run
 one loop, ``_fire``, over a set of components.
 
 The semantics is compiled once per system, in one eager pass on the first
-step (``CompositeSystem._steps``): each component gets a plain table from
-every location a state can hold there, its initial location and every
-transition target, to a flat tuple of static steps, built by
-``_compile_location``. A step holds its rule, its event, its guards and
-updates as compiled closures (None for a literal ``true`` guard or a skip
-update, so they cost nothing), its target locations and the port ids,
-variables and receiver tables it needs, so firing it only calls closures
-and builds the successor. A send step covers one interaction and all of
-its sender's transitions on the send port from that location. The tables
-are cached on the instance, so ``dataclasses.replace`` yields a system
-with fresh ones.
+step (``CompositeSystem._steps``). A component first compiles, once per
+component object, what depends on it alone (``AtomicComponent._compiled``):
+its recv/internal steps by source location and its alternatives on the
+ports it owns, each with its guard and update as compiled closures (None
+for a literal ``true`` guard or a skip update, so they cost nothing). The
+system then gives each component position a plain table from every
+location a state can hold there, its initial location and every transition
+target, to a flat tuple of static steps (``_compile_location``). A send
+step covers one interaction and all of its sender's transitions on the
+send port from that location. The tables are cached on the instance, so
+``dataclasses.replace`` yields a system with fresh ones.
 
-A component keeps its transitions indexed by source location. System
-states are named tuples, hashed over their fields with no cache of their
-own; their valuations share the slot layout of the initial valuation (see
-``core.Valuation``).
+A system state (``SysState``) is a tuple of one part per component
+position: the position's location, a valuation of the variables it holds
+and its nonempty receive buffers (Laarman, van de Pol & Weber, "Parallel
+recursive state compression for free", SPIN 2011). A variable lives in the
+part of the first position that declares it, a receive port's buffer in
+its owner's part. Each position keeps one part per distinct (location,
+values, buffers), so parts hash and compare by identity, and states by the
+identities of their parts, both in C. A state's joint ``locations``, global
+valuation ``sigma`` and ``buffers`` are views, equal to the fields that
+states had before they were split.
+
+A component's steps depend on its own part only, except that a synchronous
+send also needs its receivers' parts. So each position caches by one of its
+parts (Blom, van de Pol & Weber, "LTSmin: distributed and symbolic
+reachability", CAV 2010):
+- ``steps``: from a part to the steps its component starts there, the local
+  ones as (event, new part) and each send as its sender's new parts, its
+  payload and its receivers;
+- ``accepts``: from (part, receive port id, payload) to the new parts of
+  the position as a synchronous receiver, none if it cannot take it now;
+- ``pushes``: from (part, receive port id, value) to the part with the value
+  appended to that buffer.
+A miss runs the compiled static steps on the part's own valuation. If a
+guard or update reads a variable another part holds (``check_structure``
+reports it as ``foreign-var``), that run fails, and the steps are run on
+the whole state's valuation instead, uncached. A synchronous send whose
+sender or receivers fail so is fired whole on that valuation, in the order
+of its semantics: every guard, then the payload copied to the receivers,
+the sender's update and the receivers' updates in turn. So is one whose
+update raises, which then raises only if all its receivers can take it. A
+system whose parts cannot be kept apart, because a component would assign
+or receive into another position's variable or buffer, fails with
+``EvalError`` when compiled.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -47,7 +76,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .core import (
-    TAU, TRUE, Event, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr,
+    TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr,
     explore_lts, expr_vars, find_queue, format_expr, format_update, requeue, update_vars,
 )
 from .lang import Diagnostic
@@ -85,6 +114,54 @@ class AtomicComponent:
             out.setdefault(t.src, []).append(t)
         return {src: tuple(ts) for src, ts in out.items()}
 
+    @cached_attr
+    def _compiled(self) -> "_Compiled":
+        """Its semantics apart from any system, in one pass over its
+        transitions (see ``_Compiled``)."""
+        assigned, receives, local, offers = set(), set(), {}, {}
+        for t in self.transitions:
+            port = t.port
+            guard = None if t.guard is TRUE else t.guard.compiled
+            update = None
+            if t.update.assignments:
+                update = t.update.compiled
+                assigned.update([target for target, _ in t.update.assignments])
+            if port is None or port.ctype == "in":
+                local.setdefault(t.src, []).append((
+                    "internal", _new(Event, (("internal",), () if port is None else (port,), TAU)),
+                    guard, update, t.dst))
+            elif port.ctype == "r":
+                assigned.add(port.var.qname)
+                receives.add(port)
+                local.setdefault(t.src, []).append((
+                    "recv", _new(Event, (("recv",), (port,), TAU)),
+                    guard, update, t.dst, port.pid, port.var.qname))
+            if port is not None and port.owner == self.id:
+                offers.setdefault(port, {}).setdefault(t.src, []).append((guard, update, t.dst))
+        return _Compiled(Valuation({var.qname: init for var, init in self.vars}),
+                         frozenset(assigned), frozenset(receives),
+                         tuple(dict.fromkeys((self.init, *(t.dst for t in self.transitions)))),
+                         {src: tuple(steps) for src, steps in local.items()},
+                         {p: {src: tuple(alts) for src, alts in by_src.items()}
+                          for p, by_src in offers.items()})
+
+
+class _Compiled(NamedTuple):
+    """What a component compiles to on its own. A local step is (rule,
+    event, guard, update, target location) for an internal transition,
+    plus (port id, bound variable) for a receive; an alternative is a
+    transition as (guard, update, target location). A guard or update is
+    its compiled closure, or None for ``true`` and skip, so it costs
+    nothing. Only sends are shown in a label; a receive or internal step is
+    hidden."""
+
+    valuation: Valuation  # its variables at their initial values
+    assigned: frozenset   # the variables its updates assign or its receives bind
+    receives: frozenset   # the receive ports its transitions take
+    holdable: tuple       # its initial location and every transition target
+    local: dict           # source location -> its recv/internal steps, in order
+    offers: dict          # port it owns -> source location -> alternatives
+
 
 @dataclass(frozen=True)
 class Interaction:
@@ -103,181 +180,343 @@ class CompositeSystem:
 
     @cached_attr
     def _steps(self) -> tuple:
-        """Per component position: a table from each location a state can
-        hold there, the initial location and every transition target, to
-        the static steps the component starts at it (see
-        ``_compile_location``). Built in one pass: a component id names
-        its first position, a port's alternatives by source location are
-        those of the transitions that position's component takes on it
-        (see ``_alt``), and each interaction of gamma, in gamma order,
-        becomes one send step entry of its sender, with one event and, for
-        a synchronous send, its receivers' alternatives."""
+        """One ``_Position`` per component position, holding a table from
+        each location a state can hold there, the initial location and
+        every transition target, to the static steps the component starts
+        at it: the interactions it sends there, in gamma order, then its
+        recv/internal steps, in transition order (see ``_compile_location``
+        and ``_run``). Built in one pass over the components' own
+        compilations (``AtomicComponent._compiled``) and gamma: a component
+        id names its first position; a variable lives in the part of the
+        first position that declares it, with the initial value its last
+        declaration gives; a receive port's buffer lives in its owner's
+        part; a port's alternatives are those of its owner's transitions
+        on it; and each interaction of gamma becomes one send step per
+        location its sender leaves on the send port, with one event for the
+        interaction. A send step is (rule, event, alternatives, sent
+        variable, receivers): an asynchronous send's receivers are
+        (component position, port id), and a synchronous send's are
+        (component position, port id, bound variable, location ->
+        alternatives on the port). Raises ``EvalError`` where a part would
+        have to hold another position's variable or buffer, which
+        ``check_structure`` reports."""
         position = {}
         for i, c in enumerate(self.components):
             position.setdefault(c.id, i)
+        compiled = [c._compiled for c in self.components]
+        owned = [own.valuation for own in compiled]
+        held = {}  # variable -> the first position that declares it
+        for i, vals in enumerate(owned):
+            if not held.keys().isdisjoint(vals):
+                for qname in [qname for qname in vals if qname in held]:
+                    owned[held[qname]] = owned[held[qname]].set(qname, vals[qname])
+                vals = owned[i] = Valuation({k: v for k, v in vals.items() if k not in held})
+            held.update(dict.fromkeys(vals, i))
         offers = {}  # port -> source location -> alternatives on that port
-        for i, c in enumerate(self.components):
-            for t in c.transitions:
-                if t.port is not None and position.get(t.port.owner) == i:
-                    offers.setdefault(t.port, {}).setdefault(t.src, []).append(_alt(t))
-        offers = {p: {src: tuple(alts) for src, alts in by_src.items()}
-                  for p, by_src in offers.items()}
-        sends = tuple([] for _ in self.components)
+        for i, (c, own) in enumerate(zip(self.components, compiled)):
+            if not own.assigned.issubset(owned[i]):
+                raise EvalError(f"{c.id} assigns "
+                                f"{', '.join(sorted(own.assigned.difference(owned[i])))}, "
+                                f"which it does not hold")
+            first = position[c.id] == i
+            for port in own.receives:
+                if not first or port.owner != c.id:
+                    raise EvalError(f"{c.id} receives on {port.pid}, "
+                                    f"whose buffer it does not hold")
+            if first:
+                offers.update(own.offers)
+        sends = [{} for _ in self.components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
-            if snd.ctype == "as":
-                rule, ports = "asynch-send", (snd,)
-                rcvs = tuple(r.pid for r in inter.receivers)
-            elif snd.ctype == "ss":
-                rule, ports = "synch-send", (snd,) + inter.receivers
-                rcvs = tuple((position[r.owner], r.pid, r.var.qname, offers.get(r, {}))
-                             for r in inter.receivers)
-            else:
+            if snd.ctype not in ("as", "ss"):
                 continue  # not a send port (``check_structure``): never fires
-            sends[position[snd.owner]].append(
-                (rule, Event.of((rule,), ports), offers.get(snd, {}), snd.var.qname, rcvs))
-        return tuple(
-            {loc: _compile_location(c, s, loc)
-             for loc in dict.fromkeys((c.init, *(t.dst for t in c.transitions)))}
-            for c, s in zip(self.components, sends))
+            i = position[snd.owner]
+            targets = []
+            for r in inter.receivers:
+                j = position.get(r.owner)
+                if j is None or snd.ctype == "ss" and (
+                        j == i or j in [target[0] for target in targets]
+                        or r.var.qname not in owned[j]):
+                    raise EvalError(f"interaction on {snd.pid}: receiver {r.pid} "
+                                    "has no part of its own")
+                targets.append((j, r.pid) if snd.ctype == "as" else
+                               (j, r.pid, r.var.qname, offers.get(r, {})))
+            rule = "asynch-send" if snd.ctype == "as" else "synch-send"
+            event = Event.of((rule,), (snd,) if snd.ctype == "as" else (snd,) + inter.receivers)
+            targets = tuple(targets)
+            for src, alts in offers.get(snd, {}).items():
+                sends[i].setdefault(src, []).append(
+                    (rule, event, alts, snd.var.qname, targets))
+        positions = tuple(_Position() for _ in self.components)
+        for pos, own, sending, vals in zip(positions, compiled, sends, owned):
+            pos.table = {loc: _compile_location(sending, own.local, loc) for loc in own.holdable}
+            pos.initial = _part(pos, own.holdable[0], vals, ())
+        return positions
 
     def initial_state(self) -> "SysState":
-        sigma = Valuation({
-            var.qname: init
-            for c in self.components
-            for var, init in c.vars
-        })
-        return SysState(tuple(c.init for c in self.components), sigma, ())
+        """Every component at its initial location, with its variables'
+        initial values and empty buffers."""
+        return _new(SysState, [pos.initial for pos in self._steps])
 
 
-class SysState(NamedTuple):
-    locations: tuple  # aligned with CompositeSystem.components
-    sigma: Valuation
-    buffers: tuple  # sorted tuple of (receive port id, tuple of values)
+class SysState(tuple):
+    """A system state: one part per component position (see the module
+    docstring), hashed and compared as a tuple of part identities. The
+    joint locations, the global valuation and the buffers are views."""
+
+    __slots__ = ()
+
+    @property
+    def locations(self) -> tuple:
+        """Aligned with ``CompositeSystem.components``."""
+        return tuple([part.loc for part in self])
+
+    @property
+    def sigma(self) -> Valuation:
+        """Every declared variable, each read from the part that holds it."""
+        return Valuation.union([part.vals for part in self])
+
+    @property
+    def buffers(self) -> tuple:
+        """The nonempty buffers as a sorted tuple of (receive port id,
+        tuple of values)."""
+        return tuple(sorted([q for part in self for q in part.queues]))
+
+    def __repr__(self):
+        return (f"SysState(locations={self.locations!r}, sigma={self.sigma!r}, "
+                f"buffers={self.buffers!r})")
+
+
+class _Part:
+    """One component position's share of a system state: its location, a
+    valuation of the variables it holds and its nonempty receive buffers
+    (see ``find_queue``). ``_part`` makes one per distinct share, so a part
+    hashes and compares by identity."""
+
+    __slots__ = ("loc", "vals", "queues")
+
+    def __init__(self, loc: str, vals: Valuation, queues: tuple):
+        self.loc, self.vals, self.queues = loc, vals, queues
+
+
+class _Position:
+    """A component position's compiled semantics: its static step table
+    (``CompositeSystem._steps``), its table of parts, its initial part and
+    the caches of the steps other components' sends take it through."""
+
+    __slots__ = ("table", "parts", "initial", "steps", "accepts", "pushes")
+
+    def __init__(self):
+        self.table = self.initial = None
+        self.parts = {}    # (location, valuation, buffers) -> the part
+        self.steps = {}    # part -> the steps the component starts from it
+        self.accepts = {}  # (part, receive port id, payload) -> its new parts
+        self.pushes = {}   # (part, receive port id, value) -> the pushed part
 
 
 # --------------------------------------------------------------------------
 # Semantics
 # --------------------------------------------------------------------------
 
-#: Builds a ``SysState`` or an ``Event`` from its fields without the
-#: Python-level ``__new__`` that ``NamedTuple`` generates.
+#: Builds a ``SysState`` from its parts, or an ``Event`` from its fields
+#: without the Python-level ``__new__`` that ``NamedTuple`` generates.
 _new = tuple.__new__
 
 
-def _alt(t: Transition) -> tuple:
-    """A transition as (guard, update, target location), with the guard and
-    the update as their compiled closures, or None for ``true`` and skip."""
-    return (None if t.guard == TRUE else t.guard.compiled,
-            t.update.compiled if t.update.assignments else None, t.dst)
+def _compile_location(sends: dict, local: dict, loc: str) -> tuple:
+    """The static steps a component starts at ``loc``: its send steps
+    there, then its local ones."""
+    return (*sends.get(loc, ()), *local.get(loc, ()))
 
 
-def _compile_location(comp: AtomicComponent, sends: list, loc: str) -> tuple:
-    """The static steps that ``comp`` starts at ``loc``: the interactions it
-    sends there, in gamma order, then its recv/internal transitions, in
-    transition order (see ``_fire`` for what each step does). ``sends``
-    holds one (rule, event, location -> alternatives, sent variable,
-    receivers) per interaction ``comp`` sends (see
-    ``CompositeSystem._steps``). Each step keeps its rule in slot 0 and its
-    event in slot 1.
+def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
+    """The one part of ``pos`` with these fields."""
+    return pos.parts.setdefault((loc, vals, queues), _Part(loc, vals, queues))
 
-    A send step is (rule, event, alternatives, sent variable, receivers):
-    its alternatives are the sender's transitions on the send port from
-    ``loc``; an asynchronous send's receivers are their port ids, and a
-    synchronous send's are (component position, port id, bound variable,
-    location -> alternatives on the port). A local step is
-    (rule, event, guard, update, target location) for an internal
-    transition, plus (port id, bound variable) for a receive. Only sends
-    are shown in the label; a receive or internal step is hidden."""
-    steps = [(rule, event, by_src[loc], var, rcvs)
-             for rule, event, by_src, var, rcvs in sends if loc in by_src]
-    for t in comp.outgoing(loc):
-        guard, update, dst = _alt(t)
-        if t.port is None or t.port.ctype == "in":
-            ports = () if t.port is None else (t.port,)
-            steps.append(("internal", _new(Event, (("internal",), ports, TAU)),
-                          guard, update, dst))
-        elif t.port.ctype == "r":
-            steps.append(("recv", _new(Event, (("recv",), (t.port,), TAU)),
-                          guard, update, dst, t.port.pid, t.port.var.qname))
-        # A send is taken above, through its interaction.
-    return tuple(steps)
+
+def _restrict(sigma: Valuation, vals: Valuation) -> Valuation:
+    """``sigma``'s values of the variables ``vals`` holds."""
+    return Valuation({k: sigma[k] for k in vals})
+
+
+def _run(pos: _Position, part: _Part, sigma: Valuation) -> tuple:
+    """The steps of ``pos``'s table at ``part``'s location whose guards hold
+    on ``sigma``, as (sends, local steps), each in table order. A local
+    step is (event, new part). A send is (static send step, the sender's
+    new parts, one per enabled alternative, payload), which ``_fire``
+    combines with its receivers' parts; the payload goes to an asynchronous
+    send's buffers before the sender's update runs. A synchronous send is
+    left to ``_rendezvous``, with None for its new parts, if ``sigma`` is
+    not the part's own valuation."""
+    vals, queues = part.vals, part.queues
+    local = sigma is vals
+    sends, steps = [], []
+    for step in pos.table[part.loc]:
+        rule = step[0]
+        if rule == "internal":
+            _, event, guard, update, dst = step
+            if guard is None or guard(sigma):
+                after = sigma if update is None else update(sigma)
+                steps.append((event, _part(pos, dst, after if local else _restrict(after, vals),
+                                           queues)))
+            continue
+        if rule == "recv":
+            _, event, guard, update, dst, pid, var = step
+            queue = queues and find_queue(queues, pid)[1]
+            if queue and (guard is None or guard(sigma)):
+                after = sigma.set(var, queue[0])
+                if update is not None:
+                    after = update(after)
+                steps.append((event, _part(pos, dst, after if local else _restrict(after, vals),
+                                           requeue(queues, pid, pop=True))))
+            continue
+        if rule == "synch-send" and not local:
+            sends.append((step, None, None))
+            continue
+        enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
+        if not enabled:
+            continue
+        news = []
+        for _, update, dst in enabled:
+            after = sigma if update is None else update(sigma)
+            news.append(_part(pos, dst, after if local else _restrict(after, vals), queues))
+        sends.append((step, news, sigma[step[3]]))
+    return tuple(sends), tuple(steps)
+
+
+def _accept(pos: _Position, part: _Part, pid: str, var: str, by_loc: dict,
+            payload) -> tuple:
+    """The new parts of a synchronous receiver in ``part`` that takes
+    ``payload`` on port ``pid``, one per enabled alternative, its guards
+    and updates run on its own valuation; none if the port's buffer is not
+    empty."""
+    if part.queues and find_queue(part.queues, pid)[1]:
+        return ()
+    vals = part.vals
+    enabled = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](vals)]
+    if not enabled:
+        return ()
+    after = vals.set(var, payload)
+    return tuple([_part(pos, dst, after if update is None else update(after), part.queues)
+                  for _, update, dst in enabled])
+
+
+def _rendezvous(positions: tuple, state: SysState, i: int, step: tuple) -> list:
+    """The steps of synchronous send ``step`` of position ``i`` from
+    ``state``, uncached, run on the whole state's valuation: all guards on
+    it, then for each choice of alternatives the payload is copied to the
+    receivers, the sender's update runs, then the receivers' in order. For
+    a send whose guards or updates read another part's variable, or whose
+    update raises, which then raises only if the rendezvous fires."""
+    _, event, alts, var, targets = step
+    sigma = state.sigma
+    enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
+    if not enabled:
+        return []
+    choices = []
+    for j, pid, _, by_loc in targets:
+        part = state[j]
+        if part.queues and find_queue(part.queues, pid)[1]:
+            return []
+        got = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](sigma)]
+        if not got:
+            return []
+        choices.append(got)
+    payload = sigma[var]
+    out = []
+    for _, update, dst in enabled:
+        for combo in itertools.product(*choices):
+            after = sigma
+            for target in targets:
+                after = after.set(target[2], payload)
+            if update is not None:
+                after = update(after)
+            for _, r_update, _ in combo:
+                if r_update is not None:
+                    after = r_update(after)
+            parts = list(state)
+            parts[i] = _part(positions[i], dst, _restrict(after, state[i].vals), state[i].queues)
+            for target, (_, _, r_dst) in zip(targets, combo):
+                j = target[0]
+                parts[j] = _part(positions[j], r_dst, _restrict(after, state[j].vals),
+                                 state[j].queues)
+            out.append((event, _new(SysState, parts)))
+    return out
+
+
+def _pushed(pos: _Position, part: _Part, pid: str, value) -> _Part:
+    """``part`` with ``value`` appended to its buffer ``pid``, cached."""
+    key = (part, pid, value)
+    new = pos.pushes.get(key)
+    if new is None:
+        new = pos.pushes[key] = _part(
+            pos, part.loc, part.vals, requeue(part.queues, pid, push=(value,)))
+    return new
 
 
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
-    order, as (event, state): each component's compiled steps at its
-    location (see ``_compile_location``) whose guards hold."""
-    locations, sigma, buffers = state
-    tables = sys._steps
+    order, as (event, state): each component's steps from its part (see
+    ``_run``), a synchronous send's combined with every choice of its
+    receivers' new parts (see ``_accept``). A synchronous send that cannot
+    run on the parts' own valuations runs on the whole state's, uncached
+    (see ``_rendezvous``)."""
+    positions = sys._steps
     out = []
-    for ci in cis:
-        for step in tables[ci][locations[ci]]:
-            rule = step[0]
-            if rule == "internal":
-                _, event, guard, update, dst = step
-                if guard is not None and not guard(sigma):
-                    continue
-                after = sigma if update is None else update(sigma)
-                out.append((event, _new(SysState, (
-                    locations[:ci] + (dst,) + locations[ci + 1:], after, buffers))))
+    append = out.append
+    for i in cis:
+        pos = positions[i]
+        steps = pos.steps.get(state[i])
+        if steps is None:
+            # Steps that run on the part's own valuation hold in every state
+            # that has the part. One that reads another part's variable
+            # fails there; then all run on the whole state's, uncached.
+            try:
+                steps = pos.steps[state[i]] = _run(pos, state[i], state[i].vals)
+            except EvalError:
+                steps = _run(pos, state[i], state.sigma)
+        sends, local = steps
+        for step, news, payload in sends:
+            event, targets = step[1], step[4]
+            if step[0] == "asynch-send":
+                for new in news:
+                    parts = list(state)
+                    parts[i] = new
+                    for j, pid in targets:
+                        parts[j] = _pushed(positions[j], parts[j], pid, payload)
+                    append((event, _new(SysState, parts)))
                 continue
-            if rule == "recv":
-                _, event, guard, update, dst, pid, var = step
-                queue = find_queue(buffers, pid)[1]
-                if not queue or guard is not None and not guard(sigma):
-                    continue
-                after = sigma.set(var, queue[0])
-                if update is not None:
-                    after = update(after)
-                out.append((event, _new(SysState, (
-                    locations[:ci] + (dst,) + locations[ci + 1:], after,
-                    requeue(buffers, pid, pop=True)))))
+            if news is None:
+                out.extend(_rendezvous(positions, state, i, step))
                 continue
-            _, event, alts, var, rcvs = step
-            enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
-            if not enabled:
-                continue
-            if rule == "asynch-send":
-                # The payload goes to every receiver's buffer before the
-                # sender's update runs.
-                payload, queues = (sigma[var],), buffers
-                for pid in rcvs:
-                    queues = requeue(queues, pid, push=payload)
-                for _, update, dst in enabled:
-                    out.append((event, _new(SysState, (
-                        locations[:ci] + (dst,) + locations[ci + 1:],
-                        sigma if update is None else update(sigma), queues))))
-                continue
-            # Synchronous: every receiver must offer an enabled transition on
-            # its port and that port's buffer must be empty; all step
-            # together. The payload is copied first, then the sender's update
-            # runs, then the receivers' in order.
             choices = []
-            for ri, pid, _, by_loc in rcvs:
-                if find_queue(buffers, pid)[1]:
-                    break
-                ts = [alt for alt in by_loc.get(locations[ri], ())
-                      if alt[0] is None or alt[0](sigma)]
-                if not ts:
-                    break
-                choices.append(ts)
-            else:
-                payload = sigma[var]
-                for _, update, dst in enabled:
-                    for combo in itertools.product(*choices):
-                        after = sigma
-                        for rcv in rcvs:
-                            after = after.set(rcv[2], payload)
-                        if update is not None:
-                            after = update(after)
-                        locs = list(locations)
-                        locs[ci] = dst
-                        for rcv, (_, r_update, r_dst) in zip(rcvs, combo):
-                            if r_update is not None:
-                                after = r_update(after)
-                            locs[rcv[0]] = r_dst
-                        out.append((event, _new(SysState, (tuple(locs), after, buffers))))
+            try:
+                for j, pid, var, by_loc in targets:
+                    key = (state[j], pid, payload)
+                    accepts = positions[j].accepts
+                    got = accepts.get(key)
+                    if got is None:
+                        got = accepts[key] = _accept(positions[j], state[j], pid, var, by_loc,
+                                                     payload)
+                    if not got:
+                        break
+                    choices.append(got)
+                else:
+                    for new in news:
+                        for combo in itertools.product(*choices):
+                            parts = list(state)
+                            parts[i] = new
+                            for target, got in zip(targets, combo):
+                                parts[target[0]] = got
+                            append((event, _new(SysState, parts)))
+            except EvalError:
+                # A receiver's guard or update reads another part's variable
+                # or raises: none of this send's successors were added.
+                out.extend(_rendezvous(positions, state, i, step))
+        if local:
+            head, tail = state[:i], state[i + 1:]
+            for event, new in local:
+                append((event, _new(SysState, head + (new,) + tail)))
     return out
 
 
@@ -291,16 +530,14 @@ def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
 def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:
     """Successors of a system state as (event, state): the steps of each
     component in turn (see ``component_steps``)."""
-    return _fire(sys, state, range(len(sys.components)))
+    return _fire(sys, state, range(len(state)))
 
 
 def is_terminal(sys: CompositeSystem, state: SysState) -> bool:
     """Successful termination: empty buffers and every component at its end
     location. A component without an end marking can never terminate."""
-    if state.buffers:
-        return False
-    for comp, loc in zip(sys.components, state.locations):
-        if comp.end is None or loc != comp.end:
+    for comp, part in zip(sys.components, state):
+        if part.queues or comp.end is None or part.loc != comp.end:
             return False
     return True
 
@@ -341,6 +578,12 @@ def check_structure(sys: CompositeSystem) -> list:
                 "bad-end", f"{comp.id}: end location {comp.end} undeclared"))
         own_vars = {var.qname for var, _ in comp.vars}
         own_ports = set(comp.ports)
+        for p in comp.ports:
+            if p.var.qname not in own_vars:
+                diags.append(Diagnostic(
+                    "undeclared-var",
+                    f"{comp.id}: port {p.pid} binds {p.var.qname}, which {comp.id} "
+                    f"does not declare"))
         for t in comp.transitions:
             if t.src not in locs or t.dst not in locs:
                 diags.append(Diagnostic(

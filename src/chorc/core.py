@@ -8,9 +8,11 @@ with the given structure, building one only when none is alive. So two
 parses of one text yield the same objects, equality and hashing are object
 identity, and a hash needs neither a Python call nor a walk of the
 structure. A literal is keyed by its value's type as well as its value, so
-``Lit(1)`` and ``Lit(True)`` stay two objects. The explorer states are
-named tuples with no hash of their own, over interned fields and a
-valuation that caches its hash.
+``Lit(1)`` and ``Lit(True)`` stay two objects. A choreography
+configuration is a named tuple with no hash of its own, over interned
+fields and a valuation that caches its hash; a system state is a tuple of
+parts, each one object per distinct part in its system, so it hashes and
+compares by their identities (see ``cbs``).
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
@@ -41,7 +43,9 @@ stores is one object, and every edge to a stored state points at that
 object, so an exploration holds each reached state once and code that walks
 the graph may compare stored states by identity. It hashes each successor
 once to find or store it, and each stored state once more when it is
-expanded. The rules an exploration used are read off its edges' events.
+expanded: a configuration's hash reads its valuation's cached one, and a
+system state's combines its parts' addresses in C. The rules an
+exploration used are read off its edges' events.
 """
 
 from __future__ import annotations
@@ -379,6 +383,15 @@ class Valuation(Mapping):
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._slots, self._values))
         return f"{{{inner}}}"
+
+    @classmethod
+    def union(cls, valuations: Iterable["Valuation"]) -> "Valuation":
+        """The valuation that binds what each of ``valuations`` binds; a
+        name bound twice takes the later value."""
+        bindings = {}
+        for v in valuations:
+            bindings.update(zip(v._slots, v._values))
+        return cls(bindings)
 
     def set(self, qname: str, value: Value) -> "Valuation":
         i = self._slots.get(qname)

@@ -68,7 +68,7 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
     while steps < max_steps and idle < len(sys.components):
         # Backpressure: refuse deliveries that would overfill a queue.
         mine = [step for step in component_steps(sys, state, ci)
-                if all(len(q) <= max_chan_len for _, q in step[1].buffers)]
+                if all(len(q) <= max_chan_len for part in step[1] for _, q in part.queues)]
         if mine:
             event, succ = mine[rngs[ci].randrange(len(mine))]
             steps += 1
@@ -88,7 +88,8 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
         outcome = "backpressure"
     else:
         outcome = "deadlock"
-    final = {k: state.sigma[k] for k in sorted(state.sigma.keys())}
+    sigma = state.sigma
+    final = {k: sigma[k] for k in sorted(sigma.keys())}
     events.append(json.dumps(
         {"outcome": outcome, "steps": steps, "final": final},
         sort_keys=True, separators=(",", ":")))

@@ -5,7 +5,11 @@ has a dedicated test with a hand-computed successor set.
 """
 
 import dataclasses
+import importlib.util
 import itertools
+import os
+import sys as python
+from typing import NamedTuple
 
 import pytest
 
@@ -15,12 +19,16 @@ from chorc.cbs import (
     check_structure, component_steps, is_terminal, serialize_system,
     sys_explore, sys_steps_tagged,
 )
-from chorc.core import SKIP, TRUE, BinOp, Event, Lit, Port, Ref, Update, Variable, requeue
+from chorc.core import (
+    SKIP, TRUE, BinOp, EvalError, Event, Lit, Port, Ref, Update, Valuation, Variable,
+    explore_lts, find_queue, requeue,
+)
+from chorc.parser import parse_source
 from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
-from conftest import apply_update, buffer, evaluate, load_stem
+from conftest import ROOT, apply_update, buffer, evaluate, load_stem
 
 
 def var(owner, name, dtype="int"):
@@ -89,7 +97,10 @@ class TestSynchSend:
     def test_blocked_by_nonempty_buffer(self):
         # A pending buffered value on the receive port defers the rendezvous.
         sys = self.make()
-        state = sys.initial_state()._replace(buffers=((("B.r"), (7,)),))
+        a, b = sys.initial_state()
+        pending = cbs._part(sys._steps[1], b.loc, b.vals, (("B.r", (7,)),))
+        state = tuple.__new__(SysState, (a, pending))
+        assert state.buffers == (("B.r", (7,)),)
         rules = {e.rules[0] for e, _ in sys_steps_tagged(sys, state)}
         assert "synch-send" not in rules
         assert "recv" in rules
@@ -210,9 +221,10 @@ class TestComponentSteps:
 
 def reference_component_steps(sys, state, ci):
     """The successor function the compiled step tables replaced, reading
-    the transitions and gamma directly on every call. Each step's event
-    lists the ports of the transitions it fires, the sender's first. A
-    component id names its first position."""
+    the transitions and gamma directly on every call, over flat states
+    (see ``FlatState``). Each step's event lists the ports of the
+    transitions it fires, the sender's first. A component id names its
+    first position."""
     position = {}
     for i, c in enumerate(sys.components):
         position.setdefault(c.id, i)
@@ -241,7 +253,7 @@ def reference_component_steps(sys, state, ci):
                 locs[ci] = t.dst
                 sigma = apply_update(t.update, state.sigma)
                 out.append((Event(("asynch-send",), (t.port,), frozenset({snd.pid})),
-                            SysState(tuple(locs), sigma, buffers)))
+                            FlatState(tuple(locs), sigma, buffers)))
             continue
         choices = []
         for r in inter.receivers:
@@ -266,7 +278,7 @@ def reference_component_steps(sys, state, ci):
                         locs[ri] = t_r.dst
                     fired = (t_s.port,) + tuple(t_r.port for t_r in combo)
                     out.append((Event(("synch-send",), fired, inter.pids),
-                                SysState(tuple(locs), sigma, state.buffers)))
+                                FlatState(tuple(locs), sigma, state.buffers)))
 
     for t in comp.transitions:
         if t.src != state.locations[ci]:
@@ -290,19 +302,153 @@ def reference_component_steps(sys, state, ci):
         locs = list(state.locations)
         locs[ci] = t.dst
         fired = () if t.port is None else (t.port,)
-        out.append((Event((rule,), fired, TAU), SysState(tuple(locs), sigma, buffers)))
+        out.append((Event((rule,), fired, TAU), FlatState(tuple(locs), sigma, buffers)))
     return out
+
+
+class FlatState(NamedTuple):
+    """A system state kept whole: the joint locations, one global valuation
+    and the nonempty buffers, sorted by receive port id. Each field is the
+    same-named view of a ``SysState``."""
+
+    locations: tuple
+    sigma: Valuation
+    buffers: tuple
+
+
+def flat(state: SysState) -> FlatState:
+    return FlatState(state.locations, state.sigma, state.buffers)
+
+
+def flat_initial(sys):
+    sigma = Valuation({var.qname: init for c in sys.components for var, init in c.vars})
+    return FlatState(tuple(c.init for c in sys.components), sigma, ())
+
+
+def flat_fire(sys, state, cis):
+    """The reference successor function over flat states: each
+    component's compiled static steps at its location (the same tables and
+    events ``cbs._fire`` uses) whose guards hold, run on the global
+    valuation and buffers, with nothing cached."""
+    locations, sigma, buffers = state
+    out = []
+    for ci in cis:
+        for step in sys._steps[ci].table[locations[ci]]:
+            rule = step[0]
+            if rule == "internal":
+                _, event, guard, update, dst = step
+                if guard is not None and not guard(sigma):
+                    continue
+                after = sigma if update is None else update(sigma)
+                out.append((event, FlatState(
+                    locations[:ci] + (dst,) + locations[ci + 1:], after, buffers)))
+                continue
+            if rule == "recv":
+                _, event, guard, update, dst, pid, var = step
+                queue = find_queue(buffers, pid)[1]
+                if not queue or guard is not None and not guard(sigma):
+                    continue
+                after = sigma.set(var, queue[0])
+                if update is not None:
+                    after = update(after)
+                out.append((event, FlatState(
+                    locations[:ci] + (dst,) + locations[ci + 1:], after,
+                    requeue(buffers, pid, pop=True))))
+                continue
+            _, event, alts, var, rcvs = step
+            enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
+            if not enabled:
+                continue
+            if rule == "asynch-send":
+                payload, queues = (sigma[var],), buffers
+                for _, pid in rcvs:
+                    queues = requeue(queues, pid, push=payload)
+                for _, update, dst in enabled:
+                    out.append((event, FlatState(
+                        locations[:ci] + (dst,) + locations[ci + 1:],
+                        sigma if update is None else update(sigma), queues)))
+                continue
+            choices = []
+            for ri, pid, _, by_loc in rcvs:
+                if find_queue(buffers, pid)[1]:
+                    break
+                ts = [alt for alt in by_loc.get(locations[ri], ())
+                      if alt[0] is None or alt[0](sigma)]
+                if not ts:
+                    break
+                choices.append(ts)
+            else:
+                payload = sigma[var]
+                for _, update, dst in enabled:
+                    for combo in itertools.product(*choices):
+                        after = sigma
+                        for rcv in rcvs:
+                            after = after.set(rcv[2], payload)
+                        if update is not None:
+                            after = update(after)
+                        locs = list(locations)
+                        locs[ci] = dst
+                        for rcv, (_, r_update, r_dst) in zip(rcvs, combo):
+                            if r_update is not None:
+                                after = r_update(after)
+                            locs[rcv[0]] = r_dst
+                        out.append((event, FlatState(tuple(locs), after, buffers)))
+    return out
+
+
+def flat_explore(sys, max_configs=200_000, max_depth=10_000):
+    def terminal(state):
+        return not state.buffers and all(
+            c.end is not None and loc == c.end
+            for c, loc in zip(sys.components, state.locations))
+    return explore_lts(flat_initial(sys), lambda s: flat_fire(sys, s, range(len(s.locations))),
+                       terminal, max_configs, max_depth)
+
+
+def memo_flat():
+    """``flat``, computed once per state."""
+    views = {}
+
+    def view(state):
+        v = views.get(state)
+        if v is None:
+            v = views[state] = flat(state)
+        return v
+    return view
+
+
+def assert_lts_matches_flat(sys, where, view=None, **limits):
+    """``sys_explore`` and the flat explorer reach the same LTS, through the
+    views: the same stored states in the same order, the same edges in the
+    same order with the very same event objects, edges to stored states in
+    the same places, and the same terminals, deadlocks and truncation.
+    Returns the exploration."""
+    res, ref = sys_explore(sys, **limits), flat_explore(sys, **limits)
+    view = view or memo_flat()
+
+    assert view(res.initial) == ref.initial, where
+    assert [view(s) for s in res.graph] == list(ref.graph), where
+    for (state, edges), ref_edges in zip(res.graph.items(), ref.graph.values()):
+        assert [(e, view(t)) for e, t in edges] == ref_edges, (where, view(state))
+        assert all(e is r for (e, _), (r, _) in zip(edges, ref_edges)), (where, view(state))
+        assert [t in res.graph for _, t in edges] == [t in ref.graph for _, t in ref_edges]
+    assert {view(s) for s in res.terminals} == ref.terminals, where
+    assert {view(s) for s in res.deadlocks} == ref.deadlocks, where
+    assert res.truncated == ref.truncated, where
+    assert res.finals == ref.finals, where
+    return res
 
 
 def assert_steps_match_reference(sys, where):
     """Per component, on every state ``sys_explore`` reaches, the compiled
-    successors equal the reference's, in order, events included; returns
-    the exploration."""
-    res = sys_explore(sys)
+    successors equal the reference's, in order, events included, through
+    the views; returns the exploration."""
+    view = memo_flat()
+    res = assert_lts_matches_flat(sys, where, view)
     for state in res.graph:
         for ci in range(len(sys.components)):
-            assert component_steps(sys, state, ci) == \
-                reference_component_steps(sys, state, ci), (where, state, ci)
+            assert [(e, view(s)) for e, s in component_steps(sys, state, ci)] == \
+                reference_component_steps(sys, view(state), ci), (where, view(state), ci)
     return res
 
 
@@ -352,12 +498,14 @@ class TestCompiledStepsAgainstReference:
 
 class TestEagerStepTables:
     def counting(self, monkeypatch):
+        """Records (the id of the component's local step table, location)
+        per compiled location."""
         built = []
         compile_location = cbs._compile_location
 
-        def counted(comp, sends, loc):
-            built.append((comp.id, loc))
-            return compile_location(comp, sends, loc)
+        def counted(sends, local, loc):
+            built.append((id(local), loc))
+            return compile_location(sends, local, loc)
 
         monkeypatch.setattr(cbs, "_compile_location", counted)
         return built
@@ -374,11 +522,11 @@ class TestEagerStepTables:
             sys = synthesize(decl, ch, profile)
             assert len({c.id for c in sys.components}) == len(sys.components)
             res = sys_explore(sys)
-            holdable = {(c.id, loc) for c in sys.components
+            holdable = {(id(c._compiled.local), loc) for c in sys.components
                         for loc in (c.init, *(t.dst for t in c.transitions))}
             assert len(built) == len(set(built)), (stem, profile)
             assert set(built) == holdable, (stem, profile)
-            visited = {(c.id, state.locations[ci]) for state in res.graph
+            visited = {(id(c._compiled.local), state.locations[ci]) for state in res.graph
                        for ci, c in enumerate(sys.components)}
             assert visited <= holdable
             sys_explore(sys)
@@ -388,7 +536,7 @@ class TestEagerStepTables:
     def test_replace_starts_without_tables(self):
         sys = TestCheckStructure().clean()
         sys_steps_tagged(sys, sys.initial_state())
-        assert [set(table) for table in sys._steps] == [{"a0", "a1"}, {"b0", "b1"}]
+        assert [set(pos.table) for pos in sys._steps] == [{"a0", "a1"}, {"b0", "b1"}]
         twin = dataclasses.replace(sys, gamma=())
         assert "_steps" not in vars(twin)
         assert sys_steps_tagged(twin, twin.initial_state()) == []
@@ -412,6 +560,200 @@ class TestEagerStepTables:
         assert {state.locations for state in res.graph} == \
             {("z0", "b0"), ("z1", "b1"), ("a1", "b1")}
         assert len(res.terminals) == 1 and not res.deadlocks
+
+
+def load_generator():
+    """``perfbench/gen.py``, the benchmark's seeded choreography generator,
+    imported from its file without changing it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    module = python.modules.get(spec.name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        python.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+def component(cid, vars_, ports, transitions, init, end, locations=None):
+    locs = locations or tuple(dict.fromkeys(
+        (init, end, *(x for t in transitions for x in (t.src, t.dst)))))
+    return AtomicComponent(cid, tuple(vars_), tuple(ports), locs, tuple(transitions),
+                           init, end)
+
+
+class TestPartsAgainstFlat:
+    """The partitioned states explore every system as the flat explorer
+    does (see ``assert_lts_matches_flat``)."""
+
+    def test_corpus_mutants(self, corpus):
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for name, mutate in MUTATIONS.items():
+                    mutant = mutate(sys)
+                    if mutant is not None:
+                        assert_lts_matches_flat(mutant, (path, profile, name))
+
+    @pytest.mark.parametrize("name", ["interleave", "longchain"])
+    def test_generated(self, name):
+        # Two buffers filled at once, and receivers the corpus lacks.
+        gen = load_generator()
+        decl, _, ch = parse_source(gen.GENERATORS[name](1).text)
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            res = assert_lts_matches_flat(sys, (name, profile))
+            assert not res.deadlocks and not res.truncated
+            if name == "interleave":
+                assert max(len(s.buffers) for s in res.graph) == 2
+            for mutation, mutate in MUTATIONS.items():
+                mutant = mutate(sys) if name == "longchain" else None
+                if mutant is not None:
+                    assert_lts_matches_flat(mutant, (name, profile, mutation))
+
+    def test_guards_and_updates_that_read_other_components(self):
+        # A's guards read B.y, and its update reads the variable B.r binds,
+        # which the rendezvous sets before A's update runs. These steps
+        # run on the whole state's valuation.
+        bz = var("B", "z")
+        b_int = port("B", "i", "in", bz)
+        read_y = Update((("A.x", BinOp("+", Ref("A.x"), Ref("B.y"))),))
+        a = component("A", [(AX, 2)], [AP_SS, A_INT], [
+            Transition("a0", A_INT, BinOp(">", Ref("B.z"), Lit(0)), SKIP, "a1"),
+            Transition("a1", AP_SS, BinOp("<", Ref("B.z"), Lit(9)), read_y, "a2"),
+        ], "a0", "a2")
+        b = component("B", [(BY, 0), (bz, 0)], [BR, b_int], [
+            Transition("b0", b_int, TRUE, Update((("B.z", Lit(5)),)), "b1"),
+            Transition("b1", BR, TRUE, SKIP, "b2"),
+        ], "b0", "b2")
+        sys = CompositeSystem((a, b), (Interaction(AP_SS, (BR,)),))
+        assert "foreign-var" in {d.code for d in check_structure(sys)}
+        res = assert_lts_matches_flat(sys, "foreign reads")
+        (final,) = res.finals
+        assert final["A.x"] == 4 and final["B.y"] == 2
+
+    def test_receivers_that_read_other_components(self):
+        # B's first guard reads the sender's A.x, its second update the
+        # value A's update leaves in A.x, and C's update the value B's
+        # update leaves in B.y: each rendezvous runs on the whole state's
+        # valuation, in order payload, A's update, B's, then C's.
+        cz = var("C", "z")
+        c_r = port("C", "r", "r", cz)
+        add_x = Update((("B.y", BinOp("+", Ref("B.y"), Ref("A.x"))),))
+        a = component("A", [(AX, 2)], [AP_SS], [
+            Transition("a0", AP_SS, TRUE, INC_X, "a1"),
+            Transition("a1", AP_SS, TRUE, INC_X, "a2")], "a0", "a2")
+        b = component("B", [(BY, 0)], [BR], [
+            Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(1)), add_x, "b1"),
+            Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(5)), SKIP, "b2"),
+            Transition("b1", BR, TRUE, add_x, "b2")], "b0", "b2")
+        c = component("C", [(cz, 0)], [c_r], [
+            Transition("c0", c_r, TRUE, Update((("C.z", BinOp("+", Ref("C.z"), Ref("B.y"))),)),
+                       "c1"),
+            Transition("c1", c_r, TRUE, SKIP, "c2")], "c0", "c2")
+        sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
+        assert "foreign-var" in {d.code for d in check_structure(sys)}
+        res = assert_lts_matches_flat(sys, "foreign receivers")
+        assert len(res.graph) == 3
+        (final,) = res.finals
+        assert (final["A.x"], final["B.y"], final["C.z"]) == (4, 7, 3)
+
+    def test_duplicate_component_reading_the_shared_variable(self):
+        # Both A's declare A.x, which the first one holds, with the second
+        # declaration's value; the second reads it through its guard.
+        first = component("A", [(AX, 0)], [A_INT], [
+            Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
+        second = component("A", [(AX, 2)], [A_INT], [
+            Transition("a0", A_INT, BinOp(">", Ref("A.x"), Lit(2)), SKIP, "a1")], "a0", "a1")
+        sys = CompositeSystem((first, second), ())
+        res = assert_lts_matches_flat(sys, "duplicate reads")
+        assert len(res.graph) == 3 and len(res.terminals) == 1
+        writer = component("A", [(AX, 0)], [A_INT], [
+            Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
+        with pytest.raises(EvalError, match="A.x"):
+            sys_explore(CompositeSystem((first, writer), ()))
+
+    def test_asynchronous_send_to_its_own_port(self):
+        az = var("A", "z")
+        a_r = port("A", "r", "r", az)
+        a = component("A", [(AX, 2), (az, 0)], [AP_AS, a_r], [
+            Transition("a0", AP_AS, TRUE, INC_X, "a1"),
+            Transition("a1", AP_AS, TRUE, INC_X, "a1"),
+            Transition("a1", a_r, BinOp("<", Ref("A.x"), Lit(5)), DBL_Y and SKIP, "a2"),
+        ], "a0", "a2")
+        b = component("B", [(BY, 0)], [BR], [Transition("b0", BR, TRUE, DBL_Y, "b1")],
+                      "b0", "b1")
+        sys = CompositeSystem((a, b), (Interaction(AP_AS, (a_r, BR)),))
+        res = assert_lts_matches_flat(sys, "own port", max_configs=60)
+        assert {"asynch-send", "recv"} <= res.rules_seen
+        assert any(find_queue(s.buffers, "A.r")[1] for s in res.graph)
+
+    def test_two_receivers_multiply_alternatives(self):
+        cz = var("C", "z")
+        c_r = port("C", "r", "r", cz)
+        a = component("A", [(AX, 2)], [AP_SS], [
+            Transition("a0", AP_SS, TRUE, INC_X, "a1"),
+            Transition("a0", AP_SS, TRUE, SKIP, "a2")], "a0", "a1")
+        b = component("B", [(BY, 0)], [BR], [
+            Transition("b0", BR, TRUE, DBL_Y, "b1"),
+            Transition("b0", BR, BinOp(">", Ref("B.y"), Lit(-1)), SKIP, "b2")], "b0", "b1")
+        c = component("C", [(cz, 0)], [c_r], [
+            Transition("c0", c_r, TRUE, SKIP, "c1"),
+            Transition("c0", c_r, TRUE, Update((("C.z", Lit(7)),)), "c2")], "c0", "c1")
+        sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
+        res = assert_lts_matches_flat(sys, "two receivers")
+        assert len(res.graph[res.initial]) == 8
+        assert len(res.terminals) == 1 and len(res.deadlocks) == 7
+
+    @pytest.mark.parametrize("limits", [{"max_configs": 4}, {"max_depth": 3}])
+    def test_truncation(self, limits):
+        a = component("A", [(AX, 0)], [A_INT], [
+            Transition("a0", A_INT, TRUE, INC_X, "a0"),
+            Transition("a0", None, TRUE, SKIP, "a1")], "a0", "a1")
+        sys = CompositeSystem((a,), ())
+        res = assert_lts_matches_flat(sys, limits, **limits)
+        assert res.truncated
+
+    def test_failing_update_raises_only_when_the_rendezvous_fires(self):
+        # A's update divides by zero. While B does not offer B.r, the send
+        # never fires and the state is a deadlock, as when updates ran at
+        # firing time; once B offers it, exploring raises.
+        az = var("A", "z")
+        div = Update((("A.x", BinOp("/", Ref("A.x"), Ref("A.z"))),))
+        a = component("A", [(AX, 4), (az, 0)], [AP_SS], [
+            Transition("a0", AP_SS, TRUE, div, "a1")], "a0", "a1")
+        late = component("B", [(BY, 0)], [BR], [
+            Transition("b0", None, TRUE, SKIP, "b1"),
+            Transition("b2", BR, TRUE, SKIP, "b3")], "b0", "b3")
+        sys = CompositeSystem((a, late), (Interaction(AP_SS, (BR,)),))
+        res = assert_lts_matches_flat(sys, "never fires")
+        assert len(res.deadlocks) == 1
+        ready = component("B", [(BY, 0)], [BR], [
+            Transition("b0", None, TRUE, SKIP, "b1"),
+            Transition("b1", BR, TRUE, SKIP, "b2")], "b0", "b2")
+        sys = CompositeSystem((a, ready), (Interaction(AP_SS, (BR,)),))
+        for explore in (sys_explore, flat_explore):
+            with pytest.raises(EvalError, match="division by zero"):
+                explore(sys)
+        # The same for a receiver's update: B's divides by zero, and C
+        # offers C.r only in the second system.
+        bw, cz = var("B", "w"), var("C", "z")
+        c_r = port("C", "r", "r", cz)
+        a = component("A", [(AX, 2)], [AP_SS], [
+            Transition("a0", AP_SS, TRUE, SKIP, "a1")], "a0", "a1")
+        b = component("B", [(BY, 0), (bw, 0)], [BR], [
+            Transition("b0", BR, TRUE, Update((("B.y", BinOp("/", Ref("B.y"), Ref("B.w"))),)),
+                       "b1")], "b0", "b1")
+        for offer in ("c1", "c0"):
+            c = component("C", [(cz, 0)], [c_r], [
+                Transition(offer, c_r, TRUE, SKIP, "c2")], "c0", "c2")
+            sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
+            if offer == "c1":
+                assert len(assert_lts_matches_flat(sys, "never fires").deadlocks) == 1
+                continue
+            for explore in (sys_explore, flat_explore):
+                with pytest.raises(EvalError, match="division by zero"):
+                    explore(sys)
 
 
 class TestRuleNames:
@@ -505,6 +847,20 @@ class TestCheckStructure:
             [Transition("b0", BR, TRUE, SKIP, "b1")],
             [])
         assert "unconnected-port" in self.codes(sys)
+
+    def test_undeclared_port_variable(self):
+        # B.r binds B.y, which B does not declare: reported, and exploring
+        # ends in an error instead of growing B.y into the state.
+        b = AtomicComponent("B", (), (BR,), ("b0", "b1"),
+                            (Transition("b0", BR, TRUE, SKIP, "b1"),), "b0", "b1")
+        sys = CompositeSystem((TestCheckStructure().clean().components[0], b),
+                              (Interaction(AP_SS, (BR,)),))
+        assert [(d.code, d.message) for d in check_structure(sys)] == [(
+            "undeclared-var", "B: port B.r binds B.y, which B does not declare")]
+        with pytest.raises(EvalError, match="B.y"):
+            sys_explore(sys)
+        with pytest.raises(EvalError, match="B.y"):
+            simulate(sys, 0)
 
     def test_foreign_variable(self):
         sys = make_sys(

@@ -316,7 +316,7 @@ class TestEvent:
                 sys = synthesize(decl, ch, profile)
                 for state in sys_explore(sys).graph:
                     for ci, loc in enumerate(state.locations):
-                        static = [step[1] for step in sys._steps[ci][loc]]
+                        static = [step[1] for step in sys._steps[ci].table[loc]]
                         assert carried_in_order(component_steps(sys, state, ci), static), \
                             (path, profile, state, ci)
         # Most static steps produce several edges.
