@@ -9,20 +9,45 @@ the choreography. This makes the pending pool behave exactly like the
 per-port buffers of the synthesized component system.
 
 Each term is compiled once, on first use, into a step table kept on the
-term: one static step (event, guard, update, sends, next term) per way the
-term can move. A synchronous send becomes one update whose first
-assignments copy the sent value to the receivers; ``Seq`` and ``Par`` lift
-their operands' tables, and ``Par`` decides the independence of its
-operands once. A step keeps its guard and update as their compiled closures
-(see ``core``), None for a literal ``true`` guard and for skip, so
-``chor_steps_tagged`` only calls closures and builds configurations.
+term: one static step (event, action, next term) per way the term can
+move. An action (``_Action``) holds the step's guard and update as their
+compiled closures (see ``core``), None for ``true`` and skip, its residual
+receives and the variables it reads or writes. A synchronous send becomes
+one update whose first assignments copy the sent value to the receivers;
+``Seq`` and ``Par`` lift their operands' tables, sharing the actions, and
+``Par`` decides the independence of its operands once. A residual receive
+is a ``Receipt``: one live object per (receive port, update), holding the
+update's closure, the delivery's event and what a delivery reads or writes.
 
-Terms are hash-consed (see ``core``), so every exploration of a term, and
-of any term equal to it, reuses the tables built for it while it lives. A
-residual receive that a step leaves behind is a ``Receipt``, hash-consed
-too: one live object per (receive port, update), holding the update's
-closure and the delivery's event. A label is built once per static step,
-with its event, and never per edge.
+Configuration layout. A ``Running`` configuration is stored as (term,
+parts, pool) (Laarman, van de Pol & Weber, "Parallel recursive state
+compression for free", SPIN 2011). Its valuation is split into one part
+(``_Part``) per component, holding the values of that component's
+variables: a component's keys are contiguous in sorted-key order, since
+``.`` sorts below every identifier character. A ``_Frame``, one per set of
+keys, lays the parts out. The pending pool is one ``_Pool``. Frames, parts
+and pools are hash-consed by value like terms (see ``core.Interned``), so
+a configuration hashes and compares as a tuple of identities, in C, and
+equal configurations from two parses are equal tuples. ``sigma`` and
+``pending`` are views equal to the fields configurations had before they
+were split; a ``Final`` keeps its valuation whole.
+
+Caches (Blom, van de Pol & Weber, "LTSmin", CAV 2010). An action or
+receipt keeps a ``_Plan`` for the frame it last ran in: the parts it
+touches, those it writes, and a cache from the touched parts (the part
+itself if there is only one) to its result, the new parts it writes (and,
+for a static step, the payload it sends, or nothing if its guard fails).
+A receipt's cache is kept per delivered value, and each pool keeps its
+deliveries, (event, plan, the cache for the value, receipt, value, rest
+pool), so a delivery costs one dict lookup on the receiver's part. A plan
+also maps (pool, payload) to the pool a send leaves. Plans live on the
+actions and receipts, so the caches live as long as the terms. A miss
+runs the closures on the touched parts' own values, laid side by side by
+the plan when there are several: the touched variables are read off the
+expressions, so a guard or update that reads another component's variable
+is served too, and no miss builds the whole valuation. A step that
+assigns a variable the initial valuation does not bind raises
+``EvalError``; ``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -36,22 +61,21 @@ explorer (``core.explore_lts``) over ``chor_steps_tagged``; the final
 configurations it reaches are its terminals, and its ``rules_seen`` measure
 rule coverage.
 
-Configurations are named tuples with no hash of their own. Their terms and
-receipts hash and compare by identity and their valuations by a cached
-hash, so equal configurations, from two parses of one choreography too,
-are equal tuples. ``lts_to_dot`` orders nodes and edges as the repr does,
-in which a pending entry prints as (port, update, value), by a key built
-once per configuration drawn from the repr of each field, with each term
-printed once.
+``lts_to_dot`` orders nodes and edges as the repr does, in which a pending
+entry prints as (port, update, value), by a key built once per
+configuration drawn from the repr of each field, with each term printed
+once and without recursing into its nesting.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
-    SKIP, TAU, TRUE, Event, Exploration, Interned, Label, Not, Port, Ref, Update,
-    Valuation, explore_lts, interned, requeue,
+    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Not, Port, Ref, Update,
+    Valuation, cached_attr, explore_lts, expr_vars, interned, requeue, update_vars,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
@@ -75,20 +99,158 @@ CHOR_RULES = (
 
 class Receipt(Interned):
     """The receive side of an asynchronous send: the receive port and its
-    update, with the update's closure, or None for skip, as ``apply``, and
-    the event of the delivery as ``event``. Hash-consed: one live object
-    per (port, update). The repr prints the port and the update, so that a
-    pending entry reads as a (port, update, value) triple.
+    update, with the update's closure, or None for skip, as ``apply``, the
+    delivery's event, and its ``_Plan`` arguments and latest plan.
+    Hash-consed: one live object per (port, update). The repr prints the
+    port and the update, so that a pending entry reads as a (port, update,
+    value) triple.
     """
 
     def __new__(cls, port: Port, update: Update):
+        qname = port.var.qname
         return interned(cls, (id(port), id(update)), port=port, update=update,
                         apply=update.compiled if update.assignments else None,
-                        qname=port.var.qname,
-                        event=Event.of(("asynch-sendrcv-2",), (port,)))
+                        qname=qname, event=Event.of(("asynch-sendrcv-2",), (port,)),
+                        exprs=(TRUE, update, (qname,), (qname,)), plan=None)
 
     def __repr__(self):
         return f"{self.port!r}, {self.update!r}"
+
+
+class _Action:
+    """What a static step does, shared by its lifted copies (see the module
+    docstring), with its ``_Plan`` arguments and latest plan."""
+
+    __slots__ = ("guard", "update", "sends", "var", "exprs", "plan")
+
+    def __init__(self, guard, update: Update, sends: tuple, var: Optional[str]):
+        self.guard = None if guard is TRUE else guard.compiled
+        self.update = update.compiled if update.assignments else None
+        self.sends, self.var, self.exprs, self.plan = sends, var, (guard, update, (var,), ()), None
+
+
+class _Frame(Interned):
+    """The layout of the parts of valuations over ``keys``, sorted: one
+    part per run of keys with one owner. ``slots`` lays out the whole
+    valuation, ``layouts`` each part and ``part_of`` maps a key to its
+    part."""
+
+    def __new__(cls, keys: tuple):
+        ref = cls._nodes.get(keys)
+        if ref is not None and ref() is not None:
+            return ref()
+        layouts, part_of, last = [], {}, None
+        for k in keys:
+            owner = k.partition(".")[0]
+            if owner != last:
+                layouts.append({})
+                last = owner
+            layouts[-1][k], part_of[k] = len(layouts[-1]), len(layouts) - 1
+        return interned(cls, keys, slots=dict(zip(keys, range(len(keys)))),
+                        layouts=tuple(layouts), part_of=part_of)
+
+    def split(self, sigma: Valuation) -> tuple:
+        parts, n = [], 0
+        for layout in self.layouts:
+            parts.append(_part(layout, sigma._values[n:n + len(layout)]))
+            n += len(layout)
+        return tuple(parts)
+
+    def sigma(self, parts: tuple) -> Valuation:
+        return Valuation.over(self.slots, tuple(chain.from_iterable([p._values for p in parts])))
+
+
+class _Part(Valuation, Interned):
+    """The valuation of a component's variables in a configuration: one
+    live object per layout and values, hashed and compared by identity."""
+
+    __slots__ = ("__weakref__",)
+    __hash__, __eq__ = object.__hash__, object.__eq__
+
+
+def _part(slots: dict, values: tuple) -> _Part:
+    return interned(_Part, (id(slots), values), _slots=slots, _values=values, _hash=None)
+
+
+class _Pool(Interned):
+    """A pending pool of one frame, as ``pending``, with ``ids`` its key:
+    ``pending`` with each receipt by its id."""
+
+    @cached_attr
+    def deliveries(self) -> tuple:
+        """(event, plan, the plan's cache for the value, receipt, value,
+        rest pool) per channel, in channel order."""
+        out, pending, ids = [], self.pending, self.ids
+        for i, (chan, queue) in enumerate(pending):
+            receipt, value = queue[0]
+            plan = _plan(receipt, self.frame)
+            more = len(queue) > 1
+            rest = _pool(self.frame, pending[:i] + ((chan, queue[1:]),) * more + pending[i + 1:],
+                         ids[:i] + ((chan, ids[i][1][1:]),) * more + ids[i + 1:])
+            out.append((receipt.event, plan, plan.cache.setdefault(value, {}), receipt, value,
+                        rest))
+        return tuple(out)
+
+
+def _pool(frame: _Frame, pending: tuple, ids: Optional[tuple] = None) -> _Pool:
+    if ids is None:
+        ids = tuple([(chan, tuple([(id(r), v) for r, v in queue])) for chan, queue in pending])
+    return interned(_Pool, (id(frame), ids), frame=frame, pending=pending, ids=ids)
+
+
+class _Plan:
+    """An action or receipt in one frame (see the module docstring), made
+    from its guard and update, the variables it reads besides them and
+    those it writes besides the update's targets. ``key`` picks the parts
+    these touch from a configuration's; ``writes`` are the indices of those
+    written, ``one`` the index if there is one. Over several parts,
+    ``slots`` lays out their values side by side and ``spans`` finds each
+    written part's among them."""
+
+    __slots__ = ("frame", "key", "writes", "one", "slots", "spans", "cache", "pushes")
+
+    def __init__(self, frame: _Frame, guard, update: Update, reads: tuple, writes: tuple):
+        part_of = frame.part_of.get
+        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), *reads)))
+                    - {None})
+        self.writes = tuple(sorted(set(map(part_of, (*map(itemgetter(0), update.assignments),
+                                                     *writes))) - {None}))
+        self.one = self.writes[0] if len(self.writes) == 1 else None
+        self.key = itemgetter(*at) if at else itemgetter(slice(0, 0))
+        self.frame, self.slots, self.spans, self.cache, self.pushes = frame, None, (), {}, {}
+        if len(at) != 1:
+            self.slots, spans = {}, []
+            for i in at:
+                n, layout = len(self.slots), frame.layouts[i]
+                self.slots.update(zip(layout, range(n, n + len(layout))))
+                if i in self.writes:
+                    spans.append((layout, n, len(self.slots)))
+            self.spans = tuple(spans)
+
+    def merged(self, key) -> Valuation:
+        """The valuation of the parts ``key`` picked."""
+        if self.slots is None:
+            return key
+        return Valuation.over(self.slots, tuple(chain.from_iterable([p._values for p in key])))
+
+    def split(self, vals: Valuation, after: Valuation) -> tuple:
+        """The written parts of ``after``, an update of ``vals``."""
+        if after._slots is not vals._slots:
+            raise EvalError("assignment to a variable the initial valuation does not bind: "
+                            + ", ".join(sorted(set(after) - set(vals))))
+        if self.slots is None:
+            return (_part(after._slots, after._values),) if self.writes else ()
+        return tuple([_part(layout, after._values[a:b])
+                      for layout, a, b in self.spans])
+
+
+def _plan(owner, frame: _Frame) -> _Plan:
+    """The plan of an action or receipt in ``frame``: its latest one if
+    made for that frame, else a new one, which replaces it."""
+    plan = owner.plan
+    if plan is None or plan.frame is not frame:
+        plan = owner.plan = _Plan(frame, *owner.exprs)
+    return plan
 
 
 #: One residual receive: its receipt and the value captured at send time.
@@ -99,10 +261,23 @@ PendingRecv = tuple  # (Receipt, Value)
 Pending = tuple
 
 
-class Running(NamedTuple):
-    term: Optional[Chor]  # None once the term itself has terminated
-    sigma: Valuation
-    pending: Pending = ()
+class Running(tuple):
+    """A configuration not yet final, stored as (term, parts, pool); the
+    term is None once it has terminated. ``Running(term, sigma, pending)``
+    builds one from its views."""
+
+    __slots__ = ()
+
+    def __new__(cls, term: Optional[Chor], sigma: Valuation, pending: Pending = ()):
+        frame = _Frame(tuple(sigma))
+        return _new(cls, (term, frame.split(sigma), _pool(frame, pending)))
+
+    term = property(itemgetter(0))
+    sigma = property(lambda self: self[2].frame.sigma(self[1]))
+    pending = property(lambda self: self[2].pending)
+
+    def __repr__(self):
+        return f"Running(term={self.term!r}, sigma={self.sigma!r}, pending={self.pending!r})"
 
 
 class Final(NamedTuple):
@@ -113,7 +288,7 @@ ChorConfig = Running | Final  # not typing.Union: see core.Expr
 
 
 #: Builds a ``Running`` or ``Final`` from its fields without the Python-level
-#: ``__new__`` that ``NamedTuple`` generates: one call less per successor.
+#: ``__new__`` of its class: one call less per successor.
 _new = tuple.__new__
 
 
@@ -121,13 +296,9 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _step(rule: str, ports: tuple, guard, update, sends, nxt) -> tuple:
-    """One static step, with its event, and with the guard and the update
-    as their compiled closures, or None for a literal ``true`` guard and
-    for skip."""
-    return (Event.of((rule,), ports),
-            None if guard is TRUE else guard.compiled,
-            update.compiled if update.assignments else None, sends, nxt)
+def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None) -> tuple:
+    """One static step: its event, its ``_Action`` and its next term."""
+    return Event.of((rule,), ports), _Action(guard, update, sends, var), nxt
 
 
 def _steps(term: Chor) -> tuple:
@@ -146,20 +317,20 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     that terminates the operand continues with ``rest``, any other step with
     ``wrap`` of the operand's next term."""
     return tuple(
-        (event._replace(rules=(terminated,) + event.rules), guard, update, sends, rest)
+        (event._replace(rules=(terminated,) + event.rules), act, rest)
         if nxt is None else
-        (event._replace(rules=(running,) + event.rules), guard, update, sends, wrap(nxt))
-        for event, guard, update, sends, nxt in steps
+        (event._replace(rules=(running,) + event.rules), act, wrap(nxt))
+        for event, act, nxt in steps
     )
 
 
 def _compile(term: Chor) -> tuple:
-    """Static steps of ``term`` as (event, guard, update, sends, next term),
-    built by ``_step``; next term is None when the step terminates the term.
-    ``sends`` lists the residual receives of an asynchronous send as
-    (channel key, receipt, sent variable)."""
+    """Static steps of ``term`` as (event, action, next term), built by
+    ``_step``; next term is None when the step terminates the term. An
+    asynchronous send's action lists its residual receives as (channel
+    key, receipt)."""
     if isinstance(term, Nil):
-        return (_step("nil", (), TRUE, SKIP, (), None),)
+        return (_step("nil", (), TRUE, SKIP, None),)
 
     if isinstance(term, Comm):
         snd = term.send.port
@@ -177,24 +348,23 @@ def _compile(term: Chor) -> tuple:
                 assignments += f.assignments
             ports = (snd,) + tuple(r for r, _ in term.rcvs)
             return (_step("synch-sendrcv", ports, term.send.guard,
-                          Update(tuple(assignments)), (), None),)
-        sends = tuple(((snd.pid, r.pid), Receipt(r, f), snd.var.qname)
-                      for r, f in term.rcvs)
-        return (_step("asynch-sendrcv-1", (snd,), term.send.guard,
-                      term.send.update, sends, None),)
+                          Update(tuple(assignments)), None),)
+        sends = tuple(((snd.pid, r.pid), Receipt(r, f)) for r, f in term.rcvs)
+        return (_step("asynch-sendrcv-1", (snd,), term.send.guard, term.send.update, None,
+                      sends, snd.var.qname),)
 
     if isinstance(term, Branch):
         return tuple(
-            _step("master-branching", (gs.port,), gs.guard, gs.update, (), cont)
+            _step("master-branching", (gs.port,), gs.guard, gs.update, cont)
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
         return (
-            _step("iterative-tt", (cond.port,), cond.guard, cond.update, (),
+            _step("iterative-tt", (cond.port,), cond.guard, cond.update,
                   Seq(term.body, term)),
-            _step("iterative-ff", (), Not(cond.guard), SKIP, (), None),
+            _step("iterative-ff", (), Not(cond.guard), SKIP, None),
         )
 
     if isinstance(term, Seq):
@@ -216,37 +386,83 @@ def _compile(term: Chor) -> tuple:
     raise AssertionError(term)
 
 
+def _splice(parts: tuple, plan: _Plan, news: tuple) -> tuple:
+    """``parts`` with the parts ``plan`` writes replaced by ``news``."""
+    out = list(parts)
+    for i, part in zip(plan.writes, news):
+        out[i] = part
+    return tuple(out)
+
+
+def _run(plan: _Plan, key, act: _Action) -> tuple:
+    """``act`` on the parts ``key`` picked: () if its guard fails, else
+    the parts it writes and the payload, read before the update."""
+    vals = plan.merged(key)
+    if act.guard is not None and not act.guard(vals):
+        return ()
+    payload = vals[act.var] if act.sends else None
+    return plan.split(vals, vals if act.update is None else act.update(vals)), payload
+
+
+def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
+    """``pool`` with ``act``'s residual receives of ``payload`` queued."""
+    queues, ids = pool.pending, pool.ids
+    for chan, receipt in act.sends:
+        queues = requeue(queues, chan, push=((receipt, payload),))
+        ids = requeue(ids, chan, push=((id(receipt), payload),))
+    new = plan.pushes[pool, payload] = _pool(pool.frame, queues, ids)
+    return new
+
+
 def chor_steps_tagged(config: ChorConfig):
-    """Successors of a configuration as (event, configuration) pairs."""
+    """Successors of a configuration as (event, configuration) pairs: one
+    delivery per pending channel, in channel order, then the term's steps."""
     if isinstance(config, Final):
         return []
-    term, sigma, pending = config
+    term, parts, pool = config
+    frame = pool.frame
     out = []
 
     # Residual receives: consume the head of any channel queue.
-    for i, (chan, queue) in enumerate(pending):
-        receipt, value = queue[0]
-        after = sigma.set(receipt.qname, value)
-        if receipt.apply is not None:
-            after = receipt.apply(after)
-        if len(queue) > 1:
-            rest = pending[:i] + ((chan, queue[1:]),) + pending[i + 1:]
-        else:
-            rest = pending[:i] + pending[i + 1:]
-        out.append((receipt.event, _new(Running, (term, after, rest))
-                    if term is not None or rest else _new(Final, (after,))))
+    for event, plan, cache, receipt, value, rest in pool.deliveries:
+        k = plan.key(parts)
+        news = cache.get(k)
+        if news is None:
+            vals = plan.merged(k)
+            after = vals.set(receipt.qname, value)
+            news = cache[k] = plan.split(vals, after if receipt.apply is None
+                                         else receipt.apply(after))
+        i = plan.one
+        after = parts[:i] + news + parts[i + 1:] if i is not None else _splice(parts, plan, news)
+        out.append((event, _new(Running, (term, after, rest))
+                    if term is not None or rest.pending else _new(Final, (frame.sigma(after),))))
 
     # Term steps: the payload of a send is read before the update runs.
     if term is not None:
-        for event, guard, update, sends, nxt in _steps(term):
-            if guard is not None and not guard(sigma):
+        try:
+            steps = term._steps
+        except AttributeError:
+            steps = _steps(term)
+        for event, act, nxt in steps:
+            plan = act.plan
+            if plan is None or plan.frame is not frame:
+                plan = _plan(act, frame)
+            k = plan.key(parts)
+            res = plan.cache.get(k)
+            if res is None:
+                res = plan.cache[k] = _run(plan, k, act)
+            if not res:
                 continue
-            queues = pending
-            for chan, receipt, var in sends:
-                queues = requeue(queues, chan, push=((receipt, sigma[var]),))
-            after = sigma if update is None else update(sigma)
+            news, payload = res
+            queues = pool
+            if act.sends:
+                queues = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
+            i = plan.one
+            after = (parts[:i] + news + parts[i + 1:] if i is not None
+                     else _splice(parts, plan, news) if news else parts)
             out.append((event, _new(Running, (nxt, after, queues))
-                        if nxt is not None or queues else _new(Final, (after,))))
+                        if nxt is not None or queues.pending
+                        else _new(Final, (frame.sigma(after),))))
     return out
 
 
@@ -281,11 +497,39 @@ def _config_key(config: ChorConfig, term_texts: dict) -> tuple:
     shared by many configurations is printed once."""
     if isinstance(config, Final):
         return ("Final", repr(config.sigma))
-    term, sigma, pending = config
+    term = config.term
     text = term_texts.get(term)
     if text is None:
-        text = term_texts[term] = repr(term)
-    return ("Running", text, repr(sigma), repr(pending))
+        text = term_texts[term] = _term_text(term, term_texts)
+    return ("Running", text, repr(config.sigma), repr(config.pending))
+
+
+def _term_text(term: Optional[Chor], texts: dict) -> str:
+    """``repr(term)``, built without recursing into nested terms, with the
+    repr of each ``Comm`` and ``Nil`` kept in ``texts``."""
+    out, todo = [], [term]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Seq):
+            todo += (")", item.second, ", second=", item.first, "Seq(first=")
+        elif isinstance(item, Par):
+            todo += (")", item.right, ", right=", item.left, "Par(left=")
+        elif isinstance(item, Loop):
+            todo += (")", item.body, f"Loop(cond={item.cond!r}, body=")
+        elif isinstance(item, Branch):
+            pieces = [f"Branch(master={item.master!r}, conts=("]
+            for j, (gs, cont) in enumerate(item.conts):
+                pieces += (", (" if j else "(") + f"{gs!r}, ", cont, ")"
+            pieces.append(",))" if len(item.conts) == 1 else "))")
+            todo += reversed(pieces)
+        else:
+            text = texts.get(item)
+            if text is None:
+                text = texts[item] = repr(item)
+            out.append(text)
+    return "".join(out)
 
 
 def lts_to_dot(result: Exploration) -> str:

@@ -236,8 +236,7 @@ def main(argv=None) -> int:
     except RecursionError:
         # The parser, the static checks and the printers recurse over the
         # term structure, so a very long `;` chain exhausts the stack: with
-        # the default limit, the parser fails from 982 interactions and the
-        # term printer of --dump-lts from 326.
+        # the default limit, the parser fails from 982 interactions.
         print("error: input nested too deeply "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1

@@ -8,11 +8,11 @@ with the given structure, building one only when none is alive. So two
 parses of one text yield the same objects, equality and hashing are object
 identity, and a hash needs neither a Python call nor a walk of the
 structure. A literal is keyed by its value's type as well as its value, so
-``Lit(1)`` and ``Lit(True)`` stay two objects. A choreography
-configuration is a named tuple with no hash of its own, over interned
-fields and a valuation that caches its hash; a system state is a tuple of
-parts, each one object per distinct part in its system, so it hashes and
-compares by their identities (see ``cbs``).
+``Lit(1)`` and ``Lit(True)`` stay two objects. A running choreography
+configuration is a tuple of its term, its parts and its pool, each one
+object per structure or value (see ``chorsem``); a system state is a tuple
+of parts, each one object per distinct part in its system (see ``cbs``).
+Both hash and compare by the identities of what they hold.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
@@ -43,9 +43,9 @@ stores is one object, and every edge to a stored state points at that
 object, so an exploration holds each reached state once and code that walks
 the graph may compare stored states by identity. It hashes each successor
 once to find or store it, and each stored state once more when it is
-expanded: a configuration's hash reads its valuation's cached one, and a
-system state's combines its parts' addresses in C. The rules an
-exploration used are read off its edges' events.
+expanded: a running configuration's hash and a system state's combine
+addresses in C. The rules an exploration used are read off its edges'
+events.
 """
 
 from __future__ import annotations
@@ -383,6 +383,14 @@ class Valuation(Mapping):
     def __repr__(self):
         inner = ", ".join(f"{k}={v!r}" for k, v in zip(self._slots, self._values))
         return f"{{{inner}}}"
+
+    @classmethod
+    def over(cls, slots: dict, values: tuple) -> "Valuation":
+        """The valuation with ``values`` laid out by ``slots``, a dict from
+        each key to its position, which it shares."""
+        out = object.__new__(cls)
+        out._slots, out._values, out._hash = slots, values, None
+        return out
 
     @classmethod
     def union(cls, valuations: Iterable["Valuation"]) -> "Valuation":

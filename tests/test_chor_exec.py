@@ -5,16 +5,23 @@ out by hand against the definitions; the final test measures rule-tag
 coverage over the whole corpus.
 """
 
+import importlib.util
+import os
+import sys
+from typing import NamedTuple, Optional
+
+import pytest
+
 from chorc import chorsem
 from chorc.chorsem import (
     CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
     initial_config, lts_to_dot,
 )
-from chorc.core import Event
-from chorc.lang import Branch, Comm, Loop, Nil, Par, Seq
+from chorc.core import EvalError, Event, Valuation, explore_lts, requeue
+from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed
 from chorc.parser import parse_source
 
-from conftest import load_stem
+from conftest import ROOT, load_stem
 
 DECLS = """
 comp A {
@@ -402,3 +409,165 @@ class TestDot:
                 term_texts = {}
                 assert sorted(drawn, key=lambda c: chorsem._config_key(c, term_texts)) \
                     == sorted(drawn, key=repr), (path, limits)
+
+
+# --------------------------------------------------------------------------
+# Oracle: the flat configurations that the partitioned ones replaced
+# --------------------------------------------------------------------------
+
+class FlatRunning(NamedTuple):
+    """A configuration as it was stored before it was split into parts:
+    the term, one global valuation and the pending pool."""
+
+    term: Optional[Chor]
+    sigma: Valuation
+    pending: tuple = ()
+
+
+def flat_chor_steps(config):
+    """The successor function on flat configurations, as it was before
+    configurations were split: every guard and update runs on the global
+    valuation, uncached. It reads the same static step tables, so its
+    edges carry the same event objects."""
+    if isinstance(config, Final):
+        return []
+    term, sigma, pending = config
+    out = []
+    for i, (chan, queue) in enumerate(pending):
+        receipt, value = queue[0]
+        after = sigma.set(receipt.qname, value)
+        if receipt.apply is not None:
+            after = receipt.apply(after)
+        rest = pending[:i] + ((chan, queue[1:]),) * (len(queue) > 1) + pending[i + 1:]
+        out.append((receipt.event, FlatRunning(term, after, rest)
+                    if term is not None or rest else Final(after)))
+    if term is not None:
+        for event, act, nxt in chorsem._steps(term):
+            if act.guard is not None and not act.guard(sigma):
+                continue
+            queues = pending
+            for chan, receipt in act.sends:
+                queues = requeue(queues, chan, push=((receipt, sigma[act.var]),))
+            after = sigma if act.update is None else act.update(sigma)
+            out.append((event, FlatRunning(nxt, after, queues)
+                        if nxt is not None or queues else Final(after)))
+    return out
+
+
+def flat_explore(ch, sigma0, max_configs=200_000, max_depth=10_000):
+    return explore_lts(FlatRunning(ch, sigma0), flat_chor_steps,
+                       lambda c: isinstance(c, Final), max_configs, max_depth)
+
+
+def view(config):
+    """What a configuration shows: its class, term, valuation and pool."""
+    if isinstance(config, Final):
+        return config
+    return ("running", config.term, config.sigma, config.pending)
+
+
+def assert_same_lts(res, flat, what):
+    """The same stored configurations and edges, in order, with the very
+    same event objects, and the same terminals, deadlocks, truncation and
+    finals."""
+    assert [view(c) for c in res.graph] == [view(c) for c in flat.graph], what
+    for (c, edges), (f, flat_edges) in zip(res.graph.items(), flat.graph.items()):
+        assert [(e, view(s)) for e, s in edges] == \
+            [(e, view(s)) for e, s in flat_edges], (what, view(c))
+        assert all(e is g for (e, _), (g, _) in zip(edges, flat_edges)), (what, view(c))
+    assert {view(c) for c in res.terminals} == {view(c) for c in flat.terminals}, what
+    assert {view(c) for c in res.deadlocks} == {view(c) for c in flat.deadlocks}, what
+    assert (res.truncated, res.finals) == (flat.truncated, flat.finals), what
+
+
+def generated(name, seed):
+    """A generated benchmark input, from ``perfbench/gen.py`` as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = sys.modules.get(spec.name)
+    if gen is None:
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = gen  # dataclasses look their module up
+        spec.loader.exec_module(gen)
+    return gen.GENERATORS[name](seed).text
+
+
+#: Receive updates and guards that read another component's variable, which
+#: ``check_well_formed`` rejects and the semantics runs all the same.
+FOREIGN = [
+    "A.a -> { B.r[y := C.z + 1] } ; D.s[true, w := w + 2] -> { C.r } ; "
+    "A.a -> { B.r[y := y + C.z] }",
+    "while (A.d[x < 4, x := x + 1]) { A.p[C.z < 2] -> { D.r[w := w + B.y] } } || "
+    "while (B.d[y < 3, y := y + 1]) { B.s -> { C.r[z := z + A.x] } }",
+    "while (A.p[x < 4 and C.z == 0, x := x + 1]) { A.a -> { C.r[z := A.x - z] } ; "
+    "D.s[true, w := w + C.z] -> { C.r[z := 0] } }",
+]
+
+#: Division and modulo by zero, reached only after some steps.
+DIV_ZERO = [
+    "A.a[true, x := x - 1] -> { B.r } ; A.a[true, x := x - 1] -> { C.r } ; "
+    "A.p[true, x := 10 / x] -> { D.r }",
+    "A.a -> { B.r[y := y mod 2] } ; ( A.p[true, x := 0] -> { D.r } || B.s -> { C.r } ) ; "
+    "A.p[5 mod x > 0] -> { D.r }",
+    "A.a[true, x := 0] -> { B.r } ; A.a -> { B.r[y := 3 / y] } ; B.s -> { C.r }",
+]
+
+
+class TestFlatOracle:
+    """Partitioned configurations give the LTS of the flat ones."""
+
+    def test_corpus(self, corpus):
+        for path, decl, _, ch in corpus:
+            sigma = decl.initial_valuation()
+            for limits in ({}, {"max_configs": 40}, {"max_depth": 3}):
+                assert_same_lts(explore(ch, sigma, **limits),
+                                flat_explore(ch, sigma, **limits), (path, limits))
+
+    @pytest.mark.parametrize("name", ["interleave", "longchain"])
+    def test_generated(self, name):
+        decl, _, ch = parse_source(generated(name, 7))
+        sigma = decl.initial_valuation()
+        for _ in range(2):  # the second time on full caches
+            assert_same_lts(explore(ch, sigma), flat_explore(ch, sigma), name)
+        assert_same_lts(explore(ch, sigma, max_configs=100),
+                        flat_explore(ch, sigma, max_configs=100), name)
+
+    @pytest.mark.parametrize("body", FOREIGN)
+    def test_foreign_reads(self, body):
+        decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
+        assert any(d.code == "locality" for d in check_well_formed(decl, ch))
+        sigma = decl.initial_valuation()
+        res = explore(ch, sigma)
+        assert len(res.graph) > 5 and res.terminals
+        assert_same_lts(res, flat_explore(ch, sigma), body)
+
+    def test_one_receiver_takes_many_values(self):
+        """Deliveries that differ only in their value each get their own
+        cache entry."""
+        ch, sigma = setup("while (A.d[x < 4, x := x + 1]) { A.a -> { B.r[c := y > 2] } } ; "
+                          "B.s[true, y := 0] -> { D.r }")
+        assert_same_lts(explore(ch, sigma), flat_explore(ch, sigma), "values")
+
+    @pytest.mark.parametrize("body", DIV_ZERO)
+    def test_division_by_zero_raises_at_the_same_configuration(self, body):
+        decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
+        sigma = decl.initial_valuation()
+        raised = []
+        for start, steps in ((initial_config(ch, sigma), chor_steps_tagged),
+                             (FlatRunning(ch, sigma), flat_chor_steps)):
+            expanded = []
+
+            def traced(config, steps=steps, expanded=expanded):
+                expanded.append(view(config))
+                return steps(config)
+            with pytest.raises(EvalError) as err:
+                explore_lts(start, traced, lambda c: isinstance(c, Final), 1000, 1000)
+            raised.append((str(err.value), expanded))
+        assert raised[0] == raised[1]
+        assert len(raised[0][1]) > 1
+
+    def test_assigning_an_unbound_variable_is_an_error(self):
+        decl, _, ch = parse_source(DECLS + "choreography t = A.a -> { B.r } ; A.p -> { C.r }")
+        sigma = Valuation({k: v for k, v in decl.initial_valuation().items() if k != "C.z"})
+        with pytest.raises(EvalError, match="does not bind: C.z"):
+            explore(ch, sigma)

@@ -266,6 +266,15 @@ class TestDeepNesting:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(shown)
 
+    def test_dump_lts_takes_a_long_chain(self, tmp_path, capsys):
+        """The DOT order prints each term without recursing over it, so
+        900 interactions, well past the old limit of 325, dump in process."""
+        dot = tmp_path / "chain.dot"
+        code, out, err = run(["explore", chain(tmp_path, 900), "--dump-lts", str(dot)], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("chain: 901 configurations")
+        assert dot.read_text().count("shape=") == 901
+
 
 class TestPromelaErrors:
     def test_strict_string_data_is_a_diagnostic(self):
