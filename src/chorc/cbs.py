@@ -23,8 +23,9 @@ system then gives each component position a plain table from every
 location a state can hold there, its initial location and every transition
 target, to a flat tuple of static steps (``_compile_location``). A send
 step covers one interaction and all of its sender's transitions on the
-send port from that location. The tables are cached on the instance, so
-``dataclasses.replace`` yields a system with fresh ones.
+send port from that location. The tables, like ``check_structure``'s
+findings, are cached on the instance, so ``dataclasses.replace`` yields a
+system with fresh ones.
 
 A system state (``SysState``) is a tuple of one part per component
 position: the position's location, a valuation of the variables it holds
@@ -253,6 +254,10 @@ class CompositeSystem:
             pos.initial = _part(pos, own.holdable[0], vals, ())
         return positions
 
+    @cached_attr
+    def _diagnostics(self) -> tuple:
+        return tuple(_structure_diagnostics(self))
+
     def initial_state(self) -> "SysState":
         """Every component at its initial location, with its variables'
         initial values and empty buffers."""
@@ -445,12 +450,10 @@ def _rendezvous(positions: tuple, state: SysState, i: int, step: tuple) -> list:
 
 
 def _pushed(pos: _Position, part: _Part, pid: str, value) -> _Part:
-    """``part`` with ``value`` appended to its buffer ``pid``, cached."""
-    key = (part, pid, value)
-    new = pos.pushes.get(key)
-    if new is None:
-        new = pos.pushes[key] = _part(
-            pos, part.loc, part.vals, requeue(part.queues, pid, push=(value,)))
+    """``part`` with ``value`` appended to its buffer ``pid``, kept in
+    ``pos.pushes``, where ``_fire`` looks it up first."""
+    new = pos.pushes[part, pid, value] = _part(
+        pos, part.loc, part.vals, requeue(part.queues, pid, push=(value,)))
     return new
 
 
@@ -460,10 +463,13 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     ``_run``), a synchronous send's combined with every choice of its
     receivers' new parts (see ``_accept``). A synchronous send that cannot
     run on the parts' own valuations runs on the whole state's, uncached
-    (see ``_rendezvous``)."""
+    (see ``_rendezvous``). Each successor is one copy of ``parts``, a list
+    of the state's parts made for the first successor, into which a step
+    writes its new parts and from which it then restores the state's."""
     positions = sys._steps
     out = []
     append = out.append
+    parts = None
     for i in cis:
         pos = positions[i]
         steps = pos.steps.get(state[i])
@@ -479,12 +485,17 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
         for step, news, payload in sends:
             event, targets = step[1], step[4]
             if step[0] == "asynch-send":
-                for new in news:
+                if parts is None:
                     parts = list(state)
+                for new in news:
                     parts[i] = new
                     for j, pid in targets:
-                        parts[j] = _pushed(positions[j], parts[j], pid, payload)
+                        key = (parts[j], pid, payload)
+                        parts[j] = positions[j].pushes.get(key) or _pushed(positions[j], *key)
                     append((event, _new(SysState, parts)))
+                    for j, _ in targets:
+                        parts[j] = state[j]
+                parts[i] = state[i]
                 continue
             if news is None:
                 out.extend(_rendezvous(positions, state, i, step))
@@ -502,21 +513,34 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
                         break
                     choices.append(got)
                 else:
+                    if parts is None:
+                        parts = list(state)
                     for new in news:
+                        parts[i] = new
+                        if len(targets) == 1:  # the common case, without a product
+                            j = targets[0][0]
+                            for got in choices[0]:
+                                parts[j] = got
+                                append((event, _new(SysState, parts)))
+                            continue
                         for combo in itertools.product(*choices):
-                            parts = list(state)
-                            parts[i] = new
                             for target, got in zip(targets, combo):
                                 parts[target[0]] = got
                             append((event, _new(SysState, parts)))
+                    parts[i] = state[i]
+                    for target in targets:
+                        parts[target[0]] = state[target[0]]
             except EvalError:
                 # A receiver's guard or update reads another part's variable
                 # or raises: none of this send's successors were added.
                 out.extend(_rendezvous(positions, state, i, step))
         if local:
-            head, tail = state[:i], state[i + 1:]
+            if parts is None:
+                parts = list(state)
             for event, new in local:
-                append((event, _new(SysState, head + (new,) + tail)))
+                parts[i] = new
+                append((event, _new(SysState, parts)))
+            parts[i] = state[i]
     return out
 
 
@@ -555,7 +579,13 @@ def sys_explore(sys: CompositeSystem, max_configs: int = 200_000,
 # --------------------------------------------------------------------------
 
 def check_structure(sys: CompositeSystem) -> list:
-    """Structural sanity of a composite system; empty iff clean."""
+    """Structural sanity of a composite system, as a fresh list; empty iff
+    clean. Checked once per system."""
+    return list(sys._diagnostics)
+
+
+def _structure_diagnostics(sys: CompositeSystem) -> list:
+    """What ``check_structure`` reports, found afresh."""
     diags: list[Diagnostic] = []
     ids = set()
     all_ports = {}

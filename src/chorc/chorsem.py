@@ -416,12 +416,14 @@ def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
 
 def chor_steps_tagged(config: ChorConfig):
     """Successors of a configuration as (event, configuration) pairs: one
-    delivery per pending channel, in channel order, then the term's steps."""
+    delivery per pending channel, in channel order, then the term's steps.
+    A step that writes one part copies ``scratch`` with that part in it."""
     if isinstance(config, Final):
         return []
     term, parts, pool = config
     frame = pool.frame
     out = []
+    scratch = list(parts)
 
     # Residual receives: consume the head of any channel queue.
     for event, plan, cache, receipt, value, rest in pool.deliveries:
@@ -433,7 +435,12 @@ def chor_steps_tagged(config: ChorConfig):
             news = cache[k] = plan.split(vals, after if receipt.apply is None
                                          else receipt.apply(after))
         i = plan.one
-        after = parts[:i] + news + parts[i + 1:] if i is not None else _splice(parts, plan, news)
+        if i is None:
+            after = _splice(parts, plan, news)
+        else:
+            scratch[i] = news[0]
+            after = tuple(scratch)
+            scratch[i] = parts[i]
         out.append((event, _new(Running, (term, after, rest))
                     if term is not None or rest.pending else _new(Final, (frame.sigma(after),))))
 
@@ -458,8 +465,12 @@ def chor_steps_tagged(config: ChorConfig):
             if act.sends:
                 queues = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
             i = plan.one
-            after = (parts[:i] + news + parts[i + 1:] if i is not None
-                     else _splice(parts, plan, news) if news else parts)
+            if i is None:
+                after = _splice(parts, plan, news) if news else parts
+            else:
+                scratch[i] = news[0]
+                after = tuple(scratch)
+                scratch[i] = parts[i]
             out.append((event, _new(Running, (nxt, after, queues))
                         if nxt is not None or queues.pending
                         else _new(Final, (frame.sigma(after),))))
@@ -560,15 +571,14 @@ def lts_to_dot(result: Exploration) -> str:
         return k
 
     lines = ["digraph lts {", "  rankdir=LR;"]
-    ordering = sorted(result.graph, key=key)
-    if result.initial in result.graph:
-        ordering.remove(result.initial)
-        ordering.insert(0, result.initial)
-    for config in ordering:
-        declare(config)
-    for config in ordering:
-        nid = node_id(config)
-        for event, succ in sorted(result.graph[config],
+    states = result.states
+    # The initial configuration first, then the rest as their reprs sort.
+    ordering = sorted(range(len(result.ends)), key=lambda i: (i > 0, key(states[i])))
+    for i in ordering:
+        declare(states[i])
+    for i in ordering:
+        nid = node_id(states[i])
+        for event, succ in sorted(result.edges(i),
                                   key=lambda e: (_label_text(e[0].label), key(e[1]))):
             if succ not in ids:
                 declare(succ, ", style=dashed")

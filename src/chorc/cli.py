@@ -100,7 +100,7 @@ def cmd_synth(args, decl, name, ch, system) -> int:
 def cmd_explore(args, decl, name, ch, system) -> int:
     result = explore(ch, decl.initial_valuation(),
                      max_configs=args.max_configs, max_depth=args.max_depth)
-    print(f"{name}: {len(result.graph)} configurations, "
+    print(f"{name}: {len(result.ends)} configurations, "
           f"{len(result.finals)} final valuation(s), "
           f"{len(result.deadlocks)} deadlock(s)"
           + (", truncated" if result.truncated else ""))

@@ -38,14 +38,14 @@ allocates a label. A successor function returns (event, state) pairs.
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
 (``cbs.sys_explore``) each pass it their start state, successor function and
-termination test, and both get an ``Exploration`` back. Every state it
-stores is one object, and every edge to a stored state points at that
-object, so an exploration holds each reached state once and code that walks
-the graph may compare stored states by identity. It hashes each successor
-once to find or store it, and each stored state once more when it is
-expanded: a running configuration's hash and a system state's combine
-addresses in C. The rules an exploration used are read off its edges'
-events.
+termination test, and both get an ``Exploration`` back: the LTS indexed as
+by LTSmin's state table (Blom, van de Pol & Weber, CAV 2010), states
+numbered in the order met and edges as flat lists of events and target
+numbers, so an edge holds no tuple. Every stored state is one object, the
+first equal one met. Each successor is hashed once, by the ``setdefault``
+that finds or hands out its number, and a stored state is expanded by its
+number; a running configuration's hash and a system state's combine
+addresses in C. The rules an exploration used are read off its events.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ import operator
 import weakref
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple, Union
 
 
@@ -505,18 +506,24 @@ class Event(NamedTuple):
 
 @dataclass
 class Exploration:
-    """The part of a labelled transition system that ``explore_lts`` reached.
-
-    The keys of ``graph`` are the stored states, one object each; every edge
-    target equal to a key is that key object. ``initial``, ``terminals`` and
-    ``deadlocks`` hold the same objects.
+    """The part of a labelled transition system that ``explore_lts`` reached,
+    indexed: a stored state's id is its position in ``states``, in
+    breadth-first order. Edge ``k`` is ``events[k]`` to ``targets[k]``; the
+    edges of expanded state ``i`` end at ``ends[i]``, after those of
+    ``i - 1``. ``initial``, ``terminals`` and ``deadlocks`` hold stored
+    objects.
     """
 
     initial: object
-    graph: dict = field(default_factory=dict)      # state -> [(event, state)]
-    terminals: set = field(default_factory=set)    # no successor, terminated
-    deadlocks: set = field(default_factory=set)    # no successor, not terminated
-    truncated: bool = False
+    states: list       # stored states, by id
+    index: dict        # stored state -> its id
+    events: list       # per edge
+    targets: list      # per edge: an id, or ~n into ``fresh``
+    ends: list         # per expanded state, by id: the end of its edges
+    fresh: list        # left-out successors, one per edge to one
+    terminals: set     # no successor, terminated
+    deadlocks: set     # no successor, not terminated
+    truncated: bool
 
     @property
     def finals(self) -> set:
@@ -526,8 +533,21 @@ class Exploration:
     @property
     def rules_seen(self) -> set:
         """Names of the rules that derive the stored edges."""
-        chains = {event.rules for edges in self.graph.values() for event, _ in edges}
+        chains = {event.rules for event in set(self.events)}
         return {rule for rules in chains for rule in rules}
+
+    def edges(self, i: int) -> list:
+        """Expanded state ``i``'s edges as (event, target state) pairs."""
+        lo, hi = self.ends[i - 1] if i else 0, self.ends[i]
+        states, fresh = self.states, self.fresh
+        return [(event, states[t] if t >= 0 else fresh[~t])
+                for event, t in zip(self.events[lo:hi], self.targets[lo:hi])]
+
+    @cached_attr
+    def graph(self) -> Mapping:
+        """A read-only map from each expanded state to its edges (see
+        ``edges``), built on first use."""
+        return MappingProxyType({self.states[i]: self.edges(i) for i in range(len(self.ends))})
 
 
 def explore_lts(start, successors, is_terminal,
@@ -535,53 +555,42 @@ def explore_lts(start, successors, is_terminal,
     """Breadth-first closure of ``successors`` from ``start``, with
     memoization on states.
 
-    ``successors(state)`` returns (event, state) pairs. Every
-    stored state is expanded once; a state without successors is a terminal
-    if ``is_terminal(state)`` and a deadlock otherwise. At most
+    ``successors(state)`` returns (event, state) pairs. Every stored state
+    is expanded once; a state without successors is a terminal if
+    ``is_terminal(state)`` and a deadlock otherwise. At most
     ``max_configs`` states are stored and at most ``max_depth`` BFS levels
     are expanded; a state left out by either limit marks the result
-    truncated, and the graph then holds edges to states it does not store.
-
-    Every stored state is one object, the first one equal to it that the
-    search met. Each edge to a stored state points at that object, so a
-    fresh successor equal to a stored one is not kept. A successor left out
-    by ``max_configs`` stays the fresh object of its edge. An edge is the
-    successor's own pair unless its state was already stored.
+    truncated. A successor that ``max_configs`` left out stays the fresh
+    object of its edge, kept in ``fresh``.
     """
-    result = Exploration(start)
-    seen = {start: start}
-    store = seen.setdefault
-    stored_count = 1
-    frontier = [start]
-    depth = 0
-    while frontier:
+    states, index, events, targets, ends, fresh = [start], {start: 0}, [], [], [], []
+    store, add_event, add_target = index.setdefault, events.append, targets.append
+    result = Exploration(start, states, index, events, targets, ends, fresh, set(), set(), False)
+    count, lo, depth = 1, 0, 0
+    while lo < count:
         if depth >= max_depth:
             result.truncated = True
             break
-        nxt_frontier = []
-        for state in frontier:
+        hi = count
+        for state in states[lo:hi]:
             succs = successors(state)
-            edges = result.graph[state] = []
             if not succs:
-                if is_terminal(state):
-                    result.terminals.add(state)
-                else:
-                    result.deadlocks.add(state)
-            for edge in succs:
-                succ = edge[1]
-                stored = store(succ, succ)
-                if len(seen) > stored_count:  # a new state
-                    if stored_count >= max_configs:
-                        del seen[succ]
+                (result.terminals if is_terminal(state) else result.deadlocks).add(state)
+            for event, succ in succs:
+                sid = store(succ, count)
+                if sid == count:  # a new state
+                    if count >= max_configs:
+                        del index[succ]
                         result.truncated = True
+                        sid = ~len(fresh)
+                        fresh.append(succ)
                     else:
-                        stored_count += 1
-                        nxt_frontier.append(succ)
-                elif stored is not succ:
-                    edge = (edge[0], stored)
-                edges.append(edge)
-        frontier = nxt_frontier
-        depth += 1
+                        count += 1
+                        states.append(succ)
+                add_event(event)
+                add_target(sid)
+            ends.append(len(targets))
+        lo, depth = hi, depth + 1
     return result
 
 

@@ -61,8 +61,8 @@ def equiv_check(decl: SystemDecl, ch: Chor, sys: CompositeSystem,
     sys_res = sys_explore(sys, max_configs=max_configs, max_depth=max_depth)
     report = EquivReport(
         verdict="equivalent",
-        chor_states=len(chor_res.graph),
-        sys_states=len(sys_res.graph),
+        chor_states=len(chor_res.ends),
+        sys_states=len(sys_res.ends),
         chor_finals={project(s, keys) for s in chor_res.finals},
         sys_finals={project(s, keys) for s in sys_res.finals},
         chor_deadlocks=len(chor_res.deadlocks),
@@ -103,7 +103,7 @@ def invariant_suite(sys: CompositeSystem) -> list:
     synthesis-specific ones: exactly one marked end location per component
     and no transition leaving it.
     """
-    diags = list(check_structure(sys))
+    diags = check_structure(sys)
     for comp in sys.components:
         if comp.end is None:
             diags.append(Diagnostic(

@@ -461,13 +461,14 @@ def explore_ring(**limits):
 
 class TestExploreLts:
     def test_each_successor_is_hashed_once(self):
-        # Once to find or store each successor, once more to expand each
-        # stored state, and once for the start.
+        # Once to find or number each successor, and once for the start;
+        # expanding a stored state takes it by its id, unhashed.
         before = RingState.hashes
         res = explore_ring()
+        hashes = RingState.hashes - before
         edges = sum(len(out) for out in res.graph.values())
         assert (len(res.graph), edges) == (6, 18)
-        assert RingState.hashes - before == edges + len(res.graph) + 1
+        assert hashes == edges + 1
 
     def test_max_configs_leaves_states_out(self):
         res = explore_ring(max_configs=2)

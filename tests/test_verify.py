@@ -1,12 +1,17 @@
 """Tests for the equivalence oracle, invariants and mutation operators."""
 
+import dataclasses
+
+from chorc import cbs
+from chorc.cbs import check_structure
+from chorc.cli import main
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import (
     MUTATIONS, equiv_check, invariant_suite, project,
     user_variables,
 )
 
-from conftest import load_stem
+from conftest import corpus_path, load_stem
 
 
 class TestProjection:
@@ -53,7 +58,6 @@ class TestInvariantSuite:
                 assert invariant_suite(sys) == [], (path, profile)
 
     def test_flags_missing_end(self):
-        import dataclasses
         decl, _, ch = load_stem("comm_sync")
         sys = synthesize(decl, ch)
         broken = dataclasses.replace(
@@ -61,6 +65,29 @@ class TestInvariantSuite:
             components=tuple(dataclasses.replace(c, end=None)
                              for c in sys.components))
         assert any(d.code == "no-end" for d in invariant_suite(broken))
+
+
+class TestStructureCheckedOnce:
+    def test_one_equiv_call_checks_once(self, monkeypatch, capsys):
+        calls = []
+        body = cbs._structure_diagnostics
+        monkeypatch.setattr(cbs, "_structure_diagnostics",
+                            lambda sys: calls.append(sys) or body(sys))
+        assert main(["equiv", corpus_path("buying")]) == 0
+        assert "equivalent" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_fresh_list_and_recomputed_for_mutants(self):
+        decl, _, ch = load_stem("buying")
+        base = synthesize(decl, ch)
+        first = check_structure(base)
+        first.append("scribbled")
+        assert check_structure(base) == [] and invariant_suite(base) == []
+        mutant = MUTATIONS["drop-interaction"](base)
+        assert "unconnected-port" in {d.code for d in check_structure(mutant)}
+        replaced = dataclasses.replace(base, gamma=base.gamma[1:])
+        assert "_diagnostics" not in vars(replaced)
+        assert check_structure(replaced) == check_structure(mutant)
 
 
 class TestMutations:
