@@ -234,9 +234,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The parser, the static checks and the printers recurse over the
-        # term structure, so a very long `;` chain exhausts the stack: with
-        # the default limit, the parser fails from 982 interactions.
+        # The parser reads `;` and `||` chains in a loop, but the checks,
+        # synthesis and the printers recurse over terms: with the default
+        # limit, `synth` fails from 989 interactions in one `;` chain.
         print("error: input nested too deeply "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1

@@ -63,53 +63,63 @@ _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 
 # One alternative per token class, tried in this order at the current
 # position. Identifiers and integers are ASCII only (see docs/grammar.md).
-_TOKEN = re.compile("|".join((
-    r"(?P<space>[ \t\r]+|//[^\n]*)",
-    r"(?P<newline>\n)",
+_SPACE = r"[ \t\r]+|//[^\n]*"
+_CLASSES = (
     r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
     r"(?P<INT>[0-9]+)",
     f'(?P<STRING>"{_STRING_BODY}")',
     "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-)))
+)
+_TOKEN = re.compile("|".join((f"(?P<space>{_SPACE})", r"(?P<newline>\n)", *_CLASSES)))
+# The lexer's pattern: white space and comments, then a token or else the
+# empty alternative, so a match never gives white space back to a token.
+_FOLDED = re.compile(f"(?:{_SPACE}|\n)*(?:{'|'.join(_CLASSES)}|)")
+# A keyword's or a symbol's kind is its text.
+_KINDS = {text: text for text in (*KEYWORDS, *_SYMBOLS)}
 _STRING_PREFIX = re.compile(f'"{_STRING_BODY}')
 _ESCAPE = re.compile(r"\\(.)")
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # Token(...) without NamedTuple's keyword handling
-    line, line_start, pos = 1, 0, 0
-    m = None
-    for m in _TOKEN.finditer(source):
-        start = m.start()
-        if start != pos:  # finditer skipped text that starts no token
-            raise _lex_error(source, pos, line, pos - line_start + 1)
-        kind, pos = m.lastgroup, m.end()
-        if kind == "space":
-            continue
-        if kind == "newline":
-            line, line_start = line + 1, pos
-            continue
-        text, col = m.group(), start - line_start + 1
-        if kind == "IDENT":
-            append(new(Token, (text if text in KEYWORDS else "IDENT", text, line, col)))
-        elif kind == "symbol":
-            append(new(Token, (text, text, line, col)))
-        elif kind == "STRING":
-            body = text[1:-1]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
-            append(new(Token, ("STRING", body, line, col)))
-        else:
-            append(new(Token, (kind, text, line, col)))
-    if pos != len(source):
-        raise _lex_error(source, pos, line, pos - line_start + 1)
+def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens' kinds, texts and start offsets, the end token included."""
+    kinds, texts, starts = [], [], []
+    add_kind, add_text, add_start, kind_of = kinds.append, texts.append, starts.append, _KINDS.get
+    for m in _FOLDED.finditer(source):
+        group = m.lastgroup
+        if group is None:  # the end of the input, or text that starts no token
+            break
+        text = m[group]
+        kind = kind_of(text, group)
+        if kind == "STRING":
+            text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+        add_kind(kind)
+        add_text(text)
+        add_start(m.start(group))
+    if m.end() != len(source):
+        raise _lex_error(source, m.end(), *_position(source, m.end()))
     # A comment does not advance the column, so input that ends in one has
     # its end token where the comment starts.
-    if m is not None and m.group().startswith("//"):
-        pos = m.start()
-    append(new(Token, ("EOF", "", line, pos - line_start + 1)))
+    comment = source.find("//", max(m.start(), source.rfind("\n", m.start()) + 1))
+    add_kind("EOF")
+    add_text("")
+    add_start(len(source) if comment < 0 else comment)
+    return kinds, texts, starts
+
+
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """The line and column of ``offset``, both from 1."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def tokenize(source: str) -> list[Token]:
+    """The tokens with their lines and columns, the end token included."""
+    tokens, line, line_start, last = [], 1, 0, 0
+    for kind, text, start in zip(*_lex(source)):
+        line += source.count("\n", last, start)
+        line_start = max(line_start, source.rfind("\n", last, start) + 1)
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+        last = start
     return tokens
 
 
@@ -127,44 +137,45 @@ def _lex_error(source: str, pos: int, line: int, col: int) -> ParseError:
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    """Recursive descent over the token kinds, which it indexes by position."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts, self.starts = _lex(source)
         self.pos = 0
 
     # -- token stream helpers ------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
-
     def at(self, kind: str) -> bool:
-        return self.cur.kind == kind
+        return self.kinds[self.pos] == kind
 
-    def accept(self, kind: str) -> Token | None:
-        if self.cur.kind == kind:
-            tok = self.cur
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, kind: str) -> Token:
-        tok = self.accept(kind)
-        if tok is None:
-            got = self.cur.text or self.cur.kind
-            raise ParseError(f"expected {kind!r}, found {got!r}",
-                             self.cur.line, self.cur.col)
-        return tok
+    def expect(self, kind: str) -> str:
+        """The text of the current token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            got = self.texts[pos] or self.kinds[pos]
+            raise self.error(f"expected {kind!r}, found {got!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def fail(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.col)
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """The error at token ``at``, by default the current one."""
+        start = self.starts[self.pos if at is None else at]
+        return ParseError(message, *_position(self.source, start))
 
-    @staticmethod
-    def component(decl: SystemDecl, cid: str, at: Token) -> ComponentDecl:
-        """The declaration of component ``cid``; an error at ``at`` if none."""
-        try:
-            return decl.component(cid)
-        except KeyError:
-            raise ParseError(f"unknown component {cid!r}", at.line, at.col) from None
+    def component(self, cid: str, at: int) -> tuple[dict, dict]:
+        """The ports and variables of component ``cid``; an error at token
+        ``at`` if there is none."""
+        names = self.names.get(cid)
+        if names is None:
+            raise self.error(f"unknown component {cid!r}", at)
+        return names
 
     # -- declarations --------------------------------------------------------
 
@@ -173,11 +184,17 @@ class Parser:
         return (decl, *self.parse_named_chor(decl))
 
     def parse_named_chor(self, decl: SystemDecl) -> tuple[str, Chor]:
-        """``choreography NAME = term``, which must end the input."""
+        """``choreography NAME = term``, which must end the input. Names
+        resolve through a table of ``decl``'s components, each with its
+        ports and its variables' qualified names by name: the first of
+        equal names wins."""
+        self.names = {c.id: ({p.name: p for p in reversed(c.ports)},
+                             {v.name: v.qname for v, _ in reversed(c.vars)})
+                      for c in reversed(decl.components)}
         self.expect("choreography")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect("=")
-        ch = self.parse_chor(decl)
+        ch = self.parse_chor()
         self.expect("EOF")
         return name, ch
 
@@ -187,14 +204,14 @@ class Parser:
         while self.at("comp"):
             c = self.parse_component()
             if c.id in seen:
-                self.fail(f"duplicate component {c.id!r}")
+                raise self.error(f"duplicate component {c.id!r}")
             seen.add(c.id)
             comps.append(c)
         return SystemDecl(components=tuple(comps))
 
     def parse_component(self) -> ComponentDecl:
         self.expect("comp")
-        cid = self.expect("IDENT").text
+        cid = self.expect("IDENT")
         self.expect("{")
         variables: list[tuple[Variable, object]] = []
         var_by_name: dict[str, Variable] = {}
@@ -202,9 +219,9 @@ class Parser:
         port_names = set()
         while not self.accept("}"):
             if self.accept("var"):
-                name = self.expect("IDENT").text
+                name = self.expect("IDENT")
                 if name in var_by_name:
-                    self.fail(f"duplicate variable {name!r} in {cid}")
+                    raise self.error(f"duplicate variable {name!r} in {cid}")
                 self.expect(":")
                 dtype = self.parse_dtype()
                 var = Variable(name=name, owner=cid, dtype=dtype)
@@ -215,231 +232,233 @@ class Parser:
                 var_by_name[name] = var
                 variables.append((var, init))
             elif self.accept("port"):
-                name = self.expect("IDENT").text
+                name = self.expect("IDENT")
                 if name in port_names:
-                    self.fail(f"duplicate port {name!r} in {cid}")
+                    raise self.error(f"duplicate port {name!r} in {cid}")
                 self.expect(":")
-                ctype_tok = self.expect("IDENT")
-                if ctype_tok.text not in ("ss", "as", "r", "in"):
-                    raise ParseError(f"unknown port type {ctype_tok.text!r}",
-                                     ctype_tok.line, ctype_tok.col)
+                at = self.pos
+                ctype = self.expect("IDENT")
+                if ctype not in ("ss", "as", "r", "in"):
+                    raise self.error(f"unknown port type {ctype!r}", at)
                 self.expect("of")
                 dtype = self.parse_dtype()
                 self.expect("binds")
-                var_name = self.expect("IDENT").text
+                var_name = self.expect("IDENT")
                 if var_name not in var_by_name:
-                    self.fail(f"port {name!r} binds unknown variable {var_name!r}")
+                    raise self.error(f"port {name!r} binds unknown variable {var_name!r}")
                 var = var_by_name[var_name]
                 if var.dtype != dtype:
-                    self.fail(f"port {name!r} of {dtype} binds {var_name}: {var.dtype}")
+                    raise self.error(f"port {name!r} of {dtype} binds {var_name}: {var.dtype}")
                 self.expect(";")
                 port_names.add(name)
-                ports.append(Port(name=name, owner=cid, var=var, ctype=ctype_tok.text))
+                ports.append(Port(name=name, owner=cid, var=var, ctype=ctype))
             else:
-                self.fail("expected 'var', 'port' or '}'")
+                raise self.error("expected 'var', 'port' or '}'")
         return ComponentDecl(id=cid, vars=tuple(variables), ports=tuple(ports))
 
     def parse_dtype(self) -> str:
-        tok = self.expect("IDENT")
-        if tok.text not in ("int", "bool", "str"):
-            raise ParseError(f"unknown type {tok.text!r}", tok.line, tok.col)
-        return tok.text
+        at = self.pos
+        dtype = self.expect("IDENT")
+        if dtype not in ("int", "bool", "str"):
+            raise self.error(f"unknown type {dtype!r}", at)
+        return dtype
 
     def parse_literal(self, dtype: str):
         if dtype == "int":
-            neg = bool(self.accept("-"))
-            tok = self.expect("INT")
-            return -int(tok.text) if neg else int(tok.text)
+            neg = self.accept("-")
+            value = int(self.expect("INT"))
+            return -value if neg else value
         if dtype == "bool":
             if self.accept("true"):
                 return True
             self.expect("false")
             return False
-        return self.expect("STRING").text
+        return self.expect("STRING")
 
     # -- choreography terms --------------------------------------------------
 
-    def parse_chor(self, decl: SystemDecl) -> Chor:
-        left = self.parse_seq(decl)
-        if self.accept("||"):
-            return Par(left, self.parse_chor(decl))
-        return left
+    def parse_chor(self) -> Chor:
+        return self.parse_chain("||", Par, self.parse_seq)
 
-    def parse_seq(self, decl: SystemDecl) -> Chor:
-        left = self.parse_atom(decl)
-        if self.accept(";"):
-            return Seq(left, self.parse_seq(decl))
-        return left
+    def parse_seq(self) -> Chor:
+        return self.parse_chain(";", Seq, self.parse_atom)
 
-    def parse_atom(self, decl: SystemDecl) -> Chor:
+    def parse_chain(self, sep: str, cls, parse_operand) -> Chor:
+        """Operands separated by ``sep``, joined by ``cls`` nested to the
+        right. A loop reads them, so a chain's length adds no depth."""
+        terms = [parse_operand()]
+        while self.accept(sep):
+            terms.append(parse_operand())
+        term = terms.pop()
+        while terms:
+            term = cls(terms.pop(), term)
+        return term
+
+    def parse_atom(self) -> Chor:
         if self.accept("nil"):
             return Nil()
         if self.accept("("):
-            ch = self.parse_chor(decl)
+            ch = self.parse_chor()
             self.expect(")")
             return ch
         if self.accept("choice"):
-            return self.parse_branch(decl)
+            return self.parse_branch()
         if self.accept("while"):
-            return self.parse_loop(decl)
-        return self.parse_comm(decl)
+            return self.parse_loop()
+        return self.parse_comm()
 
-    def parse_branch(self, decl: SystemDecl) -> Branch:
+    def parse_branch(self) -> Branch:
+        at = self.pos
         master = self.expect("IDENT")
-        self.component(decl, master.text, master)
+        self.component(master, at)
         self.expect("{")
         conts = []
         while True:
-            gs = self.parse_guarded_send(decl)
+            gs = self.parse_guarded_send()
             self.expect("=>")
-            conts.append((gs, self.parse_chor(decl)))
+            conts.append((gs, self.parse_chor()))
             if not self.accept("|"):
                 break
         self.expect("}")
-        return Branch(master=master.text, conts=tuple(conts))
+        return Branch(master=master, conts=tuple(conts))
 
-    def parse_loop(self, decl: SystemDecl) -> Loop:
+    def parse_loop(self) -> Loop:
         self.expect("(")
-        cond = self.parse_guarded_send(decl)
+        cond = self.parse_guarded_send()
         self.expect(")")
         self.expect("{")
-        body = self.parse_chor(decl)
+        body = self.parse_chor()
         self.expect("}")
         return Loop(cond=cond, body=body)
 
-    def parse_comm(self, decl: SystemDecl) -> Comm:
-        send = self.parse_guarded_send(decl)
+    def parse_comm(self) -> Comm:
+        send = self.parse_guarded_send()
         self.expect("->")
         self.expect("{")
         rcvs = []
         if not self.at("}"):
             while True:
-                port = self.parse_port_ref(decl)
+                port = self.parse_port_ref()
                 update = SKIP
                 if self.accept("["):
-                    update = self.parse_update(decl, port.owner)
+                    update = self.parse_update(port.owner)
                     self.expect("]")
                 rcvs.append((port, update))
                 if not self.accept(","):
                     break
-        close = self.cur
+        close = self.pos
         self.expect("}")
         if not rcvs:
-            raise ParseError("communication needs at least one receiver",
-                             close.line, close.col)
+            raise self.error("communication needs at least one receiver", close)
         if self.accept(":"):
             self.expect("<")
-            tok = self.cur
+            at = self.pos
             dtype = self.parse_dtype()
             self.expect(">")
             if dtype != send.port.dtype:
-                raise ParseError(
+                raise self.error(
                     f"annotation <{dtype}> does not match port "
-                    f"{send.port.pid} of {send.port.dtype}",
-                    tok.line, tok.col)
+                    f"{send.port.pid} of {send.port.dtype}", at)
         return Comm(send=send, rcvs=tuple(rcvs))
 
-    def parse_guarded_send(self, decl: SystemDecl) -> GuardedSend:
-        port = self.parse_port_ref(decl)
+    def parse_guarded_send(self) -> GuardedSend:
+        port = self.parse_port_ref()
         guard: Expr = TRUE
         update = SKIP
         if self.accept("["):
             if not self.at("]"):
-                guard = self.parse_expr(decl, port.owner)
+                guard = self.parse_expr(port.owner)
                 if self.accept(","):
-                    update = self.parse_update(decl, port.owner)
+                    update = self.parse_update(port.owner)
             self.expect("]")
         return GuardedSend(port=port, guard=guard, update=update)
 
-    def parse_port_ref(self, decl: SystemDecl) -> Port:
-        tok = self.expect("IDENT")
+    def parse_port_ref(self) -> Port:
+        at = self.pos
+        cid = self.expect("IDENT")
         self.expect(".")
-        name = self.expect("IDENT").text
-        for p in self.component(decl, tok.text, tok).ports:
-            if p.name == name:
-                return p
-        raise ParseError(f"component {tok.text} has no port {name!r}",
-                         tok.line, tok.col)
+        name = self.expect("IDENT")
+        port = self.component(cid, at)[0].get(name)
+        if port is None:
+            raise self.error(f"component {cid} has no port {name!r}", at)
+        return port
 
     # -- updates and expressions ---------------------------------------------
 
-    def parse_update(self, decl: SystemDecl, owner: str) -> Update:
+    def parse_update(self, owner: str) -> Update:
         if self.accept("skip"):
             return SKIP
         assignments = []
         while True:
-            target = self.parse_var_ref(decl, owner)
+            target = self.parse_var_ref(owner)
             self.expect(":=")
-            assignments.append((target, self.parse_expr(decl, owner)))
+            assignments.append((target, self.parse_expr(owner)))
             if not self.accept(";"):
                 break
         return Update(assignments=tuple(assignments))
 
-    def parse_var_ref(self, decl: SystemDecl, owner: str) -> str:
-        tok = self.expect("IDENT")
-        first = tok.text
+    def parse_var_ref(self, owner: str) -> str:
+        at = self.pos
+        first = self.expect("IDENT")
         if self.accept("."):
-            comp_id, name = first, self.expect("IDENT").text
+            comp_id, name = first, self.expect("IDENT")
         else:
             comp_id, name = owner, first
-        for var, _ in self.component(decl, comp_id, tok).vars:
-            if var.name == name:
-                return var.qname
-        raise ParseError(f"component {comp_id} has no variable {name!r}",
-                         tok.line, tok.col)
+        qname = self.component(comp_id, at)[1].get(name)
+        if qname is None:
+            raise self.error(f"component {comp_id} has no variable {name!r}", at)
+        return qname
 
-    def parse_expr(self, decl: SystemDecl, owner: str, min_prec: int = 1) -> Expr:
+    def parse_expr(self, owner: str, min_prec: int = 1) -> Expr:
         """Precedence climbing over ``BINARY_OPS``: the longest expression
         whose binary operators bind at least as tightly as ``min_prec``."""
-        left = self.parse_unary(decl, owner)
+        left = self.parse_unary(owner)
         max_prec = UNARY_PREC
         while True:
-            op = self.cur.kind
+            op = self.kinds[self.pos]
             info = BINARY_OPS.get(op)
             if info is None or not min_prec <= info.prec <= max_prec:
                 return left
             self.pos += 1
-            left = BinOp(op, left, self.parse_expr(decl, owner, info.prec + 1))
+            left = BinOp(op, left, self.parse_expr(owner, info.prec + 1))
             # Left-associative: the right operand took every tighter
             # operator. A comparison does not chain, so after one only
             # looser operators may follow.
             max_prec = info.prec - 1 if info.kind == "cmp" else info.prec
 
-    def parse_unary(self, decl, owner) -> Expr:
+    def parse_unary(self, owner: str) -> Expr:
         if self.accept("not"):
-            return Not(self.parse_unary(decl, owner))
+            return Not(self.parse_unary(owner))
         if self.accept("-"):
-            return Neg(self.parse_unary(decl, owner))
-        return self.parse_primary(decl, owner)
+            return Neg(self.parse_unary(owner))
+        return self.parse_primary(owner)
 
-    def parse_primary(self, decl, owner) -> Expr:
+    def parse_primary(self, owner: str) -> Expr:
         if self.accept("true"):
             return TRUE
         if self.accept("false"):
             return FALSE
-        tok = self.accept("INT")
-        if tok is not None:
-            return Lit(int(tok.text))
-        tok = self.accept("STRING")
-        if tok is not None:
-            return Lit(tok.text)
+        kind = self.kinds[self.pos]
+        if kind == "INT" or kind == "STRING":
+            text = self.expect(kind)
+            return Lit(int(text) if kind == "INT" else text)
         if self.accept("("):
-            inner = self.parse_expr(decl, owner)
+            inner = self.parse_expr(owner)
             self.expect(")")
             return inner
-        if self.at("IDENT"):
-            return Ref(self.parse_var_ref(decl, owner))
-        self.fail("expected an expression")
+        if kind == "IDENT":
+            return Ref(self.parse_var_ref(owner))
+        raise self.error("expected an expression")
 
 
 def parse_source(source: str) -> tuple[SystemDecl, str, Chor]:
     """Parse a complete .chor file: declarations plus one named choreography."""
-    return Parser(tokenize(source)).parse_file()
+    return Parser(source).parse_file()
 
 
 def parse_decls(source: str) -> SystemDecl:
     """Parse a declarations-only file (two-file configuration mode)."""
-    p = Parser(tokenize(source))
+    p = Parser(source)
     decl = p.parse_decls()
     p.expect("EOF")
     return decl
@@ -447,4 +466,4 @@ def parse_decls(source: str) -> SystemDecl:
 
 def parse_chor_source(source: str, decl: SystemDecl) -> tuple[str, Chor]:
     """Parse a choreography-only file against an existing declaration."""
-    return Parser(tokenize(source)).parse_named_chor(decl)
+    return Parser(source).parse_named_chor(decl)

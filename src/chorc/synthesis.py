@@ -81,8 +81,10 @@ class _Builder:
     profile: str
     vars: dict = field(default_factory=dict)        # cid -> [(Variable, init)]
     ports: dict = field(default_factory=dict)       # cid -> [Port]
-    locations: dict = field(default_factory=dict)   # cid -> [str]
+    locations: dict = field(default_factory=dict)   # cid -> {str: None}, in creation order
     transitions: dict = field(default_factory=dict)  # cid -> [Transition]
+    eps: dict = field(default_factory=dict)         # cid -> {(src, dst)} of its silent transitions
+    rank: dict = field(default_factory=dict)        # cid -> its place in the declaration
     context: dict = field(default_factory=dict)     # cid -> location
     gamma: list = field(default_factory=list)
     ctl_vars: dict = field(default_factory=dict)    # cid -> {dtype: Variable}
@@ -93,26 +95,27 @@ class _Builder:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise SynthError(f"unknown profile {self.profile!r}")
-        for comp in self.decl.components:
+        for i, comp in enumerate(self.decl.components):
             cid = comp.id
+            self.rank[cid] = i
             self.ctl_vars[cid] = {}
             self.vars[cid] = list(comp.vars)
             self.ports[cid] = list(comp.ports)
-            self.locations[cid] = [f"L{cid}_0"]
+            self.locations[cid] = {f"L{cid}_0": None}
             self.transitions[cid] = []
+            self.eps[cid] = set()
             self.context[cid] = f"L{cid}_0"
             self.loc_counters[cid] = 0
 
     # -- naming helpers ------------------------------------------------------
 
     def order(self, cids) -> list:
-        ranking = {cid: i for i, cid in enumerate(self.decl.component_ids())}
-        return sorted(cids, key=lambda c: ranking[c])
+        return sorted(cids, key=self.rank.__getitem__)
 
     def fresh_loc(self, cid: str) -> str:
         self.loc_counters[cid] += 1
         loc = f"L{cid}_{self.loc_counters[cid]}"
-        self.locations[cid].append(loc)
+        self.locations[cid][loc] = None
         return loc
 
     def fresh_copy(self, port: Port, ctype: str | None = None) -> Port:
@@ -149,15 +152,16 @@ class _Builder:
         self.transitions[cid].append(
             Transition(self.context[cid], port, guard, update, dst))
         self.context[cid] = dst
-        self.assert_context()
+        self.assert_context((cid,))
 
     def add_eps(self, cid: str, src: str, dst: str):
-        t = Transition(src, None, TRUE, SKIP, dst)
-        if t not in self.transitions[cid]:
-            self.transitions[cid].append(t)
+        if (src, dst) not in self.eps[cid]:
+            self.eps[cid].add((src, dst))
+            self.transitions[cid].append(Transition(src, None, TRUE, SKIP, dst))
 
-    def assert_context(self):
-        for cid in self.context:
+    def assert_context(self, cids=None):
+        """Every context, or those of ``cids``, is a declared location."""
+        for cid in self.context if cids is None else cids:
             assert self.context[cid] in self.locations[cid], (
                 f"context of {cid} points at undeclared location "
                 f"{self.context[cid]}")
@@ -254,8 +258,10 @@ class _Builder:
                     else Transition(t.src, t.port, t.guard, t.update, join)
                     for t in self.transitions[cid]
                 ]
-                self.locations[cid] = [
-                    l for l in self.locations[cid] if l not in dropped]
+                # Silent transitions end at loop heads, which have outgoing
+                # transitions, so ``eps`` needs no retargeting.
+                for loc in dropped:
+                    self.locations[cid].pop(loc, None)
             self.context[cid] = join
 
     def synth_loop(self, ch: Loop):

@@ -288,3 +288,33 @@ class TestLexerReference:
         tok = parser.tokenize("comp")[0]
         assert tok == parser.Token("comp", "comp", 1, 1) == ("comp", "comp", 1, 1)
         assert (tok.kind, tok.text, tok.line, tok.col) == ("comp", "comp", 1, 1)
+
+
+class TestErrorPositions:
+    """The parser keeps token offsets and works out a line and column only
+    for the error it raises. A lexical error is the one ``tokenize``
+    raises, and any other error is at the position of one of its tokens."""
+
+    @staticmethod
+    def check(source):
+        try:
+            positions = {(t.line, t.col) for t in parser.tokenize(source)}
+        except ParseError as lexed:
+            with pytest.raises(ParseError) as exc:
+                parse_source(source)
+            e = exc.value
+            assert (e.message, e.line, e.col) == (lexed.message, lexed.line, lexed.col)
+            return
+        try:
+            parse_source(source)
+        except ParseError as e:
+            assert (e.line, e.col) in positions, e
+
+    def test_sources(self):
+        for source in SOURCES:
+            self.check(source)
+
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(st.sampled_from(range(len(SOURCES))), _edits)
+    def test_edited_sources(self, which, edits):
+        self.check(apply_edits(SOURCES[which], edits))

@@ -3,6 +3,7 @@
 import pytest
 
 from chorc.cbs import check_structure
+from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, SynthError, synthesize
 
 from conftest import load_stem
@@ -151,6 +152,27 @@ class TestSeqSync:
         # The ping-pong chain needs no sync under the default ends, but the
         # compat ends anchor on the sender and add one.
         assert len(c.gamma) == len(d.gamma) + 1
+
+
+class TestLongChain:
+    """A chain of 900 synchronous sends from A to B. Synthesis checks every
+    context it moves against a set, so such a chain takes time linear in
+    its length (see CHANGES.md for the per-interaction times)."""
+
+    N = 900
+
+    @pytest.mark.parametrize("profile, interactions", [
+        # The default profile adds one sync per `;`: B ends the send before
+        # it and A starts the one after. Under compat, A both ends and starts.
+        ("default", 2 * N - 1), ("compat", N)])
+    def test_chain(self, profile, interactions):
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 0; port p: ss of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "choreography chain = " + " ; ".join(["A.p -> { B.r }"] * self.N))
+        sys = synthesize(decl, ch, profile)
+        assert len(sys.gamma) == interactions
+        assert check_structure(sys) == []
 
 
 class TestErrors:
