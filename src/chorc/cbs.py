@@ -38,28 +38,24 @@ identities of their parts, both in C. A state's joint ``locations``, global
 valuation ``sigma`` and ``buffers`` are views, equal to the fields that
 states had before they were split.
 
-A component's steps depend on its own part only, except that a synchronous
-send also needs its receivers' parts. So each position caches by one of its
-parts (Blom, van de Pol & Weber, "LTSmin: distributed and symbolic
-reachability", CAV 2010):
-- ``steps``: from a part to the steps its component starts there, the local
-  ones as (event, new part) and each send as its sender's new parts, its
-  payload and its receivers;
-- ``accepts``: from (part, receive port id, payload) to the new parts of
-  the position as a synchronous receiver, none if it cannot take it now;
-- ``pushes``: from (part, receive port id, value) to the part with the value
-  appended to that buffer.
-A miss runs the compiled static steps on the part's own valuation. If a
-guard or update reads a variable another part holds (``check_structure``
-reports it as ``foreign-var``), that run fails, and the steps are run on
-the whole state's valuation instead, uncached. A synchronous send whose
-sender or receivers fail so is fired whole on that valuation, in the order
-of its semantics: every guard, then the payload copied to the receivers,
-the sender's update and the receivers' updates in turn. So is one whose
-update raises, which then raises only if all its receivers can take it. A
-system whose parts cannot be kept apart, because a component would assign
-or receive into another position's variable or buffer, fails with
-``EvalError`` when compiled.
+Which parts a step reads is known from the system's text (Meijer, Kant,
+Blom & van de Pol, "Read, write and copy dependencies for symbolic model
+checking", HVC 2014). A position reads its own part and those holding a
+variable its transitions use, bind or send; a synchronous send reads what
+its sender's and receivers' positions read. A variable no part holds
+raises when read. Each cache is keyed by the parts it reads, the part
+alone where that is all (Blom, van de Pol & Weber, "LTSmin", CAV 2010):
+a position's ``steps`` maps them to the steps its component starts, a
+synchronous send's cache (``_meet``) to the new parts of its sender and
+receivers, and a position's ``pushes`` maps (part, receive port id,
+value) to the part with the value appended to that buffer. A miss runs
+the compiled closures on those parts' valuations laid side by side
+(``_View``), never on the whole state's; a rendezvous checks every guard
+and buffer, then copies the payload to the receivers and runs the
+sender's update and then each receiver's, so an update runs, and may
+raise, only once it can fire. A system whose parts cannot be kept apart,
+because a component would assign or receive into another position's
+variable or buffer, fails with ``EvalError`` when compiled.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -72,8 +68,9 @@ explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
@@ -119,9 +116,10 @@ class AtomicComponent:
     def _compiled(self) -> "_Compiled":
         """Its semantics apart from any system, in one pass over its
         transitions (see ``_Compiled``)."""
-        assigned, receives, local, offers = set(), set(), {}, {}
+        assigned, receives, local, offers, uses = set(), set(), {}, {}, []
         for t in self.transitions:
             port = t.port
+            uses.append(frozenset(expr_vars(t.guard) | update_vars(t.update)))
             guard = None if t.guard is TRUE else t.guard.compiled
             update = None
             if t.update.assignments:
@@ -139,7 +137,9 @@ class AtomicComponent:
                     guard, update, t.dst, port.pid, port.var.qname))
             if port is not None and port.owner == self.id:
                 offers.setdefault(port, {}).setdefault(t.src, []).append((guard, update, t.dst))
-        return _Compiled(Valuation({var.qname: init for var, init in self.vars}),
+        return _Compiled(Valuation({var.qname: init for var, init in self.vars}), tuple(uses),
+                         frozenset().union(*uses, [t.port.var.qname for t in self.transitions
+                                                   if t.port is not None]),
                          frozenset(assigned), frozenset(receives),
                          tuple(dict.fromkeys((self.init, *(t.dst for t in self.transitions)))),
                          {src: tuple(steps) for src, steps in local.items()},
@@ -157,6 +157,8 @@ class _Compiled(NamedTuple):
     hidden."""
 
     valuation: Valuation  # its variables at their initial values
+    uses: tuple           # per transition, the variables its guard and update use
+    used: frozenset       # the variables its transitions use, bind or send
     assigned: frozenset   # the variables its updates assign or its receives bind
     receives: frozenset   # the receive ports its transitions take
     holdable: tuple       # its initial location and every transition target
@@ -198,9 +200,10 @@ class CompositeSystem:
         variable, receivers): an asynchronous send's receivers are
         (component position, port id), and a synchronous send's are
         (component position, port id, bound variable, location ->
-        alternatives on the port). Raises ``EvalError`` where a part would
-        have to hold another position's variable or buffer, which
-        ``check_structure`` reports."""
+        alternatives on the port). Each position also gets the positions
+        it reads (see the module docstring). Raises ``EvalError`` where a
+        part would have to hold another position's variable or buffer,
+        which ``check_structure`` reports."""
         position = {}
         for i, c in enumerate(self.components):
             position.setdefault(c.id, i)
@@ -226,6 +229,9 @@ class CompositeSystem:
                                     f"whose buffer it does not hold")
             if first:
                 offers.update(own.offers)
+        reads = []  # per position, the positions it reads, itself included
+        for i, own in enumerate(compiled):
+            reads.append(tuple(sorted({i, *[held[q] for q in own.used if q in held]})))
         sends = [{} for _ in self.components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
@@ -248,7 +254,8 @@ class CompositeSystem:
             for src, alts in offers.get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
                     (rule, event, alts, snd.var.qname, targets))
-        positions = tuple(_Position() for _ in self.components)
+        views = {}
+        positions = tuple(_Position(at, [owned[j] for j in at], views) for at in reads)
         for pos, own, sending, vals in zip(positions, compiled, sends, owned):
             pos.table = {loc: _compile_location(sending, own.local, loc) for loc in own.holdable}
             pos.initial = _part(pos, own.holdable[0], vals, ())
@@ -304,19 +311,54 @@ class _Part:
         self.loc, self.vals, self.queues = loc, vals, queues
 
 
-class _Position:
-    """A component position's compiled semantics: its static step table
-    (``CompositeSystem._steps``), its table of parts, its initial part and
-    the caches of the steps other components' sends take it through."""
+class _View:
+    """The parts of positions ``at`` of a state, picked by ``key``: the one
+    part itself if ``at`` is one position, else a tuple, whose valuations
+    ``slots`` lays side by side and ``spans`` splits back by position,
+    laid out from ``vals``, the positions' initial valuations."""
 
-    __slots__ = ("table", "parts", "initial", "steps", "accepts", "pushes")
+    __slots__ = ("key", "at", "one", "slots", "spans")
 
-    def __init__(self):
+    def __init__(self, at: tuple, vals: list):
+        self.key, self.at, self.one = itemgetter(*at), at, len(at) == 1
+        self.slots = self.spans = None
+        if not self.one:
+            self.slots, self.spans = {}, {}
+            for j, own in zip(at, vals):
+                n, layout = len(self.slots), own._slots
+                self.spans[j] = (layout, n, n + len(layout))
+                self.slots.update(zip(layout, range(n, n + len(layout))))
+
+    def merged(self, key) -> Valuation:
+        """The valuation of the parts ``key`` picked."""
+        if self.one:
+            return key.vals
+        return Valuation.over(self.slots, sum([part.vals._values for part in key], ()))
+
+    def split(self, after: Valuation, j: int) -> Valuation:
+        """Position ``j``'s valuation in ``after``, an update of a merged
+        one."""
+        if self.one:
+            return after
+        layout, start, stop = self.spans[j]
+        return Valuation.over(layout, after._values[start:stop])
+
+
+class _Position(_View):
+    """A component position's compiled semantics: the view of the parts it
+    reads, its static step table (``CompositeSystem._steps``), its table of
+    parts, its initial part and its caches (see the module docstring)."""
+
+    __slots__ = ("table", "parts", "initial", "steps", "meets", "views", "pushes")
+
+    def __init__(self, at: tuple, vals: list, views: dict):
+        super().__init__(at, vals)
         self.table = self.initial = None
-        self.parts = {}    # (location, valuation, buffers) -> the part
-        self.steps = {}    # part -> the steps the component starts from it
-        self.accepts = {}  # (part, receive port id, payload) -> its new parts
-        self.pushes = {}   # (part, receive port id, value) -> the pushed part
+        self.views = views  # the system's positions read together -> their view
+        self.parts = {}   # (location, valuation, buffers) -> the part
+        self.steps = {}   # the parts it reads -> the steps the component starts
+        self.meets = {}   # event -> what ``_meet`` makes for a synchronous send
+        self.pushes = {}  # (part, receive port id, value) -> the pushed part
 
 
 # --------------------------------------------------------------------------
@@ -339,22 +381,18 @@ def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
     return pos.parts.setdefault((loc, vals, queues), _Part(loc, vals, queues))
 
 
-def _restrict(sigma: Valuation, vals: Valuation) -> Valuation:
-    """``sigma``'s values of the variables ``vals`` holds."""
-    return Valuation({k: sigma[k] for k in vals})
-
-
-def _run(pos: _Position, part: _Part, sigma: Valuation) -> tuple:
-    """The steps of ``pos``'s table at ``part``'s location whose guards hold
-    on ``sigma``, as (sends, local steps), each in table order. A local
-    step is (event, new part). A send is (static send step, the sender's
-    new parts, one per enabled alternative, payload), which ``_fire``
-    combines with its receivers' parts; the payload goes to an asynchronous
-    send's buffers before the sender's update runs. A synchronous send is
-    left to ``_rendezvous``, with None for its new parts, if ``sigma`` is
-    not the part's own valuation."""
-    vals, queues = part.vals, part.queues
-    local = sigma is vals
+def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
+    """The steps of position ``i``'s table at its ``part``'s location whose
+    guards hold on ``sigma``, the valuation of the parts it reads, as
+    (sends, local steps), each in table order. A local step is (event, new
+    part). An asynchronous send is (rule, event, the sender's new parts, one
+    per enabled alternative, payload, receivers); the payload goes to the
+    buffers before the sender's update runs. A synchronous send is (rule,
+    event, the key and cache, view and writes of its ``_meet``, static step,
+    the sender's enabled alternatives), which ``_fire`` looks up by the
+    parts the rendezvous reads."""
+    pos = positions[i]
+    split, queues = pos.split, part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
         rule = step[0]
@@ -362,8 +400,7 @@ def _run(pos: _Position, part: _Part, sigma: Valuation) -> tuple:
             _, event, guard, update, dst = step
             if guard is None or guard(sigma):
                 after = sigma if update is None else update(sigma)
-                steps.append((event, _part(pos, dst, after if local else _restrict(after, vals),
-                                           queues)))
+                steps.append((event, _part(pos, dst, split(after, i), queues)))
             continue
         if rule == "recv":
             _, event, guard, update, dst, pid, var = step
@@ -372,81 +409,66 @@ def _run(pos: _Position, part: _Part, sigma: Valuation) -> tuple:
                 after = sigma.set(var, queue[0])
                 if update is not None:
                     after = update(after)
-                steps.append((event, _part(pos, dst, after if local else _restrict(after, vals),
+                steps.append((event, _part(pos, dst, split(after, i),
                                            requeue(queues, pid, pop=True))))
             continue
-        if rule == "synch-send" and not local:
-            sends.append((step, None, None))
+        if rule == "synch-send":
+            enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
+            if enabled:
+                view, writes, cache = pos.meets.get(step[1]) or pos.meets.setdefault(
+                    step[1], _meet(positions, i, step[4]))
+                sends.append((rule, step[1], view.key, cache, view, writes, step, enabled))
             continue
-        enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
-        if not enabled:
-            continue
-        news = []
-        for _, update, dst in enabled:
-            after = sigma if update is None else update(sigma)
-            news.append(_part(pos, dst, after if local else _restrict(after, vals), queues))
-        sends.append((step, news, sigma[step[3]]))
+        news = [_part(pos, dst, split(sigma if update is None else update(sigma), i), queues)
+                for guard, update, dst in step[2] if guard is None or guard(sigma)]
+        if news:
+            sends.append((rule, step[1], news, sigma[step[3]], step[4]))
     return tuple(sends), tuple(steps)
 
 
-def _accept(pos: _Position, part: _Part, pid: str, var: str, by_loc: dict,
-            payload) -> tuple:
-    """The new parts of a synchronous receiver in ``part`` that takes
-    ``payload`` on port ``pid``, one per enabled alternative, its guards
-    and updates run on its own valuation; none if the port's buffer is not
-    empty."""
-    if part.queues and find_queue(part.queues, pid)[1]:
-        return ()
-    vals = part.vals
-    enabled = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](vals)]
-    if not enabled:
-        return ()
-    after = vals.set(var, payload)
-    return tuple([_part(pos, dst, after if update is None else update(after), part.queues)
-                  for _, update, dst in enabled])
+def _meet(positions: tuple, i: int, targets: tuple) -> tuple:
+    """A synchronous send of position ``i`` to ``targets``, made when a
+    state first offers it: the view of the parts it reads, the positions it
+    writes, the sender's first, and its cache from those parts to the
+    writes' new parts, one tuple per way it fires."""
+    writes = (i, *[target[0] for target in targets])
+    at = tuple(sorted({k for j in writes for k in positions[j].at}))
+    views = positions[i].views
+    return (views.get(at) or views.setdefault(
+        at, _View(at, [positions[j].initial.vals for j in at])), writes, {})
 
 
-def _rendezvous(positions: tuple, state: SysState, i: int, step: tuple) -> list:
-    """The steps of synchronous send ``step`` of position ``i`` from
-    ``state``, uncached, run on the whole state's valuation: all guards on
-    it, then for each choice of alternatives the payload is copied to the
-    receivers, the sender's update runs, then the receivers' in order. For
-    a send whose guards or updates read another part's variable, or whose
-    update raises, which then raises only if the rendezvous fires."""
-    _, event, alts, var, targets = step
-    sigma = state.sigma
-    enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
-    if not enabled:
-        return []
+def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
+                view: _View, writes: tuple, key) -> tuple:
+    """How synchronous send ``step`` fires from ``state`` with its
+    sender's ``enabled`` alternatives, run on the valuation of the parts
+    ``key`` picked: the receivers' buffer checks and guards first, then the
+    payload is copied to the receivers and, for each choice of
+    alternatives, the sender's update runs, then the receivers' in order.
+    Each way is a tuple of the new parts of ``writes``."""
+    _, _, _, var, targets = step
+    sigma = view.merged(key)
     choices = []
     for j, pid, _, by_loc in targets:
         part = state[j]
         if part.queues and find_queue(part.queues, pid)[1]:
-            return []
+            return ()
         got = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](sigma)]
         if not got:
-            return []
+            return ()
         choices.append(got)
     payload = sigma[var]
+    for target in targets:
+        sigma = sigma.set(target[2], payload)
     out = []
-    for _, update, dst in enabled:
-        for combo in itertools.product(*choices):
-            after = sigma
-            for target in targets:
-                after = after.set(target[2], payload)
+    for moves in product(enabled, *choices):
+        after = sigma
+        for _, update, _ in moves:
             if update is not None:
                 after = update(after)
-            for _, r_update, _ in combo:
-                if r_update is not None:
-                    after = r_update(after)
-            parts = list(state)
-            parts[i] = _part(positions[i], dst, _restrict(after, state[i].vals), state[i].queues)
-            for target, (_, _, r_dst) in zip(targets, combo):
-                j = target[0]
-                parts[j] = _part(positions[j], r_dst, _restrict(after, state[j].vals),
-                                 state[j].queues)
-            out.append((event, _new(SysState, parts)))
-    return out
+        out.append(tuple([_part(positions[j], dst, view.split(after, j), state[j].queues)
+                          for j, (_, _, dst) in zip(writes, moves)]))
+    return tuple(out)
 
 
 def _pushed(pos: _Position, part: _Part, pid: str, value) -> _Part:
@@ -459,10 +481,8 @@ def _pushed(pos: _Position, part: _Part, pid: str, value) -> _Part:
 
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
-    order, as (event, state): each component's steps from its part (see
-    ``_run``), a synchronous send's combined with every choice of its
-    receivers' new parts (see ``_accept``). A synchronous send that cannot
-    run on the parts' own valuations runs on the whole state's, uncached
+    order, as (event, state): each component's steps from the parts it
+    reads (see ``_run``), a synchronous send's from the parts it reads
     (see ``_rendezvous``). Each successor is one copy of ``parts``, a list
     of the state's parts made for the first successor, into which a step
     writes its new parts and from which it then restores the state's."""
@@ -472,21 +492,16 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     parts = None
     for i in cis:
         pos = positions[i]
-        steps = pos.steps.get(state[i])
+        key = state[i] if pos.one else pos.key(state)
+        steps = pos.steps.get(key)
         if steps is None:
-            # Steps that run on the part's own valuation hold in every state
-            # that has the part. One that reads another part's variable
-            # fails there; then all run on the whole state's, uncached.
-            try:
-                steps = pos.steps[state[i]] = _run(pos, state[i], state[i].vals)
-            except EvalError:
-                steps = _run(pos, state[i], state.sigma)
+            steps = pos.steps[key] = _run(positions, i, state[i], pos.merged(key))
         sends, local = steps
-        for step, news, payload in sends:
-            event, targets = step[1], step[4]
-            if step[0] == "asynch-send":
-                if parts is None:
-                    parts = list(state)
+        if parts is None and (sends or local):
+            parts = list(state)
+        for send in sends:
+            if send[0] == "asynch-send":
+                _, event, news, payload, targets = send
                 for new in news:
                     parts[i] = new
                     for j, pid in targets:
@@ -497,49 +512,29 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
                         parts[j] = state[j]
                 parts[i] = state[i]
                 continue
-            if news is None:
-                out.extend(_rendezvous(positions, state, i, step))
+            _, event, getter, cache, view, writes, step, enabled = send
+            key = getter(state)
+            fired = cache.get(key)
+            if fired is None:
+                fired = cache[key] = _rendezvous(positions, state, step, enabled, view, writes,
+                                                 key)
+            if not fired:
                 continue
-            choices = []
-            try:
-                for j, pid, var, by_loc in targets:
-                    key = (state[j], pid, payload)
-                    accepts = positions[j].accepts
-                    got = accepts.get(key)
-                    if got is None:
-                        got = accepts[key] = _accept(positions[j], state[j], pid, var, by_loc,
-                                                     payload)
-                    if not got:
-                        break
-                    choices.append(got)
-                else:
-                    if parts is None:
-                        parts = list(state)
-                    for new in news:
-                        parts[i] = new
-                        if len(targets) == 1:  # the common case, without a product
-                            j = targets[0][0]
-                            for got in choices[0]:
-                                parts[j] = got
-                                append((event, _new(SysState, parts)))
-                            continue
-                        for combo in itertools.product(*choices):
-                            for target, got in zip(targets, combo):
-                                parts[target[0]] = got
-                            append((event, _new(SysState, parts)))
-                    parts[i] = state[i]
-                    for target in targets:
-                        parts[target[0]] = state[target[0]]
-            except EvalError:
-                # A receiver's guard or update reads another part's variable
-                # or raises: none of this send's successors were added.
-                out.extend(_rendezvous(positions, state, i, step))
+            if len(writes) == 2:  # one receiver, the common case
+                j = writes[1]
+                for parts[i], parts[j] in fired:
+                    append((event, _new(SysState, parts)))
+            else:
+                for news in fired:
+                    for j, new in zip(writes, news):
+                        parts[j] = new
+                    append((event, _new(SysState, parts)))
+            for j in writes:
+                parts[j] = state[j]
+        for event, new in local:
+            parts[i] = new
+            append((event, _new(SysState, parts)))
         if local:
-            if parts is None:
-                parts = list(state)
-            for event, new in local:
-                parts[i] = new
-                append((event, _new(SysState, parts)))
             parts[i] = state[i]
     return out
 
@@ -608,13 +603,14 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
                 "bad-end", f"{comp.id}: end location {comp.end} undeclared"))
         own_vars = {var.qname for var, _ in comp.vars}
         own_ports = set(comp.ports)
+        uses = comp._compiled.uses
         for p in comp.ports:
             if p.var.qname not in own_vars:
                 diags.append(Diagnostic(
                     "undeclared-var",
                     f"{comp.id}: port {p.pid} binds {p.var.qname}, which {comp.id} "
                     f"does not declare"))
-        for t in comp.transitions:
+        for t, used in zip(comp.transitions, uses):
             if t.src not in locs or t.dst not in locs:
                 diags.append(Diagnostic(
                     "bad-transition",
@@ -622,7 +618,6 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
             if t.port is not None and (t.port.owner != comp.id or t.port not in own_ports):
                 diags.append(Diagnostic(
                     "foreign-port", f"{comp.id}: transition uses port {t.port.pid}"))
-            used = expr_vars(t.guard) | update_vars(t.update)
             if not used <= own_vars:
                 diags.append(Diagnostic(
                     "foreign-var",

@@ -667,36 +667,35 @@ def format_expr(expr: Expr, strip_owner: str | None = None) -> str:
 
     With ``strip_owner`` set, references owned by that component print bare.
     """
+    return _fmt(expr, 0, strip_owner)
 
-    def ref_name(qname: str) -> str:
-        if strip_owner is not None and qname.startswith(strip_owner + "."):
-            return qname[len(strip_owner) + 1:]
-        return qname
 
-    def fmt(e: Expr, parent_prec: int) -> str:
-        if isinstance(e, Lit):
-            if isinstance(e.value, bool):
-                return "true" if e.value else "false"
-            if isinstance(e.value, str):
-                return f'"{e.value.translate(_STRING_ESCAPES)}"'
-            return str(e.value)
-        if isinstance(e, Ref):
-            return ref_name(e.qname)
-        if isinstance(e, Neg):
-            return f"-{fmt(e.operand, UNARY_PREC)}"
-        if isinstance(e, Not):
-            return f"not {fmt(e.operand, UNARY_PREC)}"
-        if isinstance(e, BinOp):
-            prec, kind, _ = BINARY_OPS[e.op]
-            # Left-associative, except that comparisons do not chain.
-            left = fmt(e.left, prec + 1 if kind == "cmp" else prec)
-            text = f"{left} {e.op} {fmt(e.right, prec + 1)}"
-            if prec < parent_prec:
-                return f"({text})"
-            return text
-        raise AssertionError(e)
-
-    return fmt(expr, 0)
+def _fmt(e: Expr, parent_prec: int, strip_owner: str | None) -> str:
+    """``e`` in concrete syntax, parenthesized if its operator binds less
+    tightly than ``parent_prec``."""
+    if isinstance(e, Lit):
+        if isinstance(e.value, bool):
+            return "true" if e.value else "false"
+        if isinstance(e.value, str):
+            return f'"{e.value.translate(_STRING_ESCAPES)}"'
+        return str(e.value)
+    if isinstance(e, Ref):
+        if strip_owner is not None and e.qname.startswith(strip_owner + "."):
+            return e.qname[len(strip_owner) + 1:]
+        return e.qname
+    if isinstance(e, Neg):
+        return f"-{_fmt(e.operand, UNARY_PREC, strip_owner)}"
+    if isinstance(e, Not):
+        return f"not {_fmt(e.operand, UNARY_PREC, strip_owner)}"
+    if isinstance(e, BinOp):
+        prec, kind, _ = BINARY_OPS[e.op]
+        # Left-associative, except that comparisons do not chain.
+        left = _fmt(e.left, prec + 1 if kind == "cmp" else prec, strip_owner)
+        text = f"{left} {e.op} {_fmt(e.right, prec + 1, strip_owner)}"
+        if prec < parent_prec:
+            return f"({text})"
+        return text
+    raise AssertionError(e)
 
 
 def format_update(f: Update, strip_owner: str | None = None) -> str:

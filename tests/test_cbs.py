@@ -582,6 +582,55 @@ def component(cid, vars_, ports, transitions, init, end, locations=None):
                            init, end)
 
 
+def foreign_guards_system():
+    """A's guards read B.z, and its update reads the variable B.r binds,
+    which the rendezvous sets before A's update runs."""
+    bz = var("B", "z")
+    b_int = port("B", "i", "in", bz)
+    read_y = Update((("A.x", BinOp("+", Ref("A.x"), Ref("B.y"))),))
+    a = component("A", [(AX, 2)], [AP_SS, A_INT], [
+        Transition("a0", A_INT, BinOp(">", Ref("B.z"), Lit(0)), SKIP, "a1"),
+        Transition("a1", AP_SS, BinOp("<", Ref("B.z"), Lit(9)), read_y, "a2"),
+    ], "a0", "a2")
+    b = component("B", [(BY, 0), (bz, 0)], [BR, b_int], [
+        Transition("b0", b_int, TRUE, Update((("B.z", Lit(5)),)), "b1"),
+        Transition("b1", BR, TRUE, SKIP, "b2"),
+    ], "b0", "b2")
+    return CompositeSystem((a, b), (Interaction(AP_SS, (BR,)),))
+
+
+def foreign_receivers_system():
+    """B's first guard reads the sender's A.x, its second update the value
+    A's update leaves in A.x, and C's update the value B's update leaves in
+    B.y: each rendezvous runs in order payload, A's update, B's, then
+    C's."""
+    cz = var("C", "z")
+    c_r = port("C", "r", "r", cz)
+    add_x = Update((("B.y", BinOp("+", Ref("B.y"), Ref("A.x"))),))
+    a = component("A", [(AX, 2)], [AP_SS], [
+        Transition("a0", AP_SS, TRUE, INC_X, "a1"),
+        Transition("a1", AP_SS, TRUE, INC_X, "a2")], "a0", "a2")
+    b = component("B", [(BY, 0)], [BR], [
+        Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(1)), add_x, "b1"),
+        Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(5)), SKIP, "b2"),
+        Transition("b1", BR, TRUE, add_x, "b2")], "b0", "b2")
+    c = component("C", [(cz, 0)], [c_r], [
+        Transition("c0", c_r, TRUE, Update((("C.z", BinOp("+", Ref("C.z"), Ref("B.y"))),)),
+                   "c1"),
+        Transition("c1", c_r, TRUE, SKIP, "c2")], "c0", "c2")
+    return CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
+
+
+def duplicate_reader_system():
+    """Both A's declare A.x, which the first one holds, with the second
+    declaration's value; the second reads it through its guard."""
+    first = component("A", [(AX, 0)], [A_INT], [
+        Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
+    second = component("A", [(AX, 2)], [A_INT], [
+        Transition("a0", A_INT, BinOp(">", Ref("A.x"), Lit(2)), SKIP, "a1")], "a0", "a1")
+    return CompositeSystem((first, second), ())
+
+
 class TestPartsAgainstFlat:
     """The partitioned states explore every system as the flat explorer
     does (see ``assert_lts_matches_flat``)."""
@@ -612,46 +661,14 @@ class TestPartsAgainstFlat:
                     assert_lts_matches_flat(mutant, (name, profile, mutation))
 
     def test_guards_and_updates_that_read_other_components(self):
-        # A's guards read B.y, and its update reads the variable B.r binds,
-        # which the rendezvous sets before A's update runs. These steps
-        # run on the whole state's valuation.
-        bz = var("B", "z")
-        b_int = port("B", "i", "in", bz)
-        read_y = Update((("A.x", BinOp("+", Ref("A.x"), Ref("B.y"))),))
-        a = component("A", [(AX, 2)], [AP_SS, A_INT], [
-            Transition("a0", A_INT, BinOp(">", Ref("B.z"), Lit(0)), SKIP, "a1"),
-            Transition("a1", AP_SS, BinOp("<", Ref("B.z"), Lit(9)), read_y, "a2"),
-        ], "a0", "a2")
-        b = component("B", [(BY, 0), (bz, 0)], [BR, b_int], [
-            Transition("b0", b_int, TRUE, Update((("B.z", Lit(5)),)), "b1"),
-            Transition("b1", BR, TRUE, SKIP, "b2"),
-        ], "b0", "b2")
-        sys = CompositeSystem((a, b), (Interaction(AP_SS, (BR,)),))
+        sys = foreign_guards_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
         res = assert_lts_matches_flat(sys, "foreign reads")
         (final,) = res.finals
         assert final["A.x"] == 4 and final["B.y"] == 2
 
     def test_receivers_that_read_other_components(self):
-        # B's first guard reads the sender's A.x, its second update the
-        # value A's update leaves in A.x, and C's update the value B's
-        # update leaves in B.y: each rendezvous runs on the whole state's
-        # valuation, in order payload, A's update, B's, then C's.
-        cz = var("C", "z")
-        c_r = port("C", "r", "r", cz)
-        add_x = Update((("B.y", BinOp("+", Ref("B.y"), Ref("A.x"))),))
-        a = component("A", [(AX, 2)], [AP_SS], [
-            Transition("a0", AP_SS, TRUE, INC_X, "a1"),
-            Transition("a1", AP_SS, TRUE, INC_X, "a2")], "a0", "a2")
-        b = component("B", [(BY, 0)], [BR], [
-            Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(1)), add_x, "b1"),
-            Transition("b0", BR, BinOp(">", Ref("A.x"), Lit(5)), SKIP, "b2"),
-            Transition("b1", BR, TRUE, add_x, "b2")], "b0", "b2")
-        c = component("C", [(cz, 0)], [c_r], [
-            Transition("c0", c_r, TRUE, Update((("C.z", BinOp("+", Ref("C.z"), Ref("B.y"))),)),
-                       "c1"),
-            Transition("c1", c_r, TRUE, SKIP, "c2")], "c0", "c2")
-        sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
+        sys = foreign_receivers_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
         res = assert_lts_matches_flat(sys, "foreign receivers")
         assert len(res.graph) == 3
@@ -659,19 +676,30 @@ class TestPartsAgainstFlat:
         assert (final["A.x"], final["B.y"], final["C.z"]) == (4, 7, 3)
 
     def test_duplicate_component_reading_the_shared_variable(self):
-        # Both A's declare A.x, which the first one holds, with the second
-        # declaration's value; the second reads it through its guard.
-        first = component("A", [(AX, 0)], [A_INT], [
-            Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
-        second = component("A", [(AX, 2)], [A_INT], [
-            Transition("a0", A_INT, BinOp(">", Ref("A.x"), Lit(2)), SKIP, "a1")], "a0", "a1")
-        sys = CompositeSystem((first, second), ())
+        sys = duplicate_reader_system()
         res = assert_lts_matches_flat(sys, "duplicate reads")
         assert len(res.graph) == 3 and len(res.terminals) == 1
         writer = component("A", [(AX, 0)], [A_INT], [
             Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
         with pytest.raises(EvalError, match="A.x"):
-            sys_explore(CompositeSystem((first, writer), ()))
+            sys_explore(CompositeSystem((sys.components[0], writer), ()))
+
+    @pytest.mark.parametrize("build", ["foreign_guards_system", "foreign_receivers_system",
+                                       "duplicate_reader_system"])
+    def test_foreign_reads_never_build_the_whole_valuation(self, monkeypatch, build):
+        # Each step reads only the parts its read set names, so exploring
+        # never asks a state for its global valuation.
+        sys = globals()[build]()
+        ref = flat_explore(sys)
+
+        def whole(state):
+            raise AssertionError("a step read the whole state's valuation")
+        with monkeypatch.context() as patched:
+            patched.setattr(SysState, "sigma", property(whole))
+            res = sys_explore(sys)
+            states = [(s.locations, s.buffers) for s in res.graph]
+        assert states == [(s.locations, s.buffers) for s in ref.graph]
+        assert res.finals == ref.finals
 
     def test_asynchronous_send_to_its_own_port(self):
         az = var("A", "z")

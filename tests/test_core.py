@@ -2,6 +2,7 @@
 shared explorer."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -262,6 +263,19 @@ class TestTypesAndFormatting:
     def test_format_update(self):
         f = Update((("A.x", Lit(1)),))
         assert format_update(f, strip_owner="A") == "x := 1"
+
+    def test_formatting_leaves_no_cyclic_garbage(self):
+        e = BinOp("*", BinOp("+", Ref("A.x"), Neg(Lit(1))), Not(Ref("B.b")))
+        f = Update((("A.x", e), ("A.y", Lit("s"))))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                format_expr(e, "A")
+                format_update(f, "A")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_expr_vars(self):
         e = BinOp("+", Ref("A.x"), Neg(Ref("B.y")))

@@ -1,7 +1,8 @@
 """Source hygiene of the ``chorc`` package, read with ``ast``: no module
 imports a name it does not use, every module-level private function or
-class is referenced somewhere in the package, and no function matches with
-a literal pattern that ``re`` would look up again on every call."""
+class is referenced somewhere in the package, every ``__slots__`` entry is
+read somewhere in the package, and no function matches with a literal
+pattern that ``re`` would look up again on every call."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,27 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+def test_slots_are_read():
+    """A slot that nothing reads, such as one a deleted cache left behind,
+    is dead weight in every instance."""
+    trees = [_tree(path) for path in MODULES]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.Assign)
+                        and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                for t in node.targets)
+                        and isinstance(node.value, ast.Tuple)):
+                    unread += [f"{cls.name}.{elt.value}" for elt in node.value.elts
+                               if not elt.value.startswith("__") and elt.value not in read]
+    assert unread == []
 
 
 #: The ``re`` functions that look a string pattern up in ``re``'s cache, and
