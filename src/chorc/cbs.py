@@ -41,21 +41,22 @@ states had before they were split.
 Which parts a step reads is known from the system's text (Meijer, Kant,
 Blom & van de Pol, "Read, write and copy dependencies for symbolic model
 checking", HVC 2014). A position reads its own part and those holding a
-variable its transitions use, bind or send; a synchronous send reads what
-its sender's and receivers' positions read. A variable no part holds
-raises when read. Each cache is keyed by the parts it reads, the part
-alone where that is all (Blom, van de Pol & Weber, "LTSmin", CAV 2010):
-a position's ``steps`` maps them to the steps its component starts, a
-synchronous send's cache (``_meet``) to the new parts of its sender and
-receivers, and a position's ``pushes`` maps (part, receive port id,
-value) to the part with the value appended to that buffer. A miss runs
-the compiled closures on those parts' valuations laid side by side
-(``_View``), never on the whole state's; a rendezvous checks every guard
-and buffer, then copies the payload to the receivers and runs the
-sender's update and then each receiver's, so an update runs, and may
-raise, only once it can fire. A system whose parts cannot be kept apart,
-because a component would assign or receive into another position's
-variable or buffer, fails with ``EvalError`` when compiled.
+variable its transitions use, bind or send. A send writes its sender's and
+receivers' parts and reads what its sender's position reads, and what its
+receivers' positions read if synchronous, their own parts, which hold
+their buffers, if asynchronous. A variable no part holds raises when read.
+Each cache is keyed by the parts it reads, the part alone where that is
+all (Blom, van de Pol & Weber, "LTSmin", CAV 2010): a position's ``steps``
+maps them to the steps its component starts, and a send's cache
+(``_meet``) to the new parts it writes. A miss runs the compiled closures
+on those parts' valuations laid side by side (``_View``), never on the
+whole state's. An asynchronous send appends the payload to the receivers'
+buffers after its sender's update; a rendezvous checks every guard and
+buffer, then copies the payload to the receivers and runs the sender's
+update and then each receiver's, so an update runs, and may raise, only
+once it can fire. A system whose parts cannot be kept apart, because a
+component would assign or receive into another position's variable or
+buffer, fails with ``EvalError`` when compiled.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -349,16 +350,15 @@ class _Position(_View):
     reads, its static step table (``CompositeSystem._steps``), its table of
     parts, its initial part and its caches (see the module docstring)."""
 
-    __slots__ = ("table", "parts", "initial", "steps", "meets", "views", "pushes")
+    __slots__ = ("table", "parts", "initial", "steps", "meets", "views")
 
     def __init__(self, at: tuple, vals: list, views: dict):
         super().__init__(at, vals)
         self.table = self.initial = None
         self.views = views  # the system's positions read together -> their view
-        self.parts = {}   # (location, valuation, buffers) -> the part
-        self.steps = {}   # the parts it reads -> the steps the component starts
-        self.meets = {}   # event -> what ``_meet`` makes for a synchronous send
-        self.pushes = {}  # (part, receive port id, value) -> the pushed part
+        self.parts = {}  # (location, valuation, buffers) -> the part
+        self.steps = {}  # the parts it reads -> the steps the component starts
+        self.meets = {}  # event -> what ``_meet`` makes for a send
 
 
 # --------------------------------------------------------------------------
@@ -385,12 +385,9 @@ def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
     """The steps of position ``i``'s table at its ``part``'s location whose
     guards hold on ``sigma``, the valuation of the parts it reads, as
     (sends, local steps), each in table order. A local step is (event, new
-    part). An asynchronous send is (rule, event, the sender's new parts, one
-    per enabled alternative, payload, receivers); the payload goes to the
-    buffers before the sender's update runs. A synchronous send is (rule,
-    event, the key and cache, view and writes of its ``_meet``, static step,
-    the sender's enabled alternatives), which ``_fire`` looks up by the
-    parts the rendezvous reads."""
+    part). A send is (event, the key and cache, view and writes of its
+    ``_meet``, static step, the sender's enabled alternatives), which
+    ``_fire`` looks up by the parts the send reads."""
     pos = positions[i]
     split, queues = pos.split, part.queues
     sends, steps = [], []
@@ -412,27 +409,23 @@ def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
                 steps.append((event, _part(pos, dst, split(after, i),
                                            requeue(queues, pid, pop=True))))
             continue
-        if rule == "synch-send":
-            enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
-            if enabled:
-                view, writes, cache = pos.meets.get(step[1]) or pos.meets.setdefault(
-                    step[1], _meet(positions, i, step[4]))
-                sends.append((rule, step[1], view.key, cache, view, writes, step, enabled))
-            continue
-        news = [_part(pos, dst, split(sigma if update is None else update(sigma), i), queues)
-                for guard, update, dst in step[2] if guard is None or guard(sigma)]
-        if news:
-            sends.append((rule, step[1], news, sigma[step[3]], step[4]))
+        enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
+        if enabled:
+            view, writes, cache = pos.meets.get(step[1]) or pos.meets.setdefault(
+                step[1], _meet(positions, i, step))
+            sends.append((step[1], view.key, cache, view, writes, step, enabled))
     return tuple(sends), tuple(steps)
 
 
-def _meet(positions: tuple, i: int, targets: tuple) -> tuple:
-    """A synchronous send of position ``i`` to ``targets``, made when a
-    state first offers it: the view of the parts it reads, the positions it
-    writes, the sender's first, and its cache from those parts to the
-    writes' new parts, one tuple per way it fires."""
-    writes = (i, *[target[0] for target in targets])
-    at = tuple(sorted({k for j in writes for k in positions[j].at}))
+def _meet(positions: tuple, i: int, step: tuple) -> tuple:
+    """Send step ``step`` of position ``i``, made when a state first offers
+    its interaction: the view of the parts it reads, the positions it
+    writes, the sender's first and each once, and its cache from those
+    parts to the writes' new parts, one tuple per way it fires (see the
+    module docstring)."""
+    writes = tuple(dict.fromkeys((i, *[target[0] for target in step[4]])))
+    reads = writes[:1] if step[0] == "asynch-send" else writes
+    at = tuple(sorted({*writes, *[k for j in reads for k in positions[j].at]}))
     views = positions[i].views
     return (views.get(at) or views.setdefault(
         at, _View(at, [positions[j].initial.vals for j in at])), writes, {})
@@ -440,14 +433,29 @@ def _meet(positions: tuple, i: int, targets: tuple) -> tuple:
 
 def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
                 view: _View, writes: tuple, key) -> tuple:
-    """How synchronous send ``step`` fires from ``state`` with its
-    sender's ``enabled`` alternatives, run on the valuation of the parts
-    ``key`` picked: the receivers' buffer checks and guards first, then the
-    payload is copied to the receivers and, for each choice of
-    alternatives, the sender's update runs, then the receivers' in order.
-    Each way is a tuple of the new parts of ``writes``."""
-    _, _, _, var, targets = step
+    """How send ``step`` fires from ``state`` with its sender's ``enabled``
+    alternatives, run on the valuation of the parts ``key`` picked. Each
+    way is a tuple of the new parts of ``writes``. An asynchronous send
+    runs each alternative's update, then appends the payload, the sent
+    variable's value before the update, to each receiver's buffer in
+    order, in the part already written. A synchronous send checks the
+    receivers' buffers and guards first, then copies the payload to the
+    receivers and, for each choice of alternatives, runs the sender's
+    update, then the receivers' in order."""
+    rule, _, _, var, targets = step
     sigma = view.merged(key)
+    if rule == "asynch-send":
+        i, out = writes[0], []
+        afters = [sigma if update is None else update(sigma) for _, update, _ in enabled]
+        payload = (sigma[var],)
+        for after, (_, _, dst) in zip(afters, enabled):
+            new = {i: _part(positions[i], dst, view.split(after, i), state[i].queues)}
+            for j, pid in targets:
+                part = new.get(j, state[j])
+                new[j] = _part(positions[j], part.loc, part.vals,
+                               requeue(part.queues, pid, push=payload))
+            out.append(tuple(new.values()))
+        return tuple(out)
     choices = []
     for j, pid, _, by_loc in targets:
         part = state[j]
@@ -471,19 +479,11 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
     return tuple(out)
 
 
-def _pushed(pos: _Position, part: _Part, pid: str, value) -> _Part:
-    """``part`` with ``value`` appended to its buffer ``pid``, kept in
-    ``pos.pushes``, where ``_fire`` looks it up first."""
-    new = pos.pushes[part, pid, value] = _part(
-        pos, part.loc, part.vals, requeue(part.queues, pid, push=(value,)))
-    return new
-
-
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
     order, as (event, state): each component's steps from the parts it
-    reads (see ``_run``), a synchronous send's from the parts it reads
-    (see ``_rendezvous``). Each successor is one copy of ``parts``, a list
+    reads (see ``_run``), a send's from the parts it reads (see
+    ``_rendezvous``). Each successor is one copy of ``parts``, a list
     of the state's parts made for the first successor, into which a step
     writes its new parts and from which it then restores the state's."""
     positions = sys._steps
@@ -499,20 +499,7 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
         sends, local = steps
         if parts is None and (sends or local):
             parts = list(state)
-        for send in sends:
-            if send[0] == "asynch-send":
-                _, event, news, payload, targets = send
-                for new in news:
-                    parts[i] = new
-                    for j, pid in targets:
-                        key = (parts[j], pid, payload)
-                        parts[j] = positions[j].pushes.get(key) or _pushed(positions[j], *key)
-                    append((event, _new(SysState, parts)))
-                    for j, _ in targets:
-                        parts[j] = state[j]
-                parts[i] = state[i]
-                continue
-            _, event, getter, cache, view, writes, step, enabled = send
+        for event, getter, cache, view, writes, step, enabled in sends:
             key = getter(state)
             fired = cache.get(key)
             if fired is None:

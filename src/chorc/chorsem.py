@@ -173,29 +173,27 @@ def _part(slots: dict, values: tuple) -> _Part:
 
 
 class _Pool(Interned):
-    """A pending pool of one frame, as ``pending``, with ``ids`` its key:
+    """A pending pool of one frame, as ``pending``, interned under
     ``pending`` with each receipt by its id."""
 
     @cached_attr
     def deliveries(self) -> tuple:
         """(event, plan, the plan's cache for the value, receipt, value,
         rest pool) per channel, in channel order."""
-        out, pending, ids = [], self.pending, self.ids
+        out, pending = [], self.pending
         for i, (chan, queue) in enumerate(pending):
             receipt, value = queue[0]
             plan = _plan(receipt, self.frame)
             more = len(queue) > 1
-            rest = _pool(self.frame, pending[:i] + ((chan, queue[1:]),) * more + pending[i + 1:],
-                         ids[:i] + ((chan, ids[i][1][1:]),) * more + ids[i + 1:])
+            rest = _pool(self.frame, pending[:i] + ((chan, queue[1:]),) * more + pending[i + 1:])
             out.append((receipt.event, plan, plan.cache.setdefault(value, {}), receipt, value,
                         rest))
         return tuple(out)
 
 
-def _pool(frame: _Frame, pending: tuple, ids: Optional[tuple] = None) -> _Pool:
-    if ids is None:
-        ids = tuple([(chan, tuple([(id(r), v) for r, v in queue])) for chan, queue in pending])
-    return interned(_Pool, (id(frame), ids), frame=frame, pending=pending, ids=ids)
+def _pool(frame: _Frame, pending: tuple) -> _Pool:
+    ids = tuple([(chan, tuple([(id(r), v) for r, v in queue])) for chan, queue in pending])
+    return interned(_Pool, (id(frame), ids), frame=frame, pending=pending)
 
 
 class _Plan:
@@ -406,11 +404,10 @@ def _run(plan: _Plan, key, act: _Action) -> tuple:
 
 def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
     """``pool`` with ``act``'s residual receives of ``payload`` queued."""
-    queues, ids = pool.pending, pool.ids
+    queues = pool.pending
     for chan, receipt in act.sends:
         queues = requeue(queues, chan, push=((receipt, payload),))
-        ids = requeue(ids, chan, push=((id(receipt), payload),))
-    new = plan.pushes[pool, payload] = _pool(pool.frame, queues, ids)
+    new = plan.pushes[pool, payload] = _pool(pool.frame, queues)
     return new
 
 

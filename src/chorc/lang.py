@@ -283,79 +283,81 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
     Returns an empty list iff the choreography is well formed.
     """
     diags: list[Diagnostic] = []
-    env = decl.type_env()
-
-    def guarded_send(gs: GuardedSend, context: str):
-        """A communication's send, a choice arm or a loop condition."""
-        if not gs.port.is_send:
-            diags.append(Diagnostic(
-                "send-port-type", f"port {gs.port.pid} is not a send port"))
-        _check_local(diags, env, gs.port.owner, gs.guard, gs.update,
-                     f"{context} {gs.port.pid}")
-
-    def walk(term: Chor):
-        if isinstance(term, Nil):
-            return
-        if isinstance(term, Comm):
-            snd = term.send
-            guarded_send(snd, "send")
-            if not term.rcvs:
-                diags.append(Diagnostic("empty-receivers", "communication without receivers"))
-            owners = [snd.port.owner]
-            for p, f in term.rcvs:
-                if p.ctype != "r":
-                    diags.append(Diagnostic(
-                        "recv-port-type", f"port {p.pid} is not a receive port"))
-                if p.dtype != snd.port.dtype:
-                    diags.append(Diagnostic(
-                        "comm-dtype",
-                        f"receiver {p.pid}:{p.dtype} does not match sender "
-                        f"{snd.port.pid}:{snd.port.dtype}",
-                    ))
-                if p.owner in owners:
-                    diags.append(Diagnostic(
-                        "distinct-receivers",
-                        f"component {p.owner} occurs twice in one communication",
-                    ))
-                owners.append(p.owner)
-                _check_local(diags, env, p.owner, TRUE, f, f"receive {p.pid}")
-            return
-        if isinstance(term, Branch):
-            for gs, cont in term.conts:
-                if gs.port.owner != term.master:
-                    diags.append(Diagnostic(
-                        "branch-port-ownership",
-                        f"continuation port {gs.port.pid} does not belong to "
-                        f"master {term.master}",
-                    ))
-                guarded_send(gs, "choice")
-                walk(cont)
-            return
-        if isinstance(term, Loop):
-            guarded_send(term.cond, "loop condition")
-            walk(term.body)
-            return
-        if isinstance(term, Seq):
-            walk(term.first)
-            walk(term.second)
-            return
-        if isinstance(term, Par):
-            shared = participants(term.left) & participants(term.right)
-            if shared:
-                # Dependent parallel operands are executed in a fixed
-                # left-to-right order (no interleaving), so this is flagged
-                # but does not reject the choreography.
-                diags.append(Diagnostic(
-                    "parallel-independence",
-                    "parallel operands share components ("
-                    + ", ".join(sorted(shared))
-                    + "); they will run in order, not interleaved",
-                    severity="warning",
-                ))
-            walk(term.left)
-            walk(term.right)
-            return
-        raise AssertionError(term)
-
-    walk(ch)
+    _check_term(diags, decl.type_env(), ch)
     return diags
+
+
+def _check_guarded_send(diags, env, gs: GuardedSend, context: str):
+    """A communication's send, a choice arm or a loop condition."""
+    if not gs.port.is_send:
+        diags.append(Diagnostic(
+            "send-port-type", f"port {gs.port.pid} is not a send port"))
+    _check_local(diags, env, gs.port.owner, gs.guard, gs.update,
+                 f"{context} {gs.port.pid}")
+
+
+def _check_term(diags, env, term: Chor):
+    """Appends to ``diags`` what is wrong with ``term`` and its subterms."""
+    if isinstance(term, Nil):
+        return
+    if isinstance(term, Comm):
+        snd = term.send
+        _check_guarded_send(diags, env, snd, "send")
+        if not term.rcvs:
+            diags.append(Diagnostic("empty-receivers", "communication without receivers"))
+        owners = [snd.port.owner]
+        for p, f in term.rcvs:
+            if p.ctype != "r":
+                diags.append(Diagnostic(
+                    "recv-port-type", f"port {p.pid} is not a receive port"))
+            if p.dtype != snd.port.dtype:
+                diags.append(Diagnostic(
+                    "comm-dtype",
+                    f"receiver {p.pid}:{p.dtype} does not match sender "
+                    f"{snd.port.pid}:{snd.port.dtype}",
+                ))
+            if p.owner in owners:
+                diags.append(Diagnostic(
+                    "distinct-receivers",
+                    f"component {p.owner} occurs twice in one communication",
+                ))
+            owners.append(p.owner)
+            _check_local(diags, env, p.owner, TRUE, f, f"receive {p.pid}")
+        return
+    if isinstance(term, Branch):
+        for gs, cont in term.conts:
+            if gs.port.owner != term.master:
+                diags.append(Diagnostic(
+                    "branch-port-ownership",
+                    f"continuation port {gs.port.pid} does not belong to "
+                    f"master {term.master}",
+                ))
+            _check_guarded_send(diags, env, gs, "choice")
+            _check_term(diags, env, cont)
+        return
+    if isinstance(term, Loop):
+        _check_guarded_send(diags, env, term.cond, "loop condition")
+        _check_term(diags, env, term.body)
+        return
+    if isinstance(term, Seq):
+        _check_term(diags, env, term.first)
+        _check_term(diags, env, term.second)
+        return
+    if isinstance(term, Par):
+        shared = participants(term.left) & participants(term.right)
+        if shared:
+            # Dependent parallel operands are executed in a fixed
+            # left-to-right order (no interleaving), so this is flagged
+            # but does not reject the choreography.
+            diags.append(Diagnostic(
+                "parallel-independence",
+                "parallel operands share components ("
+                + ", ".join(sorted(shared))
+                + "); they will run in order, not interleaved",
+                severity="warning",
+            ))
+        _check_term(diags, env, term.left)
+        _check_term(diags, env, term.right)
+        return
+    raise AssertionError(term)
+

@@ -5,6 +5,7 @@ has a dedicated test with a hand-computed successor set.
 """
 
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import os
@@ -716,6 +717,27 @@ class TestPartsAgainstFlat:
         assert {"asynch-send", "recv"} <= res.rules_seen
         assert any(find_queue(s.buffers, "A.r")[1] for s in res.graph)
 
+    def test_asynchronous_send_to_two_ports_of_one_component(self):
+        # B owns both receive ports: each send writes B's part once, with
+        # the payload appended to both of its buffers.
+        bw = var("B", "w")
+        b_s = port("B", "s", "r", bw)
+        a = component("A", [(AX, 2)], [AP_AS], [
+            Transition("a0", AP_AS, TRUE, INC_X, "a1"),
+            Transition("a1", AP_AS, TRUE, INC_X, "a2")], "a0", "a2")
+        b = component("B", [(BY, 0), (bw, 0)], [BR, b_s], [
+            Transition("b0", BR, TRUE, SKIP, "b1"),
+            Transition("b1", b_s, TRUE, SKIP, "b2"),
+            Transition("b2", BR, TRUE, SKIP, "b3"),
+            Transition("b3", b_s, TRUE, Update((("B.y", BinOp("+", Ref("B.y"), Ref("B.w"))),)),
+                       "b4")], "b0", "b4")
+        sys = CompositeSystem((a, b), (Interaction(AP_AS, (BR, b_s)),))
+        res = assert_lts_matches_flat(sys, "two ports of one component")
+        assert (("B.r", (2, 3)), ("B.s", (2, 3))) in [s.buffers for s in res.graph]
+        assert len(res.terminals) == 1 and not res.deadlocks
+        (final,) = res.finals
+        assert (final["A.x"], final["B.y"], final["B.w"]) == (4, 6, 3)
+
     def test_two_receivers_multiply_alternatives(self):
         cz = var("C", "z")
         c_r = port("C", "r", "r", cz)
@@ -782,6 +804,23 @@ class TestPartsAgainstFlat:
             for explore in (sys_explore, flat_explore):
                 with pytest.raises(EvalError, match="division by zero"):
                     explore(sys)
+
+
+class TestReferenceCounted:
+    def test_explored_and_simulated_systems_leave_no_cyclic_garbage(self, corpus):
+        # A system, its tables and caches, its explorations and its runs
+        # are freed by reference counting once nothing holds them.
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                gc.collect()
+                gc.disable()
+                try:
+                    res, run = sys_explore(sys), simulate(sys, 0)
+                    del sys, res, run
+                    assert gc.collect() == 0, (path, profile)
+                finally:
+                    gc.enable()
 
 
 class TestRuleNames:
@@ -889,6 +928,33 @@ class TestCheckStructure:
             sys_explore(sys)
         with pytest.raises(EvalError, match="B.y"):
             simulate(sys, 0)
+
+    def test_synchronous_receiver_on_its_senders_component(self):
+        # A rendezvous writes each of its components once, so a receiver on
+        # its sender's component cannot fire.
+        az = var("A", "z")
+        a_r = port("A", "r", "r", az)
+        a = component("A", [(AX, 2), (az, 0)], [AP_SS, a_r], [
+            Transition("a0", AP_SS, TRUE, SKIP, "a1"),
+            Transition("a1", a_r, TRUE, SKIP, "a2")], "a0", "a2")
+        sys = CompositeSystem((a,), (Interaction(AP_SS, (a_r,)),))
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("bad-interaction", "component A occurs twice in interaction on A.p")]
+        with pytest.raises(EvalError, match="interaction on A.p: receiver A.r has no part"):
+            sys_explore(sys)
+
+    def test_synchronous_receivers_on_one_component(self):
+        bw = var("B", "w")
+        b_s = port("B", "s", "r", bw)
+        b = component("B", [(BY, 0), (bw, 0)], [BR, b_s], [
+            Transition("b0", BR, TRUE, SKIP, "b1"),
+            Transition("b1", b_s, TRUE, SKIP, "b2")], "b0", "b2")
+        sys = CompositeSystem((self.clean().components[0], b),
+                              (Interaction(AP_SS, (BR, b_s)),))
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("bad-interaction", "component B occurs twice in interaction on A.p")]
+        with pytest.raises(EvalError, match="interaction on A.p: receiver B.s has no part"):
+            sys_explore(sys)
 
     def test_foreign_variable(self):
         sys = make_sys(

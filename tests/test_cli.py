@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import gc
 import json
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from chorc.cli import main
 
-from conftest import corpus_path
+from conftest import corpus_path, corpus_paths
 
 BUYING = corpus_path("buying")
 SYNC = corpus_path("comm_sync")
@@ -410,6 +411,23 @@ class TestRepeatedCalls:
         code, out, _ = run(["check", SYNC], capsys)
         assert code == 0
         assert out.startswith(f"{SYNC}: ok")
+
+    def test_calls_that_do_not_explore_leave_no_cyclic_garbage(self, capsys):
+        # What a call builds dies by reference counting when it returns.
+        # The first call builds the argument parser, which lives on.
+        run(["check", SYNC], capsys)
+        gc.collect()
+        gc.disable()
+        try:
+            for path in corpus_paths():
+                assert main(["check", path]) == 0
+                for command in ("synth", "simulate", "promela", "ltl"):
+                    for profile in ("default", "compat"):
+                        assert main([command, path, "--profile", profile]) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+            capsys.readouterr()
 
 
 class TestUsage:

@@ -1,8 +1,9 @@
 """Source hygiene of the ``chorc`` package, read with ``ast``: no module
 imports a name it does not use, every module-level private function or
 class is referenced somewhere in the package, every ``__slots__`` entry is
-read somewhere in the package, and no function matches with a literal
-pattern that ``re`` would look up again on every call."""
+read somewhere in the package, no function matches with a literal
+pattern that ``re`` would look up again on every call, and no nested
+function reaches itself through its closure."""
 
 import ast
 from pathlib import Path
@@ -108,3 +109,75 @@ def test_no_uncompiled_regex_in_functions(path):
                     and isinstance(node.args[0].value, (str, bytes))):
                 calls.append(f"re.{node.func.attr} (line {node.lineno})")
     assert sorted(set(calls)) == [], f"{path.name} matches uncompiled patterns"
+
+
+def _nested_functions(fn) -> list:
+    """The functions defined in ``fn``'s body, outside any function, lambda
+    or class it defines."""
+    out, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def closure_cycles(tree) -> list:
+    """Each nested function, as "enclosing.nested", that reaches its own
+    name through the functions nested in the same enclosing function, a
+    self-reference included."""
+    cycles = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nested = {fn.name: fn for fn in _nested_functions(outer)}
+        refs = {name: {node.id for stmt in fn.body for node in ast.walk(stmt)
+                       if isinstance(node, ast.Name) and node.id in nested}
+                for name, fn in nested.items()}
+        for name in nested:
+            reached, todo = set(), [name]
+            while todo:
+                new = refs[todo.pop()] - reached
+                reached |= new
+                todo += new
+            if name in reached:
+                cycles.append(f"{outer.name}.{name}")
+    return cycles
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_nested_function_reaches_itself(path):
+    """A nested function that can reach its own name holds itself through
+    its closure cells, so every call of its enclosing function leaves a
+    cycle for the collector. Such a walk is a module-level function."""
+    assert closure_cycles(_tree(path)) == [], f"{path.name} leaves closure cycles"
+
+
+def test_closure_cycles_are_found():
+    tree = ast.parse("""
+def outer():
+    def walk(t):
+        return visit(t)
+
+    def visit(t):
+        return [walk(c) for c in t]
+
+    def leaf():
+        return visit
+
+    def fact(n):
+        return n and n * fact(n - 1)
+    return walk, leaf, fact
+
+
+def plain():
+    def declare(x):
+        return node_id(x)
+
+    def node_id(x):
+        return x
+    return declare
+""")
+    assert sorted(closure_cycles(tree)) == ["outer.fact", "outer.visit", "outer.walk"]
