@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
-from .core import (
-    BinOp, Expr, Lit, Neg, Not, Port, Ref, TRUE, Update, Variable, format_expr,
-)
+from .core import BinOp, Expr, Lit, Neg, Not, Port, Ref, TRUE, format_expr
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
 MAX_LEN = 8
@@ -74,6 +73,31 @@ def sanitize(name: str) -> str:
     return _UNSAFE.sub("_", name)
 
 
+class _Memo(dict):
+    """A dict that computes each missing value once, from its key. ``fn``
+    must not reach the memo, or the two would form a cycle."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _qname_symbol(names: _Memo, qname: str) -> str:
+    owner, name = qname.split(".", 1)
+    return f"{names[owner]}_{names[name.replace('%c', 'ctl')]}"
+
+
+def _port_names(names: _Memo, paper_ack: bool, port: Port) -> tuple:
+    """A port's symbol, channel and acknowledgement channel."""
+    symbol = names[port.pid]
+    return symbol, f"ch_{symbol}", f"ch_{symbol}" if paper_ack else f"ack_{symbol}"
+
+
 # --------------------------------------------------------------------------
 # Expression translation
 # --------------------------------------------------------------------------
@@ -85,90 +109,69 @@ _OPS = {"and": "&&", "or": "||"}
 _NOT_ON_STRINGS = frozenset({"+", "<", "<=", ">", ">="})
 
 
-class _Strings:
-    """Interning table for string literals/initial values, with the types
-    of the system's variables, which tell a string operand from an int."""
+class _Symbols:
+    """The tables of one emission, which die with it. Each name is
+    sanitized once, each qualified name and port gets its symbols once, and
+    each expression node is translated once: ``exprs`` maps a node to its
+    text. String values are interned to small integers in the order they are
+    met; the types of the system's variables tell a string operand from an
+    int."""
 
-    def __init__(self, strict: bool, types: dict):
+    def __init__(self, strict: bool, types: dict, paper_ack: bool = False):
         self.strict = strict
         self.types = types
         self.table: dict[str, int] = {}
+        self.names = _Memo(sanitize)
+        self.qnames = _Memo(partial(_qname_symbol, self.names))
+        self.ports = _Memo(partial(_port_names, self.names, paper_ack))
+        self.exprs = {}
 
     def code(self, s: str) -> int:
         if self.strict:
-            raise PromelaError(
-                f"string value {s!r} not representable in strict mode")
-        if s not in self.table:
-            self.table[s] = len(self.table) + 1
-        return self.table[s]
+            raise PromelaError(f"string value {s!r} not representable in strict mode")
+        return self.table.setdefault(s, len(self.table) + 1)
 
 
-def var_symbol(var: Variable) -> str:
-    return qname_symbol(var.qname)
+def _pexpr(e: Expr, sym: _Symbols) -> str:
+    return sym.exprs.get(e) or _ptext(e, sym)
 
 
-def qname_symbol(qname: str) -> str:
-    owner, name = qname.split(".", 1)
-    name = name.replace("%c", "ctl")
-    return f"{sanitize(owner)}_{sanitize(name)}"
-
-
-def _pexpr(e: Expr, strings: _Strings) -> str:
-    return _ptyped(e, strings)[0]
-
-
-def _ptyped(e: Expr, strings: _Strings) -> tuple:
-    """The Promela text of ``e`` and whether ``e`` is a string, in one walk."""
+def _ptext(e: Expr, sym: _Symbols) -> str:
+    """The Promela text of ``e``, kept in ``sym.exprs``. Operands are looked
+    up there first."""
     if isinstance(e, Lit):
+        # A bool prints as true or false; lower() leaves an int's digits alone.
         v = e.value
-        if isinstance(v, bool):
-            return ("true" if v else "false"), False
-        if isinstance(v, str):
-            return str(strings.code(v)), True
-        return str(v), False
-    if isinstance(e, Ref):
-        return qname_symbol(e.qname), strings.types.get(e.qname) == "str"
-    if isinstance(e, Not):
-        return f"!({_pexpr(e.operand, strings)})", False
-    if isinstance(e, Neg):
-        return f"-({_pexpr(e.operand, strings)})", False
-    if isinstance(e, BinOp):
-        left, left_str = _ptyped(e.left, strings)
-        if left_str and e.op in _NOT_ON_STRINGS:
+        out = str(sym.code(v)) if isinstance(v, str) else str(v).lower()
+    elif isinstance(e, Ref):
+        out = sym.qnames[e.qname]
+    elif isinstance(e, Not):
+        out = f"!({_pexpr(e.operand, sym)})"
+    elif isinstance(e, Neg):
+        out = f"-({_pexpr(e.operand, sym)})"
+    elif isinstance(e, BinOp):
+        operand = e.left  # _pexpr inlined: one frame per level of a left-deep chain
+        left = sym.exprs.get(operand) or _ptext(operand, sym)
+        # No operation yields a string, so only a literal or a variable is one.
+        if e.op in _NOT_ON_STRINGS and (
+                sym.types.get(operand.qname) == "str" if isinstance(operand, Ref)
+                else isinstance(operand, Lit) and isinstance(operand.value, str)):
             raise PromelaError(f"operator {e.op!r} on strings cannot be expressed "
                                f"in Promela: {format_expr(e)}")
-        right = _pexpr(e.right, strings)
-        if e.op == "mod":
-            # Floor modulo, as core.BINARY_OPS has it: C's truncating %
-            # shifted into the divisor's sign. Only the divisor is repeated.
-            return f"((({left} % {right}) + {right}) % {right})", False
-        # No operation yields a string: a string operand of + is refused.
-        return f"({left} {_OPS.get(e.op, e.op)} {right})", False
-    raise AssertionError(e)
-
-
-def _passign(update: Update, strings: _Strings) -> list:
-    return [
-        f"{qname_symbol(target)} = {_pexpr(expr, strings)};"
-        for target, expr in update.assignments
-    ]
+        right = _pexpr(e.right, sym)
+        # Floor modulo, as core.BINARY_OPS has it: C's truncating % shifted
+        # into the divisor's sign. Only the divisor is repeated.
+        out = (f"((({left} % {right}) + {right}) % {right})" if e.op == "mod"
+               else f"({left} {_OPS.get(e.op, e.op)} {right})")
+    else:
+        raise AssertionError(e)
+    sym.exprs[e] = out
+    return out
 
 
 # --------------------------------------------------------------------------
 # Model generation
 # --------------------------------------------------------------------------
-
-def port_symbol(port: Port) -> str:
-    return sanitize(port.pid)
-
-
-def chan_name(port: Port) -> str:
-    return f"ch_{port_symbol(port)}"
-
-
-def ack_chan_name(port: Port) -> str:
-    return f"ack_{port_symbol(port)}"
-
 
 @dataclass
 class Model:
@@ -199,8 +202,10 @@ def _used_ports(sys: CompositeSystem) -> list:
 
 def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model:
     opts = opts or PromelaOptions()
-    strings = _Strings(opts.strict, {var.qname: var.dtype
-                                     for comp in sys.components for var, _ in comp.vars})
+    sym = _Symbols(opts.strict, {var.qname: var.dtype
+                                 for comp in sys.components for var, _ in comp.vars},
+                   opts.paper_ack)
+    names, ports = sym.names, sym.ports
     lines = []
     w = lines.append
 
@@ -225,14 +230,14 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     w("/* port symbols */")
     w(f"#define {declare('PORT_NONE')} 0")
     for i, p in enumerate(_used_ports(sys), start=1):
-        w(f"#define {declare(port_symbol(p))} {i}")
+        w(f"#define {declare(ports[p][0])} {i}")
     w("")
 
     # Location symbols.
     w("/* location symbols */")
     for comp in sys.components:
         for i, loc in enumerate(comp.locations):
-            w(f"#define {declare(sanitize(loc))} {i}")
+            w(f"#define {declare(names[loc])} {i}")
     w("")
 
     w("/* messaging macros */")
@@ -247,7 +252,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     # Observable current-port variable per component.
     w("/* observable state */")
     for comp in sys.components:
-        w(f"int {declare('currPort_' + sanitize(comp.id))} = PORT_NONE;")
+        w(f"int {declare('currPort_' + names[comp.id])} = PORT_NONE;")
     w("")
 
     # Component variables as prefixed globals.
@@ -255,7 +260,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     for comp in sys.components:
         for var, init in comp.vars:
             dtype = "bool" if var.dtype == "bool" else "int"
-            w(f"{dtype} {declare(var_symbol(var))} = {_pexpr(Lit(init), strings)};")
+            w(f"{dtype} {declare(sym.qnames[var.qname])} = {_pexpr(Lit(init), sym)};")
     w("")
 
     # Channels: one per receive port occurring in gamma.
@@ -263,79 +268,60 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     for inter in sys.gamma:
         sync = inter.send.ctype == "ss"
         for r in inter.receivers:
-            length = "0" if sync else "MAX_LEN"
-            w(f"chan {declare(chan_name(r))} = [{length}] of {{ int }};")
+            _, chan, ack = ports[r]
+            w(f"chan {declare(chan)} = [{'0' if sync else 'MAX_LEN'}] of {{ int }};")
             if sync and not opts.paper_ack:
-                w(f"chan {declare(ack_chan_name(r))} = [0] of {{ int }};")
+                w(f"chan {declare(ack)} = [0] of {{ int }};")
     w("")
 
     wiring = _port_interactions(sys)
     for comp in sys.components:
-        declare(sanitize(comp.id))
-        lines.extend(_emit_process(wiring, comp, strings, opts))
+        declare(names[comp.id])
+        _emit_process(lines, wiring, comp, sym, opts)
         w("")
 
-    w("init {")
-    w("  atomic {")
-    for comp in sys.components:
-        w(f"    run {sanitize(comp.id)}();")
-    w("  }")
-    w("}")
-
-    text = "\n".join(lines) + "\n"
-    ltl = ltl_templates(sys)
+    lines += ["init {", "  atomic {", *(f"    run {names[c.id]}();" for c in sys.components),
+              "  }", "}", ""]  # the empty last line ends the text with a newline
+    text = "\n".join(lines)
+    ltl = _templates(sys, wiring, names)
     if opts.inline_ltl:
-        chunks = [text]
-        for name, formula in ltl:
-            chunks.append(f"ltl {name} {{ {formula} }}\n")
-        text = "".join(chunks)
+        text += "".join(f"ltl {name} {{ {formula} }}\n" for name, formula in ltl)
 
-    if strings.table:
+    if sym.table:
         header = ["/* interned strings:"]
-        for s, c in sorted(strings.table.items(), key=lambda kv: kv[1]):
+        for s, c in sorted(sym.table.items(), key=lambda kv: kv[1]):
             # Still a Python literal of s, but one that cannot end the comment.
             literal = repr(s).replace("*/", "*\\x2f")
             header.append(f"   {c} = {literal}")
         header.append("*/")
         text = "\n".join(header) + "\n" + text
 
-    return Model(text=text, strings=dict(strings.table), ltl=ltl)
+    return Model(text=text, strings=dict(sym.table), ltl=ltl)
 
 
-def _emit_process(wiring, comp, strings, opts):
-    cid = sanitize(comp.id)
-    lines = []
+def _emit_process(lines, wiring, comp, sym, opts):
+    names = sym.names
     w = lines.append
-    w(f"proctype {cid}() {{")
-    w("  int value;")
-    w(f"  int currentLocation = {sanitize(comp.init)};")
-    w("  do")
-    w("  :: if")
+    lines += [f"proctype {names[comp.id]}() {{", "  int value;",
+              f"  int currentLocation = {names[comp.init]};", "  do", "  :: if"]
     for loc in comp.locations:
         outs = comp.outgoing(loc)
         if loc == comp.end:
-            w(f"     :: (currentLocation == {sanitize(loc)}) -> break;")
+            w(f"     :: (currentLocation == {names[loc]}) -> break;")
             continue
         if not outs:
             continue
-        body = _emit_location(wiring, comp, outs, strings, opts)
-        w(f"     :: (currentLocation == {sanitize(loc)}) ->")
-        for stmt in body:
-            w("        " + stmt)
-    w("     fi;")
-    w("  od;")
-    w("}")
-    return lines
+        w(f"     :: (currentLocation == {names[loc]}) ->")
+        lines += ["        " + stmt for stmt in _emit_location(wiring, comp, outs, sym, opts)]
+    lines += ["     fi;", "  od;", "}"]
 
 
-def _emit_location(wiring, comp, outs, strings, opts):
-    cid = sanitize(comp.id)
+def _emit_location(wiring, comp, outs, sym, opts):
+    names, qnames, ports = sym.names, sym.qnames, sym.ports
+    cid = names[comp.id]
 
     def receives(t: Transition) -> bool:
         return t.port is not None and t.port.ctype == "r"
-
-    def ack_chan(r: Port) -> str:
-        return chan_name(r) if opts.paper_ack else ack_chan_name(r)
 
     def arm(t: Transition, read: bool) -> list:
         """The statements of ``t``. A receive reads its channel first when
@@ -349,27 +335,30 @@ def _emit_location(wiring, comp, outs, strings, opts):
                     f"which Promela emission cannot express")
             inter = wiring.get(p)
             sync = inter is not None and inter.send.ctype == "ss"
+            _, chan, ack = ports[p]
             if read and sync and opts.paper_ack:
-                stmts.append(f"synchRecv({chan_name(p)});")
+                stmts.append(f"synchRecv({chan});")
             else:
                 if read:
-                    stmts.append(f"recv({chan_name(p)});")
+                    stmts.append(f"recv({chan});")
                 if sync:
-                    stmts.append(f"sendAck({ack_chan(p)});")
+                    stmts.append(f"sendAck({ack});")
         elif p is not None and p.ctype != "in":  # send
             inter = wiring.get(p)
             if inter is None:
                 raise PromelaError(f"send port {p.pid} not wired in gamma")
-            stmts.append(f"value = {var_symbol(p.var)};")
-            stmts.extend(f"send({chan_name(r)});" for r in inter.receivers)
+            stmts.append(f"value = {qnames[p.var.qname]};")
+            receivers = [ports[r] for r in inter.receivers]
+            stmts.extend(f"send({chan});" for _, chan, _ in receivers)
             if p.ctype == "ss":
-                stmts.extend(f"recvAck({ack_chan(r)});" for r in inter.receivers)
+                stmts.extend(f"recvAck({ack});" for _, _, ack in receivers)
         if p is not None:
-            stmts.append(f"currPort_{cid} = {port_symbol(p)};")
+            stmts.append(f"currPort_{cid} = {ports[p][0]};")
             if p.ctype == "r":
-                stmts.append(f"{var_symbol(p.var)} = value;")
-        stmts.extend(_passign(t.update, strings))
-        stmts.append(f"currentLocation = {sanitize(t.dst)};")
+                stmts.append(f"{qnames[p.var.qname]} = value;")
+        for target, expr in t.update.assignments:
+            stmts.append(f"{qnames[target]} = {_pexpr(expr, sym)};")
+        stmts.append(f"currentLocation = {names[t.dst]};")
         return stmts
 
     if len(outs) == 1 and (receives(outs[0]) or outs[0].guard == TRUE):
@@ -378,10 +367,7 @@ def _emit_location(wiring, comp, outs, strings, opts):
     # Otherwise an inner if with one executability condition per transition.
     stmts = ["if"]
     for t in outs:
-        if receives(t):
-            cond = f"recv({chan_name(t.port)})"
-        else:
-            cond = f"({_pexpr(t.guard, strings)})"
+        cond = f"recv({ports[t.port][1]})" if receives(t) else f"({_pexpr(t.guard, sym)})"
         stmts.append(f":: {cond} ->")
         stmts.extend("   " + s for s in arm(t, read=False))
     stmts.append("fi;")
@@ -464,13 +450,19 @@ def _next_data_send(comp: AtomicComponent, loc: str):
     return None
 
 
-def _obs(comp_id: str, port: Port) -> str:
-    return f"(currPort_{sanitize(comp_id)} == {port_symbol(port)})"
+def _obs(names: _Memo, comp_id: str, port: Port) -> str:
+    return f"(currPort_{names[comp_id]} == {names[port.pid]})"
 
 
 def ltl_templates(sys: CompositeSystem) -> list:
     """Instantiate the four property templates; returns (name, formula)
     pairs, keeping the first formula of each name."""
+    return _templates(sys, _port_interactions(sys), _Memo(sanitize))
+
+
+def _templates(sys: CompositeSystem, wiring: dict, names: _Memo) -> list:
+    """``ltl_templates`` with the system's wiring and a memo of sanitized
+    names, which ``generate_promela`` shares."""
     out = {}
 
     # 1. Correct termination: if any process reaches its ending interface,
@@ -478,8 +470,8 @@ def ltl_templates(sys: CompositeSystem) -> list:
     ends = [(c.id, _end_port(c)) for c in sys.components]
     ends = [(cid, p) for cid, p in ends if p is not None]
     if ends:
-        any_end = " || ".join(_obs(cid, p) for cid, p in ends)
-        all_end = " && ".join(_obs(cid, p) for cid, p in ends)
+        any_end = " || ".join(_obs(names, cid, p) for cid, p in ends)
+        all_end = " && ".join(_obs(names, cid, p) for cid, p in ends)
         out["termination"] = f"[] (({any_end}) -> <> ({all_end}))"
 
     cyclic = [_cyclic_transitions(comp) for comp in sys.components]
@@ -491,8 +483,8 @@ def ltl_templates(sys: CompositeSystem) -> list:
             p = t.port
             if p is None or p.ctype != "r" or _is_control(p):
                 continue
-            out.setdefault(f"livelock_{port_symbol(p)}",
-                           f"! ([] <> {_obs(comp.id, p)})")
+            out.setdefault(f"livelock_{names[p.pid]}",
+                           f"! ([] <> {_obs(names, comp.id, p)})")
 
     # 3. Uniqueness of interface calls: a non-recurring send port fires at
     #    most once.
@@ -502,14 +494,13 @@ def ltl_templates(sys: CompositeSystem) -> list:
             p = t.port
             if p is None or not p.is_send or _is_control(p) or t in recurring:
                 continue
-            obs = _obs(comp.id, p)
-            out.setdefault(f"uniqueness_{port_symbol(p)}",
+            obs = _obs(names, comp.id, p)
+            out.setdefault(f"uniqueness_{names[p.pid]}",
                            f"[] ({obs} -> X ([] (! {obs})))")
 
     # 4. Correct transaction: a send that follows a receive (possibly through
     #    silent/control synchronization steps) does not happen before the
     #    matching trigger send.
-    wiring = _port_interactions(sys)
     for comp in sys.components:
         for t in comp.transitions:
             p = t.port
@@ -522,9 +513,9 @@ def ltl_templates(sys: CompositeSystem) -> list:
             q = _next_data_send(comp, t.dst)
             if q is None:
                 continue
-            out.setdefault(f"transaction_{port_symbol(q)}",
-                           f"[] ((! {_obs(comp.id, q)}) U "
-                           f"{_obs(trigger.owner, trigger)})")
+            out.setdefault(f"transaction_{names[q.pid]}",
+                           f"[] ((! {_obs(names, comp.id, q)}) U "
+                           f"{_obs(names, trigger.owner, trigger)})")
     return list(out.items())
 
 
@@ -551,6 +542,14 @@ _LINE_PATTERNS = (
 )
 _LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in _LINE_PATTERNS))
 _OPENER = re.compile(r"(?:^|\s)(do|if)$")  # a line that opens a do/if block
+#: Lines of a shape above that open no comment, hold no brace or balanced
+#: ones, and neither open (end in ``do`` or ``if``) nor close a block: only
+#: the brace depth can fail on them. ASCII ``\w`` matches faster; a line it
+#: misses takes every test.
+_QUIET = re.compile(r"(?!/\*|od;$|fi;$)[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;|:: [^{}]*(?:->|;)"
+                    r"|#define \w+(?:\(\w+\))? [^{}]+(?<!do)(?<!if)"
+                    r"|chan \w+ = \[\w+\] of \{ (?:int|bool) \};", re.ASCII)
+_CLOSES = {"od": "do", "od;": "do", "fi": "if", "fi;": "if"}
 
 
 def validate_promela(text: str) -> list:
@@ -560,6 +559,7 @@ def validate_promela(text: str) -> list:
     depth_brace = 0
     stack = []
     in_comment = False
+    quiet = _QUIET.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -568,22 +568,22 @@ def validate_promela(text: str) -> list:
             if "*/" in line:
                 in_comment = False
             continue
+        if quiet(line):
+            if depth_brace < 0:
+                errors.append(f"line {lineno}: unbalanced '}}'")
+            continue
         if line.startswith("/*") and "*/" not in line:
             in_comment = True
             continue
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:
             errors.append(f"line {lineno}: unbalanced '}}'")
-        if line.endswith(("do", "if")):
-            opener = _OPENER.search(line)
-            if opener:
-                stack.append((opener.group(1), lineno))
-        if line in ("od", "od;"):
-            if not stack or stack.pop()[0] != "do":
-                errors.append(f"line {lineno}: 'od' without matching 'do'")
-        if line in ("fi", "fi;"):
-            if not stack or stack.pop()[0] != "if":
-                errors.append(f"line {lineno}: 'fi' without matching 'if'")
+        opener = line.endswith(("do", "if")) and _OPENER.search(line)
+        if opener:
+            stack.append((opener.group(1), lineno))
+        closes = _CLOSES.get(line)
+        if closes and (not stack or stack.pop()[0] != closes):
+            errors.append(f"line {lineno}: '{line[:2]}' without matching '{closes}'")
         if not _LINE_SHAPE.match(line):
             errors.append(f"line {lineno}: unrecognized statement: {line!r}")
     if depth_brace != 0:

@@ -1,5 +1,7 @@
 import glob
+import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -23,6 +25,18 @@ def corpus_path(stem):
         if base.split("_", 1)[-1] == stem + ".chor":
             return path
     raise FileNotFoundError(stem)
+
+
+def generated(name, seed):
+    """A generated benchmark input, from ``perfbench/gen.py`` as it is."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
+    gen = sys.modules.get(spec.name)
+    if gen is None:
+        gen = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = gen  # dataclasses look their module up
+        spec.loader.exec_module(gen)
+    return gen.GENERATORS[name](seed).text
 
 
 def evaluate(expr, v):

@@ -5,9 +5,6 @@ out by hand against the definitions; the final test measures rule-tag
 coverage over the whole corpus.
 """
 
-import importlib.util
-import os
-import sys
 from typing import NamedTuple, Optional
 
 import pytest
@@ -21,7 +18,7 @@ from chorc.core import EvalError, Event, Valuation, explore_lts, requeue
 from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed
 from chorc.parser import parse_source
 
-from conftest import ROOT, load_stem
+from conftest import generated, load_stem
 
 DECLS = """
 comp A {
@@ -478,18 +475,6 @@ def assert_same_lts(res, flat, what):
     assert {view(c) for c in res.terminals} == {view(c) for c in flat.terminals}, what
     assert {view(c) for c in res.deadlocks} == {view(c) for c in flat.deadlocks}, what
     assert (res.truncated, res.finals) == (flat.truncated, flat.finals), what
-
-
-def generated(name, seed):
-    """A generated benchmark input, from ``perfbench/gen.py`` as it is."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_gen", os.path.join(ROOT, "perfbench", "gen.py"))
-    gen = sys.modules.get(spec.name)
-    if gen is None:
-        gen = importlib.util.module_from_spec(spec)
-        sys.modules[spec.name] = gen  # dataclasses look their module up
-        spec.loader.exec_module(gen)
-    return gen.GENERATORS[name](seed).text
 
 
 #: Receive updates and guards that read another component's variable, which

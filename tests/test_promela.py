@@ -14,14 +14,14 @@ from chorc.cbs import (
 )
 from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Valuation, Variable
 from chorc.promela import (
-    MAX_LEN, PromelaError, PromelaOptions, _pexpr, _Strings, format_ltl,
+    MAX_LEN, PromelaError, PromelaOptions, _pexpr, _Symbols, format_ltl,
     generate_promela, ltl_templates, sanitize, validate_promela,
 )
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
-from conftest import evaluate, load_stem
+from conftest import evaluate, generated, load_stem
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -179,11 +179,11 @@ class TestArithmetic:
     MOD = BinOp("mod", Ref("A.a"), Ref("A.b"))
 
     def test_mod_text(self):
-        assert (_pexpr(self.MOD, _Strings(False, {}))
+        assert (_pexpr(self.MOD, _Symbols(False, {}))
                 == "(((A_a % A_b) + A_b) % A_b)")
 
     def test_mod_is_floor_modulo_under_truncating_remainder(self):
-        text = _pexpr(self.MOD, _Strings(False, {}))
+        text = _pexpr(self.MOD, _Symbols(False, {}))
         for a in range(-6, 7):
             for b in (-3, -2, -1, 1, 2, 3):
                 c_value = eval(text, {"A_a": _CInt(a), "A_b": _CInt(b)})
@@ -192,7 +192,7 @@ class TestArithmetic:
 
     def test_div_agrees_with_truncating_division(self):
         div = BinOp("/", Ref("A.a"), Ref("A.b"))
-        text = _pexpr(div, _Strings(False, {}))
+        text = _pexpr(div, _Symbols(False, {}))
         assert text == "(A_a / A_b)"
         for a in range(-6, 7):
             for b in (-3, -2, -1, 1, 2, 3):
@@ -219,7 +219,7 @@ class TestExpressionWalk:
         for i in range(n):
             chain = Counted("+", chain, Lit(i))
         expr = Counted("<", chain, Ref("A.x"))
-        text = _pexpr(expr, _Strings(False, {"A.x": "int"}))
+        text = _pexpr(expr, _Symbols(False, {"A.x": "int"}))
         assert text.startswith("(" * (n + 1) + "A_x + 0)")
         assert len(reads) == n + 1
 
@@ -264,6 +264,39 @@ class TestSanitize:
     def test_symbols(self):
         assert sanitize("B1.cr@2") == "B1_cr_2"
         assert sanitize("p#1") == "p_1"
+
+
+class TestEmissionWork:
+    """Within one ``generate_promela`` call, each distinct name is sanitized
+    once and each distinct expression node is translated once."""
+
+    @pytest.mark.parametrize("source", ["buying", "longchain"])
+    def test_each_name_and_node_once(self, monkeypatch, source):
+        if source == "buying":
+            decl, _, ch = load_stem(source)
+        else:
+            decl, _, ch = parse_source(generated(source, 1))
+        names, nodes = [], []
+        real_sanitize, real_ptext = promela.sanitize, promela._ptext
+
+        def sanitize(name):
+            names.append(name)
+            return real_sanitize(name)
+
+        def ptext(e, sym):
+            nodes.append(e)
+            return real_ptext(e, sym)
+
+        monkeypatch.setattr(promela, "sanitize", sanitize)
+        monkeypatch.setattr(promela, "_ptext", ptext)
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            for opts in (PromelaOptions(), PromelaOptions(paper_ack=True, inline_ltl=True)):
+                names.clear()
+                nodes.clear()
+                generate_promela(sys, opts)
+                assert names and len(names) == len(set(names)), (profile, opts)
+                assert nodes and len(nodes) == len({id(e) for e in nodes}), (profile, opts)
 
 
 class TestLtl:
@@ -398,9 +431,27 @@ class TestCyclicTransitions:
                     assert calls == list(sys.components), (run.__name__, profile)
 
 
+#: The validator's line shapes and block opener, frozen as they were when
+#: every line was matched against all of them.
+REFERENCE_LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in (
+    r"^#define \w+(\(\w+\))? .+$",
+    r"^(/\*.*)|(.*\*/)$",
+    r"^(bool|int) \w+( = .+)?;$",
+    r"^chan \w+ = \[\w+\] of \{ (int|bool) \};$",
+    r"^proctype \w+\(\) \{$",
+    r"^(init|atomic) \{$",
+    r"^run \w+\(\);$",
+    r"^(do|od;|if|fi;|\}|break;|skip;|:: if)$",
+    r"^:: .*(->|;|break;)$",
+    r"^ltl \w+ \{ .+ \}$",
+    r"^[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;$",  # plain statements
+)))
+REFERENCE_OPENER = re.compile(r"(?:^|\s)(do|if)$")
+
+
 def reference_validate_promela(text):
-    """The validator as it was before the opener prefilter: ``_OPENER`` is
-    searched on every line."""
+    """The validator as it was before the opener prefilter: every test runs
+    on every line, and ``REFERENCE_OPENER`` is searched on each."""
     errors = []
     depth_brace = 0
     stack = []
@@ -419,7 +470,7 @@ def reference_validate_promela(text):
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:
             errors.append(f"line {lineno}: unbalanced '}}'")
-        opener = promela._OPENER.search(line)
+        opener = REFERENCE_OPENER.search(line)
         if opener:
             stack.append((opener.group(1), lineno))
         if line in ("od", "od;"):
@@ -428,7 +479,7 @@ def reference_validate_promela(text):
         if line in ("fi", "fi;"):
             if not stack or stack.pop()[0] != "if":
                 errors.append(f"line {lineno}: 'fi' without matching 'if'")
-        if not promela._LINE_SHAPE.match(line):
+        if not REFERENCE_LINE_SHAPE.match(line):
             errors.append(f"line {lineno}: unrecognized statement: {line!r}")
     if depth_brace != 0:
         errors.append("unbalanced braces at end of file")
@@ -468,3 +519,34 @@ class TestValidatorReference:
                     faults.update(e.split(": ", 1)[-1].split(" ", 1)[0] for e in errors)
         # The damage reaches the block pairing, not just line shapes.
         assert {"'od'", "'fi'", "unclosed", "unrecognized"} <= faults, faults
+
+    #: Lines that open, close or fake comments and blocks, or move the brace
+    #: depth, where a line-shape shortcut could skip a test.
+    HOSTILE = ("/*x;", "x = 1; */", "*/", "/* a */", "od;", "od", "fi", "fi;", "{", "}",
+               ":: do", ":: do;", ":: if", "do", "if", "", "   ", "#define X do",
+               "#define Y {", "#define Z x if", "chan c = [0] of { int };",
+               "chan c = [0] of { int } };", "int x = {1};", "x = y {;", ":: }x;",
+               ":: {x ->", "ltl p { [] q }", "break;", "skip;", "\u00e9 = 1;",
+               "#define \u00c9 1")
+
+    def test_line_soup(self, corpus):
+        pool = set()
+        for _, decl, _, ch in corpus[::4]:
+            pool.update(generate_promela(synthesize(decl, ch), PromelaOptions(inline_ltl=True))
+                        .text.splitlines())
+        pool = sorted(pool) + list(self.HOSTILE)
+        rng = random.Random(24)
+        faults = set()
+        for _ in range(400):
+            lines = [rng.choice(self.HOSTILE) if rng.random() < 0.4 else rng.choice(pool)
+                     for _ in range(rng.randint(1, 30))]
+            text = "\n".join(lines) + "\n"
+            errors = validate_promela(text)
+            assert errors == reference_validate_promela(text), text
+            faults.update(e.split(": ", 1)[-1].split(" ", 1)[0] for e in errors)
+        assert {"'od'", "'fi'", "unclosed", "unrecognized", "unbalanced"} <= faults, faults
+
+    def test_statement_that_opens_a_comment(self):
+        text = "proctype A() {\n/*x;\n}\n"
+        assert validate_promela(text) == reference_validate_promela(text) == [
+            "unbalanced braces at end of file"]
