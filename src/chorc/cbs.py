@@ -28,35 +28,29 @@ findings, are cached on the instance, so ``dataclasses.replace`` yields a
 system with fresh ones.
 
 A system state (``SysState``) is a tuple of one part per component
-position: the position's location, a valuation of the variables it holds
-and its nonempty receive buffers (Laarman, van de Pol & Weber, "Parallel
-recursive state compression for free", SPIN 2011). A variable lives in the
-part of the first position that declares it, a receive port's buffer in
-its owner's part. Each position keeps one part per distinct (location,
-values, buffers), so parts hash and compare by identity, and states by the
-identities of their parts, both in C. A state's joint ``locations``, global
-valuation ``sigma`` and ``buffers`` are views, equal to the fields that
-states had before they were split.
+position, partitioned as ``core`` describes: the valuation of the
+variables the position holds, with its location and its nonempty receive
+buffers. A variable lives in the part of the first position that declares
+it, a receive port's buffer in its owner's part. Each position keeps one
+part per distinct (location, values, buffers). A state's joint
+``locations``, global valuation ``sigma`` and ``buffers`` are views, equal
+to the fields that states had before they were split.
 
-Which parts a step reads is known from the system's text (Meijer, Kant,
-Blom & van de Pol, "Read, write and copy dependencies for symbolic model
-checking", HVC 2014). A position reads its own part and those holding a
-variable its transitions use, bind or send. A send writes its sender's and
-receivers' parts and reads what its sender's position reads, and what its
-receivers' positions read if synchronous, their own parts, which hold
-their buffers, if asynchronous. A variable no part holds raises when read.
-Each cache is keyed by the parts it reads, the part alone where that is
-all (Blom, van de Pol & Weber, "LTSmin", CAV 2010): a position's ``steps``
-maps them to the steps its component starts, and a send's cache
-(``_meet``) to the new parts it writes. A miss runs the compiled closures
-on those parts' valuations laid side by side (``_View``), never on the
-whole state's. An asynchronous send appends the payload to the receivers'
-buffers after its sender's update; a rendezvous checks every guard and
-buffer, then copies the payload to the receivers and runs the sender's
-update and then each receiver's, so an update runs, and may raise, only
-once it can fire. A system whose parts cannot be kept apart, because a
-component would assign or receive into another position's variable or
-buffer, fails with ``EvalError`` when compiled.
+A position (``_Position``) is the view of the parts it reads: its own and
+those holding a variable its transitions use, bind or send. Its ``steps``
+cache maps them to the steps its component starts. A send record
+(``_meet``) is the view of what the send reads: what its sender's
+position reads, and what its receivers' positions read if synchronous,
+their own parts, which hold their buffers, if asynchronous. It writes its
+sender's and receivers' parts, and its cache maps the parts it reads to
+their new ones. A variable no part holds raises when read. An
+asynchronous send appends the payload to the receivers' buffers after its
+sender's update; a rendezvous checks every guard and buffer, then copies
+the payload to the receivers and runs the sender's update and then each
+receiver's, so an update runs, and may raise, only once it can fire. A
+system whose parts cannot be kept apart, because a component would assign
+or receive into another position's variable or buffer, fails with
+``EvalError`` when compiled.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -71,12 +65,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
-    TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Port, Update, Valuation, cached_attr,
-    explore_lts, expr_vars, find_queue, format_expr, format_update, requeue, update_vars,
+    TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation, View,
+    cached_attr, explore_lts, expr_vars, find_queue, format_expr, format_update, requeue,
+    update_vars,
 )
 from .lang import Diagnostic
 
@@ -256,7 +250,7 @@ class CompositeSystem:
                 sends[i].setdefault(src, []).append(
                     (rule, event, alts, snd.var.qname, targets))
         views = {}
-        positions = tuple(_Position(at, [owned[j] for j in at], views) for at in reads)
+        positions = tuple(_Position(at, [owned[j]._slots for j in at], views) for at in reads)
         for pos, own, sending, vals in zip(positions, compiled, sends, owned):
             pos.table = {loc: _compile_location(sending, own.local, loc) for loc in own.holdable}
             pos.initial = _part(pos, own.holdable[0], vals, ())
@@ -287,7 +281,7 @@ class SysState(tuple):
     @property
     def sigma(self) -> Valuation:
         """Every declared variable, each read from the part that holds it."""
-        return Valuation.union([part.vals for part in self])
+        return Valuation.union(self)
 
     @property
     def buffers(self) -> tuple:
@@ -300,63 +294,31 @@ class SysState(tuple):
                 f"buffers={self.buffers!r})")
 
 
-class _Part:
-    """One component position's share of a system state: its location, a
-    valuation of the variables it holds and its nonempty receive buffers
-    (see ``find_queue``). ``_part`` makes one per distinct share, so a part
-    hashes and compares by identity."""
+class _Part(Part):
+    """One component position's share of a system state: the valuation of
+    the variables it holds, with its location and its nonempty receive
+    buffers (see ``find_queue``). ``_part`` makes one per distinct share."""
 
-    __slots__ = ("loc", "vals", "queues")
+    __slots__ = ("loc", "queues")
 
     def __init__(self, loc: str, vals: Valuation, queues: tuple):
-        self.loc, self.vals, self.queues = loc, vals, queues
+        self._slots, self._values, self._hash = vals._slots, vals._values, None
+        self.loc, self.queues = loc, queues
 
 
-class _View:
-    """The parts of positions ``at`` of a state, picked by ``key``: the one
-    part itself if ``at`` is one position, else a tuple, whose valuations
-    ``slots`` lays side by side and ``spans`` splits back by position,
-    laid out from ``vals``, the positions' initial valuations."""
-
-    __slots__ = ("key", "at", "one", "slots", "spans")
-
-    def __init__(self, at: tuple, vals: list):
-        self.key, self.at, self.one = itemgetter(*at), at, len(at) == 1
-        self.slots = self.spans = None
-        if not self.one:
-            self.slots, self.spans = {}, {}
-            for j, own in zip(at, vals):
-                n, layout = len(self.slots), own._slots
-                self.spans[j] = (layout, n, n + len(layout))
-                self.slots.update(zip(layout, range(n, n + len(layout))))
-
-    def merged(self, key) -> Valuation:
-        """The valuation of the parts ``key`` picked."""
-        if self.one:
-            return key.vals
-        return Valuation.over(self.slots, sum([part.vals._values for part in key], ()))
-
-    def split(self, after: Valuation, j: int) -> Valuation:
-        """Position ``j``'s valuation in ``after``, an update of a merged
-        one."""
-        if self.one:
-            return after
-        layout, start, stop = self.spans[j]
-        return Valuation.over(layout, after._values[start:stop])
-
-
-class _Position(_View):
+class _Position(View):
     """A component position's compiled semantics: the view of the parts it
-    reads, its static step table (``CompositeSystem._steps``), its table of
-    parts, its initial part and its caches (see the module docstring)."""
+    reads, at positions ``at``, its static step table
+    (``CompositeSystem._steps``), its table of parts, its initial part and
+    its caches (see the module docstring)."""
 
-    __slots__ = ("table", "parts", "initial", "steps", "meets", "views")
+    __slots__ = ("at", "table", "parts", "initial", "steps", "meets", "views")
 
-    def __init__(self, at: tuple, vals: list, views: dict):
-        super().__init__(at, vals)
-        self.table = self.initial = None
+    def __init__(self, at: tuple, layouts: list, views: dict):
+        super().__init__(at, layouts, at)
+        self.at, self.table, self.initial = at, None, None
         self.views = views  # the system's positions read together -> their view
-        self.parts = {}  # (location, valuation, buffers) -> the part
+        self.parts = {}  # (location, values, buffers) -> the part
         self.steps = {}  # the parts it reads -> the steps the component starts
         self.meets = {}  # event -> what ``_meet`` makes for a send
 
@@ -378,7 +340,7 @@ def _compile_location(sends: dict, local: dict, loc: str) -> tuple:
 
 def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
     """The one part of ``pos`` with these fields."""
-    return pos.parts.setdefault((loc, vals, queues), _Part(loc, vals, queues))
+    return pos.parts.setdefault((loc, vals._values, queues), _Part(loc, vals, queues))
 
 
 def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
@@ -428,11 +390,11 @@ def _meet(positions: tuple, i: int, step: tuple) -> tuple:
     at = tuple(sorted({*writes, *[k for j in reads for k in positions[j].at]}))
     views = positions[i].views
     return (views.get(at) or views.setdefault(
-        at, _View(at, [positions[j].initial.vals for j in at])), writes, {})
+        at, View(at, [positions[j].initial._slots for j in at], at)), writes, {})
 
 
 def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
-                view: _View, writes: tuple, key) -> tuple:
+                view: View, writes: tuple, key) -> tuple:
     """How send ``step`` fires from ``state`` with its sender's ``enabled``
     alternatives, run on the valuation of the parts ``key`` picked. Each
     way is a tuple of the new parts of ``writes``. An asynchronous send
@@ -452,7 +414,7 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
             new = {i: _part(positions[i], dst, view.split(after, i), state[i].queues)}
             for j, pid in targets:
                 part = new.get(j, state[j])
-                new[j] = _part(positions[j], part.loc, part.vals,
+                new[j] = _part(positions[j], part.loc, part,
                                requeue(part.queues, pid, push=payload))
             out.append(tuple(new.values()))
         return tuple(out)

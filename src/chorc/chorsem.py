@@ -20,34 +20,29 @@ is a ``Receipt``: one live object per (receive port, update), holding the
 update's closure, the delivery's event and what a delivery reads or writes.
 
 Configuration layout. A ``Running`` configuration is stored as (term,
-parts, pool) (Laarman, van de Pol & Weber, "Parallel recursive state
-compression for free", SPIN 2011). Its valuation is split into one part
-(``_Part``) per component, holding the values of that component's
-variables: a component's keys are contiguous in sorted-key order, since
-``.`` sorts below every identifier character. A ``_Frame``, one per set of
-keys, lays the parts out. The pending pool is one ``_Pool``. Frames, parts
-and pools are hash-consed by value like terms (see ``core.Interned``), so
-a configuration hashes and compares as a tuple of identities, in C, and
-equal configurations from two parses are equal tuples. ``sigma`` and
-``pending`` are views equal to the fields configurations had before they
-were split; a ``Final`` keeps its valuation whole.
+parts, pool), partitioned as ``core`` describes: one part (``_Part``) per
+component, holding the values of its variables, which are contiguous in
+sorted-key order, since ``.`` sorts below every identifier character. A
+``_Frame``, one per set of keys, lays the parts out. The pending pool is
+one ``_Pool``. Frames, parts and pools are hash-consed by value like terms
+(see ``core.Interned``), so equal configurations from two parses are
+equal tuples. ``sigma`` and ``pending`` are views equal to the fields
+configurations had before they were split; a ``Final`` keeps its
+valuation whole.
 
-Caches (Blom, van de Pol & Weber, "LTSmin", CAV 2010). An action or
-receipt keeps a ``_Plan`` for the frame it last ran in: the parts it
-touches, those it writes, and a cache from the touched parts (the part
-itself if there is only one) to its result, the new parts it writes (and,
-for a static step, the payload it sends, or nothing if its guard fails).
-A receipt's cache is kept per delivered value, and each pool keeps its
+Caches. An action or receipt keeps a ``_Plan``, its view (``core.View``)
+in the frame it last ran in, with the parts it writes and a cache from
+the parts it touches to its result: the new parts it writes (and, for a
+static step, the payload it sends, or nothing if its guard fails). A
+receipt's cache is kept per delivered value, and each pool keeps its
 deliveries, (event, plan, the cache for the value, receipt, value, rest
 pool), so a delivery costs one dict lookup on the receiver's part. A plan
 also maps (pool, payload) to the pool a send leaves. Plans live on the
-actions and receipts, so the caches live as long as the terms. A miss
-runs the closures on the touched parts' own values, laid side by side by
-the plan when there are several: the touched variables are read off the
-expressions, so a guard or update that reads another component's variable
-is served too, and no miss builds the whole valuation. A step that
-assigns a variable the initial valuation does not bind raises
-``EvalError``; ``check_well_formed`` rejects such input.
+actions and receipts, so the caches live as long as the terms. The
+touched variables are read off the expressions, so a guard or update that
+reads another component's variable is served too. A step that assigns a
+variable the initial valuation does not bind raises ``EvalError``;
+``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -74,8 +69,9 @@ from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
-    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Not, Port, Ref, Update,
-    Valuation, cached_attr, explore_lts, expr_vars, interned, requeue, update_vars,
+    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Not, Part, Port, Ref,
+    Update, Valuation, View, cached_attr, explore_lts, expr_vars, interned, requeue,
+    update_vars,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
 
@@ -160,12 +156,11 @@ class _Frame(Interned):
         return Valuation.over(self.slots, tuple(chain.from_iterable([p._values for p in parts])))
 
 
-class _Part(Valuation, Interned):
+class _Part(Part, Interned):
     """The valuation of a component's variables in a configuration: one
-    live object per layout and values, hashed and compared by identity."""
+    live object per layout and values."""
 
     __slots__ = ("__weakref__",)
-    __hash__, __eq__ = object.__hash__, object.__eq__
 
 
 def _part(slots: dict, values: tuple) -> _Part:
@@ -196,16 +191,14 @@ def _pool(frame: _Frame, pending: tuple) -> _Pool:
     return interned(_Pool, (id(frame), ids), frame=frame, pending=pending)
 
 
-class _Plan:
+class _Plan(View):
     """An action or receipt in one frame (see the module docstring), made
     from its guard and update, the variables it reads besides them and
-    those it writes besides the update's targets. ``key`` picks the parts
-    these touch from a configuration's; ``writes`` are the indices of those
-    written, ``one`` the index if there is one. Over several parts,
-    ``slots`` lays out their values side by side and ``spans`` finds each
-    written part's among them."""
+    those it writes besides the update's targets: the view of the parts
+    these touch, ``writes``, the indices of those written, and ``sole``,
+    the index if there is one."""
 
-    __slots__ = ("frame", "key", "writes", "one", "slots", "spans", "cache", "pushes")
+    __slots__ = ("frame", "writes", "sole", "cache", "pushes")
 
     def __init__(self, frame: _Frame, guard, update: Update, reads: tuple, writes: tuple):
         part_of = frame.part_of.get
@@ -213,33 +206,17 @@ class _Plan:
                     - {None})
         self.writes = tuple(sorted(set(map(part_of, (*map(itemgetter(0), update.assignments),
                                                      *writes))) - {None}))
-        self.one = self.writes[0] if len(self.writes) == 1 else None
-        self.key = itemgetter(*at) if at else itemgetter(slice(0, 0))
-        self.frame, self.slots, self.spans, self.cache, self.pushes = frame, None, (), {}, {}
-        if len(at) != 1:
-            self.slots, spans = {}, []
-            for i in at:
-                n, layout = len(self.slots), frame.layouts[i]
-                self.slots.update(zip(layout, range(n, n + len(layout))))
-                if i in self.writes:
-                    spans.append((layout, n, len(self.slots)))
-            self.spans = tuple(spans)
+        super().__init__(at, [frame.layouts[i] for i in at], self.writes)
+        self.sole = self.writes[0] if len(self.writes) == 1 else None
+        self.frame, self.cache, self.pushes = frame, {}, {}
 
-    def merged(self, key) -> Valuation:
-        """The valuation of the parts ``key`` picked."""
-        if self.slots is None:
-            return key
-        return Valuation.over(self.slots, tuple(chain.from_iterable([p._values for p in key])))
-
-    def split(self, vals: Valuation, after: Valuation) -> tuple:
+    def written(self, vals: Valuation, after: Valuation) -> tuple:
         """The written parts of ``after``, an update of ``vals``."""
         if after._slots is not vals._slots:
             raise EvalError("assignment to a variable the initial valuation does not bind: "
                             + ", ".join(sorted(set(after) - set(vals))))
-        if self.slots is None:
-            return (_part(after._slots, after._values),) if self.writes else ()
-        return tuple([_part(layout, after._values[a:b])
-                      for layout, a, b in self.spans])
+        news = [self.split(after, j) for j in self.writes]
+        return tuple([_part(v._slots, v._values) for v in news])
 
 
 def _plan(owner, frame: _Frame) -> _Plan:
@@ -399,7 +376,7 @@ def _run(plan: _Plan, key, act: _Action) -> tuple:
     if act.guard is not None and not act.guard(vals):
         return ()
     payload = vals[act.var] if act.sends else None
-    return plan.split(vals, vals if act.update is None else act.update(vals)), payload
+    return plan.written(vals, vals if act.update is None else act.update(vals)), payload
 
 
 def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
@@ -429,9 +406,9 @@ def chor_steps_tagged(config: ChorConfig):
         if news is None:
             vals = plan.merged(k)
             after = vals.set(receipt.qname, value)
-            news = cache[k] = plan.split(vals, after if receipt.apply is None
-                                         else receipt.apply(after))
-        i = plan.one
+            news = cache[k] = plan.written(vals, after if receipt.apply is None
+                                           else receipt.apply(after))
+        i = plan.sole
         if i is None:
             after = _splice(parts, plan, news)
         else:
@@ -461,7 +438,7 @@ def chor_steps_tagged(config: ChorConfig):
             queues = pool
             if act.sends:
                 queues = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
-            i = plan.one
+            i = plan.sole
             if i is None:
                 after = _splice(parts, plan, news) if news else parts
             else:

@@ -8,11 +8,7 @@ with the given structure, building one only when none is alive. So two
 parses of one text yield the same objects, equality and hashing are object
 identity, and a hash needs neither a Python call nor a walk of the
 structure. A literal is keyed by its value's type as well as its value, so
-``Lit(1)`` and ``Lit(True)`` stay two objects. A running choreography
-configuration is a tuple of its term, its parts and its pool, each one
-object per structure or value (see ``chorsem``); a system state is a tuple
-of parts, each one object per distinct part in its system (see ``cbs``).
-Both hash and compare by the identities of what they hold.
+``Lit(1)`` and ``Lit(True)`` stay two objects.
 
 A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
@@ -34,6 +30,19 @@ the ports that move and its transition label. Each semantics builds its
 events when it compiles its step tables, at most one per static step, and
 every edge a static step produces carries that step's event, so no step
 allocates a label. A successor function returns (event, state) pairs.
+
+Both explorers store a state partitioned (Laarman, van de Pol & Weber,
+"Parallel recursive state compression for free", SPIN 2011): one ``Part``
+per component, a valuation of the variables it holds that its table keeps
+once per value, so a state, a tuple of parts (with a term and a pool in
+``chorsem``), hashes and compares by identities, in C. Which parts a step
+reads and writes is known from the text (Meijer, Kant, Blom & van de Pol,
+"Read, write and copy dependencies for symbolic model checking", HVC
+2014), so its cache is keyed by the parts it reads, the part alone where
+that is all (Blom, van de Pol & Weber, "LTSmin", CAV 2010), and a miss
+runs the compiled closures on those parts only. A ``View`` is that
+decision: its ``key`` picks the parts, ``merged`` lays their values side
+by side and ``split`` cuts a written part's values back out.
 
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
@@ -411,6 +420,56 @@ class Valuation(Mapping):
         out._values = self._values[:i] + (value,) + self._values[i + 1:]
         out._hash = None
         return out
+
+
+class Part(Valuation):
+    """One part of a partitioned state (see the module docstring). Its
+    table keeps one object per value, so it hashes and compares by
+    identity."""
+
+    __slots__ = ()
+    __hash__, __eq__ = object.__hash__, object.__eq__
+
+
+#: The key and layout of a view over no part, shared and never written.
+_NO_PARTS, _NO_SLOTS = operator.itemgetter(slice(0, 0)), {}
+
+
+class View:
+    """The parts at indices ``at`` of a partitioned state seen as one
+    valuation (see the module docstring), for a step that writes those in
+    ``writes``; ``layouts`` are their layouts, in the order of ``at``.
+    ``key`` picks the parts from a state's: the part itself if ``one``,
+    else a tuple. Over several parts, ``slots`` lays their values side by
+    side and ``spans`` finds each written part's among them."""
+
+    __slots__ = ("key", "one", "slots", "spans")
+
+    def __init__(self, at, layouts, writes):
+        self.key = operator.itemgetter(*at) if at else _NO_PARTS
+        self.one, self.slots, self.spans = len(at) == 1, _NO_SLOTS, None
+        if len(at) > 1:
+            self.slots, self.spans = {}, {}
+            for j, layout in zip(at, layouts):
+                n = len(self.slots)
+                self.slots.update(zip(layout, range(n, n + len(layout))))
+                if j in writes:
+                    self.spans[j] = (layout, n, len(self.slots))
+
+    def merged(self, key) -> Valuation:
+        """The valuation of the parts ``key`` picked, laid out in their
+        order rather than in sorted key order: it is for closures to read
+        and update, and never to compare with a sorted valuation."""
+        if self.one:
+            return key
+        return Valuation.over(self.slots, sum([part._values for part in key], ()))
+
+    def split(self, after: Valuation, j: int) -> Valuation:
+        """Part ``j``'s valuation in ``after``, an update of a merged one."""
+        if self.one:
+            return after
+        layout, start, stop = self.spans[j]
+        return Valuation.over(layout, after._values[start:stop])
 
 
 # --------------------------------------------------------------------------

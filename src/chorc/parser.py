@@ -70,7 +70,6 @@ _CLASSES = (
     f'(?P<STRING>"{_STRING_BODY}")',
     "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
 )
-_TOKEN = re.compile("|".join((f"(?P<space>{_SPACE})", r"(?P<newline>\n)", *_CLASSES)))
 # The lexer's pattern: white space and comments, then a token or else the
 # empty alternative, so a match never gives white space back to a token.
 _FOLDED = re.compile(f"(?:{_SPACE}|\n)*(?:{'|'.join(_CLASSES)}|)")

@@ -11,6 +11,9 @@ follows, ``br``/``cont`` ports), the break of ``synth_loop`` (``brk``) and
 ``synth_seq_sync`` (``cs``/``cr``). All of them, like every data
 communication, go through ``wire``, the one place that adds an interaction;
 ``advance`` is the one place that moves a context along a new transition.
+A loop's entry notification is synchronous whatever the type of its
+condition port, like its break, so the master cannot break while a
+participant still holds an entry or the body's messages in its buffers.
 
 Two profiles are supported:
 
@@ -176,13 +179,15 @@ class _Builder:
             receivers.append(port)
         self.gamma.append(Interaction(send=send, receivers=tuple(receivers)))
 
-    def notify(self, master: str, gs: GuardedSend, K: list, klass: str):
+    def notify(self, master: str, gs: GuardedSend, K: list, klass: str,
+               ctype: str | None = None):
         """The master's notification of a choice arm or a loop entry: a copy
-        of its send port wired to a fresh ``klass`` control port of each
-        component of ``K``. With nobody to notify, it is a local step of the
-        master on a copy of the port re-typed ``in``."""
+        of its send port, re-typed ``ctype`` if given, wired to a fresh
+        ``klass`` control port of each component of ``K``. With nobody to
+        notify, it is a local step of the master on a copy of the port
+        re-typed ``in``."""
         if K:
-            send = self.fresh_copy(gs.port)
+            send = self.fresh_copy(gs.port, ctype)
             rcvs = [(self.ctl_port(k, klass, "r", send.dtype), SKIP) for k in K]
             self.wire(send, gs.guard, gs.update, rcvs)
         else:
@@ -268,7 +273,8 @@ class _Builder:
         master = ch.cond.port.owner
         K = self.order(participants(ch.body) - {master})
         before = dict(self.context)
-        self.notify(master, ch.cond, K, "cont")
+        # Synchronous, like the break (see the module docstring).
+        self.notify(master, ch.cond, K, "cont", "ss")
         self.synth(ch.body)
         # Re-iteration: silent back edges to the loop head.
         for cid in K + [master]:

@@ -99,7 +99,7 @@ class TestSynchSend:
         # A pending buffered value on the receive port defers the rendezvous.
         sys = self.make()
         a, b = sys.initial_state()
-        pending = cbs._part(sys._steps[1], b.loc, b.vals, (("B.r", (7,)),))
+        pending = cbs._part(sys._steps[1], b.loc, b, (("B.r", (7,)),))
         state = tuple.__new__(SysState, (a, pending))
         assert state.buffers == (("B.r", (7,)),)
         rules = {e.rules[0] for e, _ in sys_steps_tagged(sys, state)}

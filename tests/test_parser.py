@@ -184,14 +184,27 @@ class TestErrors:
 
 # -- the lexer against a reference ------------------------------------------
 
+#: The lexer's token pattern, frozen as it was when every run of white
+#: space and every newline was a match of its own.
+REFERENCE_TOKEN = re.compile("|".join((
+    r"(?P<space>[ \t\r]+|//[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
+    r"(?P<INT>[0-9]+)",
+    r'(?P<STRING>"[^"\\\n\r]*(?:\\[nrt"\\][^"\\\n\r]*)*")',
+    r"(?P<symbol>\|\||:=|=>|\->|==|!=|<=|>=|\{|\}|\(|\)|\[|\]|,|;|\.|:|<|>|\+|\-|\*|/|=|\|)",
+)))
+
+
 def reference_tokenize(source: str) -> list:
     """The lexer as it was before the one-pass ``finditer`` loop: one
-    ``match`` per position and a ``re.sub`` for the escapes."""
+    ``match`` of ``REFERENCE_TOKEN`` per position and a ``re.sub`` for the
+    escapes."""
     Token, tokens = parser.Token, []
     line, line_start, pos, n = 1, 0, 0, len(source)
     m = None
     while pos < n:
-        m = parser._TOKEN.match(source, pos)
+        m = REFERENCE_TOKEN.match(source, pos)
         if m is None:
             raise parser._lex_error(source, pos, line, pos - line_start + 1)
         kind, col, pos = m.lastgroup, pos - line_start + 1, m.end()

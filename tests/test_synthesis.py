@@ -5,6 +5,7 @@ import pytest
 from chorc.cbs import check_structure
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, SynthError, synthesize
+from chorc.verify import equiv_check
 
 from conftest import load_stem
 
@@ -112,6 +113,21 @@ class TestControlMachinery:
         assert any(n.startswith("cont@") for n in names)
         assert any(n.startswith("brk@") for n in names)
         assert any(t.port is None for c in sys.components for t in c.transitions)
+
+    def test_loop_on_asynchronous_condition_port(self):
+        # With an asynchronous loop entry, A could run ahead and break while
+        # B still held the entry and the body's message in its buffers:
+        # B then sat at its end location with full buffers, a deadlock.
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 1; port c: as of int binds x; port p: as of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "choreography c = while (A.c[x < 3, x := x + 1]) { A.p -> { B.r } }\n")
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            rep = equiv_check(decl, ch, sys)
+            assert (rep.verdict, rep.sys_deadlocks) == ("equivalent", 0), (profile, rep.reasons)
+            cont = [i.send for i in sys.gamma if i.receivers[0].name.startswith("cont@")]
+            assert [p.ctype for p in cont] == ["ss"], profile
 
     def test_port_copies_are_single_use(self, corpus):
         # Every synthesized send-port copy occurs in exactly one interaction.
