@@ -3,21 +3,29 @@
 A configuration pairs a runtime term with a valuation and a pool of pending
 (residual) receives. An asynchronous send completes immediately on the
 sender's side; the receives it leaves behind are appended, together with the
-transferred value, to a FIFO queue keyed by the (send port, receive port)
-channel and are consumed one at a time, in any interleaving with the rest of
-the choreography. This makes the pending pool behave exactly like the
-per-port buffers of the synthesized component system.
+transferred value, to a FIFO queue per receiving component, in arrival
+order. A component with a pending entry moves only by consuming its oldest
+one: no step of the term in which it takes part fires until its queue has
+drained, while components with nothing pending move freely. So a process's
+later actions follow its receive, and only interactions with disjoint
+participants swap, as in the asynchronous choreography calculi
+(Cruz-Filipe & Montesi, "On asynchrony and choreographies", ICE 2017;
+Carbone & Montesi, "Deadlock-freedom-by-design", POPL 2013), and as a
+synthesized component, one sequential automaton, behaves.
 
 Each term is compiled once, on first use, into a step table kept on the
 term: one static step (event, action, next term) per way the term can
 move. An action (``_Action``) holds the step's guard and update as their
 compiled closures (see ``core``), None for ``true`` and skip, its residual
-receives and the variables it reads or writes. A synchronous send becomes
-one update whose first assignments copy the sent value to the receivers;
-``Seq`` and ``Par`` lift their operands' tables, sharing the actions, and
-``Par`` decides the independence of its operands once. A residual receive
-is a ``Receipt``: one live object per (receive port, update), holding the
-update's closure, the delivery's event and what a delivery reads or writes.
+receives, the variables it reads or writes, and its owners, the components
+that act in it: the owners of the ports that move, the master for a loop's
+exit, which moves no port, and nobody for ``nil``. A synchronous send
+becomes one update whose first assignments copy the sent value to the
+receivers; ``Seq`` and ``Par`` lift their operands' tables, sharing the
+actions, and ``Par`` decides the independence of its operands once. A
+residual receive is a ``Receipt``: one live object per (receive port,
+update), holding the update's closure, the delivery's event and what a
+delivery reads or writes.
 
 Configuration layout. A ``Running`` configuration is stored as (term,
 parts, pool), partitioned as ``core`` describes: one part (``_Part``) per
@@ -36,13 +44,14 @@ the parts it touches to its result: the new parts it writes (and, for a
 static step, the payload it sends, or nothing if its guard fails). A
 receipt's cache is kept per delivered value, and each pool keeps its
 deliveries, (event, plan, the cache for the value, receipt, value, rest
-pool), so a delivery costs one dict lookup on the receiver's part. A plan
-also maps (pool, payload) to the pool a send leaves. Plans live on the
-actions and receipts, so the caches live as long as the terms. The
-touched variables are read off the expressions, so a guard or update that
-reads another component's variable is served too. A step that assigns a
-variable the initial valuation does not bind raises ``EvalError``;
-``check_well_formed`` rejects such input.
+pool), one per receiving component, so a delivery costs one dict lookup on
+the receiver's part; it also keeps its ``receivers``, the components whose
+term steps wait. A plan also maps (pool, payload) to the pool a send
+leaves. Plans live on the actions and receipts, so the caches live as long
+as the terms. The touched variables are read off the expressions, so a
+guard or update that reads another component's variable is served too. A
+step that assigns a variable the initial valuation does not bind raises
+``EvalError``; ``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -117,12 +126,14 @@ class _Action:
     """What a static step does, shared by its lifted copies (see the module
     docstring), with its ``_Plan`` arguments and latest plan."""
 
-    __slots__ = ("guard", "update", "sends", "var", "exprs", "plan")
+    __slots__ = ("guard", "update", "sends", "var", "owners", "exprs", "plan")
 
-    def __init__(self, guard, update: Update, sends: tuple, var: Optional[str]):
+    def __init__(self, guard, update: Update, sends: tuple, var: Optional[str],
+                 owners: frozenset):
         self.guard = None if guard is TRUE else guard.compiled
         self.update = update.compiled if update.assignments else None
-        self.sends, self.var, self.exprs, self.plan = sends, var, (guard, update, (var,), ()), None
+        self.sends, self.var, self.owners = sends, var, owners
+        self.exprs, self.plan = (guard, update, (var,), ()), None
 
 
 class _Frame(Interned):
@@ -172,22 +183,29 @@ class _Pool(Interned):
     ``pending`` with each receipt by its id."""
 
     @cached_attr
+    def receivers(self) -> frozenset:
+        """The components with a pending entry: none of their term steps
+        fires."""
+        return frozenset([comp for comp, _ in self.pending])
+
+    @cached_attr
     def deliveries(self) -> tuple:
         """(event, plan, the plan's cache for the value, receipt, value,
-        rest pool) per channel, in channel order."""
+        rest pool) per receiving component, of its oldest entry, in
+        component order."""
         out, pending = [], self.pending
-        for i, (chan, queue) in enumerate(pending):
+        for i, (comp, queue) in enumerate(pending):
             receipt, value = queue[0]
             plan = _plan(receipt, self.frame)
             more = len(queue) > 1
-            rest = _pool(self.frame, pending[:i] + ((chan, queue[1:]),) * more + pending[i + 1:])
+            rest = _pool(self.frame, pending[:i] + ((comp, queue[1:]),) * more + pending[i + 1:])
             out.append((receipt.event, plan, plan.cache.setdefault(value, {}), receipt, value,
                         rest))
         return tuple(out)
 
 
 def _pool(frame: _Frame, pending: tuple) -> _Pool:
-    ids = tuple([(chan, tuple([(id(r), v) for r, v in queue])) for chan, queue in pending])
+    ids = tuple([(comp, tuple([(id(r), v) for r, v in queue])) for comp, queue in pending])
     return interned(_Pool, (id(frame), ids), frame=frame, pending=pending)
 
 
@@ -231,8 +249,8 @@ def _plan(owner, frame: _Frame) -> _Plan:
 #: One residual receive: its receipt and the value captured at send time.
 PendingRecv = tuple  # (Receipt, Value)
 
-#: Pending pool: sorted tuple of (channel key, FIFO queue of PendingRecv).
-#: The channel key is (send port id, receive port id).
+#: Pending pool: tuple of (receiving component, FIFO queue of PendingRecv),
+#: sorted by component, each queue in arrival order.
 Pending = tuple
 
 
@@ -271,9 +289,12 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None) -> tuple:
-    """One static step: its event, its ``_Action`` and its next term."""
-    return Event.of((rule,), ports), _Action(guard, update, sends, var), nxt
+def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None,
+          owners=()) -> tuple:
+    """One static step: its event, its ``_Action`` and its next term. The
+    action's owners are those of ``ports`` and any in ``owners``."""
+    owners = frozenset([p.owner for p in ports]).union(owners)
+    return Event.of((rule,), ports), _Action(guard, update, sends, var, owners), nxt
 
 
 def _steps(term: Chor) -> tuple:
@@ -302,8 +323,8 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
 def _compile(term: Chor) -> tuple:
     """Static steps of ``term`` as (event, action, next term), built by
     ``_step``; next term is None when the step terminates the term. An
-    asynchronous send's action lists its residual receives as (channel
-    key, receipt)."""
+    asynchronous send's action lists its residual receives as (receiving
+    component, receipt)."""
     if isinstance(term, Nil):
         return (_step("nil", (), TRUE, SKIP, None),)
 
@@ -324,7 +345,7 @@ def _compile(term: Chor) -> tuple:
             ports = (snd,) + tuple(r for r, _ in term.rcvs)
             return (_step("synch-sendrcv", ports, term.send.guard,
                           Update(tuple(assignments)), None),)
-        sends = tuple(((snd.pid, r.pid), Receipt(r, f)) for r, f in term.rcvs)
+        sends = tuple((r.owner, Receipt(r, f)) for r, f in term.rcvs)
         return (_step("asynch-sendrcv-1", (snd,), term.send.guard, term.send.update, None,
                       sends, snd.var.qname),)
 
@@ -339,7 +360,7 @@ def _compile(term: Chor) -> tuple:
         return (
             _step("iterative-tt", (cond.port,), cond.guard, cond.update,
                   Seq(term.body, term)),
-            _step("iterative-ff", (), Not(cond.guard), SKIP, None),
+            _step("iterative-ff", (), Not(cond.guard), SKIP, None, owners=(cond.port.owner,)),
         )
 
     if isinstance(term, Seq):
@@ -382,16 +403,17 @@ def _run(plan: _Plan, key, act: _Action) -> tuple:
 def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
     """``pool`` with ``act``'s residual receives of ``payload`` queued."""
     queues = pool.pending
-    for chan, receipt in act.sends:
-        queues = requeue(queues, chan, push=((receipt, payload),))
+    for comp, receipt in act.sends:
+        queues = requeue(queues, comp, push=((receipt, payload),))
     new = plan.pushes[pool, payload] = _pool(pool.frame, queues)
     return new
 
 
 def chor_steps_tagged(config: ChorConfig):
     """Successors of a configuration as (event, configuration) pairs: one
-    delivery per pending channel, in channel order, then the term's steps.
-    A step that writes one part copies ``scratch`` with that part in it."""
+    delivery per receiving component, in component order, then the term's
+    steps that no component with a pending entry acts in. A step that
+    writes one part copies ``scratch`` with that part in it."""
     if isinstance(config, Final):
         return []
     term, parts, pool = config
@@ -399,7 +421,7 @@ def chor_steps_tagged(config: ChorConfig):
     out = []
     scratch = list(parts)
 
-    # Residual receives: consume the head of any channel queue.
+    # Residual receives: each receiver consumes its oldest entry.
     for event, plan, cache, receipt, value, rest in pool.deliveries:
         k = plan.key(parts)
         news = cache.get(k)
@@ -424,7 +446,10 @@ def chor_steps_tagged(config: ChorConfig):
             steps = term._steps
         except AttributeError:
             steps = _steps(term)
+        waiting = pool.receivers if pool.pending else None
         for event, act, nxt in steps:
+            if waiting is not None and not waiting.isdisjoint(act.owners):
+                continue
             plan = act.plan
             if plan is None or plan.frame is not frame:
                 plan = _plan(act, frame)

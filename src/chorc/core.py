@@ -385,7 +385,8 @@ class Valuation(Mapping):
         return h
 
     def __eq__(self, other):
-        if isinstance(other, Valuation):
+        # A part equals only itself (see ``Part``), so never a valuation.
+        if isinstance(other, Valuation) and not isinstance(other, Part):
             return (self._values == other._values
                     and (self._slots is other._slots or self._slots == other._slots))
         return NotImplemented
@@ -425,7 +426,8 @@ class Valuation(Mapping):
 class Part(Valuation):
     """One part of a partitioned state (see the module docstring). Its
     table keeps one object per value, so it hashes and compares by
-    identity."""
+    identity: it is unequal to every other part and to every plain
+    ``Valuation``, whatever they bind."""
 
     __slots__ = ()
     __hash__, __eq__ = object.__hash__, object.__eq__

@@ -17,9 +17,11 @@ from chorc.chorsem import (
     CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
     initial_config, lts_to_dot,
 )
-from chorc.core import EvalError, Event, Valuation, explore_lts, requeue
+from chorc.core import EvalError, Event, Valuation, explore_lts
 from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed
 from chorc.parser import parse_source
+from chorc.synthesis import PROFILES, synthesize
+from chorc.verify import equiv_check
 
 from conftest import ROOT, generated, load_stem
 
@@ -97,8 +99,8 @@ class TestAsynchSendRcv1:
         assert event.label == frozenset({"A.a"})  # receivers are not synchronized
         assert isinstance(succ, Running) and succ.term is None
         assert succ.sigma["A.x"] == 0  # sender update applied
-        ((chan, queue),) = succ.pending
-        assert chan == ("A.a", "B.r")
+        ((comp, queue),) = succ.pending
+        assert comp == "B"  # queued for the receiving component
         (receipt, value), = queue
         assert receipt.port.pid == "B.r"
         assert value == 2  # captured before x := 0
@@ -144,6 +146,47 @@ class TestAsynchSendRcv2:
         d = [s for e, s in chor_steps_tagged(s1)
              if e.rules == ("asynch-sendrcv-2",)]
         assert all(isinstance(s, Running) for s in d)
+
+
+class TestReceiverOrder:
+    """A component with a pending delivery consumes it before it acts."""
+
+    def test_receiver_sends_only_after_its_delivery(self):
+        succs, _ = steps("A.a -> { B.r } ; B.s -> { C.r }")
+        (_, mid), = succs
+        (event, succ), = chor_steps_tagged(mid)
+        assert event.rules == ("asynch-sendrcv-2",) and succ.pending == ()
+        (event, _), = chor_steps_tagged(succ)
+        assert event.rules == ("synch-sendrcv",)
+
+    def test_others_move_ahead_of_a_delivery(self):
+        succs, _ = steps("A.a -> { B.r } ; D.s -> { C.r }")
+        (_, mid), = succs
+        assert {e.rules[-1] for e, _ in chor_steps_tagged(mid)} == \
+            {"asynch-sendrcv-2", "synch-sendrcv"}
+
+    def test_loop_exit_waits_for_the_delivery(self):
+        """A loop's exit moves no port but is its master's step: it waits
+        for the master's pending delivery, whose value decides the loop."""
+        decl, _, ch = parse_source(LOOP_AFTER_DELIVERY)
+        sigma = decl.initial_valuation()
+        assert [d for d in check_well_formed(decl, ch) if d.severity == "error"] == []
+        keys = ("A.x", "B.k", "C.z")
+        assert {tuple(f[k] for k in keys) for f in explore(ch, sigma).finals} == {(0, 2, 2)}
+        for profile in PROFILES:
+            report = equiv_check(decl, ch, synthesize(decl, ch, profile))
+            assert report.verdict == "equivalent", (profile, report.reasons)
+
+
+#: A loop whose master receives the value that decides it: exiting at once
+#: with the initial ``k`` is not a run of any component.
+LOOP_AFTER_DELIVERY = """
+comp A { var x: int = 0; port a: as of int binds x; }
+comp B { var k: int = 5; port q: r of int binds k; port c: ss of int binds k;
+         port s: ss of int binds k; }
+comp C { var z: int = 0; port r: r of int binds z; }
+choreography c = A.a -> { B.q } ; while (B.c[k < 2, k := k + 1]) { B.s -> { C.r } }
+"""
 
 
 class TestMasterBranching:
@@ -284,7 +327,7 @@ def forget_step_tables():
 
 class TestStepTables:
     def test_each_term_is_compiled_once(self, monkeypatch):
-        decl, _, ch = load_stem("microservice")
+        decl, _, ch = parse_source(generated("interleave", 7))
         forget_step_tables()
         compiled = []  # keeps every compiled term alive, so ids stay unique
         compile_table = chorsem._compile
@@ -299,13 +342,13 @@ class TestStepTables:
         # A few dozen distinct terms serve thousands of configurations.
         assert 10 * len(compiled) < len(res.graph)
         # One table per term structure: no two compiled terms print alike.
-        assert len({repr(term) for term in compiled}) == len(compiled) == 94
+        assert len({repr(term) for term in compiled}) == len(compiled) == 88
         # The tables stay with the terms: exploring the choreography again,
         # from a fresh parse too, compiles nothing.
         explore(ch, decl.initial_valuation())
-        again_decl, _, again = load_stem("microservice")
+        again_decl, _, again = parse_source(generated("interleave", 7))
         explore(again, again_decl.initial_valuation())
-        assert len(compiled) == 94
+        assert len(compiled) == 88
 
 
 def reachable(ch, sigma):
@@ -372,9 +415,9 @@ class TestHashConsing:
             "guard=Lit(value=True), update=Update(assignments=())), "
             f"rcvs=(({port_b}, Update(assignments=())),)), "
             "sigma={A.b=True, A.x=0, B.c=True, B.y=0, C.z=0, D.w=0}, "
-            f"pending=((('A.a', 'B.r'), (({port_b}, Update(assignments=(('B.y', "
+            f"pending=(('B', (({port_b}, Update(assignments=(('B.y', "
             "BinOp(op='+', left=Ref(qname='B.y'), right=Lit(value=1))),)), 2),)), "
-            f"(('A.a', 'C.r'), (({port_c}, Update(assignments=()), 2),))))")
+            f"('C', (({port_c}, Update(assignments=()), 2),))))")
 
 
 #: Prints, for each choreography file named, the cyclic garbage that
@@ -473,31 +516,62 @@ class FlatRunning(NamedTuple):
     pending: tuple = ()
 
 
+def movers(term, rules):
+    """The components that act in the step of ``term`` that ``rules``
+    derives: read off the term that the rule path leads to."""
+    for rule in rules[:-1]:
+        if rule in ("sequential-1", "sequential-2"):
+            term = term.first
+        elif rule in ("parallel-1", "parallel-3"):
+            term = term.left
+        else:
+            term = term.right
+    rule = rules[-1]
+    if rule == "nil":
+        return set()
+    if rule == "synch-sendrcv":
+        return {term.send.port.owner} | {port.owner for port, _ in term.rcvs}
+    if rule == "asynch-sendrcv-1":
+        return {term.send.port.owner}
+    if rule == "master-branching":
+        return {term.master}
+    assert rule in ("iterative-tt", "iterative-ff"), rule
+    return {term.cond.port.owner}
+
+
 def flat_chor_steps(config):
     """The successor function on flat configurations, as it was before
     configurations were split: every guard and update runs on the global
-    valuation, uncached. It reads the same static step tables, so its
-    edges carry the same event objects."""
+    valuation, uncached. The pool holds one FIFO queue per receiving
+    component, sorted by component; a component with a pending entry only
+    consumes its oldest one, and no term step it acts in fires. It reads
+    the same static step tables, so its edges carry the same event
+    objects."""
     if isinstance(config, Final):
         return []
     term, sigma, pending = config
     out = []
-    for i, (chan, queue) in enumerate(pending):
+    for i, (comp, queue) in enumerate(pending):
         receipt, value = queue[0]
         after = sigma.set(receipt.qname, value)
         if receipt.apply is not None:
             after = receipt.apply(after)
-        rest = pending[:i] + ((chan, queue[1:]),) * (len(queue) > 1) + pending[i + 1:]
+        rest = pending[:i] + ((comp, queue[1:]),) * (len(queue) > 1) + pending[i + 1:]
         out.append((receipt.event, FlatRunning(term, after, rest)
                     if term is not None or rest else Final(after)))
     if term is not None:
+        waiting = {comp for comp, _ in pending}
         for event, act, nxt in chorsem._steps(term):
+            if movers(term, event.rules) & waiting:
+                continue
             if act.guard is not None and not act.guard(sigma):
                 continue
-            queues = pending
-            for chan, receipt in act.sends:
-                queues = requeue(queues, chan, push=((receipt, sigma[act.var]),))
+            queues = dict(pending)
+            for _, receipt in act.sends:
+                comp = receipt.port.owner
+                queues[comp] = queues.get(comp, ()) + ((receipt, sigma[act.var]),)
             after = sigma if act.update is None else act.update(sigma)
+            queues = tuple(sorted(queues.items()))
             out.append((event, FlatRunning(nxt, after, queues)
                         if nxt is not None or queues else Final(after)))
     return out

@@ -142,6 +142,10 @@ class TestPart:
             a, b = (cls.over(sigma._slots, sigma._values) for _ in range(2))
             assert a == a and a != b, cls
             assert hash(a) == object.__hash__(a), cls
+            # Equal to no plain valuation, in either direction, as its hash
+            # by identity requires.
+            assert a != sigma and sigma != a, cls
+            assert not (a == sigma) and not (sigma == a), cls
         twin = Valuation.over(sigma._slots, sigma._values)
         assert twin == sigma and twin is not sigma and hash(twin) == hash(sigma)
 
