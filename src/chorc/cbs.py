@@ -33,8 +33,7 @@ variables the position holds, with its location and its nonempty receive
 buffers. A variable lives in the part of the first position that declares
 it, a receive port's buffer in its owner's part. Each position keeps one
 part per distinct (location, values, buffers). A state's joint
-``locations``, global valuation ``sigma`` and ``buffers`` are views, equal
-to the fields that states had before they were split.
+``locations``, global valuation ``sigma`` and ``buffers`` are views.
 
 A position (``_Position``) is the view of the parts it reads: its own and
 those holding a variable its transitions use, bind or send. Its ``steps``
@@ -605,7 +604,7 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
                     f"component {r.owner} occurs twice in interaction on "
                     f"{inter.send.pid}"))
             owners.add(r.owner)
-        for pid in inter.pids:
+        for pid in dict.fromkeys([inter.send.pid] + [r.pid for r in inter.receivers]):
             if pid not in all_ports:
                 diags.append(Diagnostic(
                     "unknown-port", f"interaction references undeclared port {pid}"))

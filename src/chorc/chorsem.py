@@ -1,9 +1,11 @@
 """Small-step interpreter for the choreography semantics.
 
-A configuration pairs a runtime term with a valuation and a pool of pending
-(residual) receives. An asynchronous send completes immediately on the
-sender's side; the receives it leaves behind are appended, together with the
-transferred value, to a FIFO queue per receiving component, in arrival
+A configuration (``Running``) pairs a runtime term, None once it has
+terminated, with a valuation and a pool of pending (residual) receives; it
+is final, and prints as ``Final(sigma=...)``, once the term has terminated
+and the pool is empty. An asynchronous send completes immediately on the
+sender's side; the receives it leaves behind are appended, together with
+the transferred value, to a FIFO queue per receiving component, in arrival
 order. A component with a pending entry moves only by consuming its oldest
 one: no step of the term in which it takes part fires until its queue has
 drained, while components with nothing pending move freely. So a process's
@@ -13,44 +15,42 @@ participants swap, as in the asynchronous choreography calculi
 Carbone & Montesi, "Deadlock-freedom-by-design", POPL 2013), and as a
 synthesized component, one sequential automaton, behaves.
 
-Each term is compiled once, on first use, into a step table kept on the
-term: one static step (event, action, next term) per way the term can
-move. An action (``_Action``) holds the step's guard and update as their
-compiled closures (see ``core``), None for ``true`` and skip, its residual
-receives, the variables it reads or writes, and its owners, the components
-that act in it: the owners of the ports that move, the master for a loop's
-exit, which moves no port, and nobody for ``nil``. A synchronous send
-becomes one update whose first assignments copy the sent value to the
-receivers; ``Seq`` and ``Par`` lift their operands' tables, sharing the
-actions, and ``Par`` decides the independence of its operands once. A
-residual receive is a ``Receipt``: one live object per (receive port,
-update), holding the update's closure, the delivery's event and what a
-delivery reads or writes.
+Every step has one shape, (event, action, next term, next pool), with
+``_KEEP`` for what it leaves as it is: a term step keeps the pool, or
+pushes its sends onto it, and a delivery keeps the term, since consuming a
+message in transit is an ordinary reduction. Each term is compiled once, on
+first use, into a step table kept on the term, one static step per way the
+term can move. An action (``_Action``) holds the step's guard and update as
+their compiled closures (see ``core``), None for ``true`` and skip, its
+residual receives, the variable it sends and its owners, the components
+whose pending entries hold it back: the owners of the moving ports, the
+master for a loop's exit, and nobody for ``nil`` or a delivery. A
+synchronous send becomes one update whose first assignments copy the sent
+value to the receivers; ``Seq`` and ``Par`` lift their operands' tables,
+sharing the actions, and ``Par`` decides the independence of its operands
+once. A residual receive is a ``Receipt``, one live object per (receive
+port, update), which keeps the delivery's event and, per delivered value,
+its action: assign the value to the port's variable, then run the update.
 
-Configuration layout. A ``Running`` configuration is stored as (term,
-parts, pool), partitioned as ``core`` describes: one part (``_Part``) per
-component, holding the values of its variables, which are contiguous in
-sorted-key order, since ``.`` sorts below every identifier character. A
-``_Frame``, one per set of keys, lays the parts out. The pending pool is
-one ``_Pool``. Frames, parts and pools are hash-consed by value like terms
-(see ``core.Interned``), so equal configurations from two parses are
-equal tuples. ``sigma`` and ``pending`` are views equal to the fields
-configurations had before they were split; a ``Final`` keeps its
-valuation whole.
+Configuration layout. A configuration is stored as (term, parts, pool),
+partitioned as ``core`` describes: one part (``_Part``) per component,
+holding the values of its variables, which are contiguous in sorted-key
+order, since ``.`` sorts below every identifier character. A ``_Frame``,
+one per set of keys, lays the parts out. The pool is one ``_Pool``, which
+keeps its ``deliveries``, the step of each receiver's oldest entry, and its
+``receivers``, whose term steps wait. Frames, parts and pools are
+hash-consed by value like terms (see ``core.Interned``), so equal
+configurations from two parses are equal tuples. ``sigma`` and ``pending``
+view the parts as one valuation and the pool as its queues.
 
-Caches. An action or receipt keeps a ``_Plan``, its view (``core.View``)
-in the frame it last ran in, with the parts it writes and a cache from
-the parts it touches to its result: the new parts it writes (and, for a
-static step, the payload it sends, or nothing if its guard fails). A
-receipt's cache is kept per delivered value, and each pool keeps its
-deliveries, (event, plan, the cache for the value, receipt, value, rest
-pool), one per receiving component, so a delivery costs one dict lookup on
-the receiver's part; it also keeps its ``receivers``, the components whose
-term steps wait. A plan also maps (pool, payload) to the pool a send
-leaves. Plans live on the actions and receipts, so the caches live as long
-as the terms. The touched variables are read off the expressions, so a
-guard or update that reads another component's variable is served too. A
-step that assigns a variable the initial valuation does not bind raises
+Caches. An action keeps a ``_Plan``, its view (``core.View``) in the frame
+it last ran in, with the parts it writes and a cache from the parts it
+touches to its result: the new parts it writes and the payload it sends, or
+nothing if its guard fails. A plan also maps (pool, payload) to the pool a
+send leaves. Plans live on the actions, which live on the terms and
+receipts. The touched variables are read off the expressions, so a guard or
+update that reads another component's variable is served too. A step that
+assigns a variable the initial valuation does not bind raises
 ``EvalError``; ``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
@@ -58,12 +58,11 @@ it, outermost first, as its rules: a lifted step's event is its operand's
 with the ``Seq`` or ``Par`` rule put in front, sharing the ports and the
 label. Its ports are the ports that move: the sender and, for a synchronous
 send, the receivers; the port of a choice or a loop's test; the receive port
-of a delivery, whose event its ``Receipt`` keeps. A step moves no port only
-for ``nil`` and a loop's exit, whose label is ``TAU``; every other label is
-the set of the ports' ids. ``explore`` runs the shared breadth-first
-explorer (``core.explore_lts``) over ``chor_steps_tagged``; the final
-configurations it reaches are its terminals, and its ``rules_seen`` measure
-rule coverage.
+of a delivery. A step moves no port only for ``nil`` and a loop's exit,
+whose label is ``TAU``; every other label is the set of the ports' ids.
+``explore`` runs the shared breadth-first explorer (``core.explore_lts``)
+over ``chor_steps_tagged``; the final configurations it reaches are its
+terminals, and its ``rules_seen`` measure rule coverage.
 
 ``lts_to_dot`` orders nodes and edges as the repr does, in which a pending
 entry prints as (port, update, value), by a key built once per
@@ -75,11 +74,11 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
-    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Not, Part, Port, Ref,
-    Update, Valuation, View, cached_attr, explore_lts, expr_vars, interned, requeue,
+    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Lit, Not, Part, Port,
+    Ref, Update, Valuation, View, cached_attr, explore_lts, expr_vars, interned, requeue,
     update_vars,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
@@ -101,25 +100,9 @@ CHOR_RULES = (
     "parallel-4",
 )
 
-
-class Receipt(Interned):
-    """The receive side of an asynchronous send: the receive port and its
-    update, with the update's closure, or None for skip, as ``apply``, the
-    delivery's event, and its ``_Plan`` arguments and latest plan.
-    Hash-consed: one live object per (port, update). The repr prints the
-    port and the update, so that a pending entry reads as a (port, update,
-    value) triple.
-    """
-
-    def __new__(cls, port: Port, update: Update):
-        qname = port.var.qname
-        return interned(cls, (id(port), id(update)), port=port, update=update,
-                        apply=update.compiled if update.assignments else None,
-                        qname=qname, event=Event.of(("asynch-sendrcv-2",), (port,)),
-                        exprs=(TRUE, update, (qname,), (qname,)), plan=None)
-
-    def __repr__(self):
-        return f"{self.port!r}, {self.update!r}"
+#: The next term of a delivery and the next pool of a term step: what the
+#: step leaves as it is.
+_KEEP = object()
 
 
 class _Action:
@@ -133,7 +116,31 @@ class _Action:
         self.guard = None if guard is TRUE else guard.compiled
         self.update = update.compiled if update.assignments else None
         self.sends, self.var, self.owners = sends, var, owners
-        self.exprs, self.plan = (guard, update, (var,), ()), None
+        self.exprs, self.plan = (guard, update, var), None
+
+
+class Receipt(Interned):
+    """The receive side of an asynchronous send: the receive port and its
+    update, the delivery's event, and ``actions``, the delivery's action per
+    delivered value. Hash-consed: one live object per (port, update). The
+    repr prints the port and the update, so that a pending entry reads as a
+    (port, update, value) triple.
+    """
+
+    def __new__(cls, port: Port, update: Update):
+        return interned(cls, (id(port), id(update)), port=port, update=update,
+                        event=Event.of(("asynch-sendrcv-2",), (port,)), actions={})
+
+    def __repr__(self):
+        return f"{self.port!r}, {self.update!r}"
+
+    def action(self, value) -> _Action:
+        """The delivery of ``value``: built once, then kept."""
+        act = self.actions.get(value)
+        if act is None:
+            update = Update(((self.port.var.qname, Lit(value)),) + self.update.assignments)
+            act = self.actions[value] = _Action(TRUE, update, (), None, frozenset())
+        return act
 
 
 class _Frame(Interned):
@@ -190,17 +197,14 @@ class _Pool(Interned):
 
     @cached_attr
     def deliveries(self) -> tuple:
-        """(event, plan, the plan's cache for the value, receipt, value,
-        rest pool) per receiving component, of its oldest entry, in
-        component order."""
+        """The static step (event, action, ``_KEEP``, rest pool) of each
+        receiving component's oldest entry, in component order."""
         out, pending = [], self.pending
         for i, (comp, queue) in enumerate(pending):
             receipt, value = queue[0]
-            plan = _plan(receipt, self.frame)
             more = len(queue) > 1
             rest = _pool(self.frame, pending[:i] + ((comp, queue[1:]),) * more + pending[i + 1:])
-            out.append((receipt.event, plan, plan.cache.setdefault(value, {}), receipt, value,
-                        rest))
+            out.append((receipt.event, receipt.action(value), _KEEP, rest))
         return tuple(out)
 
 
@@ -210,20 +214,18 @@ def _pool(frame: _Frame, pending: tuple) -> _Pool:
 
 
 class _Plan(View):
-    """An action or receipt in one frame (see the module docstring), made
-    from its guard and update, the variables it reads besides them and
-    those it writes besides the update's targets: the view of the parts
-    these touch, ``writes``, the indices of those written, and ``sole``,
-    the index if there is one."""
+    """An action in one frame (see the module docstring), made from its
+    guard, its update and the variable it sends: the view of the parts
+    these touch, ``writes``, the indices of those the update writes, and
+    ``sole``, the index if there is one."""
 
     __slots__ = ("frame", "writes", "sole", "cache", "pushes")
 
-    def __init__(self, frame: _Frame, guard, update: Update, reads: tuple, writes: tuple):
+    def __init__(self, frame: _Frame, guard, update: Update, var: Optional[str]):
         part_of = frame.part_of.get
-        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), *reads)))
-                    - {None})
-        self.writes = tuple(sorted(set(map(part_of, (*map(itemgetter(0), update.assignments),
-                                                     *writes))) - {None}))
+        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), var))) - {None})
+        self.writes = tuple(sorted(set(map(part_of, map(itemgetter(0), update.assignments)))
+                                   - {None}))
         super().__init__(at, [frame.layouts[i] for i in at], self.writes)
         self.sole = self.writes[0] if len(self.writes) == 1 else None
         self.frame, self.cache, self.pushes = frame, {}, {}
@@ -237,27 +239,24 @@ class _Plan(View):
         return tuple([_part(v._slots, v._values) for v in news])
 
 
-def _plan(owner, frame: _Frame) -> _Plan:
-    """The plan of an action or receipt in ``frame``: its latest one if
-    made for that frame, else a new one, which replaces it."""
-    plan = owner.plan
+def _plan(act: _Action, frame: _Frame) -> _Plan:
+    """The plan of ``act`` in ``frame``: its latest one if made for that
+    frame, else a new one, which replaces it."""
+    plan = act.plan
     if plan is None or plan.frame is not frame:
-        plan = owner.plan = _Plan(frame, *owner.exprs)
+        plan = act.plan = _Plan(frame, *act.exprs)
     return plan
 
 
-#: One residual receive: its receipt and the value captured at send time.
-PendingRecv = tuple  # (Receipt, Value)
-
-#: Pending pool: tuple of (receiving component, FIFO queue of PendingRecv),
-#: sorted by component, each queue in arrival order.
+#: Pending pool: tuple of (receiving component, FIFO queue of (receipt, value
+#: captured at send time)), sorted by component, each queue in arrival order.
 Pending = tuple
 
 
 class Running(tuple):
-    """A configuration not yet final, stored as (term, parts, pool); the
-    term is None once it has terminated. ``Running(term, sigma, pending)``
-    builds one from its views."""
+    """A configuration, stored as (term, parts, pool); the term is None
+    once it has terminated. ``Running(term, sigma, pending)`` builds one
+    from its views."""
 
     __slots__ = ()
 
@@ -270,18 +269,18 @@ class Running(tuple):
     pending = property(lambda self: self[2].pending)
 
     def __repr__(self):
+        if _final(self):
+            return f"Final(sigma={self.sigma!r})"
         return f"Running(term={self.term!r}, sigma={self.sigma!r}, pending={self.pending!r})"
 
 
-class Final(NamedTuple):
-    sigma: Valuation
+def _final(config: Running) -> bool:
+    """Whether the term has terminated and the pool is empty."""
+    return config[0] is None and not config[2].pending
 
 
-ChorConfig = Running | Final  # not typing.Union: see core.Expr
-
-
-#: Builds a ``Running`` or ``Final`` from its fields without the Python-level
-#: ``__new__`` of its class: one call less per successor.
+#: Builds a ``Running`` from its fields without the Python-level ``__new__``
+#: of its class: one call less per successor.
 _new = tuple.__new__
 
 
@@ -291,10 +290,11 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
 
 def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None,
           owners=()) -> tuple:
-    """One static step: its event, its ``_Action`` and its next term. The
-    action's owners are those of ``ports`` and any in ``owners``."""
+    """One static step of a term: its event, its ``_Action``, its next term
+    and ``_KEEP``. The action's owners are those of ``ports`` and any in
+    ``owners``."""
     owners = frozenset([p.owner for p in ports]).union(owners)
-    return Event.of((rule,), ports), _Action(guard, update, sends, var, owners), nxt
+    return Event.of((rule,), ports), _Action(guard, update, sends, var, owners), nxt, _KEEP
 
 
 def _steps(term: Chor) -> tuple:
@@ -313,18 +313,17 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     that terminates the operand continues with ``rest``, any other step with
     ``wrap`` of the operand's next term."""
     return tuple(
-        (event._replace(rules=(terminated,) + event.rules), act, rest)
+        (event._replace(rules=(terminated,) + event.rules), act, rest, _KEEP)
         if nxt is None else
-        (event._replace(rules=(running,) + event.rules), act, wrap(nxt))
-        for event, act, nxt in steps
+        (event._replace(rules=(running,) + event.rules), act, wrap(nxt), _KEEP)
+        for event, act, nxt, _ in steps
     )
 
 
 def _compile(term: Chor) -> tuple:
-    """Static steps of ``term`` as (event, action, next term), built by
-    ``_step``; next term is None when the step terminates the term. An
-    asynchronous send's action lists its residual receives as (receiving
-    component, receipt)."""
+    """Static steps of ``term``, built by ``_step``; next term is None when
+    the step terminates the term. An asynchronous send's action lists its
+    residual receives as (receiving component, receipt)."""
     if isinstance(term, Nil):
         return (_step("nil", (), TRUE, SKIP, None),)
 
@@ -409,70 +408,52 @@ def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
     return new
 
 
-def chor_steps_tagged(config: ChorConfig):
+def chor_steps_tagged(config: Running):
     """Successors of a configuration as (event, configuration) pairs: one
     delivery per receiving component, in component order, then the term's
-    steps that no component with a pending entry acts in. A step that
-    writes one part copies ``scratch`` with that part in it."""
-    if isinstance(config, Final):
-        return []
+    steps that no component with a pending entry acts in. The payload of a
+    send is read before its update runs. A step that writes one part
+    copies ``scratch`` with that part in it."""
     term, parts, pool = config
-    frame = pool.frame
-    out = []
-    scratch = list(parts)
-
-    # Residual receives: each receiver consumes its oldest entry.
-    for event, plan, cache, receipt, value, rest in pool.deliveries:
-        k = plan.key(parts)
-        news = cache.get(k)
-        if news is None:
-            vals = plan.merged(k)
-            after = vals.set(receipt.qname, value)
-            news = cache[k] = plan.written(vals, after if receipt.apply is None
-                                           else receipt.apply(after))
-        i = plan.sole
-        if i is None:
-            after = _splice(parts, plan, news)
-        else:
-            scratch[i] = news[0]
-            after = tuple(scratch)
-            scratch[i] = parts[i]
-        out.append((event, _new(Running, (term, after, rest))
-                    if term is not None or rest.pending else _new(Final, (frame.sigma(after),))))
-
-    # Term steps: the payload of a send is read before the update runs.
+    steps = ()
     if term is not None:
         try:
             steps = term._steps
         except AttributeError:
             steps = _steps(term)
-        waiting = pool.receivers if pool.pending else None
-        for event, act, nxt in steps:
-            if waiting is not None and not waiting.isdisjoint(act.owners):
-                continue
-            plan = act.plan
-            if plan is None or plan.frame is not frame:
-                plan = _plan(act, frame)
-            k = plan.key(parts)
-            res = plan.cache.get(k)
-            if res is None:
-                res = plan.cache[k] = _run(plan, k, act)
-            if not res:
-                continue
-            news, payload = res
-            queues = pool
+    waiting = None
+    if pool.pending:
+        steps, waiting = pool.deliveries + steps, pool.receivers
+    frame = pool.frame
+    out = []
+    scratch = list(parts)
+    for event, act, nxt, rest in steps:
+        if waiting is not None and not waiting.isdisjoint(act.owners):
+            continue
+        plan = act.plan
+        if plan is None or plan.frame is not frame:
+            plan = _plan(act, frame)
+        k = plan.key(parts)
+        res = plan.cache.get(k)
+        if res is None:
+            res = plan.cache[k] = _run(plan, k, act)
+        if not res:
+            continue
+        news, payload = res
+        if nxt is _KEEP:
+            nxt = term
+        if rest is _KEEP:
+            rest = pool
             if act.sends:
-                queues = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
-            i = plan.sole
-            if i is None:
-                after = _splice(parts, plan, news) if news else parts
-            else:
-                scratch[i] = news[0]
-                after = tuple(scratch)
-                scratch[i] = parts[i]
-            out.append((event, _new(Running, (nxt, after, queues))
-                        if nxt is not None or queues.pending
-                        else _new(Final, (frame.sigma(after),))))
+                rest = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
+        i = plan.sole
+        if i is None:
+            after = _splice(parts, plan, news) if news else parts
+        else:
+            scratch[i] = news[0]
+            after = tuple(scratch)
+            scratch[i] = parts[i]
+        out.append((event, _new(Running, (nxt, after, rest))))
     return out
 
 
@@ -485,8 +466,8 @@ def explore(ch: Chor, sigma0: Valuation,
     """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``)."""
     # The successor function is looked up on this module at each call of
     # ``explore``, so that a wrapper installed on it sees every step.
-    return explore_lts(initial_config(ch, sigma0), chor_steps_tagged,
-                       lambda c: isinstance(c, Final), max_configs, max_depth)
+    return explore_lts(initial_config(ch, sigma0), chor_steps_tagged, _final, max_configs,
+                       max_depth)
 
 
 def _label_text(label: Label) -> str:
@@ -495,7 +476,7 @@ def _label_text(label: Label) -> str:
     return "{" + ", ".join(sorted(label)) + "}"
 
 
-def _config_key(config: ChorConfig, term_texts: dict) -> tuple:
+def _config_key(config: Running, term_texts: dict) -> tuple:
     """A sort key that orders configurations as their ``repr`` does. That
     text is ``Final(sigma=...)`` or ``Running(term=..., sigma=...,
     pending=...)``, so the key is the class name, then each field's repr:
@@ -505,7 +486,7 @@ def _config_key(config: ChorConfig, term_texts: dict) -> tuple:
     one, outside any string literal, so two of them that differ do so at a
     character both have. ``term_texts`` keeps each term's repr, so a term
     shared by many configurations is printed once."""
-    if isinstance(config, Final):
+    if _final(config):
         return ("Final", repr(config.sigma))
     term = config.term
     text = term_texts.get(term)
@@ -554,7 +535,7 @@ def lts_to_dot(result: Exploration) -> str:
 
     def declare(config, style=""):
         nid = node_id(config)
-        if isinstance(config, Final):
+        if _final(config):
             lines.append(f'  {nid} [shape=doublecircle, label="final"{style}];')
         else:
             shape = "box" if config in result.deadlocks else "circle"

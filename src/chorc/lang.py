@@ -251,8 +251,7 @@ def format_chor(ch: Chor) -> str:
 # --------------------------------------------------------------------------
 
 def _check_local(diags, env, owner: str, guard: Expr, update: Update, what: str):
-    used = expr_vars(guard) | update_vars(update)
-    for qname in used:
+    for qname in sorted(expr_vars(guard) | update_vars(update)):
         if not qname.startswith(owner + "."):
             diags.append(Diagnostic(
                 "locality",

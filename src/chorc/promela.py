@@ -542,19 +542,38 @@ _LINE_PATTERNS = (
 )
 _LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in _LINE_PATTERNS))
 _OPENER = re.compile(r"(?:^|\s)(do|if)$")  # a line that opens a do/if block
-#: Lines of a shape above that open no comment, hold no brace or balanced
-#: ones, and neither open (end in ``do`` or ``if``) nor close a block: only
-#: the brace depth can fail on them. ASCII ``\w`` matches faster; a line it
-#: misses takes every test.
-_QUIET = re.compile(r"(?!/\*|od;$|fi;$)[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;|:: [^{}]*(?:->|;)"
+#: Lines of a shape above that hold no brace or balanced ones, and neither
+#: open (end in ``do`` or ``if``) nor close a block: only the brace depth can
+#: fail on them. ASCII ``\w`` matches faster; a line it misses takes every
+#: test.
+_QUIET = re.compile(r"(?!od;$|fi;$)[\w\[\]\(\)\.!?><=&|%+*/ _,-]+;|:: [^{}]*(?:->|;)"
                     r"|#define \w+(?:\(\w+\))? [^{}]+(?<!do)(?<!if)"
                     r"|chan \w+ = \[\w+\] of \{ (?:int|bool) \};", re.ASCII)
 _CLOSES = {"od": "do", "od;": "do", "fi": "if", "fi;": "if"}
 
 
+def _uncomment(line: str, in_comment: bool) -> tuple:
+    """``line`` without the text inside ``/* ... */``, each comment read as
+    a space, stripped, and whether a comment is open at its end."""
+    kept = []
+    while True:
+        if in_comment:
+            end = line.find("*/")
+            if end < 0:
+                return " ".join(kept).strip(), True
+            line, in_comment = line[end + 2:], False
+        start = line.find("/*")
+        if start < 0:
+            kept.append(line)
+            return " ".join(kept).strip(), False
+        kept.append(line[:start])
+        line, in_comment = line[start + 2:], True
+
+
 def validate_promela(text: str) -> list:
     """Shallow syntactic check: bracket balance, do/od and if/fi pairing,
-    and line-level shape. Returns a list of error strings (empty = pass)."""
+    and line-level shape, on the text outside comments. Returns a list of
+    error strings (empty = pass)."""
     errors = []
     depth_brace = 0
     stack = []
@@ -562,18 +581,13 @@ def validate_promela(text: str) -> list:
     quiet = _QUIET.fullmatch
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if in_comment or "/*" in line:
+            line, in_comment = _uncomment(line, in_comment)
         if not line:
-            continue
-        if in_comment:
-            if "*/" in line:
-                in_comment = False
             continue
         if quiet(line):
             if depth_brace < 0:
                 errors.append(f"line {lineno}: unbalanced '}}'")
-            continue
-        if line.startswith("/*") and "*/" not in line:
-            in_comment = True
             continue
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:

@@ -908,6 +908,18 @@ class TestCheckStructure:
             [Interaction(AP_SS, (BR,)), Interaction(AP_SS, (BR,))])
         assert "port-conflict" in self.codes(sys)
 
+    def test_unknown_ports_in_declaration_order(self):
+        # The sender, then the receivers in their order, each once.
+        rcvs = tuple(port("B", f"r{i}", "r", BY) for i in range(1, 5))
+        a_q = port("A", "q", "ss", AX)
+        sys = make_sys(
+            [Transition("a0", AP_SS, TRUE, SKIP, "a1")],
+            [Transition("b0", BR, TRUE, SKIP, "b1")],
+            [Interaction(AP_SS, (BR,)), Interaction(a_q, rcvs + rcvs[:1])])
+        assert [d.message for d in check_structure(sys) if d.code == "unknown-port"] == [
+            f"interaction references undeclared port {pid}"
+            for pid in ("A.q", "B.r1", "B.r2", "B.r3", "B.r4")]
+
     def test_unconnected_port(self):
         sys = make_sys(
             [Transition("a0", AP_SS, TRUE, SKIP, "a1")],

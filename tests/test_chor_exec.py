@@ -14,7 +14,7 @@ import pytest
 
 from chorc import chorsem
 from chorc.chorsem import (
-    CHOR_RULES, TAU, Final, Running, chor_steps_tagged, explore,
+    CHOR_RULES, TAU, Running, chor_steps_tagged, explore,
     initial_config, lts_to_dot,
 )
 from chorc.core import EvalError, Event, Valuation, explore_lts
@@ -57,6 +57,12 @@ def setup(body):
     return ch, decl.initial_valuation()
 
 
+def terminated(config):
+    """Whether a configuration, partitioned or flat, is final: its term has
+    terminated and its pool is empty."""
+    return config.term is None and not config.pending
+
+
 def steps(body):
     ch, sigma = setup(body)
     return chor_steps_tagged(initial_config(ch, sigma)), sigma
@@ -65,7 +71,7 @@ def steps(body):
 class TestNil:
     def test_nil_terminates_silently(self):
         succs, sigma = steps("nil")
-        assert succs == [(Event(("nil",), (), TAU), Final(sigma))]
+        assert succs == [(Event(("nil",), (), TAU), Running(None, sigma))]
 
 
 class TestSynchSendRcv:
@@ -78,7 +84,7 @@ class TestSynchSendRcv:
         assert [p.pid for p in event.ports] == ["A.p", "B.r"]
         # y receives x=2, then the sender update runs, then the receiver's.
         expect = sigma.set("B.y", 20).set("A.x", 1)
-        assert succ == Final(expect)
+        assert succ == Running(None, expect)
 
     def test_false_guard_blocks(self):
         succs, _ = steps("A.p[x < 0] -> { B.r }")
@@ -88,7 +94,7 @@ class TestSynchSendRcv:
         succs, sigma = steps("A.p -> { B.r, C.r }")
         (event, succ), = succs
         assert event.label == frozenset({"A.p", "B.r", "C.r"})
-        assert succ == Final(sigma.set("B.y", 2).set("C.z", 2))
+        assert succ == Running(None, sigma.set("B.y", 2).set("C.z", 2))
 
 
 class TestAsynchSendRcv1:
@@ -124,7 +130,7 @@ class TestAsynchSendRcv2:
         (event, succ), = succs2
         assert event.rules == ("asynch-sendrcv-2",)
         assert event.label == frozenset({"B.r"})
-        assert isinstance(succ, Final)
+        assert succ.term is None and succ.pending == ()
         assert succ.sigma["B.y"] == 3  # y := 2 then y := y + 1
 
     def test_only_queue_heads_are_deliverable(self):
@@ -222,7 +228,7 @@ class TestIterative:
         (event, succ), = succs
         assert event.rules == ("iterative-ff",)
         assert event.label == TAU and event.ports == ()
-        assert succ == Final(sigma)
+        assert succ == Running(None, sigma)
 
 
 class TestSequential:
@@ -278,7 +284,7 @@ class TestBruteForceCrossCheck:
                 continue
             seen.add(cfg)
             for _, succ in chor_steps_tagged(cfg):
-                if isinstance(succ, Final):
+                if terminated(succ):
                     finals.add(succ.sigma)
                 else:
                     stack.append(succ)
@@ -401,6 +407,13 @@ class TestHashConsing:
         fresh = explore(fresh_ch, fresh_decl.initial_valuation())
         assert full.graph == fresh.graph
         assert lts_to_dot(full) == lts_to_dot(fresh)
+
+    def test_final_repr_is_pinned(self):
+        # A terminated term prints as a final only once its pool is empty.
+        (_, final), = steps("nil")[0]
+        assert repr(final) == "Final(sigma={A.b=True, A.x=2, B.c=True, B.y=0, C.z=0, D.w=0})"
+        (_, sent), = steps("A.a -> { B.r }")[0]
+        assert sent.term is None and repr(sent).startswith("Running(term=None, ")
 
     def test_running_repr_is_pinned(self):
         # lts_to_dot orders nodes by this text, so it must not change.
@@ -547,21 +560,18 @@ def flat_chor_steps(config):
     consumes its oldest one, and no term step it acts in fires. It reads
     the same static step tables, so its edges carry the same event
     objects."""
-    if isinstance(config, Final):
-        return []
     term, sigma, pending = config
     out = []
     for i, (comp, queue) in enumerate(pending):
         receipt, value = queue[0]
-        after = sigma.set(receipt.qname, value)
-        if receipt.apply is not None:
-            after = receipt.apply(after)
+        after = sigma.set(receipt.port.var.qname, value)
+        for target, rhs in receipt.update.assignments:
+            after = after.set(target, rhs.compiled(after))
         rest = pending[:i] + ((comp, queue[1:]),) * (len(queue) > 1) + pending[i + 1:]
-        out.append((receipt.event, FlatRunning(term, after, rest)
-                    if term is not None or rest else Final(after)))
+        out.append((receipt.event, FlatRunning(term, after, rest)))
     if term is not None:
         waiting = {comp for comp, _ in pending}
-        for event, act, nxt in chorsem._steps(term):
+        for event, act, nxt, _ in chorsem._steps(term):
             if movers(term, event.rules) & waiting:
                 continue
             if act.guard is not None and not act.guard(sigma):
@@ -572,21 +582,18 @@ def flat_chor_steps(config):
                 queues[comp] = queues.get(comp, ()) + ((receipt, sigma[act.var]),)
             after = sigma if act.update is None else act.update(sigma)
             queues = tuple(sorted(queues.items()))
-            out.append((event, FlatRunning(nxt, after, queues)
-                        if nxt is not None or queues else Final(after)))
+            out.append((event, FlatRunning(nxt, after, queues)))
     return out
 
 
 def flat_explore(ch, sigma0, max_configs=200_000, max_depth=10_000):
-    return explore_lts(FlatRunning(ch, sigma0), flat_chor_steps,
-                       lambda c: isinstance(c, Final), max_configs, max_depth)
+    return explore_lts(FlatRunning(ch, sigma0), flat_chor_steps, terminated, max_configs,
+                       max_depth)
 
 
 def view(config):
-    """What a configuration shows: its class, term, valuation and pool."""
-    if isinstance(config, Final):
-        return config
-    return ("running", config.term, config.sigma, config.pending)
+    """What a configuration shows: its term, valuation and pool."""
+    return config.term, config.sigma, config.pending
 
 
 def assert_same_lts(res, flat, what):
@@ -672,7 +679,7 @@ class TestFlatOracle:
                 expanded.append(view(config))
                 return steps(config)
             with pytest.raises(EvalError) as err:
-                explore_lts(start, traced, lambda c: isinstance(c, Final), 1000, 1000)
+                explore_lts(start, traced, terminated, 1000, 1000)
             raised.append((str(err.value), expanded))
         assert raised[0] == raised[1]
         assert len(raised[0][1]) > 1

@@ -382,8 +382,6 @@ class TestEvent:
         for path, decl, _, ch in corpus:
             res = chorsem.explore(ch, decl.initial_valuation())
             for config, edges in res.graph.items():
-                if isinstance(config, chorsem.Final):
-                    continue
                 # A delivery per pending channel, then the term's steps.
                 delivered = [queue[0][0].event for _, queue in config.pending]
                 static = ([] if config.term is None else

@@ -17,8 +17,9 @@ each with ``var x: int`` (initial 1, 2 and 3), ``var h: int = 0`` and
 Each term is printed with ``format_chor`` and parsed back, which must give
 the very term, so ``parse`` after ``format_chor`` is checked too. The term
 must be well-formed, and under each profile its synthesized system must
-pass the invariant suite and the equivalence check must say
-``equivalent``.
+pass the invariant suite, the equivalence check must say ``equivalent``,
+and a simulation with a fixed seed must complete at a final that,
+projected onto the user variables, is a final of the choreography.
 
 Tier-1 checks a fixed-seed sample of the size-2 terms, chosen without
 looking at any outcome. The whole enumeration, with its counts per profile,
@@ -37,8 +38,9 @@ from chorc.lang import (
     Branch, Comm, GuardedSend, Loop, Par, Seq, check_well_formed, format_chor,
 )
 from chorc.parser import parse_source
+from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
-from chorc.verify import equiv_check, invariant_suite
+from chorc.verify import equiv_check, invariant_suite, project, user_variables
 
 COMPONENTS = ("A", "B", "C")
 
@@ -56,6 +58,9 @@ comp {c} {{
 
 #: The size-2 terms that tier-1 checks, and the seed that picks them.
 SAMPLE, SEED = 800, 20
+
+#: The seed of each term's simulation.
+SIM_SEED = 0
 
 
 def declared_ports():
@@ -106,7 +111,9 @@ def terms(ports, size):
 
 def outcomes(term):
     """The term's outcome under each profile, after the checks common to
-    both: its text parses back to it and it is well-formed."""
+    both: its text parses back to it and it is well-formed. The outcome is
+    the equivalence verdict, unless the invariant suite finds something or
+    the simulation does not complete at a final of the choreography."""
     decl, _, parsed = parse_source(DECLS + "\nchoreography t = " + format_chor(term))
     assert parsed is term, format_chor(term)
     errors = [d for d in check_well_formed(decl, term) if d.severity == "error"]
@@ -114,9 +121,17 @@ def outcomes(term):
     out = {}
     for profile in PROFILES:
         system = synthesize(decl, term, profile)
-        findings = invariant_suite(system)
-        out[profile] = ("invariant findings" if findings
-                        else equiv_check(decl, term, system).verdict)
+        if invariant_suite(system):
+            out[profile] = "invariant findings"
+            continue
+        report = equiv_check(decl, term, system)
+        run = simulate(system, SIM_SEED)
+        if run.outcome != "completed":
+            out[profile] = f"simulation {run.outcome}"
+        elif project(run.final.sigma, user_variables(decl)) not in report.chor_finals:
+            out[profile] = "simulated final not a choreography final"
+        else:
+            out[profile] = report.verdict
     return out
 
 

@@ -123,6 +123,16 @@ class TestWellFormed:
         errors = [(d.code, d.message) for d in self.errors(body)]
         assert errors == [(code, message.replace("CONTEXT", context))]
 
+    def test_locality_errors_sorted_by_variable(self):
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 1; port p: ss of int binds x; }\n"
+            "comp B { var y: int = 0; var z: int = 0; var w: int = 0; "
+            "port r: r of int binds y; }\n"
+            "choreography c = A.p[B.y + B.z + B.w > 0] -> { B.r }")
+        foreign = [d.message.rsplit(" ", 1)[1] for d in check_well_formed(decl, ch)
+                   if d.code == "locality"]
+        assert foreign == ["B.w", "B.y", "B.z"]
+
     def test_guard_must_be_boolean(self):
         assert any(d.code == "guard-type"
                    for d in self.errors("A.p[x + 1] -> { B.r }"))

@@ -448,24 +448,26 @@ REFERENCE_LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in (
 )))
 REFERENCE_OPENER = re.compile(r"(?:^|\s)(do|if)$")
 
+#: A comment, from ``/*`` to the first ``*/`` after it or to the end.
+REFERENCE_COMMENT = re.compile(r"/\*.*?(?:\*/|\Z)", re.S)
+
+
+def blank_comment(match):
+    """A space for a comment, then the line breaks it spans."""
+    return " " + "\n" * (len((match.group() + "x").splitlines()) - 1)
+
 
 def reference_validate_promela(text):
     """The validator as it was before the opener prefilter: every test runs
-    on every line, and ``REFERENCE_OPENER`` is searched on each."""
+    on every line, and ``REFERENCE_OPENER`` is searched on each. Comments
+    are blanked out of the whole text first."""
     errors = []
     depth_brace = 0
     stack = []
-    in_comment = False
+    text = REFERENCE_COMMENT.sub(blank_comment, text)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
-            continue
-        if in_comment:
-            if "*/" in line:
-                in_comment = False
-            continue
-        if line.startswith("/*") and "*/" not in line:
-            in_comment = True
             continue
         depth_brace += line.count("{") - line.count("}")
         if depth_brace < 0:
@@ -527,7 +529,7 @@ class TestValidatorReference:
                "#define Y {", "#define Z x if", "chan c = [0] of { int };",
                "chan c = [0] of { int } };", "int x = {1};", "x = y {;", ":: }x;",
                ":: {x ->", "ltl p { [] q }", "break;", "skip;", "\u00e9 = 1;",
-               "#define \u00c9 1")
+               "#define \u00c9 1", "x = 1; /* {", "} */ x;", "/* } */ {", "a /**/ b;")
 
     def test_line_soup(self, corpus):
         pool = set()
@@ -545,6 +547,11 @@ class TestValidatorReference:
             assert errors == reference_validate_promela(text), text
             faults.update(e.split(": ", 1)[-1].split(" ", 1)[0] for e in errors)
         assert {"'od'", "'fi'", "unclosed", "unrecognized", "unbalanced"} <= faults, faults
+
+    @pytest.mark.parametrize("text", ["/* { */\n", "int a = 0; /* } */\n",
+                                      "x = 1; /* opens\nnot promela ((\n*/\n"])
+    def test_text_inside_comments_is_ignored(self, text):
+        assert validate_promela(text) == reference_validate_promela(text) == []
 
     def test_statement_that_opens_a_comment(self):
         text = "proctype A() {\n/*x;\n}\n"
