@@ -165,10 +165,6 @@ class Interaction:
     send: Port
     receivers: tuple  # of Port, nonempty
 
-    @cached_attr
-    def pids(self) -> frozenset:
-        return frozenset({self.send.pid} | {r.pid for r in self.receivers})
-
 
 @dataclass(frozen=True)
 class CompositeSystem:
@@ -301,7 +297,7 @@ class _Part(Part):
     __slots__ = ("loc", "queues")
 
     def __init__(self, loc: str, vals: Valuation, queues: tuple):
-        self._slots, self._values, self._hash = vals._slots, vals._values, None
+        self._slots, self._values = vals._slots, vals._values
         self.loc, self.queues = loc, queues
 
 

@@ -182,7 +182,7 @@ class _Part(Part, Interned):
 
 
 def _part(slots: dict, values: tuple) -> _Part:
-    return interned(_Part, (id(slots), values), _slots=slots, _values=values, _hash=None)
+    return interned(_Part, (id(slots), values), _slots=slots, _values=values)
 
 
 class _Pool(Interned):

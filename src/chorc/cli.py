@@ -170,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="separate declarations file (two-file mode)")
     profile.add_argument("--profile", choices=PROFILES, default="default",
                          help="synthesis profile")
-    profile.add_argument("--paper-ack-encoding", action="store_true",
-                         help="acknowledge over the data channel itself "
-                              "(implies --profile compat)")
     limits.add_argument("--max-configs", type=_int_at_least(1), default=200_000,
                         help="store at most this many states per exploration")
     limits.add_argument("--max-depth", type=_int_at_least(1), default=10_000,
@@ -208,6 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reject string-typed data instead of interning")
     p.add_argument("--inline-ltl", action="store_true",
                    help="append ltl blocks to the model")
+    p.add_argument("--paper-ack-encoding", action="store_true",
+                   help="acknowledge over the data channel itself "
+                        "(implies --profile compat)")
     command("ltl", cmd_ltl, "emit LTL property templates", profile, output)
     return top
 
@@ -223,7 +223,8 @@ def main(argv=None) -> int:
             return 1
         system = None
         if args.synthesize:
-            profile = "compat" if args.paper_ack_encoding else args.profile
+            # Only ``promela`` takes --paper-ack-encoding.
+            profile = "compat" if getattr(args, "paper_ack_encoding", False) else args.profile
             system = synthesize(decl, ch, profile)
         return args.fn(args, decl, name, ch, system)
     except (SynthError, EvalError, PromelaError) as exc:

@@ -349,14 +349,13 @@ class Valuation(Mapping):
     ``_slots``, the shared layout mapping each key to its position.
     """
 
-    __slots__ = ("_slots", "_values", "_hash")
+    __slots__ = ("_slots", "_values")
 
     def __init__(self, bindings: Mapping[str, Value] | Iterable[tuple[str, Value]] = ()):
         d = dict(bindings)
         keys = sorted(d)
         self._slots = {k: i for i, k in enumerate(keys)}
         self._values = tuple(d[k] for k in keys)
-        self._hash = None
 
     def __getitem__(self, qname: str) -> Value:
         try:
@@ -379,10 +378,7 @@ class Valuation(Mapping):
         return len(self._values)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._values)
-        return h
+        return hash(self._values)
 
     def __eq__(self, other):
         # A part equals only itself (see ``Part``), so never a valuation.
@@ -400,7 +396,7 @@ class Valuation(Mapping):
         """The valuation with ``values`` laid out by ``slots``, a dict from
         each key to its position, which it shares."""
         out = object.__new__(cls)
-        out._slots, out._values, out._hash = slots, values, None
+        out._slots, out._values = slots, values
         return out
 
     @classmethod
@@ -419,7 +415,6 @@ class Valuation(Mapping):
         out = object.__new__(Valuation)
         out._slots = self._slots
         out._values = self._values[:i] + (value,) + self._values[i + 1:]
-        out._hash = None
         return out
 
 
@@ -571,13 +566,12 @@ class Exploration:
     indexed: a stored state's id is its position in ``states``, in
     breadth-first order. Edge ``k`` is ``events[k]`` to ``targets[k]``; the
     edges of expanded state ``i`` end at ``ends[i]``, after those of
-    ``i - 1``. ``initial``, ``terminals`` and ``deadlocks`` hold stored
-    objects.
+    ``i - 1``. The initial state is ``states[0]``; ``terminals`` and
+    ``deadlocks`` hold stored objects. The dict that numbers states is
+    ``explore_lts``'s own and is dropped when it returns.
     """
 
-    initial: object
     states: list       # stored states, by id
-    index: dict        # stored state -> its id
     events: list       # per edge
     targets: list      # per edge: an id, or ~n into ``fresh``
     ends: list         # per expanded state, by id: the end of its edges
@@ -626,7 +620,7 @@ def explore_lts(start, successors, is_terminal,
     """
     states, index, events, targets, ends, fresh = [start], {start: 0}, [], [], [], []
     store, add_event, add_target = index.setdefault, events.append, targets.append
-    result = Exploration(start, states, index, events, targets, ends, fresh, set(), set(), False)
+    result = Exploration(states, events, targets, ends, fresh, set(), set(), False)
     count, lo, depth = 1, 0, 0
     while lo < count:
         if depth >= max_depth:

@@ -529,7 +529,6 @@ def format_ltl(ltl: list) -> str:
 
 _LINE_PATTERNS = (
     r"^#define \w+(\(\w+\))? .+$",
-    r"^(/\*.*)|(.*\*/)$",
     r"^(bool|int) \w+( = .+)?;$",
     r"^chan \w+ = \[\w+\] of \{ (int|bool) \};$",
     r"^proctype \w+\(\) \{$",

@@ -86,7 +86,6 @@ class _Builder:
     ports: dict = field(default_factory=dict)       # cid -> [Port]
     locations: dict = field(default_factory=dict)   # cid -> {str: None}, in creation order
     transitions: dict = field(default_factory=dict)  # cid -> [Transition]
-    eps: dict = field(default_factory=dict)         # cid -> {(src, dst)} of its silent transitions
     rank: dict = field(default_factory=dict)        # cid -> its place in the declaration
     context: dict = field(default_factory=dict)     # cid -> location
     gamma: list = field(default_factory=list)
@@ -106,7 +105,6 @@ class _Builder:
             self.ports[cid] = list(comp.ports)
             self.locations[cid] = {f"L{cid}_0": None}
             self.transitions[cid] = []
-            self.eps[cid] = set()
             self.context[cid] = f"L{cid}_0"
             self.loc_counters[cid] = 0
 
@@ -158,9 +156,10 @@ class _Builder:
         self.assert_context((cid,))
 
     def add_eps(self, cid: str, src: str, dst: str):
-        if (src, dst) not in self.eps[cid]:
-            self.eps[cid].add((src, dst))
-            self.transitions[cid].append(Transition(src, None, TRUE, SKIP, dst))
+        """Add a silent transition. No (src, dst) pair repeats: a join's
+        silent edges end at a location just made, and a loop's back edge
+        starts at the context, which has no outgoing transition."""
+        self.transitions[cid].append(Transition(src, None, TRUE, SKIP, dst))
 
     def assert_context(self, cids=None):
         """Every context, or those of ``cids``, is a declared location."""
@@ -264,7 +263,7 @@ class _Builder:
                     for t in self.transitions[cid]
                 ]
                 # Silent transitions end at loop heads, which have outgoing
-                # transitions, so ``eps`` needs no retargeting.
+                # transitions, so none is retargeted here.
                 for loc in dropped:
                     self.locations[cid].pop(loc, None)
             self.context[cid] = join

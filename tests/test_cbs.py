@@ -278,7 +278,8 @@ def reference_component_steps(sys, state, ci):
                         sigma = apply_update(t_r.update, sigma)
                         locs[ri] = t_r.dst
                     fired = (t_s.port,) + tuple(t_r.port for t_r in combo)
-                    out.append((Event(("synch-send",), fired, inter.pids),
+                    out.append((Event(("synch-send",), fired,
+                                      frozenset({snd.pid} | {r.pid for r in inter.receivers})),
                                 FlatState(tuple(locs), sigma, state.buffers)))
 
     for t in comp.transitions:
@@ -427,7 +428,7 @@ def assert_lts_matches_flat(sys, where, view=None, **limits):
     res, ref = sys_explore(sys, **limits), flat_explore(sys, **limits)
     view = view or memo_flat()
 
-    assert view(res.initial) == ref.initial, where
+    assert view(res.states[0]) == ref.states[0], where
     assert [view(s) for s in res.graph] == list(ref.graph), where
     for (state, edges), ref_edges in zip(res.graph.items(), ref.graph.values()):
         assert [(e, view(t)) for e, t in edges] == ref_edges, (where, view(state))
@@ -752,7 +753,7 @@ class TestPartsAgainstFlat:
             Transition("c0", c_r, TRUE, Update((("C.z", Lit(7)),)), "c2")], "c0", "c1")
         sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
         res = assert_lts_matches_flat(sys, "two receivers")
-        assert len(res.graph[res.initial]) == 8
+        assert len(res.graph[res.states[0]]) == 8
         assert len(res.terminals) == 1 and len(res.deadlocks) == 7
 
     @pytest.mark.parametrize("limits", [{"max_configs": 4}, {"max_depth": 3}])

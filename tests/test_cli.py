@@ -189,6 +189,12 @@ class TestPromelaAndLtl:
         assert "synchRecv(" in out
         assert "chan ack_" not in out
 
+    @pytest.mark.parametrize("command", ["synth", "equiv", "simulate", "ltl"])
+    def test_paper_ack_only_on_promela(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, BUYING, "--paper-ack-encoding"])
+        assert exc.value.code == 2
+
     def test_ltl_output(self, capsys):
         code, out, _ = run(["ltl", BUYING, "--profile", "compat"], capsys)
         assert code == 0

@@ -16,10 +16,12 @@ each with ``var x: int`` (initial 1, 2 and 3), ``var h: int = 0`` and
 
 Each term is printed with ``format_chor`` and parsed back, which must give
 the very term, so ``parse`` after ``format_chor`` is checked too. The term
-must be well-formed, and under each profile its synthesized system must
-pass the invariant suite, the equivalence check must say ``equivalent``,
-and a simulation with a fixed seed must complete at a final that,
-projected onto the user variables, is a final of the choreography.
+must be well-formed, and under each profile no component of its
+synthesized system may have two silent transitions with the same source
+and target, the system must pass the invariant suite, the equivalence
+check must say ``equivalent``, and a simulation with a fixed seed must
+complete at a final that, projected onto the user variables, is a final of
+the choreography.
 
 Tier-1 checks a fixed-seed sample of the size-2 terms, chosen without
 looking at any outcome. The whole enumeration, with its counts per profile,
@@ -121,6 +123,9 @@ def outcomes(term):
     out = {}
     for profile in PROFILES:
         system = synthesize(decl, term, profile)
+        silent = [(c.id, t.src, t.dst) for c in system.components
+                  for t in c.transitions if t.port is None]
+        assert len(silent) == len(set(silent)), (format_chor(term), profile)
         if invariant_suite(system):
             out[profile] = "invariant findings"
             continue

@@ -38,8 +38,8 @@ def explorer(path, semantics):
 
 def distances(result) -> dict:
     """BFS distance from the initial state of every state in the graph."""
-    dist = {result.initial: 0}
-    todo = deque([result.initial])
+    dist = {result.states[0]: 0}
+    todo = deque([result.states[0]])
     while todo:
         state = todo.popleft()
         for _, succ in result.graph[state]:

@@ -85,9 +85,10 @@ def assert_same_exploration(start, successors, is_terminal, max_configs=200_000,
     res = explore_lts(start, recorded, is_terminal, max_configs, max_depth)
     ref = flat_explore_lts(start, successors, is_terminal, max_configs, max_depth)
 
-    assert res.initial is res.states[0] is start
+    assert res.states[0] is start
     assert res.states == ref.stored
-    assert res.index == {state: i for i, state in enumerate(res.states)}
+    index = {state: i for i, state in enumerate(res.states)}
+    assert len(index) == len(res.states)
     assert res.states[:len(res.ends)] == list(ref.graph)
     assert len(calls) == len(res.ends)
     assert res.ends == sorted(res.ends) and res.ends[-1:] == [len(res.targets)]
@@ -98,7 +99,7 @@ def assert_same_exploration(start, successors, is_terminal, max_configs=200_000,
         assert all(e is r for (e, _), (r, _) in zip(edges, ref_edges)), i
         assert [e for e, _ in succs] == [e for e, _ in edges]
         for (_, target), (_, succ) in zip(edges, succs):
-            sid = res.index.get(target)
+            sid = index.get(target)
             assert target is (succ if sid is None else res.states[sid])
     assert res.terminals == ref.terminals and res.deadlocks == ref.deadlocks
     assert all(any(s is t for t in res.states) for s in res.terminals | res.deadlocks)

@@ -432,10 +432,10 @@ class TestCyclicTransitions:
 
 
 #: The validator's line shapes and block opener, frozen as they were when
-#: every line was matched against all of them.
+#: every line was matched against all of them, less the shape that let a
+#: stray ``*/`` through.
 REFERENCE_LINE_SHAPE = re.compile("|".join(f"(?:{p})" for p in (
     r"^#define \w+(\(\w+\))? .+$",
-    r"^(/\*.*)|(.*\*/)$",
     r"^(bool|int) \w+( = .+)?;$",
     r"^chan \w+ = \[\w+\] of \{ (int|bool) \};$",
     r"^proctype \w+\(\) \{$",
@@ -552,6 +552,13 @@ class TestValidatorReference:
                                       "x = 1; /* opens\nnot promela ((\n*/\n"])
     def test_text_inside_comments_is_ignored(self, text):
         assert validate_promela(text) == reference_validate_promela(text) == []
+
+    @pytest.mark.parametrize("text, line", [("x = 1; */\n", "x = 1; */"), ("*/\n", "*/"),
+                                            ("/* a */ */\n", "*/")])
+    def test_stray_comment_closer(self, text, line):
+        # SPIN rejects a ``*/`` that no ``/*`` opened.
+        assert validate_promela(text) == reference_validate_promela(text) == [
+            f"line 1: unrecognized statement: {line!r}"]
 
     def test_statement_that_opens_a_comment(self):
         text = "proctype A() {\n/*x;\n}\n"

@@ -37,6 +37,9 @@ class TestShape:
             for profile in PROFILES:
                 sys = synthesize(decl, ch, profile)
                 assert check_structure(sys) == [], (path, profile)
+                for c in sys.components:  # no two silent edges alike
+                    silent = [(t.src, t.dst) for t in c.transitions if t.port is None]
+                    assert len(silent) == len(set(silent)), (path, profile, c.id)
 
     def test_every_component_has_init_and_end(self, corpus):
         for path, decl, name, ch in corpus:
