@@ -13,19 +13,18 @@ simulator asks for them once per turn. ``sys_steps_tagged``, the successor
 function of the explorer, returns every component's steps in turn. Both run
 one loop, ``_fire``, over a set of components.
 
-The semantics is compiled once per system, in one eager pass on the first
-step (``CompositeSystem._steps``). A component first compiles, once per
-component object, what depends on it alone (``AtomicComponent._compiled``):
-its recv/internal steps by source location and its alternatives on the
-ports it owns, each with its guard and update as compiled closures (None
-for a literal ``true`` guard or a skip update, so they cost nothing). The
-system then gives each component position a plain table from every
-location a state can hold there, its initial location and every transition
-target, to a flat tuple of static steps (``_compile_location``). A send
-step covers one interaction and all of its sender's transitions on the
-send port from that location. The tables, like ``check_structure``'s
-findings, are cached on the instance, so ``dataclasses.replace`` yields a
-system with fresh ones.
+What a component's text says is read once per component object, with no
+closure built (``AtomicComponent._facts``); ``check_structure`` reads that,
+never the step tables, so a system that is only checked, serialized or
+emitted compiles nothing. A system's first step (``CompositeSystem._steps``) builds the step
+tables: once per component object, its local steps and its alternatives on
+the ports it owns, each guard and update as a compiled closure, or None for
+``true`` and skip (``AtomicComponent._tables``); then, per component
+position, a table from every location a state can hold there to a flat
+tuple of static steps (``_compile_location``). A send step covers one
+interaction and all of its sender's transitions on the send port from that
+location. The tables, like ``check_structure``'s findings, are cached on
+the instance, so ``dataclasses.replace`` yields a system with fresh ones.
 
 A system state (``SysState``) is a tuple of one part per component
 position, partitioned as ``core`` describes: the valuation of the
@@ -69,7 +68,7 @@ from typing import NamedTuple, Optional
 from .core import (
     TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation, View,
     cached_attr, explore_lts, expr_vars, find_queue, format_expr, format_update, requeue,
-    update_vars,
+    union_shared, update_vars,
 )
 from .lang import Diagnostic
 
@@ -107,63 +106,67 @@ class AtomicComponent:
         return {src: tuple(ts) for src, ts in out.items()}
 
     @cached_attr
-    def _compiled(self) -> "_Compiled":
-        """Its semantics apart from any system, in one pass over its
-        transitions (see ``_Compiled``)."""
-        assigned, receives, local, offers, uses = set(), set(), {}, {}, []
+    def _facts(self) -> "_Facts":
+        """What its text says, read from its transitions."""
+        ts = self.transitions
+        uses = tuple([union_shared(expr_vars(t.guard), update_vars(t.update)) for t in ts])
+        ports = [t.port for t in ts if t.port is not None]
+        receives = frozenset([p for p in ports if p.ctype == "r"])
+        return _Facts(uses, frozenset().union(*uses, [p.var.qname for p in ports]),
+                      frozenset([target for t in ts for target, _ in t.update.assignments]
+                                + [p.var.qname for p in receives]),
+                      receives, tuple(dict.fromkeys((self.init, *(t.dst for t in ts)))))
+
+    @cached_attr
+    def _tables(self) -> tuple:
+        """Its step tables apart from any system, built when a system holding
+        it first steps: its initial valuation, each source location's local
+        steps, in order, and, per port it owns, each source location's
+        alternatives. A local step is (rule, event, guard, update, target
+        location) for an internal transition, plus (port id, bound variable)
+        for a receive, whose event is hidden; an alternative is a transition
+        as (guard, update, target location). A guard or update is its
+        compiled closure, or None for ``true`` and skip."""
+        local, offers = {}, {}
         for t in self.transitions:
             port = t.port
-            uses.append(frozenset(expr_vars(t.guard) | update_vars(t.update)))
             guard = None if t.guard is TRUE else t.guard.compiled
-            update = None
-            if t.update.assignments:
-                update = t.update.compiled
-                assigned.update([target for target, _ in t.update.assignments])
+            update = t.update.compiled if t.update.assignments else None
             if port is None or port.ctype == "in":
-                local.setdefault(t.src, []).append((
+                local[t.src] = local.get(t.src, ()) + ((
                     "internal", _new(Event, (("internal",), () if port is None else (port,), TAU)),
-                    guard, update, t.dst))
+                    guard, update, t.dst),)
             elif port.ctype == "r":
-                assigned.add(port.var.qname)
-                receives.add(port)
-                local.setdefault(t.src, []).append((
+                local[t.src] = local.get(t.src, ()) + ((
                     "recv", _new(Event, (("recv",), (port,), TAU)),
-                    guard, update, t.dst, port.pid, port.var.qname))
+                    guard, update, t.dst, port.pid, port.var.qname),)
             if port is not None and port.owner == self.id:
-                offers.setdefault(port, {}).setdefault(t.src, []).append((guard, update, t.dst))
-        return _Compiled(Valuation({var.qname: init for var, init in self.vars}), tuple(uses),
-                         frozenset().union(*uses, [t.port.var.qname for t in self.transitions
-                                                   if t.port is not None]),
-                         frozenset(assigned), frozenset(receives),
-                         tuple(dict.fromkeys((self.init, *(t.dst for t in self.transitions)))),
-                         {src: tuple(steps) for src, steps in local.items()},
-                         {p: {src: tuple(alts) for src, alts in by_src.items()}
-                          for p, by_src in offers.items()})
+                alts = offers.setdefault(port, {})
+                alts[t.src] = alts.get(t.src, ()) + ((guard, update, t.dst),)
+        return Valuation({var.qname: init for var, init in self.vars}), local, offers
 
 
-class _Compiled(NamedTuple):
-    """What a component compiles to on its own. A local step is (rule,
-    event, guard, update, target location) for an internal transition,
-    plus (port id, bound variable) for a receive; an alternative is a
-    transition as (guard, update, target location). A guard or update is
-    its compiled closure, or None for ``true`` and skip, so it costs
-    nothing. Only sends are shown in a label; a receive or internal step is
-    hidden."""
+class _Facts(NamedTuple):
+    """What a component's text says: no closure is built for it."""
 
-    valuation: Valuation  # its variables at their initial values
     uses: tuple           # per transition, the variables its guard and update use
     used: frozenset       # the variables its transitions use, bind or send
     assigned: frozenset   # the variables its updates assign or its receives bind
     receives: frozenset   # the receive ports its transitions take
     holdable: tuple       # its initial location and every transition target
-    local: dict           # source location -> its recv/internal steps, in order
-    offers: dict          # port it owns -> source location -> alternatives
 
 
 @dataclass(frozen=True)
 class Interaction:
     send: Port
     receivers: tuple  # of Port, nonempty
+
+    @cached_attr
+    def _event(self) -> Event:
+        """The event its sends share, in every system that holds it."""
+        snd = self.send
+        return (Event.of(("asynch-send",), (snd,)) if snd.ctype == "as"
+                else Event.of(("synch-send",), (snd, *self.receivers)))
 
 
 @dataclass(frozen=True)
@@ -174,20 +177,20 @@ class CompositeSystem:
     @cached_attr
     def _steps(self) -> tuple:
         """One ``_Position`` per component position, holding a table from
-        each location a state can hold there, the initial location and
-        every transition target, to the static steps the component starts
-        at it: the interactions it sends there, in gamma order, then its
-        recv/internal steps, in transition order (see ``_compile_location``
-        and ``_run``). Built in one pass over the components' own
-        compilations (``AtomicComponent._compiled``) and gamma: a component
-        id names its first position; a variable lives in the part of the
-        first position that declares it, with the initial value its last
-        declaration gives; a receive port's buffer lives in its owner's
-        part; a port's alternatives are those of its owner's transitions
-        on it; and each interaction of gamma becomes one send step per
-        location its sender leaves on the send port, with one event for the
-        interaction. A send step is (rule, event, alternatives, sent
-        variable, receivers): an asynchronous send's receivers are
+        each location a state can hold there to the static steps the
+        component starts at it: the interactions it sends there, in gamma
+        order, then its recv/internal steps, in transition order (see
+        ``_compile_location`` and ``_run``). Built on the first step from
+        the components' facts and tables (``AtomicComponent._facts`` and
+        ``_tables``, built here unless another system built them) and one
+        pass over gamma: a component id names its first position; a
+        variable lives in the part of the first position that declares it,
+        with the initial value its last declaration gives; a receive port's
+        buffer lives in its owner's part; a port's alternatives are those of
+        its owner's transitions on it; and each interaction of gamma becomes
+        one send step per location its sender leaves on the send port, with
+        the interaction's event. A send step is (rule, event, alternatives,
+        sent variable, receivers): an asynchronous send's receivers are
         (component position, port id), and a synchronous send's are
         (component position, port id, bound variable, location ->
         alternatives on the port). Each position also gets the positions
@@ -197,8 +200,9 @@ class CompositeSystem:
         position = {}
         for i, c in enumerate(self.components):
             position.setdefault(c.id, i)
-        compiled = [c._compiled for c in self.components]
-        owned = [own.valuation for own in compiled]
+        facts = [c._facts for c in self.components]
+        tables = [c._tables for c in self.components]
+        owned = [vals for vals, _, _ in tables]
         held = {}  # variable -> the first position that declares it
         for i, vals in enumerate(owned):
             if not held.keys().isdisjoint(vals):
@@ -207,7 +211,7 @@ class CompositeSystem:
                 vals = owned[i] = Valuation({k: v for k, v in vals.items() if k not in held})
             held.update(dict.fromkeys(vals, i))
         offers = {}  # port -> source location -> alternatives on that port
-        for i, (c, own) in enumerate(zip(self.components, compiled)):
+        for i, (c, own) in enumerate(zip(self.components, facts)):
             if not own.assigned.issubset(owned[i]):
                 raise EvalError(f"{c.id} assigns "
                                 f"{', '.join(sorted(own.assigned.difference(owned[i])))}, "
@@ -218,10 +222,10 @@ class CompositeSystem:
                     raise EvalError(f"{c.id} receives on {port.pid}, "
                                     f"whose buffer it does not hold")
             if first:
-                offers.update(own.offers)
-        reads = []  # per position, the positions it reads, itself included
-        for i, own in enumerate(compiled):
-            reads.append(tuple(sorted({i, *[held[q] for q in own.used if q in held]})))
+                offers.update(tables[i][2])
+        # Per position, the positions it reads, itself included.
+        reads = [tuple(sorted({i, *[held[q] for q in own.used if q in held]}))
+                 for i, own in enumerate(facts)]
         sends = [{} for _ in self.components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
@@ -232,22 +236,21 @@ class CompositeSystem:
             for r in inter.receivers:
                 j = position.get(r.owner)
                 if j is None or snd.ctype == "ss" and (
-                        j == i or j in [target[0] for target in targets]
-                        or r.var.qname not in owned[j]):
+                        j == i or targets and j in [target[0] for target in targets]
+                        or r.var.qname not in owned[j]._slots):
                     raise EvalError(f"interaction on {snd.pid}: receiver {r.pid} "
                                     "has no part of its own")
                 targets.append((j, r.pid) if snd.ctype == "as" else
                                (j, r.pid, r.var.qname, offers.get(r, {})))
-            rule = "asynch-send" if snd.ctype == "as" else "synch-send"
-            event = Event.of((rule,), (snd,) if snd.ctype == "as" else (snd,) + inter.receivers)
+            event = inter._event
             targets = tuple(targets)
             for src, alts in offers.get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
-                    (rule, event, alts, snd.var.qname, targets))
+                    (event.rules[0], event, alts, snd.var.qname, targets))
         views = {}
         positions = tuple(_Position(at, [owned[j]._slots for j in at], views) for at in reads)
-        for pos, own, sending, vals in zip(positions, compiled, sends, owned):
-            pos.table = {loc: _compile_location(sending, own.local, loc) for loc in own.holdable}
+        for pos, own, (_, local, _), sending, vals in zip(positions, facts, tables, sends, owned):
+            pos.table = {loc: _compile_location(sending, local, loc) for loc in own.holdable}
             pos.initial = _part(pos, own.holdable[0], vals, ())
         return positions
 
@@ -524,107 +527,91 @@ def check_structure(sys: CompositeSystem) -> list:
 
 
 def _structure_diagnostics(sys: CompositeSystem) -> list:
-    """What ``check_structure`` reports, found afresh."""
+    """What ``check_structure`` reports, found afresh from the components'
+    facts in one pass over each component's transitions and one over gamma."""
     diags: list[Diagnostic] = []
-    ids = set()
-    all_ports = {}
+
+    def report(code: str, message: str):
+        diags.append(Diagnostic(code, message))
+    ids, all_ports = set(), {}
     for comp in sys.components:
         if comp.id in ids:
-            diags.append(Diagnostic("duplicate-component", f"component {comp.id} declared twice"))
+            report("duplicate-component", f"component {comp.id} declared twice")
         ids.add(comp.id)
         for p in comp.ports:
             if p.pid in all_ports:
-                diags.append(Diagnostic("duplicate-port", f"port {p.pid} declared twice"))
+                report("duplicate-port", f"port {p.pid} declared twice")
             all_ports[p.pid] = p
 
+    wired = []  # the ports the transitions take, component by component
     for comp in sys.components:
         locs = set(comp.locations)
         if comp.init not in locs:
-            diags.append(Diagnostic(
-                "bad-init", f"{comp.id}: initial location {comp.init} undeclared"))
+            report("bad-init", f"{comp.id}: initial location {comp.init} undeclared")
         if comp.end is not None and comp.end not in locs:
-            diags.append(Diagnostic(
-                "bad-end", f"{comp.id}: end location {comp.end} undeclared"))
+            report("bad-end", f"{comp.id}: end location {comp.end} undeclared")
         own_vars = {var.qname for var, _ in comp.vars}
         own_ports = set(comp.ports)
-        uses = comp._compiled.uses
         for p in comp.ports:
             if p.var.qname not in own_vars:
-                diags.append(Diagnostic(
-                    "undeclared-var",
-                    f"{comp.id}: port {p.pid} binds {p.var.qname}, which {comp.id} "
-                    f"does not declare"))
-        for t, used in zip(comp.transitions, uses):
+                report("undeclared-var", f"{comp.id}: port {p.pid} binds {p.var.qname}, "
+                                         f"which {comp.id} does not declare")
+        sending, receiving = set(), set()  # the locations left on such ports
+        for t, used in zip(comp.transitions, comp._facts.uses):
             if t.src not in locs or t.dst not in locs:
-                diags.append(Diagnostic(
-                    "bad-transition",
-                    f"{comp.id}: transition {t.src}->{t.dst} uses undeclared location"))
-            if t.port is not None and (t.port.owner != comp.id or t.port not in own_ports):
-                diags.append(Diagnostic(
-                    "foreign-port", f"{comp.id}: transition uses port {t.port.pid}"))
+                report("bad-transition",
+                       f"{comp.id}: transition {t.src}->{t.dst} uses undeclared location")
+            p = t.port
+            if p is not None:
+                if p.owner != comp.id or p not in own_ports:
+                    report("foreign-port", f"{comp.id}: transition uses port {p.pid}")
+                wired.append(p)
+                if p.ctype != "in":
+                    (receiving if p.ctype == "r" else sending).add(t.src)
             if not used <= own_vars:
-                diags.append(Diagnostic(
-                    "foreign-var",
-                    f"{comp.id}: transition at {t.src} uses "
-                    + ", ".join(sorted(used - own_vars))))
+                report("foreign-var", f"{comp.id}: transition at {t.src} uses "
+                                      + ", ".join(sorted(used - own_vars)))
         # No location may mix outgoing send and receive ports.
         for loc in comp.locations:
-            kinds = {t.port.ctype for t in comp.outgoing(loc) if t.port is not None}
-            if kinds & {"ss", "as"} and "r" in kinds:
-                diags.append(Diagnostic(
-                    "mixed-location",
-                    f"{comp.id}: location {loc} mixes outgoing send and receive"))
+            if loc in sending and loc in receiving:
+                report("mixed-location",
+                       f"{comp.id}: location {loc} mixes outgoing send and receive")
 
     # Interaction shape and one-port-one-interaction.
     uses: dict[str, int] = {}
     for inter in sys.gamma:
-        if not inter.send.is_send:
-            diags.append(Diagnostic(
-                "bad-interaction", f"{inter.send.pid} is not a send port"))
+        snd = inter.send
+        if not snd.is_send:
+            report("bad-interaction", f"{snd.pid} is not a send port")
         if not inter.receivers:
-            diags.append(Diagnostic(
-                "bad-interaction", f"interaction on {inter.send.pid} has no receivers"))
-        owners = {inter.send.owner}
+            report("bad-interaction", f"interaction on {snd.pid} has no receivers")
+        owners = {snd.owner}
         for r in inter.receivers:
             if r.ctype != "r":
-                diags.append(Diagnostic(
-                    "bad-interaction", f"{r.pid} is not a receive port"))
-            if r.dtype != inter.send.dtype:
-                diags.append(Diagnostic(
-                    "bad-interaction",
-                    f"dtype mismatch {inter.send.pid}:{inter.send.dtype} -> "
-                    f"{r.pid}:{r.dtype}"))
+                report("bad-interaction", f"{r.pid} is not a receive port")
+            if r.dtype != snd.dtype:
+                report("bad-interaction",
+                       f"dtype mismatch {snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
             if r.owner in owners:
-                diags.append(Diagnostic(
-                    "bad-interaction",
-                    f"component {r.owner} occurs twice in interaction on "
-                    f"{inter.send.pid}"))
+                report("bad-interaction",
+                       f"component {r.owner} occurs twice in interaction on {snd.pid}")
             owners.add(r.owner)
-        for pid in dict.fromkeys([inter.send.pid] + [r.pid for r in inter.receivers]):
+        for pid in dict.fromkeys([snd.pid] + [r.pid for r in inter.receivers]):
             if pid not in all_ports:
-                diags.append(Diagnostic(
-                    "unknown-port", f"interaction references undeclared port {pid}"))
+                report("unknown-port", f"interaction references undeclared port {pid}")
             uses[pid] = uses.get(pid, 0) + 1
     for pid, n in sorted(uses.items()):
         if n > 1:
-            diags.append(Diagnostic(
-                "port-conflict", f"port {pid} occurs in {n} interactions"))
+            report("port-conflict", f"port {pid} occurs in {n} interactions")
 
     # Every communicating port used on a transition is wired exactly once;
     # internal ports are never wired.
-    for comp in sys.components:
-        for t in comp.transitions:
-            p = t.port
-            if p is None:
-                continue
-            if p.ctype == "in":
-                if p.pid in uses:
-                    diags.append(Diagnostic(
-                        "internal-wired", f"internal port {p.pid} occurs in gamma"))
-            elif p.pid not in uses:
-                diags.append(Diagnostic(
-                    "unconnected-port",
-                    f"port {p.pid} used on a transition but absent from gamma"))
+    for p in wired:
+        if p.ctype == "in":
+            if p.pid in uses:
+                report("internal-wired", f"internal port {p.pid} occurs in gamma")
+        elif p.pid not in uses:
+            report("unconnected-port", f"port {p.pid} used on a transition but absent from gamma")
     return diags
 
 

@@ -163,8 +163,7 @@ def _int_at_least(low: int):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
     # Option groups shared by several subcommands (argparse ``parents``).
-    inputs, profile, limits, output, chan_len = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    inputs, profile, limits, output = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     inputs.add_argument("file", help="input .chor file")
     inputs.add_argument("--config", default=None,
                         help="separate declarations file (two-file mode)")
@@ -175,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     limits.add_argument("--max-depth", type=_int_at_least(1), default=10_000,
                         help="expand at most this many BFS levels per exploration")
     output.add_argument("-o", "--output", default=None)
-    chan_len.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
 
     top = argparse.ArgumentParser(
         prog="chorc",
@@ -195,12 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("explore", cmd_explore, "explore the choreography semantics", limits)
     p.add_argument("--dump-lts", default=None, metavar="PATH")
     command("equiv", cmd_equiv, "check choreography/system equivalence", profile, limits)
-    p = command("simulate", cmd_simulate, "run the simulation harness", profile, chan_len)
+    p = command("simulate", cmd_simulate, "run the simulation harness", profile)
+    p.add_argument("--max-chan-len", type=_int_at_least(0), default=MAX_LEN)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", type=_int_at_least(0), default=100_000)
     p.add_argument("--trace", default=None, metavar="PATH",
                    help="write a JSONL trace")
-    p = command("promela", cmd_promela, "emit a Promela model", profile, output, chan_len)
+    p = command("promela", cmd_promela, "emit a Promela model", profile, output)
+    p.add_argument("--max-chan-len", type=_int_at_least(1), default=MAX_LEN)  # see PromelaOptions
     p.add_argument("--strict", action="store_true",
                    help="reject string-typed data instead of interning")
     p.add_argument("--inline-ltl", action="store_true",

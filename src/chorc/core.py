@@ -264,7 +264,7 @@ class Lit(Interned):
     value: Value
 
     def __new__(cls, value: Value):
-        return interned(cls, (type(value), value), value=value)
+        return interned(cls, (type(value), value), value=value, _vars=None)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -279,7 +279,7 @@ class Ref(Interned):
     qname: str
 
     def __new__(cls, qname: str):
-        return interned(cls, qname, qname=qname)
+        return interned(cls, qname, qname=qname, _vars=None)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -294,7 +294,7 @@ class BinOp(Interned):
     right: "Expr"
 
     def __new__(cls, op: str, left: "Expr", right: "Expr"):
-        return interned(cls, (op, id(left), id(right)), op=op, left=left, right=right)
+        return interned(cls, (op, id(left), id(right)), op=op, left=left, right=right, _vars=None)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -313,7 +313,7 @@ class Not(Interned):
     operand: "Expr"
 
     def __new__(cls, operand: "Expr"):
-        return interned(cls, id(operand), operand=operand)
+        return interned(cls, id(operand), operand=operand, _vars=None)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -326,7 +326,7 @@ class Neg(Interned):
     operand: "Expr"
 
     def __new__(cls, operand: "Expr"):
-        return interned(cls, id(operand), operand=operand)
+        return interned(cls, id(operand), operand=operand, _vars=None)
 
     @cached_attr
     def compiled(self) -> Callable:
@@ -484,7 +484,7 @@ class Update(Interned):
 
     def __new__(cls, assignments: tuple[Assignment, ...] = ()):
         return interned(cls, tuple([(target, id(rhs)) for target, rhs in assignments]),
-                        assignments=tuple(assignments))
+                        assignments=tuple(assignments), _vars=None)
 
     @property
     def is_skip(self) -> bool:
@@ -540,7 +540,6 @@ def requeue(queues: tuple, key, push: tuple = (), pop: bool = False) -> tuple:
 TAU = "tau"
 
 Label = Union[str, frozenset]
-
 
 
 class Event(NamedTuple):
@@ -653,22 +652,32 @@ def explore_lts(start, successors, is_terminal,
 # Expression utilities shared by the checker, printers and code generators
 # --------------------------------------------------------------------------
 
-def expr_vars(expr: Expr) -> set[str]:
-    if isinstance(expr, Ref):
-        return {expr.qname}
-    if isinstance(expr, (Not, Neg)):
-        return expr_vars(expr.operand)
-    if isinstance(expr, BinOp):
-        return expr_vars(expr.left) | expr_vars(expr.right)
-    return set()
+def union_shared(a: frozenset, b: frozenset) -> frozenset:
+    """``a | b``, or ``a`` or ``b`` itself when it holds the other."""
+    return b if a <= b else a if b <= a else a | b
 
 
-def update_vars(f: Update) -> set[str]:
-    out = set()
-    for target, rhs in f.assignments:
-        out.add(target)
-        out |= expr_vars(rhs)
-    return out
+def expr_vars(expr: Expr) -> frozenset:
+    """The variables ``expr`` reads, found once per node and kept in the
+    ``_vars`` it is built with: an attribute added lazily, after ``compiled``
+    in some nodes and before it in others, would give those nodes dicts."""
+    found = getattr(expr, "_vars", None)
+    if found is None:
+        found = (frozenset([expr.qname]) if isinstance(expr, Ref)
+                 else expr_vars(expr.operand) if isinstance(expr, (Not, Neg))
+                 else union_shared(expr_vars(expr.left), expr_vars(expr.right))
+                 if isinstance(expr, BinOp) else frozenset())
+        _setattr(expr, "_vars", found)
+    return found
+
+
+def update_vars(f: Update) -> frozenset:
+    """The variables ``f`` assigns or reads, found once per node."""
+    found = getattr(f, "_vars", None)
+    if found is None:
+        found = frozenset().union(*[{target, *expr_vars(rhs)} for target, rhs in f.assignments])
+        _setattr(f, "_vars", found)
+    return found
 
 
 def infer_type(expr: Expr, env: Mapping[str, str]) -> str:

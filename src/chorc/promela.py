@@ -64,6 +64,10 @@ class PromelaOptions:
     max_len: int = MAX_LEN
     inline_ltl: bool = False
 
+    def __post_init__(self):
+        if self.max_len < 1:  # a channel of length 0 is a rendezvous in SPIN
+            raise PromelaError(f"channel length must be at least 1, got {self.max_len}")
+
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_]")
 

@@ -108,7 +108,7 @@ def invariant_suite(sys: CompositeSystem) -> list:
         if comp.end is None:
             diags.append(Diagnostic(
                 "no-end", f"{comp.id}: no end location marked"))
-        elif comp.outgoing(comp.end):
+        elif any(t.src == comp.end for t in comp.transitions):
             diags.append(Diagnostic(
                 "end-not-final",
                 f"{comp.id}: end location {comp.end} has outgoing transitions"))

@@ -9,6 +9,7 @@ import gc
 import importlib.util
 import itertools
 import os
+import random
 import sys as python
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ from chorc.cbs import (
     sys_explore, sys_steps_tagged,
 )
 from chorc.core import (
-    SKIP, TRUE, BinOp, EvalError, Event, Lit, Port, Ref, Update, Valuation, Variable,
+    SKIP, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Port, Ref, Update, Valuation, Variable,
     explore_lts, find_queue, requeue,
 )
 from chorc.parser import parse_source
@@ -30,6 +31,7 @@ from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
 from conftest import ROOT, apply_update, buffer, evaluate, load_stem
+from test_enumeration import DECLS, SAMPLE, SEED, declared_ports, terms
 
 
 def var(owner, name, dtype="int"):
@@ -524,11 +526,11 @@ class TestEagerStepTables:
             sys = synthesize(decl, ch, profile)
             assert len({c.id for c in sys.components}) == len(sys.components)
             res = sys_explore(sys)
-            holdable = {(id(c._compiled.local), loc) for c in sys.components
+            holdable = {(id(c._tables[1]), loc) for c in sys.components
                         for loc in (c.init, *(t.dst for t in c.transitions))}
             assert len(built) == len(set(built)), (stem, profile)
             assert set(built) == holdable, (stem, profile)
-            visited = {(id(c._compiled.local), state.locations[ci]) for state in res.graph
+            visited = {(id(c._tables[1]), state.locations[ci]) for state in res.graph
                        for ci, c in enumerate(sys.components)}
             assert visited <= holdable
             sys_explore(sys)
@@ -846,6 +848,178 @@ class TestExplore:
             [], [Interaction(AP_SS, (BR,))], b_end="b0")
         res = sys_explore(sys)
         assert res.deadlocks and not res.terminals
+
+
+def reference_vars(expr) -> set:
+    """The variables an expression reads, found afresh on every call."""
+    if isinstance(expr, Ref):
+        return {expr.qname}
+    if isinstance(expr, (Not, Neg)):
+        return reference_vars(expr.operand)
+    if isinstance(expr, BinOp):
+        return reference_vars(expr.left) | reference_vars(expr.right)
+    return set()
+
+
+def reference_structure_diagnostics(sys) -> list:
+    """A frozen copy of the structure check as it was before it read the
+    components' facts: it finds each transition's variables itself and
+    walks the transitions, the locations and gamma in separate passes.
+    Returns (code, message) pairs in the order of the report."""
+    diags = []
+    ids = set()
+    all_ports = {}
+    for comp in sys.components:
+        if comp.id in ids:
+            diags.append(("duplicate-component", f"component {comp.id} declared twice"))
+        ids.add(comp.id)
+        for p in comp.ports:
+            if p.pid in all_ports:
+                diags.append(("duplicate-port", f"port {p.pid} declared twice"))
+            all_ports[p.pid] = p
+
+    for comp in sys.components:
+        locs = set(comp.locations)
+        if comp.init not in locs:
+            diags.append(("bad-init", f"{comp.id}: initial location {comp.init} undeclared"))
+        if comp.end is not None and comp.end not in locs:
+            diags.append(("bad-end", f"{comp.id}: end location {comp.end} undeclared"))
+        own_vars = {var.qname for var, _ in comp.vars}
+        own_ports = set(comp.ports)
+        uses = [frozenset(reference_vars(t.guard).union(
+                    *[{target} | reference_vars(rhs) for target, rhs in t.update.assignments]))
+                for t in comp.transitions]
+        for p in comp.ports:
+            if p.var.qname not in own_vars:
+                diags.append((
+                    "undeclared-var",
+                    f"{comp.id}: port {p.pid} binds {p.var.qname}, which {comp.id} "
+                    f"does not declare"))
+        for t, used in zip(comp.transitions, uses):
+            if t.src not in locs or t.dst not in locs:
+                diags.append((
+                    "bad-transition",
+                    f"{comp.id}: transition {t.src}->{t.dst} uses undeclared location"))
+            if t.port is not None and (t.port.owner != comp.id or t.port not in own_ports):
+                diags.append(("foreign-port", f"{comp.id}: transition uses port {t.port.pid}"))
+            if not used <= own_vars:
+                diags.append((
+                    "foreign-var",
+                    f"{comp.id}: transition at {t.src} uses "
+                    + ", ".join(sorted(used - own_vars))))
+        for loc in comp.locations:
+            kinds = {t.port.ctype for t in comp.transitions
+                     if t.src == loc and t.port is not None}
+            if kinds & {"ss", "as"} and "r" in kinds:
+                diags.append((
+                    "mixed-location",
+                    f"{comp.id}: location {loc} mixes outgoing send and receive"))
+
+    uses = {}
+    for inter in sys.gamma:
+        if not inter.send.is_send:
+            diags.append(("bad-interaction", f"{inter.send.pid} is not a send port"))
+        if not inter.receivers:
+            diags.append((
+                "bad-interaction", f"interaction on {inter.send.pid} has no receivers"))
+        owners = {inter.send.owner}
+        for r in inter.receivers:
+            if r.ctype != "r":
+                diags.append(("bad-interaction", f"{r.pid} is not a receive port"))
+            if r.dtype != inter.send.dtype:
+                diags.append((
+                    "bad-interaction",
+                    f"dtype mismatch {inter.send.pid}:{inter.send.dtype} -> "
+                    f"{r.pid}:{r.dtype}"))
+            if r.owner in owners:
+                diags.append((
+                    "bad-interaction",
+                    f"component {r.owner} occurs twice in interaction on "
+                    f"{inter.send.pid}"))
+            owners.add(r.owner)
+        for pid in dict.fromkeys([inter.send.pid] + [r.pid for r in inter.receivers]):
+            if pid not in all_ports:
+                diags.append(("unknown-port", f"interaction references undeclared port {pid}"))
+            uses[pid] = uses.get(pid, 0) + 1
+    for pid, n in sorted(uses.items()):
+        if n > 1:
+            diags.append(("port-conflict", f"port {pid} occurs in {n} interactions"))
+
+    for comp in sys.components:
+        for t in comp.transitions:
+            p = t.port
+            if p is None:
+                continue
+            if p.ctype == "in":
+                if p.pid in uses:
+                    diags.append(("internal-wired", f"internal port {p.pid} occurs in gamma"))
+            elif p.pid not in uses:
+                diags.append((
+                    "unconnected-port",
+                    f"port {p.pid} used on a transition but absent from gamma"))
+    return diags
+
+
+@pytest.fixture(autouse=True)
+def structure_check_matches_reference(monkeypatch):
+    """Every structure check this module runs, on hand-built systems as on
+    synthesized ones, also runs the frozen reference, and the two must
+    report the same (code, message) pairs in the same order."""
+    check = cbs._structure_diagnostics
+
+    def checked(sys):
+        found = check(sys)
+        assert [(d.code, d.message) for d in found] == reference_structure_diagnostics(sys)
+        checked.calls += 1
+        return found
+    checked.calls = 0
+    monkeypatch.setattr(cbs, "_structure_diagnostics", checked)
+    return checked
+
+
+class TestStructureReference:
+    """The structure check agrees with its frozen reference on every
+    synthesized corpus system, every mutant of one and the enumeration's
+    sample; the hand-built systems of this module are compared by
+    ``structure_check_matches_reference``."""
+
+    def test_corpus_and_mutants(self, corpus, structure_check_matches_reference):
+        found, systems = set(), 0
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for mutant in [sys] + [mutate(sys) for mutate in MUTATIONS.values()]:
+                    if mutant is not None:
+                        found.update(d.code for d in check_structure(mutant))
+                        systems += 1
+        assert structure_check_matches_reference.calls == systems > 17 * 2
+        assert "unconnected-port" in found
+
+    def test_enumeration_sample(self, structure_check_matches_reference):
+        ports = declared_ports()
+        sample = random.Random(SEED).sample(terms(ports, 2), SAMPLE)
+        decl, _, _ = parse_source(DECLS + "\nchoreography t = nil")
+        for term in sample:
+            for profile in PROFILES:
+                assert check_structure(synthesize(decl, term, profile)) == []
+        assert structure_check_matches_reference.calls == SAMPLE * len(PROFILES)
+
+    def test_hand_built_bad_systems(self, structure_check_matches_reference):
+        # The reference also runs inside every other test of this module;
+        # this one checks the fixture sees a report that is not empty.
+        recv_a = port("A", "rin", "r", AX)
+        sys = make_sys(
+            [Transition("a0", AP_SS, TRUE, Update((("B.y", Lit(1)),)), "a1"),
+             Transition("a0", recv_a, TRUE, SKIP, "a9"),
+             Transition("a1", BR, TRUE, SKIP, "a1")],
+            [Transition("b0", BR, TRUE, SKIP, "b1"), Transition("b1", A_INT, TRUE, SKIP, "b0")],
+            [Interaction(AP_SS, (BR,)), Interaction(AP_SS, (BR, recv_a)),
+             Interaction(A_INT, (AP_AS,))],
+            a_ports=(AP_SS, AP_AS, A_INT, recv_a), a_end="a7")
+        codes = [d.code for d in check_structure(sys)]
+        assert structure_check_matches_reference.calls == 1
+        assert {"bad-end", "bad-transition", "foreign-port", "foreign-var", "mixed-location",
+                "bad-interaction", "port-conflict", "internal-wired"} <= set(codes)
 
 
 class TestCheckStructure:

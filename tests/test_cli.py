@@ -450,6 +450,7 @@ class TestUsage:
         ["simulate", SYNC, "--max-steps", "-1"],
         ["simulate", SYNC, "--max-chan-len", "-1"],
         ["promela", SYNC, "--max-chan-len", "-1"],
+        ["promela", SYNC, "--max-chan-len", "0"],
         ["simulate", SYNC, "--max-steps", "many"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[2:]))
     def test_out_of_range_limit_exit_2(self, argv, capsys):
@@ -464,7 +465,7 @@ class TestUsage:
                    capsys)[0] == 1  # truncated
         assert run(["simulate", SYNC, "--max-steps", "0", "--max-chan-len", "0"],
                    capsys)[0] == 1  # step limit at step 0
-        assert run(["promela", SYNC, "--max-chan-len", "0"], capsys)[0] == 0
+        assert run(["promela", SYNC, "--max-chan-len", "1"], capsys)[0] == 0
 
     def test_help_for_subcommands(self):
         for cmd in ("check", "synth", "explore", "equiv", "simulate",

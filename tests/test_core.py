@@ -27,6 +27,23 @@ from conftest import ROOT, apply_update, evaluate, load_stem
 from test_expr_syntax import EXPRS, UPDATE
 
 
+EITHER_ORDER = """
+import gc
+from chorc.core import BinOp, Lit, Ref, Update, expr_vars, update_vars
+first = [BinOp("-", Ref(f"T.a{i}"), Lit(i)) for i in range(50)]
+second = [BinOp("+", Ref(f"T.b{i}"), Lit(i)) for i in range(50)]
+updates = [Update((("T.u", e),)) for e in second]
+for e in first:
+    e.compiled, expr_vars(e)
+for e, f in zip(second, updates):
+    expr_vars(e), e.compiled, update_vars(f), f.compiled
+def dicts(nodes):
+    return len([n for n in nodes if dict in map(type, gc.get_referents(n))])
+print(dicts(first + [e.left for e in first]), dicts(second + [e.left for e in second]),
+      dicts(updates))
+"""
+
+
 def port(owner, name, ctype, var):
     return Port(name=name, owner=owner, ctype=ctype,
                 var=Variable(name=var, owner=owner, dtype="int"))
@@ -346,6 +363,26 @@ class TestTypesAndFormatting:
     def test_expr_vars(self):
         e = BinOp("+", Ref("A.x"), Neg(Ref("B.y")))
         assert expr_vars(e) == {"A.x", "B.y"}
+
+    def test_vars_are_kept_on_the_node_and_shared(self):
+        x = Ref("A.x")
+        e = BinOp("+", x, Lit(1))
+        assert expr_vars(e) is expr_vars(x) == {"A.x"}  # nothing new to hold
+        f = Update((("A.x", e), ("A.y", Not(Ref("A.z")))))
+        assert update_vars(f) is update_vars(f) == {"A.x", "A.y", "A.z"}
+
+    @pytest.mark.skipif(sys.implementation.cache_tag != "cpython-311",
+                        reason="the inline attribute layout of CPython 3.11")
+    def test_vars_and_closures_in_either_order_give_no_node_a_dict(self):
+        # CPython 3.11 keeps a node's attributes inline, but a lazily added
+        # second one gives a node a dict of its own, which the node lists
+        # among its referents, whenever the two come in the other order.
+        # Which order comes first depends on the process's history, hence a
+        # fresh one.
+        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-c", EITHER_ORDER], capture_output=True,
+                              text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 0\n", "")
 
     def test_port_pid_and_is_send(self):
         p = port("A", "p", "ss", "x")

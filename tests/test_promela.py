@@ -77,6 +77,14 @@ class TestChannels:
         assert re.search(r"chan ch_\w+ = \[MAX_LEN\] of \{ int \};", model.text)
         assert f"#define MAX_LEN {MAX_LEN}" in model.text
 
+    def test_buffered_channels_hold_at_least_one_message(self):
+        # A channel of length 0 is a rendezvous in SPIN, so a model with
+        # MAX_LEN 0 would turn every asynchronous send into a handshake.
+        assert "#define MAX_LEN 1\n" in model_for("comm_async", max_len=1)[1].text
+        for bad in (0, -1):
+            with pytest.raises(PromelaError, match="at least 1"):
+                PromelaOptions(max_len=bad)
+
     def test_dedicated_ack_channels_by_default(self):
         _, model = model_for("comm_sync")
         assert "chan ack_" in model.text

@@ -1,9 +1,13 @@
 """Tests for controller-free synthesis of component systems."""
 
+import dataclasses
+
 import pytest
 
-from chorc.cbs import check_structure
+from chorc.cbs import check_structure, serialize_system, sys_explore, system_to_dot
+from chorc.core import BinOp, Lit, Neg, Not, Ref, Update
 from chorc.parser import parse_source
+from chorc.promela import PromelaOptions, generate_promela, ltl_templates
 from chorc.synthesis import PROFILES, SynthError, synthesize
 from chorc.verify import equiv_check
 
@@ -53,6 +57,35 @@ class TestShape:
         decl, ch, sys = synth_stem("buying")
         _, _, sys2 = synth_stem("buying")
         assert serialize_system(sys) == serialize_system(sys2)
+
+
+class TestNoStepTablesUnlessStepped:
+    """Synthesis checks a system from its components' text facts; the step
+    tables, with their compiled guard and update closures, are built only
+    when the system first steps."""
+
+    def test_checking_and_emitting_build_no_step_table(self, corpus, monkeypatch):
+        # Every read of a node's closure is counted, whether or not the
+        # node has built it before.
+        asked = []
+        for cls in (Lit, Ref, BinOp, Not, Neg, Update):
+            build = cls.__dict__["compiled"].fn
+            monkeypatch.setattr(cls, "compiled", property(
+                lambda node, build=build: asked.append(node) or build(node)))
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                serialize_system(sys)
+                system_to_dot(sys)
+                generate_promela(sys, PromelaOptions())
+                ltl_templates(sys)
+                assert asked == [], (path, profile)
+                assert "_steps" not in vars(sys), (path, profile)
+                for c in sys.components:
+                    fields = {f.name for f in dataclasses.fields(c)}
+                    assert set(vars(c)) - fields <= {"_facts", "_by_src"}, (path, profile)
+        sys_explore(sys)  # the counting sees the closures a first step builds
+        assert asked and all("_tables" in vars(c) for c in sys.components)
 
 
 class TestToyShape:
