@@ -16,15 +16,16 @@ one loop, ``_fire``, over a set of components.
 What a component's text says is read once per component object, with no
 closure built (``AtomicComponent._facts``); ``check_structure`` reads that,
 never the step tables, so a system that is only checked, serialized or
-emitted compiles nothing. A system's first step (``CompositeSystem._steps``) builds the step
-tables: once per component object, its local steps and its alternatives on
-the ports it owns, each guard and update as a compiled closure, or None for
-``true`` and skip (``AtomicComponent._tables``); then, per component
-position, a table from every location a state can hold there to a flat
-tuple of static steps (``_compile_location``). A send step covers one
-interaction and all of its sender's transitions on the send port from that
-location. The tables, like ``check_structure``'s findings, are cached on
-the instance, so ``dataclasses.replace`` yields a system with fresh ones.
+emitted compiles nothing. A system's first step (``CompositeSystem._steps``)
+builds the step tables: once per component object, its local steps and its
+alternatives on the ports it owns, each guard and update as a compiled
+closure, or None for ``true`` and skip (``AtomicComponent._tables``); then,
+per component position, a table from every location a state can hold there
+to a flat tuple of static steps, its send steps and then its local ones. A
+send step covers one interaction and all of its sender's transitions on
+the send port from that location, and holds the interaction's send record.
+The tables, like ``check_structure``'s findings, are cached on the
+instance, so ``dataclasses.replace`` yields a system with fresh ones.
 
 A system state (``SysState``) is a tuple of one part per component
 position, partitioned as ``core`` describes: the valuation of the
@@ -36,16 +37,17 @@ part per distinct (location, values, buffers). A state's joint
 
 A position (``_Position``) is the view of the parts it reads: its own and
 those holding a variable its transitions use, bind or send. Its ``steps``
-cache maps them to the steps its component starts. A send record
-(``_meet``) is the view of what the send reads: what its sender's
-position reads, and what its receivers' positions read if synchronous,
-their own parts, which hold their buffers, if asynchronous. It writes its
-sender's and receivers' parts, and its cache maps the parts it reads to
-their new ones. A variable no part holds raises when read. An
-asynchronous send appends the payload to the receivers' buffers after its
-sender's update; a rendezvous checks every guard and buffer, then copies
-the payload to the receivers and runs the sender's update and then each
-receiver's, so an update runs, and may raise, only once it can fire. A
+cache maps them to the steps its component starts. A send record follows
+from the text, as a read set does, so it is built with its interaction: the
+view of what the send reads, which is what its sender's position reads, and
+what its receivers' positions read if synchronous, their own parts, which
+hold their buffers, if asynchronous. It writes its sender's and receivers'
+parts, and its one cache, shared by the sends from every location, maps
+the parts it reads to their new ones. A variable no part holds raises when
+read. An asynchronous send appends the payload to the receivers' buffers
+after its sender's update; a rendezvous checks every guard and buffer, then
+copies the payload to the receivers and runs the sender's update and then
+each receiver's, so an update runs, and may raise, only once it can fire. A
 system whose parts cannot be kept apart, because a component would assign
 or receive into another position's variable or buffer, fails with
 ``EvalError`` when compiled.
@@ -180,23 +182,24 @@ class CompositeSystem:
         each location a state can hold there to the static steps the
         component starts at it: the interactions it sends there, in gamma
         order, then its recv/internal steps, in transition order (see
-        ``_compile_location`` and ``_run``). Built on the first step from
-        the components' facts and tables (``AtomicComponent._facts`` and
-        ``_tables``, built here unless another system built them) and one
-        pass over gamma: a component id names its first position; a
-        variable lives in the part of the first position that declares it,
-        with the initial value its last declaration gives; a receive port's
-        buffer lives in its owner's part; a port's alternatives are those of
-        its owner's transitions on it; and each interaction of gamma becomes
-        one send step per location its sender leaves on the send port, with
-        the interaction's event. A send step is (rule, event, alternatives,
-        sent variable, receivers): an asynchronous send's receivers are
-        (component position, port id), and a synchronous send's are
-        (component position, port id, bound variable, location ->
-        alternatives on the port). Each position also gets the positions
-        it reads (see the module docstring). Raises ``EvalError`` where a
-        part would have to hold another position's variable or buffer,
-        which ``check_structure`` reports."""
+        ``_run``). Built on the first step from the components' facts and
+        tables (``AtomicComponent._facts`` and ``_tables``, built here
+        unless another system built them) and one pass over gamma: a
+        component id names its first position; a variable lives in the part
+        of the first position that declares it, with the initial value its
+        last declaration gives; a receive port's buffer lives in its
+        owner's part; a port's alternatives are those of its owner's
+        transitions on it; and each interaction becomes one send record
+        and one send step per location its sender leaves on the send port.
+        A send step is (rule, event, alternatives, sent variable,
+        receivers, view, writes, cache): an asynchronous send's receivers
+        are (component position, port id), a synchronous send's (component
+        position, port id, bound variable, location -> alternatives on the
+        port); its event and record (the view of the parts it reads, shared
+        by sends that read the same ones, the positions it writes, the
+        sender's first and each once, and the cache) are its interaction's.
+        Raises ``EvalError`` where a part would have to hold another
+        position's variable or buffer, which ``check_structure`` reports."""
         position = {}
         for i, c in enumerate(self.components):
             position.setdefault(c.id, i)
@@ -226,6 +229,7 @@ class CompositeSystem:
         # Per position, the positions it reads, itself included.
         reads = [tuple(sorted({i, *[held[q] for q in own.used if q in held]}))
                  for i, own in enumerate(facts)]
+        views = {}  # the positions a send reads -> their view
         sends = [{} for _ in self.components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
@@ -244,13 +248,18 @@ class CompositeSystem:
                                (j, r.pid, r.var.qname, offers.get(r, {})))
             event = inter._event
             targets = tuple(targets)
+            writes = tuple(dict.fromkeys((i, *[target[0] for target in targets])))
+            readers = writes[:1] if snd.ctype == "as" else writes
+            at = tuple(sorted({*writes, *[k for j in readers for k in reads[j]]}))
+            view = views.get(at) or views.setdefault(
+                at, View(at, [owned[j]._slots for j in at], at))
+            cache = {}
             for src, alts in offers.get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
-                    (event.rules[0], event, alts, snd.var.qname, targets))
-        views = {}
-        positions = tuple(_Position(at, [owned[j]._slots for j in at], views) for at in reads)
+                    (event.rules[0], event, alts, snd.var.qname, targets, view, writes, cache))
+        positions = tuple(_Position(at, [owned[j]._slots for j in at]) for at in reads)
         for pos, own, (_, local, _), sending, vals in zip(positions, facts, tables, sends, owned):
-            pos.table = {loc: _compile_location(sending, local, loc) for loc in own.holdable}
+            pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in own.holdable}
             pos.initial = _part(pos, own.holdable[0], vals, ())
         return positions
 
@@ -306,19 +315,16 @@ class _Part(Part):
 
 class _Position(View):
     """A component position's compiled semantics: the view of the parts it
-    reads, at positions ``at``, its static step table
-    (``CompositeSystem._steps``), its table of parts, its initial part and
-    its caches (see the module docstring)."""
+    reads, its static step table (``CompositeSystem._steps``), its table of
+    parts, its initial part and its cache of steps (see the module
+    docstring)."""
 
-    __slots__ = ("at", "table", "parts", "initial", "steps", "meets", "views")
+    __slots__ = ("table", "parts", "initial", "steps")
 
-    def __init__(self, at: tuple, layouts: list, views: dict):
+    def __init__(self, at: tuple, layouts: list):
         super().__init__(at, layouts, at)
-        self.at, self.table, self.initial = at, None, None
-        self.views = views  # the system's positions read together -> their view
         self.parts = {}  # (location, values, buffers) -> the part
         self.steps = {}  # the parts it reads -> the steps the component starts
-        self.meets = {}  # event -> what ``_meet`` makes for a send
 
 
 # --------------------------------------------------------------------------
@@ -330,25 +336,18 @@ class _Position(View):
 _new = tuple.__new__
 
 
-def _compile_location(sends: dict, local: dict, loc: str) -> tuple:
-    """The static steps a component starts at ``loc``: its send steps
-    there, then its local ones."""
-    return (*sends.get(loc, ()), *local.get(loc, ()))
-
-
 def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
     """The one part of ``pos`` with these fields."""
     return pos.parts.setdefault((loc, vals._values, queues), _Part(loc, vals, queues))
 
 
-def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
+def _run(pos: _Position, i: int, part: _Part, sigma: Valuation) -> tuple:
     """The steps of position ``i``'s table at its ``part``'s location whose
-    guards hold on ``sigma``, the valuation of the parts it reads, as
+    guards hold on ``sigma``, the valuation of the parts ``pos`` reads, as
     (sends, local steps), each in table order. A local step is (event, new
-    part). A send is (event, the key and cache, view and writes of its
-    ``_meet``, static step, the sender's enabled alternatives), which
+    part). A send is (event, the key of its view, its cache, the positions
+    it writes, static step, the sender's enabled alternatives), which
     ``_fire`` looks up by the parts the send reads."""
-    pos = positions[i]
     split, queues = pos.split, part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
@@ -369,40 +368,24 @@ def _run(positions: tuple, i: int, part: _Part, sigma: Valuation) -> tuple:
                 steps.append((event, _part(pos, dst, split(after, i),
                                            requeue(queues, pid, pop=True))))
             continue
-        enabled = [alt for alt in step[2] if alt[0] is None or alt[0](sigma)]
+        _, event, alts, _, _, view, writes, cache = step
+        enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
         if enabled:
-            view, writes, cache = pos.meets.get(step[1]) or pos.meets.setdefault(
-                step[1], _meet(positions, i, step))
-            sends.append((step[1], view.key, cache, view, writes, step, enabled))
+            sends.append((event, view.key, cache, writes, step, enabled))
     return tuple(sends), tuple(steps)
 
 
-def _meet(positions: tuple, i: int, step: tuple) -> tuple:
-    """Send step ``step`` of position ``i``, made when a state first offers
-    its interaction: the view of the parts it reads, the positions it
-    writes, the sender's first and each once, and its cache from those
-    parts to the writes' new parts, one tuple per way it fires (see the
-    module docstring)."""
-    writes = tuple(dict.fromkeys((i, *[target[0] for target in step[4]])))
-    reads = writes[:1] if step[0] == "asynch-send" else writes
-    at = tuple(sorted({*writes, *[k for j in reads for k in positions[j].at]}))
-    views = positions[i].views
-    return (views.get(at) or views.setdefault(
-        at, View(at, [positions[j].initial._slots for j in at], at)), writes, {})
-
-
-def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list,
-                view: View, writes: tuple, key) -> tuple:
+def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list, key) -> tuple:
     """How send ``step`` fires from ``state`` with its sender's ``enabled``
-    alternatives, run on the valuation of the parts ``key`` picked. Each
-    way is a tuple of the new parts of ``writes``. An asynchronous send
-    runs each alternative's update, then appends the payload, the sent
-    variable's value before the update, to each receiver's buffer in
-    order, in the part already written. A synchronous send checks the
+    alternatives, run on the valuation of the parts ``key`` picked with its
+    view. Each way is a tuple of the new parts of the positions it writes.
+    An asynchronous send runs each alternative's update, then appends the
+    payload, the sent variable's value before the update, to each
+    receiver's buffer in order, in the part already written. A synchronous send checks the
     receivers' buffers and guards first, then copies the payload to the
     receivers and, for each choice of alternatives, runs the sender's
     update, then the receivers' in order."""
-    rule, _, _, var, targets = step
+    rule, _, _, var, targets, view, writes, _ = step
     sigma = view.merged(key)
     if rule == "asynch-send":
         i, out = writes[0], []
@@ -455,16 +438,15 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
         key = state[i] if pos.one else pos.key(state)
         steps = pos.steps.get(key)
         if steps is None:
-            steps = pos.steps[key] = _run(positions, i, state[i], pos.merged(key))
+            steps = pos.steps[key] = _run(pos, i, state[i], pos.merged(key))
         sends, local = steps
         if parts is None and (sends or local):
             parts = list(state)
-        for event, getter, cache, view, writes, step, enabled in sends:
+        for event, getter, cache, writes, step, enabled in sends:
             key = getter(state)
             fired = cache.get(key)
             if fired is None:
-                fired = cache[key] = _rendezvous(positions, state, step, enabled, view, writes,
-                                                 key)
+                fired = cache[key] = _rendezvous(positions, state, step, enabled, key)
             if not fired:
                 continue
             if len(writes) == 2:  # one receiver, the common case

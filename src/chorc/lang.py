@@ -37,12 +37,6 @@ class ComponentDecl:
 class SystemDecl:
     components: tuple[ComponentDecl, ...]
 
-    def component(self, cid: str) -> ComponentDecl:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
     def component_ids(self) -> tuple[str, ...]:
         return tuple(c.id for c in self.components)
 

@@ -50,7 +50,9 @@ PROFILES = ("default", "compat")
 #: Name of the per-component control scratch variable carried by generated
 #: control ports (one per data type actually needed). The ``%`` prefix keeps
 #: these out of the surface language's namespace, and downstream tools drop
-#: them when projecting states onto user-declared variables.
+#: them when projecting states onto user-declared variables. It does not keep
+#: them out of Promela's: the emitter spells ``%c`` as ``ctl``, so a user
+#: variable ``ctl`` of the same component takes the same Promela name.
 CONTROL_VAR = "%c"
 
 

@@ -359,7 +359,7 @@ def flat_fire(sys, state, cis):
                     locations[:ci] + (dst,) + locations[ci + 1:], after,
                     requeue(buffers, pid, pop=True))))
                 continue
-            _, event, alts, var, rcvs = step
+            _, event, alts, var, rcvs = step[:5]
             enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
             if not enabled:
                 continue
@@ -501,41 +501,89 @@ class TestCompiledStepsAgainstReference:
 
 
 class TestEagerStepTables:
-    def counting(self, monkeypatch):
-        """Records (the id of the component's local step table, location)
-        per compiled location."""
-        built = []
-        compile_location = cbs._compile_location
-
-        def counted(sends, local, loc):
-            built.append((id(local), loc))
-            return compile_location(sends, local, loc)
-
-        monkeypatch.setattr(cbs, "_compile_location", counted)
-        return built
-
     @pytest.mark.parametrize("stem", ["buying", "seq_chain", "branch_in_loop"])
-    def test_built_once_per_location_a_state_can_hold(self, monkeypatch, stem):
-        """The first step compiles every (component, location) that is the
-        initial location or a transition target, each once, and nothing
-        else; a second exploration and a simulation compile nothing."""
-        built = self.counting(monkeypatch)
+    def test_built_once_per_location_a_state_can_hold(self, stem):
+        """The first step builds a table row for every location that is a
+        position's initial location or a transition target, and for nothing
+        else; a second exploration and a simulation build nothing."""
         decl, _, ch = load_stem(stem)
         for profile in PROFILES:
-            built.clear()
             sys = synthesize(decl, ch, profile)
             assert len({c.id for c in sys.components}) == len(sys.components)
+            assert "_steps" not in vars(sys)
+            sys_steps_tagged(sys, sys.initial_state())
+            positions = sys._steps
+            holdable = [{c.init, *[t.dst for t in c.transitions]} for c in sys.components]
+            assert [set(pos.table) for pos in positions] == holdable, (stem, profile)
+            tables = [pos.table for pos in positions]
+            rows = [dict(table) for table in tables]
             res = sys_explore(sys)
-            holdable = {(id(c._tables[1]), loc) for c in sys.components
-                        for loc in (c.init, *(t.dst for t in c.transitions))}
-            assert len(built) == len(set(built)), (stem, profile)
-            assert set(built) == holdable, (stem, profile)
-            visited = {(id(c._tables[1]), state.locations[ci]) for state in res.graph
-                       for ci, c in enumerate(sys.components)}
-            assert visited <= holdable
+            visited = [{state.locations[ci] for state in res.graph}
+                       for ci in range(len(sys.components))]
+            assert all(v <= h for v, h in zip(visited, holdable))
             sys_explore(sys)
             simulate(sys, 0)
-            assert len(built) == len(holdable), (stem, profile)
+            assert sys._steps is positions
+            for pos, table, row in zip(sys._steps, tables, rows):
+                assert pos.table is table
+                assert table.keys() == row.keys()
+                assert all(table[loc] is row[loc] for loc in row), (stem, profile)
+
+    def test_one_send_record_per_interaction(self, corpus):
+        """Every interaction whose send port a transition takes has one
+        cache, held by each of its send steps, and no other interaction's;
+        its steps write the sender's position, then its receivers', each
+        once."""
+        records = 0
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for mutant in [sys] + [mutate(sys) for mutate in MUTATIONS.values()]:
+                    if mutant is None:
+                        continue
+                    position = {}
+                    for i, c in enumerate(mutant.components):
+                        position.setdefault(c.id, i)
+                    steps = [step for pos in mutant._steps for row in pos.table.values()
+                             for step in row if step[0].endswith("send")]
+                    taken = {t.port for c in mutant.components for t in c.transitions}
+                    caches = []
+                    for inter in mutant.gamma:
+                        mine = [step for step in steps if step[1] is inter._event]
+                        if inter.send not in taken:
+                            assert mine == [], (path, profile)
+                            continue
+                        assert mine, (path, profile, inter.send.pid)
+                        cache = mine[0][7]
+                        assert all(step[7] is cache for step in mine)
+                        caches.append(cache)
+                        writes = tuple(dict.fromkeys(
+                            [position[inter.send.owner]]
+                            + [position[r.owner] for r in inter.receivers]))
+                        assert all(step[6] == writes for step in mine), (path, profile)
+                        records += 1
+                    held = {id(cache) for cache in caches}
+                    assert len(held) == len(caches), (path, profile)
+                    assert all(id(step[7]) in held for step in steps), (path, profile)
+        assert records > 17 * 2
+
+    def test_interactions_on_one_asynchronous_port_keep_their_receivers(self):
+        # Both interactions send on A.a, so their events are equal; each
+        # still has its own record and sends to its own receiver. Such a
+        # system has a port conflict, which check_structure reports.
+        c_z = var("C", "z")
+        c_r = port("C", "r", "r", c_z)
+        a = component("A", [(AX, 1)], [AP_AS], [Transition("a0", AP_AS, TRUE, SKIP, "a1"),
+                                                Transition("a1", AP_AS, TRUE, SKIP, "a2")],
+                      "a0", "a2")
+        b = component("B", [(BY, 0)], [BR], [Transition("b0", BR, TRUE, SKIP, "b1")],
+                      "b0", "b1")
+        c = component("C", [(c_z, 0)], [c_r], [Transition("c0", c_r, TRUE, SKIP, "c1")],
+                      "c0", "c1")
+        sys = CompositeSystem((a, b, c), (Interaction(AP_AS, (BR,)), Interaction(AP_AS, (c_r,))))
+        assert [d.code for d in check_structure(sys)] == ["port-conflict"]
+        res = assert_lts_matches_flat(sys, "two interactions on A.a")
+        assert any(pid == "C.r" for state in res.states for pid, _ in state.buffers)
 
     def test_replace_starts_without_tables(self):
         sys = TestCheckStructure().clean()

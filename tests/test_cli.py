@@ -339,6 +339,23 @@ comp a { var b_c: int = 0; port q: r of int binds b_c; }
 choreography clash = a_b.p -> { a.q }
 """
 
+#: Variable ``p_1`` of ``A`` and ``A.p#1``, the synthesized copy of port
+#: ``p``, both become ``A_p_1``: the emitter does not keep user names and
+#: synthesized names apart.
+COPY_NAME = """
+comp A { var x: int = 0; var p_1: int = 0; port p: ss of int binds x; }
+comp B { var y: int = 0; port r: r of int binds y; }
+choreography clash = A.p -> { B.r }
+"""
+
+#: Variable ``ctl`` of ``A`` and ``A.%c``, the control variable that the
+#: default profile gives ``A`` here, both become ``A_ctl``.
+CONTROL_NAME = """
+comp A { var x: int = 0; var ctl: int = 0; port p: ss of int binds x; port q: ss of int binds x; }
+comp B { var y: int = 0; port r: r of int binds y; }
+choreography clash = A.p -> { B.r } ; A.q -> { B.r }
+"""
+
 #: A component named like the ``send`` macro.
 MACRO_NAME = """
 comp send { var x: int = 0; port p: ss of int binds x; }
@@ -370,8 +387,10 @@ choreography clash = value.p -> { B.q }
 
 class TestPromelaNames:
     @pytest.mark.parametrize("source, name", [(SAME_GLOBAL, "a_b_c"),
-                                              (MACRO_NAME, "send")],
-                             ids=["global", "macro"])
+                                              (MACRO_NAME, "send"),
+                                              (COPY_NAME, "A_p_1"),
+                                              (CONTROL_NAME, "A_ctl")],
+                             ids=["global", "macro", "copy", "control"])
     def test_repeated_name_is_a_diagnostic(self, source, name, tmp_path, capsys):
         src = tmp_path / "clash.chor"
         src.write_text(source)

@@ -496,7 +496,8 @@ class TestInterning:
                            Update((("B.y", BinOp("+", Ref("B.y"), Lit(1))),))),)),
                     Nil())
         assert built is ch
-        assert decl.component("A").ports == (ch.first.send.port,)
+        a, = [c for c in decl.components if c.id == "A"]
+        assert a.ports == (ch.first.send.port,)
 
     def test_replace_returns_the_canonical_node(self):
         u = Update((("A.x", Lit(1)),))

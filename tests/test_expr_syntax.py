@@ -24,7 +24,7 @@ comp B {
 }
 """
 DECL = parse_decls(DECLS)
-A, B = DECL.component("A"), DECL.component("B")
+A, B = DECL.components
 PORT = {p.name: p for p in A.ports + B.ports}
 X, Y, BV, S = Ref("A.x"), Ref("A.y"), Ref("A.b"), Ref("A.s")
 
