@@ -27,6 +27,15 @@ the send port from that location, and holds the interaction's send record.
 The tables, like ``check_structure``'s findings, are cached on the
 instance, so ``dataclasses.replace`` yields a system with fresh ones.
 
+A system made from another by a local change, as a mutant is, comes from
+``CompositeSystem.derive``, and once its parent has stepped it shares the
+parent's positions (below) with their tables, parts and caches, and builds
+only the dirty ones: a position whose component's transitions, ports or
+initial location changed (a changed end location leaves every position
+clean), a position that sends to such a component, and a position whose
+sent interactions changed. Another number of components, other ids or
+other variables make every position dirty.
+
 A system state (``SysState``) is a tuple of one part per component
 position, partitioned as ``core`` describes: the valuation of the
 variables the position holds, with its location and its nonempty receive
@@ -63,7 +72,7 @@ explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple, Optional
 
@@ -176,6 +185,17 @@ class CompositeSystem:
     components: tuple  # of AtomicComponent
     gamma: tuple  # of Interaction
 
+    #: The system ``derive`` made it from, or None; not a field.
+    _parent = None
+
+    def derive(self, **changes) -> "CompositeSystem":
+        """``dataclasses.replace(self, **changes)``, which steps with the
+        compiled positions of ``self`` that the changes leave alone, once
+        ``self`` has stepped (see ``_steps``)."""
+        new = replace(self, **changes)
+        object.__setattr__(new, "_parent", self)
+        return new
+
     @cached_attr
     def _steps(self) -> tuple:
         """One ``_Position`` per component position, holding a table from
@@ -198,13 +218,33 @@ class CompositeSystem:
         port); its event and record (the view of the parts it reads, shared
         by sends that read the same ones, the positions it writes, the
         sender's first and each once, and the cache) are its interaction's.
+
+        A system ``derive`` made from a parent that has stepped, with the
+        parent's component ids and variables at every position, takes each
+        position the change leaves clean from the parent, the very object
+        with its table, parts and caches, and builds only the dirty ones. A
+        position is dirty if its component's transitions, ports or initial
+        location differ from the parent's (its end location does not
+        count), if one of its sends has a receiver at such a position,
+        whose alternatives and reads it holds, or if the interactions it
+        sends differ from the parent's, in order. A clean position's steps
+        and send records are then the parent's to the letter. A rebuilt
+        position has a table of parts of its own, so no cache entry whose
+        key holds one of its parts can be one the parent made; every
+        other entry follows from clean positions' parts and steps alone.
+
         Raises ``EvalError`` where a part would have to hold another
         position's variable or buffer, which ``check_structure`` reports."""
+        components, parent = self.components, self._parent
+        kept = parent is not None and vars(parent).get("_steps")
+        if kept and [(c.id, c.vars) for c in components] != \
+                [(c.id, c.vars) for c in parent.components]:
+            kept = None
         position = {}
-        for i, c in enumerate(self.components):
+        for i, c in enumerate(components):
             position.setdefault(c.id, i)
-        facts = [c._facts for c in self.components]
-        tables = [c._tables for c in self.components]
+        facts = [c._facts for c in components]
+        tables = [c._tables for c in components]
         owned = [vals for vals, _, _ in tables]
         held = {}  # variable -> the first position that declares it
         for i, vals in enumerate(owned):
@@ -213,8 +253,7 @@ class CompositeSystem:
                     owned[held[qname]] = owned[held[qname]].set(qname, vals[qname])
                 vals = owned[i] = Valuation({k: v for k, v in vals.items() if k not in held})
             held.update(dict.fromkeys(vals, i))
-        offers = {}  # port -> source location -> alternatives on that port
-        for i, (c, own) in enumerate(zip(self.components, facts)):
+        for i, (c, own) in enumerate(zip(components, facts)):
             if not own.assigned.issubset(owned[i]):
                 raise EvalError(f"{c.id} assigns "
                                 f"{', '.join(sorted(own.assigned.difference(owned[i])))}, "
@@ -224,44 +263,61 @@ class CompositeSystem:
                 if not first or port.owner != c.id:
                     raise EvalError(f"{c.id} receives on {port.pid}, "
                                     f"whose buffer it does not hold")
-            if first:
-                offers.update(tables[i][2])
+        dirty = range(len(components))
+        if kept:
+            sent = _sent(position, len(components), self.gamma)
+            was = sent if self.gamma == parent.gamma else \
+                _sent(position, len(components), parent.gamma)
+            changed = {i for i, (c, old) in enumerate(zip(components, parent.components))
+                       if c is not old and (c.transitions, c.ports, c.init)
+                       != (old.transitions, old.ports, old.init)}
+            # The ids that name a changed position: a send to one holds its
+            # alternatives and reads.
+            into = {c.id for c in components if position[c.id] in changed}
+            dirty = {i for i, (now, then) in enumerate(zip(sent, was))
+                     if i in changed or now != then or into and any(
+                         not into.isdisjoint([r.owner for r in inter.receivers])
+                         for inter in now)}
         # Per position, the positions it reads, itself included.
         reads = [tuple(sorted({i, *[held[q] for q in own.used if q in held]}))
                  for i, own in enumerate(facts)]
         views = {}  # the positions a send reads -> their view
-        sends = [{} for _ in self.components]  # location -> its send steps
+        sends = [{} for _ in components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
             if snd.ctype not in ("as", "ss"):
                 continue  # not a send port (``check_structure``): never fires
             i = position[snd.owner]
-            targets = []
+            receiving = []  # the receivers' positions
             for r in inter.receivers:
                 j = position.get(r.owner)
                 if j is None or snd.ctype == "ss" and (
-                        j == i or targets and j in [target[0] for target in targets]
-                        or r.var.qname not in owned[j]._slots):
+                        j == i or j in receiving or r.var.qname not in owned[j]._slots):
                     raise EvalError(f"interaction on {snd.pid}: receiver {r.pid} "
                                     "has no part of its own")
-                targets.append((j, r.pid) if snd.ctype == "as" else
-                               (j, r.pid, r.var.qname, offers.get(r, {})))
+                receiving.append(j)
+            if i not in dirty:
+                continue
+            targets = tuple([(j, r.pid) if snd.ctype == "as" else
+                             (j, r.pid, r.var.qname, tables[j][2].get(r, {}))
+                             for j, r in zip(receiving, inter.receivers)])
             event = inter._event
-            targets = tuple(targets)
-            writes = tuple(dict.fromkeys((i, *[target[0] for target in targets])))
+            writes = tuple(dict.fromkeys((i, *receiving)))
             readers = writes[:1] if snd.ctype == "as" else writes
             at = tuple(sorted({*writes, *[k for j in readers for k in reads[j]]}))
             view = views.get(at) or views.setdefault(
                 at, View(at, [owned[j]._slots for j in at], at))
             cache = {}
-            for src, alts in offers.get(snd, {}).items():
+            for src, alts in tables[i][2].get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
                     (event.rules[0], event, alts, snd.var.qname, targets, view, writes, cache))
-        positions = tuple(_Position(at, [owned[j]._slots for j in at]) for at in reads)
-        for pos, own, (_, local, _), sending, vals in zip(positions, facts, tables, sends, owned):
+        positions = list(kept) if kept else [None] * len(components)
+        for i in dirty:
+            own, at, sending, (_, local, _) = facts[i], reads[i], sends[i], tables[i]
+            pos = positions[i] = _Position(at, [owned[j]._slots for j in at])
             pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in own.holdable}
-            pos.initial = _part(pos, own.holdable[0], vals, ())
-        return positions
+            pos.initial = _part(pos, own.holdable[0], owned[i], ())
+        return tuple(positions)
 
     @cached_attr
     def _diagnostics(self) -> tuple:
@@ -271,6 +327,17 @@ class CompositeSystem:
         """Every component at its initial location, with its variables'
         initial values and empty buffers."""
         return _new(SysState, [pos.initial for pos in self._steps])
+
+
+def _sent(position: dict, n: int, gamma: tuple) -> list:
+    """Per component position of ``n``, the interactions of ``gamma`` it
+    sends, in gamma order: those on a send port its component owns."""
+    out = [[] for _ in range(n)]
+    for inter in gamma:
+        i = position.get(inter.send.owner)
+        if i is not None and inter.send.ctype in ("as", "ss"):
+            out[i].append(inter)
+    return out
 
 
 class SysState(tuple):

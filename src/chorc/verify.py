@@ -8,7 +8,10 @@ state, refutes equivalence; truncation of either exploration makes the
 verdict inconclusive.
 
 The module also carries the structural invariant suite and a small set of
-mutation operators used to validate that the checker actually has teeth.
+mutation operators used to validate that the checker actually has teeth. A
+mutant is derived from its system (``CompositeSystem.derive``), so once the
+system has been explored the mutant shares its compiled positions and warm
+caches, and builds only those the mutation touches.
 """
 
 from __future__ import annotations
@@ -122,8 +125,7 @@ def invariant_suite(sys: CompositeSystem) -> list:
 def _replace_component(sys: CompositeSystem, comp: AtomicComponent,
                        **changes) -> CompositeSystem:
     new = replace(comp, **changes)
-    comps = tuple(new if c.id == comp.id else c for c in sys.components)
-    return CompositeSystem(components=comps, gamma=sys.gamma)
+    return sys.derive(components=tuple(new if c.id == comp.id else c for c in sys.components))
 
 
 def mutate_drop_eps(sys: CompositeSystem):
@@ -184,7 +186,7 @@ def mutate_drop_interaction(sys: CompositeSystem):
     """Remove one interaction from gamma."""
     if not sys.gamma:
         return None
-    return CompositeSystem(components=sys.components, gamma=sys.gamma[1:])
+    return sys.derive(gamma=sys.gamma[1:])
 
 
 def mutate_unmark_end(sys: CompositeSystem):

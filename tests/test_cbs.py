@@ -11,6 +11,7 @@ import itertools
 import os
 import random
 import sys as python
+import weakref
 from typing import NamedTuple
 
 import pytest
@@ -614,6 +615,86 @@ class TestEagerStepTables:
         assert len(res.terminals) == 1 and not res.deadlocks
 
 
+def rebuilt(mutant, sys) -> list:
+    """The positions of ``mutant`` that are not those of ``sys``."""
+    return [i for i, (pos, kept) in enumerate(zip(mutant._steps, sys._steps)) if pos is not kept]
+
+
+class TestDerivedSystems:
+    """A mutant of a system that has stepped takes every position the
+    mutation leaves clean from it (see ``CompositeSystem._steps``)."""
+
+    def test_reuse_rule_on_buying(self):
+        decl, _, ch = load_stem("buying")
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            sys_explore(sys)
+            position = {c.id: i for i, c in enumerate(sys.components)}
+            assert len(position) == len(sys.components)
+            # The end marking is no step's business: every position is kept.
+            assert rebuilt(MUTATIONS["unmark-end"](sys), sys) == [], profile
+            # Only the sender of the dropped interaction sends otherwise.
+            mutant = MUTATIONS["drop-interaction"](sys)
+            assert rebuilt(mutant, sys) == [position[sys.gamma[0].send.owner]], profile
+            # The mutated component, and each sender that holds its
+            # alternatives and reads as a receiver's.
+            mutant = MUTATIONS["swap-break-guard"](sys)
+            (changed,) = [c.id for c, old in zip(mutant.components, sys.components)
+                          if c is not old]
+            into = {position[inter.send.owner] for inter in sys.gamma
+                    if changed in [r.owner for r in inter.receivers]}
+            assert into - {position[changed]}, profile
+            assert rebuilt(mutant, sys) == sorted({position[changed], *into}), profile
+
+    def test_built_fresh_unless_derived_from_a_stepped_parent(self):
+        decl, _, ch = load_stem("buying")
+        sys = synthesize(decl, ch, "default")
+        unstepped = MUTATIONS["unmark-end"](sys)
+        unstepped.initial_state()  # it steps before its parent does
+        assert len(rebuilt(unstepped, sys)) == len(sys.components)
+        mutant = MUTATIONS["unmark-end"](sys)
+        for twin in (CompositeSystem(mutant.components, mutant.gamma),
+                     dataclasses.replace(mutant), dataclasses.replace(sys)):
+            assert len(rebuilt(twin, sys)) == len(sys.components)
+        assert rebuilt(mutant, sys) == []
+        # Another layout: one component declares one more variable.
+        first = sys.components[0]
+        extra = Variable("extra", first.id, "int")
+        other = sys.derive(components=(dataclasses.replace(first, vars=first.vars + ((extra, 0),)),
+                                       *sys.components[1:]))
+        assert len(rebuilt(other, sys)) == len(sys.components)
+        assert_lts_matches_flat(other, "one more variable")
+
+    def test_a_sender_rebuilds_with_its_receivers_alternatives(self):
+        # B's receive gets another update, and its sender A holds B's
+        # alternatives on B.r: both positions are rebuilt, and the mutant
+        # explores as a cold build of it does.
+        sys = foreign_receivers_system()
+        first = assert_lts_matches_flat(sys, "parent")
+        b = sys.components[1]
+        mutant = sys.derive(components=(sys.components[0], dataclasses.replace(
+            b, transitions=tuple(dataclasses.replace(t, update=DBL_Y) for t in b.transitions)),
+            sys.components[2]))
+        assert rebuilt(mutant, sys) == [0, 1]
+        res = assert_lts_matches_flat(mutant, "receiver changed")
+        assert_same_lts(res, sys_explore(CompositeSystem(mutant.components, mutant.gamma)),
+                        "receiver changed")
+        assert res.finals != first.finals
+
+    def test_a_derived_system_raises_where_a_cold_one_does(self):
+        # The parent steps; a mutant whose component assigns a variable it
+        # does not hold is refused as a cold build of it is.
+        sys = TestCheckStructure().clean()
+        sys_steps_tagged(sys, sys.initial_state())
+        a = sys.components[0]
+        bad = sys.derive(components=(dataclasses.replace(a, transitions=tuple(
+            dataclasses.replace(t, update=Update((("B.y", Lit(1)),))) for t in a.transitions)),
+            *sys.components[1:]))
+        for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
+            with pytest.raises(EvalError, match="A assigns B.y, which it does not hold"):
+                twin.initial_state()
+
+
 def load_generator():
     """``perfbench/gen.py``, the benchmark's seeded choreography generator,
     imported from its file without changing it."""
@@ -683,18 +764,61 @@ def duplicate_reader_system():
     return CompositeSystem((first, second), ())
 
 
+def state_ids(res, states) -> set:
+    """The ids in ``res`` of ``states``, stored states of it."""
+    ids = {state: i for i, state in enumerate(res.states)}
+    return {ids[state] for state in states}
+
+
+def assert_same_lts(res, ref, where):
+    """Two explorations of equal systems, whose parts may be other objects,
+    reach the same LTS: as many stored states, equal events to the same
+    targets in the same order, and the same finals, terminals, deadlocks
+    and truncation."""
+    assert len(res.states) == len(ref.states), where
+    assert res.events == ref.events and res.targets == ref.targets, where
+    assert res.ends == ref.ends and res.truncated == ref.truncated, where
+    assert res.finals == ref.finals, where
+    assert state_ids(res, res.terminals) == state_ids(ref, ref.terminals), where
+    assert state_ids(res, res.deadlocks) == state_ids(ref, ref.deadlocks), where
+
+
+def assert_mutants_match(sys, first, where) -> int:
+    """Each ``verify.MUTATIONS`` mutant of ``sys``, which ``first`` explored,
+    explores as the flat explorer does and as a cold rebuild of it, and
+    ``sys`` then explores again to the very LTS of ``first``; returns the
+    number of positions the mutants took from ``sys``."""
+    shared = 0
+    for name, mutate in MUTATIONS.items():
+        mutant = mutate(sys)
+        if mutant is None:
+            continue
+        res = assert_lts_matches_flat(mutant, (where, name))
+        assert_same_lts(res, sys_explore(CompositeSystem(mutant.components, mutant.gamma)),
+                        (where, name))
+        shared += sum(pos is kept for pos, kept in zip(mutant._steps, sys._steps))
+    again = sys_explore(sys)
+    assert again.states == first.states and again.targets == first.targets, where
+    assert all(e is r for e, r in zip(again.events, first.events)), where
+    assert len(again.events) == len(first.events) and again.ends == first.ends, where
+    assert again.terminals == first.terminals and again.deadlocks == first.deadlocks, where
+    return shared
+
+
 class TestPartsAgainstFlat:
     """The partitioned states explore every system as the flat explorer
-    does (see ``assert_lts_matches_flat``)."""
+    does (see ``assert_lts_matches_flat``), and a mutant of an explored
+    system, which takes positions from it, as a cold rebuild of the mutant
+    does (see ``assert_mutants_match``)."""
 
     def test_corpus_mutants(self, corpus):
+        shared = 0
         for path, decl, _, ch in corpus:
             for profile in PROFILES:
                 sys = synthesize(decl, ch, profile)
-                for name, mutate in MUTATIONS.items():
-                    mutant = mutate(sys)
-                    if mutant is not None:
-                        assert_lts_matches_flat(mutant, (path, profile, name))
+                first = assert_lts_matches_flat(sys, (path, profile))
+                shared += assert_mutants_match(sys, first, (path, profile))
+        assert shared > 17 * 2
 
     @pytest.mark.parametrize("name", ["interleave", "longchain"])
     def test_generated(self, name):
@@ -707,10 +831,8 @@ class TestPartsAgainstFlat:
             assert not res.deadlocks and not res.truncated
             if name == "interleave":
                 assert max(len(s.buffers) for s in res.graph) == 2
-            for mutation, mutate in MUTATIONS.items():
-                mutant = mutate(sys) if name == "longchain" else None
-                if mutant is not None:
-                    assert_lts_matches_flat(mutant, (name, profile, mutation))
+            else:
+                assert assert_mutants_match(sys, res, (name, profile)) > 0
 
     def test_guards_and_updates_that_read_other_components(self):
         sys = foreign_guards_system()
@@ -860,7 +982,9 @@ class TestPartsAgainstFlat:
 class TestReferenceCounted:
     def test_explored_and_simulated_systems_leave_no_cyclic_garbage(self, corpus):
         # A system, its tables and caches, its explorations and its runs
-        # are freed by reference counting once nothing holds them.
+        # are freed by reference counting once nothing holds them. So are
+        # its explored mutants, which take positions from it and refer to
+        # it: it refers to none of them, so they go while it lives.
         for path, decl, _, ch in corpus:
             for profile in PROFILES:
                 sys = synthesize(decl, ch, profile)
@@ -868,6 +992,12 @@ class TestReferenceCounted:
                 gc.disable()
                 try:
                     res, run = sys_explore(sys), simulate(sys, 0)
+                    mutants = [m for m in (mutate(sys) for mutate in MUTATIONS.values())
+                               if m is not None]
+                    runs = [sys_explore(m) for m in mutants]
+                    alive = [weakref.ref(m) for m in mutants]
+                    del mutants, runs
+                    assert [ref() for ref in alive] == [None] * len(alive), (path, profile)
                     del sys, res, run
                     assert gc.collect() == 0, (path, profile)
                 finally:

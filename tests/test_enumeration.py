@@ -21,11 +21,14 @@ synthesized system may have two silent transitions with the same source
 and target, the system must pass the invariant suite, the equivalence
 check must say ``equivalent``, and a simulation with a fixed seed must
 complete at a final that, projected onto the user variables, is a final of
-the choreography.
+the choreography. Each ``verify.MUTATIONS`` mutant of the explored system,
+which takes the positions the mutation leaves clean from it, must get the
+very equivalence report, verdict and counts, of a cold rebuild of it.
 
 Tier-1 checks a fixed-seed sample of the size-2 terms, chosen without
-looking at any outcome. The whole enumeration, with its counts per profile,
-runs with ``PYTHONPATH=src python tests/test_enumeration.py``.
+looking at any outcome, and the mutants of the first ones picked. The whole
+enumeration, mutants included, with its counts per profile, runs with
+``PYTHONPATH=src python tests/test_enumeration.py``.
 """
 
 import random
@@ -35,6 +38,7 @@ from itertools import combinations, product
 
 import pytest
 
+from chorc.cbs import CompositeSystem
 from chorc.core import BinOp, Lit, Ref, TRUE, Update
 from chorc.lang import (
     Branch, Comm, GuardedSend, Loop, Par, Seq, check_well_formed, format_chor,
@@ -42,7 +46,7 @@ from chorc.lang import (
 from chorc.parser import parse_source
 from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
-from chorc.verify import equiv_check, invariant_suite, project, user_variables
+from chorc.verify import MUTATIONS, equiv_check, invariant_suite, project, user_variables
 
 COMPONENTS = ("A", "B", "C")
 
@@ -60,6 +64,10 @@ comp {c} {{
 
 #: The size-2 terms that tier-1 checks, and the seed that picks them.
 SAMPLE, SEED = 800, 20
+
+#: How many of those, the first ones picked, also have their mutants
+#: checked against cold rebuilds.
+MUTANT_SAMPLE = 120
 
 #: The seed of each term's simulation.
 SIM_SEED = 0
@@ -111,11 +119,14 @@ def terms(ports, size):
     return out
 
 
-def outcomes(term):
+def outcomes(term, mutants=False):
     """The term's outcome under each profile, after the checks common to
     both: its text parses back to it and it is well-formed. The outcome is
     the equivalence verdict, unless the invariant suite finds something or
-    the simulation does not complete at a final of the choreography."""
+    the simulation does not complete at a final of the choreography, or,
+    with ``mutants``, a ``verify.MUTATIONS`` mutant of the explored system,
+    which takes positions from it, gets another equivalence report than a
+    cold rebuild of the mutant."""
     decl, _, parsed = parse_source(DECLS + "\nchoreography t = " + format_chor(term))
     assert parsed is term, format_chor(term)
     errors = [d for d in check_well_formed(decl, term) if d.severity == "error"]
@@ -137,6 +148,11 @@ def outcomes(term):
             out[profile] = "simulated final not a choreography final"
         else:
             out[profile] = report.verdict
+        for name, mutate in MUTATIONS.items() if mutants else ():
+            mutant = mutate(system)
+            if mutant is not None and equiv_check(decl, term, mutant) != equiv_check(
+                    decl, term, CompositeSystem(mutant.components, mutant.gamma)):
+                out[profile] = f"mutant {name} differs from a cold rebuild"
     return out
 
 
@@ -149,8 +165,8 @@ def test_sizes():
 def test_sample_of_size_two():
     ports = declared_ports()
     sample = random.Random(SEED).sample(terms(ports, 2), SAMPLE)
-    bad = [(format_chor(term), found) for term in sample
-           for found in [outcomes(term)]
+    bad = [(format_chor(term), found) for i, term in enumerate(sample)
+           for found in [outcomes(term, mutants=i < MUTANT_SAMPLE)]
            if set(found.values()) != {"equivalent"}]
     assert not bad, f"{len(bad)} of {SAMPLE} terms, first: {bad[:3]}"
 
@@ -174,7 +190,7 @@ def main():
     ports = declared_ports()
     counts = {profile: Counter() for profile in PROFILES}
     for term in terms(ports, 2):
-        for profile, verdict in outcomes(term).items():
+        for profile, verdict in outcomes(term, mutants=True).items():
             counts[profile][verdict] += 1
     for profile, tally in counts.items():
         print(profile, " ".join(f"{v}={n}" for v, n in sorted(tally.items())))
