@@ -27,10 +27,11 @@ whose pending entries hold it back: the owners of the moving ports, the
 master for a loop's exit, and nobody for ``nil`` or a delivery. A
 synchronous send becomes one update whose first assignments copy the sent
 value to the receivers; ``Seq`` and ``Par`` lift their operands' tables,
-sharing the actions, and ``Par`` decides the independence of its operands
-once. A residual receive is a ``Receipt``, one live object per (receive
-port, update), which keeps the delivery's event and, per delivered value,
-its action: assign the value to the port's variable, then run the update.
+sharing the actions, and ``Par`` reads once whether its operands are
+dependent (``lang.shared``). A residual receive is a ``Receipt``, one live
+object per (receive port, update), which keeps the delivery's event and,
+per delivered value, its action: assign the value to the port's variable,
+then run the update.
 
 Configuration layout. A configuration is stored as (term, parts, pool),
 partitioned as ``core`` describes: one part (``_Part``) per component,
@@ -81,7 +82,7 @@ from .core import (
     Ref, Update, Valuation, View, cached_attr, explore_lts, expr_vars, interned, requeue,
     update_vars,
 )
-from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, participants
+from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, shared
 
 #: Rule names appearing in transition tags.
 CHOR_RULES = (
@@ -373,7 +374,7 @@ def _compile(term: Chor) -> tuple:
                        lambda nxt: Par(nxt, right))
         # Dependent operands (shared components) run in a fixed left-to-right
         # order, so that every component keeps a single execution flow.
-        if participants(left) & participants(right):
+        if shared(term):
             return lifted
         return lifted + _lift(_steps(right), "parallel-2", "parallel-4", left,
                               lambda nxt: Par(left, nxt))

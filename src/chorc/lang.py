@@ -1,11 +1,18 @@
 """Choreography AST, declarations, structural functions and static checks.
 
 The choreography terms are hash-consed like the syntax in ``core``: one live
-object per term structure, compared and hashed by identity."""
+object per term structure, compared and hashed by identity.
+
+One fold works out who takes part in a term, who starts it and who ends it
+under each synthesis profile: ``shape``, which keeps its ``Shape`` on the
+term, so each term is folded once however many terms enclose it. ``shared``
+reads it to decide whether the operands of a ``||`` are dependent, for both
+the ``parallel-independence`` warning and the choreography semantics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     Expr, Interned, Port, TRUE, Update, Valuation, Variable, default_value, expr_vars,
@@ -136,74 +143,71 @@ Chor = Nil | Comm | Branch | Loop | Seq | Par  # not typing.Union: see core.Expr
 # Structural functions over choreographies
 # --------------------------------------------------------------------------
 
-def participants(ch: Chor) -> frozenset[str]:
-    """All component ids involved in the choreography."""
-    if isinstance(ch, Nil):
-        return frozenset()
-    if isinstance(ch, Comm):
-        return frozenset({ch.send.port.owner} | {p.owner for p, _ in ch.rcvs})
-    if isinstance(ch, Branch):
-        out = {ch.master}
-        for gs, cont in ch.conts:
-            out.add(gs.port.owner)
-            out |= participants(cont)
-        return frozenset(out)
-    if isinstance(ch, Loop):
-        return frozenset({ch.cond.port.owner}) | participants(ch.body)
-    if isinstance(ch, (Seq, Par)):
-        a, b = _operands(ch)
-        return participants(a) | participants(b)
-    raise AssertionError(ch)
+class Shape(NamedTuple):
+    """Who takes part in a term, who must be told to start it, and who must
+    finish for it to finish: ``ends`` under the default synthesis profile,
+    ``sender_ends`` under compat.
 
-
-def start_set(ch: Chor) -> frozenset[str]:
-    """Components that must be notified to start the choreography."""
-    if isinstance(ch, Nil):
-        return frozenset()
-    if isinstance(ch, Comm):
-        return frozenset({ch.send.port.owner})
-    if isinstance(ch, Branch):
-        return frozenset({ch.master})
-    if isinstance(ch, Loop):
-        return frozenset({ch.cond.port.owner})
-    if isinstance(ch, Seq):
-        return start_set(ch.first)
-    if isinstance(ch, Par):
-        return start_set(ch.left) | start_set(ch.right)
-    raise AssertionError(ch)
-
-
-def end_set(ch: Chor) -> frozenset[str]:
-    """Components that must terminate for the choreography to terminate.
-
-    Synchronous communication ends with the receivers, asynchronous with the
-    sender.
+    A communication starts at its sender, a choice and a loop at their
+    master; a ``;`` starts as its first operand and ends as its second, a
+    ``||`` starts and ends as both operands together, and a loop ends in its
+    master. Under default a communication ends in its receivers if it is
+    synchronous and in its sender if not, and a choice in the owners of its
+    arm ports and the participants of its arms. Under compat a communication
+    ends in its sender, and a choice in its arms' sender ends, or in its
+    master if they have none.
     """
-    if isinstance(ch, Nil):
-        return frozenset()
-    if isinstance(ch, Comm):
-        if ch.send.port.ctype == "ss":
-            return frozenset(p.owner for p, _ in ch.rcvs)
-        return frozenset({ch.send.port.owner})
-    if isinstance(ch, Branch):
-        out = set()
-        for gs, cont in ch.conts:
-            out.add(gs.port.owner)
-            out |= participants(cont)
-        return frozenset(out)
-    if isinstance(ch, Loop):
-        return frozenset({ch.cond.port.owner})
-    if isinstance(ch, Seq):
-        return end_set(ch.second)
-    if isinstance(ch, Par):
-        return end_set(ch.left) | end_set(ch.right)
-    raise AssertionError(ch)
+
+    participants: frozenset[str]
+    starts: frozenset[str]
+    ends: frozenset[str]
+    sender_ends: frozenset[str]
 
 
-def _operands(ch):
-    if isinstance(ch, Seq):
-        return ch.first, ch.second
-    return ch.left, ch.right
+def shape(term: Chor) -> Shape:
+    """The ``Shape`` of ``term``: worked out on first use, from its
+    operands' shapes, then kept on the term."""
+    out = getattr(term, "_shape", None)
+    if out is not None:
+        return out
+    if isinstance(term, Nil):
+        nobody = frozenset()
+        out = Shape(nobody, nobody, nobody, nobody)
+    elif isinstance(term, Comm):
+        sender = frozenset([term.send.port.owner])
+        rcvs = frozenset([p.owner for p, _ in term.rcvs])
+        out = Shape(sender | rcvs, sender,
+                    rcvs if term.send.port.ctype == "ss" else sender, sender)
+    elif isinstance(term, Branch):
+        master = frozenset([term.master])
+        ends, sender_ends = set(), set()
+        for gs, cont in term.conts:
+            arm = shape(cont)
+            ends.add(gs.port.owner)
+            ends |= arm.participants
+            sender_ends |= arm.sender_ends
+        ends = frozenset(ends)
+        out = Shape(master | ends, master, ends, frozenset(sender_ends) or master)
+    elif isinstance(term, Loop):
+        master = frozenset([term.cond.port.owner])
+        out = Shape(master | shape(term.body).participants, master, master, master)
+    elif isinstance(term, Seq):
+        first, second = shape(term.first), shape(term.second)
+        out = Shape(first.participants | second.participants, first.starts,
+                    second.ends, second.sender_ends)
+    elif isinstance(term, Par):
+        out = Shape(*map(frozenset.union, shape(term.left), shape(term.right)))
+    else:
+        raise AssertionError(term)
+    object.__setattr__(term, "_shape", out)
+    return out
+
+
+def shared(par: Par) -> frozenset[str]:
+    """The components that both operands of ``par`` take part in. Operands
+    that share one are dependent: they run in order, left first, not
+    interleaved."""
+    return shape(par.left).participants & shape(par.right).participants
 
 
 # --------------------------------------------------------------------------
@@ -337,15 +341,15 @@ def _check_term(diags, env, term: Chor):
         _check_term(diags, env, term.second)
         return
     if isinstance(term, Par):
-        shared = participants(term.left) & participants(term.right)
-        if shared:
+        common = shared(term)
+        if common:
             # Dependent parallel operands are executed in a fixed
             # left-to-right order (no interleaving), so this is flagged
             # but does not reject the choreography.
             diags.append(Diagnostic(
                 "parallel-independence",
                 "parallel operands share components ("
-                + ", ".join(sorted(shared))
+                + ", ".join(sorted(common))
                 + "); they will run in order, not interleaved",
                 severity="warning",
             ))

@@ -15,7 +15,10 @@ A loop's entry notification is synchronous whatever the type of its
 condition port, like its break, so the master cannot break while a
 participant still holds an entry or the body's messages in its buffers.
 
-Two profiles are supported:
+Who a notification goes to and which components a sequential
+synchronization joins are read off each term's ``lang.Shape``: its
+participants, its starts, and its end set under the profile, ``ends`` or
+``sender_ends``. Two profiles are supported:
 
 * ``default`` is the lean placement: the end set of a synchronous
   communication is its receivers, branch joins are made with silent
@@ -41,8 +44,7 @@ from .cbs import (
     AtomicComponent, CompositeSystem, Interaction, Transition, check_structure,
 )
 from .lang import (
-    Branch, Chor, Comm, GuardedSend, Loop, Nil, Par, Seq, SystemDecl,
-    participants, start_set, end_set,
+    Branch, Chor, Comm, GuardedSend, Loop, Nil, Par, Seq, SystemDecl, shape,
 )
 
 PROFILES = ("default", "compat")
@@ -58,26 +60,6 @@ CONTROL_VAR = "%c"
 
 class SynthError(Exception):
     pass
-
-
-def end_set_compat(ch: Chor) -> frozenset:
-    """Sender-side end sets used by the compat profile."""
-    if isinstance(ch, Nil):
-        return frozenset()
-    if isinstance(ch, Comm):
-        return frozenset({ch.send.port.owner})
-    if isinstance(ch, Branch):
-        out = frozenset()
-        for _, cont in ch.conts:
-            out |= end_set_compat(cont)
-        return out if out else frozenset({ch.master})
-    if isinstance(ch, Loop):
-        return frozenset({ch.cond.port.owner})
-    if isinstance(ch, Seq):
-        return end_set_compat(ch.second)
-    if isinstance(ch, Par):
-        return end_set_compat(ch.left) | end_set_compat(ch.right)
-    raise AssertionError(ch)
 
 
 @dataclass
@@ -223,7 +205,7 @@ class _Builder:
         raise AssertionError(ch)
 
     def synth_branch(self, ch: Branch):
-        K = self.order(participants(ch) - {ch.master})
+        K = self.order(shape(ch).participants - {ch.master})
         base = dict(self.context)
         snapshots = []
         for gs, cont in ch.conts:
@@ -272,7 +254,7 @@ class _Builder:
 
     def synth_loop(self, ch: Loop):
         master = ch.cond.port.owner
-        K = self.order(participants(ch.body) - {master})
+        K = self.order(shape(ch.body).participants - {master})
         before = dict(self.context)
         # Synchronous, like the break (see the module docstring).
         self.notify(master, ch.cond, K, "cont", "ss")
@@ -295,8 +277,8 @@ class _Builder:
     def synth_seq_sync(self, first: Chor, second: Chor):
         """Synchronize the end of ``first`` with the start of ``second``."""
         default = self.profile == "default"
-        ends = end_set(first) if default else end_set_compat(first)
-        starts = start_set(second)
+        ends = shape(first).ends if default else shape(first).sender_ends
+        starts = shape(second).starts
         if not ends or not starts:
             return
         anchor = self.order(starts if default else ends)[0]

@@ -1,11 +1,13 @@
 """Source hygiene of the ``chorc`` package, read with ``ast``: no module
 imports a name it does not use, every module-level private function or
-class is referenced somewhere in the package, every ``__slots__`` entry is
-read somewhere in the package, no function matches with a literal
+class is referenced somewhere in the package, every public one is read
+outside its own body in the package or the benchmark, every ``__slots__``
+entry is read somewhere in the package, no function matches with a literal
 pattern that ``re`` would look up again on every call, and no nested
 function reaches itself through its closure."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ import chorc
 
 PACKAGE = Path(chorc.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH_MODULES = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def _tree(path):
@@ -64,6 +67,54 @@ def test_private_definitions_are_referenced():
         and node.name not in used
     ]
     assert unreferenced == []
+
+
+#: Public definitions that nothing in the package or the benchmark reads,
+#: with the reason each stays. ``format_chor``: the tests and ROADMAP item 4
+#: state the print-then-parse round trip for it.
+UNREAD_PUBLIC = {"lang.format_chor"}
+
+
+def _imports(tree) -> set:
+    """The names that ``tree``'s imports bind."""
+    return {(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def _reads(node, imported: set) -> Counter:
+    """How often each name is read under ``node``: as a name, or as an
+    attribute of an imported name (``lang.shape``, ``chorc.cli.main``), not
+    of any other value, so a field ``.participants`` reads no function
+    ``participants``."""
+    reads = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            base = sub.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in imported:
+                reads[sub.attr] += 1
+    return reads
+
+
+def test_public_definitions_are_read():
+    """A public module-level function or class is read outside its own
+    body somewhere in the package or the benchmark: one that only the
+    tests read goes, and its tests read what the code keeps."""
+    trees = {path: _tree(path) for path in MODULES + BENCH_MODULES}
+    reads = sum((_reads(tree, _imports(tree)) for tree in trees.values()), Counter())
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and reads[node.name] == _reads(node, _imports(trees[path]))[node.name]
+    ]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
 
 
 def test_slots_are_read():

@@ -1,11 +1,17 @@
-"""Tests for participant sets, start/end sets and static well-formedness."""
+"""Tests for term shapes (participants, start and end sets) and static
+well-formedness."""
 
 import pytest
 
-from chorc.lang import check_well_formed, end_set, participants, start_set
+from chorc import lang, synthesis
+from chorc.lang import (
+    Branch, Comm, Loop, Nil, Par, Seq, Shape, check_well_formed, shape, shared,
+)
 from chorc.parser import parse_source
+from chorc.synthesis import PROFILES, synthesize
 
-from conftest import load_stem
+from conftest import corpus_paths, generated, load, load_stem
+from test_enumeration import declared_ports, terms
 
 DECLS = """
 comp A {
@@ -35,38 +41,200 @@ def chor(body):
 class TestSets:
     def test_comm(self):
         _, _, ch = chor("A.p -> { B.r, C.r }")
-        assert participants(ch) == {"A", "B", "C"}
-        assert start_set(ch) == {"A"}
-        assert end_set(ch) == {"B", "C"}
+        assert shape(ch).participants == {"A", "B", "C"}
+        assert shape(ch).starts == {"A"}
+        assert shape(ch).ends == {"B", "C"}
+        assert shape(ch).sender_ends == {"A"}
 
     def test_async_comm_end(self):
         _, _, ch = chor("A.a -> { B.r }")
         # An asynchronous send completes at the sender.
-        assert end_set(ch) == {"A"}
+        assert shape(ch).ends == {"A"}
 
     def test_seq(self):
         _, _, ch = chor("A.p -> { B.r } ; B.s -> { C.r }")
-        assert start_set(ch) == {"A"}
-        assert end_set(ch) == {"C"}
+        assert shape(ch).starts == {"A"}
+        assert shape(ch).ends == {"C"}
+        assert shape(ch).sender_ends == {"B"}
 
     def test_par_union(self):
         _, _, ch = chor("( A.p -> { B.r } ) || ( B.s -> { C.r } )")
-        assert participants(ch) == {"A", "B", "C"}
-        assert start_set(ch) == {"A", "B"}
+        assert shape(ch).participants == {"A", "B", "C"}
+        assert shape(ch).starts == {"A", "B"}
+        assert shared(ch) == {"B"}
 
     def test_branch(self):
         _, _, ch = chor("choice A { A.d => B.s -> { C.r } | A.d => nil }")
-        assert participants(ch) == {"A", "B", "C"}
-        assert start_set(ch) == {"A"}
+        assert shape(ch).participants == {"A", "B", "C"}
+        assert shape(ch).starts == {"A"}
+        # Not the master: the arms' sender ends, when there are any.
+        assert shape(ch).sender_ends == {"B"}
+        _, _, ch = chor("choice A { A.d => nil | A.d => nil }")
+        assert shape(ch).sender_ends == {"A"}
 
     def test_loop(self):
         _, _, ch = chor("while (A.p[x > 0]) { A.a -> { B.r } }")
-        assert participants(ch) == {"A", "B"}
-        assert start_set(ch) == {"A"}
+        assert shape(ch).participants == {"A", "B"}
+        assert shape(ch).starts == {"A"}
 
     def test_nil(self):
         _, _, ch = chor("nil")
-        assert participants(ch) == frozenset()
+        assert shape(ch).participants == frozenset()
+
+
+# The four folds that ``shape`` replaced, frozen as they were, to check it
+# against.
+
+def ref_participants(ch):
+    if isinstance(ch, Nil):
+        return frozenset()
+    if isinstance(ch, Comm):
+        return frozenset({ch.send.port.owner} | {p.owner for p, _ in ch.rcvs})
+    if isinstance(ch, Branch):
+        out = {ch.master}
+        for gs, cont in ch.conts:
+            out.add(gs.port.owner)
+            out |= ref_participants(cont)
+        return frozenset(out)
+    if isinstance(ch, Loop):
+        return frozenset({ch.cond.port.owner}) | ref_participants(ch.body)
+    if isinstance(ch, (Seq, Par)):
+        a, b = (ch.first, ch.second) if isinstance(ch, Seq) else (ch.left, ch.right)
+        return ref_participants(a) | ref_participants(b)
+    raise AssertionError(ch)
+
+
+def ref_start_set(ch):
+    if isinstance(ch, Nil):
+        return frozenset()
+    if isinstance(ch, Comm):
+        return frozenset({ch.send.port.owner})
+    if isinstance(ch, Branch):
+        return frozenset({ch.master})
+    if isinstance(ch, Loop):
+        return frozenset({ch.cond.port.owner})
+    if isinstance(ch, Seq):
+        return ref_start_set(ch.first)
+    if isinstance(ch, Par):
+        return ref_start_set(ch.left) | ref_start_set(ch.right)
+    raise AssertionError(ch)
+
+
+def ref_end_set(ch):
+    if isinstance(ch, Nil):
+        return frozenset()
+    if isinstance(ch, Comm):
+        if ch.send.port.ctype == "ss":
+            return frozenset(p.owner for p, _ in ch.rcvs)
+        return frozenset({ch.send.port.owner})
+    if isinstance(ch, Branch):
+        out = set()
+        for gs, cont in ch.conts:
+            out.add(gs.port.owner)
+            out |= ref_participants(cont)
+        return frozenset(out)
+    if isinstance(ch, Loop):
+        return frozenset({ch.cond.port.owner})
+    if isinstance(ch, Seq):
+        return ref_end_set(ch.second)
+    if isinstance(ch, Par):
+        return ref_end_set(ch.left) | ref_end_set(ch.right)
+    raise AssertionError(ch)
+
+
+def ref_end_set_compat(ch):
+    if isinstance(ch, Nil):
+        return frozenset()
+    if isinstance(ch, Comm):
+        return frozenset({ch.send.port.owner})
+    if isinstance(ch, Branch):
+        out = frozenset()
+        for _, cont in ch.conts:
+            out |= ref_end_set_compat(cont)
+        return out if out else frozenset({ch.master})
+    if isinstance(ch, Loop):
+        return frozenset({ch.cond.port.owner})
+    if isinstance(ch, Seq):
+        return ref_end_set_compat(ch.second)
+    if isinstance(ch, Par):
+        return ref_end_set_compat(ch.left) | ref_end_set_compat(ch.right)
+    raise AssertionError(ch)
+
+
+def subterms(ch):
+    """Every subterm of ``ch``, itself included, each once."""
+    seen, todo = {}, [ch]
+    while todo:
+        term = todo.pop()
+        if id(term) in seen:
+            continue
+        seen[id(term)] = term
+        if isinstance(term, Branch):
+            todo += [cont for _, cont in term.conts]
+        elif isinstance(term, Loop):
+            todo.append(term.body)
+        elif isinstance(term, Seq):
+            todo += [term.first, term.second]
+        elif isinstance(term, Par):
+            todo += [term.left, term.right]
+    return list(seen.values())
+
+
+def reference_inputs():
+    """The corpus, interleave and longchain of seeds 0 and 1, and the depth-2
+    enumeration, as (name, term)."""
+    out = [(path, load(path)[2]) for path in corpus_paths()]
+    out += [(f"{name} {seed}", parse_source(generated(name, seed))[2])
+            for name in ("interleave", "longchain") for seed in (0, 1)]
+    return out + [(f"depth-2 {i}", term) for i, term in enumerate(terms(declared_ports(), 2))]
+
+
+def test_shape_matches_the_folds_it_replaced():
+    checked = 0
+    for name, ch in reference_inputs():
+        for term in subterms(ch):
+            assert shape(term) == Shape(ref_participants(term), ref_start_set(term),
+                                        ref_end_set(term), ref_end_set_compat(term)), name
+            if isinstance(term, Par):
+                assert shared(term) == (ref_participants(term.left)
+                                        & ref_participants(term.right)), name
+            checked += 1
+    assert checked > 3672
+
+
+def choice_chain(n):
+    """A ``||`` of ``n`` distinct choices over the same components."""
+    return " || ".join(f"choice A {{ A.d[x > {i}] => B.s -> {{ C.r }} | A.d => nil }}"
+                       for i in range(n))
+
+
+@pytest.mark.parametrize("load_input", [
+    lambda: load_stem("microservice"),
+    lambda: chor(choice_chain(300)),
+], ids=["16_microservice", "par-chain-300"])
+def test_each_term_is_folded_once(monkeypatch, load_input):
+    """Checking and synthesizing under both profiles works out each term's
+    shape at most once, where the folds ``shape`` replaced walked a subterm
+    again for every enclosing ``||``, choice and loop."""
+    decl, _, ch = load_input()
+    for term in subterms(ch):
+        vars(term).pop("_shape", None)
+    folded, twice = {}, []
+    fold = lang.shape
+
+    def counting(term):
+        if "_shape" not in vars(term):
+            if id(term) in folded:
+                twice.append(term)
+            folded[id(term)] = term  # kept alive, so no other term takes its id
+        return fold(term)
+
+    monkeypatch.setattr(lang, "shape", counting)
+    monkeypatch.setattr(synthesis, "shape", counting)
+    check_well_formed(decl, ch)
+    for profile in PROFILES:
+        synthesize(decl, ch, profile)
+    assert folded and twice == []
 
 
 class TestWellFormed:
