@@ -44,15 +44,16 @@ hash-consed by value like terms (see ``core.Interned``), so equal
 configurations from two parses are equal tuples. ``sigma`` and ``pending``
 view the parts as one valuation and the pool as its queues.
 
-Caches. An action keeps a ``_Plan``, its view (``core.View``) in the frame
-it last ran in, with the parts it writes and a cache from the parts it
-touches to its result: the new parts it writes and the payload it sends, or
-nothing if its guard fails. A plan also maps (pool, payload) to the pool a
-send leaves. Plans live on the actions, which live on the terms and
-receipts. The touched variables are read off the expressions, so a guard or
-update that reads another component's variable is served too. A step that
-assigns a variable the initial valuation does not bind raises
-``EvalError``; ``check_well_formed`` rejects such input.
+Caches. An action is its own view (``core.View``) in the frame it last
+ran in, laid out again, with empty caches, when it runs in another: it
+knows the parts it writes and keeps a cache from the parts it touches to
+its result, the new parts it writes and the payload it sends, or nothing
+if its guard fails, and one from (pool, payload) to the pool a send
+leaves. Actions live on the terms and receipts. The touched variables are
+read off the expressions, so a guard or update that reads another
+component's variable is served too. A step that assigns a variable the
+initial valuation does not bind raises ``EvalError``;
+``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -106,18 +107,42 @@ CHOR_RULES = (
 _KEEP = object()
 
 
-class _Action:
+class _Action(View):
     """What a static step does, shared by its lifted copies (see the module
-    docstring), with its ``_Plan`` arguments and latest plan."""
+    docstring), laid out in ``frame``, the frame it last ran in: the view
+    of the parts its guard, update and sent variable touch, ``writes``, the
+    indices of those the update writes, ``sole``, the index if there is
+    one, and its caches."""
 
-    __slots__ = ("guard", "update", "sends", "var", "owners", "exprs", "plan")
+    __slots__ = ("guard", "update", "sends", "var", "owners", "exprs", "frame", "writes",
+                 "sole", "cache", "pushes")
 
     def __init__(self, guard, update: Update, sends: tuple, var: Optional[str],
                  owners: frozenset):
         self.guard = None if guard is TRUE else guard.compiled
         self.update = update.compiled if update.assignments else None
         self.sends, self.var, self.owners = sends, var, owners
-        self.exprs, self.plan = (guard, update, var), None
+        self.exprs, self.frame = (guard, update), None
+
+    def lay_out(self, frame: _Frame):
+        """Lay the action out in ``frame``, with empty caches."""
+        guard, update = self.exprs
+        part_of = frame.part_of.get
+        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), self.var)))
+                    - {None})
+        self.writes = tuple(sorted(set(map(part_of, map(itemgetter(0), update.assignments)))
+                                   - {None}))
+        View.__init__(self, at, [frame.layouts[i] for i in at], self.writes)
+        self.sole = self.writes[0] if len(self.writes) == 1 else None
+        self.frame, self.cache, self.pushes = frame, {}, {}
+
+    def written(self, vals: Valuation, after: Valuation) -> tuple:
+        """The written parts of ``after``, an update of ``vals``."""
+        if after._slots is not vals._slots:
+            raise EvalError("assignment to a variable the initial valuation does not bind: "
+                            + ", ".join(sorted(set(after) - set(vals))))
+        news = [self.split(after, j) for j in self.writes]
+        return tuple([_part(v._slots, v._values) for v in news])
 
 
 class Receipt(Interned):
@@ -214,41 +239,6 @@ def _pool(frame: _Frame, pending: tuple) -> _Pool:
     return interned(_Pool, (id(frame), ids), frame=frame, pending=pending)
 
 
-class _Plan(View):
-    """An action in one frame (see the module docstring), made from its
-    guard, its update and the variable it sends: the view of the parts
-    these touch, ``writes``, the indices of those the update writes, and
-    ``sole``, the index if there is one."""
-
-    __slots__ = ("frame", "writes", "sole", "cache", "pushes")
-
-    def __init__(self, frame: _Frame, guard, update: Update, var: Optional[str]):
-        part_of = frame.part_of.get
-        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), var))) - {None})
-        self.writes = tuple(sorted(set(map(part_of, map(itemgetter(0), update.assignments)))
-                                   - {None}))
-        super().__init__(at, [frame.layouts[i] for i in at], self.writes)
-        self.sole = self.writes[0] if len(self.writes) == 1 else None
-        self.frame, self.cache, self.pushes = frame, {}, {}
-
-    def written(self, vals: Valuation, after: Valuation) -> tuple:
-        """The written parts of ``after``, an update of ``vals``."""
-        if after._slots is not vals._slots:
-            raise EvalError("assignment to a variable the initial valuation does not bind: "
-                            + ", ".join(sorted(set(after) - set(vals))))
-        news = [self.split(after, j) for j in self.writes]
-        return tuple([_part(v._slots, v._values) for v in news])
-
-
-def _plan(act: _Action, frame: _Frame) -> _Plan:
-    """The plan of ``act`` in ``frame``: its latest one if made for that
-    frame, else a new one, which replaces it."""
-    plan = act.plan
-    if plan is None or plan.frame is not frame:
-        plan = act.plan = _Plan(frame, *act.exprs)
-    return plan
-
-
 #: Pending pool: tuple of (receiving component, FIFO queue of (receipt, value
 #: captured at send time)), sorted by component, each queue in arrival order.
 Pending = tuple
@@ -301,12 +291,11 @@ def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None,
 def _steps(term: Chor) -> tuple:
     """The step table of ``term``: compiled on first use, then kept on the
     term."""
-    try:
-        return term._steps
-    except AttributeError:
+    steps = getattr(term, "_steps", None)
+    if steps is None:
         steps = _compile(term)
         object.__setattr__(term, "_steps", steps)
-        return steps
+    return steps
 
 
 def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
@@ -382,30 +371,30 @@ def _compile(term: Chor) -> tuple:
     raise AssertionError(term)
 
 
-def _splice(parts: tuple, plan: _Plan, news: tuple) -> tuple:
-    """``parts`` with the parts ``plan`` writes replaced by ``news``."""
+def _splice(parts: tuple, act: _Action, news: tuple) -> tuple:
+    """``parts`` with the parts ``act`` writes replaced by ``news``."""
     out = list(parts)
-    for i, part in zip(plan.writes, news):
+    for i, part in zip(act.writes, news):
         out[i] = part
     return tuple(out)
 
 
-def _run(plan: _Plan, key, act: _Action) -> tuple:
+def _run(act: _Action, key) -> tuple:
     """``act`` on the parts ``key`` picked: () if its guard fails, else
     the parts it writes and the payload, read before the update."""
-    vals = plan.merged(key)
+    vals = act.merged(key)
     if act.guard is not None and not act.guard(vals):
         return ()
     payload = vals[act.var] if act.sends else None
-    return plan.written(vals, vals if act.update is None else act.update(vals)), payload
+    return act.written(vals, vals if act.update is None else act.update(vals)), payload
 
 
-def _push(plan: _Plan, act: _Action, pool: _Pool, payload) -> _Pool:
+def _push(act: _Action, pool: _Pool, payload) -> _Pool:
     """``pool`` with ``act``'s residual receives of ``payload`` queued."""
     queues = pool.pending
     for comp, receipt in act.sends:
         queues = requeue(queues, comp, push=((receipt, payload),))
-    new = plan.pushes[pool, payload] = _pool(pool.frame, queues)
+    new = act.pushes[pool, payload] = _pool(pool.frame, queues)
     return new
 
 
@@ -431,13 +420,12 @@ def chor_steps_tagged(config: Running):
     for event, act, nxt, rest in steps:
         if waiting is not None and not waiting.isdisjoint(act.owners):
             continue
-        plan = act.plan
-        if plan is None or plan.frame is not frame:
-            plan = _plan(act, frame)
-        k = plan.key(parts)
-        res = plan.cache.get(k)
+        if act.frame is not frame:
+            act.lay_out(frame)
+        k = act.key(parts)
+        res = act.cache.get(k)
         if res is None:
-            res = plan.cache[k] = _run(plan, k, act)
+            res = act.cache[k] = _run(act, k)
         if not res:
             continue
         news, payload = res
@@ -446,10 +434,10 @@ def chor_steps_tagged(config: Running):
         if rest is _KEEP:
             rest = pool
             if act.sends:
-                rest = plan.pushes.get((pool, payload)) or _push(plan, act, pool, payload)
-        i = plan.sole
+                rest = act.pushes.get((pool, payload)) or _push(act, pool, payload)
+        i = act.sole
         if i is None:
-            after = _splice(parts, plan, news) if news else parts
+            after = _splice(parts, act, news) if news else parts
         else:
             scratch[i] = news[0]
             after = tuple(scratch)

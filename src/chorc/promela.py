@@ -180,7 +180,6 @@ def _ptext(e: Expr, sym: _Symbols) -> str:
 @dataclass
 class Model:
     text: str
-    strings: dict              # str -> int
     ltl: list = field(default_factory=list)  # (name, formula)
 
 
@@ -300,7 +299,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
         header.append("*/")
         text = "\n".join(header) + "\n" + text
 
-    return Model(text=text, strings=dict(sym.table), ltl=ltl)
+    return Model(text=text, ltl=ltl)
 
 
 def _emit_process(lines, wiring, comp, sym, opts):

@@ -33,7 +33,7 @@ from .lang import Chor, Diagnostic, SystemDecl
 
 def user_variables(decl: SystemDecl) -> tuple:
     """Qualified names of the user-declared variables, in a stable order."""
-    return tuple(sorted(decl.initial_valuation().keys()))
+    return tuple(sorted(decl.type_env()))
 
 
 def project(sigma: Valuation, keys) -> tuple:

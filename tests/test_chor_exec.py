@@ -666,6 +666,28 @@ class TestFlatOracle:
                           "B.s[true, y := 0] -> { D.r }")
         assert_same_lts(explore(ch, sigma), flat_explore(ch, sigma), "values")
 
+    def test_one_term_under_two_frames(self):
+        """A term parsed again under other declarations is the same term,
+        with the same actions; each action is laid out again in the frame
+        it runs in. The extra component ``Ab`` sorts between ``A`` and
+        ``B``, so every later component's part moves."""
+        body = ("while (A.d[x < 4, x := x + 1]) { A.a -> { B.r[y := y + C.z] } } || "
+                "D.s[true, w := w + 2] -> { C.r[z := z + 1] }")
+        extra = "comp Ab { var v: int = 5; port r: r of int binds v; }\n"
+        frames, terms = [], []
+        for decls in (DECLS, DECLS + extra, DECLS):
+            decl, _, ch = parse_source(decls + f"choreography t = {body}")
+            sigma = decl.initial_valuation()
+            res = explore(ch, sigma)
+            assert len(res.graph) > 5 and res.terminals
+            assert_same_lts(res, flat_explore(ch, sigma), decls)
+            frames.append([act.frame for _, act, _, _ in chorsem._steps(ch)])
+            terms.append(ch)
+        assert terms[0] is terms[1] is terms[2]
+        for before, after in zip(frames, frames[1:]):
+            assert all(a is not b for a, b in zip(before, after))
+        assert all(a is c for a, c in zip(frames[0], frames[2]))
+
     @pytest.mark.parametrize("body", DIV_ZERO)
     def test_division_by_zero_raises_at_the_same_configuration(self, body):
         decl, _, ch = parse_source(DECLS + f"choreography t = {body}")

@@ -2,7 +2,8 @@
 imports a name it does not use, every module-level private function or
 class is referenced somewhere in the package, every public one is read
 outside its own body in the package or the benchmark, every ``__slots__``
-entry is read somewhere in the package, no function matches with a literal
+entry is read somewhere in the package, every attribute a class stores is
+read in the package or the benchmark, no function matches with a literal
 pattern that ``re`` would look up again on every call, and no nested
 function reaches itself through its closure."""
 
@@ -136,6 +137,87 @@ def test_slots_are_read():
                     unread += [f"{cls.name}.{elt.value}" for elt in node.value.elts
                                if not elt.value.startswith("__") and elt.value not in read]
     assert unread == []
+
+
+def _named(node) -> str:
+    """The name an ``ast.Name`` or the last attribute of an ``ast.Attribute``
+    spells, else ""."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def stored_attributes(tree) -> list:
+    """Each attribute a class in ``tree`` stores, as (class, name): the
+    fields of a dataclass or a ``NamedTuple``, and every ``self.x`` that
+    one of its methods assigns."""
+    stored = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if ("dataclass" in {_named(getattr(d, "func", d)) for d in cls.decorator_list}
+                or "NamedTuple" in {_named(b) for b in cls.bases}):
+            stored += [(cls.name, node.target.id) for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or not fn.args.args:
+                continue
+            me = fn.args.args[0].arg
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == me):
+                    stored.append((cls.name, node.attr))
+    return stored
+
+
+def attributes_read(tree) -> set:
+    """Every attribute name read in ``tree``: as an attribute, or through
+    ``getattr`` with a literal name."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and _named(node.func) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_stored_attributes_are_read():
+    """An attribute that a class in the package stores is read somewhere in
+    the package or the benchmark, matched by name: a field that only the
+    tests read goes, and its tests read what the code keeps."""
+    read = set().union(*(attributes_read(_tree(path)) for path in MODULES + BENCH_MODULES))
+    unread = sorted({f"{path.stem}.{cls}.{name}" for path in MODULES
+                     for cls, name in stored_attributes(_tree(path)) if name not in read})
+    assert unread == []
+
+
+def test_stored_attributes_are_found():
+    tree = ast.parse("""
+@dataclass(frozen=True)
+class Record:
+    text: str
+    size: int = 0
+
+
+class Pair(NamedTuple):
+    left: int
+
+
+class Box:
+    kind: str
+
+    def __init__(self, value):
+        self.value, self.seen = value, False
+        other.skipped = 1
+
+    def touch(me):
+        me.count += 1
+""")
+    assert sorted(stored_attributes(tree)) == [
+        ("Box", "count"), ("Box", "seen"), ("Box", "value"), ("Pair", "left"),
+        ("Record", "size"), ("Record", "text")]
+    read = attributes_read(ast.parse("x.a; getattr(y, 'b', None); z.c = 1; getattr(w, n)"))
+    assert read == {"a", "b"}
 
 
 #: The ``re`` functions that look a string pattern up in ``re``'s cache, and
