@@ -285,9 +285,9 @@ class CompositeSystem:
         sends = [{} for _ in components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
-            if snd.ctype not in ("as", "ss"):
-                continue  # not a send port (``check_structure``): never fires
-            i = position[snd.owner]
+            i = position.get(snd.owner)
+            if i is None or snd.ctype not in ("as", "ss"):
+                continue  # no sender or not a send port (``check_structure``): never fires
             receiving = []  # the receivers' positions
             for r in inter.receivers:
                 j = position.get(r.owner)

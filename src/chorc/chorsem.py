@@ -66,10 +66,9 @@ whose label is ``TAU``; every other label is the set of the ports' ids.
 over ``chor_steps_tagged``; the final configurations it reaches are its
 terminals, and its ``rules_seen`` measure rule coverage.
 
-``lts_to_dot`` orders nodes and edges as the repr does, in which a pending
-entry prints as (port, update, value), by a key built once per
-configuration drawn from the repr of each field, with each term printed
-once and without recursing into its nesting.
+``lts_to_dot`` draws the exploration in the explorer's own order: node
+``n<i>`` is the i-th configuration met, so its names are the state ids
+of the ``Exploration``, and it prints no term.
 """
 
 from __future__ import annotations
@@ -465,92 +464,27 @@ def _label_text(label: Label) -> str:
     return "{" + ", ".join(sorted(label)) + "}"
 
 
-def _config_key(config: Running, term_texts: dict) -> tuple:
-    """A sort key that orders configurations as their ``repr`` does. That
-    text is ``Final(sigma=...)`` or ``Running(term=..., sigma=...,
-    pending=...)``, so the key is the class name, then each field's repr:
-    comparing those one by one gives the order of the whole text because
-    no term, valuation or pool repr is a proper prefix of another of its
-    kind. Each is ``None`` or ends at the bracket that closes its first
-    one, outside any string literal, so two of them that differ do so at a
-    character both have. ``term_texts`` keeps each term's repr, so a term
-    shared by many configurations is printed once."""
-    if _final(config):
-        return ("Final", repr(config.sigma))
-    term = config.term
-    text = term_texts.get(term)
-    if text is None:
-        text = term_texts[term] = _term_text(term, term_texts)
-    return ("Running", text, repr(config.sigma), repr(config.pending))
-
-
-def _term_text(term: Optional[Chor], texts: dict) -> str:
-    """``repr(term)``, built without recursing into nested terms, with the
-    repr of each ``Comm`` and ``Nil`` kept in ``texts``."""
-    out, todo = [], [term]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Seq):
-            todo += (")", item.second, ", second=", item.first, "Seq(first=")
-        elif isinstance(item, Par):
-            todo += (")", item.right, ", right=", item.left, "Par(left=")
-        elif isinstance(item, Loop):
-            todo += (")", item.body, f"Loop(cond={item.cond!r}, body=")
-        elif isinstance(item, Branch):
-            pieces = [f"Branch(master={item.master!r}, conts=("]
-            for j, (gs, cont) in enumerate(item.conts):
-                pieces += (", (" if j else "(") + f"{gs!r}, ", cont, ")"
-            pieces.append(",))" if len(item.conts) == 1 else "))")
-            todo += reversed(pieces)
-        else:
-            text = texts.get(item)
-            if text is None:
-                text = texts[item] = repr(item)
-            out.append(text)
-    return "".join(out)
-
-
 def lts_to_dot(result: Exploration) -> str:
-    """Render an explored LTS as a DOT digraph. On a truncated exploration,
-    edge targets the graph does not store are drawn dashed."""
-    ids = {}
-
-    def node_id(config):
-        if config not in ids:
-            ids[config] = f"n{len(ids)}"
-        return ids[config]
-
-    def declare(config, style=""):
-        nid = node_id(config)
+    """Render an explored LTS as a DOT digraph in the explorer's order.
+    Node ``n<i>`` is stored state ``i``, and the distinct successors that
+    ``max_configs`` left out follow, in the order their edges met them; a
+    node that was not expanded is drawn dashed. Each expanded state's
+    edges follow, in stored order."""
+    states, fresh, expanded = result.states, result.fresh, len(result.ends)
+    left_out = {config: n for n, config in enumerate(dict.fromkeys(fresh), len(states))}
+    lines = ["digraph lts {", "  rankdir=LR;"]
+    for i, config in enumerate(chain(states, left_out)):
+        style = "" if i < expanded else ", style=dashed"
         if _final(config):
-            lines.append(f'  {nid} [shape=doublecircle, label="final"{style}];')
+            lines.append(f'  n{i} [shape=doublecircle, label="final"{style}];')
         else:
             shape = "box" if config in result.deadlocks else "circle"
-            lines.append(f'  {nid} [shape={shape}, label=""{style}];')
-
-    keys, term_texts = {}, {}
-
-    def key(config):
-        """``_config_key`` of ``config``, computed once per configuration."""
-        k = keys.get(config)
-        if k is None:
-            k = keys[config] = _config_key(config, term_texts)
-        return k
-
-    lines = ["digraph lts {", "  rankdir=LR;"]
-    states = result.states
-    # The initial configuration first, then the rest as their reprs sort.
-    ordering = sorted(range(len(result.ends)), key=lambda i: (i > 0, key(states[i])))
-    for i in ordering:
-        declare(states[i])
-    for i in ordering:
-        nid = node_id(states[i])
-        for event, succ in sorted(result.edges(i),
-                                  key=lambda e: (_label_text(e[0].label), key(e[1]))):
-            if succ not in ids:
-                declare(succ, ", style=dashed")
-            lines.append(f'  {nid} -> {node_id(succ)} [label="{_label_text(event.label)}"];')
+            lines.append(f'  n{i} [shape={shape}, label=""{style}];')
+    lo = 0
+    for i, hi in enumerate(result.ends):
+        for event, t in zip(result.events[lo:hi], result.targets[lo:hi]):
+            target = t if t >= 0 else left_out[fresh[~t]]
+            lines.append(f'  n{i} -> n{target} [label="{_label_text(event.label)}"];')
+        lo = hi
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -235,9 +235,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The parser reads `;` and `||` chains in a loop, but the checks,
-        # synthesis and the printers recurse over terms: with the default
-        # limit, `synth` fails from 989 interactions in one `;` chain.
+        # The parser reads `;` and `||` chains in a loop, but the checks
+        # and synthesis recurse over terms (the DOT dump prints none): with
+        # the default limit, `synth` fails from 989 interactions in one `;`
+        # chain.
         print("error: input nested too deeply "
               f"(Python recursion limit {sys.getrecursionlimit()})", file=sys.stderr)
         return 1

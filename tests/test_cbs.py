@@ -1273,6 +1273,28 @@ class TestCheckStructure:
             f"interaction references undeclared port {pid}"
             for pid in ("A.q", "B.r1", "B.r2", "B.r3", "B.r4")]
 
+    def test_interaction_whose_sender_is_absent(self):
+        # No component owns A.p, so its interaction never fires: the system,
+        # built cold and derived from a stepped one without it, explores as
+        # that one does, and the structure check still reports the port.
+        cw = var("C", "w")
+        c_s, b_r2 = port("C", "s", "ss", cw), port("B", "r2", "r", BY)
+        b = component("B", [(BY, 0)], [BR, b_r2], [
+            Transition("b0", b_r2, TRUE, DBL_Y, "b1"),
+            Transition("b0", BR, TRUE, SKIP, "b2")], "b0", "b1")
+        c = component("C", [(cw, 3)], [c_s], [Transition("c0", c_s, TRUE, SKIP, "c1")],
+                      "c0", "c1")
+        base = CompositeSystem((b, c), (Interaction(c_s, (b_r2,)),))
+        ref = sys_explore(base)
+        assert ref.finals == {Valuation({"B.y": 30, "C.w": 3})}
+        gamma = (Interaction(AP_SS, (BR,)), *base.gamma)
+        derived = base.derive(gamma=gamma)
+        for sys, where in ((CompositeSystem((b, c), gamma), "cold"), (derived, "derived")):
+            assert [d.message for d in check_structure(sys) if d.code == "unknown-port"] == [
+                "interaction references undeclared port A.p"], where
+            assert_same_lts(sys_explore(sys), ref, where)
+        assert rebuilt(derived, base) == []
+
     def test_unconnected_port(self):
         sys = make_sys(
             [Transition("a0", AP_SS, TRUE, SKIP, "a1")],

@@ -6,6 +6,7 @@ coverage over the whole corpus.
 """
 
 import os
+import re
 import subprocess
 import sys
 from typing import NamedTuple, Optional
@@ -416,7 +417,8 @@ class TestHashConsing:
         assert sent.term is None and repr(sent).startswith("Running(term=None, ")
 
     def test_running_repr_is_pinned(self):
-        # lts_to_dot orders nodes by this text, so it must not change.
+        # No output prints this text (the DOT dump prints no term), but
+        # failing assertions and debugging show configurations by it.
         succs, _ = steps("A.a[x > 0, x := 0] -> { B.r[y := y + 1], C.r } ; A.a -> { B.r }")
         port_b = ("Port(name='r', owner='B', var=Variable(name='y', owner='B', "
                   "dtype='int'), ctype='r')")
@@ -482,38 +484,72 @@ class TestReferenceCounted:
         assert dict(zip(paths, proc.stdout.split())) == dict.fromkeys(paths, "0")
 
 
+NODE = re.compile(r'^  n(\d+) \[shape=(\w+), label="(\w*)"(, style=dashed)?\];$')
+EDGE = re.compile(r'^  n(\d+) -> n(\d+) \[label="([^"]*)"\];$')
+
+
+def assert_dot_draws(res, where):
+    """``lts_to_dot(res)`` draws ``res`` in its own order: node ``n<i>`` is
+    stored state ``i``, then each distinct left-out successor follows; a
+    node's shape and label say whether it is final or a deadlock, and it is
+    dashed exactly when it was not expanded; the edges of each expanded
+    state follow in stored order, with their labels."""
+    lines = lts_to_dot(res).splitlines()
+    assert lines[:2] == ["digraph lts {", "  rankdir=LR;"] and lines[-1] == "}", where
+    nodes = [NODE.match(line).groups() for line in lines[2:] if NODE.match(line)]
+    edges = [EDGE.match(line).groups() for line in lines[2:] if EDGE.match(line)]
+    assert len(nodes) + len(edges) == len(lines) - 3, where
+    reached = res.states + list(dict.fromkeys(res.fresh))
+    expanded = len(res.ends)
+    assert [int(n) for n, _, _, _ in nodes] == list(range(len(reached))), where
+    for (_, shape, label, _), config in zip(nodes, reached):
+        if chorsem._final(config):
+            assert (shape, label) == ("doublecircle", "final"), where
+        else:
+            assert (shape, label) == ("box" if config in res.deadlocks else "circle", ""), where
+    assert [int(n) for n, _, _, dashed in nodes if dashed] == \
+        list(range(expanded, len(reached))), where
+    number = {config: i for i, config in enumerate(reached)}
+    assert len(number) == len(reached), where
+    assert [(int(a), int(b), label) for a, b, label in edges] == [
+        (i, number[succ],
+         "tau" if event.label == TAU else "{" + ", ".join(sorted(event.label)) + "}")
+        for i in range(expanded) for event, succ in res.edges(i)], where
+
+
 class TestDot:
-    def test_sort_key_built_once_per_configuration(self, monkeypatch):
-        keyed = []
-        config_key = chorsem._config_key
-
-        def counting(config, term_texts):
-            keyed.append(config)
-            return config_key(config, term_texts)
-
-        monkeypatch.setattr(chorsem, "_config_key", counting)
+    def test_one_dashed_node_per_unexpanded_state(self):
         decl, _, ch = load_stem("producer_consumer")
         for limits in ({}, {"max_configs": 50}):
             res = explore(ch, decl.initial_valuation(), **limits)
-            keyed.clear()
             dot = lts_to_dot(res)
             drawn = set(res.graph) | {succ for edges in res.graph.values()
                                       for _, succ in edges}
-            assert len(keyed) == len(set(keyed)) == len(drawn), limits
             assert dot.count("style=dashed") == len(drawn - set(res.graph)), limits
         assert "style=dashed" in dot
 
-    def test_sort_key_orders_as_repr(self, corpus):
-        """The key orders the configurations of every corpus exploration,
-        full and truncated, as their repr text does."""
+    def test_draws_the_exploration_in_its_order(self, corpus):
+        """Every corpus file, in full and under each limit."""
         for path, decl, _, ch in corpus:
-            for limits in ({}, {"max_configs": 40}):
-                res = explore(ch, decl.initial_valuation(), **limits)
-                drawn = list(set(res.graph) | {succ for edges in res.graph.values()
-                                               for _, succ in edges})
-                term_texts = {}
-                assert sorted(drawn, key=lambda c: chorsem._config_key(c, term_texts)) \
-                    == sorted(drawn, key=repr), (path, limits)
+            for limits in ({}, {"max_configs": 1}, {"max_configs": 3}, {"max_configs": 40},
+                           {"max_depth": 2}, {"max_depth": 5}):
+                assert_dot_draws(explore(ch, decl.initial_valuation(), **limits),
+                                 (path, limits))
+
+    @pytest.mark.parametrize("name", ["interleave", "longchain"])
+    def test_draws_generated_explorations_in_their_order(self, name):
+        decl, _, ch = parse_source(generated(name, 7))
+        for limits in ({}, {"max_configs": 40}):
+            res = explore(ch, decl.initial_valuation(), **limits)
+            assert res.truncated == bool(limits)
+            assert_dot_draws(res, (name, limits))
+
+    def test_draws_deadlocks_as_boxes(self):
+        ch, sigma = setup("A.p[x > 0, x := 0] -> { B.r } ; A.p[x > 0] -> { B.r }")
+        res = explore(ch, sigma)
+        assert len(res.deadlocks) == 1
+        assert_dot_draws(res, "deadlock")
+        assert lts_to_dot(res).count("shape=box") == 1
 
 
 # --------------------------------------------------------------------------

@@ -141,9 +141,18 @@ class TestExplore:
         assert "synch-sendrcv" in out
 
     def test_dump_lts(self, tmp_path, capsys):
+        # One solid node per configuration that the summary counts, the
+        # expanded ones; a truncated run adds dashed nodes.
         dot = tmp_path / "lts.dot"
-        run(["explore", SYNC, "--dump-lts", str(dot)], capsys)
-        assert dot.read_text().startswith("digraph")
+        for argv, dashed in (([SYNC], False),
+                             ([corpus_path("producer_consumer"), "--max-configs", "5"], True)):
+            _, out, _ = run(["explore", *argv, "--dump-lts", str(dot)], capsys)
+            text = dot.read_text()
+            assert text.startswith("digraph")
+            nodes = [line for line in text.splitlines() if "shape=" in line]
+            solid = [line for line in nodes if "style=dashed" not in line]
+            assert out.split(": ", 1)[1].startswith(f"{len(solid)} configurations,"), argv
+            assert (len(solid) < len(nodes)) == dashed, argv
 
 
 class TestEquiv:
@@ -274,8 +283,8 @@ class TestDeepNesting:
         assert proc.stdout.startswith(shown)
 
     def test_dump_lts_takes_a_long_chain(self, tmp_path, capsys):
-        """The DOT order prints each term without recursing over it, so
-        900 interactions, well past the old limit of 325, dump in process."""
+        """The DOT dump prints no term, so 900 interactions, well past the
+        old limit of 325, dump in process."""
         dot = tmp_path / "chain.dot"
         code, out, err = run(["explore", chain(tmp_path, 900), "--dump-lts", str(dot)], capsys)
         assert (code, err) == (0, "")

@@ -6,8 +6,9 @@ choreography explorer and the SHA-256 of its ``lts_to_dot`` text, and under
 each synthesis profile the states, terminals, deadlocks and rules seen of the
 system explorer plus the SHA-256 of the simulation trace for seeds 0 and 1.
 A change to the state representation or to the explorer must leave all of
-them unchanged. The DOT text orders nodes and edges by their text, so its
-digest does not depend on the hash seed.
+them unchanged. The DOT text draws states in the explorer's numbering,
+which follows the successor functions, so its digest does not depend on
+the hash seed.
 
 Regenerate (only for an intended change of behaviour) with
 ``PYTHONPATH=src python tests/test_golden.py``.
