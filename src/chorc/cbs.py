@@ -38,28 +38,25 @@ other variables make every position dirty.
 
 A system state (``SysState``) is a tuple of one part per component
 position, partitioned as ``core`` describes: the valuation of the
-variables the position holds, with its location and its nonempty receive
-buffers. A variable lives in the part of the first position that declares
-it, a receive port's buffer in its owner's part. Each position keeps one
-part per distinct (location, values, buffers). A state's joint
+variables the component declares, with its location and its nonempty
+receive buffers, those of the receive ports it owns. Each position keeps
+one part per distinct (location, values, buffers). A state's joint
 ``locations``, global valuation ``sigma`` and ``buffers`` are views.
 
-A position (``_Position``) is the view of the parts it reads: its own and
-those holding a variable its transitions use, bind or send. Its ``steps``
-cache maps them to the steps its component starts. A send record follows
-from the text, as a read set does, so it is built with its interaction: the
-view of what the send reads, which is what its sender's position reads, and
-what its receivers' positions read if synchronous, their own parts, which
-hold their buffers, if asynchronous. It writes its sender's and receivers'
-parts, and its one cache, shared by the sends from every location, maps
-the parts it reads to their new ones. A variable no part holds raises when
-read. An asynchronous send appends the payload to the receivers' buffers
-after its sender's update; a rendezvous checks every guard and buffer, then
-copies the payload to the receivers and runs the sender's update and then
-each receiver's, so an update runs, and may raise, only once it can fire. A
-system whose parts cannot be kept apart, because a component would assign
-or receive into another position's variable or buffer, fails with
-``EvalError`` when compiled.
+A component reads and writes only its own part, so a position's
+(``_Position``) ``steps`` cache maps its part to the steps its component
+starts. A send record follows from the text, so it is built with its
+interaction: the view of the parts it writes, its sender's and its
+receivers', and one cache, shared by the sends from every location, that
+maps those parts to their new ones. An asynchronous send appends the
+payload to the receivers' buffers after its sender's update; a rendezvous
+checks every guard and buffer, then copies the payload to the receivers
+and runs the sender's update and then each receiver's, so an update runs,
+and may raise, only once it can fire. A system whose parts cannot be kept
+apart fails with ``EvalError`` when compiled: two components share an id
+or declare one variable, a component's transitions use, bind or send a
+variable it does not declare or receive on another's port, or a
+synchronous receiver has no part of its own.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -82,9 +79,6 @@ from .core import (
     union_shared, update_vars,
 )
 from .lang import Diagnostic
-
-SYS_RULES = ("synch-send", "asynch-send", "recv", "internal")
-
 
 @dataclass(frozen=True)
 class Transition:
@@ -124,8 +118,6 @@ class AtomicComponent:
         ports = [t.port for t in ts if t.port is not None]
         receives = frozenset([p for p in ports if p.ctype == "r"])
         return _Facts(uses, frozenset().union(*uses, [p.var.qname for p in ports]),
-                      frozenset([target for t in ts for target, _ in t.update.assignments]
-                                + [p.var.qname for p in receives]),
                       receives, tuple(dict.fromkeys((self.init, *(t.dst for t in ts)))))
 
     @cached_attr
@@ -162,7 +154,6 @@ class _Facts(NamedTuple):
 
     uses: tuple           # per transition, the variables its guard and update use
     used: frozenset       # the variables its transitions use, bind or send
-    assigned: frozenset   # the variables its updates assign or its receives bind
     receives: frozenset   # the receive ports its transitions take
     holdable: tuple       # its initial location and every transition target
 
@@ -205,19 +196,18 @@ class CompositeSystem:
         ``_run``). Built on the first step from the components' facts and
         tables (``AtomicComponent._facts`` and ``_tables``, built here
         unless another system built them) and one pass over gamma: a
-        component id names its first position; a variable lives in the part
-        of the first position that declares it, with the initial value its
-        last declaration gives; a receive port's buffer lives in its
-        owner's part; a port's alternatives are those of its owner's
+        component id names its position; a receive port's buffer lives in
+        its owner's part; a port's alternatives are those of its owner's
         transitions on it; and each interaction becomes one send record
         and one send step per location its sender leaves on the send port.
         A send step is (rule, event, alternatives, sent variable,
         receivers, view, writes, cache): an asynchronous send's receivers
         are (component position, port id), a synchronous send's (component
         position, port id, bound variable, location -> alternatives on the
-        port); its event and record (the view of the parts it reads, shared
-        by sends that read the same ones, the positions it writes, the
-        sender's first and each once, and the cache) are its interaction's.
+        port); its event and record (the view of the parts it writes,
+        shared by sends that write the same ones, the positions it writes,
+        the sender's first and each once, and the cache) are its
+        interaction's.
 
         A system ``derive`` made from a parent that has stepped, with the
         parent's component ids and variables at every position, takes each
@@ -226,41 +216,36 @@ class CompositeSystem:
         position is dirty if its component's transitions, ports or initial
         location differ from the parent's (its end location does not
         count), if one of its sends has a receiver at such a position,
-        whose alternatives and reads it holds, or if the interactions it
-        sends differ from the parent's, in order. A clean position's steps
-        and send records are then the parent's to the letter. A rebuilt
+        whose alternatives it holds, or if the interactions it sends differ
+        from the parent's, in order. A clean position's steps and send
+        records are then the parent's to the letter. A rebuilt
         position has a table of parts of its own, so no cache entry whose
         key holds one of its parts can be one the parent made; every
         other entry follows from clean positions' parts and steps alone.
 
-        Raises ``EvalError`` where a part would have to hold another
-        position's variable or buffer, which ``check_structure`` reports."""
+        Raises ``EvalError`` where a component would read or write another's
+        part (see the module docstring), which ``check_structure`` reports."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
-        position = {}
-        for i, c in enumerate(components):
-            position.setdefault(c.id, i)
+        position, declared = {}, {}  # id -> its position; variable -> its declarer
         facts = [c._facts for c in components]
         tables = [c._tables for c in components]
-        owned = [vals for vals, _, _ in tables]
-        held = {}  # variable -> the first position that declares it
-        for i, vals in enumerate(owned):
-            if not held.keys().isdisjoint(vals):
-                for qname in [qname for qname in vals if qname in held]:
-                    owned[held[qname]] = owned[held[qname]].set(qname, vals[qname])
-                vals = owned[i] = Valuation({k: v for k, v in vals.items() if k not in held})
-            held.update(dict.fromkeys(vals, i))
-        for i, (c, own) in enumerate(zip(components, facts)):
-            if not own.assigned.issubset(owned[i]):
-                raise EvalError(f"{c.id} assigns "
-                                f"{', '.join(sorted(own.assigned.difference(owned[i])))}, "
-                                f"which it does not hold")
-            first = position[c.id] == i
+        for i, (c, own, (vals, _, _)) in enumerate(zip(components, facts, tables)):
+            if position.setdefault(c.id, i) != i:
+                raise EvalError(f"component {c.id} declared twice")
+            for qname in vals:
+                if declared.setdefault(qname, c.id) != c.id:
+                    raise EvalError(f"{c.id}: variable {qname} also declared "
+                                    f"by {declared[qname]}")
+            if not own.used.issubset(vals):
+                raise EvalError(f"{c.id}: transitions use "
+                                f"{', '.join(sorted(own.used.difference(vals)))}, "
+                                f"which {c.id} does not declare")
             for port in own.receives:
-                if not first or port.owner != c.id:
+                if port.owner != c.id:
                     raise EvalError(f"{c.id} receives on {port.pid}, "
                                     f"whose buffer it does not hold")
         dirty = range(len(components))
@@ -271,17 +256,14 @@ class CompositeSystem:
             changed = {i for i, (c, old) in enumerate(zip(components, parent.components))
                        if c is not old and (c.transitions, c.ports, c.init)
                        != (old.transitions, old.ports, old.init)}
-            # The ids that name a changed position: a send to one holds its
-            # alternatives and reads.
-            into = {c.id for c in components if position[c.id] in changed}
+            # The ids of the changed positions: a send to one holds its
+            # alternatives.
+            into = {components[i].id for i in changed}
             dirty = {i for i, (now, then) in enumerate(zip(sent, was))
                      if i in changed or now != then or into and any(
                          not into.isdisjoint([r.owner for r in inter.receivers])
                          for inter in now)}
-        # Per position, the positions it reads, itself included.
-        reads = [tuple(sorted({i, *[held[q] for q in own.used if q in held]}))
-                 for i, own in enumerate(facts)]
-        views = {}  # the positions a send reads -> their view
+        views = {}  # the positions a send writes -> their view
         sends = [{} for _ in components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
@@ -292,7 +274,7 @@ class CompositeSystem:
             for r in inter.receivers:
                 j = position.get(r.owner)
                 if j is None or snd.ctype == "ss" and (
-                        j == i or j in receiving or r.var.qname not in owned[j]._slots):
+                        j == i or j in receiving or r.var.qname not in tables[j][0]._slots):
                     raise EvalError(f"interaction on {snd.pid}: receiver {r.pid} "
                                     "has no part of its own")
                 receiving.append(j)
@@ -303,20 +285,19 @@ class CompositeSystem:
                              for j, r in zip(receiving, inter.receivers)])
             event = inter._event
             writes = tuple(dict.fromkeys((i, *receiving)))
-            readers = writes[:1] if snd.ctype == "as" else writes
-            at = tuple(sorted({*writes, *[k for j in readers for k in reads[j]]}))
+            at = tuple(sorted(writes))
             view = views.get(at) or views.setdefault(
-                at, View(at, [owned[j]._slots for j in at], at))
+                at, View(at, [tables[j][0]._slots for j in at], at))
             cache = {}
             for src, alts in tables[i][2].get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
                     (event.rules[0], event, alts, snd.var.qname, targets, view, writes, cache))
         positions = list(kept) if kept else [None] * len(components)
         for i in dirty:
-            own, at, sending, (_, local, _) = facts[i], reads[i], sends[i], tables[i]
-            pos = positions[i] = _Position(at, [owned[j]._slots for j in at])
+            own, sending, (vals, local, _) = facts[i], sends[i], tables[i]
+            pos = positions[i] = _Position()
             pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in own.holdable}
-            pos.initial = _part(pos, own.holdable[0], owned[i], ())
+            pos.initial = _part(pos, own.holdable[0], vals, ())
         return tuple(positions)
 
     @cached_attr
@@ -380,18 +361,16 @@ class _Part(Part):
         self.loc, self.queues = loc, queues
 
 
-class _Position(View):
-    """A component position's compiled semantics: the view of the parts it
-    reads, its static step table (``CompositeSystem._steps``), its table of
-    parts, its initial part and its cache of steps (see the module
-    docstring)."""
+class _Position:
+    """A component position's compiled semantics: its static step table
+    (``CompositeSystem._steps``), its table of parts, its initial part and
+    its cache of steps (see the module docstring)."""
 
     __slots__ = ("table", "parts", "initial", "steps")
 
-    def __init__(self, at: tuple, layouts: list):
-        super().__init__(at, layouts, at)
+    def __init__(self):
         self.parts = {}  # (location, values, buffers) -> the part
-        self.steps = {}  # the parts it reads -> the steps the component starts
+        self.steps = {}  # its part -> the steps the component starts
 
 
 # --------------------------------------------------------------------------
@@ -408,35 +387,34 @@ def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
     return pos.parts.setdefault((loc, vals._values, queues), _Part(loc, vals, queues))
 
 
-def _run(pos: _Position, i: int, part: _Part, sigma: Valuation) -> tuple:
-    """The steps of position ``i``'s table at its ``part``'s location whose
-    guards hold on ``sigma``, the valuation of the parts ``pos`` reads, as
-    (sends, local steps), each in table order. A local step is (event, new
-    part). A send is (event, the key of its view, its cache, the positions
-    it writes, static step, the sender's enabled alternatives), which
-    ``_fire`` looks up by the parts the send reads."""
-    split, queues = pos.split, part.queues
+def _run(pos: _Position, part: _Part) -> tuple:
+    """The steps of ``pos``'s table at its ``part``'s location whose guards
+    hold on ``part``, as (sends, local steps), each in table order. A local
+    step is (event, new part). A send is (event, the key of its view, its
+    cache, the positions it writes, static step, the sender's enabled
+    alternatives), which ``_fire`` looks up by the parts the send
+    writes."""
+    queues = part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
         rule = step[0]
         if rule == "internal":
             _, event, guard, update, dst = step
-            if guard is None or guard(sigma):
-                after = sigma if update is None else update(sigma)
-                steps.append((event, _part(pos, dst, split(after, i), queues)))
+            if guard is None or guard(part):
+                after = part if update is None else update(part)
+                steps.append((event, _part(pos, dst, after, queues)))
             continue
         if rule == "recv":
             _, event, guard, update, dst, pid, var = step
             queue = queues and find_queue(queues, pid)[1]
-            if queue and (guard is None or guard(sigma)):
-                after = sigma.set(var, queue[0])
+            if queue and (guard is None or guard(part)):
+                after = part.set(var, queue[0])
                 if update is not None:
                     after = update(after)
-                steps.append((event, _part(pos, dst, split(after, i),
-                                           requeue(queues, pid, pop=True))))
+                steps.append((event, _part(pos, dst, after, requeue(queues, pid, pop=True))))
             continue
         _, event, alts, _, _, view, writes, cache = step
-        enabled = [alt for alt in alts if alt[0] is None or alt[0](sigma)]
+        enabled = [alt for alt in alts if alt[0] is None or alt[0](part)]
         if enabled:
             sends.append((event, view.key, cache, writes, step, enabled))
     return tuple(sends), tuple(steps)
@@ -491,21 +469,20 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list, k
 
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
-    order, as (event, state): each component's steps from the parts it
-    reads (see ``_run``), a send's from the parts it reads (see
-    ``_rendezvous``). Each successor is one copy of ``parts``, a list
-    of the state's parts made for the first successor, into which a step
-    writes its new parts and from which it then restores the state's."""
+    order, as (event, state): each component's steps from its part (see
+    ``_run``), a send's from the parts it writes (see ``_rendezvous``).
+    Each successor is one copy of ``parts``, a list of the state's parts
+    made for the first successor, into which a step writes its new parts
+    and from which it then restores the state's."""
     positions = sys._steps
     out = []
     append = out.append
     parts = None
     for i in cis:
-        pos = positions[i]
-        key = state[i] if pos.one else pos.key(state)
-        steps = pos.steps.get(key)
+        pos, part = positions[i], state[i]
+        steps = pos.steps.get(part)
         if steps is None:
-            steps = pos.steps[key] = _run(pos, i, state[i], pos.merged(key))
+            steps = pos.steps[part] = _run(pos, part)
         sends, local = steps
         if parts is None and (sends or local):
             parts = list(state)
@@ -582,7 +559,7 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
 
     def report(code: str, message: str):
         diags.append(Diagnostic(code, message))
-    ids, all_ports = set(), {}
+    ids, all_ports, declared = set(), {}, {}  # declared: variable -> its first declarer
     for comp in sys.components:
         if comp.id in ids:
             report("duplicate-component", f"component {comp.id} declared twice")
@@ -591,6 +568,10 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
             if p.pid in all_ports:
                 report("duplicate-port", f"port {p.pid} declared twice")
             all_ports[p.pid] = p
+        for var, _ in comp.vars:
+            if declared.setdefault(var.qname, comp.id) != comp.id:
+                report("duplicate-var", f"{comp.id}: variable {var.qname} also declared "
+                                        f"by {declared[var.qname]}")
 
     wired = []  # the ports the transitions take, component by component
     for comp in sys.components:
@@ -710,16 +691,23 @@ def system_to_dot(sys: CompositeSystem) -> str:
 
     for i, comp in enumerate(sorted(sys.components, key=lambda c: c.id)):
         lines.append(f"  subgraph cluster_{i} {{")
-        lines.append(f'    label="{comp.id}";')
+        lines.append(f'    label={_dot_label(comp.id)};')
         for loc in sorted(comp.locations):
             shape = "doublecircle" if loc == comp.end else "circle"
             peripheries = ', style=bold' if loc == comp.init else ""
-            lines.append(f'    {loc_id(comp.id, loc)} [shape={shape}, label="{loc}"{peripheries}];')
+            lines.append(f'    {loc_id(comp.id, loc)} [shape={shape}, '
+                         f'label={_dot_label(loc)}{peripheries}];')
         for t in sorted(comp.transitions, key=lambda t: (t.src, _port_name(t.port), t.dst)):
             g = format_expr(t.guard, comp.id)
             lines.append(
                 f'    {loc_id(comp.id, t.src)} -> {loc_id(comp.id, t.dst)} '
-                f'[label="{_port_name(t.port)} [{g}]"];')
+                f'[label={_dot_label(f"{_port_name(t.port)} [{g}]")}];')
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_label(text: str) -> str:
+    """``text`` as a quoted DOT string: each backslash, then each double
+    quote, escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'

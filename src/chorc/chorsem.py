@@ -84,23 +84,6 @@ from .core import (
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, shared
 
-#: Rule names appearing in transition tags.
-CHOR_RULES = (
-    "nil",
-    "synch-sendrcv",
-    "asynch-sendrcv-1",
-    "asynch-sendrcv-2",
-    "master-branching",
-    "iterative-tt",
-    "iterative-ff",
-    "sequential-1",
-    "sequential-2",
-    "parallel-1",
-    "parallel-2",
-    "parallel-3",
-    "parallel-4",
-)
-
 #: The next term of a delivery and the next pool of a term step: what the
 #: step leaves as it is.
 _KEEP = object()

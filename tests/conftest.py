@@ -11,6 +11,24 @@ from chorc.parser import parse_source
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, "corpus")
 
+#: The choreography semantics' rule names, as the paper gives them: a frozen
+#: copy that the rules an exploration reports are checked against.
+CHOR_RULES = (
+    "nil",
+    "synch-sendrcv",
+    "asynch-sendrcv-1",
+    "asynch-sendrcv-2",
+    "master-branching",
+    "iterative-tt",
+    "iterative-ff",
+    "sequential-1",
+    "sequential-2",
+    "parallel-1",
+    "parallel-2",
+    "parallel-3",
+    "parallel-4",
+)
+
 
 def corpus_paths():
     paths = sorted(glob.glob(os.path.join(CORPUS, "*.chor")))

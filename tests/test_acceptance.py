@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from chorc.cbs import check_structure, sys_explore
-from chorc.chorsem import CHOR_RULES, explore
+from chorc.chorsem import explore
 from chorc.promela import (
     PromelaOptions, format_ltl, generate_promela, ltl_templates,
     validate_promela,
@@ -23,7 +23,7 @@ from chorc.verify import (
     MUTATIONS, equiv_check, invariant_suite, project, user_variables,
 )
 
-from conftest import ROOT, load_stem
+from conftest import CHOR_RULES, ROOT, load_stem
 
 LIMITS = dict(max_configs=200_000, max_depth=10_000)
 

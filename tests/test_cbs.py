@@ -10,6 +10,7 @@ import importlib.util
 import itertools
 import os
 import random
+import re
 import sys as python
 import weakref
 from typing import NamedTuple
@@ -18,20 +19,20 @@ import pytest
 
 from chorc import cbs
 from chorc.cbs import (
-    SYS_RULES, TAU, AtomicComponent, CompositeSystem, Interaction, SysState, Transition,
+    TAU, AtomicComponent, CompositeSystem, Interaction, SysState, Transition,
     check_structure, component_steps, is_terminal, serialize_system,
-    sys_explore, sys_steps_tagged,
+    sys_explore, sys_steps_tagged, system_to_dot,
 )
 from chorc.core import (
     SKIP, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Port, Ref, Update, Valuation, Variable,
-    explore_lts, find_queue, requeue,
+    cached_attr, explore_lts, find_queue, format_expr, requeue,
 )
 from chorc.parser import parse_source
 from chorc.sim import simulate
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
 
-from conftest import ROOT, apply_update, buffer, evaluate, load_stem
+from conftest import ROOT, apply_update, buffer, corpus_path, evaluate, load_stem
 from test_enumeration import DECLS, SAMPLE, SEED, declared_ports, terms
 
 
@@ -666,15 +667,25 @@ class TestDerivedSystems:
         assert_lts_matches_flat(other, "one more variable")
 
     def test_a_sender_rebuilds_with_its_receivers_alternatives(self):
-        # B's receive gets another update, and its sender A holds B's
-        # alternatives on B.r: both positions are rebuilt, and the mutant
-        # explores as a cold build of it does.
-        sys = foreign_receivers_system()
+        # B's receives get another update, and their sender A holds B's
+        # alternatives on B.r: both positions are rebuilt, C's is kept, and
+        # the mutant explores as a cold build of it does.
+        cz = var("C", "z")
+        c_r = port("C", "r", "r", cz)
+        a = component("A", [(AX, 2)], [AP_SS], [
+            Transition("a0", AP_SS, TRUE, INC_X, "a1"),
+            Transition("a1", AP_SS, TRUE, INC_X, "a2")], "a0", "a2")
+        b = component("B", [(BY, 0)], [BR], [
+            Transition("b0", BR, TRUE, Update((("B.y", BinOp("+", Ref("B.y"), Lit(1))),)), "b1"),
+            Transition("b1", BR, TRUE, SKIP, "b2")], "b0", "b2")
+        c = component("C", [(cz, 0)], [c_r], [
+            Transition("c0", c_r, TRUE, SKIP, "c1"),
+            Transition("c1", c_r, TRUE, SKIP, "c2")], "c0", "c2")
+        sys = CompositeSystem((a, b, c), (Interaction(AP_SS, (BR, c_r)),))
         first = assert_lts_matches_flat(sys, "parent")
-        b = sys.components[1]
-        mutant = sys.derive(components=(sys.components[0], dataclasses.replace(
+        mutant = sys.derive(components=(a, dataclasses.replace(
             b, transitions=tuple(dataclasses.replace(t, update=DBL_Y) for t in b.transitions)),
-            sys.components[2]))
+            c))
         assert rebuilt(mutant, sys) == [0, 1]
         res = assert_lts_matches_flat(mutant, "receiver changed")
         assert_same_lts(res, sys_explore(CompositeSystem(mutant.components, mutant.gamma)),
@@ -683,7 +694,7 @@ class TestDerivedSystems:
 
     def test_a_derived_system_raises_where_a_cold_one_does(self):
         # The parent steps; a mutant whose component assigns a variable it
-        # does not hold is refused as a cold build of it is.
+        # does not declare is refused as a cold build of it is.
         sys = TestCheckStructure().clean()
         sys_steps_tagged(sys, sys.initial_state())
         a = sys.components[0]
@@ -691,7 +702,8 @@ class TestDerivedSystems:
             dataclasses.replace(t, update=Update((("B.y", Lit(1)),))) for t in a.transitions)),
             *sys.components[1:]))
         for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
-            with pytest.raises(EvalError, match="A assigns B.y, which it does not hold"):
+            with pytest.raises(EvalError, match="A: transitions use B.y, which A does not "
+                                                "declare"):
                 twin.initial_state()
 
 
@@ -716,8 +728,8 @@ def component(cid, vars_, ports, transitions, init, end, locations=None):
 
 
 def foreign_guards_system():
-    """A's guards read B.z, and its update reads the variable B.r binds,
-    which the rendezvous sets before A's update runs."""
+    """A's guards read B.z, and its update reads the variable B.r binds:
+    A reads B's part."""
     bz = var("B", "z")
     b_int = port("B", "i", "in", bz)
     read_y = Update((("A.x", BinOp("+", Ref("A.x"), Ref("B.y"))),))
@@ -733,10 +745,8 @@ def foreign_guards_system():
 
 
 def foreign_receivers_system():
-    """B's first guard reads the sender's A.x, its second update the value
-    A's update leaves in A.x, and C's update the value B's update leaves in
-    B.y: each rendezvous runs in order payload, A's update, B's, then
-    C's."""
+    """B's guards and updates read the sender's A.x, and C's update reads
+    B.y: each receiver reads another component's part."""
     cz = var("C", "z")
     c_r = port("C", "r", "r", cz)
     add_x = Update((("B.y", BinOp("+", Ref("B.y"), Ref("A.x"))),))
@@ -755,8 +765,8 @@ def foreign_receivers_system():
 
 
 def duplicate_reader_system():
-    """Both A's declare A.x, which the first one holds, with the second
-    declaration's value; the second reads it through its guard."""
+    """Two components A, both declaring A.x; the second reads it through
+    its guard."""
     first = component("A", [(AX, 0)], [A_INT], [
         Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
     second = component("A", [(AX, 2)], [A_INT], [
@@ -835,45 +845,51 @@ class TestPartsAgainstFlat:
                 assert assert_mutants_match(sys, res, (name, profile)) > 0
 
     def test_guards_and_updates_that_read_other_components(self):
+        # A component reads only its own part: one whose guards and
+        # updates read B's variables is refused.
         sys = foreign_guards_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
-        res = assert_lts_matches_flat(sys, "foreign reads")
-        (final,) = res.finals
-        assert final["A.x"] == 4 and final["B.y"] == 2
+        with pytest.raises(EvalError, match="A: transitions use B.y, B.z, which A does not"):
+            sys_explore(sys)
 
     def test_receivers_that_read_other_components(self):
         sys = foreign_receivers_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
-        res = assert_lts_matches_flat(sys, "foreign receivers")
-        assert len(res.graph) == 3
-        (final,) = res.finals
-        assert (final["A.x"], final["B.y"], final["C.z"]) == (4, 7, 3)
+        with pytest.raises(EvalError, match="B: transitions use A.x, which B does not"):
+            sys_explore(sys)
 
     def test_duplicate_component_reading_the_shared_variable(self):
         sys = duplicate_reader_system()
-        res = assert_lts_matches_flat(sys, "duplicate reads")
-        assert len(res.graph) == 3 and len(res.terminals) == 1
+        assert "duplicate-component" in {d.code for d in check_structure(sys)}
+        with pytest.raises(EvalError, match="component A declared twice"):
+            sys_explore(sys)
         writer = component("A", [(AX, 0)], [A_INT], [
             Transition("a0", A_INT, TRUE, INC_X, "a1")], "a0", "a1")
-        with pytest.raises(EvalError, match="A.x"):
+        with pytest.raises(EvalError, match="component A declared twice"):
             sys_explore(CompositeSystem((sys.components[0], writer), ()))
 
-    @pytest.mark.parametrize("build", ["foreign_guards_system", "foreign_receivers_system",
-                                       "duplicate_reader_system"])
-    def test_foreign_reads_never_build_the_whole_valuation(self, monkeypatch, build):
-        # Each step reads only the parts its read set names, so exploring
-        # never asks a state for its global valuation.
-        sys = globals()[build]()
-        ref = flat_explore(sys)
+    @pytest.mark.parametrize("source", ["corpus", "interleave", "longchain"])
+    def test_steps_never_build_the_whole_valuation(self, monkeypatch, corpus, source):
+        # Each step reads only the parts it writes, so exploring never asks
+        # a state for its global valuation.
+        if source == "corpus":
+            chors = [(path, decl, ch) for path, decl, _, ch in corpus]
+        else:
+            decl, _, ch = parse_source(load_generator().GENERATORS[source](1).text)
+            chors = [(source, decl, ch)]
 
         def whole(state):
             raise AssertionError("a step read the whole state's valuation")
-        with monkeypatch.context() as patched:
-            patched.setattr(SysState, "sigma", property(whole))
-            res = sys_explore(sys)
-            states = [(s.locations, s.buffers) for s in res.graph]
-        assert states == [(s.locations, s.buffers) for s in ref.graph]
-        assert res.finals == ref.finals
+        for where, decl, ch in chors:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                ref = flat_explore(sys)
+                with monkeypatch.context() as patched:
+                    patched.setattr(SysState, "sigma", property(whole))
+                    res = sys_explore(sys)
+                    states = [(s.locations, s.buffers) for s in res.graph]
+                assert states == [(s.locations, s.buffers) for s in ref.graph], (where, profile)
+                assert res.finals == ref.finals, (where, profile)
 
     def test_asynchronous_send_to_its_own_port(self):
         az = var("A", "z")
@@ -1004,11 +1020,6 @@ class TestReferenceCounted:
                     gc.enable()
 
 
-class TestRuleNames:
-    def test_sys_rules_constant(self):
-        assert set(SYS_RULES) == {"synch-send", "asynch-send", "recv", "internal"}
-
-
 class TestExplore:
     def test_terminals_and_deadlocks(self):
         sys = make_sys(
@@ -1047,6 +1058,7 @@ def reference_structure_diagnostics(sys) -> list:
     diags = []
     ids = set()
     all_ports = {}
+    declarers = {}
     for comp in sys.components:
         if comp.id in ids:
             diags.append(("duplicate-component", f"component {comp.id} declared twice"))
@@ -1055,6 +1067,11 @@ def reference_structure_diagnostics(sys) -> list:
             if p.pid in all_ports:
                 diags.append(("duplicate-port", f"port {p.pid} declared twice"))
             all_ports[p.pid] = p
+        for var, _ in comp.vars:
+            first = declarers.setdefault(var.qname, comp.id)
+            if first != comp.id:
+                diags.append(("duplicate-var",
+                              f"{comp.id}: variable {var.qname} also declared by {first}"))
 
     for comp in sys.components:
         locs = set(comp.locations)
@@ -1155,6 +1172,32 @@ def structure_check_matches_reference(monkeypatch):
     return checked
 
 
+#: The structure diagnostics that a system the explorer refuses to compile
+#: shows: each says that a component would read or write another's part.
+REFUSAL_CODES = frozenset({"duplicate-component", "duplicate-var", "foreign-var",
+                           "foreign-port", "undeclared-var", "bad-interaction"})
+
+
+@pytest.fixture(autouse=True)
+def refusals_are_reported(monkeypatch):
+    """Every system this module's tests see the explorer refuse to compile,
+    hand-built or derived, is one that ``check_structure`` reports with one
+    of ``REFUSAL_CODES``; counts them."""
+    build = cbs.CompositeSystem.__dict__["_steps"].fn
+
+    def _steps(sys):  # ``cached_attr`` caches under the function's name
+        try:
+            return build(sys)
+        except EvalError:
+            codes = {d.code for d in check_structure(sys)}
+            assert codes & REFUSAL_CODES, codes
+            _steps.refused += 1
+            raise
+    _steps.refused = 0
+    monkeypatch.setattr(cbs.CompositeSystem, "_steps", cached_attr(_steps))
+    return _steps
+
+
 class TestStructureReference:
     """The structure check agrees with its frozen reference on every
     synthesized corpus system, every mutant of one and the enumeration's
@@ -1232,8 +1275,8 @@ class TestCheckStructure:
 
     def test_duplicate_component(self):
         # Two components A, each sending to B on its own port, which B
-        # takes either of: only the first A is the sender of A's
-        # interactions, so the second never sends, and p2 stays unfired.
+        # takes either of: the explorer refuses it, as the first A's part
+        # would be the second's too.
         p2 = port("A", "p2", "ss", AX)
         r2 = port("B", "r2", "r", BY)
         a1 = AtomicComponent("A", ((AX, 0),), (AP_SS,), ("a0", "a1"),
@@ -1248,11 +1291,21 @@ class TestCheckStructure:
         diags = check_structure(sys)
         assert [(d.code, d.message) for d in diags] == \
             [("duplicate-component", "component A declared twice")]
-        res = assert_steps_match_reference(sys, "duplicate")
-        assert {state.locations for state in res.graph} == \
-            {("a0", "a0", "b0"), ("a1", "a0", "b1")}
-        assert len(res.deadlocks) == 1
+        with pytest.raises(EvalError, match="component A declared twice"):
+            sys_explore(sys)
         assert check_structure(self.clean()) == []
+
+    def test_duplicate_variable(self, refusals_are_reported):
+        # B declares A.x, which A declares too: two parts would hold it.
+        b = AtomicComponent("B", ((BY, 0), (AX, 5)), (BR,), ("b0", "b1"),
+                            (Transition("b0", BR, TRUE, SKIP, "b1"),), "b0", "b1")
+        sys = CompositeSystem((self.clean().components[0], b), (Interaction(AP_SS, (BR,)),))
+        message = "B: variable A.x also declared by A"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("duplicate-var", message)]
+        with pytest.raises(EvalError, match=message):
+            sys_explore(sys)
+        assert refusals_are_reported.refused == 1
 
     def test_port_in_two_interactions(self):
         sys = make_sys(
@@ -1364,3 +1417,27 @@ class TestSerialize:
             [Transition("a0", None, TRUE, SKIP, "a1")],
             [], [], b_end="b0")
         assert "eps" in serialize_system(sys)
+
+
+#: A quoted DOT string, with its escapes.
+DOT_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+class TestDot:
+    @pytest.mark.parametrize("guard", ['msg == "ping"', 'msg != "a\\nb"'])
+    def test_labels_parse_back(self, guard):
+        # A guard's string literal keeps its quotes and escapes in the DOT
+        # text: each label reads back as the text it was made from.
+        with open(corpus_path("strings")) as fh:
+            text = fh.read()
+        decl, _, ch = parse_source(text.replace("A.p[true,", f"A.p[{guard},"))
+        sys = synthesize(decl, ch, "default")
+        dot = system_to_dot(sys)
+        labels = [re.sub(r"\\(.)", r"\1", label)
+                  for label in re.findall(r"label=" + DOT_STRING.pattern, dot)]
+        made = [f"{t.port.name if t.port else 'eps'} [{format_expr(t.guard, c.id)}]"
+                for c in sys.components for t in c.transitions]
+        assert sorted(labels) == sorted(
+            [c.id for c in sys.components] + [loc for c in sys.components for loc in c.locations]
+            + made)
+        assert any(guard in label for label in labels)

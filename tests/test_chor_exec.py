@@ -15,7 +15,7 @@ import pytest
 
 from chorc import chorsem
 from chorc.chorsem import (
-    CHOR_RULES, TAU, Running, chor_steps_tagged, explore,
+    TAU, Running, chor_steps_tagged, explore,
     initial_config, lts_to_dot,
 )
 from chorc.core import EvalError, Event, Valuation, explore_lts
@@ -24,7 +24,7 @@ from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import equiv_check
 
-from conftest import ROOT, generated, load_stem
+from conftest import CHOR_RULES, ROOT, generated, load_stem
 
 DECLS = """
 comp A {

@@ -1,7 +1,8 @@
 """Source hygiene of the ``chorc`` package, read with ``ast``: no module
 imports a name it does not use, every module-level private function or
-class is referenced somewhere in the package, every public one is read
-outside its own body in the package or the benchmark, every ``__slots__``
+class is referenced somewhere in the package, every public one, and every
+public name a module-level assignment binds, is read outside its own body
+in the package or the benchmark, every ``__slots__``
 entry is read somewhere in the package, every attribute a class stores is
 read in the package or the benchmark, no function matches with a literal
 pattern that ``re`` would look up again on every call, and no nested
@@ -76,17 +77,29 @@ def test_private_definitions_are_referenced():
 UNREAD_PUBLIC = {"lang.format_chor"}
 
 
+def _looked_up(node) -> bool:
+    """Whether ``node`` looks a package module up as the benchmark does:
+    ``chorc()["verify"]``."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and _named(node.value.func) == "chorc")
+
+
 def _imports(tree) -> set:
-    """The names that ``tree``'s imports bind."""
+    """The names that ``tree``'s imports bind, and those it binds to a
+    module it looks up (``m = chorc()["verify"]``)."""
     return {(alias.asname or alias.name).split(".")[0]
             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names}
+            for alias in node.names} | {
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _looked_up(node.value)
+        for target in node.targets if isinstance(target, ast.Name)}
 
 
 def _reads(node, imported: set) -> Counter:
     """How often each name is read under ``node``: as a name, or as an
-    attribute of an imported name (``lang.shape``, ``chorc.cli.main``), not
-    of any other value, so a field ``.participants`` reads no function
+    attribute of an imported name (``lang.shape``, ``chorc.cli.main``) or a
+    looked-up module (``chorc()["verify"].MUTATIONS``), not of any other
+    value, so a field ``.participants`` reads no function
     ``participants``."""
     reads = Counter()
     for sub in ast.walk(node):
@@ -96,26 +109,52 @@ def _reads(node, imported: set) -> Counter:
             base = sub.value
             while isinstance(base, ast.Attribute):
                 base = base.value
-            if isinstance(base, ast.Name) and base.id in imported:
+            if isinstance(base, ast.Name) and base.id in imported or _looked_up(base):
                 reads[sub.attr] += 1
     return reads
 
 
+def _bound(node) -> list:
+    """The names a module-level statement defines: a function's or class's,
+    or those an assignment binds, unpacked targets included."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name)]
+
+
 def test_public_definitions_are_read():
-    """A public module-level function or class is read outside its own
-    body somewhere in the package or the benchmark: one that only the
-    tests read goes, and its tests read what the code keeps."""
+    """A public module-level function, class or assigned name, such as a
+    constant, is read outside its own body somewhere in the package or the
+    benchmark: one that only the tests read goes, and its tests read what
+    the code keeps."""
     trees = {path: _tree(path) for path in MODULES + BENCH_MODULES}
     reads = sum((_reads(tree, _imports(tree)) for tree in trees.values()), Counter())
     unread = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path in MODULES
         for node in trees[path].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and reads[node.name] == _reads(node, _imports(trees[path]))[node.name]
+        for name in _bound(node)
+        if not name.startswith("_")
+        and reads[name] == _reads(node, _imports(trees[path]))[name]
     ]
     assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
+def test_bound_names_are_found():
+    tree = ast.parse("""
+def run(): pass
+class Box: pass
+LIMIT = 3
+A, (B, C) = 1, (2, 3)
+TABLE: dict = {}
+LIMIT += 1
+import os
+""")
+    assert [name for node in tree.body for name in _bound(node)] == [
+        "run", "Box", "LIMIT", "A", "B", "C", "TABLE"]
 
 
 def test_slots_are_read():
