@@ -45,17 +45,19 @@ one part per distinct (location, values, buffers). A state's joint
 
 A component reads and writes only its own part, so a position's
 (``_Position``) ``steps`` cache maps its part to the steps its component
-starts. A send record follows from the text, so it is built with its
-interaction: the view of the parts it writes, its sender's and its
-receivers', and one cache, shared by the sends from every location, that
-maps those parts to their new ones. An asynchronous send appends the
-payload to the receivers' buffers after its sender's update; a rendezvous
-checks every guard and buffer, then copies the payload to the receivers
-and runs the sender's update and then each receiver's, so an update runs,
-and may raise, only once it can fire. A system whose parts cannot be kept
-apart fails with ``EvalError`` when compiled: two components share an id
-or declare one variable, a component's transitions use, bind or send a
-variable it does not declare or receive on another's port, or a
+starts, and every guard and update of a send runs on its own component's
+part. A send record follows from the text, so it is built with its
+interaction: the positions it writes, its sender's and then its
+receivers', a key that picks their parts, and one cache, shared by the
+sends from every location, that maps those parts to their new ones. An
+asynchronous send appends the payload to the receivers' buffers after its
+sender's update; a rendezvous checks every receiver's buffer and guard,
+then runs the sender's update and, for each receiver in order, sets its
+bound variable to the payload and runs its update, so an update runs, and
+may raise, only once it can fire. A system whose parts cannot be kept
+apart fails with ``EvalError`` when compiled: two components share an id,
+a variable is declared twice, a component's transitions use, bind or
+send a variable it does not declare or receive on another's port, or a
 synchronous receiver has no part of its own.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
@@ -71,10 +73,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
-    TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation, View,
+    TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation,
     cached_attr, explore_lts, expr_vars, find_queue, format_expr, format_update, requeue,
     union_shared, update_vars,
 )
@@ -201,13 +204,12 @@ class CompositeSystem:
         transitions on it; and each interaction becomes one send record
         and one send step per location its sender leaves on the send port.
         A send step is (rule, event, alternatives, sent variable,
-        receivers, view, writes, cache): an asynchronous send's receivers
+        receivers, key, writes, cache): an asynchronous send's receivers
         are (component position, port id), a synchronous send's (component
         position, port id, bound variable, location -> alternatives on the
-        port); its event and record (the view of the parts it writes,
-        shared by sends that write the same ones, the positions it writes,
-        the sender's first and each once, and the cache) are its
-        interaction's.
+        port); its event and record (the positions it writes, the sender's
+        first and each once, the key that picks their parts from a state,
+        and the cache) are its interaction's.
 
         A system ``derive`` made from a parent that has stepped, with the
         parent's component ids and variables at every position, takes each
@@ -236,10 +238,12 @@ class CompositeSystem:
         for i, (c, own, (vals, _, _)) in enumerate(zip(components, facts, tables)):
             if position.setdefault(c.id, i) != i:
                 raise EvalError(f"component {c.id} declared twice")
-            for qname in vals:
-                if declared.setdefault(qname, c.id) != c.id:
-                    raise EvalError(f"{c.id}: variable {qname} also declared "
-                                    f"by {declared[qname]}")
+            for var, _ in c.vars:
+                first = declared.get(var.qname)
+                if first is not None:  # ids are unique so far: ``c.id`` means ``c``
+                    raise EvalError(f"{c.id}: variable {var.qname} " + (
+                        "declared twice" if first == c.id else f"also declared by {first}"))
+                declared[var.qname] = c.id
             if not own.used.issubset(vals):
                 raise EvalError(f"{c.id}: transitions use "
                                 f"{', '.join(sorted(own.used.difference(vals)))}, "
@@ -263,7 +267,6 @@ class CompositeSystem:
                      if i in changed or now != then or into and any(
                          not into.isdisjoint([r.owner for r in inter.receivers])
                          for inter in now)}
-        views = {}  # the positions a send writes -> their view
         sends = [{} for _ in components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
@@ -285,13 +288,10 @@ class CompositeSystem:
                              for j, r in zip(receiving, inter.receivers)])
             event = inter._event
             writes = tuple(dict.fromkeys((i, *receiving)))
-            at = tuple(sorted(writes))
-            view = views.get(at) or views.setdefault(
-                at, View(at, [tables[j][0]._slots for j in at], at))
-            cache = {}
+            key, cache = itemgetter(*writes), {}
             for src, alts in tables[i][2].get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
-                    (event.rules[0], event, alts, snd.var.qname, targets, view, writes, cache))
+                    (event.rules[0], event, alts, snd.var.qname, targets, key, writes, cache))
         positions = list(kept) if kept else [None] * len(components)
         for i in dirty:
             own, sending, (vals, local, _) = facts[i], sends[i], tables[i]
@@ -390,10 +390,9 @@ def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
 def _run(pos: _Position, part: _Part) -> tuple:
     """The steps of ``pos``'s table at its ``part``'s location whose guards
     hold on ``part``, as (sends, local steps), each in table order. A local
-    step is (event, new part). A send is (event, the key of its view, its
-    cache, the positions it writes, static step, the sender's enabled
-    alternatives), which ``_fire`` looks up by the parts the send
-    writes."""
+    step is (event, new part). A send is (event, its key, its cache, the
+    positions it writes, static step, the sender's enabled alternatives),
+    which ``_fire`` looks up by the parts the send writes."""
     queues = part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
@@ -413,57 +412,56 @@ def _run(pos: _Position, part: _Part) -> tuple:
                     after = update(after)
                 steps.append((event, _part(pos, dst, after, requeue(queues, pid, pop=True))))
             continue
-        _, event, alts, _, _, view, writes, cache = step
+        _, event, alts, _, _, key, writes, cache = step
         enabled = [alt for alt in alts if alt[0] is None or alt[0](part)]
         if enabled:
-            sends.append((event, view.key, cache, writes, step, enabled))
+            sends.append((event, key, cache, writes, step, enabled))
     return tuple(sends), tuple(steps)
 
 
-def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list, key) -> tuple:
+def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -> tuple:
     """How send ``step`` fires from ``state`` with its sender's ``enabled``
-    alternatives, run on the valuation of the parts ``key`` picked with its
-    view. Each way is a tuple of the new parts of the positions it writes.
-    An asynchronous send runs each alternative's update, then appends the
-    payload, the sent variable's value before the update, to each
-    receiver's buffer in order, in the part already written. A synchronous send checks the
-    receivers' buffers and guards first, then copies the payload to the
-    receivers and, for each choice of alternatives, runs the sender's
-    update, then the receivers' in order."""
-    rule, _, _, var, targets, view, writes, _ = step
-    sigma = view.merged(key)
+    alternatives, each guard and update run on its own component's part.
+    Each way is a tuple of the new parts of the positions it writes. The
+    payload is the sent variable's value before the update. An
+    asynchronous send runs each alternative's update, then appends the
+    payload to each receiver's buffer in order, in the part already
+    written. A synchronous send checks the receivers' buffers and guards
+    first, then, for each choice of alternatives, runs the sender's update
+    and, for each receiver in order, sets its bound variable to the
+    payload and runs its update."""
+    rule, _, _, var, targets, _, writes, _ = step
+    i = writes[0]
+    sender = state[i]
+    payload = sender[var]
     if rule == "asynch-send":
-        i, out = writes[0], []
-        afters = [sigma if update is None else update(sigma) for _, update, _ in enabled]
-        payload = (sigma[var],)
-        for after, (_, _, dst) in zip(afters, enabled):
-            new = {i: _part(positions[i], dst, view.split(after, i), state[i].queues)}
+        out = []
+        for _, update, dst in enabled:
+            after = sender if update is None else update(sender)
+            new = {i: _part(positions[i], dst, after, sender.queues)}
             for j, pid in targets:
                 part = new.get(j, state[j])
                 new[j] = _part(positions[j], part.loc, part,
-                               requeue(part.queues, pid, push=payload))
+                               requeue(part.queues, pid, push=(payload,)))
             out.append(tuple(new.values()))
         return tuple(out)
-    choices = []
-    for j, pid, _, by_loc in targets:
+    choices, received = [], []
+    for j, pid, bound, by_loc in targets:
         part = state[j]
         if part.queues and find_queue(part.queues, pid)[1]:
             return ()
-        got = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](sigma)]
+        got = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](part)]
         if not got:
             return ()
         choices.append(got)
-    payload = sigma[var]
-    for target in targets:
-        sigma = sigma.set(target[2], payload)
+        received.append(part.set(bound, payload))
     out = []
     for moves in product(enabled, *choices):
-        after = sigma
-        for _, update, _ in moves:
-            if update is not None:
-                after = update(after)
-        out.append(tuple([_part(positions[j], dst, view.split(after, j), state[j].queues)
-                          for j, (_, _, dst) in zip(writes, moves)]))
+        news = []
+        for j, vals, (_, update, dst) in zip(writes, (sender, *received), moves):
+            after = vals if update is None else update(vals)
+            news.append(_part(positions[j], dst, after, state[j].queues))
+        out.append(tuple(news))
     return tuple(out)
 
 
@@ -490,7 +488,7 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
             key = getter(state)
             fired = cache.get(key)
             if fired is None:
-                fired = cache[key] = _rendezvous(positions, state, step, enabled, key)
+                fired = cache[key] = _rendezvous(positions, state, step, enabled)
             if not fired:
                 continue
             if len(writes) == 2:  # one receiver, the common case
@@ -568,10 +566,14 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
             if p.pid in all_ports:
                 report("duplicate-port", f"port {p.pid} declared twice")
             all_ports[p.pid] = p
+        own = set()
         for var, _ in comp.vars:
-            if declared.setdefault(var.qname, comp.id) != comp.id:
+            if var.qname in own:
+                report("duplicate-var", f"{comp.id}: variable {var.qname} declared twice")
+            elif declared.setdefault(var.qname, comp.id) != comp.id:
                 report("duplicate-var", f"{comp.id}: variable {var.qname} also declared "
                                         f"by {declared[var.qname]}")
+            own.add(var.qname)
 
     wired = []  # the ports the transitions take, component by component
     for comp in sys.components:

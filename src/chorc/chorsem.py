@@ -20,18 +20,19 @@ Every step has one shape, (event, action, next term, next pool), with
 pushes its sends onto it, and a delivery keeps the term, since consuming a
 message in transit is an ordinary reduction. Each term is compiled once, on
 first use, into a step table kept on the term, one static step per way the
-term can move. An action (``_Action``) holds the step's guard and update as
-their compiled closures (see ``core``), None for ``true`` and skip, its
-residual receives, the variable it sends and its owners, the components
-whose pending entries hold it back: the owners of the moving ports, the
-master for a loop's exit, and nobody for ``nil`` or a delivery. A
-synchronous send becomes one update whose first assignments copy the sent
-value to the receivers; ``Seq`` and ``Par`` lift their operands' tables,
-sharing the actions, and ``Par`` reads once whether its operands are
-dependent (``lang.shared``). A residual receive is a ``Receipt``, one live
-object per (receive port, update), which keeps the delivery's event and,
-per delivered value, its action: assign the value to the port's variable,
-then run the update.
+term can move. An action (``_Action``) holds its initiator's guard as a
+compiled closure (see ``core``), None for ``true``, the variable it sends,
+its residual receives, its owners, the components whose pending entries
+hold it back (the owners of the moving ports, the master for a loop's
+exit, and nobody for ``nil`` or a delivery), and its moves: one per
+component whose variables it touches, initiator first, each that
+component's update, None for skip, and for a synchronous receiver the
+variable that takes the sent value first. ``Seq`` and ``Par`` lift their
+operands' tables, sharing the actions, and ``Par`` reads once whether its
+operands are dependent (``lang.shared``). A residual receive is a
+``Receipt``, one live object per (receive port, update), which keeps the
+delivery's event and, per delivered value, its action: assign the value to
+the port's variable, then run the update.
 
 Configuration layout. A configuration is stored as (term, parts, pool),
 partitioned as ``core`` describes: one part (``_Part``) per component,
@@ -44,15 +45,15 @@ hash-consed by value like terms (see ``core.Interned``), so equal
 configurations from two parses are equal tuples. ``sigma`` and ``pending``
 view the parts as one valuation and the pool as its queues.
 
-Caches. An action is its own view (``core.View``) in the frame it last
-ran in, laid out again, with empty caches, when it runs in another: it
-knows the parts it writes and keeps a cache from the parts it touches to
-its result, the new parts it writes and the payload it sends, or nothing
-if its guard fails, and one from (pool, payload) to the pool a send
-leaves. Actions live on the terms and receipts. The touched variables are
-read off the expressions, so a guard or update that reads another
-component's variable is served too. A step that assigns a variable the
-initial valuation does not bind raises ``EvalError``;
+Caches. An action is laid out in the frame it last ran in, and again,
+with empty caches, when it runs in another. It keeps a cache from the
+parts it touches to its result, the new parts it writes and the payload
+it sends, or nothing if its guard fails, and one from (pool, payload) to
+the pool a send leaves; on a miss each move runs on its own component's
+part. Actions live on the terms and receipts. Compiling a term raises
+``EvalError`` where a guard or update uses another component's variable
+or a synchronous receiver is the sender or another receiver, and a step
+that assigns a variable the initial valuation does not bind raises it;
 ``check_well_formed`` rejects such input.
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
@@ -79,8 +80,7 @@ from typing import Optional
 
 from .core import (
     SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Lit, Not, Part, Port,
-    Ref, Update, Valuation, View, cached_attr, explore_lts, expr_vars, interned, requeue,
-    update_vars,
+    Update, Valuation, cached_attr, explore_lts, expr_vars, interned, requeue, update_vars,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, shared
 
@@ -89,42 +89,37 @@ from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, shared
 _KEEP = object()
 
 
-class _Action(View):
-    """What a static step does, shared by its lifted copies (see the module
-    docstring), laid out in ``frame``, the frame it last ran in: the view
-    of the parts its guard, update and sent variable touch, ``writes``, the
-    indices of those the update writes, ``sole``, the index if there is
-    one, and its caches."""
+#: The key of an action that touches no part; what a component without one reads.
+_NO_PARTS, _NO_VALUES = itemgetter(slice(0, 0)), Valuation()
 
-    __slots__ = ("guard", "update", "sends", "var", "owners", "exprs", "frame", "writes",
+
+class _Action:
+    """What a static step does, shared by its lifted copies (see the module
+    docstring): its initiator's ``guard``, the ``var`` it sends and its
+    ``moves``, one (owner, received variable or None, update) per component
+    whose part it touches, initiator first. Laid out in ``frame``, ``at``
+    holds each move's part index, None if it has none, ``key`` picks the
+    parts, ``writes`` holds the indices of those it writes and ``sole`` the
+    index if there is one."""
+
+    __slots__ = ("guard", "var", "moves", "sends", "owners", "frame", "at", "key", "writes",
                  "sole", "cache", "pushes")
 
-    def __init__(self, guard, update: Update, sends: tuple, var: Optional[str],
-                 owners: frozenset):
+    def __init__(self, guard, var: Optional[str], moves: tuple, sends=(), owners=frozenset()):
         self.guard = None if guard is TRUE else guard.compiled
-        self.update = update.compiled if update.assignments else None
-        self.sends, self.var, self.owners = sends, var, owners
-        self.exprs, self.frame = (guard, update), None
+        self.moves = tuple([(owner, received, f.compiled if f.assignments else None)
+                            for owner, received, f in moves])
+        self.var, self.sends, self.owners, self.frame = var, sends, owners, None
 
     def lay_out(self, frame: _Frame):
         """Lay the action out in ``frame``, with empty caches."""
-        guard, update = self.exprs
-        part_of = frame.part_of.get
-        at = sorted(set(map(part_of, (*expr_vars(guard), *update_vars(update), self.var)))
-                    - {None})
-        self.writes = tuple(sorted(set(map(part_of, map(itemgetter(0), update.assignments)))
-                                   - {None}))
-        View.__init__(self, at, [frame.layouts[i] for i in at], self.writes)
+        at = self.at = tuple([frame.part_of.get(owner) for owner, _, _ in self.moves])
+        held = [i for i in at if i is not None]
+        self.key = itemgetter(*held) if held else _NO_PARTS
+        self.writes = tuple([i for i, (_, received, f) in zip(at, self.moves)
+                             if received is not None or f is not None])
         self.sole = self.writes[0] if len(self.writes) == 1 else None
         self.frame, self.cache, self.pushes = frame, {}, {}
-
-    def written(self, vals: Valuation, after: Valuation) -> tuple:
-        """The written parts of ``after``, an update of ``vals``."""
-        if after._slots is not vals._slots:
-            raise EvalError("assignment to a variable the initial valuation does not bind: "
-                            + ", ".join(sorted(set(after) - set(vals))))
-        news = [self.split(after, j) for j in self.writes]
-        return tuple([_part(v._slots, v._values) for v in news])
 
 
 class Receipt(Interned):
@@ -147,27 +142,27 @@ class Receipt(Interned):
         act = self.actions.get(value)
         if act is None:
             update = Update(((self.port.var.qname, Lit(value)),) + self.update.assignments)
-            act = self.actions[value] = _Action(TRUE, update, (), None, frozenset())
+            act = self.actions[value] = _Action(TRUE, None, ((self.port.owner, None, update),))
         return act
 
 
 class _Frame(Interned):
     """The layout of the parts of valuations over ``keys``, sorted: one
     part per run of keys with one owner. ``slots`` lays out the whole
-    valuation, ``layouts`` each part and ``part_of`` maps a key to its
-    part."""
+    valuation, ``layouts`` each part and ``part_of`` maps an owner to the
+    index of its part."""
 
     def __new__(cls, keys: tuple):
         ref = cls._nodes.get(keys)
         if ref is not None and ref() is not None:
             return ref()
-        layouts, part_of, last = [], {}, None
+        layouts, part_of = [], {}
         for k in keys:
             owner = k.partition(".")[0]
-            if owner != last:
+            if owner not in part_of:
+                part_of[owner] = len(layouts)
                 layouts.append({})
-                last = owner
-            layouts[-1][k], part_of[k] = len(layouts[-1]), len(layouts) - 1
+            layouts[-1][k] = len(layouts[-1])
         return interned(cls, keys, slots=dict(zip(keys, range(len(keys)))),
                         layouts=tuple(layouts), part_of=part_of)
 
@@ -261,13 +256,34 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _step(rule: str, ports: tuple, guard, update, nxt, sends=(), var=None,
-          owners=()) -> tuple:
+def _local(owner: Optional[str], guard, update: Update):
+    """Raise ``EvalError`` unless ``guard`` and ``update`` use only
+    ``owner``'s variables (``check_well_formed``'s ``locality``)."""
+    foreign = sorted([k for k in expr_vars(guard) | update_vars(update)
+                      if k.partition(".")[0] != owner])
+    if foreign:
+        raise EvalError(f"a step of {owner} uses another component's variable: "
+                        + ", ".join(foreign))
+
+
+def _step(rule: str, ports: tuple, owner: Optional[str], guard, update: Update, nxt,
+          var=None, receives=(), sends=()) -> tuple:
     """One static step of a term: its event, its ``_Action``, its next term
-    and ``_KEEP``. The action's owners are those of ``ports`` and any in
-    ``owners``."""
-    owners = frozenset([p.owner for p in ports]).union(owners)
-    return Event.of((rule,), ports), _Action(guard, update, sends, var, owners), nxt, _KEEP
+    and ``_KEEP``. ``owner``, None for ``nil``, starts it: under ``guard``
+    it runs ``update`` and sends ``var``, which each of a synchronous
+    send's ``receives``, (receive port, update) pairs, takes into the
+    port's variable before its update. Raises ``EvalError`` where
+    ``_local`` does, or where a receiver is the sender or another receiver
+    (``check_well_formed``'s ``distinct-receivers``)."""
+    _local(owner, guard, update)
+    moves = [(owner, None, update)] if var or expr_vars(guard) or update.assignments else []
+    for r, f in receives:  # ``var`` is set, so the sender moves first
+        _local(r.owner, TRUE, f)
+        if r.owner in [other for other, _, _ in moves]:
+            raise EvalError(f"component {r.owner} occurs twice in one communication")
+        moves.append((r.owner, r.var.qname, f))
+    owners = frozenset([p.owner for p in ports] + [owner] * (owner is not None))
+    return Event.of((rule,), ports), _Action(guard, var, tuple(moves), sends, owners), nxt, _KEEP
 
 
 def _steps(term: Chor) -> tuple:
@@ -297,41 +313,37 @@ def _compile(term: Chor) -> tuple:
     the step terminates the term. An asynchronous send's action lists its
     residual receives as (receiving component, receipt)."""
     if isinstance(term, Nil):
-        return (_step("nil", (), TRUE, SKIP, None),)
+        return (_step("nil", (), None, TRUE, SKIP, None),)
 
     if isinstance(term, Comm):
-        snd = term.send.port
+        gs, snd = term.send, term.send.port
         if snd.ctype == "ss":
-            # The transfer comes first, then the sender's update, then the
-            # receivers' in order.
-            assignments = []
             for r, _ in term.rcvs:
                 if r.dtype != snd.dtype:
                     raise TypeError(f"transfer dtype mismatch: "
                                     f"{snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
-                assignments.append((r.var.qname, Ref(snd.var.qname)))
-            assignments += term.send.update.assignments
-            for _, f in term.rcvs:
-                assignments += f.assignments
             ports = (snd,) + tuple(r for r, _ in term.rcvs)
-            return (_step("synch-sendrcv", ports, term.send.guard,
-                          Update(tuple(assignments)), None),)
+            return (_step("synch-sendrcv", ports, snd.owner, gs.guard, gs.update, None,
+                          snd.var.qname, receives=term.rcvs),)
+        for r, f in term.rcvs:
+            _local(r.owner, TRUE, f)
         sends = tuple((r.owner, Receipt(r, f)) for r, f in term.rcvs)
-        return (_step("asynch-sendrcv-1", (snd,), term.send.guard, term.send.update, None,
-                      sends, snd.var.qname),)
+        return (_step("asynch-sendrcv-1", (snd,), snd.owner, gs.guard, gs.update, None,
+                      snd.var.qname, sends=sends),)
 
     if isinstance(term, Branch):
         return tuple(
-            _step("master-branching", (gs.port,), gs.guard, gs.update, cont)
+            _step("master-branching", (gs.port,), gs.port.owner, gs.guard, gs.update, cont)
             for gs, cont in term.conts
         )
 
     if isinstance(term, Loop):
         cond = term.cond
+        owner = cond.port.owner
         return (
-            _step("iterative-tt", (cond.port,), cond.guard, cond.update,
+            _step("iterative-tt", (cond.port,), owner, cond.guard, cond.update,
                   Seq(term.body, term)),
-            _step("iterative-ff", (), Not(cond.guard), SKIP, None, owners=(cond.port.owner,)),
+            _step("iterative-ff", (), owner, Not(cond.guard), SKIP, None),
         )
 
     if isinstance(term, Seq):
@@ -361,14 +373,27 @@ def _splice(parts: tuple, act: _Action, news: tuple) -> tuple:
     return tuple(out)
 
 
-def _run(act: _Action, key) -> tuple:
-    """``act`` on the parts ``key`` picked: () if its guard fails, else
-    the parts it writes and the payload, read before the update."""
-    vals = act.merged(key)
-    if act.guard is not None and not act.guard(vals):
+def _run(act: _Action, parts: tuple) -> tuple:
+    """``act`` on a configuration's ``parts``, each move on its own
+    component's part: () if the guard fails, else the new parts it writes,
+    in the order of ``writes``, and the payload, the sent variable's value
+    before the update."""
+    vals = [_NO_VALUES if i is None else parts[i] for i in act.at]
+    if act.guard is not None and not act.guard(vals[0] if vals else _NO_VALUES):
         return ()
-    payload = vals[act.var] if act.sends else None
-    return act.written(vals, vals if act.update is None else act.update(vals)), payload
+    payload = None if act.var is None else vals[0][act.var]
+    news = []
+    for part, (_, received, update) in zip(vals, act.moves):
+        if received is None and update is None:
+            continue
+        after = part if received is None else part.set(received, payload)
+        if update is not None:
+            after = update(after)
+        if after._slots is not part._slots:
+            raise EvalError("assignment to a variable the initial valuation does not bind: "
+                            + ", ".join(sorted(set(after) - set(part))))
+        news.append(_part(after._slots, after._values))
+    return tuple(news), payload
 
 
 def _push(act: _Action, pool: _Pool, payload) -> _Pool:
@@ -407,7 +432,7 @@ def chor_steps_tagged(config: Running):
         k = act.key(parts)
         res = act.cache.get(k)
         if res is None:
-            res = act.cache[k] = _run(act, k)
+            res = act.cache[k] = _run(act, parts)
         if not res:
             continue
         news, payload = res

@@ -14,9 +14,7 @@ A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
 constructor and shared by every valuation derived from it by ``set``, so a
 derived valuation costs one tuple splice per assignment rather than a dict
-copy and a sort. A synchronous transfer is no special case: the
-choreography's step tables express it as leading ``receiver := sender``
-assignments of an ``Update``.
+copy and a sort.
 
 An expression or update compiles itself, on first use, into a closure over
 a valuation, kept on the instance as ``compiled``: a tree of closures that
@@ -40,9 +38,8 @@ reads and writes is known from the text (Meijer, Kant, Blom & van de Pol,
 "Read, write and copy dependencies for symbolic model checking", HVC
 2014), so its cache is keyed by the parts it reads, the part alone where
 that is all (Blom, van de Pol & Weber, "LTSmin", CAV 2010), and a miss
-runs the compiled closures on those parts only. A ``View`` is that
-decision: its ``key`` picks the parts, ``merged`` lays their values side
-by side and ``split`` cuts a written part's values back out.
+runs each component's compiled closures on that component's part: no
+step lays several parts out as one valuation.
 
 ``explore_lts`` is the one breadth-first explorer: the choreography
 semantics (``chorsem.explore``) and the component-system semantics
@@ -426,47 +423,6 @@ class Part(Valuation):
 
     __slots__ = ()
     __hash__, __eq__ = object.__hash__, object.__eq__
-
-
-#: The key and layout of a view over no part, shared and never written.
-_NO_PARTS, _NO_SLOTS = operator.itemgetter(slice(0, 0)), {}
-
-
-class View:
-    """The parts at indices ``at`` of a partitioned state seen as one
-    valuation (see the module docstring), for a step that writes those in
-    ``writes``; ``layouts`` are their layouts, in the order of ``at``.
-    ``key`` picks the parts from a state's: the part itself if ``one``,
-    else a tuple. Over several parts, ``slots`` lays their values side by
-    side and ``spans`` finds each written part's among them."""
-
-    __slots__ = ("key", "one", "slots", "spans")
-
-    def __init__(self, at, layouts, writes):
-        self.key = operator.itemgetter(*at) if at else _NO_PARTS
-        self.one, self.slots, self.spans = len(at) == 1, _NO_SLOTS, None
-        if len(at) > 1:
-            self.slots, self.spans = {}, {}
-            for j, layout in zip(at, layouts):
-                n = len(self.slots)
-                self.slots.update(zip(layout, range(n, n + len(layout))))
-                if j in writes:
-                    self.spans[j] = (layout, n, len(self.slots))
-
-    def merged(self, key) -> Valuation:
-        """The valuation of the parts ``key`` picked, laid out in their
-        order rather than in sorted key order: it is for closures to read
-        and update, and never to compare with a sorted valuation."""
-        if self.one:
-            return key
-        return Valuation.over(self.slots, sum([part._values for part in key], ()))
-
-    def split(self, after: Valuation, j: int) -> Valuation:
-        """Part ``j``'s valuation in ``after``, an update of a merged one."""
-        if self.one:
-            return after
-        layout, start, stop = self.spans[j]
-        return Valuation.over(layout, after._values[start:stop])
 
 
 # --------------------------------------------------------------------------

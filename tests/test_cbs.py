@@ -411,6 +411,26 @@ def flat_explore(sys, max_configs=200_000, max_depth=10_000):
                        terminal, max_configs, max_depth)
 
 
+@pytest.fixture(scope="session")
+def generated_reference():
+    """``reference(name, profile)``: a system that has not stepped, built
+    from the components and interactions of the one synthesized from the
+    generator ``name``'s seed-1 input under ``profile``, so that its events
+    are the reference's, and that system's flat exploration, made once per
+    session: the generated systems are the largest explored flat, and two
+    tests compare with each."""
+    made = {}
+
+    def reference(name, profile):
+        if (name, profile) not in made:
+            decl, _, ch = parse_source(load_generator().GENERATORS[name](1).text)
+            sys = synthesize(decl, ch, profile)
+            made[name, profile] = sys, flat_explore(sys)
+        sys, ref = made[name, profile]
+        return CompositeSystem(sys.components, sys.gamma), ref
+    return reference
+
+
 def memo_flat():
     """``flat``, computed once per state."""
     views = {}
@@ -423,13 +443,16 @@ def memo_flat():
     return view
 
 
-def assert_lts_matches_flat(sys, where, view=None, **limits):
+def assert_lts_matches_flat(sys, where, view=None, ref=None, **limits):
     """``sys_explore`` and the flat explorer reach the same LTS, through the
     views: the same stored states in the same order, the same edges in the
     same order with the very same event objects, edges to stored states in
     the same places, and the same terminals, deadlocks and truncation.
-    Returns the exploration."""
-    res, ref = sys_explore(sys, **limits), flat_explore(sys, **limits)
+    ``ref``, if given, is the flat exploration under ``limits``, made on a
+    system with the same components and interactions. Returns the
+    exploration."""
+    res = sys_explore(sys, **limits)
+    ref = ref or flat_explore(sys, **limits)
     view = view or memo_flat()
 
     assert view(res.states[0]) == ref.states[0], where
@@ -831,13 +854,11 @@ class TestPartsAgainstFlat:
         assert shared > 17 * 2
 
     @pytest.mark.parametrize("name", ["interleave", "longchain"])
-    def test_generated(self, name):
+    def test_generated(self, name, generated_reference):
         # Two buffers filled at once, and receivers the corpus lacks.
-        gen = load_generator()
-        decl, _, ch = parse_source(gen.GENERATORS[name](1).text)
         for profile in PROFILES:
-            sys = synthesize(decl, ch, profile)
-            res = assert_lts_matches_flat(sys, (name, profile))
+            sys, ref = generated_reference(name, profile)
+            res = assert_lts_matches_flat(sys, (name, profile), ref=ref)
             assert not res.deadlocks and not res.truncated
             if name == "interleave":
                 assert max(len(s.buffers) for s in res.graph) == 2
@@ -869,27 +890,29 @@ class TestPartsAgainstFlat:
             sys_explore(CompositeSystem((sys.components[0], writer), ()))
 
     @pytest.mark.parametrize("source", ["corpus", "interleave", "longchain"])
-    def test_steps_never_build_the_whole_valuation(self, monkeypatch, corpus, source):
-        # Each step reads only the parts it writes, so exploring never asks
-        # a state for its global valuation.
+    def test_steps_never_build_the_whole_valuation(self, monkeypatch, corpus, source,
+                                                   generated_reference):
+        # Each guard and update runs on its own component's part, so
+        # exploring never asks a state for its global valuation, nor lays
+        # several parts out as one valuation.
         if source == "corpus":
-            chors = [(path, decl, ch) for path, decl, _, ch in corpus]
+            systems = [((path, profile), synthesize(decl, ch, profile))
+                       for path, decl, _, ch in corpus for profile in PROFILES]
+            systems = [(where, sys, flat_explore(sys)) for where, sys in systems]
         else:
-            decl, _, ch = parse_source(load_generator().GENERATORS[source](1).text)
-            chors = [(source, decl, ch)]
+            systems = [((source, profile), *generated_reference(source, profile))
+                       for profile in PROFILES]
 
-        def whole(state):
-            raise AssertionError("a step read the whole state's valuation")
-        for where, decl, ch in chors:
-            for profile in PROFILES:
-                sys = synthesize(decl, ch, profile)
-                ref = flat_explore(sys)
-                with monkeypatch.context() as patched:
-                    patched.setattr(SysState, "sigma", property(whole))
-                    res = sys_explore(sys)
-                    states = [(s.locations, s.buffers) for s in res.graph]
-                assert states == [(s.locations, s.buffers) for s in ref.graph], (where, profile)
-                assert res.finals == ref.finals, (where, profile)
+        def whole(*args):
+            raise AssertionError("a step read or built a valuation of several parts")
+        for where, sys, ref in systems:
+            with monkeypatch.context() as patched:
+                patched.setattr(SysState, "sigma", property(whole))
+                patched.setattr(Valuation, "over", classmethod(whole))
+                res = sys_explore(sys)
+                states = [(s.locations, s.buffers) for s in res.graph]
+            assert states == [(s.locations, s.buffers) for s in ref.graph], where
+            assert res.finals == ref.finals, where
 
     def test_asynchronous_send_to_its_own_port(self):
         az = var("A", "z")
@@ -1067,11 +1090,15 @@ def reference_structure_diagnostics(sys) -> list:
             if p.pid in all_ports:
                 diags.append(("duplicate-port", f"port {p.pid} declared twice"))
             all_ports[p.pid] = p
+        own = []
         for var, _ in comp.vars:
             first = declarers.setdefault(var.qname, comp.id)
-            if first != comp.id:
+            if var.qname in own:
+                diags.append(("duplicate-var", f"{comp.id}: variable {var.qname} declared twice"))
+            elif first != comp.id:
                 diags.append(("duplicate-var",
                               f"{comp.id}: variable {var.qname} also declared by {first}"))
+            own.append(var.qname)
 
     for comp in sys.components:
         locs = set(comp.locations)
@@ -1301,6 +1328,18 @@ class TestCheckStructure:
                             (Transition("b0", BR, TRUE, SKIP, "b1"),), "b0", "b1")
         sys = CompositeSystem((self.clean().components[0], b), (Interaction(AP_SS, (BR,)),))
         message = "B: variable A.x also declared by A"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("duplicate-var", message)]
+        with pytest.raises(EvalError, match=message):
+            sys_explore(sys)
+        assert refusals_are_reported.refused == 1
+
+    def test_variable_declared_twice_by_one_component(self, refusals_are_reported):
+        # A declares A.x twice, with two initial values: one part cannot
+        # hold both.
+        a = AtomicComponent("A", ((AX, 1), (AX, 7)), (), ("a0",), (), "a0", "a0")
+        sys = CompositeSystem((a,), ())
+        message = "A: variable A.x declared twice"
         assert [(d.code, d.message) for d in check_structure(sys)] == [
             ("duplicate-var", message)]
         with pytest.raises(EvalError, match=message):

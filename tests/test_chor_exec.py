@@ -565,9 +565,9 @@ class FlatRunning(NamedTuple):
     pending: tuple = ()
 
 
-def movers(term, rules):
-    """The components that act in the step of ``term`` that ``rules``
-    derives: read off the term that the rule path leads to."""
+def leaf(term, rules):
+    """The subterm of ``term`` that moves in the step that ``rules``
+    derives: the term that the rule path leads to."""
     for rule in rules[:-1]:
         if rule in ("sequential-1", "sequential-2"):
             term = term.first
@@ -575,7 +575,12 @@ def movers(term, rules):
             term = term.left
         else:
             term = term.right
-    rule = rules[-1]
+    return term
+
+
+def movers(term, rule):
+    """The components that act in the step by ``rule`` of ``term``, a
+    ``leaf``."""
     if rule == "nil":
         return set()
     if rule == "synch-sendrcv":
@@ -588,35 +593,62 @@ def movers(term, rules):
     return {term.cond.port.owner}
 
 
+def run(f, sigma):
+    """Apply update ``f`` to ``sigma``, an assignment at a time."""
+    for target, rhs in f.assignments:
+        sigma = sigma.set(target, rhs.compiled(sigma))
+    return sigma
+
+
 def flat_chor_steps(config):
     """The successor function on flat configurations, as it was before
     configurations were split: every guard and update runs on the global
     valuation, uncached. The pool holds one FIFO queue per receiving
     component, sorted by component; a component with a pending entry only
-    consumes its oldest one, and no term step it acts in fires. It reads
-    the same static step tables, so its edges carry the same event
-    objects."""
+    consumes its oldest one, and no term step it acts in fires. Each step's
+    guard, transfer, updates and residual receives are read off the term
+    that its rule path leads to; a choice's arm is the k-th step with its
+    rules, since a choice's arms lift alike. Only the event, which its
+    edges share, and the next term are taken from the static step table."""
     term, sigma, pending = config
     out = []
     for i, (comp, queue) in enumerate(pending):
         receipt, value = queue[0]
-        after = sigma.set(receipt.port.var.qname, value)
-        for target, rhs in receipt.update.assignments:
-            after = after.set(target, rhs.compiled(after))
+        after = run(receipt.update, sigma.set(receipt.port.var.qname, value))
         rest = pending[:i] + ((comp, queue[1:]),) * (len(queue) > 1) + pending[i + 1:]
         out.append((receipt.event, FlatRunning(term, after, rest)))
     if term is not None:
         waiting = {comp for comp, _ in pending}
-        for event, act, nxt, _ in chorsem._steps(term):
-            if movers(term, event.rules) & waiting:
-                continue
-            if act.guard is not None and not act.guard(sigma):
+        arms = {}
+        for event, _, nxt, _ in chorsem._steps(term):
+            node, rule = leaf(term, event.rules), event.rules[-1]
+            k = arms[event.rules] = arms.get(event.rules, -1) + 1
+            if movers(node, rule) & waiting:
                 continue
             queues = dict(pending)
-            for _, receipt in act.sends:
-                comp = receipt.port.owner
-                queues[comp] = queues.get(comp, ()) + ((receipt, sigma[act.var]),)
-            after = sigma if act.update is None else act.update(sigma)
+            if rule == "nil":
+                after = sigma
+            elif rule in ("synch-sendrcv", "asynch-sendrcv-1"):
+                gs = node.send
+                if not gs.guard.compiled(sigma):
+                    continue
+                payload = sigma[gs.port.var.qname]
+                if rule == "asynch-sendrcv-1":
+                    after = run(gs.update, sigma)
+                    for port, f in node.rcvs:
+                        queues[port.owner] = queues.get(port.owner, ()) + (
+                            (chorsem.Receipt(port, f), payload),)
+                else:  # the transfer, the sender's update, the receivers'
+                    after = sigma
+                    for port, _ in node.rcvs:
+                        after = after.set(port.var.qname, payload)
+                    for f in (gs.update, *[f for _, f in node.rcvs]):
+                        after = run(f, after)
+            else:
+                gs = node.conts[k][0] if rule == "master-branching" else node.cond
+                if bool(gs.guard.compiled(sigma)) == (rule == "iterative-ff"):
+                    continue
+                after = sigma if rule == "iterative-ff" else run(gs.update, sigma)
             queues = tuple(sorted(queues.items()))
             out.append((event, FlatRunning(nxt, after, queues)))
     return out
@@ -647,7 +679,7 @@ def assert_same_lts(res, flat, what):
 
 
 #: Receive updates and guards that read another component's variable, which
-#: ``check_well_formed`` rejects and the semantics runs all the same.
+#: ``check_well_formed`` rejects and the semantics refuses.
 FOREIGN = [
     "A.a -> { B.r[y := C.z + 1] } ; D.s[true, w := w + 2] -> { C.r } ; "
     "A.a -> { B.r[y := y + C.z] }",
@@ -655,6 +687,13 @@ FOREIGN = [
     "while (B.d[y < 3, y := y + 1]) { B.s -> { C.r[z := z + A.x] } }",
     "while (A.p[x < 4 and C.z == 0, x := x + 1]) { A.a -> { C.r[z := A.x - z] } ; "
     "D.s[true, w := w + C.z] -> { C.r[z := 0] } }",
+    # One kind of step each: a synchronous and an asynchronous receiver, a
+    # sender, a choice arm and a loop's test.
+    "A.p -> { B.r, C.r[z := z + B.y] }",
+    "A.a -> { B.r, C.r[z := A.x] }",
+    "A.p[true, x := D.w + C.z] -> { B.r }",
+    "choice A { A.d[B.c] => nil | A.d => nil }",
+    "while (D.s[w < C.z]) { D.s -> { C.r } }",
 ]
 
 #: Division and modulo by zero, reached only after some steps.
@@ -686,14 +725,51 @@ class TestFlatOracle:
         assert_same_lts(explore(ch, sigma, max_configs=100),
                         flat_explore(ch, sigma, max_configs=100), name)
 
+    @pytest.mark.parametrize("source", ["corpus", "interleave", "longchain"])
+    def test_steps_never_merge_parts(self, monkeypatch, corpus, source):
+        """Each move runs on its own component's part, so exploring never
+        lays several parts out as one valuation. An unread variable of a
+        component no term names gives every action a frame of its own, in
+        which it is laid out again with empty caches, so every step runs."""
+        if source == "corpus":
+            chors = [(path, decl, ch) for path, decl, _, ch in corpus]
+        else:
+            decl, _, ch = parse_source(generated(source, 1))
+            chors = [(source, decl, ch)]
+
+        def merged(*args):
+            raise AssertionError("a step laid several parts out as one valuation")
+        for where, decl, ch in chors:
+            sigma = decl.initial_valuation().set("Unnamed.probe", 0)
+            with monkeypatch.context() as patched:
+                patched.setattr(Valuation, "over", classmethod(merged))
+                res = explore(ch, sigma)
+            assert_same_lts(res, flat_explore(ch, sigma), where)
+            assert res.finals, where
+
+    def test_synchronous_receivers_must_be_distinct(self):
+        """A receiver that is the sender or another receiver is refused, as
+        ``distinct-receivers`` reports."""
+        for body, owner in (("A.p -> { B.r, C.r, B.r }", "B"), ("D.s -> { C.r, D.r }", "D")):
+            decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
+            assert [d.code for d in check_well_formed(decl, ch)] == ["distinct-receivers"]
+            with pytest.raises(EvalError, match=f"component {owner} occurs twice in one "):
+                explore(ch, decl.initial_valuation())
+
     @pytest.mark.parametrize("body", FOREIGN)
     def test_foreign_reads(self, body):
+        """Exploring raises ``EvalError`` naming a component and a foreign
+        variable it uses, as a ``locality`` diagnostic does."""
         decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
-        assert any(d.code == "locality" for d in check_well_formed(decl, ch))
-        sigma = decl.initial_valuation()
-        res = explore(ch, sigma)
-        assert len(res.graph) > 5 and res.terminals
-        assert_same_lts(res, flat_explore(ch, sigma), body)
+        reported = set(re.findall(r"on component (\S+) uses foreign variable (\S+)",
+                                  "\n".join(d.message for d in check_well_formed(decl, ch)
+                                            if d.code == "locality")))
+        assert reported
+        with pytest.raises(EvalError, match="uses another component's variable: ") as err:
+            explore(ch, decl.initial_valuation())
+        owner, names = re.fullmatch(r"a step of (\S+) uses another component's variable: (.+)",
+                                    str(err.value)).groups()
+        assert {(owner, name) for name in names.split(", ")} <= reported
 
     def test_one_receiver_takes_many_values(self):
         """Deliveries that differ only in their value each get their own
@@ -707,7 +783,7 @@ class TestFlatOracle:
         with the same actions; each action is laid out again in the frame
         it runs in. The extra component ``Ab`` sorts between ``A`` and
         ``B``, so every later component's part moves."""
-        body = ("while (A.d[x < 4, x := x + 1]) { A.a -> { B.r[y := y + C.z] } } || "
+        body = ("while (A.d[x < 4, x := x + 1]) { A.a -> { B.r[y := y + 1] } } || "
                 "D.s[true, w := w + 2] -> { C.r[z := z + 1] }")
         extra = "comp Ab { var v: int = 5; port r: r of int binds v; }\n"
         frames, terms = [], []

@@ -16,7 +16,7 @@ from chorc import cbs, chorsem
 from chorc.cbs import component_steps, sys_explore
 from chorc.core import (
     BINARY_OPS, FALSE, SKIP, TAU, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Part, Port,
-    Ref, Update, Valuation, Variable, View, default_value, explore_lts, expr_vars, format_expr,
+    Ref, Update, Valuation, Variable, default_value, explore_lts, expr_vars, format_expr,
     format_update, infer_type, update_vars, value_dtype,
 )
 from chorc.lang import Branch, Comm, GuardedSend, Loop, Nil, Par, Seq
@@ -101,52 +101,10 @@ class TestValuation:
             sigma["b"]
 
 
-#: The parts of a partitioned state, one per component.
-PARTS = (Valuation({"A.x": 1, "A.y": 2}), Valuation({"B.z": 3}),
-         Valuation({"C.u": 4, "C.v": 5}), Valuation({"D.w": 6}))
-
-
-def part_view(at):
-    """A view of ``PARTS`` that writes every part it picks."""
-    return View(at, [PARTS[j]._slots for j in at], at)
-
-
 def subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
         yield from subclasses(sub)
-
-
-class TestView:
-    @pytest.mark.parametrize("at", [(), (2,), (0, 2, 3)])
-    def test_merged_binds_the_picked_parts(self, at):
-        view = part_view(at)
-        merged = view.merged(view.key(PARTS))
-        assert dict(merged) == {k: x for j in at for k, x in PARTS[j].items()}
-        for j in at:
-            for k in PARTS[j]:
-                after = merged.set(k, 9)
-                for i in at:
-                    expected = {**PARTS[i], k: 9} if i == j else dict(PARTS[i])
-                    assert dict(view.split(after, i)) == expected, (at, j, k, i)
-
-    def test_one_part_is_passed_through(self):
-        view = part_view((1,))
-        assert view.one and view.key(PARTS) is PARTS[1]
-        assert view.merged(PARTS[1]) is PARTS[1]
-        assert view.split(PARTS[1], 1) is PARTS[1]
-        for at in [(), (1, 2), (0, 1, 3)]:
-            view = part_view(at)
-            merged = view.merged(view.key(PARTS))
-            assert not view.one and all(merged is not part for part in PARTS), at
-            assert all(view.split(merged, j) is not PARTS[j] for j in at), at
-
-    def test_merged_layout_follows_the_parts(self):
-        # Not sorted key order: a merged valuation is for closures only.
-        view = part_view((3, 0))
-        merged = view.merged(view.key(PARTS))
-        assert list(merged) == ["D.w", "A.x", "A.y"]
-        assert merged != Valuation(dict(merged))
 
 
 class TestPart:
