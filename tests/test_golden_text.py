@@ -1,11 +1,14 @@
 """Golden digests of every text the compiler emits on the corpus.
 
-``golden/corpus_text.json`` records, for every corpus file, the exit code of
-``chorc synth``, ``promela`` and ``ltl`` under each synthesis profile and of
-``promela --paper-ack-encoding``, with the SHA-256 of each one's stdout and
-of the ``--emit-dot`` file of ``synth``. ``explore`` and ``equiv`` are pinned
-by ``golden/corpus_counts.json`` (see ``test_golden.py``). These outputs do
-not depend on the hash seed.
+``golden/corpus_text.json`` records, for every corpus file, the exit code
+and the SHA-256 of stdout and of stderr of ``chorc check``, of ``explore
+--dump-lts`` with the digest of its DOT file, under each synthesis profile
+of ``synth --emit-dot`` with the digest of its DOT file, ``equiv``,
+``promela``, ``ltl`` and ``simulate --seed 3 --trace`` with the digest of
+its trace file, and of ``promela --paper-ack-encoding``. Each file is named
+relative to the repository root, as ``check`` prints it. The explorers'
+counts are pinned by ``golden/corpus_counts.json`` too (see
+``test_golden.py``). These outputs do not depend on the hash seed.
 
 Regenerate (only for an intended change of output) with
 ``PYTHONPATH=src python tests/test_golden_text.py``.
@@ -21,7 +24,7 @@ import tempfile
 from chorc.cli import main
 from chorc.synthesis import PROFILES
 
-from conftest import corpus_paths
+from conftest import ROOT, corpus_paths
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden", "corpus_text.json")
@@ -31,31 +34,45 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run(argv) -> dict:
-    """Exit code and stdout digest of one in-process ``chorc`` run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run(argv, written=None) -> dict:
+    """Exit code and stdout and stderr digests of one in-process ``chorc``
+    run, and under ``written`` the digest of the file it writes there."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"exit": code, "stdout": sha256(out.getvalue())}
+    pinned = {"exit": code, "stdout": sha256(out.getvalue()), "stderr": sha256(err.getvalue())}
+    if written is not None:
+        key, path = written
+        with open(path) as fh:
+            pinned[key] = sha256(fh.read())
+        os.remove(path)
+    return pinned
 
 
 def corpus_text(path, tmp: str) -> dict:
-    dot = os.path.join(tmp, "system.dot")
-    out = {}
+    dot, trace = os.path.join(tmp, "out.dot"), os.path.join(tmp, "trace.txt")
+    out = {"check": run(["check", path]),
+           "explore": run(["explore", path, "--dump-lts", dot], ("lts", dot))}
     for profile in PROFILES:
-        out[f"synth {profile}"] = run(["synth", path, "--profile", profile,
-                                       "--emit-dot", dot])
-        with open(dot) as fh:
-            out[f"synth {profile}"]["dot"] = sha256(fh.read())
-        for command in ("promela", "ltl"):
+        out[f"synth {profile}"] = run(["synth", path, "--profile", profile, "--emit-dot", dot],
+                                      ("dot", dot))
+        for command in ("equiv", "promela", "ltl"):
             out[f"{command} {profile}"] = run([command, path, "--profile", profile])
+        out[f"simulate {profile}"] = run(["simulate", path, "--profile", profile, "--seed", "3",
+                                          "--trace", trace], ("trace", trace))
     out["promela paper-ack"] = run(["promela", path, "--paper-ack-encoding"])
     return out
 
 
 def all_text() -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        return {os.path.basename(p): corpus_text(p, tmp) for p in corpus_paths()}
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            return {os.path.basename(p): corpus_text(os.path.relpath(p), tmp)
+                    for p in corpus_paths()}
+    finally:
+        os.chdir(cwd)
 
 
 def test_corpus_text_matches_golden():
