@@ -42,19 +42,19 @@ one per set of keys, lays the parts out. The pool is one ``_Pool``, which
 keeps its ``deliveries``, the step of each receiver's oldest entry, and its
 ``receivers``, whose term steps wait. Frames, parts and pools are
 hash-consed by value like terms (see ``core.Interned``), so equal
-configurations from two parses are equal tuples. ``sigma`` and ``pending``
-view the parts as one valuation and the pool as its queues.
+configurations from two parses are equal tuples. ``sigma`` views the
+parts as one valuation, their ``Valuation.union``, which only finals and
+``repr`` read, and ``pending`` views the pool as its queues.
 
 Caches. An action is laid out in the frame it last ran in, and again,
 with empty caches, when it runs in another. It keeps a cache from the
 parts it touches to its result, the new parts it writes and the payload
 it sends, or nothing if its guard fails, and one from (pool, payload) to
 the pool a send leaves; on a miss each move runs on its own component's
-part. Actions live on the terms and receipts. Compiling a term raises
-``EvalError`` where a guard or update uses another component's variable
-or a synchronous receiver is the sender or another receiver, and a step
-that assigns a variable the initial valuation does not bind raises it;
-``check_well_formed`` rejects such input.
+part. Actions live on the terms and receipts. Compiling a term with
+``lang.faults``, which ``check_well_formed`` reports too, raises
+``EvalError`` with the first one's message, and so does a step that
+assigns a variable the initial valuation does not bind (``Valuation.set``).
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -80,9 +80,9 @@ from typing import Optional
 
 from .core import (
     SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Lit, Not, Part, Port,
-    Update, Valuation, cached_attr, explore_lts, expr_vars, interned, requeue, update_vars,
+    Update, Valuation, cached_attr, explore_lts, expr_vars, interned, requeue,
 )
-from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, shared
+from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, faults, shared
 
 #: The next term of a delivery and the next pool of a term step: what the
 #: step leaves as it is.
@@ -148,9 +148,8 @@ class Receipt(Interned):
 
 class _Frame(Interned):
     """The layout of the parts of valuations over ``keys``, sorted: one
-    part per run of keys with one owner. ``slots`` lays out the whole
-    valuation, ``layouts`` each part and ``part_of`` maps an owner to the
-    index of its part."""
+    part per run of keys with one owner. ``layouts`` lays out each part and
+    ``part_of`` maps an owner to the index of its part."""
 
     def __new__(cls, keys: tuple):
         ref = cls._nodes.get(keys)
@@ -163,8 +162,7 @@ class _Frame(Interned):
                 part_of[owner] = len(layouts)
                 layouts.append({})
             layouts[-1][k] = len(layouts[-1])
-        return interned(cls, keys, slots=dict(zip(keys, range(len(keys)))),
-                        layouts=tuple(layouts), part_of=part_of)
+        return interned(cls, keys, layouts=tuple(layouts), part_of=part_of)
 
     def split(self, sigma: Valuation) -> tuple:
         parts, n = [], 0
@@ -172,9 +170,6 @@ class _Frame(Interned):
             parts.append(_part(layout, sigma._values[n:n + len(layout)]))
             n += len(layout)
         return tuple(parts)
-
-    def sigma(self, parts: tuple) -> Valuation:
-        return Valuation.over(self.slots, tuple(chain.from_iterable([p._values for p in parts])))
 
 
 class _Part(Part, Interned):
@@ -233,7 +228,7 @@ class Running(tuple):
         return _new(cls, (term, frame.split(sigma), _pool(frame, pending)))
 
     term = property(itemgetter(0))
-    sigma = property(lambda self: self[2].frame.sigma(self[1]))
+    sigma = property(lambda self: Valuation.union(self[1]))
     pending = property(lambda self: self[2].pending)
 
     def __repr__(self):
@@ -256,31 +251,15 @@ def initial_config(ch: Chor, sigma0: Valuation) -> Running:
     return Running(term=ch, sigma=sigma0, pending=())
 
 
-def _local(owner: Optional[str], guard, update: Update):
-    """Raise ``EvalError`` unless ``guard`` and ``update`` use only
-    ``owner``'s variables (``check_well_formed``'s ``locality``)."""
-    foreign = sorted([k for k in expr_vars(guard) | update_vars(update)
-                      if k.partition(".")[0] != owner])
-    if foreign:
-        raise EvalError(f"a step of {owner} uses another component's variable: "
-                        + ", ".join(foreign))
-
-
 def _step(rule: str, ports: tuple, owner: Optional[str], guard, update: Update, nxt,
           var=None, receives=(), sends=()) -> tuple:
     """One static step of a term: its event, its ``_Action``, its next term
     and ``_KEEP``. ``owner``, None for ``nil``, starts it: under ``guard``
     it runs ``update`` and sends ``var``, which each of a synchronous
     send's ``receives``, (receive port, update) pairs, takes into the
-    port's variable before its update. Raises ``EvalError`` where
-    ``_local`` does, or where a receiver is the sender or another receiver
-    (``check_well_formed``'s ``distinct-receivers``)."""
-    _local(owner, guard, update)
+    port's variable before its update."""
     moves = [(owner, None, update)] if var or expr_vars(guard) or update.assignments else []
     for r, f in receives:  # ``var`` is set, so the sender moves first
-        _local(r.owner, TRUE, f)
-        if r.owner in [other for other, _, _ in moves]:
-            raise EvalError(f"component {r.owner} occurs twice in one communication")
         moves.append((r.owner, r.var.qname, f))
     owners = frozenset([p.owner for p in ports] + [owner] * (owner is not None))
     return Event.of((rule,), ports), _Action(guard, var, tuple(moves), sends, owners), nxt, _KEEP
@@ -311,22 +290,20 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
 def _compile(term: Chor) -> tuple:
     """Static steps of ``term``, built by ``_step``; next term is None when
     the step terminates the term. An asynchronous send's action lists its
-    residual receives as (receiving component, receipt)."""
+    residual receives as (receiving component, receipt). Raises
+    ``EvalError`` with the first of the term's ``faults``."""
+    found = faults(term)
+    if found:
+        raise EvalError(found[0].message)
     if isinstance(term, Nil):
         return (_step("nil", (), None, TRUE, SKIP, None),)
 
     if isinstance(term, Comm):
         gs, snd = term.send, term.send.port
         if snd.ctype == "ss":
-            for r, _ in term.rcvs:
-                if r.dtype != snd.dtype:
-                    raise TypeError(f"transfer dtype mismatch: "
-                                    f"{snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
             ports = (snd,) + tuple(r for r, _ in term.rcvs)
             return (_step("synch-sendrcv", ports, snd.owner, gs.guard, gs.update, None,
                           snd.var.qname, receives=term.rcvs),)
-        for r, f in term.rcvs:
-            _local(r.owner, TRUE, f)
         sends = tuple((r.owner, Receipt(r, f)) for r, f in term.rcvs)
         return (_step("asynch-sendrcv-1", (snd,), snd.owner, gs.guard, gs.update, None,
                       snd.var.qname, sends=sends),)
@@ -389,9 +366,6 @@ def _run(act: _Action, parts: tuple) -> tuple:
         after = part if received is None else part.set(received, payload)
         if update is not None:
             after = update(after)
-        if after._slots is not part._slots:
-            raise EvalError("assignment to a variable the initial valuation does not bind: "
-                            + ", ".join(sorted(set(after) - set(part))))
         news.append(_part(after._slots, after._values))
     return tuple(news), payload
 

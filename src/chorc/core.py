@@ -14,7 +14,7 @@ A ``Valuation`` is a tuple of values laid out over the sorted tuple of its
 keys. The layout, a dict from key to slot, is built once by the
 constructor and shared by every valuation derived from it by ``set``, so a
 derived valuation costs one tuple splice per assignment rather than a dict
-copy and a sort.
+copy and a sort; ``set`` never adds a key.
 
 An expression or update compiles itself, on first use, into a closure over
 a valuation, kept on the instance as ``compiled``: a tree of closures that
@@ -343,7 +343,9 @@ class Valuation(Mapping):
     """An immutable total mapping from qualified variable names to values.
 
     Stored as ``_values``, a tuple aligned with the sorted keys, plus
-    ``_slots``, the shared layout mapping each key to its position.
+    ``_slots``, the shared layout mapping each key to its position. Its
+    keys are fixed when it is built: ``set`` rebinds one, and ``union``
+    builds the valuation of several.
     """
 
     __slots__ = ("_slots", "_values")
@@ -389,14 +391,6 @@ class Valuation(Mapping):
         return f"{{{inner}}}"
 
     @classmethod
-    def over(cls, slots: dict, values: tuple) -> "Valuation":
-        """The valuation with ``values`` laid out by ``slots``, a dict from
-        each key to its position, which it shares."""
-        out = object.__new__(cls)
-        out._slots, out._values = slots, values
-        return out
-
-    @classmethod
     def union(cls, valuations: Iterable["Valuation"]) -> "Valuation":
         """The valuation that binds what each of ``valuations`` binds; a
         name bound twice takes the later value."""
@@ -406,9 +400,11 @@ class Valuation(Mapping):
         return cls(bindings)
 
     def set(self, qname: str, value: Value) -> "Valuation":
+        """The valuation with ``qname`` rebound to ``value``; raises
+        ``EvalError`` if it does not bind ``qname``."""
         i = self._slots.get(qname)
         if i is None:
-            return Valuation({**self, qname: value})
+            raise EvalError(f"assignment to a variable the valuation does not bind: {qname}")
         out = object.__new__(Valuation)
         out._slots = self._slots
         out._values = self._values[:i] + (value,) + self._values[i + 1:]

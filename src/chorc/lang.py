@@ -7,7 +7,12 @@ One fold works out who takes part in a term, who starts it and who ends it
 under each synthesis profile: ``shape``, which keeps its ``Shape`` on the
 term, so each term is folded once however many terms enclose it. ``shared``
 reads it to decide whether the operands of a ``||`` are dependent, for both
-the ``parallel-independence`` warning and the choreography semantics."""
+the ``parallel-independence`` warning and the choreography semantics.
+
+``faults`` states every static rule but the type rules for one term, in one
+place: ``check_well_formed`` reports each term's faults and then its type
+findings, and the choreography semantics refuses to compile a term with a
+fault, synchronous or asynchronous alike."""
 
 from __future__ import annotations
 
@@ -248,13 +253,16 @@ def format_chor(ch: Chor) -> str:
 # Well-formedness
 # --------------------------------------------------------------------------
 
-def _check_local(diags, env, owner: str, guard: Expr, update: Update, what: str):
+def _check_locality(diags, owner: str, guard: Expr, update: Update, what: str):
     for qname in sorted(expr_vars(guard) | update_vars(update)):
         if not qname.startswith(owner + "."):
             diags.append(Diagnostic(
                 "locality",
                 f"{what} on component {owner} uses foreign variable {qname}",
             ))
+
+
+def _check_types(diags, env, guard: Expr, update: Update, what: str):
     try:
         if infer_type(guard, env) != "bool":
             diags.append(Diagnostic("guard-type", f"{what} guard is not boolean"))
@@ -284,22 +292,23 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
     return diags
 
 
-def _check_guarded_send(diags, env, gs: GuardedSend, context: str):
+def _check_guarded_send(diags, gs: GuardedSend, context: str):
     """A communication's send, a choice arm or a loop condition."""
     if not gs.port.is_send:
         diags.append(Diagnostic(
             "send-port-type", f"port {gs.port.pid} is not a send port"))
-    _check_local(diags, env, gs.port.owner, gs.guard, gs.update,
-                 f"{context} {gs.port.pid}")
+    _check_locality(diags, gs.port.owner, gs.guard, gs.update, f"{context} {gs.port.pid}")
 
 
-def _check_term(diags, env, term: Chor):
-    """Appends to ``diags`` what is wrong with ``term`` and its subterms."""
-    if isinstance(term, Nil):
-        return
+def faults(term: Chor) -> list[Diagnostic]:
+    """What ``term`` itself, not a subterm, breaks of every rule but the
+    type rules, in ``check_well_formed``'s order: a communication's ports,
+    receivers and locality, a choice's arms, a loop's test. The
+    choreography semantics refuses a term with any."""
+    diags: list[Diagnostic] = []
     if isinstance(term, Comm):
         snd = term.send
-        _check_guarded_send(diags, env, snd, "send")
+        _check_guarded_send(diags, snd, "send")
         if not term.rcvs:
             diags.append(Diagnostic("empty-receivers", "communication without receivers"))
         owners = [snd.port.owner]
@@ -319,28 +328,42 @@ def _check_term(diags, env, term: Chor):
                     f"component {p.owner} occurs twice in one communication",
                 ))
             owners.append(p.owner)
-            _check_local(diags, env, p.owner, TRUE, f, f"receive {p.pid}")
-        return
-    if isinstance(term, Branch):
-        for gs, cont in term.conts:
+            _check_locality(diags, p.owner, TRUE, f, f"receive {p.pid}")
+    elif isinstance(term, Branch):
+        for gs, _ in term.conts:
             if gs.port.owner != term.master:
                 diags.append(Diagnostic(
                     "branch-port-ownership",
                     f"continuation port {gs.port.pid} does not belong to "
                     f"master {term.master}",
                 ))
-            _check_guarded_send(diags, env, gs, "choice")
+            _check_guarded_send(diags, gs, "choice")
+    elif isinstance(term, Loop):
+        _check_guarded_send(diags, term.cond, "loop condition")
+    return diags
+
+
+def _check_term(diags, env, term: Chor):
+    """Appends to ``diags`` what is wrong with ``term`` and its subterms:
+    each term's ``faults``, then its type findings."""
+    diags += faults(term)
+    if isinstance(term, Comm):
+        snd = term.send
+        _check_types(diags, env, snd.guard, snd.update, f"send {snd.port.pid}")
+        for p, f in term.rcvs:
+            _check_types(diags, env, TRUE, f, f"receive {p.pid}")
+    elif isinstance(term, Branch):
+        for gs, cont in term.conts:
+            _check_types(diags, env, gs.guard, gs.update, f"choice {gs.port.pid}")
             _check_term(diags, env, cont)
-        return
-    if isinstance(term, Loop):
-        _check_guarded_send(diags, env, term.cond, "loop condition")
+    elif isinstance(term, Loop):
+        cond = term.cond
+        _check_types(diags, env, cond.guard, cond.update, f"loop condition {cond.port.pid}")
         _check_term(diags, env, term.body)
-        return
-    if isinstance(term, Seq):
+    elif isinstance(term, Seq):
         _check_term(diags, env, term.first)
         _check_term(diags, env, term.second)
-        return
-    if isinstance(term, Par):
+    elif isinstance(term, Par):
         common = shared(term)
         if common:
             # Dependent parallel operands are executed in a fixed
@@ -355,6 +378,5 @@ def _check_term(diags, env, term: Chor):
             ))
         _check_term(diags, env, term.left)
         _check_term(diags, env, term.right)
-        return
-    raise AssertionError(term)
-
+    elif not isinstance(term, Nil):
+        raise AssertionError(term)

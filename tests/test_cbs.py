@@ -908,7 +908,7 @@ class TestPartsAgainstFlat:
         for where, sys, ref in systems:
             with monkeypatch.context() as patched:
                 patched.setattr(SysState, "sigma", property(whole))
-                patched.setattr(Valuation, "over", classmethod(whole))
+                patched.setattr(Valuation, "union", classmethod(whole))
                 res = sys_explore(sys)
                 states = [(s.locations, s.buffers) for s in res.graph]
             assert states == [(s.locations, s.buffers) for s in ref.graph], where

@@ -19,7 +19,7 @@ from chorc.chorsem import (
     initial_config, lts_to_dot,
 )
 from chorc.core import EvalError, Event, Valuation, explore_lts
-from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed
+from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed, faults
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import equiv_check
@@ -696,6 +696,44 @@ FOREIGN = [
     "while (D.s[w < C.z]) { D.s -> { C.r } }",
 ]
 
+#: Components alike, each with a synchronous and an asynchronous send port,
+#: a receive port of their type and a receive port of another type.
+NEAR_DECLS = "".join(
+    f"comp {c} {{ var x: int = 0; var b: bool = true; port s: ss of int binds x; "
+    f"port a: as of int binds x; port r: r of int binds x; port t: r of bool binds b; }}\n"
+    for c in "PQR")
+
+
+def near_misses() -> list:
+    """(code, well-formed body, breach): a well-formed term of each kind
+    that a ``lang.faults`` rule applies to, with a synchronous or an
+    asynchronous send and its receivers, a choice arm or a loop's test, and
+    per rule one edit of it that breaks that rule alone, in the part its id
+    names. A breach of None drops every receiver, which the grammar cannot
+    write."""
+    sync = "P.s[x < 1, x := x + 1] -> { Q.r[x := x * 2], R.r }"
+    receivers = [("send", "empty-receivers", None, None),
+                 ("receiver", "recv-port-type", "Q.r", "Q.s"),
+                 ("receiver", "comm-dtype", "Q.r", "Q.t"),
+                 ("receiver", "distinct-receivers", "R.r", "Q.r"),
+                 ("receiver", "distinct-receivers", "Q.r", "P.r"),
+                 ("receiver", "locality", "x * 2", "R.x * 2")]
+    terms = [
+        ("synchronous", sync, [("send", "send-port-type", "P.s", "P.r"),
+                               ("send", "locality", "x < 1", "Q.x < 1")] + receivers),
+        ("asynchronous", sync.replace("P.s", "P.a"),
+         [("send", "send-port-type", "P.a", "P.r"),
+          ("send", "locality", "x := x + 1", "x := R.x + 1")] + receivers),
+        ("choice", "choice P { P.s[x < 1] => Q.s -> { R.r } | P.a[true, x := 1] => nil }",
+         [("arm", "send-port-type", "P.s", "P.r"), ("arm", "branch-port-ownership", "P.s", "Q.s"),
+          ("arm", "locality", "x < 1", "R.x < 1")]),
+        ("loop", "while (P.s[x < 3, x := x + 1]) { Q.s -> { R.r } }",
+         [("test", "send-port-type", "P.s", "P.r"), ("test", "locality", "x < 3", "x < Q.x")]),
+    ]
+    return [pytest.param(code, base, old and base.replace(old, new), id=f"{kind} {part}: {code}")
+            for kind, base, edits in terms for part, code, old, new in edits]
+
+
 #: Division and modulo by zero, reached only after some steps.
 DIV_ZERO = [
     "A.a[true, x := x - 1] -> { B.r } ; A.a[true, x := x - 1] -> { C.r } ; "
@@ -740,9 +778,9 @@ class TestFlatOracle:
         def merged(*args):
             raise AssertionError("a step laid several parts out as one valuation")
         for where, decl, ch in chors:
-            sigma = decl.initial_valuation().set("Unnamed.probe", 0)
+            sigma = Valuation({**decl.initial_valuation(), "Unnamed.probe": 0})
             with monkeypatch.context() as patched:
-                patched.setattr(Valuation, "over", classmethod(merged))
+                patched.setattr(Valuation, "union", classmethod(merged))
                 res = explore(ch, sigma)
             assert_same_lts(res, flat_explore(ch, sigma), where)
             assert res.finals, where
@@ -756,20 +794,50 @@ class TestFlatOracle:
             with pytest.raises(EvalError, match=f"component {owner} occurs twice in one "):
                 explore(ch, decl.initial_valuation())
 
+    def test_asynchronous_receivers_must_be_distinct(self):
+        decl, _, ch = parse_source(DECLS + "choreography t = A.a -> { B.r, B.r }")
+        assert [d.code for d in check_well_formed(decl, ch)] == ["distinct-receivers"]
+        with pytest.raises(EvalError, match="^component B occurs twice in one communication$"):
+            explore(ch, decl.initial_valuation())
+
+    def test_a_transfer_between_types_is_refused(self):
+        """An ``EvalError``, which the CLI reports, with the ``comm-dtype``
+        diagnostic's text."""
+        decl, _, ch = parse_source(DECLS + "choreography t = A.d -> { B.r }")
+        found = check_well_formed(decl, ch)
+        assert [d.code for d in found] == ["comm-dtype"]
+        with pytest.raises(EvalError) as err:
+            explore(ch, decl.initial_valuation())
+        assert str(err.value) == found[0].message == "receiver B.r:int does not match sender A.d:bool"
+
+    @pytest.mark.parametrize("code, base, breach", near_misses())
+    def test_each_fault_is_refused(self, code, base, breach):
+        """A term that breaks one ``faults`` rule is refused with the
+        message of its first fault; the term it was edited from is
+        explored."""
+        decl, _, ch = parse_source(NEAR_DECLS + f"choreography t = {base}")
+        assert check_well_formed(decl, ch) == [] and explore(ch, decl.initial_valuation()).finals
+        if breach is None:
+            ch = Comm(ch.send, ())
+        else:
+            decl, _, ch = parse_source(NEAR_DECLS + f"choreography t = {breach}")
+        assert [d.code for d in check_well_formed(decl, ch)] == [code]
+        with pytest.raises(EvalError) as err:
+            explore(ch, decl.initial_valuation())
+        assert str(err.value) == faults(ch)[0].message
+
     @pytest.mark.parametrize("body", FOREIGN)
     def test_foreign_reads(self, body):
-        """Exploring raises ``EvalError`` naming a component and a foreign
-        variable it uses, as a ``locality`` diagnostic does."""
+        """Exploring raises ``EvalError`` with a ``locality`` diagnostic's
+        message, naming a component and a foreign variable it uses."""
         decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
-        reported = set(re.findall(r"on component (\S+) uses foreign variable (\S+)",
-                                  "\n".join(d.message for d in check_well_formed(decl, ch)
-                                            if d.code == "locality")))
+        locality = r".+ on component (\S+) uses foreign variable (\S+)"
+        reported = set(re.findall(locality, "\n".join(
+            d.message for d in check_well_formed(decl, ch) if d.code == "locality")))
         assert reported
-        with pytest.raises(EvalError, match="uses another component's variable: ") as err:
+        with pytest.raises(EvalError, match="uses foreign variable ") as err:
             explore(ch, decl.initial_valuation())
-        owner, names = re.fullmatch(r"a step of (\S+) uses another component's variable: (.+)",
-                                    str(err.value)).groups()
-        assert {(owner, name) for name in names.split(", ")} <= reported
+        assert re.fullmatch(locality, str(err.value)).groups() in reported
 
     def test_one_receiver_takes_many_values(self):
         """Deliveries that differ only in their value each get their own

@@ -76,7 +76,8 @@ class TestValuation:
         assert chained == built
         assert hash(chained) == hash(built)
         assert repr(chained) == repr(built) == "{a=10, b=2, c=30}"
-        assert v(a=1).set("b", 2) == v(a=1, b=2)
+        with pytest.raises(EvalError, match="does not bind: b"):
+            v(a=1).set("b", 2)
 
     def test_different_key_sets_are_unequal(self):
         assert v(a=1, b=2) != v(a=1, c=2)
@@ -114,14 +115,16 @@ class TestPart:
         sigma = Valuation({"A.x": 1, "A.y": 2})
         for cls in kinds:
             assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
-            a, b = (cls.over(sigma._slots, sigma._values) for _ in range(2))
+            a, b = (object.__new__(cls) for _ in range(2))
+            for part in (a, b):
+                part._slots, part._values = sigma._slots, sigma._values
             assert a == a and a != b, cls
             assert hash(a) == object.__hash__(a), cls
             # Equal to no plain valuation, in either direction, as its hash
             # by identity requires.
             assert a != sigma and sigma != a, cls
             assert not (a == sigma) and not (sigma == a), cls
-        twin = Valuation.over(sigma._slots, sigma._values)
+        twin = Valuation(sigma)
         assert twin == sigma and twin is not sigma and hash(twin) == hash(sigma)
 
 
