@@ -232,18 +232,13 @@ class CompositeSystem:
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
-        position, declared = {}, {}  # id -> its position; variable -> its declarer
+        for code, message in _declarations(components):
+            if code != "duplicate-port":
+                raise EvalError(message)
+        position = {c.id: i for i, c in enumerate(components)}  # ids are unique
         facts = [c._facts for c in components]
         tables = [c._tables for c in components]
-        for i, (c, own, (vals, _, _)) in enumerate(zip(components, facts, tables)):
-            if position.setdefault(c.id, i) != i:
-                raise EvalError(f"component {c.id} declared twice")
-            for var, _ in c.vars:
-                first = declared.get(var.qname)
-                if first is not None:  # ids are unique so far: ``c.id`` means ``c``
-                    raise EvalError(f"{c.id}: variable {var.qname} " + (
-                        "declared twice" if first == c.id else f"also declared by {first}"))
-                declared[var.qname] = c.id
+        for c, own, (vals, _, _) in zip(components, facts, tables):
             if not own.used.issubset(vals):
                 raise EvalError(f"{c.id}: transitions use "
                                 f"{', '.join(sorted(own.used.difference(vals)))}, "
@@ -550,31 +545,36 @@ def check_structure(sys: CompositeSystem) -> list:
     return list(sys._diagnostics)
 
 
-def _structure_diagnostics(sys: CompositeSystem) -> list:
-    """What ``check_structure`` reports, found afresh from the components'
-    facts in one pass over each component's transitions and one over gamma."""
-    diags: list[Diagnostic] = []
-
-    def report(code: str, message: str):
-        diags.append(Diagnostic(code, message))
-    ids, all_ports, declared = set(), {}, {}  # declared: variable -> its first declarer
-    for comp in sys.components:
+def _declarations(components: tuple):
+    """The (code, message) of each component id, port and variable declared
+    twice, in the order ``check_structure`` reports them, first."""
+    ids, pids, declared = set(), set(), {}  # declared: variable -> its first declarer
+    for comp in components:
         if comp.id in ids:
-            report("duplicate-component", f"component {comp.id} declared twice")
+            yield "duplicate-component", f"component {comp.id} declared twice"
         ids.add(comp.id)
         for p in comp.ports:
-            if p.pid in all_ports:
-                report("duplicate-port", f"port {p.pid} declared twice")
-            all_ports[p.pid] = p
+            if p.pid in pids:
+                yield "duplicate-port", f"port {p.pid} declared twice"
+            pids.add(p.pid)
         own = set()
         for var, _ in comp.vars:
             if var.qname in own:
-                report("duplicate-var", f"{comp.id}: variable {var.qname} declared twice")
+                yield "duplicate-var", f"{comp.id}: variable {var.qname} declared twice"
             elif declared.setdefault(var.qname, comp.id) != comp.id:
-                report("duplicate-var", f"{comp.id}: variable {var.qname} also declared "
+                yield "duplicate-var", (f"{comp.id}: variable {var.qname} also declared "
                                         f"by {declared[var.qname]}")
             own.add(var.qname)
 
+
+def _structure_diagnostics(sys: CompositeSystem) -> list:
+    """What ``check_structure`` reports, found afresh from the components'
+    facts in one pass over each component's transitions and one over gamma."""
+    diags = [Diagnostic(code, message) for code, message in _declarations(sys.components)]
+
+    def report(code: str, message: str):
+        diags.append(Diagnostic(code, message))
+    pids = {p.pid for comp in sys.components for p in comp.ports}
     wired = []  # the ports the transitions take, component by component
     for comp in sys.components:
         locs = set(comp.locations)
@@ -629,7 +629,7 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
                        f"component {r.owner} occurs twice in interaction on {snd.pid}")
             owners.add(r.owner)
         for pid in dict.fromkeys([snd.pid] + [r.pid for r in inter.receivers]):
-            if pid not in all_ports:
+            if pid not in pids:
                 report("unknown-port", f"interaction references undeclared port {pid}")
             uses[pid] = uses.get(pid, 0) + 1
     for pid, n in sorted(uses.items()):
