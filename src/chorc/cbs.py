@@ -547,7 +547,7 @@ def check_structure(sys: CompositeSystem) -> list:
 
 def _declarations(components: tuple):
     """The (code, message) of each component id, port and variable declared
-    twice, in the order ``check_structure`` reports them, first."""
+    twice, in order: the first findings ``check_structure`` reports."""
     ids, pids, declared = set(), set(), {}  # declared: variable -> its first declarer
     for comp in components:
         if comp.id in ids:

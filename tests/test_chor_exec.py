@@ -712,18 +712,18 @@ def near_misses() -> list:
     names. A breach of None drops every receiver, which the grammar cannot
     write."""
     sync = "P.s[x < 1, x := x + 1] -> { Q.r[x := x * 2], R.r }"
-    receivers = [("send", "empty-receivers", None, None),
-                 ("receiver", "recv-port-type", "Q.r", "Q.s"),
-                 ("receiver", "comm-dtype", "Q.r", "Q.t"),
-                 ("receiver", "distinct-receivers", "R.r", "Q.r"),
-                 ("receiver", "distinct-receivers", "Q.r", "P.r"),
-                 ("receiver", "locality", "x * 2", "R.x * 2")]
+    comm = [("send", "empty-receivers", None, None),
+            ("receiver", "recv-port-type", "Q.r", "Q.s"),
+            ("receiver", "comm-dtype", "Q.r", "Q.t"),
+            ("receiver", "distinct-receivers", "R.r", "Q.r"),
+            ("receiver", "distinct-receivers", "Q.r", "P.r"),
+            ("receiver", "locality", "x * 2", "R.x * 2")]
     terms = [
         ("synchronous", sync, [("send", "send-port-type", "P.s", "P.r"),
-                               ("send", "locality", "x < 1", "Q.x < 1")] + receivers),
+                               ("send", "locality", "x < 1", "Q.x < 1")] + comm),
         ("asynchronous", sync.replace("P.s", "P.a"),
          [("send", "send-port-type", "P.a", "P.r"),
-          ("send", "locality", "x := x + 1", "x := R.x + 1")] + receivers),
+          ("send", "locality", "x := x + 1", "x := R.x + 1")] + comm),
         ("choice", "choice P { P.s[x < 1] => Q.s -> { R.r } | P.a[true, x := 1] => nil }",
          [("arm", "send-port-type", "P.s", "P.r"), ("arm", "branch-port-ownership", "P.s", "Q.s"),
           ("arm", "locality", "x < 1", "R.x < 1")]),
