@@ -13,19 +13,20 @@ simulator asks for them once per turn. ``sys_steps_tagged``, the successor
 function of the explorer, returns every component's steps in turn. Both run
 one loop, ``_fire``, over a set of components.
 
-What a component's text says is read once per component object, with no
-closure built (``AtomicComponent._facts``); ``check_structure`` reads that,
-never the step tables, so a system that is only checked, serialized or
-emitted compiles nothing. A system's first step (``CompositeSystem._steps``)
-builds the step tables: once per component object, its local steps and its
-alternatives on the ports it owns, each guard and update as a compiled
-closure, or None for ``true`` and skip (``AtomicComponent._tables``); then,
-per component position, a table from every location a state can hold there
-to a flat tuple of static steps, its send steps and then its local ones. A
-send step covers one interaction and all of its sender's transitions on
-the send port from that location, and holds the interaction's send record.
-The tables, like ``check_structure``'s findings, are cached on the
-instance, so ``dataclasses.replace`` yields a system with fresh ones.
+The structure rules a component's own text breaks are found once per
+component object, with no closure built (``AtomicComponent._findings``), and
+``check_structure`` never reads the step tables, so a system that is only
+checked, serialized or emitted compiles nothing. A system's first step
+(``CompositeSystem._steps``) builds the step tables: once per component
+object, its local steps and its alternatives on the ports it owns, each
+guard and update as a compiled closure, or None for ``true`` and skip
+(``AtomicComponent._tables``); then, per component position, a table from
+every location a state can hold there to a flat tuple of static steps, its
+send steps and then its local ones. A send step covers one interaction and
+all of its sender's transitions on the send port from that location, and
+holds the interaction's send record. The tables, like ``check_structure``'s
+findings, are cached on the instance, so ``dataclasses.replace`` yields a
+system with fresh ones.
 
 A system made from another by a local change, as a mutant is, comes from
 ``CompositeSystem.derive``, and once its parent has stepped it shares the
@@ -54,11 +55,14 @@ asynchronous send appends the payload to the receivers' buffers after its
 sender's update; a rendezvous checks every receiver's buffer and guard,
 then runs the sender's update and, for each receiver in order, sets its
 bound variable to the payload and runs its update, so an update runs, and
-may raise, only once it can fire. A system whose parts cannot be kept
-apart fails with ``EvalError`` when compiled: two components share an id,
-a variable is declared twice, a component's transitions use, bind or
-send a variable it does not declare or receive on another's port, or a
-synchronous receiver has no part of its own.
+may raise, only once it can fire. A system whose parts cannot be kept apart
+fails with ``EvalError`` when compiled, with the message of its first
+``check_structure`` finding that says so (``_REFUSED``): a component id or a
+variable declared twice, a port bound to a variable its component does not
+declare, a transition on a port its component does not own or declare, or
+one whose guard or update uses a variable its component does not declare. So
+does an interaction whose receiver has no component, or a synchronous
+receiver with no part of its own.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -72,9 +76,9 @@ explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import (
     TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation,
@@ -114,25 +118,52 @@ class AtomicComponent:
         return {src: tuple(ts) for src, ts in out.items()}
 
     @cached_attr
-    def _facts(self) -> "_Facts":
-        """What its text says, read from its transitions."""
-        ts = self.transitions
-        uses = tuple([union_shared(expr_vars(t.guard), update_vars(t.update)) for t in ts])
-        ports = [t.port for t in ts if t.port is not None]
-        receives = frozenset([p for p in ports if p.ctype == "r"])
-        return _Facts(uses, frozenset().union(*uses, [p.var.qname for p in ports]),
-                      receives, tuple(dict.fromkeys((self.init, *(t.dst for t in ts)))))
+    def _findings(self) -> tuple:
+        """The (code, message) of each structure rule its own text breaks,
+        in the order ``check_structure`` reports them; no closure is built."""
+        found, locs, own = [], set(self.locations), {var.qname for var, _ in self.vars}
+        if self.init not in locs:
+            found.append(("bad-init", f"{self.id}: initial location {self.init} undeclared"))
+        if self.end is not None and self.end not in locs:
+            found.append(("bad-end", f"{self.id}: end location {self.end} undeclared"))
+        for p in self.ports:
+            if p.var.qname not in own:
+                found.append(("undeclared-var", f"{self.id}: port {p.pid} binds {p.var.qname}, "
+                                                f"which {self.id} does not declare"))
+        sending, receiving = set(), set()  # the locations left on such ports
+        for t in self.transitions:
+            if t.src not in locs or t.dst not in locs:
+                found.append(("bad-transition",
+                              f"{self.id}: transition {t.src}->{t.dst} uses undeclared location"))
+            p = t.port
+            if p is not None:
+                if p.owner != self.id or p not in self.ports:
+                    found.append(("foreign-port", f"{self.id}: transition uses port {p.pid}"))
+                if p.ctype != "in":
+                    (receiving if p.ctype == "r" else sending).add(t.src)
+            used = union_shared(expr_vars(t.guard), update_vars(t.update))
+            if not used <= own:
+                found.append(("foreign-var", f"{self.id}: transition at {t.src} uses "
+                                             + ", ".join(sorted(used - own))))
+        # No location may mix outgoing send and receive ports.
+        for loc in self.locations:
+            if loc in sending and loc in receiving:
+                found.append(("mixed-location",
+                              f"{self.id}: location {loc} mixes outgoing send and receive"))
+        return tuple(found)
 
     @cached_attr
     def _tables(self) -> tuple:
         """Its step tables apart from any system, built when a system holding
         it first steps: its initial valuation, each source location's local
-        steps, in order, and, per port it owns, each source location's
-        alternatives. A local step is (rule, event, guard, update, target
-        location) for an internal transition, plus (port id, bound variable)
-        for a receive, whose event is hidden; an alternative is a transition
-        as (guard, update, target location). A guard or update is its
-        compiled closure, or None for ``true`` and skip."""
+        steps, in order, per port it owns, each source location's
+        alternatives, and the locations it can hold, its initial location
+        and then every transition target. A local step is (rule, event,
+        guard, update, target location) for an internal transition, plus
+        (port id, bound variable) for a receive, whose event is hidden; an
+        alternative is a transition as (guard, update, target location). A
+        guard or update is its compiled closure, or None for ``true`` and
+        skip."""
         local, offers = {}, {}
         for t in self.transitions:
             port = t.port
@@ -149,16 +180,8 @@ class AtomicComponent:
             if port is not None and port.owner == self.id:
                 alts = offers.setdefault(port, {})
                 alts[t.src] = alts.get(t.src, ()) + ((guard, update, t.dst),)
-        return Valuation({var.qname: init for var, init in self.vars}), local, offers
-
-
-class _Facts(NamedTuple):
-    """What a component's text says: no closure is built for it."""
-
-    uses: tuple           # per transition, the variables its guard and update use
-    used: frozenset       # the variables its transitions use, bind or send
-    receives: frozenset   # the receive ports its transitions take
-    holdable: tuple       # its initial location and every transition target
+        holdable = tuple(dict.fromkeys((self.init, *[t.dst for t in self.transitions])))
+        return Valuation({var.qname: init for var, init in self.vars}), local, offers, holdable
 
 
 @dataclass(frozen=True)
@@ -196,13 +219,13 @@ class CompositeSystem:
         each location a state can hold there to the static steps the
         component starts at it: the interactions it sends there, in gamma
         order, then its recv/internal steps, in transition order (see
-        ``_run``). Built on the first step from the components' facts and
-        tables (``AtomicComponent._facts`` and ``_tables``, built here
-        unless another system built them) and one pass over gamma: a
-        component id names its position; a receive port's buffer lives in
-        its owner's part; a port's alternatives are those of its owner's
-        transitions on it; and each interaction becomes one send record
-        and one send step per location its sender leaves on the send port.
+        ``_run``). Built on the first step from the components' tables
+        (``AtomicComponent._tables``, built here unless another system
+        built them) and one pass over gamma: a component id names its
+        position; a receive port's buffer lives in its owner's part; a
+        port's alternatives are those of its owner's transitions on it; and
+        each interaction becomes one send record and one send step per
+        location its sender leaves on the send port.
         A send step is (rule, event, alternatives, sent variable,
         receivers, key, writes, cache): an asynchronous send's receivers
         are (component position, port id), a synchronous send's (component
@@ -225,28 +248,21 @@ class CompositeSystem:
         key holds one of its parts can be one the parent made; every
         other entry follows from clean positions' parts and steps alone.
 
-        Raises ``EvalError`` where a component would read or write another's
-        part (see the module docstring), which ``check_structure`` reports."""
+        Raises ``EvalError`` with the message of the first finding of
+        ``_declarations`` or of the components' ``_findings`` whose code is
+        in ``_REFUSED``, or where an interaction's receiver has no part of
+        its own to write (see the module docstring)."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
-        for code, message in _declarations(components):
-            if code != "duplicate-port":
+        for code, message in chain(_declarations(components),
+                                   *[c._findings for c in components]):
+            if code in _REFUSED:
                 raise EvalError(message)
         position = {c.id: i for i, c in enumerate(components)}  # ids are unique
-        facts = [c._facts for c in components]
         tables = [c._tables for c in components]
-        for c, own, (vals, _, _) in zip(components, facts, tables):
-            if not own.used.issubset(vals):
-                raise EvalError(f"{c.id}: transitions use "
-                                f"{', '.join(sorted(own.used.difference(vals)))}, "
-                                f"which {c.id} does not declare")
-            for port in own.receives:
-                if port.owner != c.id:
-                    raise EvalError(f"{c.id} receives on {port.pid}, "
-                                    f"whose buffer it does not hold")
         dirty = range(len(components))
         if kept:
             sent = _sent(position, len(components), self.gamma)
@@ -289,10 +305,10 @@ class CompositeSystem:
                     (event.rules[0], event, alts, snd.var.qname, targets, key, writes, cache))
         positions = list(kept) if kept else [None] * len(components)
         for i in dirty:
-            own, sending, (vals, local, _) = facts[i], sends[i], tables[i]
+            sending, (vals, local, _, holdable) = sends[i], tables[i]
             pos = positions[i] = _Position()
-            pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in own.holdable}
-            pos.initial = _part(pos, own.holdable[0], vals, ())
+            pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in holdable}
+            pos.initial = _part(pos, holdable[0], vals, ())
         return tuple(positions)
 
     @cached_attr
@@ -545,6 +561,13 @@ def check_structure(sys: CompositeSystem) -> list:
     return list(sys._diagnostics)
 
 
+#: The codes of the findings of ``_declarations`` and of
+#: ``AtomicComponent._findings`` that ``CompositeSystem._steps`` refuses:
+#: each says that a component's part cannot be kept apart from another's.
+_REFUSED = frozenset({"duplicate-component", "duplicate-var", "undeclared-var",
+                      "foreign-port", "foreign-var"})
+
+
 def _declarations(components: tuple):
     """The (code, message) of each component id, port and variable declared
     twice, in order: the first findings ``check_structure`` reports."""
@@ -568,46 +591,16 @@ def _declarations(components: tuple):
 
 
 def _structure_diagnostics(sys: CompositeSystem) -> list:
-    """What ``check_structure`` reports, found afresh from the components'
-    facts in one pass over each component's transitions and one over gamma."""
-    diags = [Diagnostic(code, message) for code, message in _declarations(sys.components)]
+    """What ``check_structure`` reports: the declarations' findings, each
+    component's own (``AtomicComponent._findings``), then gamma's, found in
+    one pass over gamma and one over the ports the transitions take."""
+    comps = sys.components
+    diags = [Diagnostic(code, message)
+             for code, message in chain(_declarations(comps), *[c._findings for c in comps])]
 
     def report(code: str, message: str):
         diags.append(Diagnostic(code, message))
-    pids = {p.pid for comp in sys.components for p in comp.ports}
-    wired = []  # the ports the transitions take, component by component
-    for comp in sys.components:
-        locs = set(comp.locations)
-        if comp.init not in locs:
-            report("bad-init", f"{comp.id}: initial location {comp.init} undeclared")
-        if comp.end is not None and comp.end not in locs:
-            report("bad-end", f"{comp.id}: end location {comp.end} undeclared")
-        own_vars = {var.qname for var, _ in comp.vars}
-        own_ports = set(comp.ports)
-        for p in comp.ports:
-            if p.var.qname not in own_vars:
-                report("undeclared-var", f"{comp.id}: port {p.pid} binds {p.var.qname}, "
-                                         f"which {comp.id} does not declare")
-        sending, receiving = set(), set()  # the locations left on such ports
-        for t, used in zip(comp.transitions, comp._facts.uses):
-            if t.src not in locs or t.dst not in locs:
-                report("bad-transition",
-                       f"{comp.id}: transition {t.src}->{t.dst} uses undeclared location")
-            p = t.port
-            if p is not None:
-                if p.owner != comp.id or p not in own_ports:
-                    report("foreign-port", f"{comp.id}: transition uses port {p.pid}")
-                wired.append(p)
-                if p.ctype != "in":
-                    (receiving if p.ctype == "r" else sending).add(t.src)
-            if not used <= own_vars:
-                report("foreign-var", f"{comp.id}: transition at {t.src} uses "
-                                      + ", ".join(sorted(used - own_vars)))
-        # No location may mix outgoing send and receive ports.
-        for loc in comp.locations:
-            if loc in sending and loc in receiving:
-                report("mixed-location",
-                       f"{comp.id}: location {loc} mixes outgoing send and receive")
+    pids = {p.pid for comp in comps for p in comp.ports}
 
     # Interaction shape and one-port-one-interaction.
     uses: dict[str, int] = {}
@@ -638,7 +631,7 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
 
     # Every communicating port used on a transition is wired exactly once;
     # internal ports are never wired.
-    for p in wired:
+    for p in [t.port for comp in comps for t in comp.transitions if t.port is not None]:
         if p.ctype == "in":
             if p.pid in uses:
                 report("internal-wired", f"internal port {p.pid} occurs in gamma")
@@ -689,7 +682,7 @@ def system_to_dot(sys: CompositeSystem) -> str:
     lines = ["digraph system {", "  rankdir=LR;", "  compound=true;"]
 
     def loc_id(cid, loc):
-        return f"\"{cid}__{loc}\""
+        return _dot_label(f"{cid}__{loc}")
 
     for i, comp in enumerate(sorted(sys.components, key=lambda c: c.id)):
         lines.append(f"  subgraph cluster_{i} {{")

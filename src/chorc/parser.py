@@ -201,9 +201,10 @@ class Parser:
         comps = []
         seen = set()
         while self.at("comp"):
+            at = self.pos + 1  # the component's id
             c = self.parse_component()
             if c.id in seen:
-                raise self.error(f"duplicate component {c.id!r}")
+                raise self.error(f"duplicate component {c.id!r}", at)
             seen.add(c.id)
             comps.append(c)
         return SystemDecl(components=tuple(comps))
@@ -218,9 +219,10 @@ class Parser:
         port_names = set()
         while not self.accept("}"):
             if self.accept("var"):
+                at = self.pos
                 name = self.expect("IDENT")
                 if name in var_by_name:
-                    raise self.error(f"duplicate variable {name!r} in {cid}")
+                    raise self.error(f"duplicate variable {name!r} in {cid}", at)
                 self.expect(":")
                 dtype = self.parse_dtype()
                 var = Variable(name=name, owner=cid, dtype=dtype)
@@ -231,9 +233,10 @@ class Parser:
                 var_by_name[name] = var
                 variables.append((var, init))
             elif self.accept("port"):
+                at = self.pos
                 name = self.expect("IDENT")
                 if name in port_names:
-                    raise self.error(f"duplicate port {name!r} in {cid}")
+                    raise self.error(f"duplicate port {name!r} in {cid}", at)
                 self.expect(":")
                 at = self.pos
                 ctype = self.expect("IDENT")
@@ -242,12 +245,14 @@ class Parser:
                 self.expect("of")
                 dtype = self.parse_dtype()
                 self.expect("binds")
+                at = self.pos
                 var_name = self.expect("IDENT")
                 if var_name not in var_by_name:
-                    raise self.error(f"port {name!r} binds unknown variable {var_name!r}")
+                    raise self.error(f"port {name!r} binds unknown variable {var_name!r}", at)
                 var = var_by_name[var_name]
                 if var.dtype != dtype:
-                    raise self.error(f"port {name!r} of {dtype} binds {var_name}: {var.dtype}")
+                    raise self.error(f"port {name!r} of {dtype} binds {var_name}: {var.dtype}",
+                                     at)
                 self.expect(";")
                 port_names.add(name)
                 ports.append(Port(name=name, owner=cid, var=var, ctype=ctype))

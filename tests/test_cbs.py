@@ -13,7 +13,7 @@ import random
 import re
 import sys as python
 import weakref
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -725,8 +725,7 @@ class TestDerivedSystems:
             dataclasses.replace(t, update=Update((("B.y", Lit(1)),))) for t in a.transitions)),
             *sys.components[1:]))
         for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
-            with pytest.raises(EvalError, match="A: transitions use B.y, which A does not "
-                                                "declare"):
+            with pytest.raises(EvalError, match="^A: transition at a0 uses B.y$"):
                 twin.initial_state()
 
 
@@ -870,13 +869,13 @@ class TestPartsAgainstFlat:
         # updates read B's variables is refused.
         sys = foreign_guards_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
-        with pytest.raises(EvalError, match="A: transitions use B.y, B.z, which A does not"):
+        with pytest.raises(EvalError, match="^A: transition at a0 uses B.z$"):
             sys_explore(sys)
 
     def test_receivers_that_read_other_components(self):
         sys = foreign_receivers_system()
         assert "foreign-var" in {d.code for d in check_structure(sys)}
-        with pytest.raises(EvalError, match="B: transitions use A.x, which B does not"):
+        with pytest.raises(EvalError, match="^B: transition at b0 uses A.x$"):
             sys_explore(sys)
 
     def test_duplicate_component_reading_the_shared_variable(self):
@@ -1199,29 +1198,56 @@ def structure_check_matches_reference(monkeypatch):
     return checked
 
 
-#: The structure diagnostics that a system the explorer refuses to compile
-#: shows: each says that a component would read or write another's part.
-REFUSAL_CODES = frozenset({"duplicate-component", "duplicate-var", "foreign-var",
-                           "foreign-port", "undeclared-var", "bad-interaction"})
+#: The structure findings the explorer refuses a system for, with the first
+#: one's message: each says that a component's part cannot be kept apart
+#: from another's. All of them come from the declarations or from one
+#: component's own text, none from gamma.
+REFUSED = frozenset({"duplicate-component", "duplicate-var", "undeclared-var",
+                     "foreign-port", "foreign-var"})
+
+#: The findings a refused system may show: ``REFUSED``, or
+#: ``bad-interaction`` for a synchronous receiver with no part of its own.
+REFUSAL_CODES = REFUSED | {"bad-interaction"}
 
 
 @pytest.fixture(autouse=True)
 def refusals_are_reported(monkeypatch):
-    """Every system this module's tests see the explorer refuse to compile,
-    hand-built or derived, is one that ``check_structure`` reports with one
-    of ``REFUSAL_CODES``; counts them."""
+    """Every system this module's tests step or check, hand-built or
+    derived, is refused by the explorer only if ``check_structure`` reports
+    it with one of ``REFUSAL_CODES``, and is refused, with the message of
+    the first finding whose code is in ``REFUSED``, whenever it has one: a
+    system that is checked is also compiled afresh, as a copy, to see it
+    refused. Counts the refusals of the systems the tests step."""
     build = cbs.CompositeSystem.__dict__["_steps"].fn
+    diagnose = cbs.CompositeSystem.__dict__["_diagnostics"].fn
+
+    def first_refusal(found) -> Optional[str]:
+        return next((d.message for d in found if d.code in REFUSED), None)
 
     def _steps(sys):  # ``cached_attr`` caches under the function's name
+        found = check_structure(sys)
+        expected = first_refusal(found)
         try:
-            return build(sys)
-        except EvalError:
-            codes = {d.code for d in check_structure(sys)}
-            assert codes & REFUSAL_CODES, codes
+            steps = build(sys)
+        except EvalError as error:
+            assert {d.code for d in found} & REFUSAL_CODES, found
+            assert expected in (None, str(error)), (expected, str(error))
             _steps.refused += 1
             raise
+        assert expected is None, expected
+        return steps
+
+    def _diagnostics(sys):
+        found = diagnose(sys)
+        expected = first_refusal(found)
+        if expected is not None:
+            with pytest.raises(EvalError) as error:
+                build(CompositeSystem(sys.components, sys.gamma))
+            assert str(error.value) == expected
+        return found
     _steps.refused = 0
     monkeypatch.setattr(cbs.CompositeSystem, "_steps", cached_attr(_steps))
+    monkeypatch.setattr(cbs.CompositeSystem, "_diagnostics", cached_attr(_diagnostics))
     return _steps
 
 
@@ -1480,3 +1506,23 @@ class TestDot:
             [c.id for c in sys.components] + [loc for c in sys.components for loc in c.locations]
             + made)
         assert any(guard in label for label in labels)
+
+    def test_node_ids_parse_back(self):
+        # A location's name may hold a quote or a backslash: each node id
+        # reads back as the component id and location it was made from.
+        a = component("A", [(AX, 0)], [AP_SS], [
+            Transition('a"0', AP_SS, TRUE, SKIP, "a\\1")], 'a"0', "a\\1")
+        b = component("B", [(BY, 0)], [BR], [Transition("b0", BR, TRUE, SKIP, "b1")],
+                      "b0", "b1")
+        sys = CompositeSystem((a, b), (Interaction(AP_SS, (BR,)),))
+        assert check_structure(sys) == []
+        node = re.compile(r"\s*" + DOT_STRING.pattern + r" \[shape=")
+        edge = re.compile(r"\s*" + DOT_STRING.pattern + " -> " + DOT_STRING.pattern + r" \[")
+        nodes, edges = [], []
+        for line in system_to_dot(sys).splitlines():
+            if m := node.match(line):
+                nodes.append(re.sub(r"\\(.)", r"\1", m.group(1)))
+            elif m := edge.match(line):
+                edges.append(tuple([re.sub(r"\\(.)", r"\1", i) for i in m.groups()]))
+        assert nodes == ['A__a"0', "A__a\\1", "B__b0", "B__b1"]
+        assert edges == [('A__a"0', "A__a\\1"), ("B__b0", "B__b1")]

@@ -4,8 +4,9 @@ well-formedness."""
 import pytest
 
 from chorc import lang, synthesis
+from chorc.core import TRUE, Lit, Update
 from chorc.lang import (
-    Branch, Comm, Loop, Nil, Par, Seq, Shape, check_well_formed, shape, shared,
+    Branch, Comm, GuardedSend, Loop, Nil, Par, Seq, Shape, check_well_formed, shape, shared,
 )
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
@@ -282,6 +283,11 @@ class TestWellFormed:
         ("locality", "A.p[B.y > 0]", "CONTEXT A.p on component A uses foreign variable B.y"),
         ("assign-type", "A.p[true, x := true]",
          "CONTEXT A.p: assigning bool to A.x of type int"),
+        # An operand of the wrong type fails the type inference itself.
+        ("guard-type", "A.p[x + true]",
+         "CONTEXT A.p guard: operator '+' needs int operands, got int/bool"),
+        ("assign-type", "A.p[true, x := x + true]",
+         "CONTEXT A.p: operator '+' needs int operands, got int/bool"),
     ]
 
     @pytest.mark.parametrize("context", CONTEXTS)
@@ -290,6 +296,14 @@ class TestWellFormed:
         body = self.CONTEXTS[context].replace("PORT", port)
         errors = [(d.code, d.message) for d in self.errors(body)]
         assert errors == [(code, message.replace("CONTEXT", context))]
+
+    def test_update_of_an_undeclared_variable(self):
+        # The parser resolves every target, so only a term built through
+        # the library can assign a variable that nothing declares.
+        decl, _, ch = chor("A.p -> { B.r }")
+        bad = Comm(GuardedSend(ch.send.port, TRUE, Update((("A.nope", Lit(1)),))), ch.rcvs)
+        assert [(d.code, d.message) for d in check_well_formed(decl, bad)] == [
+            ("unknown-var", "send A.p: unknown target A.nope")]
 
     def test_locality_errors_sorted_by_variable(self):
         decl, _, ch = parse_source(

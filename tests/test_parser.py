@@ -14,7 +14,7 @@ from chorc import parser
 from chorc.lang import Branch, Comm, Loop, Nil, Par, Seq, format_chor
 from chorc.parser import ParseError, parse_chor_source, parse_decls, parse_source
 
-from conftest import ROOT, corpus_paths, load_stem
+from conftest import ROOT, corpus_path, corpus_paths, load_stem
 
 MINI = """
 comp A {
@@ -168,6 +168,35 @@ class TestErrors:
     def test_lexer_errors(self, source, message, line, col):
         e = self.err(source)
         assert (e.message, e.line, e.col) == (message, line, col)
+
+    # A declaration error is reported at the name it is about.
+    @pytest.mark.parametrize("old, new, message, line, col", [
+        ("comp B {", "comp A {", "duplicate component 'A'", 6, 6),
+        ("  var x: int = 5;", "  var x: int = 5; var x: int;",
+         "duplicate variable 'x' in A", 3, 23),
+        ("  port p: ss of int binds x;", "  port p: ss of int binds x; port p: as of int binds x;",
+         "duplicate port 'p' in A", 4, 35),
+        ("binds x;", "binds z;", "port 'p' binds unknown variable 'z'", 4, 27),
+        ("ss of int", "ss of bool", "port 'p' of bool binds x: int", 4, 28),
+    ], ids=["component", "variable", "port", "unknown-variable", "variable-type"])
+    def test_declaration_error_positions(self, old, new, message, line, col):
+        with open(corpus_path("comm_sync")) as fh:
+            text = fh.read()
+        e = self.err(text.replace(old, new))
+        assert (e.message, e.line, e.col) == (message, line, col)
+
+    def test_payload_annotation(self):
+        # The optional ``: <dtype>`` after a communication's receivers
+        # names the payload's type: it must be the send port's, and it
+        # changes nothing in the term.
+        with open(corpus_path("comm_sync")) as fh:
+            text = fh.read()
+        end = "{ B.q[y := y * 2] }"
+        assert parse_source(text.replace(end, end + " : <int>"))[2] is parse_source(text)[2]
+        e = self.err(text.replace(end, end + " : <bool>"))
+        assert str(e) == "11:75: annotation <bool> does not match port A.p of int"
+        e = self.err(text.replace(end, "{ }"))
+        assert e.message == "communication needs at least one receiver"
 
     # An unknown component is reported at its name in every context.
     @pytest.mark.parametrize("term, name, col", [

@@ -272,6 +272,14 @@ class TestReceiveGuard:
         with pytest.raises(PromelaError, match=r"receive B\.r has a guard \(B\.y > 5\)"):
             generate_promela(sys, PromelaOptions(paper_ack=paper_ack))
 
+    def test_unwired_send_is_refused(self):
+        # The drop-interaction mutant keeps the transition on A.p#1, which
+        # no interaction of gamma names.
+        decl, _, ch = load_stem("comm_sync")
+        mutant = MUTATIONS["drop-interaction"](synthesize(decl, ch))
+        with pytest.raises(PromelaError, match=r"^send port A\.p#1 not wired in gamma$"):
+            generate_promela(mutant, PromelaOptions())
+
     def test_the_guard_blocks_the_system(self):
         # What an unguarded recv(ch_B_r) would hide: B never receives.
         result = sys_explore(_guarded_receive_system())

@@ -11,7 +11,7 @@ from chorc.cli import main
 from chorc.promela import MAX_LEN
 from chorc.sim import RunResult, _event_line, simulate, trace_text
 from chorc.synthesis import PROFILES, synthesize
-from chorc.verify import project, user_variables
+from chorc.verify import MUTATIONS, project, user_variables
 
 from conftest import corpus_path, corpus_paths, load, load_stem
 
@@ -34,6 +34,14 @@ class TestOutcomes:
             for seed in (0, 1):
                 res = simulate(sys, seed)
                 assert res.outcome == "completed", (path, seed)
+
+    def test_deadlock(self):
+        # Without its one interaction, the system cannot move at all.
+        decl, _, ch = load_stem("comm_sync")
+        res = simulate(MUTATIONS["drop-interaction"](synthesize(decl, ch)), 0)
+        assert (res.outcome, res.steps) == ("deadlock", 0)
+        assert json.loads(res.events[-1]) == {
+            "outcome": "deadlock", "steps": 0, "final": {"A.x": 5, "B.y": 0}}
 
     def test_step_limit(self):
         decl, sys, res = run_stem("loop_countdown", max_steps=1)

@@ -83,7 +83,7 @@ class TestNoStepTablesUnlessStepped:
                 assert "_steps" not in vars(sys), (path, profile)
                 for c in sys.components:
                     fields = {f.name for f in dataclasses.fields(c)}
-                    assert set(vars(c)) - fields <= {"_facts", "_by_src"}, (path, profile)
+                    assert set(vars(c)) - fields <= {"_findings", "_by_src"}, (path, profile)
         sys_explore(sys)  # the counting sees the closures a first step builds
         assert asked and all("_tables" in vars(c) for c in sys.components)
 

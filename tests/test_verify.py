@@ -5,6 +5,7 @@ import dataclasses
 from chorc import cbs
 from chorc.cbs import check_structure
 from chorc.cli import main
+from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import (
     MUTATIONS, equiv_check, invariant_suite, project,
@@ -43,6 +44,17 @@ class TestEquivalence:
         assert rep.chor_finals == rep.sys_finals
         assert len(rep.chor_finals) == 1
 
+    def test_deadlocks_on_both_sides_are_a_mismatch(self):
+        # A send whose guard never holds blocks the choreography and the
+        # system alike, and neither reaches a final state.
+        with open(corpus_path("comm_sync")) as fh:
+            text = fh.read()
+        decl, _, ch = parse_source(text.replace("A.p[x > 0,", "A.p[false,"))
+        rep = equiv_check(decl, ch, synthesize(decl, ch))
+        assert rep.verdict == "mismatch"
+        assert rep.reasons == ["choreography deadlocks in 1 configuration(s)",
+                               "system deadlocks in 1 state(s)"]
+
     def test_tight_limits_give_inconclusive(self):
         decl, _, ch = load_stem("microservice")
         rep = equiv_check(decl, ch, synthesize(decl, ch), max_configs=10,
@@ -65,6 +77,20 @@ class TestInvariantSuite:
             components=tuple(dataclasses.replace(c, end=None)
                              for c in sys.components))
         assert any(d.code == "no-end" for d in invariant_suite(broken))
+
+    def test_flags_each_component_by_its_own_end(self):
+        # The mutant forgets the first component's end; the second keeps
+        # its end, from which no transition leaves. An end at the initial
+        # location, which a transition leaves, is flagged too.
+        decl, _, ch = load_stem("comm_sync")
+        sys = synthesize(decl, ch)
+        mutant = MUTATIONS["unmark-end"](sys)
+        assert [(d.code, d.message) for d in invariant_suite(mutant)] == [
+            ("no-end", "A: no end location marked")]
+        a = sys.components[0]
+        early = sys.derive(components=(dataclasses.replace(a, end=a.init), *sys.components[1:]))
+        assert [(d.code, d.message) for d in invariant_suite(early)] == [
+            ("end-not-final", "A: end location LA_0 has outgoing transitions")]
 
 
 class TestStructureCheckedOnce:
