@@ -55,14 +55,15 @@ asynchronous send appends the payload to the receivers' buffers after its
 sender's update; a rendezvous checks every receiver's buffer and guard,
 then runs the sender's update and, for each receiver in order, sets its
 bound variable to the payload and runs its update, so an update runs, and
-may raise, only once it can fire. A system whose parts cannot be kept apart
-fails with ``EvalError`` when compiled, with the message of its first
-``check_structure`` finding that says so (``_REFUSED``): a component id or a
-variable declared twice, a port bound to a variable its component does not
-declare, a transition on a port its component does not own or declare, or
-one whose guard or update uses a variable its component does not declare. So
-does an interaction whose receiver has no component, or a synchronous
-receiver with no part of its own.
+may raise, only once it can fire. A system fails with ``EvalError`` when
+compiled, with the message of its first ``check_structure`` finding that
+says its parts cannot be kept apart or a send is miswired (``_REFUSED``): a
+component id or a variable declared twice, a port bound to a variable its
+component does not declare, a transition on a port its component does not
+own or declare, or one whose guard or update uses a variable its component
+does not declare; or an interaction that breaks ``lang.wiring``, as a term
+may not, so a send writes its sender's part and each receiver's, each once.
+So does an interaction whose sender has a component and a receiver none.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -85,7 +86,7 @@ from .core import (
     cached_attr, explore_lts, expr_vars, find_queue, format_expr, format_update, requeue,
     union_shared, update_vars,
 )
-from .lang import Diagnostic
+from .lang import Diagnostic, wiring
 
 @dataclass(frozen=True)
 class Transition:
@@ -187,7 +188,12 @@ class AtomicComponent:
 @dataclass(frozen=True)
 class Interaction:
     send: Port
-    receivers: tuple  # of Port, nonempty
+    receivers: tuple  # of Port
+
+    @cached_attr
+    def _findings(self) -> tuple:
+        """Its ``lang.wiring`` findings, as ``check_structure`` reports them."""
+        return wiring(self.send, self.receivers)
 
     @cached_attr
     def _event(self) -> Event:
@@ -231,8 +237,8 @@ class CompositeSystem:
         are (component position, port id), a synchronous send's (component
         position, port id, bound variable, location -> alternatives on the
         port); its event and record (the positions it writes, the sender's
-        first and each once, the key that picks their parts from a state,
-        and the cache) are its interaction's.
+        and then the receivers', the key that picks their parts from a
+        state, and the cache) are its interaction's.
 
         A system ``derive`` made from a parent that has stepped, with the
         parent's component ids and variables at every position, takes each
@@ -249,16 +255,16 @@ class CompositeSystem:
         other entry follows from clean positions' parts and steps alone.
 
         Raises ``EvalError`` with the message of the first finding of
-        ``_declarations`` or of the components' ``_findings`` whose code is
-        in ``_REFUSED``, or where an interaction's receiver has no part of
-        its own to write (see the module docstring)."""
+        ``_declarations`` or of the components' or interactions'
+        ``_findings`` whose code is in ``_REFUSED``, or of an absent
+        receiver's ``unknown-port`` (see the module docstring)."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
-        for code, message in chain(_declarations(components),
-                                   *[c._findings for c in components]):
+        for code, message in chain(_declarations(components), *[c._findings for c in components],
+                                   *[inter._findings for inter in self.gamma]):
             if code in _REFUSED:
                 raise EvalError(message)
         position = {c.id: i for i, c in enumerate(components)}  # ids are unique
@@ -282,23 +288,18 @@ class CompositeSystem:
         for inter in self.gamma:
             snd = inter.send
             i = position.get(snd.owner)
-            if i is None or snd.ctype not in ("as", "ss"):
-                continue  # no sender or not a send port (``check_structure``): never fires
-            receiving = []  # the receivers' positions
-            for r in inter.receivers:
-                j = position.get(r.owner)
-                if j is None or snd.ctype == "ss" and (
-                        j == i or j in receiving or r.var.qname not in tables[j][0]._slots):
-                    raise EvalError(f"interaction on {snd.pid}: receiver {r.pid} "
-                                    "has no part of its own")
-                receiving.append(j)
+            if i is None:
+                continue  # no sender (``check_structure``): never fires
+            receiving = [position.get(r.owner) for r in inter.receivers]
+            if None in receiving:
+                raise EvalError(_UNKNOWN_PORT.format(inter.receivers[receiving.index(None)].pid))
             if i not in dirty:
                 continue
             targets = tuple([(j, r.pid) if snd.ctype == "as" else
                              (j, r.pid, r.var.qname, tables[j][2].get(r, {}))
                              for j, r in zip(receiving, inter.receivers)])
             event = inter._event
-            writes = tuple(dict.fromkeys((i, *receiving)))
+            writes = (i, *receiving)
             key, cache = itemgetter(*writes), {}
             for src, alts in tables[i][2].get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
@@ -323,11 +324,11 @@ class CompositeSystem:
 
 def _sent(position: dict, n: int, gamma: tuple) -> list:
     """Per component position of ``n``, the interactions of ``gamma`` it
-    sends, in gamma order: those on a send port its component owns."""
+    sends, in gamma order: those whose send port its component owns."""
     out = [[] for _ in range(n)]
     for inter in gamma:
         i = position.get(inter.send.owner)
-        if i is not None and inter.send.ctype in ("as", "ss"):
+        if i is not None:
             out[i].append(inter)
     return out
 
@@ -435,27 +436,20 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -
     alternatives, each guard and update run on its own component's part.
     Each way is a tuple of the new parts of the positions it writes. The
     payload is the sent variable's value before the update. An
-    asynchronous send runs each alternative's update, then appends the
-    payload to each receiver's buffer in order, in the part already
-    written. A synchronous send checks the receivers' buffers and guards
-    first, then, for each choice of alternatives, runs the sender's update
-    and, for each receiver in order, sets its bound variable to the
-    payload and runs its update."""
+    asynchronous send appends it to each receiver's buffer and runs each
+    alternative's update. A synchronous send checks the receivers' buffers
+    and guards first, then, for each choice of alternatives, runs the
+    sender's update and, for each receiver in order, sets its bound
+    variable to the payload and runs its update."""
     rule, _, _, var, targets, _, writes, _ = step
     i = writes[0]
     sender = state[i]
     payload = sender[var]
     if rule == "asynch-send":
-        out = []
-        for _, update, dst in enabled:
-            after = sender if update is None else update(sender)
-            new = {i: _part(positions[i], dst, after, sender.queues)}
-            for j, pid in targets:
-                part = new.get(j, state[j])
-                new[j] = _part(positions[j], part.loc, part,
-                               requeue(part.queues, pid, push=(payload,)))
-            out.append(tuple(new.values()))
-        return tuple(out)
+        received = [_part(positions[j], state[j].loc, state[j],
+                          requeue(state[j].queues, pid, push=(payload,))) for j, pid in targets]
+        return tuple([(_part(positions[i], dst, sender if update is None else update(sender),
+                             sender.queues), *received) for _, update, dst in enabled])
     choices, received = [], []
     for j, pid, bound, by_loc in targets:
         part = state[j]
@@ -561,11 +555,15 @@ def check_structure(sys: CompositeSystem) -> list:
     return list(sys._diagnostics)
 
 
-#: The codes of the findings of ``_declarations`` and of
-#: ``AtomicComponent._findings`` that ``CompositeSystem._steps`` refuses:
-#: each says that a component's part cannot be kept apart from another's.
+#: The codes of the findings of ``_declarations`` and of the components' and
+#: interactions' ``_findings`` that ``CompositeSystem._steps`` refuses: a
+#: component's part cannot be kept apart from another's, or a send is miswired.
 _REFUSED = frozenset({"duplicate-component", "duplicate-var", "undeclared-var",
-                      "foreign-port", "foreign-var"})
+                      "foreign-port", "foreign-var", "send-port-type", "empty-receivers",
+                      "recv-port-type", "comm-dtype", "distinct-receivers"})
+
+#: The ``unknown-port`` message, for an interaction's port id.
+_UNKNOWN_PORT = "interaction references undeclared port {}"
 
 
 def _declarations(components: tuple):
@@ -593,7 +591,8 @@ def _declarations(components: tuple):
 def _structure_diagnostics(sys: CompositeSystem) -> list:
     """What ``check_structure`` reports: the declarations' findings, each
     component's own (``AtomicComponent._findings``), then gamma's, found in
-    one pass over gamma and one over the ports the transitions take."""
+    one pass over gamma, each interaction's own (``Interaction._findings``)
+    first, and one over the ports the transitions take."""
     comps = sys.components
     diags = [Diagnostic(code, message)
              for code, message in chain(_declarations(comps), *[c._findings for c in comps])]
@@ -602,28 +601,13 @@ def _structure_diagnostics(sys: CompositeSystem) -> list:
         diags.append(Diagnostic(code, message))
     pids = {p.pid for comp in comps for p in comp.ports}
 
-    # Interaction shape and one-port-one-interaction.
+    # Each interaction's wiring and its ports; one port, one interaction.
     uses: dict[str, int] = {}
     for inter in sys.gamma:
-        snd = inter.send
-        if not snd.is_send:
-            report("bad-interaction", f"{snd.pid} is not a send port")
-        if not inter.receivers:
-            report("bad-interaction", f"interaction on {snd.pid} has no receivers")
-        owners = {snd.owner}
-        for r in inter.receivers:
-            if r.ctype != "r":
-                report("bad-interaction", f"{r.pid} is not a receive port")
-            if r.dtype != snd.dtype:
-                report("bad-interaction",
-                       f"dtype mismatch {snd.pid}:{snd.dtype} -> {r.pid}:{r.dtype}")
-            if r.owner in owners:
-                report("bad-interaction",
-                       f"component {r.owner} occurs twice in interaction on {snd.pid}")
-            owners.add(r.owner)
-        for pid in dict.fromkeys([snd.pid] + [r.pid for r in inter.receivers]):
+        diags += [Diagnostic(*found) for found in inter._findings]
+        for pid in dict.fromkeys([inter.send.pid] + [r.pid for r in inter.receivers]):
             if pid not in pids:
-                report("unknown-port", f"interaction references undeclared port {pid}")
+                report("unknown-port", _UNKNOWN_PORT.format(pid))
             uses[pid] = uses.get(pid, 0) + 1
     for pid, n in sorted(uses.items()):
         if n > 1:

@@ -12,7 +12,9 @@ the ``parallel-independence`` warning and the choreography semantics.
 ``faults`` states every static rule but the type rules for one term, in one
 place: ``check_well_formed`` reports each term's faults and then its type
 findings, and the choreography semantics refuses to compile a term with a
-fault, synchronous or asynchronous alike."""
+fault, synchronous or asynchronous alike. A communication's part of them,
+how its send port is wired to its receive ports, is ``wiring``, which holds
+a hand-built system's interactions to the same rule with the same texts."""
 
 from __future__ import annotations
 
@@ -292,42 +294,50 @@ def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
     return diags
 
 
+def _send_port(port: Port) -> list:
+    """A communication's, a choice arm's or a loop test's port sends."""
+    return [] if port.is_send else [("send-port-type", f"port {port.pid} is not a send port")]
+
+
+def wiring(send: Port, receivers) -> tuple:
+    """The (code, message) of each rule that a ``Comm`` or a system's
+    ``Interaction`` from ``send`` to ``receivers`` breaks, in order:
+    ``send`` is a send port, there are receivers, and each is a receive
+    port of its data type on a component of its own, not the sender's."""
+    found = _send_port(send)
+    if not receivers:
+        found.append(("empty-receivers", f"communication on {send.pid} without receivers"))
+    owners = {send.owner}
+    for p in receivers:
+        if p.ctype != "r":
+            found.append(("recv-port-type", f"port {p.pid} is not a receive port"))
+        if p.dtype != send.dtype:
+            found.append(("comm-dtype", f"receiver {p.pid}:{p.dtype} does not match sender "
+                                        f"{send.pid}:{send.dtype}"))
+        if p.owner in owners:
+            found.append(("distinct-receivers",
+                          f"component {p.owner} occurs twice in communication on {send.pid}"))
+        owners.add(p.owner)
+    return tuple(found)
+
+
 def _check_guarded_send(diags, gs: GuardedSend, context: str):
-    """A communication's send, a choice arm or a loop condition."""
-    if not gs.port.is_send:
-        diags.append(Diagnostic(
-            "send-port-type", f"port {gs.port.pid} is not a send port"))
+    """A choice arm or a loop condition."""
+    diags += [Diagnostic(*found) for found in _send_port(gs.port)]
     _check_locality(diags, gs.port.owner, gs.guard, gs.update, f"{context} {gs.port.pid}")
 
 
 def faults(term: Chor) -> list[Diagnostic]:
     """What ``term`` itself, not a subterm, breaks of every rule but the
-    type rules, in ``check_well_formed``'s order: a communication's ports,
-    receivers and locality, a choice's arms, a loop's test. The
+    type rules, in ``check_well_formed``'s order: a communication's
+    ``wiring`` and locality, a choice's arms, a loop's test. The
     choreography semantics refuses a term with any."""
     diags: list[Diagnostic] = []
     if isinstance(term, Comm):
         snd = term.send
-        _check_guarded_send(diags, snd, "send")
-        if not term.rcvs:
-            diags.append(Diagnostic("empty-receivers", "communication without receivers"))
-        owners = [snd.port.owner]
+        diags += [Diagnostic(*found) for found in wiring(snd.port, [p for p, _ in term.rcvs])]
+        _check_locality(diags, snd.port.owner, snd.guard, snd.update, f"send {snd.port.pid}")
         for p, f in term.rcvs:
-            if p.ctype != "r":
-                diags.append(Diagnostic(
-                    "recv-port-type", f"port {p.pid} is not a receive port"))
-            if p.dtype != snd.port.dtype:
-                diags.append(Diagnostic(
-                    "comm-dtype",
-                    f"receiver {p.pid}:{p.dtype} does not match sender "
-                    f"{snd.port.pid}:{snd.port.dtype}",
-                ))
-            if p.owner in owners:
-                diags.append(Diagnostic(
-                    "distinct-receivers",
-                    f"component {p.owner} occurs twice in one communication",
-                ))
-            owners.append(p.owner)
             _check_locality(diags, p.owner, TRUE, f, f"receive {p.pid}")
     elif isinstance(term, Branch):
         for gs, _ in term.conts:

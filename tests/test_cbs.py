@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from chorc import cbs
+from chorc import cbs, chorsem
 from chorc.cbs import (
     TAU, AtomicComponent, CompositeSystem, Interaction, SysState, Transition,
     check_structure, component_steps, is_terminal, serialize_system,
@@ -26,6 +26,9 @@ from chorc.cbs import (
 from chorc.core import (
     SKIP, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Port, Ref, Update, Valuation, Variable,
     cached_attr, explore_lts, find_queue, format_expr, requeue,
+)
+from chorc.lang import (
+    Comm, ComponentDecl, GuardedSend, SystemDecl, check_well_formed,
 )
 from chorc.parser import parse_source
 from chorc.sim import simulate
@@ -913,7 +916,10 @@ class TestPartsAgainstFlat:
             assert states == [(s.locations, s.buffers) for s in ref.graph], where
             assert res.finals == ref.finals, where
 
-    def test_asynchronous_send_to_its_own_port(self):
+    def test_asynchronous_send_to_its_own_port(self, refusals_are_reported):
+        # A communication's receivers are on components of their own, not
+        # the sender's, asynchronous or not: refused, as ``lang.faults``
+        # refuses such a term.
         az = var("A", "z")
         a_r = port("A", "r", "r", az)
         a = component("A", [(AX, 2), (az, 0)], [AP_AS, a_r], [
@@ -924,13 +930,18 @@ class TestPartsAgainstFlat:
         b = component("B", [(BY, 0)], [BR], [Transition("b0", BR, TRUE, DBL_Y, "b1")],
                       "b0", "b1")
         sys = CompositeSystem((a, b), (Interaction(AP_AS, (a_r, BR)),))
-        res = assert_lts_matches_flat(sys, "own port", max_configs=60)
-        assert {"asynch-send", "recv"} <= res.rules_seen
-        assert any(find_queue(s.buffers, "A.r")[1] for s in res.graph)
+        message = "component A occurs twice in communication on A.a"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("mixed-location", "A: location a1 mixes outgoing send and receive"),
+            ("distinct-receivers", message)]
+        for run in (sys_explore, lambda sys: simulate(sys, 0)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                run(sys)
+        assert refusals_are_reported.refused == 2
 
-    def test_asynchronous_send_to_two_ports_of_one_component(self):
-        # B owns both receive ports: each send writes B's part once, with
-        # the payload appended to both of its buffers.
+    def test_asynchronous_send_to_two_ports_of_one_component(self, refusals_are_reported):
+        # B owns both receive ports: refused, as a term sending to two
+        # ports of one component is.
         bw = var("B", "w")
         b_s = port("B", "s", "r", bw)
         a = component("A", [(AX, 2)], [AP_AS], [
@@ -943,11 +954,13 @@ class TestPartsAgainstFlat:
             Transition("b3", b_s, TRUE, Update((("B.y", BinOp("+", Ref("B.y"), Ref("B.w"))),)),
                        "b4")], "b0", "b4")
         sys = CompositeSystem((a, b), (Interaction(AP_AS, (BR, b_s)),))
-        res = assert_lts_matches_flat(sys, "two ports of one component")
-        assert (("B.r", (2, 3)), ("B.s", (2, 3))) in [s.buffers for s in res.graph]
-        assert len(res.terminals) == 1 and not res.deadlocks
-        (final,) = res.finals
-        assert (final["A.x"], final["B.y"], final["B.w"]) == (4, 6, 3)
+        message = "component B occurs twice in communication on A.a"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [
+            ("distinct-receivers", message)]
+        for run in (sys_explore, lambda sys: simulate(sys, 0)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                run(sys)
+        assert refusals_are_reported.refused == 2
 
     def test_two_receivers_multiply_alternatives(self):
         cz = var("C", "z")
@@ -1139,23 +1152,23 @@ def reference_structure_diagnostics(sys) -> list:
     uses = {}
     for inter in sys.gamma:
         if not inter.send.is_send:
-            diags.append(("bad-interaction", f"{inter.send.pid} is not a send port"))
+            diags.append(("send-port-type", f"port {inter.send.pid} is not a send port"))
         if not inter.receivers:
             diags.append((
-                "bad-interaction", f"interaction on {inter.send.pid} has no receivers"))
+                "empty-receivers", f"communication on {inter.send.pid} without receivers"))
         owners = {inter.send.owner}
         for r in inter.receivers:
             if r.ctype != "r":
-                diags.append(("bad-interaction", f"{r.pid} is not a receive port"))
+                diags.append(("recv-port-type", f"port {r.pid} is not a receive port"))
             if r.dtype != inter.send.dtype:
                 diags.append((
-                    "bad-interaction",
-                    f"dtype mismatch {inter.send.pid}:{inter.send.dtype} -> "
-                    f"{r.pid}:{r.dtype}"))
+                    "comm-dtype",
+                    f"receiver {r.pid}:{r.dtype} does not match sender "
+                    f"{inter.send.pid}:{inter.send.dtype}"))
             if r.owner in owners:
                 diags.append((
-                    "bad-interaction",
-                    f"component {r.owner} occurs twice in interaction on "
+                    "distinct-receivers",
+                    f"component {r.owner} occurs twice in communication on "
                     f"{inter.send.pid}"))
             owners.add(r.owner)
         for pid in dict.fromkeys([inter.send.pid] + [r.pid for r in inter.receivers]):
@@ -1199,15 +1212,17 @@ def structure_check_matches_reference(monkeypatch):
 
 
 #: The structure findings the explorer refuses a system for, with the first
-#: one's message: each says that a component's part cannot be kept apart
-#: from another's. All of them come from the declarations or from one
-#: component's own text, none from gamma.
+#: one's message: the first five say that a component's part cannot be
+#: kept apart from another's, and come from the declarations or from one
+#: component's own text; the rest say that an interaction breaks the wiring
+#: rule of a communication, as ``lang.faults`` says of a term.
 REFUSED = frozenset({"duplicate-component", "duplicate-var", "undeclared-var",
-                     "foreign-port", "foreign-var"})
+                     "foreign-port", "foreign-var", "send-port-type", "empty-receivers",
+                     "recv-port-type", "comm-dtype", "distinct-receivers"})
 
 #: The findings a refused system may show: ``REFUSED``, or
-#: ``bad-interaction`` for a synchronous receiver with no part of its own.
-REFUSAL_CODES = REFUSED | {"bad-interaction"}
+#: ``unknown-port`` for a receiver that no component holds.
+REFUSAL_CODES = REFUSED | {"unknown-port"}
 
 
 @pytest.fixture(autouse=True)
@@ -1293,7 +1308,8 @@ class TestStructureReference:
         codes = [d.code for d in check_structure(sys)]
         assert structure_check_matches_reference.calls == 1
         assert {"bad-end", "bad-transition", "foreign-port", "foreign-var", "mixed-location",
-                "bad-interaction", "port-conflict", "internal-wired"} <= set(codes)
+                "distinct-receivers", "send-port-type", "recv-port-type", "port-conflict",
+                "internal-wired"} <= set(codes)
 
 
 class TestCheckStructure:
@@ -1443,9 +1459,10 @@ class TestCheckStructure:
             Transition("a0", AP_SS, TRUE, SKIP, "a1"),
             Transition("a1", a_r, TRUE, SKIP, "a2")], "a0", "a2")
         sys = CompositeSystem((a,), (Interaction(AP_SS, (a_r,)),))
+        message = "component A occurs twice in communication on A.p"
         assert [(d.code, d.message) for d in check_structure(sys)] == [
-            ("bad-interaction", "component A occurs twice in interaction on A.p")]
-        with pytest.raises(EvalError, match="interaction on A.p: receiver A.r has no part"):
+            ("distinct-receivers", message)]
+        with pytest.raises(EvalError, match=f"^{message}$"):
             sys_explore(sys)
 
     def test_synchronous_receivers_on_one_component(self):
@@ -1456,9 +1473,10 @@ class TestCheckStructure:
             Transition("b1", b_s, TRUE, SKIP, "b2")], "b0", "b2")
         sys = CompositeSystem((self.clean().components[0], b),
                               (Interaction(AP_SS, (BR, b_s)),))
+        message = "component B occurs twice in communication on A.p"
         assert [(d.code, d.message) for d in check_structure(sys)] == [
-            ("bad-interaction", "component B occurs twice in interaction on A.p")]
-        with pytest.raises(EvalError, match="interaction on A.p: receiver B.s has no part"):
+            ("distinct-receivers", message)]
+        with pytest.raises(EvalError, match=f"^{message}$"):
             sys_explore(sys)
 
     def test_foreign_variable(self):
@@ -1467,6 +1485,101 @@ class TestCheckStructure:
             [Transition("b0", BR, TRUE, SKIP, "b1")],
             [Interaction(AP_SS, (BR,))])
         assert "foreign-var" in self.codes(sys)
+
+
+#: Ports of three components A, B and C, each binding its int variable or
+#: its bool one: per component a synchronous and an asynchronous send, an
+#: internal port, and receive ports of int, of bool and of int again.
+WIRING_VARS = {c: {"int": var(c, "x"), "bool": var(c, "b", "bool")} for c in "ABC"}
+WIRING_PORTS = {f"{c}.{name}": port(c, name, ctype, WIRING_VARS[c][dtype])
+                for c in "ABC"
+                for name, ctype, dtype in (("s", "ss", "int"), ("a", "as", "int"),
+                                           ("i", "in", "int"), ("r", "r", "int"),
+                                           ("t", "r", "bool"), ("u", "r", "int"))}
+
+#: A's synchronous and asynchronous send.
+WIRING_SENDS = {"ss": "A.s", "as": "A.a"}
+
+#: One breach of each wiring rule: (code, the ports sent on in place of
+#: ``WIRING_SENDS``, or None to keep them, the receivers, the message). A
+#: send on a port that is not a send port is neither synchronous nor
+#: asynchronous; its two forms send on a receive and on an internal port.
+WIRING_BREACHES = [
+    ("send-port-type", {"ss": "A.r", "as": "A.i"}, ("B.r",), "port {send} is not a send port"),
+    ("empty-receivers", None, (), "communication on {send} without receivers"),
+    ("recv-port-type", None, ("B.s",), "port B.s is not a receive port"),
+    ("comm-dtype", None, ("B.r", "C.t"), "receiver C.t:bool does not match sender {send}:int"),
+    ("distinct-receivers", None, ("A.r", "B.r"), "component A occurs twice in communication "
+                                                 "on {send}"),
+    ("distinct-receivers", None, ("B.r", "C.r", "B.u"), "component B occurs twice in "
+                                                        "communication on {send}"),
+]
+
+
+class TestWiringAgreement:
+    """A communication's wiring rule (``lang.wiring``) binds a choreography
+    term, synchronous or asynchronous, and a hand-built system's
+    interaction alike: both checks report a breach with one code and text,
+    and the choreography explorer, the system explorer and the simulator
+    each refuse it with that text."""
+
+    @pytest.mark.parametrize("ctype", ["ss", "as"])
+    @pytest.mark.parametrize("code, sends, receivers, message", WIRING_BREACHES,
+                             ids=[f"{b[0]}-{i}" for i, b in enumerate(WIRING_BREACHES)])
+    def test_one_breach(self, refusals_are_reported, ctype, code, sends, receivers, message):
+        send = WIRING_PORTS[(sends or WIRING_SENDS)[ctype]]
+        rcvs = tuple([WIRING_PORTS[pid] for pid in receivers])
+        message = message.format(send=send.pid)
+        decl = SystemDecl(tuple([
+            ComponentDecl(c, ((vs["int"], 7), (vs["bool"], False)),
+                          tuple([p for p in WIRING_PORTS.values() if p.owner == c]))
+            for c, vs in WIRING_VARS.items()]))
+        term = Comm(GuardedSend(send, TRUE, SKIP), tuple([(p, SKIP) for p in rcvs]))
+        sys = CompositeSystem(tuple([
+            component(c.id, c.vars, c.ports, [], f"{c.id}0", f"{c.id}0")
+            for c in decl.components]), (Interaction(send, rcvs),))
+        assert [(d.code, d.message) for d in check_well_formed(decl, term)] == \
+            [(d.code, d.message) for d in check_structure(sys)] == [(code, message)]
+        runs = (lambda: chorsem.explore(term, decl.initial_valuation()),
+                lambda: sys_explore(sys), lambda: simulate(sys, 0))
+        for run in runs:
+            with pytest.raises(EvalError) as error:
+                run()
+            assert str(error.value) == message
+        assert refusals_are_reported.refused == 2
+
+    @pytest.mark.parametrize("send", [AP_SS, AP_AS])
+    def test_a_transfer_between_types(self, refusals_are_reported, send):
+        # A sends its int 7 to B.r, which binds B's bool: were it explored,
+        # B.b would end as 7.
+        bb = var("B", "b", "bool")
+        b_r = port("B", "r", "r", bb)
+        a = component("A", [(AX, 7)], [send], [Transition("a0", send, TRUE, SKIP, "a1")],
+                      "a0", "a1")
+        b = component("B", [(bb, False)], [b_r], [Transition("b0", b_r, TRUE, SKIP, "b1")],
+                      "b0", "b1")
+        sys = CompositeSystem((a, b), (Interaction(send, (b_r,)),))
+        message = f"receiver B.r:bool does not match sender {send.pid}:int"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [("comm-dtype", message)]
+        for run in (sys_explore, lambda sys: simulate(sys, 0)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                run(sys)
+        assert refusals_are_reported.refused == 2
+
+    def test_a_receiver_no_component_holds(self, refusals_are_reported):
+        # C holds no part, so a send to C.r cannot be delivered: refused
+        # with the structure check's text. With no sender, the interaction
+        # never fires (see ``test_interaction_whose_sender_is_absent``).
+        c_r = port("C", "r", "r", var("C", "z"))
+        sys = make_sys([Transition("a0", AP_AS, TRUE, SKIP, "a1")],
+                       [Transition("b0", BR, TRUE, SKIP, "b1")],
+                       [Interaction(AP_AS, (BR, c_r))])
+        message = "interaction references undeclared port C.r"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [("unknown-port", message)]
+        for run in (sys_explore, lambda sys: simulate(sys, 0)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                run(sys)
+        assert refusals_are_reported.refused == 2
 
 
 class TestSerialize:

@@ -60,6 +60,17 @@ class TestCheck:
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: 'utf-8' codec can't decode byte 0xe9")
 
+    @pytest.mark.parametrize("argv, name", [
+        (["synth", SYNC, "-o"], "x"), (["explore", SYNC, "--dump-lts"], "x.dot")])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, argv, name):
+        target = tmp_path / "missing" / name
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [str(target)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{target}'\n")
+        assert not target.parent.exists()
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.chor"
         bad.write_text("choreography x = @@")

@@ -4,7 +4,7 @@ well-formedness."""
 import pytest
 
 from chorc import lang, synthesis
-from chorc.core import TRUE, Lit, Update
+from chorc.core import SKIP, TRUE, BinOp, Lit, Ref, Update
 from chorc.lang import (
     Branch, Comm, GuardedSend, Loop, Nil, Par, Seq, Shape, check_well_formed, shape, shared,
 )
@@ -288,6 +288,16 @@ class TestWellFormed:
          "CONTEXT A.p guard: operator '+' needs int operands, got int/bool"),
         ("assign-type", "A.p[true, x := x + true]",
          "CONTEXT A.p: operator '+' needs int operands, got int/bool"),
+        # Each other operator's operand rule.
+        ("guard-type", "A.p[-b > 0]", "CONTEXT A.p guard: unary minus needs an int operand"),
+        ("guard-type", "A.p[not x]", "CONTEXT A.p guard: not needs a bool operand"),
+        ("guard-type", "A.p[x == b]",
+         "CONTEXT A.p guard: comparison '==' across types int/bool"),
+        ("guard-type", "A.p[b < true]", "CONTEXT A.p guard: ordering '<' on bool"),
+        ("guard-type", "A.p[x and b]",
+         "CONTEXT A.p guard: operator 'and' needs bool operands, got int/bool"),
+        ("assign-type", "A.p[true, b := x or b]",
+         "CONTEXT A.p: operator 'or' needs bool operands, got int/bool"),
     ]
 
     @pytest.mark.parametrize("context", CONTEXTS)
@@ -304,6 +314,19 @@ class TestWellFormed:
         bad = Comm(GuardedSend(ch.send.port, TRUE, Update((("A.nope", Lit(1)),))), ch.rcvs)
         assert [(d.code, d.message) for d in check_well_formed(decl, bad)] == [
             ("unknown-var", "send A.p: unknown target A.nope")]
+
+    @pytest.mark.parametrize("where, message", [
+        ("guard", "send A.p guard: unknown variable 'A.nope'"),
+        ("update", "send A.p: unknown variable 'A.nope'"),
+    ])
+    def test_read_of_an_undeclared_variable(self, where, message):
+        # Only a term built through the library can read one, as above.
+        decl, _, ch = chor("A.p -> { B.r }")
+        nope = BinOp("+", Ref("A.nope"), Lit(1))
+        gs = (GuardedSend(ch.send.port, BinOp(">", nope, Lit(0)), SKIP) if where == "guard"
+              else GuardedSend(ch.send.port, TRUE, Update((("A.x", nope),))))
+        assert [(d.code, d.message) for d in check_well_formed(decl, Comm(gs, ch.rcvs))] == [
+            ("guard-type" if where == "guard" else "assign-type", message)]
 
     def test_locality_errors_sorted_by_variable(self):
         decl, _, ch = parse_source(

@@ -206,6 +206,21 @@ class TestSeqSync:
         assert len(c.gamma) == len(d.gamma) + 1
 
 
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("body", ["nil ; A.p -> { B.r }", "A.p -> { B.r } ; nil"])
+    def test_none_next_to_nil(self, body, profile):
+        # nil starts and ends nowhere, so nothing waits on it: the system is
+        # the lone send's, and behaves as the term does.
+        decl, _, ch = parse_source(
+            "comp A { var x: int = 0; port p: ss of int binds x; }\n"
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            f"choreography t = {body}")
+        sys = synthesize(decl, ch, profile)
+        assert [(i.send.pid, [r.pid for r in i.receivers]) for i in sys.gamma] == [
+            ("A.p#1", ["B.r#1"])]
+        assert equiv_check(decl, ch, sys).verdict == "equivalent"
+
+
 class TestLongChain:
     """A chain of 900 synchronous sends from A to B. Synthesis checks every
     context it moves against a set, so such a chain takes time linear in
