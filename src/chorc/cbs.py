@@ -63,7 +63,7 @@ component does not declare, a transition on a port its component does not
 own or declare, or one whose guard or update uses a variable its component
 does not declare; or an interaction that breaks ``lang.wiring``, as a term
 may not, so a send writes its sender's part and each receiver's, each once.
-So does an interaction whose sender has a component and a receiver none.
+So does an interaction with a declared sender and an undeclared receive port.
 
 A step's event (see ``core.Event``) names its rule and the ports of the
 transitions it fires, the sender's first: an asynchronous send moves its
@@ -256,8 +256,8 @@ class CompositeSystem:
 
         Raises ``EvalError`` with the message of the first finding of
         ``_declarations`` or of the components' or interactions'
-        ``_findings`` whose code is in ``_REFUSED``, or of an absent
-        receiver's ``unknown-port`` (see the module docstring)."""
+        ``_findings`` whose code is in ``_REFUSED``, or of an undeclared
+        receive port's ``unknown-port`` (see the module docstring)."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
@@ -291,8 +291,9 @@ class CompositeSystem:
             if i is None:
                 continue  # no sender (``check_structure``): never fires
             receiving = [position.get(r.owner) for r in inter.receivers]
-            if None in receiving:
-                raise EvalError(_UNKNOWN_PORT.format(inter.receivers[receiving.index(None)].pid))
+            for j, r in zip(receiving, inter.receivers):
+                if j is None or r.pid not in [p.pid for p in components[j].ports]:
+                    raise EvalError(_UNKNOWN_PORT.format(r.pid))
             if i not in dirty:
                 continue
             targets = tuple([(j, r.pid) if snd.ctype == "as" else

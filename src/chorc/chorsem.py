@@ -1,9 +1,9 @@
 """Small-step interpreter for the choreography semantics.
 
 A configuration (``Running``) pairs a runtime term, None once it has
-terminated, with a valuation and a pool of pending (residual) receives; it
-is final, and prints as ``Final(sigma=...)``, once the term has terminated
-and the pool is empty. An asynchronous send completes immediately on the
+terminated, with a valuation and the pending (residual) receives; it is
+final, and prints as ``Final(sigma=...)``, once the term has terminated and
+nothing is pending. An asynchronous send completes immediately on the
 sender's side; the receives it leaves behind are appended, together with
 the transferred value, to a FIFO queue per receiving component, in arrival
 order. A component with a pending entry moves only by consuming its oldest
@@ -15,43 +15,42 @@ participants swap, as in the asynchronous choreography calculi
 Carbone & Montesi, "Deadlock-freedom-by-design", POPL 2013), and as a
 synthesized component, one sequential automaton, behaves.
 
-Every step has one shape, (event, action, next term, next pool), with
-``_KEEP`` for what it leaves as it is: a term step keeps the pool, or
-pushes its sends onto it, and a delivery keeps the term, since consuming a
-message in transit is an ordinary reduction. Each term is compiled once, on
-first use, into a step table kept on the term, one static step per way the
-term can move. An action (``_Action``) holds its initiator's guard as a
-compiled closure (see ``core``), None for ``true``, the variable it sends,
-its residual receives, its owners, the components whose pending entries
-hold it back (the owners of the moving ports, the master for a loop's
-exit, and nobody for ``nil`` or a delivery), and its moves: one per
-component whose variables it touches, initiator first, each that
-component's update, None for skip, and for a synchronous receiver the
-variable that takes the sent value first. ``Seq`` and ``Par`` lift their
-operands' tables, sharing the actions, and ``Par`` reads once whether its
-operands are dependent (``lang.shared``). A residual receive is a
-``Receipt``, one live object per (receive port, update), which keeps the
-delivery's event and, per delivered value, its action: assign the value to
-the port's variable, then run the update.
+A term's step has one shape, (event, action, next term). A delivery is no
+term step: consuming a message in transit is an ordinary reduction that
+keeps the term. Each term is compiled once, on first use, into a step table
+kept on the term, one static step per way the term can move. An action
+(``_Action``) holds its initiator's guard as a compiled closure (see
+``core``), None for ``true``, the variable it sends, its residual receives,
+its owners, the components whose pending entries hold it back (the owners
+of the moving ports, the master for a loop's exit, and nobody for
+``nil``), and its moves: one per component whose variables it touches,
+initiator first, each that component's update, None for skip, and for a
+synchronous receiver the variable that takes the sent value first. ``Seq``
+and ``Par`` lift their operands' tables, sharing the actions, and ``Par``
+reads once whether its operands are dependent (``lang.shared``). A
+residual receive is a ``Receipt``, one live object per (receive port,
+update), which keeps the delivery's event.
 
-Configuration layout. A configuration is stored as (term, parts, pool),
+Configuration layout. A configuration is stored as (term, parts, frame),
 partitioned as ``core`` describes: one part (``_Part``) per component,
 holding the values of its variables, which are contiguous in sorted-key
-order, since ``.`` sorts below every identifier character. A ``_Frame``,
-one per set of keys, lays the parts out. The pool is one ``_Pool``, which
-keeps its ``deliveries``, the step of each receiver's oldest entry, and its
-``receivers``, whose term steps wait. Frames, parts and pools are
+order, since ``.`` sorts below every identifier character, and its
+``queue`` of pending (receipt, value) entries, oldest first. A ``_Frame``,
+one per set of keys, lays the parts out, in component order, and keeps
+its ``receivers``, the sorted indices of the parts that an action laid out
+in it sends to: only those parts can hold a queue. Frames and parts are
 hash-consed by value like terms (see ``core.Interned``), so equal
 configurations from two parses are equal tuples. ``sigma`` views the
 parts as one valuation, their ``Valuation.union``, which only finals and
-``repr`` read, and ``pending`` views the pool as its queues.
+``repr`` read, and ``pending`` views the queues.
 
 Caches. An action is laid out in the frame it last ran in, and again,
-with empty caches, when it runs in another. It keeps a cache from the
-parts it touches to its result, the new parts it writes and the payload
-it sends, or nothing if its guard fails, and one from (pool, payload) to
-the pool a send leaves; on a miss each move runs on its own component's
-part. Actions live on the terms and receipts. Compiling a term with
+with an empty cache, when it runs in another. It keeps a cache from the
+parts it reads, its owners' and its receivers', to the new parts it
+writes, or ``False`` if an owner has a pending entry or its guard fails;
+on a miss each move runs on its own component's part, and each receiver's
+part gets the payload queued. A delivery of a part's oldest entry is kept
+on that part. Actions live on the terms. Compiling a term with
 ``lang.faults``, which ``check_well_formed`` reports too, raises
 ``EvalError`` with the first one's message, and so does a step that
 assigns a variable the initial valuation does not bind (``Valuation.set``).
@@ -79,15 +78,10 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import (
-    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Lit, Not, Part, Port,
-    Update, Valuation, cached_attr, explore_lts, expr_vars, interned, requeue,
+    SKIP, TAU, TRUE, EvalError, Event, Exploration, Interned, Label, Not, Part, Port, Update,
+    Valuation, explore_lts, expr_vars, interned,
 )
 from .lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, faults, shared
-
-#: The next term of a delivery and the next pool of a term step: what the
-#: step leaves as it is.
-_KEEP = object()
-
 
 #: The key of an action that touches no part; what a component without one reads.
 _NO_PARTS, _NO_VALUES = itemgetter(slice(0, 0)), Valuation()
@@ -95,15 +89,17 @@ _NO_PARTS, _NO_VALUES = itemgetter(slice(0, 0)), Valuation()
 
 class _Action:
     """What a static step does, shared by its lifted copies (see the module
-    docstring): its initiator's ``guard``, the ``var`` it sends and its
+    docstring): its initiator's ``guard``, the ``var`` it sends, its
     ``moves``, one (owner, received variable or None, update) per component
-    whose part it touches, initiator first. Laid out in ``frame``, ``at``
-    holds each move's part index, None if it has none, ``key`` picks the
-    parts, ``writes`` holds the indices of those it writes and ``sole`` the
-    index if there is one."""
+    whose values it touches, initiator first, and its ``sends``, one
+    (receiving component, receipt) per residual receive. Laid out in
+    ``frame``, ``at`` holds each move's part index, None if it has none,
+    ``to`` each send's (index, receipt), ``waits`` the owners' indices,
+    ``key`` picks the parts it reads, ``writes`` holds the indices of those
+    it writes and ``sole`` the index if there is one."""
 
-    __slots__ = ("guard", "var", "moves", "sends", "owners", "frame", "at", "key", "writes",
-                 "sole", "cache", "pushes")
+    __slots__ = ("guard", "var", "moves", "sends", "owners", "frame", "at", "to", "waits", "key",
+                 "writes", "sole", "cache")
 
     def __init__(self, guard, var: Optional[str], moves: tuple, sends=(), owners=frozenset()):
         self.guard = None if guard is TRUE else guard.compiled
@@ -112,44 +108,42 @@ class _Action:
         self.var, self.sends, self.owners, self.frame = var, sends, owners, None
 
     def lay_out(self, frame: _Frame):
-        """Lay the action out in ``frame``, with empty caches."""
-        at = self.at = tuple([frame.part_of.get(owner) for owner, _, _ in self.moves])
-        held = [i for i in at if i is not None]
+        """Lay the action out in ``frame``, with an empty cache, and add the
+        parts it sends to to the frame's ``receivers``."""
+        part_of = frame.part_of
+        at = self.at = tuple([part_of.get(owner) for owner, _, _ in self.moves])
+        to = self.to = tuple([(part_of.get(comp), receipt) for comp, receipt in self.sends])
+        self.waits = tuple(sorted([part_of[o] for o in self.owners if o in part_of]))
+        pushed = [i for i, _ in to if i is not None]
+        held = sorted(set(self.waits).union(pushed))  # the moves' owners are owners
         self.key = itemgetter(*held) if held else _NO_PARTS
         self.writes = tuple([i for i, (_, received, f) in zip(at, self.moves)
-                             if received is not None or f is not None])
+                             if received is not None or f is not None] + [i for i, _ in to])
         self.sole = self.writes[0] if len(self.writes) == 1 else None
-        self.frame, self.cache, self.pushes = frame, {}, {}
+        self.frame, self.cache = frame, {}
+        frame.receivers = tuple(sorted(set(frame.receivers).union(pushed)))
 
 
 class Receipt(Interned):
     """The receive side of an asynchronous send: the receive port and its
-    update, the delivery's event, and ``actions``, the delivery's action per
-    delivered value. Hash-consed: one live object per (port, update). The
-    repr prints the port and the update, so that a pending entry reads as a
-    (port, update, value) triple.
+    update, and the delivery's event. Hash-consed: one live object per
+    (port, update). The repr prints the port and the update, so that a
+    pending entry reads as a (port, update, value) triple.
     """
 
     def __new__(cls, port: Port, update: Update):
         return interned(cls, (id(port), id(update)), port=port, update=update,
-                        event=Event.of(("asynch-sendrcv-2",), (port,)), actions={})
+                        event=Event.of(("asynch-sendrcv-2",), (port,)))
 
     def __repr__(self):
         return f"{self.port!r}, {self.update!r}"
 
-    def action(self, value) -> _Action:
-        """The delivery of ``value``: built once, then kept."""
-        act = self.actions.get(value)
-        if act is None:
-            update = Update(((self.port.var.qname, Lit(value)),) + self.update.assignments)
-            act = self.actions[value] = _Action(TRUE, None, ((self.port.owner, None, update),))
-        return act
-
 
 class _Frame(Interned):
     """The layout of the parts of valuations over ``keys``, sorted: one
-    part per run of keys with one owner. ``layouts`` lays out each part and
-    ``part_of`` maps an owner to the index of its part."""
+    part per run of keys with one owner. ``layouts`` lays out each part,
+    ``part_of`` maps an owner to the index of its part and ``receivers``
+    holds the sorted indices of the parts its actions send to."""
 
     def __new__(cls, keys: tuple):
         ref = cls._nodes.get(keys)
@@ -162,7 +156,7 @@ class _Frame(Interned):
                 part_of[owner] = len(layouts)
                 layouts.append({})
             layouts[-1][k] = len(layouts[-1])
-        return interned(cls, keys, layouts=tuple(layouts), part_of=part_of)
+        return interned(cls, keys, layouts=tuple(layouts), part_of=part_of, receivers=())
 
     def split(self, sigma: Valuation) -> tuple:
         parts, n = [], 0
@@ -173,63 +167,35 @@ class _Frame(Interned):
 
 
 class _Part(Part, Interned):
-    """The valuation of a component's variables in a configuration: one
-    live object per layout and values."""
+    """A component's share of a configuration: the valuation of its
+    variables and its ``queue`` of pending (receipt, value) entries, oldest
+    first; one live object per layout, values and queue. ``delivery``
+    keeps the delivery of its oldest entry (see ``_deliver``)."""
 
-    __slots__ = ("__weakref__",)
-
-
-def _part(slots: dict, values: tuple) -> _Part:
-    return interned(_Part, (id(slots), values), _slots=slots, _values=values)
+    __slots__ = ("__weakref__", "queue", "delivery")
 
 
-class _Pool(Interned):
-    """A pending pool of one frame, as ``pending``, interned under
-    ``pending`` with each receipt by its id."""
-
-    @cached_attr
-    def receivers(self) -> frozenset:
-        """The components with a pending entry: none of their term steps
-        fires."""
-        return frozenset([comp for comp, _ in self.pending])
-
-    @cached_attr
-    def deliveries(self) -> tuple:
-        """The static step (event, action, ``_KEEP``, rest pool) of each
-        receiving component's oldest entry, in component order."""
-        out, pending = [], self.pending
-        for i, (comp, queue) in enumerate(pending):
-            receipt, value = queue[0]
-            more = len(queue) > 1
-            rest = _pool(self.frame, pending[:i] + ((comp, queue[1:]),) * more + pending[i + 1:])
-            out.append((receipt.event, receipt.action(value), _KEEP, rest))
-        return tuple(out)
-
-
-def _pool(frame: _Frame, pending: tuple) -> _Pool:
-    ids = tuple([(comp, tuple([(id(r), v) for r, v in queue])) for comp, queue in pending])
-    return interned(_Pool, (id(frame), ids), frame=frame, pending=pending)
-
-
-#: Pending pool: tuple of (receiving component, FIFO queue of (receipt, value
-#: captured at send time)), sorted by component, each queue in arrival order.
-Pending = tuple
+def _part(slots: dict, values: tuple, queue: tuple = ()) -> _Part:
+    return interned(_Part, (id(slots), values, queue and tuple([(id(r), v) for r, v in queue])),
+                    _slots=slots, _values=values, queue=queue, delivery=None)
 
 
 class Running(tuple):
-    """A configuration, stored as (term, parts, pool); the term is None
-    once it has terminated. ``Running(term, sigma, pending)`` builds one
-    from its views."""
+    """A configuration, stored as (term, parts, frame); the term is None
+    once it has terminated. ``Running(term, sigma)`` builds one with
+    nothing pending from its views."""
 
     __slots__ = ()
 
-    def __new__(cls, term: Optional[Chor], sigma: Valuation, pending: Pending = ()):
+    def __new__(cls, term: Optional[Chor], sigma: Valuation):
         frame = _Frame(tuple(sigma))
-        return _new(cls, (term, frame.split(sigma), _pool(frame, pending)))
+        return _new(cls, (term, frame.split(sigma), frame))
 
     term = property(itemgetter(0))
     sigma = property(lambda self: Valuation.union(self[1]))
-    pending = property(lambda self: self[2].pending)
+    #: The nonempty queues, as (receiving component, queue) in component order.
+    pending = property(lambda self: tuple([(comp, part.queue) for comp, part
+                                           in zip(self[2].part_of, self[1]) if part.queue]))
 
     def __repr__(self):
         if _final(self):
@@ -238,8 +204,8 @@ class Running(tuple):
 
 
 def _final(config: Running) -> bool:
-    """Whether the term has terminated and the pool is empty."""
-    return config[0] is None and not config[2].pending
+    """Whether the term has terminated and nothing is pending."""
+    return config[0] is None and not any([config[1][i].queue for i in config[2].receivers])
 
 
 #: Builds a ``Running`` from its fields without the Python-level ``__new__``
@@ -248,13 +214,13 @@ _new = tuple.__new__
 
 
 def initial_config(ch: Chor, sigma0: Valuation) -> Running:
-    return Running(term=ch, sigma=sigma0, pending=())
+    return Running(ch, sigma0)
 
 
 def _step(rule: str, ports: tuple, owner: Optional[str], guard, update: Update, nxt,
           var=None, receives=(), sends=()) -> tuple:
-    """One static step of a term: its event, its ``_Action``, its next term
-    and ``_KEEP``. ``owner``, None for ``nil``, starts it: under ``guard``
+    """One static step of a term: its event, its ``_Action`` and its next
+    term. ``owner``, None for ``nil``, starts it: under ``guard``
     it runs ``update`` and sends ``var``, which each of a synchronous
     send's ``receives``, (receive port, update) pairs, takes into the
     port's variable before its update."""
@@ -262,7 +228,7 @@ def _step(rule: str, ports: tuple, owner: Optional[str], guard, update: Update, 
     for r, f in receives:  # ``var`` is set, so the sender moves first
         moves.append((r.owner, r.var.qname, f))
     owners = frozenset([p.owner for p in ports] + [owner] * (owner is not None))
-    return Event.of((rule,), ports), _Action(guard, var, tuple(moves), sends, owners), nxt, _KEEP
+    return Event.of((rule,), ports), _Action(guard, var, tuple(moves), sends, owners), nxt
 
 
 def _steps(term: Chor) -> tuple:
@@ -280,10 +246,10 @@ def _lift(steps, running: str, terminated: str, rest: Chor, wrap) -> tuple:
     that terminates the operand continues with ``rest``, any other step with
     ``wrap`` of the operand's next term."""
     return tuple(
-        (event._replace(rules=(terminated,) + event.rules), act, rest, _KEEP)
+        (event._replace(rules=(terminated,) + event.rules), act, rest)
         if nxt is None else
-        (event._replace(rules=(running,) + event.rules), act, wrap(nxt), _KEEP)
-        for event, act, nxt, _ in steps
+        (event._replace(rules=(running,) + event.rules), act, wrap(nxt))
+        for event, act, nxt in steps
     )
 
 
@@ -350,14 +316,18 @@ def _splice(parts: tuple, act: _Action, news: tuple) -> tuple:
     return tuple(out)
 
 
-def _run(act: _Action, parts: tuple) -> tuple:
+def _run(act: _Action, parts: tuple):
     """``act`` on a configuration's ``parts``, each move on its own
-    component's part: () if the guard fails, else the new parts it writes,
-    in the order of ``writes``, and the payload, the sent variable's value
-    before the update."""
+    component's part: False if an owner has a pending entry or the guard
+    fails, else the new parts it writes, in the order of ``writes``: its
+    moves', then its receivers', each with the payload, the sent variable's
+    value before the update, queued."""
+    for i in act.waits:
+        if parts[i].queue:
+            return False
     vals = [_NO_VALUES if i is None else parts[i] for i in act.at]
     if act.guard is not None and not act.guard(vals[0] if vals else _NO_VALUES):
-        return ()
+        return False
     payload = None if act.var is None else vals[0][act.var]
     news = []
     for part, (_, received, update) in zip(vals, act.moves):
@@ -366,56 +336,57 @@ def _run(act: _Action, parts: tuple) -> tuple:
         after = part if received is None else part.set(received, payload)
         if update is not None:
             after = update(after)
-        news.append(_part(after._slots, after._values))
-    return tuple(news), payload
+        news.append(_part(after._slots, after._values))  # a mover, an owner, queues nothing
+    for i, receipt in act.to:
+        if i is None:  # no part to queue in: the delivery's assignment fails
+            _NO_VALUES.set(receipt.port.var.qname, payload)
+        part = parts[i]
+        news.append(_part(part._slots, part._values, part.queue + ((receipt, payload),)))
+    return tuple(news)
 
 
-def _push(act: _Action, pool: _Pool, payload) -> _Pool:
-    """``pool`` with ``act``'s residual receives of ``payload`` queued."""
-    queues = pool.pending
-    for comp, receipt in act.sends:
-        queues = requeue(queues, comp, push=((receipt, payload),))
-    new = act.pushes[pool, payload] = _pool(pool.frame, queues)
-    return new
+def _deliver(part: _Part) -> tuple:
+    """The delivery of ``part``'s oldest entry, (event, new part): the value
+    is assigned to the receive port's variable, then the update runs. Kept
+    on the part."""
+    (receipt, value), rest = part.queue[0], part.queue[1:]
+    after = part.set(receipt.port.var.qname, value)
+    if receipt.update.assignments:
+        after = receipt.update.compiled(after)
+    part.delivery = receipt.event, _part(after._slots, after._values, rest)
+    return part.delivery
 
 
 def chor_steps_tagged(config: Running):
-    """Successors of a configuration as (event, configuration) pairs: one
-    delivery per receiving component, in component order, then the term's
-    steps that no component with a pending entry acts in. The payload of a
-    send is read before its update runs. A step that writes one part
-    copies ``scratch`` with that part in it."""
-    term, parts, pool = config
-    steps = ()
-    if term is not None:
-        try:
-            steps = term._steps
-        except AttributeError:
-            steps = _steps(term)
-    waiting = None
-    if pool.pending:
-        steps, waiting = pool.deliveries + steps, pool.receivers
-    frame = pool.frame
+    """Successors of a configuration as (event, configuration) pairs: the
+    delivery of each queued part's oldest entry, in component order, then
+    the term's steps that no component with a pending entry acts in. The
+    payload of a send is read before its update runs. A step that writes
+    one part copies ``scratch`` with that part in it."""
+    term, parts, frame = config
     out = []
     scratch = list(parts)
-    for event, act, nxt, rest in steps:
-        if waiting is not None and not waiting.isdisjoint(act.owners):
-            continue
+    for i in frame.receivers:
+        part = parts[i]
+        if part.queue:
+            event, scratch[i] = part.delivery or _deliver(part)
+            out.append((event, _new(Running, (term, tuple(scratch), frame))))
+            scratch[i] = part
+    if term is None:
+        return out
+    try:
+        steps = term._steps
+    except AttributeError:
+        steps = _steps(term)
+    for event, act, nxt in steps:
         if act.frame is not frame:
             act.lay_out(frame)
         k = act.key(parts)
-        res = act.cache.get(k)
-        if res is None:
-            res = act.cache[k] = _run(act, parts)
-        if not res:
+        news = act.cache.get(k)
+        if news is None:
+            news = act.cache[k] = _run(act, parts)
+        if news is False:
             continue
-        news, payload = res
-        if nxt is _KEEP:
-            nxt = term
-        if rest is _KEEP:
-            rest = pool
-            if act.sends:
-                rest = act.pushes.get((pool, payload)) or _push(act, pool, payload)
         i = act.sole
         if i is None:
             after = _splice(parts, act, news) if news else parts
@@ -423,7 +394,7 @@ def chor_steps_tagged(config: Running):
             scratch[i] = news[0]
             after = tuple(scratch)
             scratch[i] = parts[i]
-        out.append((event, _new(Running, (nxt, after, rest))))
+        out.append((event, _new(Running, (nxt, after, frame))))
     return out
 
 

@@ -31,8 +31,9 @@ allocates a label. A successor function returns (event, state) pairs.
 
 Both explorers store a state partitioned (Laarman, van de Pol & Weber,
 "Parallel recursive state compression for free", SPIN 2011): one ``Part``
-per component, a valuation of the variables it holds that its table keeps
-once per value, so a state, a tuple of parts (with a term and a pool in
+per component, a valuation of the variables it holds, with its pending
+receives in ``chorsem`` and its buffers in ``cbs``, that its table keeps
+once per value, so a state, a tuple of parts (with a term and a frame in
 ``chorsem``), hashes and compares by identities, in C. Which parts a step
 reads and writes is known from the text (Meijer, Kant, Blom & van de Pol,
 "Read, write and copy dependencies for symbolic model checking", HVC

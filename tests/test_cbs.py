@@ -1581,6 +1581,19 @@ class TestWiringAgreement:
                 run(sys)
         assert refusals_are_reported.refused == 2
 
+    def test_a_receive_port_its_component_does_not_declare(self, refusals_are_reported):
+        # B holds a part but declares no port B.zz: were it explored, the
+        # payload would wait in a buffer that no transition reads.
+        b_zz = port("B", "zz", "r", BY)
+        sys = make_sys([Transition("a0", AP_AS, TRUE, SKIP, "a1")], [],
+                       [Interaction(AP_AS, (b_zz,))], b_end="b0")
+        message = "interaction references undeclared port B.zz"
+        assert [(d.code, d.message) for d in check_structure(sys)] == [("unknown-port", message)]
+        for run in (sys_explore, lambda sys: simulate(sys, 0)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
+                run(sys)
+        assert refusals_are_reported.refused == 2
+
 
 class TestSerialize:
     def test_stable_and_complete(self):

@@ -620,7 +620,7 @@ def flat_chor_steps(config):
     if term is not None:
         waiting = {comp for comp, _ in pending}
         arms = {}
-        for event, _, nxt, _ in chorsem._steps(term):
+        for event, _, nxt in chorsem._steps(term):
             node, rule = leaf(term, event.rules), event.rules[-1]
             k = arms[event.rules] = arms.get(event.rules, -1) + 1
             if movers(node, rule) & waiting:
@@ -862,12 +862,30 @@ class TestFlatOracle:
             res = explore(ch, sigma)
             assert len(res.graph) > 5 and res.terminals
             assert_same_lts(res, flat_explore(ch, sigma), decls)
-            frames.append([act.frame for _, act, _, _ in chorsem._steps(ch)])
+            frames.append([act.frame for _, act, _ in chorsem._steps(ch)])
             terms.append(ch)
         assert terms[0] is terms[1] is terms[2]
         for before, after in zip(frames, frames[1:]):
             assert all(a is not b for a, b in zip(before, after))
         assert all(a is c for a, c in zip(frames[0], frames[2]))
+
+    def test_one_frame_learns_each_receiver(self):
+        """Terms explored in turn under one declaration share one frame,
+        which learns the parts their actions send to: the second term sends
+        to C, at which the first never receives, and each of C's deliveries
+        is taken, as B's are when the first term runs again."""
+        first = "A.a[true, x := x + 1] -> { B.r[y := y + 1] } ; D.s -> { C.r }"
+        second = "A.a -> { C.r[z := z + 1] } || D.s -> { B.r }"
+        terms, learnt = [], []
+        for body in (first, second, first):
+            ch, sigma = setup(body)
+            res = explore(ch, sigma)
+            assert_same_lts(res, flat_explore(ch, sigma), body)
+            terms.append(ch)  # keeps the term's actions, and so the frame, alive
+            learnt.append(res.states[0][2])
+            assert any(c.pending for c in res.states)
+        assert learnt[0] is learnt[1] is learnt[2]
+        assert learnt[0].receivers == (1, 2)  # B's part and C's
 
     @pytest.mark.parametrize("body", DIV_ZERO)
     def test_division_by_zero_raises_at_the_same_configuration(self, body):
@@ -889,6 +907,13 @@ class TestFlatOracle:
 
     def test_assigning_an_unbound_variable_is_an_error(self):
         decl, _, ch = parse_source(DECLS + "choreography t = A.a -> { B.r } ; A.p -> { C.r }")
+        sigma = Valuation({k: v for k, v in decl.initial_valuation().items() if k != "C.z"})
+        with pytest.raises(EvalError, match="does not bind: C.z"):
+            explore(ch, sigma)
+
+    def test_queueing_for_a_component_without_a_part_is_an_error(self):
+        # C binds only C.z, so without it C has no part to queue in.
+        decl, _, ch = parse_source(DECLS + "choreography t = A.a -> { C.r }")
         sigma = Valuation({k: v for k, v in decl.initial_valuation().items() if k != "C.z"})
         with pytest.raises(EvalError, match="does not bind: C.z"):
             explore(ch, sigma)

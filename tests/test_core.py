@@ -502,7 +502,7 @@ class TestInterning:
             "choreography c = while (A.q[not (x < 0), x := -x]) {\n"
             "  choice A { A.p => A.p -> { B.r } | A.q => nil } } || nil\n")
         chorsem.explore(ch, decl.initial_valuation())
-        for cls in INTERNED + (chorsem.Receipt, chorsem._Frame, chorsem._Part, chorsem._Pool):
+        for cls in INTERNED + (chorsem.Receipt, chorsem._Frame, chorsem._Part):
             assert cls._nodes, cls
             for key, ref in cls._nodes.items():
                 assert all(isinstance(x, (str, int, type)) for x in atoms(key)), (cls, key)
