@@ -288,14 +288,14 @@ class CompositeSystem:
         for inter in self.gamma:
             snd = inter.send
             i = position.get(snd.owner)
-            if i is None:
-                continue  # no sender (``check_structure``): never fires
+            if i is None or i not in dirty:
+                # No sender (``check_structure``): it never fires. A clean
+                # position's sends were checked when its parent stepped.
+                continue
             receiving = [position.get(r.owner) for r in inter.receivers]
             for j, r in zip(receiving, inter.receivers):
                 if j is None or r.pid not in [p.pid for p in components[j].ports]:
                     raise EvalError(_UNKNOWN_PORT.format(r.pid))
-            if i not in dirty:
-                continue
             targets = tuple([(j, r.pid) if snd.ctype == "as" else
                              (j, r.pid, r.var.qname, tables[j][2].get(r, {}))
                              for j, r in zip(receiving, inter.receivers)])

@@ -874,7 +874,7 @@ class TestFlatOracle:
         which learns the parts their actions send to: the second term sends
         to C, at which the first never receives, and each of C's deliveries
         is taken, as B's are when the first term runs again."""
-        first = "A.a[true, x := x + 1] -> { B.r[y := y + 1] } ; D.s -> { C.r }"
+        first = "A.a[true, x := x + 1] -> { B.r[y := y + 1] } ; A.p -> { D.r }"
         second = "A.a -> { C.r[z := z + 1] } || D.s -> { B.r }"
         terms, learnt = [], []
         for body in (first, second, first):
