@@ -9,9 +9,11 @@ Every step is started by one component: the sender of an interaction (with
 its receivers for a synchronous one, alone for an asynchronous one, whose
 payload goes to the receivers' buffers) or the component taking a local
 recv/internal step. ``component_steps`` returns one component's steps; the
-simulator asks for them once per turn. ``sys_steps_tagged``, the successor
-function of the explorer, returns every component's steps in turn. Both run
-one loop, ``_fire``, over a set of components.
+simulator asks for them on a component's turn unless ``known_steps``, which
+reads the positions' caches (below) and runs no guard, says it starts none.
+``sys_steps_tagged``, the successor function of the explorer, returns every
+component's steps in turn. Both run one loop, ``_fire``, over a set of
+components.
 
 The structure rules a component's own text breaks are found once per
 component object, with no closure built (``AtomicComponent._findings``), and
@@ -44,10 +46,12 @@ receive buffers, those of the receive ports it owns. Each position keeps
 one part per distinct (location, values, buffers). A state's joint
 ``locations``, global valuation ``sigma`` and ``buffers`` are views.
 
-A component reads and writes only its own part, so a position's
-(``_Position``) ``steps`` cache maps its part to the steps its component
-starts, and every guard and update of a send runs on its own component's
-part. A send record follows from the text, so it is built with its
+A component reads and writes only its own part, so a position
+(``_Position``) is itself the cache of its component's steps: a dict from
+each part asked for to the steps the component starts from it, ``()`` for
+none, which a miss fills. A component whose part has not changed has not
+changed whether it can move. Every guard and update of a send runs on its
+own component's part. A send record follows from the text, so it is built with its
 interaction: the positions it writes, its sender's and then its
 receivers', a key that picks their parts, and one cache, shared by the
 sends from every location, that maps those parts to their new ones. An
@@ -374,16 +378,20 @@ class _Part(Part):
         self.loc, self.queues = loc, queues
 
 
-class _Position:
-    """A component position's compiled semantics: its static step table
-    (``CompositeSystem._steps``), its table of parts, its initial part and
-    its cache of steps (see the module docstring)."""
+class _Position(dict):
+    """A component position's compiled semantics, and its cache of steps:
+    a dict from each part asked for to the steps its component starts from
+    it (see ``_run``), which a miss fills. It holds its static step table
+    (``CompositeSystem._steps``), its table of parts and its initial part."""
 
-    __slots__ = ("table", "parts", "initial", "steps")
+    __slots__ = ("table", "parts", "initial")
 
     def __init__(self):
         self.parts = {}  # (location, values, buffers) -> the part
-        self.steps = {}  # its part -> the steps the component starts
+
+    def __missing__(self, part: _Part) -> tuple:
+        steps = self[part] = _run(self, part)
+        return steps
 
 
 # --------------------------------------------------------------------------
@@ -402,10 +410,11 @@ def _part(pos: _Position, loc: str, vals: Valuation, queues: tuple) -> _Part:
 
 def _run(pos: _Position, part: _Part) -> tuple:
     """The steps of ``pos``'s table at its ``part``'s location whose guards
-    hold on ``part``, as (sends, local steps), each in table order. A local
-    step is (event, new part). A send is (event, its key, its cache, the
-    positions it writes, static step, the sender's enabled alternatives),
-    which ``_fire`` looks up by the parts the send writes."""
+    hold on ``part``, as (sends, local steps), each in table order, or
+    ``()`` if there are none. A local step is (event, new part). A send is
+    (event, its key, its cache, the positions it writes, static step, the
+    sender's enabled alternatives), which ``_fire`` looks up by the parts
+    the send writes."""
     queues = part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
@@ -429,7 +438,7 @@ def _run(pos: _Position, part: _Part) -> tuple:
         enabled = [alt for alt in alts if alt[0] is None or alt[0](part)]
         if enabled:
             sends.append((event, key, cache, writes, step, enabled))
-    return tuple(sends), tuple(steps)
+    return (tuple(sends), tuple(steps)) if sends or steps else ()
 
 
 def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -> tuple:
@@ -473,22 +482,21 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -
 
 def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     """The steps that components ``cis`` start from ``state``, in that
-    order, as (event, state): each component's steps from its part (see
-    ``_run``), a send's from the parts it writes (see ``_rendezvous``).
-    Each successor is one copy of ``parts``, a list of the state's parts
-    made for the first successor, into which a step writes its new parts
-    and from which it then restores the state's."""
+    order, as (event, state): each component's steps from its part, read
+    from its position's cache (see ``_run``), a send's from the parts it
+    writes (see ``_rendezvous``). Each successor is one copy of ``parts``,
+    a list of the state's parts made for the first successor, into which a
+    step writes its new parts and from which it then restores the state's."""
     positions = sys._steps
     out = []
     append = out.append
     parts = None
     for i in cis:
-        pos, part = positions[i], state[i]
-        steps = pos.steps.get(part)
-        if steps is None:
-            steps = pos.steps[part] = _run(pos, part)
+        steps = positions[i][state[i]]
+        if not steps:
+            continue
         sends, local = steps
-        if parts is None and (sends or local):
+        if parts is None:
             parts = list(state)
         for event, getter, cache, writes, step, enabled in sends:
             key = getter(state)
@@ -521,6 +529,14 @@ def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
     the interactions it sends at its location, in gamma order, then its own
     recv/internal steps, in transition order."""
     return _fire(sys, state, (ci,))
+
+
+def known_steps(sys: CompositeSystem, state: SysState) -> list:
+    """Per component position, the steps its component starts from
+    ``state`` as its position's cache holds them (see ``_run``): ``()`` if
+    it starts none, None if no step has asked for them yet. Fills no miss,
+    so it runs no guard."""
+    return list(map(dict.get, sys._steps, state))
 
 
 def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:

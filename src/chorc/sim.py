@@ -10,8 +10,17 @@ Logical concurrency is driven by a cooperative round-robin scheduler. On
 its turn a component asks the system semantics for the steps it starts
 (``cbs.component_steps``), drops those that backpressure refuses and takes
 one of the rest; the run ends at the step limit or after a full round of
-turns in which no component could move. Each step taken becomes one trace
-line, read off the step's event: its rule and the ports of its label. All
+turns in which no component could move. A component whose part has not
+changed since the semantics last found that it starts nothing cannot move
+either, so after each step the scheduler reads every component's cached
+steps (``cbs.known_steps``) and counts such a turn idle without asking;
+it never asks for a component whose turn it is not, so no guard runs that
+the per-turn scheduler would not run. Each step taken becomes one trace
+line, read off the step's event: its rule and the ports of its label. The
+line is joined from JSON fragments that a per-run memo encodes once each:
+every component's id, every (component position, location) pair and every
+event's ports and rule, the pairs in sorted component-id order, so the
+line is the one ``json.dumps(..., sort_keys=True)`` would write. All
 remaining nondeterminism (which enabled step a component takes on its
 turn) is resolved by a per-component PRNG seeded from the run seed, so a
 given (system, seed) pair always reproduces the same trace byte for byte.
@@ -27,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cbs import (
-    CompositeSystem, SysState, component_steps, is_terminal, sys_steps_tagged,
+    CompositeSystem, SysState, component_steps, is_terminal, known_steps, sys_steps_tagged,
 )
 from .core import Event
 from .promela import MAX_LEN
@@ -46,38 +55,60 @@ class RunResult:
     events: list = field(default_factory=list)  # serialized JSONL lines
 
 
-def _event_line(step: int, actor: str, event: Event, succ: SysState,
-                sys: CompositeSystem) -> str:
-    """One trace line: the step's rule, the port ids of its label (none for
-    a hidden step) and every component's location after it."""
+class _Memo(dict):
+    """Each key's trace-line fragment, encoded by ``encode`` on its first
+    lookup."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode):
+        self.encode = encode
+
+    def __missing__(self, key) -> str:
+        fragment = self[key] = self.encode(key)
+        return fragment
+
+
+def _fields(event: Event) -> str:
+    """The "ports" and "rule" members of a step's trace line: the port ids
+    of its label (none for a hidden step) and its rule."""
     ports = sorted(event.label) if isinstance(event.label, frozenset) else []
-    locs = {c.id: loc for c, loc in zip(sys.components, succ.locations)}
-    return json.dumps(
-        {"step": step, "comp": actor, "rule": event.rules[0], "ports": ports,
-         "locations": locs},
-        sort_keys=True, separators=(",", ":"))
+    return f'"ports":[{",".join(map(json.dumps, ports))}],"rule":{json.dumps(event.rules[0])}'
 
 
 def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
              max_chan_len: int = MAX_LEN) -> RunResult:
     rngs = [random.Random(f"{seed}:{c.id}") for c in sys.components]
     state = sys.initial_state()
+    # A trace line is its actor's id, every component's location in id
+    # order, its event's fields and the step number (see the docstring).
+    n = len(sys.components)
+    ids = [json.dumps(c.id) for c in sys.components]
+    pairs = [_Memo(lambda loc, key=key: f"{key}:{json.dumps(loc)}") for key in ids]
+    order = sorted(range(n), key=lambda i: sys.components[i].id)
+    fields = _Memo(_fields)
+    known = known_steps(sys, state)
     events = []
     steps = idle = ci = 0
     # Round-robin turns; n idle turns in a row mean no component can move.
-    while steps < max_steps and idle < len(sys.components):
-        # Backpressure: refuse deliveries that would overfill a queue.
-        mine = [step for step in component_steps(sys, state, ci)
-                if all(len(q) <= max_chan_len for part in step[1] for _, q in part.queues)]
+    while steps < max_steps and idle < n:
+        # A component known to start nothing makes no call. Backpressure:
+        # refuse deliveries that would overfill a queue.
+        mine = known[ci] != () and [
+            step for step in component_steps(sys, state, ci)
+            if all(len(q) <= max_chan_len for part in step[1] for _, q in part.queues)]
         if mine:
             event, succ = mine[rngs[ci].randrange(len(mine))]
             steps += 1
-            events.append(_event_line(steps, sys.components[ci].id, event, succ, sys))
+            locations = ",".join([pairs[i][succ[i].loc] for i in order])
+            events.append(f'{{"comp":{ids[ci]},"locations":{{{locations}}},'
+                          f'{fields[event]},"step":{steps}}}')
             state = succ
+            known = known_steps(sys, state)
             idle = 0
         else:
             idle += 1
-        ci = (ci + 1) % len(sys.components)
+        ci = (ci + 1) % n
 
     succs = sys_steps_tagged(sys, state)
     if steps >= max_steps and succs:

@@ -132,6 +132,12 @@ class TestAsynchSend:
         assert succ.sigma["A.x"] == 3  # sender update applied after capture
         assert buffer(succ, "B.r") == (2,)  # pre-update value captured
 
+    def test_state_repr_shows_its_views(self):
+        sys = self.make()
+        (_, succ), = sys_steps_tagged(sys, sys.initial_state())
+        assert repr(succ) == ("SysState(locations=('a1', 'b0'), sigma={A.x=3, B.y=0}, "
+                              "buffers=(('B.r', (2,)),))")
+
     def test_fifo_order(self):
         sys = make_sys(
             [Transition("a0", AP_AS, TRUE, INC_X, "a1"),

@@ -6,14 +6,19 @@ import random
 import pytest
 
 import chorc.sim
-from chorc.cbs import component_steps, is_terminal, sys_explore, sys_steps_tagged
+from chorc.cbs import (
+    CompositeSystem, Interaction, Transition, component_steps, is_terminal, sys_explore,
+    sys_steps_tagged,
+)
 from chorc.cli import main
+from chorc.core import SKIP, TRUE, BinOp, EvalError, Lit, Port, Ref, Update, Variable
 from chorc.promela import MAX_LEN
-from chorc.sim import RunResult, _event_line, simulate, trace_text
+from chorc.sim import RunResult, simulate, trace_text
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS, project, user_variables
 
 from conftest import corpus_path, corpus_paths, load, load_stem
+from test_cbs import component
 
 
 def run_stem(stem, seed=0, **kw):
@@ -123,7 +128,8 @@ def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
     """The per-turn scheduler the simulator started from: every turn
     recomputes all successors of the state and keeps the actor's own; the
     actor is found by scanning every port of every component, and for a send
-    it must be the owner of the event's first port."""
+    it must be the owner of the event's first port. Each trace line is one
+    ``json.dumps`` of its fields, as the simulator's lines must read."""
     def actor(state, event, succ):
         rule, label = event.rules[0], event.label
         if rule in ("recv", "internal"):
@@ -156,7 +162,12 @@ def reference_simulate(sys, seed, max_steps=100_000, max_chan_len=MAX_LEN):
                 continue
             event, succ = succs[rngs[cid].randrange(len(succs))]
             steps += 1
-            events.append(_event_line(steps, cid, event, succ, sys))
+            ports = sorted(event.label) if isinstance(event.label, frozenset) else []
+            locs = {c.id: loc for c, loc in zip(sys.components, succ.locations)}
+            events.append(json.dumps(
+                {"step": steps, "comp": cid, "rule": event.rules[0], "ports": ports,
+                 "locations": locs},
+                sort_keys=True, separators=(",", ":")))
             state = succ
             progressed = True
         if not progressed:
@@ -208,3 +219,80 @@ class TestScheduler:
         assert res.outcome == "completed"
         assert len({(id(state), ci) for state, ci in turns}) == len(turns)
         assert len(classified) == 1
+        # A component known to start nothing is not asked on its turn.
+        assert len(turns) < turns_taken(sys, res)
+
+
+def turns_taken(sys, res) -> int:
+    """The turns the round-robin scheduler gave in run ``res``: up to each
+    step's actor, then a full idle round unless the step limit ended it."""
+    index = {c.id: i for i, c in enumerate(sys.components)}
+    n, last, turns = len(sys.components), -1, 0
+    for line in res.events[:-1]:
+        actor = index[json.loads(line)["comp"]]
+        turns += (actor - last - 1) % n + 1
+        last = actor
+    return turns if res.outcome == "step-limit" else turns + n
+
+
+def escaping_system() -> CompositeSystem:
+    """Component ids and locations that JSON must escape: a quote, a
+    backslash and non-ASCII letters. Q sends twice asynchronously to B,
+    then once synchronously; C steps alone: seven steps in all."""
+    q, b, c = 'Q"', "B\\", "Ç"
+    qx, by, cz = Variable("x", q, "int"), Variable("y", b, "int"), Variable("z", c, "int")
+    qa, qp = Port("a", q, qx, "as"), Port("p", q, qx, "ss")
+    br, bs = Port("r", b, by, "r"), Port("s", b, by, "r")
+    ci = Port("i", c, cz, "in")
+    inc = Update(((qx.qname, BinOp("+", Ref(qx.qname), Lit(1))),))
+    sender = component(q, [(qx, 0)], [qa, qp], [
+        Transition('l"0', qa, TRUE, inc, "l\\1"),
+        Transition("l\\1", qa, TRUE, inc, "ñ2"),
+        Transition("ñ2", qp, TRUE, SKIP, "é3")], 'l"0', "é3")
+    receiver = component(b, [(by, 0)], [br, bs], [
+        Transition('m"0', br, TRUE, SKIP, 'm"1'),
+        Transition('m"1', br, TRUE, SKIP, "m\\2"),
+        Transition("m\\2", bs, TRUE, SKIP, "ü3")], 'm"0', "ü3")
+    alone = component(c, [(cz, 0)], [ci], [
+        Transition("ç0", ci, TRUE, Update(((cz.qname, Lit(1)),)), "ç1"),
+        Transition("ç1", None, TRUE, SKIP, "Ω2")], "ç0", "Ω2")
+    return CompositeSystem((sender, receiver, alone),
+                           (Interaction(qa, (br,)), Interaction(qp, (bs,))))
+
+
+def lazy_system() -> CompositeSystem:
+    """A sends synchronously into C's receive port at C's initial location
+    L1, where C also has a silent transition whose guard divides by C.z =
+    0: A's send moves C on before C's first turn."""
+    ax, cz = Variable("x", "A", "int"), Variable("z", "C", "int")
+    ap, cr = Port("p", "A", ax, "ss"), Port("r", "C", cz, "r")
+    a = component("A", [(ax, 1)], [ap], [Transition("a0", ap, TRUE, SKIP, "a1")], "a0", "a1")
+    c = component("C", [(cz, 0)], [cr], [
+        Transition("L1", cr, TRUE, SKIP, "L2"),
+        Transition("L1", None, BinOp(">", BinOp("/", Lit(1), Ref("C.z")), Lit(0)), SKIP, "L3"),
+    ], "L1", "L2")
+    return CompositeSystem((a, c), (Interaction(ap, (cr,)),))
+
+
+class TestIdleTurns:
+    @pytest.mark.parametrize("kw", [{}, {"max_chan_len": 1}, {"max_steps": 5}])
+    def test_escaped_ids_and_locations_match_the_reference(self, kw):
+        sys = escaping_system()
+        for seed in range(5):
+            text = trace_text(simulate(sys, seed, **kw))
+            assert text == trace_text(reference_simulate(sys, seed, **kw)), (seed, kw)
+            assert '"Q\\"":"l\\\\1"' in text and "\\u00c7" in text
+        assert simulate(sys, 0, **kw).outcome == ("step-limit" if kw.get("max_steps") else
+                                                  "completed")
+
+    def test_no_guard_runs_for_a_component_whose_turn_it_is_not(self, monkeypatch):
+        sys = lazy_system()
+        assert trace_text(simulate(sys, 0)) == (
+            '{"comp":"A","locations":{"A":"a1","C":"L2"},"ports":["A.p","C.r"],'
+            '"rule":"synch-send","step":1}\n'
+            '{"final":{"A.x":1,"C.z":1},"outcome":"completed","steps":1}\n')
+        # Filling every component's cache after each step runs C's guard.
+        monkeypatch.setattr(chorc.sim, "known_steps", lambda sys, state: [
+            pos[part] for pos, part in zip(sys._steps, state)])
+        with pytest.raises(EvalError, match="division by zero"):
+            simulate(lazy_system(), 0)
