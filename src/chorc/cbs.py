@@ -261,13 +261,18 @@ class CompositeSystem:
         Raises ``EvalError`` with the message of the first finding of
         ``_declarations`` or of the components' or interactions'
         ``_findings`` whose code is in ``_REFUSED``, or of an undeclared
-        receive port's ``unknown-port`` (see the module docstring)."""
+        receive port's ``unknown-port`` (see the module docstring). A
+        system that keeps positions, and its parent's ports at each, skips
+        ``_declarations``, whose findings are then the parent's."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
-        for code, message in chain(_declarations(components), *[c._findings for c in components],
+        # The parent stepped, so its declarations hold nothing refused.
+        declared = () if kept and all(c.ports == old.ports for c, old in zip(
+            components, parent.components)) else _declarations(components)
+        for code, message in chain(declared, *[c._findings for c in components],
                                    *[inter._findings for inter in self.gamma]):
             if code in _REFUSED:
                 raise EvalError(message)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
-    Expr, Interned, Port, TRUE, Update, Valuation, Variable, default_value, expr_vars,
-    format_expr, format_update, infer_type, interned, update_vars, Value,
+    Expr, Interned, Port, TRUE, Update, Valuation, Variable, cached_attr, default_value,
+    expr_vars, format_expr, format_update, infer_type, interned, update_vars, Value,
 )
 
 
@@ -67,6 +67,14 @@ class SystemDecl:
             for c in self.components
             for var, init in c.vars
         })
+
+    @cached_attr
+    def _chor_sides(self) -> dict:
+        """(term, max_configs, max_depth) -> the choreography side of
+        ``verify.equiv_check``, which fills it. It holds no configuration
+        and dies with these declarations; ``dataclasses.replace`` yields
+        declarations with an empty one."""
+        return {}
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,16 @@ variables are dropped). A deadlock on either side, or a missing/extra final
 state, refutes equivalence; truncation of either exploration makes the
 verdict inconclusive.
 
+The choreography side depends on the declarations, the term and the limits,
+never on the system, so it is explored once per (declarations, term,
+limits): ``equiv_check`` keeps what it reads of it, the projection keys,
+the number of stored configurations, the projected finals, the deadlock
+count and the truncation flag, on the ``SystemDecl`` it is given, and
+every later check against that object reads it there. Both profiles and
+every mutant of a term share one exploration, and the summary holds no
+configuration, so it dies with the declarations. Fresh declarations, as a
+new parse or ``dataclasses.replace`` makes, explore afresh.
+
 The module also carries the structural invariant suite and a small set of
 mutation operators used to validate that the checker actually has teeth. A
 mutant is derived from its system (``CompositeSystem.derive``), so once the
@@ -56,28 +66,55 @@ class EquivReport:
         return self.verdict == "equivalent"
 
 
+@dataclass(frozen=True)
+class _ChorSide:
+    """What ``equiv_check`` reads of a choreography's exploration."""
+    keys: tuple         # the projection keys, ``user_variables``
+    states: int         # expanded configurations, ``chor_states``
+    finals: frozenset   # projected final valuations
+    deadlocks: int
+    truncated: bool
+
+
+def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> _ChorSide:
+    """The choreography side of ``equiv_check`` under these limits, explored
+    on the first call for ``decl`` and kept on it (``SystemDecl._chor_sides``).
+    The exploration is dropped on return; one that raises keeps nothing."""
+    memo, key = decl._chor_sides, (ch, max_configs, max_depth)
+    side = memo.get(key)
+    if side is None:
+        keys = user_variables(decl)
+        res = explore(ch, decl.initial_valuation(),
+                      max_configs=max_configs, max_depth=max_depth)
+        side = memo[key] = _ChorSide(keys, len(res.ends),
+                                     frozenset([project(s, keys) for s in res.finals]),
+                                     len(res.deadlocks), res.truncated)
+    return side
+
+
 def equiv_check(decl: SystemDecl, ch: Chor, sys: CompositeSystem,
                 max_configs: int = 200_000, max_depth: int = 10_000) -> EquivReport:
-    keys = user_variables(decl)
-    chor_res = explore(ch, decl.initial_valuation(),
-                       max_configs=max_configs, max_depth=max_depth)
+    """Compare ``sys`` with ``ch`` under ``decl`` (see the module docstring).
+    The choreography is explored on the first check of ``ch`` under these
+    limits against this ``decl`` object, and read back on every later one."""
+    chor = _chor_side(decl, ch, max_configs, max_depth)
     sys_res = sys_explore(sys, max_configs=max_configs, max_depth=max_depth)
     report = EquivReport(
         verdict="equivalent",
-        chor_states=len(chor_res.ends),
+        chor_states=chor.states,
         sys_states=len(sys_res.ends),
-        chor_finals={project(s, keys) for s in chor_res.finals},
-        sys_finals={project(s, keys) for s in sys_res.finals},
-        chor_deadlocks=len(chor_res.deadlocks),
+        chor_finals=set(chor.finals),
+        sys_finals={project(s, chor.keys) for s in sys_res.finals},
+        chor_deadlocks=chor.deadlocks,
         sys_deadlocks=len(sys_res.deadlocks),
     )
-    if chor_res.truncated or sys_res.truncated:
+    if chor.truncated or sys_res.truncated:
         report.verdict = "inconclusive"
         report.reasons.append("state-space exploration truncated by limits")
         return report
-    if chor_res.deadlocks:
+    if chor.deadlocks:
         report.reasons.append(
-            f"choreography deadlocks in {len(chor_res.deadlocks)} configuration(s)")
+            f"choreography deadlocks in {chor.deadlocks} configuration(s)")
     if sys_res.deadlocks:
         report.reasons.append(
             f"system deadlocks in {len(sys_res.deadlocks)} state(s)")

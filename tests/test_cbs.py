@@ -737,6 +737,24 @@ class TestDerivedSystems:
             with pytest.raises(EvalError, match="^A: transition at a0 uses B.y$"):
                 twin.initial_state()
 
+    def test_a_derived_system_that_declares_twice_is_refused(self):
+        # A mutant that keeps its parent's positions skips the check of the
+        # declarations, which found nothing for the parent. One that
+        # declares a variable or a component id twice has other variables,
+        # so it keeps nothing and is refused with the structure check's
+        # text, as a cold build of it is.
+        sys = TestCheckStructure().clean()
+        sys_steps_tagged(sys, sys.initial_state())
+        a, b = sys.components
+        for bad, message in (
+                (sys.derive(components=(a, dataclasses.replace(b, vars=b.vars + a.vars))),
+                 "B: variable A.x also declared by A"),
+                (sys.derive(components=(a, b, a)), "component A declared twice")):
+            assert [d.message for d in check_structure(bad) if d.code in REFUSED][0] == message
+            for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
+                with pytest.raises(EvalError, match=f"^{message}$"):
+                    twin.initial_state()
+
 
 def load_generator():
     """``perfbench/gen.py``, the benchmark's seeded choreography generator,

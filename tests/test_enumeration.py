@@ -23,7 +23,10 @@ check must say ``equivalent``, and a simulation with a fixed seed must
 complete at a final that, projected onto the user variables, is a final of
 the choreography. Each ``verify.MUTATIONS`` mutant of the explored system,
 which takes the positions the mutation leaves clean from it, must get the
-very equivalence report, verdict and counts, of a cold rebuild of it.
+very equivalence report, verdict and counts, of a cold rebuild of it. The
+mutant's check reads the choreography side that the system's check kept
+on the declarations; the cold rebuild is checked against fresh
+declarations, so its choreography is explored cold too.
 
 Tier-1 checks a fixed-seed sample of the size-2 terms, chosen without
 looking at any outcome, and the mutants of the first ones picked. The whole
@@ -34,6 +37,7 @@ enumeration, mutants included, with its counts per profile, runs with
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -126,7 +130,7 @@ def outcomes(term, mutants=False):
     the simulation does not complete at a final of the choreography, or,
     with ``mutants``, a ``verify.MUTATIONS`` mutant of the explored system,
     which takes positions from it, gets another equivalence report than a
-    cold rebuild of the mutant."""
+    cold rebuild of the mutant checked against fresh declarations."""
     decl, _, parsed = parse_source(DECLS + "\nchoreography t = " + format_chor(term))
     assert parsed is term, format_chor(term)
     errors = [d for d in check_well_formed(decl, term) if d.severity == "error"]
@@ -151,7 +155,7 @@ def outcomes(term, mutants=False):
         for name, mutate in MUTATIONS.items() if mutants else ():
             mutant = mutate(system)
             if mutant is not None and equiv_check(decl, term, mutant) != equiv_check(
-                    decl, term, CompositeSystem(mutant.components, mutant.gamma)):
+                    replace(decl), term, CompositeSystem(mutant.components, mutant.gamma)):
                 out[profile] = f"mutant {name} differs from a cold rebuild"
     return out
 

@@ -1,14 +1,19 @@
 """Tests for the equivalence oracle, invariants and mutation operators."""
 
 import dataclasses
+import gc
+import weakref
 
-from chorc import cbs
+import pytest
+
+from chorc import cbs, verify
 from chorc.cbs import check_structure
+from chorc.core import EvalError
 from chorc.cli import main
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import (
-    MUTATIONS, equiv_check, invariant_suite, project,
+    MUTATIONS, EquivReport, equiv_check, invariant_suite, project,
     user_variables,
 )
 
@@ -60,6 +65,87 @@ class TestEquivalence:
         rep = equiv_check(decl, ch, synthesize(decl, ch), max_configs=10,
                           max_depth=2)
         assert rep.verdict == "inconclusive"
+
+
+def count_explorations(monkeypatch) -> list:
+    """The terms ``equiv_check`` explores from now on, one per exploration."""
+    calls, body = [], verify.explore
+    monkeypatch.setattr(verify, "explore", lambda ch, *args, **kwargs:
+                        calls.append(ch) or body(ch, *args, **kwargs))
+    return calls
+
+
+#: Limits under which every corpus mutant's system is explored in full.
+MUTANT_LIMITS = {"max_configs": 50_000, "max_depth": 5_000}
+
+
+class TestChoreographySide:
+    """``equiv_check`` explores a choreography once per (declarations,
+    term, limits) and keeps the summary on the declarations object."""
+
+    def test_once_for_both_profiles_and_every_mutant(self, monkeypatch):
+        calls = count_explorations(monkeypatch)
+        decl, _, ch = load_stem("buying")
+        reports = []
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            reports.append(equiv_check(decl, ch, sys))
+            reports += [equiv_check(decl, ch, mutate(sys)) for mutate in MUTATIONS.values()]
+        assert calls == [ch] and len(reports) == 2 * (1 + len(MUTATIONS))
+        assert all(r.chor_finals == reports[0].chor_finals for r in reports)
+        # Each report has a set of its own.
+        assert len({id(r.chor_finals) for r in reports}) == len(reports)
+        equiv_check(decl, ch, sys, max_configs=100_000)
+        assert calls == [ch, ch]
+
+    def test_a_truncated_summary_is_kept_under_its_own_limits(self):
+        decl, _, ch = load_stem("buying")
+        sys = synthesize(decl, ch)
+        assert equiv_check(decl, ch, sys, max_configs=1).verdict == "inconclusive"
+        assert equiv_check(decl, ch, sys).verdict == "equivalent"
+        assert equiv_check(decl, ch, sys, max_configs=1).verdict == "inconclusive"
+
+    def test_an_exploration_that_raises_keeps_nothing(self, monkeypatch):
+        calls = count_explorations(monkeypatch)
+        with open(corpus_path("comm_sync")) as fh:
+            text = fh.read()
+        decl, _, ch = parse_source(text.replace("x := x - 1", "x := x / 0"))
+        sys = synthesize(decl, ch)
+        for _ in range(2):
+            with pytest.raises(EvalError, match="division by zero"):
+                equiv_check(decl, ch, sys)
+        assert len(calls) == 2 and decl._chor_sides == {}
+
+    def test_the_summary_dies_with_its_declarations(self):
+        decl, _, ch = load_stem("seq_chain")
+        gc.collect()
+        gc.disable()
+        try:
+            rep = equiv_check(decl, ch, synthesize(decl, ch))
+            assert rep.equivalent and len(decl._chor_sides) == 1
+            alive = weakref.ref(decl)
+            del decl, ch
+            assert alive() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_memoized_reports_match_fresh_declarations(self, corpus):
+        # Every corpus file under both profiles, the system and each of its
+        # mutants: the report read from the summary kept on the fixture's
+        # declarations equals that of a check that explores cold.
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for system in [sys] + [mutate(sys) for mutate in MUTATIONS.values()]:
+                    if system is None:
+                        continue
+                    memoized = equiv_check(decl, ch, system, **MUTANT_LIMITS)
+                    cold = equiv_check(dataclasses.replace(decl), ch, system, **MUTANT_LIMITS)
+                    for f in dataclasses.fields(EquivReport):
+                        assert getattr(memoized, f.name) == getattr(cold, f.name), \
+                            (path, profile, f.name)
+            assert (ch, *MUTANT_LIMITS.values()) in decl._chor_sides, path
 
 
 class TestInvariantSuite:
@@ -114,6 +200,25 @@ class TestStructureCheckedOnce:
         replaced = dataclasses.replace(base, gamma=base.gamma[1:])
         assert "_diagnostics" not in vars(replaced)
         assert check_structure(replaced) == check_structure(mutant)
+
+    def test_mutants_skip_the_declarations_check(self, monkeypatch):
+        # A mutant that keeps its parent's ids, variables and ports steps
+        # without checking the declarations again; its structure report
+        # still has their findings checked.
+        decl, _, ch = load_stem("buying")
+        base = synthesize(decl, ch)
+        base.initial_state()
+        calls, body = [], cbs._declarations
+        monkeypatch.setattr(cbs, "_declarations", lambda comps: calls.append(comps) or body(comps))
+        for mutate in MUTATIONS.values():
+            mutate(base).initial_state()
+        assert calls == []
+        cold = dataclasses.replace(base)
+        cold.initial_state()
+        assert calls == [cold.components]
+        mutant = MUTATIONS["drop-interaction"](base)
+        assert check_structure(mutant) == check_structure(dataclasses.replace(mutant))
+        assert len(calls) == 3
 
 
 class TestMutations:
