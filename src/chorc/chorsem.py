@@ -213,10 +213,6 @@ def _final(config: Running) -> bool:
 _new = tuple.__new__
 
 
-def initial_config(ch: Chor, sigma0: Valuation) -> Running:
-    return Running(ch, sigma0)
-
-
 def _step(rule: str, ports: tuple, owner: Optional[str], guard, update: Update, nxt,
           var=None, receives=(), sends=()) -> tuple:
     """One static step of a term: its event, its ``_Action`` and its next
@@ -407,7 +403,7 @@ def explore(ch: Chor, sigma0: Valuation,
     """Breadth-first closure of chor_steps_tagged (see ``core.explore_lts``)."""
     # The successor function is looked up on this module at each call of
     # ``explore``, so that a wrapper installed on it sees every step.
-    return explore_lts(initial_config(ch, sigma0), chor_steps_tagged, _final, max_configs,
+    return explore_lts(Running(ch, sigma0), chor_steps_tagged, _final, max_configs,
                        max_depth)
 
 

@@ -23,7 +23,7 @@ from .lang import check_well_formed
 from .chorsem import explore, lts_to_dot
 from .cbs import serialize_system, system_to_dot
 from .synthesis import PROFILES, SynthError, synthesize
-from .verify import equiv_check, invariant_suite
+from .verify import equiv_check
 from .promela import (
     MAX_LEN, PromelaError, PromelaOptions, format_ltl, generate_promela,
     ltl_templates, validate_promela,
@@ -111,16 +111,13 @@ def cmd_explore(args, decl, name, ch, system) -> int:
 
 
 def cmd_equiv(args, decl, name, ch, system) -> int:
-    findings = invariant_suite(system)
-    for d in findings:
-        print(d, file=sys.stderr)
     report = equiv_check(decl, ch, system,
                          max_configs=args.max_configs, max_depth=args.max_depth)
     print(f"{name}: {report.verdict} "
           f"(chor: {report.chor_states} states, sys: {report.sys_states} states)")
     for reason in report.reasons:
         print("  " + reason)
-    return 0 if (report.equivalent and not findings) else 1
+    return 0 if report.equivalent else 1
 
 
 def cmd_simulate(args, decl, name, ch, system) -> int:

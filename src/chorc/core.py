@@ -138,6 +138,20 @@ class cached_attr:
         return value
 
 
+class Memo(dict):
+    """A dict that computes each missing value once, from its key. ``fn``
+    must not reach the memo, or the two would form a cycle."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 #: Closed set of port communication types: synchronous send, asynchronous
 #: send, receive, internal.
 PORT_TYPES = ("ss", "as", "r", "in")

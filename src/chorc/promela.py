@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 
-from .core import BinOp, Expr, Lit, Neg, Not, Port, Ref, TRUE, format_expr
+from .core import BinOp, Expr, Lit, Memo, Neg, Not, Port, Ref, TRUE, format_expr
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
 MAX_LEN = 8
@@ -77,26 +77,12 @@ def sanitize(name: str) -> str:
     return _UNSAFE.sub("_", name)
 
 
-class _Memo(dict):
-    """A dict that computes each missing value once, from its key. ``fn``
-    must not reach the memo, or the two would form a cycle."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _qname_symbol(names: _Memo, qname: str) -> str:
+def _qname_symbol(names: Memo, qname: str) -> str:
     owner, name = qname.split(".", 1)
     return f"{names[owner]}_{names[name.replace('%c', 'ctl')]}"
 
 
-def _port_names(names: _Memo, paper_ack: bool, port: Port) -> tuple:
+def _port_names(names: Memo, paper_ack: bool, port: Port) -> tuple:
     """A port's symbol, channel and acknowledgement channel."""
     symbol = names[port.pid]
     return symbol, f"ch_{symbol}", f"ch_{symbol}" if paper_ack else f"ack_{symbol}"
@@ -125,9 +111,9 @@ class _Symbols:
         self.strict = strict
         self.types = types
         self.table: dict[str, int] = {}
-        self.names = _Memo(sanitize)
-        self.qnames = _Memo(partial(_qname_symbol, self.names))
-        self.ports = _Memo(partial(_port_names, self.names, paper_ack))
+        self.names = Memo(sanitize)
+        self.qnames = Memo(partial(_qname_symbol, self.names))
+        self.ports = Memo(partial(_port_names, self.names, paper_ack))
         self.exprs = {}
 
     def code(self, s: str) -> int:
@@ -453,17 +439,17 @@ def _next_data_send(comp: AtomicComponent, loc: str):
     return None
 
 
-def _obs(names: _Memo, comp_id: str, port: Port) -> str:
+def _obs(names: Memo, comp_id: str, port: Port) -> str:
     return f"(currPort_{names[comp_id]} == {names[port.pid]})"
 
 
 def ltl_templates(sys: CompositeSystem) -> list:
     """Instantiate the four property templates; returns (name, formula)
     pairs, keeping the first formula of each name."""
-    return _templates(sys, _port_interactions(sys), _Memo(sanitize))
+    return _templates(sys, _port_interactions(sys), Memo(sanitize))
 
 
-def _templates(sys: CompositeSystem, wiring: dict, names: _Memo) -> list:
+def _templates(sys: CompositeSystem, wiring: dict, names: Memo) -> list:
     """``ltl_templates`` with the system's wiring and a memo of sanitized
     names, which ``generate_promela`` shares."""
     out = {}

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .cbs import (
     CompositeSystem, SysState, component_steps, is_terminal, known_steps, sys_steps_tagged,
 )
-from .core import Event
+from .core import Event, Memo
 from .promela import MAX_LEN
 
 
@@ -53,20 +53,6 @@ class RunResult:
     steps: int
     final: SysState
     events: list = field(default_factory=list)  # serialized JSONL lines
-
-
-class _Memo(dict):
-    """Each key's trace-line fragment, encoded by ``encode`` on its first
-    lookup."""
-
-    __slots__ = ("encode",)
-
-    def __init__(self, encode):
-        self.encode = encode
-
-    def __missing__(self, key) -> str:
-        fragment = self[key] = self.encode(key)
-        return fragment
 
 
 def _fields(event: Event) -> str:
@@ -84,9 +70,9 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
     # order, its event's fields and the step number (see the docstring).
     n = len(sys.components)
     ids = [json.dumps(c.id) for c in sys.components]
-    pairs = [_Memo(lambda loc, key=key: f"{key}:{json.dumps(loc)}") for key in ids]
+    pairs = [Memo(lambda loc, key=key: f"{key}:{json.dumps(loc)}") for key in ids]
     order = sorted(range(n), key=lambda i: sys.components[i].id)
-    fields = _Memo(_fields)
+    fields = Memo(_fields)
     known = known_steps(sys, state)
     events = []
     steps = idle = ci = 0

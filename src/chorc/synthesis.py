@@ -5,6 +5,12 @@ growing each component's automaton from its unique context location. Send
 and receive ports are copied per communication so that every copy is wired
 to exactly one interaction, which is what makes the result controller-free.
 
+Only a well-formed choreography is transformed: ``synthesize`` refuses any
+other with the first error of ``lang.check_well_formed``, type rules
+included, before it builds anything, so the rules have one statement for
+the explorers and synthesis alike. The built system is checked once, by
+``verify.invariant_suite``; a finding there is a bug of this module.
+
 Control interactions are wired in three places of ``_Builder``: ``notify``
 (a master telling the participants which choice arm or loop iteration
 follows, ``br``/``cont`` ports), the break of ``synth_loop`` (``brk``) and
@@ -40,12 +46,11 @@ from dataclasses import dataclass, field
 from .core import (
     Expr, Not, Port, SKIP, TRUE, Update, Variable, default_value,
 )
-from .cbs import (
-    AtomicComponent, CompositeSystem, Interaction, Transition, check_structure,
-)
+from .cbs import AtomicComponent, CompositeSystem, Interaction, Transition
 from .lang import (
-    Branch, Chor, Comm, GuardedSend, Loop, Nil, Par, Seq, SystemDecl, shape,
+    Branch, Chor, Comm, GuardedSend, Loop, Nil, Par, Seq, SystemDecl, check_well_formed, shape,
 )
+from .verify import invariant_suite
 
 PROFILES = ("default", "compat")
 
@@ -137,20 +142,12 @@ class _Builder:
         self.transitions[cid].append(
             Transition(self.context[cid], port, guard, update, dst))
         self.context[cid] = dst
-        self.assert_context((cid,))
 
     def add_eps(self, cid: str, src: str, dst: str):
         """Add a silent transition. No (src, dst) pair repeats: a join's
         silent edges end at a location just made, and a loop's back edge
         starts at the context, which has no outgoing transition."""
         self.transitions[cid].append(Transition(src, None, TRUE, SKIP, dst))
-
-    def assert_context(self, cids=None):
-        """Every context, or those of ``cids``, is a declared location."""
-        for cid in self.context if cids is None else cids:
-            assert self.context[cid] in self.locations[cid], (
-                f"context of {cid} points at undeclared location "
-                f"{self.context[cid]}")
 
     def wire(self, send: Port, guard: Expr, update: Update, rcvs):
         """One communication: sender transition, receiver transitions and the
@@ -214,7 +211,6 @@ class _Builder:
             self.synth(cont)
             snapshots.append(dict(self.context))
         self.join(base, snapshots)
-        self.assert_context()
 
     def join(self, base, snapshots):
         """Join the per-choice contexts of each component into one location.
@@ -272,7 +268,6 @@ class _Builder:
                       [(self.ctl_port(k, "brk", "r"), SKIP) for k in K])
         else:
             self.advance(master, self.ctl_port(master, "brk", "in"), brk_guard, SKIP)
-        self.assert_context()
 
     def synth_seq_sync(self, first: Chor, second: Chor):
         """Synchronize the end of ``first`` with the start of ``second``."""
@@ -308,12 +303,20 @@ class _Builder:
 
 
 def synthesize(decl: SystemDecl, ch: Chor, profile: str = "default") -> CompositeSystem:
-    """Transform a well-formed choreography into a composite system."""
+    """Transform a well-formed choreography into a composite system.
+
+    A choreography that is not well formed is refused before anything is
+    built: ``SynthError`` carries the first error of ``check_well_formed``
+    as ``"code: message"``; warnings pass. The built system must pass
+    ``verify.invariant_suite``, so any finding it reports is a synthesis
+    bug, also raised as ``SynthError``."""
+    for d in check_well_formed(decl, ch):
+        if d.severity == "error":
+            raise SynthError(f"{d.code}: {d.message}")
     builder = _Builder(decl=decl, profile=profile)
     builder.synth(ch)
-    builder.assert_context()
     sys = builder.build()
-    diags = check_structure(sys)
+    diags = invariant_suite(sys)
     if diags:
         raise SynthError(
             "synthesized system failed structural checks:\n"

@@ -141,7 +141,8 @@ def invariant_suite(sys: CompositeSystem) -> list:
     Includes all basic structure checks (one port per interaction, no
     location mixing outgoing sends and receives, dtype agreement, ...) plus
     synthesis-specific ones: exactly one marked end location per component
-    and no transition leaving it.
+    and no transition leaving it. ``synthesis.synthesize`` checks every
+    system it builds against them.
     """
     diags = check_structure(sys)
     for comp in sys.components:

@@ -14,14 +14,11 @@ from typing import NamedTuple, Optional
 import pytest
 
 from chorc import chorsem
-from chorc.chorsem import (
-    TAU, Running, chor_steps_tagged, explore,
-    initial_config, lts_to_dot,
-)
+from chorc.chorsem import TAU, Running, chor_steps_tagged, explore, lts_to_dot
 from chorc.core import EvalError, Event, Valuation, explore_lts
 from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed, faults
 from chorc.parser import parse_source
-from chorc.synthesis import PROFILES, synthesize
+from chorc.synthesis import PROFILES, SynthError, synthesize
 from chorc.verify import equiv_check
 
 from conftest import CHOR_RULES, ROOT, generated, load_stem
@@ -66,7 +63,7 @@ def terminated(config):
 
 def steps(body):
     ch, sigma = setup(body)
-    return chor_steps_tagged(initial_config(ch, sigma)), sigma
+    return chor_steps_tagged(Running(ch, sigma)), sigma
 
 
 class TestNil:
@@ -277,7 +274,7 @@ class TestBruteForceCrossCheck:
         """Independent oracle: depth-first closure collecting finals."""
         finals = set()
         seen = set()
-        stack = [initial_config(ch, sigma)]
+        stack = [Running(ch, sigma)]
         while stack and fuel:
             fuel -= 1
             cfg = stack.pop()
@@ -361,7 +358,7 @@ class TestStepTables:
 def reachable(ch, sigma):
     """Brute-force oracle: every configuration reachable from the initial
     one, deduplicated by a plain set (structural equality)."""
-    seen = {initial_config(ch, sigma)}
+    seen = {Running(ch, sigma)}
     todo = list(seen)
     while todo:
         for _, succ in chor_steps_tagged(todo.pop()):
@@ -377,7 +374,7 @@ class TestHashConsing:
         # into distinct objects; their residual receives meet in one queue.
         comms = "A.a -> { B.r[y := y + 1] } ; A.a -> { B.r[y := y + 1] }"
         ch, sigma = setup(f"choice A {{ A.d => {comms} | A.d[b] => {comms} }}")
-        left, right = (succ for _, succ in chor_steps_tagged(initial_config(ch, sigma)))
+        left, right = (succ for _, succ in chor_steps_tagged(Running(ch, sigma)))
         assert left == right and left.term is right.term
         res = explore(ch, sigma)
         assert set(res.graph) == reachable(ch, sigma)
@@ -734,6 +731,15 @@ def near_misses() -> list:
             for kind, base, edits in terms for part, code, old, new in edits]
 
 
+def assert_not_synthesized(decl, ch, error):
+    """``synthesize`` refuses ``ch`` under each profile with ``error``'s
+    code and message."""
+    for profile in PROFILES:
+        with pytest.raises(SynthError) as err:
+            synthesize(decl, ch, profile)
+        assert str(err.value) == f"{error.code}: {error.message}", profile
+
+
 #: Division and modulo by zero, reached only after some steps.
 DIV_ZERO = [
     "A.a[true, x := x - 1] -> { B.r } ; A.a[true, x := x - 1] -> { C.r } ; "
@@ -814,18 +820,36 @@ class TestFlatOracle:
     @pytest.mark.parametrize("code, base, breach", near_misses())
     def test_each_fault_is_refused(self, code, base, breach):
         """A term that breaks one ``faults`` rule is refused with the
-        message of its first fault; the term it was edited from is
-        explored."""
+        message of its first fault, and ``synthesize`` refuses it under
+        each profile with the code and message of its first well-formedness
+        error; the term it was edited from is explored and synthesized."""
         decl, _, ch = parse_source(NEAR_DECLS + f"choreography t = {base}")
         assert check_well_formed(decl, ch) == [] and explore(ch, decl.initial_valuation()).finals
+        for profile in PROFILES:
+            synthesize(decl, ch, profile)
         if breach is None:
             ch = Comm(ch.send, ())
         else:
             decl, _, ch = parse_source(NEAR_DECLS + f"choreography t = {breach}")
-        assert [d.code for d in check_well_formed(decl, ch)] == [code]
+        found = check_well_formed(decl, ch)
+        assert [d.code for d in found] == [code]
         with pytest.raises(EvalError) as err:
             explore(ch, decl.initial_valuation())
         assert str(err.value) == faults(ch)[0].message
+        assert_not_synthesized(decl, ch, found[0])
+
+    @pytest.mark.parametrize("body, code", [
+        ("A.p[x] -> { B.r }", "guard-type"),
+        ("A.p[true, x := b] -> { B.r }", "assign-type"),
+        ("A.p[true, b := x + 1] -> { B.r }", "assign-type"),
+    ])
+    def test_ill_typed_terms_are_not_synthesized(self, body, code):
+        """``faults`` states no type rule, but ``synthesize`` refuses a term
+        that breaks one with ``check_well_formed``'s error."""
+        decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
+        found = check_well_formed(decl, ch)
+        assert [d.code for d in found] == [code]
+        assert_not_synthesized(decl, ch, found[0])
 
     @pytest.mark.parametrize("body", FOREIGN)
     def test_foreign_reads(self, body):
@@ -892,7 +916,7 @@ class TestFlatOracle:
         decl, _, ch = parse_source(DECLS + f"choreography t = {body}")
         sigma = decl.initial_valuation()
         raised = []
-        for start, steps in ((initial_config(ch, sigma), chor_steps_tagged),
+        for start, steps in ((Running(ch, sigma), chor_steps_tagged),
                              (FlatRunning(ch, sigma), flat_chor_steps)):
             expanded = []
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chorc import cli
 from chorc.cli import main
 
 from conftest import corpus_path, corpus_paths
@@ -292,6 +293,38 @@ class TestDeepNesting:
                                chain(tmp_path, 600)], capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(shown)
+
+    @pytest.mark.parametrize("command", ["check", "synth"])
+    def test_recursion_limit_in_process(self, command, tmp_path, capsys, monkeypatch):
+        """The handler of ``main`` itself, under a recursion limit lowered
+        to a little above the caller's depth, so that a short chain
+        overflows it in the well-formedness check.
+
+        A line tracer written in Python, as ``python -m trace`` is, runs a
+        frame deeper than the line it traces, so it overflows first, and
+        Python switches a tracer that raises off. The check is wrapped to
+        put the tracer back as the error leaves it, so that the handler's
+        lines are traced as well as run."""
+        tracer, check = sys.gettrace(), cli.check_well_formed
+
+        def retraced(*args):
+            try:
+                return check(*args)
+            finally:
+                sys.settrace(tracer)
+        monkeypatch.setattr(cli, "check_well_formed", retraced)
+        path = chain(tmp_path, 200)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code, out, err = run([command, path], capsys)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (code, out) == (1, "")
+        assert err == f"error: input nested too deeply (Python recursion limit {depth + 100})\n"
 
     def test_dump_lts_takes_a_long_chain(self, tmp_path, capsys):
         """The DOT dump prints no term, so 900 interactions, well past the

@@ -281,12 +281,15 @@ class TestTypesAndFormatting:
         assert value_dtype(3) == "int"
         assert value_dtype(True) == "bool"
         assert value_dtype("hi") == "str"
+        with pytest.raises(TypeError, match=r"^not a data value: 1\.5$"):
+            value_dtype(1.5)
 
     def test_infer_type(self):
         env = {"A.x": "int", "A.b": "bool"}
         assert infer_type(BinOp("+", Ref("A.x"), Lit(1)), env) == "int"
         assert infer_type(BinOp("<", Ref("A.x"), Lit(1)), env) == "bool"
         assert infer_type(Not(Ref("A.b")), env) == "bool"
+        assert infer_type(Neg(Ref("A.x")), env) == "int"
 
     def test_format_expr_minimal_parens(self):
         e = BinOp("*", BinOp("+", Ref("A.x"), Lit(1)), Lit(2))

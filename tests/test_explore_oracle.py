@@ -19,7 +19,7 @@ import pytest
 from chorc import cbs, chorsem
 from chorc.cbs import AtomicComponent, CompositeSystem, Interaction, Transition, sys_explore
 from chorc.core import SKIP, TRUE, BinOp, Lit, Port, Ref, Update, Variable, explore_lts
-from chorc.chorsem import initial_config
+from chorc.chorsem import Running
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS
@@ -109,7 +109,7 @@ def assert_same_exploration(start, successors, is_terminal, max_configs=200_000,
 
 
 def assert_chor(decl, ch, **limits):
-    return assert_same_exploration(initial_config(ch, decl.initial_valuation()),
+    return assert_same_exploration(Running(ch, decl.initial_valuation()),
                                    chorsem.chor_steps_tagged,
                                    lambda c: c.term is None and not c.pending, **limits)
 

@@ -315,6 +315,13 @@ class TestWellFormed:
         assert [(d.code, d.message) for d in check_well_formed(decl, bad)] == [
             ("unknown-var", "send A.p: unknown target A.nope")]
 
+    def test_a_literal_of_no_data_type(self):
+        # Only a term built through the library holds one, as above.
+        decl, _, ch = chor("A.p -> { B.r }")
+        bad = Comm(GuardedSend(ch.send.port, Lit(1.5), SKIP), ch.rcvs)
+        assert [(d.code, d.message) for d in check_well_formed(decl, bad)] == [
+            ("guard-type", "send A.p guard: not a data value: 1.5")]
+
     @pytest.mark.parametrize("where, message", [
         ("guard", "send A.p guard: unknown variable 'A.nope'"),
         ("update", "send A.p: unknown variable 'A.nope'"),

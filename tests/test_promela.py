@@ -352,6 +352,47 @@ class TestLtl:
             for ident in re.findall(r"== (\w+)", formula):
                 assert ident in defined, (name, ident)
 
+    def test_a_component_with_no_end(self):
+        """The unmark-end mutant: A's last location has no arm in its
+        proctype, and the termination formula names B alone."""
+        decl, _, ch = load_stem("comm_sync")
+        sys = synthesize(decl, ch)
+        mutant = MUTATIONS["unmark-end"](sys)
+        text = generate_promela(mutant).text
+        assert "(currentLocation == LA_1) -> break;" in generate_promela(sys).text
+        assert "LA_1)" not in proctype_body(text, "A") and validate_promela(text) == []
+        assert dict(ltl_templates(mutant))["termination"] == (
+            "[] (((currPort_B == B_q_1)) -> <> ((currPort_B == B_q_1)))")
+
+    # B's transitions after A.a's interaction into B.r: the transaction
+    # template follows a wired receive to B's next send, and only then.
+    TRANSACTION_SHAPES = {
+        "wired": (("b0", "r", "b1"), ("b1", "s", "b2")),
+        "unwired receive": (("b0", "u", "b1"), ("b1", "s", "b2")),
+        "silent cycle": (("b0", "r", "b1"), ("b1", None, "b2"), ("b2", None, "b1")),
+    }
+
+    @pytest.mark.parametrize("shape", TRANSACTION_SHAPES)
+    def test_transaction_follows_a_wired_receive_to_a_send(self, shape):
+        ax, by = Variable("x", "A", "int"), Variable("y", "B", "int")
+        send = Port("a", "A", ax, "as")
+        r, u, s = Port("r", "B", by, "r"), Port("u", "B", by, "r"), Port("s", "B", by, "ss")
+        ports = {"r": r, "u": u, "s": s, None: None}
+        a = AtomicComponent(
+            id="A", vars=((ax, 1),), ports=(send,), locations=("a0", "a1"),
+            transitions=(Transition("a0", send, TRUE, SKIP, "a1"),), init="a0", end="a1")
+        b = AtomicComponent(
+            id="B", vars=((by, 0),), ports=(r, u, s),
+            locations=("b0", "b1", "b2"), init="b0", end="b2",
+            transitions=tuple(Transition(src, ports[p], TRUE, SKIP, dst)
+                              for src, p, dst in self.TRANSACTION_SHAPES[shape]))
+        sys = CompositeSystem(components=(a, b), gamma=(Interaction(send, (r,)),))
+        transactions = [(name, formula) for name, formula in ltl_templates(sys)
+                        if name.startswith("transaction")]
+        assert transactions == ([("transaction_B_s",
+                                  "[] ((! (currPort_B == B_s)) U (currPort_A == A_a))")]
+                                if shape == "wired" else [])
+
     def test_inline_ltl_blocks(self):
         _, model = model_for("buying", "compat", inline_ltl=True)
         assert re.search(r"ltl termination \{.*\}", model.text)

@@ -222,9 +222,9 @@ class TestSeqSync:
 
 
 class TestLongChain:
-    """A chain of 900 synchronous sends from A to B. Synthesis checks every
-    context it moves against a set, so such a chain takes time linear in
-    its length (see CHANGES.md for the per-interaction times)."""
+    """A chain of 900 synchronous sends from A to B. Synthesis and its
+    checks take time linear in its length (see CHANGES.md for the
+    per-interaction times)."""
 
     N = 900
 

@@ -228,6 +228,32 @@ class TestMutations:
             "drop-interaction", "unmark-end",
         }
 
+    def test_sites_where_an_operator_does_not_apply(self):
+        """B, a participant of A's loop, is declared first, so the break
+        guards are swapped past B's receive of the break, on A alone, and
+        with every component's transitions reversed, the break is met
+        before its entry at the loop head, and the same guards are
+        swapped; the merged send copy is used by no transition of the
+        mutant, which merges nothing more; and no end is left to unmark
+        after two."""
+        decl, _, ch = parse_source(
+            "comp B { var y: int = 0; port r: r of int binds y; }\n"
+            "comp A { var x: int = 0; port s: ss of int binds x; }\n"
+            "choreography t = while (A.s[x < 3, x := x + 1]) { A.s -> { B.r } } ; A.s -> { B.r }")
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            swapped = MUTATIONS["swap-break-guard"](sys)
+            assert [a is b for a, b in zip(swapped.components, sys.components)] == [True, False]
+            reversed_sys = sys.derive(components=tuple(
+                dataclasses.replace(c, transitions=c.transitions[::-1]) for c in sys.components))
+            reswapped = MUTATIONS["swap-break-guard"](reversed_sys)
+            assert reswapped.components[1].transitions == swapped.components[1].transitions[::-1]
+            merged = MUTATIONS["merge-port-copies"](sys)
+            assert merged is not None and MUTATIONS["merge-port-copies"](merged) is None
+            unmarked = MUTATIONS["unmark-end"](MUTATIONS["unmark-end"](sys))
+            assert [c.end for c in unmarked.components] == [None, None]
+            assert MUTATIONS["unmark-end"](unmarked) is None
+
     def test_each_mutation_flips_some_corpus_verdict(self, corpus):
         flipped = {m: False for m in MUTATIONS}
         for path, decl, name, ch in corpus:
