@@ -76,6 +76,12 @@ class SystemDecl:
         declarations with an empty one."""
         return {}
 
+    @cached_attr
+    def _checks(self) -> dict:
+        """term -> its ``check_well_formed`` findings under these
+        declarations, as a tuple; kept and dropped like ``_chor_sides``."""
+        return {}
+
 
 # --------------------------------------------------------------------------
 # Choreography terms
@@ -295,11 +301,16 @@ def _check_types(diags, env, guard: Expr, update: Update, what: str):
 def check_well_formed(decl: SystemDecl, ch: Chor) -> list[Diagnostic]:
     """Static checks beyond what the grammar enforces.
 
-    Returns an empty list iff the choreography is well formed.
+    Returns an empty list iff the choreography is well formed. The
+    findings are worked out on the first call for ``decl`` and ``ch`` and
+    kept on ``decl`` (``SystemDecl._checks``); each call gets a new list.
     """
-    diags: list[Diagnostic] = []
-    _check_term(diags, decl.type_env(), ch)
-    return diags
+    found = decl._checks.get(ch)
+    if found is None:
+        diags: list[Diagnostic] = []
+        _check_term(diags, decl.type_env(), ch)
+        found = decl._checks[ch] = tuple(diags)
+    return list(found)
 
 
 def _send_port(port: Port) -> list:
@@ -339,7 +350,11 @@ def faults(term: Chor) -> list[Diagnostic]:
     """What ``term`` itself, not a subterm, breaks of every rule but the
     type rules, in ``check_well_formed``'s order: a communication's
     ``wiring`` and locality, a choice's arms, a loop's test. The
-    choreography semantics refuses a term with any."""
+    choreography semantics refuses a term with any. They are worked out on
+    first use and kept on the term; each call gets a new list."""
+    found = getattr(term, "_faults", None)
+    if found is not None:
+        return list(found)
     diags: list[Diagnostic] = []
     if isinstance(term, Comm):
         snd = term.send
@@ -358,6 +373,7 @@ def faults(term: Chor) -> list[Diagnostic]:
             _check_guarded_send(diags, gs, "choice")
     elif isinstance(term, Loop):
         _check_guarded_send(diags, term.cond, "loop condition")
+    object.__setattr__(term, "_faults", tuple(diags))
     return diags
 
 

@@ -17,6 +17,7 @@ then rejected by the well-formedness checker).
 from __future__ import annotations
 
 import re
+import string
 from typing import NamedTuple
 
 from .core import (
@@ -63,46 +64,53 @@ _ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
 
 # One alternative per token class, tried in this order at the current
 # position. Identifiers and integers are ASCII only (see docs/grammar.md).
-_SPACE = r"[ \t\r]+|//[^\n]*"
-_CLASSES = (
-    r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)",
-    r"(?P<INT>[0-9]+)",
-    f'(?P<STRING>"{_STRING_BODY}")',
-    "(?P<symbol>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-)
-# The lexer's pattern: white space and comments, then a token or else the
-# empty alternative, so a match never gives white space back to a token.
-_FOLDED = re.compile(f"(?:{_SPACE}|\n)*(?:{'|'.join(_CLASSES)}|)")
-# A keyword's or a symbol's kind is its text.
-_KINDS = {text: text for text in (*KEYWORDS, *_SYMBOLS)}
+_CLASSES = (r"[A-Za-z_][A-Za-z0-9_]*", "[0-9]+", f'"{_STRING_BODY}"', *map(re.escape, _SYMBOLS))
+# The lexer's pattern: white space and comments, then a token, else one
+# character that starts no token, else the end; its one group is the token.
+# The last alternative is empty, so a match never fails and never gives
+# white space back: it needs no possessive quantifier or atomic group, which
+# Python 3.10 lacks.
+_TOKEN = re.compile(rf"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*({'|'.join(_CLASSES)}|.|)")
+# A keyword's or a symbol's kind is its text, and the end's is EOF. An
+# identifier or an integer takes its kind from its first character. A string
+# literal has none here, nor has a character that starts no token.
+_KINDS = {**{text: text for text in (*KEYWORDS, *_SYMBOLS)}, "": "EOF"}
+_FIRST = {**dict.fromkeys(string.ascii_letters + "_", "IDENT"),
+          **dict.fromkeys(string.digits, "INT")}
 _STRING_PREFIX = re.compile(f'"{_STRING_BODY}')
 _ESCAPE = re.compile(r"\\(.)")
 
 
-def _lex(source: str) -> tuple[list[str], list[str], list[int]]:
-    """The tokens' kinds, texts and start offsets, the end token included."""
-    kinds, texts, starts = [], [], []
-    add_kind, add_text, add_start, kind_of = kinds.append, texts.append, starts.append, _KINDS.get
-    for m in _FOLDED.finditer(source):
-        group = m.lastgroup
-        if group is None:  # the end of the input, or text that starts no token
-            break
-        text = m[group]
-        kind = kind_of(text, group)
-        if kind == "STRING":
-            text = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
-        add_kind(kind)
-        add_text(text)
-        add_start(m.start(group))
-    if m.end() != len(source):
-        raise _lex_error(source, m.end(), *_position(source, m.end()))
-    # A comment does not advance the column, so input that ends in one has
-    # its end token where the comment starts.
-    comment = source.find("//", max(m.start(), source.rfind("\n", m.start()) + 1))
-    add_kind("EOF")
-    add_text("")
-    add_start(len(source) if comment < 0 else comment)
-    return kinds, texts, starts
+def _lex(source: str) -> tuple[list[str], list[str]]:
+    """The tokens' kinds and texts, the end token included, from one
+    ``findall``: offsets are worked out only for an error (``_starts``)."""
+    texts = _TOKEN.findall(source)
+    if texts[-2:] == ["", ""]:  # the end, after white space, matched twice
+        texts.pop()
+    kind_of, first_of = _KINDS.get, _FIRST.get
+    kinds = [kind_of(text) or first_of(text[0]) for text in texts]
+    if None in kinds:  # a string literal, or a character that starts no token
+        for i, text in enumerate(texts):
+            if kinds[i] is None:
+                if len(text) == 1:  # starts no token: a string has two quotes
+                    pos = _starts(source)[i]
+                    raise _lex_error(source, pos, *_position(source, pos))
+                kinds[i] = "STRING"
+                texts[i] = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+    return kinds, texts
+
+
+def _starts(source: str) -> list[int]:
+    """The start offset of each token of ``_lex``, the end token included."""
+    starts = []
+    for m in _TOKEN.finditer(source):
+        if not m[1]:
+            # A comment does not advance the column, so input that ends in
+            # one has its end token where the comment starts.
+            comment = source.find("//", max(m.start(), source.rfind("\n", m.start()) + 1))
+            starts.append(len(source) if comment < 0 else comment)
+            return starts
+        starts.append(m.start(1))
 
 
 def _position(source: str, offset: int) -> tuple[int, int]:
@@ -114,7 +122,7 @@ def _position(source: str, offset: int) -> tuple[int, int]:
 def tokenize(source: str) -> list[Token]:
     """The tokens with their lines and columns, the end token included."""
     tokens, line, line_start, last = [], 1, 0, 0
-    for kind, text, start in zip(*_lex(source)):
+    for kind, text, start in zip(*_lex(source), _starts(source)):
         line += source.count("\n", last, start)
         line_start = max(line_start, source.rfind("\n", last, start) + 1)
         tokens.append(Token(kind, text, line, start - line_start + 1))
@@ -140,7 +148,7 @@ class Parser:
 
     def __init__(self, source: str):
         self.source = source
-        self.kinds, self.texts, self.starts = _lex(source)
+        self.kinds, self.texts = _lex(source)
         self.pos = 0
 
     # -- token stream helpers ------------------------------------------------
@@ -165,7 +173,7 @@ class Parser:
 
     def error(self, message: str, at: int | None = None) -> ParseError:
         """The error at token ``at``, by default the current one."""
-        start = self.starts[self.pos if at is None else at]
+        start = _starts(self.source)[self.pos if at is None else at]
         return ParseError(message, *_position(self.source, start))
 
     def component(self, cid: str, at: int) -> tuple[dict, dict]:

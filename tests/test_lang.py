@@ -1,17 +1,20 @@
 """Tests for term shapes (participants, start and end sets) and static
 well-formedness."""
 
+import dataclasses
+
 import pytest
 
-from chorc import lang, synthesis
+from chorc import cli, lang, synthesis
 from chorc.core import SKIP, TRUE, BinOp, Lit, Ref, Update
 from chorc.lang import (
-    Branch, Comm, GuardedSend, Loop, Nil, Par, Seq, Shape, check_well_formed, shape, shared,
+    Branch, Comm, GuardedSend, Loop, Nil, Par, Seq, Shape, check_well_formed, faults, shape,
+    shared,
 )
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 
-from conftest import corpus_paths, generated, load, load_stem
+from conftest import corpus_path, corpus_paths, generated, load, load_stem
 from test_enumeration import declared_ports, terms
 
 DECLS = """
@@ -367,3 +370,68 @@ class TestWellFormed:
         decl, _, ch = (lambda t: (t[0], t[1], t[2]))(load_stem("buying"))
         kinds = {d.code for d in check_well_formed(decl, ch)}
         assert "parallel-independence" in kinds
+
+
+class TestCheckMemo:
+    """``check_well_formed`` keeps each term's findings on its declarations,
+    and ``faults`` keeps a term's own on the term."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        """The terms that ``_check_term`` is called on from outside itself,
+        in call order."""
+        walked, walk, depth = [], lang._check_term, [0]
+
+        def counting(diags, env, term):
+            if not depth[0]:
+                walked.append(term)
+            depth[0] += 1
+            try:
+                return walk(diags, env, term)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(lang, "_check_term", counting)
+        return walked
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_a_synthesizing_command_checks_once(self, monkeypatch, capsys, profile):
+        walked = self.count_walks(monkeypatch)
+        assert cli.main(["synth", corpus_path("buying"), "--profile", profile]) == 0
+        capsys.readouterr()
+        assert len(walked) == 1
+
+    def test_each_call_gets_a_new_list(self, monkeypatch):
+        walked = self.count_walks(monkeypatch)
+        decl, _, ch = load_stem("buying")
+        first = check_well_formed(decl, ch)
+        expected = list(first)
+        first.clear()
+        second = check_well_formed(decl, ch)
+        assert second == expected and second is not first and len(walked) == 1
+        _, _, bad = chor("A.p -> { B.s }")
+        own = faults(bad)
+        assert [d.code for d in own] == ["recv-port-type"]
+        own.clear()
+        assert [d.code for d in faults(bad)] == ["recv-port-type"]
+
+    def test_replaced_declarations_check_again(self, monkeypatch):
+        walked = self.count_walks(monkeypatch)
+        decl, _, ch = load_stem("buying")
+        assert check_well_formed(decl, ch) == check_well_formed(dataclasses.replace(decl), ch)
+        assert walked == [ch, ch]
+        assert "_checks" not in vars(dataclasses.replace(decl))
+
+    def test_memoized_findings_match_fresh_ones(self, corpus):
+        """Every corpus file's findings, read back from its declarations,
+        equal a fresh walk's, and each subterm's ``faults`` equal those
+        worked out again."""
+        for path, decl, _, ch in corpus:
+            check_well_formed(decl, ch)
+            fresh = []
+            lang._check_term(fresh, decl.type_env(), ch)
+            assert check_well_formed(decl, ch) == fresh, path
+            for term in subterms(ch):
+                kept = faults(term)
+                vars(term).pop("_faults")
+                assert faults(term) == kept, path

@@ -4,6 +4,7 @@ import importlib.util
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,10 +162,14 @@ class TestErrors:
         # A trailing comment does not advance the end-of-input position.
         ("comp A { }\nchoreography t = // nothing yet",
          "expected 'IDENT', found 'EOF'", 2, 18),
+        # White space is space, tab, CR and LF only.
+        ("comp A {\f}", "unexpected character '\\x0c'", 1, 9),
+        ("\ufeffcomp A { }", "unexpected character '\\ufeff'", 1, 1),
     ], ids=["unexpected", "eof-in-literal",
             "eof-after-backslash", "eof-after-escapes", "unknown-escape",
             "unknown-escape-unterminated", "superscript-two", "e-acute",
-            "e-acute-in-ident", "unexpected-last", "eof-after-comment"])
+            "e-acute-in-ident", "unexpected-last", "eof-after-comment",
+            "form-feed", "byte-order-mark"])
     def test_lexer_errors(self, source, message, line, col):
         e = self.err(source)
         assert (e.message, e.line, e.col) == (message, line, col)
@@ -178,7 +183,13 @@ class TestErrors:
          "duplicate port 'p' in A", 4, 35),
         ("binds x;", "binds z;", "port 'p' binds unknown variable 'z'", 4, 27),
         ("ss of int", "ss of bool", "port 'p' of bool binds x: int", 4, 28),
-    ], ids=["component", "variable", "port", "unknown-variable", "variable-type"])
+        ("ss of int", "sx of int", "unknown port type 'sx'", 4, 11),
+        ("var x: int", "var x: float", "unknown type 'float'", 3, 10),
+        ("  var x: int = 5;", "  x: int = 5;", "expected 'var', 'port' or '}'", 3, 3),
+        # And a term's missing operand where the operand should start.
+        ("A.p[x > 0", "A.p[x > )", "expected an expression", 11, 34),
+    ], ids=["component", "variable", "port", "unknown-variable", "variable-type",
+            "port-type", "data-type", "member", "operand"])
     def test_declaration_error_positions(self, old, new, message, line, col):
         with open(corpus_path("comm_sync")) as fh:
             text = fh.read()
@@ -315,16 +326,46 @@ def apply_edits(source, edits):
     return source
 
 
+def own_lex(source):
+    """The parser's own token kinds and texts as tuples, without offsets."""
+    kinds, texts = parser._lex(source)
+    return list(zip(kinds, texts))
+
+
+def agree(source):
+    """``tokenize`` and the parser's own kinds and texts agree with
+    ``reference_tokenize``, tokens and errors alike."""
+    reference = lex(reference_tokenize, source)
+    assert lex(parser.tokenize, source) == reference
+    kinds_texts = reference if reference[0] == "error" else [t[:2] for t in reference]
+    assert lex(own_lex, source) == kinds_texts
+
+
 class TestLexerReference:
     def test_sources_agree(self):
         for source in SOURCES:
-            assert lex(parser.tokenize, source) == lex(reference_tokenize, source)
+            agree(source)
 
     @settings(derandomize=True, database=None, max_examples=250, deadline=None)
     @given(st.sampled_from(range(len(SOURCES))), _edits)
     def test_edited_sources_agree(self, which, edits):
-        source = apply_edits(SOURCES[which], edits)
-        assert lex(parser.tokenize, source) == lex(reference_tokenize, source)
+        agree(apply_edits(SOURCES[which], edits))
+
+    @pytest.mark.parametrize("source, expected", [
+        (" " * 200_000 + "@", ("error", "unexpected character '@'", 1, 200_001)),
+        ("a" * 200_000 + "@", ("error", "unexpected character '@'", 1, 200_001)),
+        ('"' + "a" * 100_000, ("error", "unterminated string literal", 1, 1)),
+        ("x //" + "/" * 100_000, [("IDENT", "x", 1, 1), ("EOF", "", 1, 3)]),
+    ], ids=["spaces", "identifier", "unterminated-string", "slashes-in-comment"])
+    def test_long_inputs_lex_in_linear_time(self, source, expected):
+        """The pattern never backtracks over white space, comments or a
+        token, so each of these takes milliseconds."""
+        began = time.perf_counter()
+        assert lex(parser.tokenize, source) == expected
+        assert time.perf_counter() - began < 1
+
+    def test_a_double_slash_always_starts_a_comment(self):
+        assert [t.kind for t in parser.tokenize("a //b\n/ c")] == ["IDENT", "/", "IDENT", "EOF"]
 
     def test_tokens_are_tuples(self):
         tok = parser.tokenize("comp")[0]
@@ -355,8 +396,38 @@ class TestErrorPositions:
     def test_sources(self):
         for source in SOURCES:
             self.check(source)
+            assert parse(parse_source, source) == parse(reference_parse, source)
 
     @settings(derandomize=True, database=None, max_examples=250, deadline=None)
     @given(st.sampled_from(range(len(SOURCES))), _edits)
     def test_edited_sources(self, which, edits):
-        self.check(apply_edits(SOURCES[which], edits))
+        source = apply_edits(SOURCES[which], edits)
+        self.check(source)
+        assert parse(parse_source, source) == parse(reference_parse, source)
+
+
+class ReferenceParser(parser.Parser):
+    """The parser over ``reference_tokenize``'s tokens, which reports each
+    error at its token's line and column."""
+
+    def __init__(self, source):
+        self.tokens = reference_tokenize(source)
+        self.kinds = [t.kind for t in self.tokens]
+        self.texts = [t.text for t in self.tokens]
+        self.pos = 0
+
+    def error(self, message, at=None):
+        token = self.tokens[self.pos if at is None else at]
+        return ParseError(message, token.line, token.col)
+
+
+def reference_parse(source):
+    return ReferenceParser(source).parse_file()
+
+
+def parse(parse_file, source):
+    """What ``parse_file`` returns, or its error's message and position."""
+    try:
+        return parse_file(source)
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)

@@ -123,6 +123,8 @@ class TestChoreographySide:
         try:
             rep = equiv_check(decl, ch, synthesize(decl, ch))
             assert rep.equivalent and len(decl._chor_sides) == 1
+            # synthesize's well-formedness check is kept on them too.
+            assert list(decl._checks) == [ch]
             alive = weakref.ref(decl)
             del decl, ch
             assert alive() is None
