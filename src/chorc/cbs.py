@@ -76,6 +76,14 @@ one interaction share one event, built once with its label, whatever
 location they leave. Only sends are shown in the label; a receive or
 internal step is ``TAU``. ``sys_explore`` runs the shared breadth-first
 explorer (``core.explore_lts``) over ``sys_steps_tagged``.
+
+The component positions fall into groups that no interaction joins
+(``CompositeSystem._groups``, found once per system from its ids and gamma
+alone, and taken from the parent by a derived system that keeps both). A
+step reads and writes only the parts of its own group, so the reachable
+states are the product of each group's, which ``sys_explore`` explores
+alone when asked to fire only that group's positions; ``verify`` reads the
+groups to explore each once.
 """
 
 from __future__ import annotations
@@ -323,6 +331,38 @@ class CompositeSystem:
         return tuple(positions)
 
     @cached_attr
+    def _groups(self) -> tuple:
+        """The component positions split into the most groups such that the
+        sender and receivers of every interaction that can fire, one whose
+        sender the system holds, are in one group, as tuples of positions.
+        A step of one group then reads and writes only that group's parts,
+        so the reachable states are the product of each group's. Groups
+        follow their first positions, and each group's positions their
+        order, never a set's. A system ``derive`` made with its parent's ids
+        and gamma takes its parent's groups."""
+        components, parent = self.components, self._parent
+        if parent is not None and self.gamma == parent.gamma and \
+                [c.id for c in components] == [c.id for c in parent.components]:
+            return parent._groups
+        label = {c.id: i for i, c in enumerate(components)}  # id -> its group's first position
+        get = label.get
+        for inter in self.gamma:
+            g = get(inter.send.owner)
+            if g is None:  # no sender: it never fires (see ``_steps``)
+                continue
+            for r in inter.receivers:
+                h = get(r.owner)
+                if h is not None and h != g:
+                    g, high = min(g, h), max(g, h)
+                    for cid, x in label.items():
+                        if x == high:
+                            label[cid] = g
+        groups = {}
+        for i, c in enumerate(components):
+            groups.setdefault(label[c.id], []).append(i)
+        return tuple(map(tuple, groups.values()))
+
+    @cached_attr
     def _diagnostics(self) -> tuple:
         return tuple(_structure_diagnostics(self))
 
@@ -544,27 +584,35 @@ def known_steps(sys: CompositeSystem, state: SysState) -> list:
     return list(map(dict.get, sys._steps, state))
 
 
-def sys_steps_tagged(sys: CompositeSystem, state: SysState) -> list:
+def sys_steps_tagged(sys: CompositeSystem, state: SysState, cis=None) -> list:
     """Successors of a system state as (event, state): the steps of each
-    component in turn (see ``component_steps``)."""
-    return _fire(sys, state, range(len(state)))
+    component in turn (see ``component_steps``), or of components ``cis``
+    only."""
+    return _fire(sys, state, range(len(state)) if cis is None else cis)
 
 
-def is_terminal(sys: CompositeSystem, state: SysState) -> bool:
-    """Successful termination: empty buffers and every component at its end
-    location. A component without an end marking can never terminate."""
-    for comp, part in zip(sys.components, state):
-        if part.queues or comp.end is None or part.loc != comp.end:
+def is_terminal(sys: CompositeSystem, state: SysState, cis=None) -> bool:
+    """Successful termination: empty buffers and every component, or every
+    one of ``cis``, at its end location. A component without an end
+    marking can never terminate."""
+    comps = sys.components
+    for i in range(len(state)) if cis is None else cis:
+        part, end = state[i], comps[i].end
+        if part.queues or end is None or part.loc != end:
             return False
     return True
 
 
 def sys_explore(sys: CompositeSystem, max_configs: int = 200_000,
-                max_depth: int = 10_000) -> Exploration:
+                max_depth: int = 10_000, cis=None) -> Exploration:
     """Breadth-first closure of sys_steps_tagged from the initial state (see
-    ``core.explore_lts``)."""
-    return explore_lts(sys.initial_state(), lambda s: sys_steps_tagged(sys, s),
-                       lambda s: is_terminal(sys, s), max_configs, max_depth)
+    ``core.explore_lts``). With ``cis``, only components ``cis`` step, and
+    a state where they start none is terminal if they have terminated: for
+    a group of ``CompositeSystem._groups``, the reachable states of that
+    group, every other component at its initial part."""
+    fire = range(len(sys.components)) if cis is None else cis
+    return explore_lts(sys.initial_state(), lambda s: sys_steps_tagged(sys, s, fire),
+                       lambda s: is_terminal(sys, s, fire), max_configs, max_depth)
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,19 @@ every mutant of a term share one exploration, and the summary holds no
 configuration, so it dies with the declarations. Fresh declarations, as a
 new parse or ``dataclasses.replace`` makes, explore afresh.
 
+The system side is explored once per check, one group at a time where the
+system splits into groups that no interaction joins (``cbs``'s
+``CompositeSystem._groups``), as a ``||`` of operands with no component in
+common does. Its reachable states are then the product of the groups', so
+``sys_states`` is the product of the groups' counts, a state is stuck when
+every group's part is, and a final is one final of each group, each
+projected on the keys its components hold. Where one exploration of the
+whole system could tell otherwise, the whole system is explored with the
+caller's limits, so every count, final, verdict and error is the one that
+exploration gives: one group, a group whose exploration raises or is
+truncated, or a product that ``max_configs`` or ``max_depth`` could cut.
+Both sides are summed up in one record, ``_Side``.
+
 The module also carries the structural invariant suite and a small set of
 mutation operators used to validate that the checker actually has teeth. A
 mutant is derived from its system (``CompositeSystem.derive``), so once the
@@ -27,8 +40,9 @@ caches, and builds only those the mutation touches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import product
 
-from .core import Valuation
+from .core import EvalError, Exploration, Valuation
 from .chorsem import explore
 from .cbs import (
     AtomicComponent, CompositeSystem,
@@ -67,16 +81,21 @@ class EquivReport:
 
 
 @dataclass(frozen=True)
-class _ChorSide:
-    """What ``equiv_check`` reads of a choreography's exploration."""
+class _Side:
+    """What ``equiv_check`` reads of one side's exploration."""
     keys: tuple         # the projection keys, ``user_variables``
-    states: int         # expanded configurations, ``chor_states``
+    states: int         # expanded configurations or states, ``*_states``
     finals: frozenset   # projected final valuations
     deadlocks: int
     truncated: bool
 
 
-def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> _ChorSide:
+def _summary(res: Exploration, keys: tuple) -> _Side:
+    return _Side(keys, len(res.ends), frozenset([project(s, keys) for s in res.finals]),
+                 len(res.deadlocks), res.truncated)
+
+
+def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> _Side:
     """The choreography side of ``equiv_check`` under these limits, explored
     on the first call for ``decl`` and kept on it (``SystemDecl._chor_sides``).
     The exploration is dropped on return; one that raises keeps nothing."""
@@ -84,12 +103,61 @@ def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> 
     side = memo.get(key)
     if side is None:
         keys = user_variables(decl)
-        res = explore(ch, decl.initial_valuation(),
-                      max_configs=max_configs, max_depth=max_depth)
-        side = memo[key] = _ChorSide(keys, len(res.ends),
-                                     frozenset([project(s, keys) for s in res.finals]),
-                                     len(res.deadlocks), res.truncated)
+        side = memo[key] = _summary(explore(ch, decl.initial_valuation(), max_configs=max_configs,
+                                            max_depth=max_depth), keys)
     return side
+
+
+def _sys_side(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int) -> _Side:
+    """The system side of ``equiv_check`` under these limits: summed up
+    from its groups' explorations (``_grouped``) where they settle it, else
+    from one exploration of the whole system."""
+    side = _grouped(sys, keys, max_configs, max_depth)
+    if side is None:
+        side = _summary(sys_explore(sys, max_configs=max_configs, max_depth=max_depth), keys)
+    return side
+
+
+def _grouped(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int):
+    """The system side from one exploration per group of ``sys._groups``,
+    each from the initial state, or None. The whole system's reachable
+    states are the product of the groups', its stuck states the product of
+    theirs, its terminals too, and its finals each combination of the
+    groups' finals over the keys each group holds. None when there are
+    fewer than two groups, or when the whole system's exploration could
+    tell otherwise: some key is held by no group, a group's
+    exploration raises (another group's error may come first in the whole
+    system's order) or is truncated, the product stores more than
+    ``max_configs`` states, or its depth, the sum of the groups', each
+    below their number of states, may reach ``max_depth``."""
+    groups = sys._groups
+    if len(groups) < 2:
+        return None
+    held = [{var.qname for i in cis for var, _ in sys.components[i].vars} for cis in groups]
+    own = [[k for k in keys if k in names] for names in held]
+    flat = [k for ks in own for k in ks]
+    if len(flat) != len(keys):  # a variable declared twice is refused below
+        return None
+    runs, states, depth = [], 1, 0
+    for cis in groups:
+        try:
+            res = sys_explore(sys, max_configs=max_configs, max_depth=max_depth, cis=cis)
+        except EvalError:
+            return None
+        states, depth = states * len(res.states), depth + len(res.states) - 1
+        if res.truncated or states > max_configs or depth >= max_depth:
+            return None
+        runs.append(res)
+    stuck = terminals = 1
+    for res in runs:
+        stuck *= len(res.terminals) + len(res.deadlocks)
+        terminals *= len(res.terminals)
+    at = {k: n for n, k in enumerate(flat)}
+    order = [at[k] for k in keys]
+    per_group = [{project(s, ks) for s in res.finals} for res, ks in zip(runs, own)]
+    finals = frozenset([tuple([row[n] for n in order])
+                        for row in (sum(combo, ()) for combo in product(*per_group))])
+    return _Side(keys, states, finals, stuck - terminals, False)
 
 
 def equiv_check(decl: SystemDecl, ch: Chor, sys: CompositeSystem,
@@ -98,26 +166,26 @@ def equiv_check(decl: SystemDecl, ch: Chor, sys: CompositeSystem,
     The choreography is explored on the first check of ``ch`` under these
     limits against this ``decl`` object, and read back on every later one."""
     chor = _chor_side(decl, ch, max_configs, max_depth)
-    sys_res = sys_explore(sys, max_configs=max_configs, max_depth=max_depth)
+    side = _sys_side(sys, chor.keys, max_configs, max_depth)
     report = EquivReport(
         verdict="equivalent",
         chor_states=chor.states,
-        sys_states=len(sys_res.ends),
+        sys_states=side.states,
         chor_finals=set(chor.finals),
-        sys_finals={project(s, chor.keys) for s in sys_res.finals},
+        sys_finals=set(side.finals),
         chor_deadlocks=chor.deadlocks,
-        sys_deadlocks=len(sys_res.deadlocks),
+        sys_deadlocks=side.deadlocks,
     )
-    if chor.truncated or sys_res.truncated:
+    if chor.truncated or side.truncated:
         report.verdict = "inconclusive"
         report.reasons.append("state-space exploration truncated by limits")
         return report
     if chor.deadlocks:
         report.reasons.append(
             f"choreography deadlocks in {chor.deadlocks} configuration(s)")
-    if sys_res.deadlocks:
+    if side.deadlocks:
         report.reasons.append(
-            f"system deadlocks in {len(sys_res.deadlocks)} state(s)")
+            f"system deadlocks in {side.deadlocks} state(s)")
     only_chor = report.chor_finals - report.sys_finals
     only_sys = report.sys_finals - report.chor_finals
     if only_chor:

@@ -2,12 +2,14 @@
 
 import dataclasses
 import gc
+import re
 import weakref
 
 import pytest
 
 from chorc import cbs, verify
-from chorc.cbs import check_structure
+from chorc.cbs import CompositeSystem, check_structure
+from chorc.chorsem import explore
 from chorc.core import EvalError
 from chorc.cli import main
 from chorc.parser import parse_source
@@ -17,7 +19,7 @@ from chorc.verify import (
     user_variables,
 )
 
-from conftest import corpus_path, load_stem
+from conftest import corpus_path, generated, load_stem
 
 
 class TestProjection:
@@ -287,3 +289,271 @@ class TestMutations:
                     assert comp.outgoing(loc) == tuple(
                         t for t in comp.transitions if t.src == loc), (mname, loc)
             assert equiv_check(decl, ch, mutant).verdict != "equivalent", mname
+
+
+# --------------------------------------------------------------------------
+# The system side against one whole-system exploration
+# --------------------------------------------------------------------------
+
+#: (max_configs, max_depth): the defaults; a store too small for one group
+#: of interleave, one too small for their product, one too small for the
+#: whole of interleave; and a depth below the sum of the groups' sizes.
+ORACLE_LIMITS = ((200_000, 10_000), (5, 10_000), (40, 10_000), (1000, 10_000), (200_000, 3))
+
+
+def whole_system_report(decl, ch, sys, limits, chors):
+    """What ``equiv_check(decl, ch, sys, *limits)`` reports, built here from
+    one exploration of ``ch``, kept in ``chors`` per limits, and one
+    exploration of the whole of ``sys``: its fields as a dict, or the text
+    of the ``EvalError`` that either exploration or a projection raises."""
+    keys = tuple(sorted(decl.type_env()))
+    try:
+        if limits not in chors:
+            chors[limits] = explore(ch, decl.initial_valuation(), *limits)
+        chor, res = chors[limits], cbs.sys_explore(sys, *limits)
+        finals = [{tuple([s[k] for k in keys]) for s in side.finals} for side in (chor, res)]
+    except EvalError as e:
+        return str(e)
+    if chor.truncated or res.truncated:
+        verdict, reasons = "inconclusive", ["state-space exploration truncated by limits"]
+    else:
+        only_chor, only_sys = len(finals[0] - finals[1]), len(finals[1] - finals[0])
+        reasons = [text for n, text in (
+            (len(chor.deadlocks), f"choreography deadlocks in {len(chor.deadlocks)} configuration(s)"),
+            (len(res.deadlocks), f"system deadlocks in {len(res.deadlocks)} state(s)"),
+            (only_chor, f"{only_chor} final state(s) reachable only in the choreography"),
+            (only_sys, f"{only_sys} final state(s) reachable only in the system")) if n]
+        verdict = "mismatch" if reasons else "equivalent"
+    return {"verdict": verdict, "chor_states": len(chor.ends), "sys_states": len(res.ends),
+            "chor_finals": finals[0], "sys_finals": finals[1],
+            "chor_deadlocks": len(chor.deadlocks), "sys_deadlocks": len(res.deadlocks),
+            "reasons": reasons}
+
+
+def report_fields(decl, ch, sys, limits):
+    """``equiv_check``'s report as a dict of its fields, or the text of the
+    ``EvalError`` it raises."""
+    try:
+        report = equiv_check(decl, ch, sys, *limits)
+    except EvalError as e:
+        return str(e)
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(EquivReport)}
+
+
+def assert_as_whole(decl, ch, systems, where, limits_list=ORACLE_LIMITS):
+    """Each report of ``systems`` against ``ch`` under each limits equals,
+    field by field, the one a whole-system exploration gives."""
+    chors = {}
+    for limits in limits_list:
+        for n, sys in enumerate(systems):
+            got = report_fields(decl, ch, sys, limits)
+            assert got == whole_system_report(decl, ch, sys, limits, chors), (where, n, limits)
+
+
+def with_mutants(sys) -> list:
+    """``sys`` and each mutant that ``MUTATIONS`` makes of it."""
+    return [sys] + [m for m in (mutate(sys) for mutate in MUTATIONS.values()) if m is not None]
+
+
+def renamed(text: str, ids, suffix: str) -> str:
+    """``text`` with every component id of ``ids`` renamed ``id + suffix``."""
+    return re.sub(r"\b(%s)\b" % "|".join(map(re.escape, ids)), r"\g<1>" + suffix, text)
+
+
+def composed(text: str, k: int) -> str:
+    """``t || t1 || ...``, ``k`` operands, for the source ``text`` of ``t``,
+    each further operand ``t`` with its component ids renamed."""
+    decl, name, _ = parse_source(text)
+    head, term = text.split(f"choreography {name} =")
+    copies = [(head, term)] + [(renamed(head, decl.component_ids(), f"r{j}"),
+                                renamed(term, decl.component_ids(), f"r{j}"))
+                               for j in range(1, k)]
+    return "".join(h for h, _ in copies) + "choreography composed = " + \
+        " || ".join(f"( {t.strip()} )" for _, t in copies)
+
+
+def two_groups(extra: str = "") -> str:
+    """Two pairs that never interact, A with B and C with D."""
+    return ("comp A { var x: int = 1; var y: int = 0; port p: ss of int binds x; }\n"
+            "comp B { var u: int = 0; port q: r of int binds u; }\n"
+            "comp C { var z: int = 1; var w: int = 0; port p: ss of int binds z; }\n"
+            "comp D { var v: int = 0; port q: r of int binds v; }\n" + extra)
+
+
+class TestSystemSide:
+    """``equiv_check`` explores each group of a system (``cbs``'s
+    ``CompositeSystem._groups``) once and sums them up, or explores the
+    whole system where that could tell otherwise: every report equals the
+    one of one whole-system exploration."""
+
+    def test_corpus_and_mutants(self, corpus):
+        # Each file as it is and with a first component that takes no part,
+        # a group of its own, so that a group alone can be truncated.
+        for path, decl, _, ch in corpus:
+            with open(path) as fh:
+                idle, _, same = parse_source("comp Idle { var e: int = 3; }\n" + fh.read())
+            for decl, ch in ((decl, ch), (idle, same)):
+                for profile in PROFILES:
+                    assert_as_whole(decl, ch, with_mutants(synthesize(decl, ch, profile)),
+                                    (path, len(decl.components), profile))
+
+    @pytest.mark.parametrize("name", ["interleave", "longchain"])
+    def test_generated_and_mutants(self, name):
+        for seed in range(4):
+            decl, _, ch = parse_source(generated(name, seed))
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                assert len(sys._groups) == (3 if name == "interleave" else 1)
+                assert_as_whole(decl, ch, with_mutants(sys), (name, seed, profile))
+
+    def test_compositions_multiply_the_states(self, corpus):
+        # t || t1 and t || t1 || t2, t1 and t2 being t with renamed
+        # components, for each corpus term whose system stores at most 10
+        # states: their groups never meet, so the system stores n ** k.
+        small = 0
+        for path, decl, _, ch in corpus:
+            sizes = [len(cbs.sys_explore(synthesize(decl, ch, p)).states) for p in PROFILES]
+            if max(sizes) > 10:
+                continue
+            small += 1
+            with open(path) as fh:
+                text = fh.read()
+            for k in (2, 3):
+                cdecl, _, cch = parse_source(composed(text, k))
+                for profile, n in zip(PROFILES, sizes):
+                    sys = synthesize(cdecl, cch, profile)
+                    assert len(sys._groups) == k * len(synthesize(decl, ch, profile)._groups)
+                    assert equiv_check(cdecl, cch, sys).sys_states == n ** k, (path, k, profile)
+                    assert_as_whole(cdecl, cch, [sys], (path, k, profile), ORACLE_LIMITS[:1])
+        assert small >= 10
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_interleave_stores_each_group_once(self, monkeypatch, profile):
+        # interleave's system is 18 x 18 x 24 states under the default
+        # profile and 18 x 18 x 14 under compat: the check stores the
+        # groups' 60 or 50, not their product, as long as the product fits
+        # in max_configs; one state less, and the whole system is explored.
+        # longchain's one group is the whole system.
+        stored, body = [], verify.sys_explore
+        monkeypatch.setattr(verify, "sys_explore", lambda *args, **kwargs: (
+            lambda res: stored.append((len(res.states), kwargs.get("cis"))) or res)(
+                body(*args, **kwargs)))
+        decl, _, ch = parse_source(generated("interleave", 7))
+        sys = synthesize(decl, ch, profile)
+        sizes = {"default": (18, 18, 24), "compat": (18, 18, 14)}[profile]
+        product = sizes[0] * sizes[1] * sizes[2]
+        for max_configs in (200_000, product):
+            del stored[:]
+            report = equiv_check(decl, ch, sys, max_configs=max_configs)
+            assert report.equivalent and report.sys_states == product
+            assert stored == list(zip(sizes, sys._groups))
+        del stored[:]
+        assert equiv_check(decl, ch, sys, max_configs=product - 1).verdict == "inconclusive"
+        assert stored == [*zip(sizes, sys._groups), (product - 1, None)]
+        decl, _, ch = parse_source(generated("longchain", 7))
+        del stored[:]
+        assert equiv_check(decl, ch, synthesize(decl, ch, profile)).equivalent
+        assert [cis for _, cis in stored] == [None]
+
+    def test_the_first_error_of_the_whole_system_is_raised(self):
+        # A's guard divides by zero one step in, C's takes the remainder
+        # by zero at once: the whole system meets C's first, the groups
+        # in their order A's.
+        decl, _, ch = parse_source(two_groups("choreography t = nil"))
+        bad, _, term = parse_source(two_groups(
+            "choreography t = ( A.p[true, x := x + 1] -> { B.q } ; A.p[x / y > 0] -> { B.q } )"
+            " || ( C.p[z mod w > 0] -> { D.q } )"))
+        for profile in PROFILES:
+            sys = synthesize(bad, term, profile)
+            assert len(sys._groups) == 2
+            with pytest.raises(EvalError, match="^modulo by zero$"):
+                equiv_check(decl, ch, sys)
+            assert_as_whole(decl, ch, [sys], profile)
+            # Each group alone raises its own.
+            with pytest.raises(EvalError, match="^division by zero$"):
+                cbs.sys_explore(sys, cis=sys._groups[0])
+
+    def test_an_absent_sender_or_component(self):
+        # C, the sender of C.p -> { D.q }, is dropped: the interaction
+        # never fires and D waits for ever, alone in its group. Against
+        # declarations without C, every key is held; against ones with C,
+        # C.z is held by no group, and the whole system is explored.
+        text = two_groups("choreography t = ( A.p[true, x := 0] -> { B.q } )"
+                          " || ( C.p -> { D.q[v := v + 1] } )")
+        decl, _, ch = parse_source(text)
+        without_c = "\n".join(line for line in text.splitlines() if not line.startswith("comp C"))
+        small, _, pair = parse_source(without_c.replace("|| ( C.p -> { D.q[v := v + 1] } )", ""))
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            dropped = dataclasses.replace(sys, components=tuple(
+                c for c in sys.components if c.id != "C"))
+            assert [[dropped.components[i].id for i in cis] for cis in dropped._groups] == \
+                [["A", "B"], ["D"]]
+            assert_as_whole(small, pair, [dropped], profile)
+            assert_as_whole(decl, ch, [dropped], profile)
+            assert equiv_check(small, pair, dropped).sys_deadlocks >= 1
+
+    def test_no_component(self):
+        # No group: the whole system, one terminated state, is explored;
+        # against declarations with a variable its projection raises.
+        empty = CompositeSystem((), ())
+        assert empty._groups == ()
+        for source in ("choreography t = nil", two_groups("choreography t = nil")):
+            decl, _, ch = parse_source(source)
+            assert_as_whole(decl, ch, [empty], source)
+        decl, _, ch = parse_source(two_groups("choreography t = nil"))
+        with pytest.raises(EvalError, match="^unbound variable 'A.x'$"):
+            equiv_check(decl, ch, empty)
+
+    def test_groups_are_the_connected_components(self, corpus):
+        # Each corpus system, with a component that takes no part, and the
+        # same with its components in reverse order, so that senders come
+        # after their receivers: its groups are the connected components
+        # of the graph that joins each interaction's sender, where the
+        # system holds it, to its receivers, found here by search, each in
+        # position order and ordered by their first positions.
+        def reference(sys):
+            ids = [c.id for c in sys.components]
+            links = {i: set() for i in ids}
+            for inter in sys.gamma:
+                if inter.send.owner in links:
+                    for r in inter.receivers:
+                        links[inter.send.owner].add(r.owner)
+                        links[r.owner].add(inter.send.owner)
+            groups, seen = [], set()
+            for cid in ids:
+                if cid not in seen:
+                    found, todo = {cid}, [cid]
+                    while todo:
+                        for n in links[todo.pop()] - found:
+                            found.add(n)
+                            todo.append(n)
+                    seen |= found
+                    groups.append(tuple(i for i, c in enumerate(ids) if c in found))
+            return tuple(groups)
+
+        for path, _, _, _ in corpus:
+            with open(path) as fh:
+                decl, _, ch = parse_source("comp Idle { var e: int = 3; }\n" + fh.read())
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                flipped = dataclasses.replace(sys, components=sys.components[::-1])
+                for system in (sys, flipped):
+                    assert system._groups == reference(system), (path, profile)
+                assert_as_whole(decl, ch, [flipped], (path, profile), ORACLE_LIMITS[:1])
+
+    def test_groups_follow_positions_and_derived_systems_keep_them(self):
+        decl, _, ch = parse_source(generated("interleave", 0))
+        sys = synthesize(decl, ch)
+        groups = sys._groups
+        assert [i for cis in groups for i in cis] == list(range(len(sys.components)))
+        assert [cis[0] for cis in groups] == sorted(cis[0] for cis in groups)
+        for inter in sys.gamma:
+            owners = {inter.send.owner, *[r.owner for r in inter.receivers]}
+            assert sum(not owners.isdisjoint(sys.components[i].id for i in cis)
+                       for cis in groups) == 1
+        for mutate in MUTATIONS.values():
+            mutant = mutate(sys)
+            assert (mutant._groups is groups) == (mutant.gamma is sys.gamma)
+        # A cold copy with the same ids and gamma computes equal groups.
+        assert dataclasses.replace(sys)._groups == groups
