@@ -79,8 +79,7 @@ explorer (``core.explore_lts``) over ``sys_steps_tagged``.
 
 The component positions fall into groups that no interaction joins
 (``CompositeSystem._groups``, found once per system from its ids and gamma
-alone, and taken from the parent by a derived system that keeps both). A
-step reads and writes only the parts of its own group, so the reachable
+alone). A step reads and writes only the parts of its own group, so the reachable
 states are the product of each group's, which ``sys_explore`` explores
 alone when asked to fire only that group's positions; ``verify`` reads the
 groups to explore each once.
@@ -338,29 +337,25 @@ class CompositeSystem:
         A step of one group then reads and writes only that group's parts,
         so the reachable states are the product of each group's. Groups
         follow their first positions, and each group's positions their
-        order, never a set's. A system ``derive`` made with its parent's ids
-        and gamma takes its parent's groups."""
-        components, parent = self.components, self._parent
-        if parent is not None and self.gamma == parent.gamma and \
-                [c.id for c in components] == [c.id for c in parent.components]:
-            return parent._groups
-        label = {c.id: i for i, c in enumerate(components)}  # id -> its group's first position
-        get = label.get
+        order, never a set's."""
+        components, group = self.components, {}  # id -> its group's positions
+        for i, c in enumerate(components):
+            group.setdefault(c.id, []).append(i)
+        get = group.get
         for inter in self.gamma:
             g = get(inter.send.owner)
             if g is None:  # no sender: it never fires (see ``_steps``)
                 continue
             for r in inter.receivers:
                 h = get(r.owner)
-                if h is not None and h != g:
-                    g, high = min(g, h), max(g, h)
-                    for cid, x in label.items():
-                        if x == high:
-                            label[cid] = g
-        groups = {}
-        for i, c in enumerate(components):
-            groups.setdefault(label[c.id], []).append(i)
-        return tuple(map(tuple, groups.values()))
+                if h is not None and h is not g:
+                    if len(h) > len(g):
+                        g, h = h, g
+                    g += h  # the smaller group joins the larger
+                    for i in h:
+                        group[components[i].id] = g
+        firsts = {id(g): g for g in (group[c.id] for c in components)}
+        return tuple(tuple(sorted(g)) for g in firsts.values())
 
     @cached_attr
     def _diagnostics(self) -> tuple:
@@ -609,7 +604,10 @@ def sys_explore(sys: CompositeSystem, max_configs: int = 200_000,
     ``core.explore_lts``). With ``cis``, only components ``cis`` step, and
     a state where they start none is terminal if they have terminated: for
     a group of ``CompositeSystem._groups``, the reachable states of that
-    group, every other component at its initial part."""
+    group, every other component at its initial part. Every step is taken
+    through ``sys_steps_tagged``, looked up on each call, so that whatever
+    wraps it, as ``perfbench``'s tracer does to count and time steps, sees
+    every exploration's."""
     fire = range(len(sys.components)) if cis is None else cis
     return explore_lts(sys.initial_state(), lambda s: sys_steps_tagged(sys, s, fire),
                        lambda s: is_terminal(sys, s, fire), max_configs, max_depth)

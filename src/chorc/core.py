@@ -533,7 +533,8 @@ class Exploration:
     breadth-first order. Edge ``k`` is ``events[k]`` to ``targets[k]``; the
     edges of expanded state ``i`` end at ``ends[i]``, after those of
     ``i - 1``. The initial state is ``states[0]``; ``terminals`` and
-    ``deadlocks`` hold stored objects. The dict that numbers states is
+    ``deadlocks`` hold stored objects; ``levels`` is the number of
+    breadth-first levels expanded. The dict that numbers states is
     ``explore_lts``'s own and is dropped when it returns.
     """
 
@@ -545,6 +546,7 @@ class Exploration:
     terminals: set     # no successor, terminated
     deadlocks: set     # no successor, not terminated
     truncated: bool
+    levels: int = 0
 
     @property
     def finals(self) -> set:
@@ -612,6 +614,7 @@ def explore_lts(start, successors, is_terminal,
                 add_target(sid)
             ends.append(len(targets))
         lo, depth = hi, depth + 1
+    result.levels = depth
     return result
 
 

@@ -26,8 +26,9 @@ every group's part is, and a final is one final of each group, each
 projected on the keys its components hold. Where one exploration of the
 whole system could tell otherwise, the whole system is explored with the
 caller's limits, so every count, final, verdict and error is the one that
-exploration gives: one group, a group whose exploration raises or is
-truncated, or a product that ``max_configs`` or ``max_depth`` could cut.
+exploration gives: one group, or a group whose exploration raises or is
+truncated within what the groups before it leave of the limits (the
+product's states are the product of the groups', its depth the sum).
 Both sides are summed up in one record, ``_Side``.
 
 The module also carries the structural invariant suite and a small set of
@@ -123,13 +124,15 @@ def _grouped(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int
     each from the initial state, or None. The whole system's reachable
     states are the product of the groups', its stuck states the product of
     theirs, its terminals too, and its finals each combination of the
-    groups' finals over the keys each group holds. None when there are
-    fewer than two groups, or when the whole system's exploration could
-    tell otherwise: some key is held by no group, a group's
-    exploration raises (another group's error may come first in the whole
-    system's order) or is truncated, the product stores more than
-    ``max_configs`` states, or its depth, the sum of the groups', each
-    below their number of states, may reach ``max_depth``."""
+    groups' finals over the keys each group holds; its breadth-first depth
+    is the sum of theirs. Each group is explored within what the groups
+    before it leave of the limits: ``max_configs`` over the product of
+    their states, ``max_depth`` less the sum of their depths. None when
+    there are fewer than two groups, or when the whole system's
+    exploration could tell otherwise: some key is held by no group, or a
+    group's exploration raises (another group's error may come first in
+    the whole system's order) or is truncated, so that the product would
+    be too."""
     groups = sys._groups
     if len(groups) < 2:
         return None
@@ -141,12 +144,13 @@ def _grouped(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int
     runs, states, depth = [], 1, 0
     for cis in groups:
         try:
-            res = sys_explore(sys, max_configs=max_configs, max_depth=max_depth, cis=cis)
+            res = sys_explore(sys, max_configs=max_configs // states,
+                              max_depth=max_depth - depth, cis=cis)
         except EvalError:
             return None
-        states, depth = states * len(res.states), depth + len(res.states) - 1
-        if res.truncated or states > max_configs or depth >= max_depth:
+        if res.truncated:
             return None
+        states, depth = states * len(res.states), depth + res.levels - 1
         runs.append(res)
     stuck = terminals = 1
     for res in runs:

@@ -372,6 +372,16 @@ def composed(text: str, k: int) -> str:
         " || ".join(f"( {t.strip()} )" for _, t in copies)
 
 
+def record_explorations(monkeypatch) -> list:
+    """A list to which each ``sys_explore`` that ``verify`` makes appends
+    the number of states it stores and the positions it fires."""
+    stored, body = [], verify.sys_explore
+    monkeypatch.setattr(verify, "sys_explore", lambda *args, **kwargs: (
+        lambda res: stored.append((len(res.states), kwargs.get("cis"))) or res)(
+            body(*args, **kwargs)))
+    return stored
+
+
 def two_groups(extra: str = "") -> str:
     """Two pairs that never interact, A with B and C with D."""
     return ("comp A { var x: int = 1; var y: int = 0; port p: ss of int binds x; }\n"
@@ -432,28 +442,48 @@ class TestSystemSide:
         # interleave's system is 18 x 18 x 24 states under the default
         # profile and 18 x 18 x 14 under compat: the check stores the
         # groups' 60 or 50, not their product, as long as the product fits
-        # in max_configs; one state less, and the whole system is explored.
-        # longchain's one group is the whole system.
-        stored, body = [], verify.sys_explore
-        monkeypatch.setattr(verify, "sys_explore", lambda *args, **kwargs: (
-            lambda res: stored.append((len(res.states), kwargs.get("cis"))) or res)(
-                body(*args, **kwargs)))
+        # in max_configs and its depth in max_depth. One state or one level
+        # less, and the last group is cut short and the whole system
+        # explored. longchain's one group is the whole system.
+        stored = record_explorations(monkeypatch)
         decl, _, ch = parse_source(generated("interleave", 7))
         sys = synthesize(decl, ch, profile)
         sizes = {"default": (18, 18, 24), "compat": (18, 18, 14)}[profile]
         product = sizes[0] * sizes[1] * sizes[2]
-        for max_configs in (200_000, product):
+        levels = cbs.sys_explore(sys).levels
+        for limits in ((200_000, 10_000), (product, 10_000), (200_000, levels)):
             del stored[:]
-            report = equiv_check(decl, ch, sys, max_configs=max_configs)
+            report = equiv_check(decl, ch, sys, *limits)
             assert report.equivalent and report.sys_states == product
             assert stored == list(zip(sizes, sys._groups))
         del stored[:]
         assert equiv_check(decl, ch, sys, max_configs=product - 1).verdict == "inconclusive"
-        assert stored == [*zip(sizes, sys._groups), (product - 1, None)]
+        assert stored == [*zip(sizes[:2], sys._groups), (sizes[2] - 1, sys._groups[2]),
+                          (product - 1, None)]
+        del stored[:]
+        assert equiv_check(decl, ch, sys, max_depth=levels - 1).verdict == "inconclusive"
+        assert stored[:2] == list(zip(sizes[:2], sys._groups))
+        assert [cis for _, cis in stored[2:]] == [sys._groups[2], None]
         decl, _, ch = parse_source(generated("longchain", 7))
         del stored[:]
         assert equiv_check(decl, ch, synthesize(decl, ch, profile)).equivalent
         assert [cis for _, cis in stored] == [None]
+
+    def test_a_large_group_beside_an_idle_one_is_explored_once(self, monkeypatch):
+        # interleave's three lanes, one with three rounds, joined into one
+        # group by a last interaction, beside a component that takes no
+        # part: the large group stores its 10,810 states once, though
+        # there are more of them than max_depth levels.
+        stored = record_explorations(monkeypatch)
+        head, term = generated("interleave", 7).split("choreography interleave =")
+        decl, _, ch = parse_source(
+            "comp Idle { var e: int = 3; }\n" + head + "choreography joined = ("
+            + term.replace("n > 36", "n > 35").strip() + ") ; ivP0.s -> { cyC1.r, joW2.q }")
+        sys = synthesize(decl, ch)
+        assert sys._groups == ((0,), tuple(range(1, 7)))
+        assert equiv_check(decl, ch, sys).sys_states == 10_810
+        assert stored == [(1, (0,)), (10_810, sys._groups[1])]
+        assert_as_whole(decl, ch, [sys], "joined", ORACLE_LIMITS[:1])
 
     def test_the_first_error_of_the_whole_system_is_raised(self):
         # A's guard divides by zero one step in, C's takes the remainder
@@ -542,7 +572,20 @@ class TestSystemSide:
                     assert system._groups == reference(system), (path, profile)
                 assert_as_whole(decl, ch, [flipped], (path, profile), ORACLE_LIMITS[:1])
 
-    def test_groups_follow_positions_and_derived_systems_keep_them(self):
+    def test_every_step_goes_through_sys_steps_tagged(self, monkeypatch):
+        # A wrapper of cbs.sys_steps_tagged, as the benchmark's tracer is,
+        # sees one call per expanded state, of a group's exploration as of
+        # the whole system's.
+        decl, _, ch = parse_source(generated("interleave", 7))
+        sys = synthesize(decl, ch)
+        calls, body = [], cbs.sys_steps_tagged
+        monkeypatch.setattr(cbs, "sys_steps_tagged", lambda *args: calls.append(args) or body(*args))
+        for cis in (None, *sys._groups):
+            del calls[:]
+            res = cbs.sys_explore(sys, cis=cis)
+            assert len(calls) == len(res.ends) == len(res.states), cis
+
+    def test_groups_follow_positions(self):
         decl, _, ch = parse_source(generated("interleave", 0))
         sys = synthesize(decl, ch)
         groups = sys._groups
@@ -552,8 +595,5 @@ class TestSystemSide:
             owners = {inter.send.owner, *[r.owner for r in inter.receivers]}
             assert sum(not owners.isdisjoint(sys.components[i].id for i in cis)
                        for cis in groups) == 1
-        for mutate in MUTATIONS.values():
-            mutant = mutate(sys)
-            assert (mutant._groups is groups) == (mutant.gamma is sys.gamma)
         # A cold copy with the same ids and gamma computes equal groups.
         assert dataclasses.replace(sys)._groups == groups
