@@ -17,19 +17,25 @@ every mutant of a term share one exploration, and the summary holds no
 configuration, so it dies with the declarations. Fresh declarations, as a
 new parse or ``dataclasses.replace`` makes, explore afresh.
 
-The system side is explored once per check, one group at a time where the
-system splits into groups that no interaction joins (``cbs``'s
-``CompositeSystem._groups``), as a ``||`` of operands with no component in
-common does. Its reachable states are then the product of the groups', so
-``sys_states`` is the product of the groups' counts, a state is stuck when
-every group's part is, and a final is one final of each group, each
-projected on the keys its components hold. Where one exploration of the
-whole system could tell otherwise, the whole system is explored with the
-caller's limits, so every count, final, verdict and error is the one that
-exploration gives: one group, or a group whose exploration raises or is
-truncated within what the groups before it leave of the limits (the
-product's states are the product of the groups', its depth the sum).
-Both sides are summed up in one record, ``_Side``.
+The system side is explored once per check. Both sides are summed up from
+their groups, which move apart from each other, by one function,
+``_grouped``: on the system side the groups of components that no
+interaction joins (``cbs``'s ``CompositeSystem._groups``), on the
+choreography side the ``operands`` of the term's top-level chain of
+``||``s with no component in common. Each group is explored once, from
+the initial state, and the reachable states are the product of the
+groups', so ``chor_states`` and ``sys_states`` are the product of the
+groups' counts, a state is stuck when every group's part is, and a final
+is one final of each group, each projected on the keys its components
+hold. Where one exploration of the whole could tell otherwise, the whole
+is explored with the caller's limits, so every count, final, verdict and
+error is the one that exploration gives: one group, a key that no group
+holds, a group whose exploration raises or is truncated within what the
+groups before it leave of the limits (the product's states are the
+product of the groups', its depth the sum), or an operand that can stand
+at a term with no participants, such as ``nil``, which the whole can
+merge with another operand's. Each side is summed up in one record,
+``_Side``.
 
 The module also carries the structural invariant suite and a small set of
 mutation operators used to validate that the checker actually has teeth. A
@@ -49,7 +55,7 @@ from .cbs import (
     AtomicComponent, CompositeSystem,
     check_structure, sys_explore,
 )
-from .lang import Chor, Diagnostic, SystemDecl
+from .lang import Chor, Diagnostic, Par, SystemDecl, shape, shared
 
 
 # --------------------------------------------------------------------------
@@ -96,62 +102,94 @@ def _summary(res: Exploration, keys: tuple) -> _Side:
                  len(res.deadlocks), res.truncated)
 
 
+def operands(term: Chor) -> tuple:
+    """The operands of ``term``'s top-level chain of independent ``||``s
+    (``lang.shared`` is empty), left to right; any other term is one
+    operand. Worked out on first use, then kept on the term."""
+    out = getattr(term, "_operands", None)
+    if out is None:
+        out = (operands(term.left) + operands(term.right)
+               if isinstance(term, Par) and not shared(term) else (term,))
+        object.__setattr__(term, "_operands", out)
+    return out
+
+
 def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> _Side:
-    """The choreography side of ``equiv_check`` under these limits, explored
-    on the first call for ``decl`` and kept on it (``SystemDecl._chor_sides``).
-    The exploration is dropped on return; one that raises keeps nothing."""
+    """The choreography side of ``equiv_check`` under these limits, summed
+    up from its ``operands`` (``_grouped``) on the first call for ``decl``
+    and kept on it (``SystemDecl._chor_sides``). The explorations are
+    dropped on return; one that raises keeps nothing."""
     memo, key = decl._chor_sides, (ch, max_configs, max_depth)
     side = memo.get(key)
     if side is None:
-        keys = user_variables(decl)
-        side = memo[key] = _summary(explore(ch, decl.initial_valuation(), max_configs=max_configs,
-                                            max_depth=max_depth), keys)
+        sigma0 = decl.initial_valuation()
+        groups = [({var.qname for c in decl.components if c.id in shape(t).participants
+                    for var, _ in c.vars},
+                   lambda *limits, t=t: _unmerged(explore(t, sigma0, *limits)))
+                  for t in operands(ch)]
+        side = memo[key] = _grouped(user_variables(decl), groups,
+                                    lambda *limits: explore(ch, sigma0, *limits),
+                                    max_configs, max_depth)
     return side
+
+
+def _unmerged(res: Exploration):
+    """``res``, or None if it stores a configuration that has not ended
+    and whose term has no participants (see ``_grouped``)."""
+    return None if any(t is not None and not shape(t).participants for t, _, _ in res.states) \
+        else res
 
 
 def _sys_side(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int) -> _Side:
-    """The system side of ``equiv_check`` under these limits: summed up
-    from its groups' explorations (``_grouped``) where they settle it, else
-    from one exploration of the whole system."""
-    side = _grouped(sys, keys, max_configs, max_depth)
-    if side is None:
-        side = _summary(sys_explore(sys, max_configs=max_configs, max_depth=max_depth), keys)
-    return side
+    """The system side of ``equiv_check`` under these limits, summed up
+    from its groups, ``sys._groups`` (``_grouped``)."""
+    groups = [({var.qname for i in cis for var, _ in sys.components[i].vars},
+               lambda *limits, cis=cis: sys_explore(sys, *limits, cis=cis))
+              for cis in sys._groups]
+    return _grouped(keys, groups, lambda *limits: sys_explore(sys, *limits),
+                    max_configs, max_depth)
 
 
-def _grouped(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int):
-    """The system side from one exploration per group of ``sys._groups``,
-    each from the initial state, or None. The whole system's reachable
-    states are the product of the groups', its stuck states the product of
-    theirs, its terminals too, and its finals each combination of the
-    groups' finals over the keys each group holds; its breadth-first depth
-    is the sum of theirs. Each group is explored within what the groups
-    before it leave of the limits: ``max_configs`` over the product of
-    their states, ``max_depth`` less the sum of their depths. None when
-    there are fewer than two groups, or when the whole system's
-    exploration could tell otherwise: some key is held by no group, or a
+def _grouped(keys: tuple, groups: list, whole, max_configs: int, max_depth: int) -> _Side:
+    """One side of ``equiv_check`` under these limits, from ``groups`` that
+    move apart from each other: per group, the variables it holds and a
+    function of (max_configs, max_depth) that explores it from the initial
+    state. The reachable states of the whole are the product of the
+    groups', its stuck states the product of theirs, its terminals too,
+    and its finals each combination of the groups' finals over the keys
+    each group holds; its breadth-first depth is the sum of theirs. Each
+    group is explored within what the groups before it leave of the
+    limits: ``max_configs`` over the product of their states,
+    ``max_depth`` less the sum of their depths. The side is summed up
+    instead from ``whole``, one exploration of the whole under the
+    caller's limits, where there are fewer than two groups or where that
+    exploration could tell otherwise: some key is held by no group; a
     group's exploration raises (another group's error may come first in
-    the whole system's order) or is truncated, so that the product would
-    be too."""
-    groups = sys._groups
-    if len(groups) < 2:
-        return None
-    held = [{var.qname for i in cis for var, _ in sys.components[i].vars} for cis in groups]
-    own = [[k for k in keys if k in names] for names in held]
+    the whole's order) or is truncated, so that the product would be too;
+    or, on the choreography side, a group's exploration returns None
+    (``_unmerged``) because it stores a configuration that has not ended
+    and whose term has no participants, as a choice's ``nil`` arm. The
+    whole's configuration with one operand at ``nil`` and the other ended
+    can then be the one with the roles swapped, so the product counts it
+    twice (``05_branch_two`` beside a renamed copy: 24 configurations, not
+    5 x 5). Without such a term, the operands that have not ended are
+    those whose components the term names, so the whole's configurations
+    are one to one with the product."""
+    own = [[k for k in keys if k in names] for names, _ in groups]
     flat = [k for ks in own for k in ks]
-    if len(flat) != len(keys):  # a variable declared twice is refused below
-        return None
     runs, states, depth = [], 1, 0
-    for cis in groups:
+    # Two groups hold a key only if it is declared twice, which the whole refuses.
+    for _, run in groups if len(groups) > 1 and len(flat) == len(keys) else ():
         try:
-            res = sys_explore(sys, max_configs=max_configs // states,
-                              max_depth=max_depth - depth, cis=cis)
+            res = run(max_configs // states, max_depth - depth)
         except EvalError:
-            return None
-        if res.truncated:
-            return None
+            break
+        if res is None or res.truncated:
+            break
         states, depth = states * len(res.states), depth + res.levels - 1
         runs.append(res)
+    if not runs or len(runs) < len(groups):
+        return _summary(whole(max_configs, max_depth), keys)
     stuck = terminals = 1
     for res in runs:
         stuck *= len(res.terminals) + len(res.deadlocks)

@@ -15,7 +15,7 @@ from chorc.cli import main
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import (
-    MUTATIONS, EquivReport, equiv_check, invariant_suite, project,
+    MUTATIONS, EquivReport, equiv_check, invariant_suite, operands, project,
     user_variables,
 )
 
@@ -150,6 +150,22 @@ class TestChoreographySide:
                         assert getattr(memoized, f.name) == getattr(cold, f.name), \
                             (path, profile, f.name)
             assert (ch, *MUTANT_LIMITS.values()) in decl._chor_sides, path
+
+    def test_each_independent_operand_once_or_the_whole_term_once(self, monkeypatch):
+        # A || of operands with no component in common is explored one
+        # operand at a time, each once for both profiles, and the whole
+        # term never; buying's || is not at the top, and longchain has none.
+        calls = count_explorations(monkeypatch)
+        cases = [(load_stem("par_pairs"), 2), (load_stem("producer_consumer"), 2)]
+        cases += [(parse_source(generated("interleave", seed)), 3) for seed in range(4)]
+        cases += [(load_stem("buying"), 1)]
+        cases += [(parse_source(generated("longchain", seed)), 1) for seed in range(4)]
+        for (decl, _, ch), n in cases:
+            del calls[:]
+            for profile in PROFILES:
+                assert equiv_check(decl, ch, synthesize(decl, ch, profile)).equivalent
+            assert calls == list(operands(ch)) and len(calls) == n
+            assert (ch in calls) == (n == 1)
 
 
 class TestInvariantSuite:
@@ -597,3 +613,94 @@ class TestSystemSide:
                        for cis in groups) == 1
         # A cold copy with the same ids and gamma computes equal groups.
         assert dataclasses.replace(sys)._groups == groups
+
+
+class TestChoreographyOperands:
+    """``equiv_check`` explores each independent operand of a choreography
+    (``verify.operands``) once and sums them up, or explores the whole term
+    where that could tell otherwise: every report equals the one of one
+    whole exploration."""
+
+    def test_corpus_and_generated_with_mutants(self, corpus):
+        # Fresh declarations, so that each check explores the choreography.
+        inputs = [(path, decl, ch) for path, decl, _, ch in corpus]
+        for name in ("interleave", "longchain"):
+            for seed in range(4):
+                decl, _, ch = parse_source(generated(name, seed))
+                inputs.append(((name, seed), decl, ch))
+        for where, decl, ch in inputs:
+            for profile in PROFILES:
+                assert_as_whole(dataclasses.replace(decl), ch,
+                                with_mutants(synthesize(decl, ch, profile)), (where, profile))
+
+    def test_operands_that_raise_at_different_depths(self):
+        # A's guard divides by zero one step in, C's takes the remainder by
+        # zero at once: the whole term meets C's first, the operands in
+        # their order A's.
+        decl, _, ch = parse_source(two_groups(
+            "choreography t = ( A.p[true, x := x + 1] -> { B.q } ; A.p[x / y > 0] -> { B.q } )"
+            " || ( C.p[z mod w > 0] -> { D.q } )"))
+        with pytest.raises(EvalError, match="^division by zero$"):
+            explore(operands(ch)[0], decl.initial_valuation())
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            with pytest.raises(EvalError, match="^modulo by zero$"):
+                equiv_check(decl, ch, sys)
+            assert_as_whole(decl, ch, [sys], profile)
+
+    def test_an_operand_that_ends_with_a_delivery_queued(self, monkeypatch):
+        # C's asynchronous send ends its operand's term while D's receive
+        # is still queued: that configuration is not final, and the
+        # operands, of 2 and 3 configurations, are still explored one at a
+        # time. A store of 5 or a depth of 3 cuts the second one short, and
+        # the whole term is explored.
+        calls = count_explorations(monkeypatch)
+        decl, _, ch = parse_source(two_groups(
+            "choreography t = ( A.p[true, x := 0] -> { B.q[u := u + 1] } )"
+            " || ( C.p[true, z := 0] -> { D.q[v := v + 1] } )").replace(
+                "port p: ss of int binds z", "port p: as of int binds z"))
+        queued = explore(operands(ch)[1], decl.initial_valuation())
+        assert any(c.term is None and c.pending for c in queued.states)
+        del calls[:]
+        assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "queued")
+        ops = list(operands(ch))
+        assert calls == ops + ops + [ch] + ops + ops + ops + [ch]
+
+    def test_a_component_in_no_operand(self, monkeypatch):
+        # E.e is held by no operand: the whole term is explored.
+        calls = count_explorations(monkeypatch)
+        decl, _, ch = parse_source(two_groups(
+            "comp E { var e: int = 3; }\n"
+            "choreography t = A.p -> { B.q } || C.p -> { D.q }"))
+        assert len(operands(ch)) == 2
+        assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "idle",
+                        ORACLE_LIMITS[:1])
+        assert calls[0] is ch
+
+    def test_a_par_below_the_top_or_dependent_is_one_operand(self, monkeypatch):
+        # (t || t') ; t'' has one operand, explored whole.
+        calls = count_explorations(monkeypatch)
+        decl, _, ch = parse_source(two_groups(
+            "choreography t = ( A.p -> { B.q } || C.p -> { D.q } ) ; A.p -> { B.q }"))
+        assert operands(ch) == (ch,)
+        assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "below")
+        assert set(calls) == {ch}
+        _, _, mixed = parse_source(two_groups(
+            "choreography t = ( A.p -> { B.q } || A.p -> { B.q } ) || C.p -> { D.q }"))
+        # The left operand's || is dependent, so it stays one operand.
+        assert operands(mixed) == (mixed.left, mixed.right)
+
+    def test_a_nil_beside_an_ended_operand(self, monkeypatch):
+        # branch_two's nil arm has no participants: "left at nil, right
+        # ended" and "left ended, right at nil" are one configuration of
+        # the whole term, which stores 24, not 5 x 5. The first operand
+        # stores such a configuration, so the whole term is explored.
+        calls = count_explorations(monkeypatch)
+        with open(corpus_path("branch_two")) as fh:
+            decl, _, ch = parse_source(composed(fh.read(), 2))
+        sigma0 = decl.initial_valuation()
+        assert [len(explore(t, sigma0).states) for t in operands(ch)] == [5, 5]
+        assert len(explore(ch, sigma0).states) == 24
+        del calls[:]
+        assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "nil")
+        assert calls[:2] == [operands(ch)[0], ch]
