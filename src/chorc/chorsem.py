@@ -36,24 +36,26 @@ partitioned as ``core`` describes: one part (``_Part``) per component,
 holding the values of its variables, which are contiguous in sorted-key
 order, since ``.`` sorts below every identifier character, and its
 ``queue`` of pending (receipt, value) entries, oldest first. A ``_Frame``,
-one per set of keys, lays the parts out, in component order, and keeps
-its ``receivers``, the sorted indices of the parts that an action laid out
-in it sends to: only those parts can hold a queue. Frames and parts are
-hash-consed by value like terms (see ``core.Interned``), so equal
-configurations from two parses are equal tuples. ``sigma`` views the
-parts as one valuation, their ``Valuation.union``, which only finals and
-``repr`` read, and ``pending`` views the queues.
+one per set of keys, lays the parts out, in component order. Frames and
+parts are hash-consed by value like terms (see ``core.Interned``), so
+equal configurations from two parses are equal tuples. ``sigma`` views
+the parts as one valuation, their ``Valuation.union``, which only finals
+and ``repr`` read, and ``pending`` views the queues. Deliveries and
+``_final`` scan every part's queue.
 
-Caches. An action is laid out in the frame it last ran in, and again,
-with an empty cache, when it runs in another. It keeps a cache from the
-parts it reads, its owners' and its receivers', to the new parts it
-writes, or ``False`` if an owner has a pending entry or its guard fails;
-on a miss each move runs on its own component's part, and each receiver's
-part gets the payload queued. A delivery of a part's oldest entry is kept
-on that part. Actions live on the terms. Compiling a term with
+Caches. The action cache is the only one. An action is laid out in the
+frame it last ran in, and again, with an empty cache, when it runs in
+another. It keeps a cache from the parts it reads, its owners' and its
+receivers', to the new parts it writes, or ``False`` if an owner has a
+pending entry or its guard fails; on a miss each move runs on its own
+component's part, and each receiver's part gets the payload queued. A
+delivery, which writes one part, is worked out each time it is taken.
+Every successor writes its new parts into one scratch list, copies it and
+puts the old parts back. Actions live on the terms. Compiling a term with
 ``lang.faults``, which ``check_well_formed`` reports too, raises
 ``EvalError`` with the first one's message, and so does a step that
-assigns a variable the initial valuation does not bind (``Valuation.set``).
+assigns a variable the initial valuation does not bind, or a value of
+another type than the one it holds (``Valuation.set``).
 
 A step's event (see ``core.Event``) lists the semantic rules that derive
 it, outermost first, as its rules: a lifted step's event is its operand's
@@ -95,11 +97,11 @@ class _Action:
     (receiving component, receipt) per residual receive. Laid out in
     ``frame``, ``at`` holds each move's part index, None if it has none,
     ``to`` each send's (index, receipt), ``waits`` the owners' indices,
-    ``key`` picks the parts it reads, ``writes`` holds the indices of those
-    it writes and ``sole`` the index if there is one."""
+    ``key`` picks the parts it reads and ``writes`` holds the indices of
+    those it writes."""
 
     __slots__ = ("guard", "var", "moves", "sends", "owners", "frame", "at", "to", "waits", "key",
-                 "writes", "sole", "cache")
+                 "writes", "cache")
 
     def __init__(self, guard, var: Optional[str], moves: tuple, sends=(), owners=frozenset()):
         self.guard = None if guard is TRUE else guard.compiled
@@ -108,20 +110,17 @@ class _Action:
         self.var, self.sends, self.owners, self.frame = var, sends, owners, None
 
     def lay_out(self, frame: _Frame):
-        """Lay the action out in ``frame``, with an empty cache, and add the
-        parts it sends to to the frame's ``receivers``."""
+        """Lay the action out in ``frame``, with an empty cache."""
         part_of = frame.part_of
         at = self.at = tuple([part_of.get(owner) for owner, _, _ in self.moves])
         to = self.to = tuple([(part_of.get(comp), receipt) for comp, receipt in self.sends])
         self.waits = tuple(sorted([part_of[o] for o in self.owners if o in part_of]))
-        pushed = [i for i, _ in to if i is not None]
-        held = sorted(set(self.waits).union(pushed))  # the moves' owners are owners
+        # The moves' owners are owners, so these are all the parts it reads.
+        held = sorted(set(self.waits).union([i for i, _ in to if i is not None]))
         self.key = itemgetter(*held) if held else _NO_PARTS
         self.writes = tuple([i for i, (_, received, f) in zip(at, self.moves)
                              if received is not None or f is not None] + [i for i, _ in to])
-        self.sole = self.writes[0] if len(self.writes) == 1 else None
         self.frame, self.cache = frame, {}
-        frame.receivers = tuple(sorted(set(frame.receivers).union(pushed)))
 
 
 class Receipt(Interned):
@@ -141,14 +140,10 @@ class Receipt(Interned):
 
 class _Frame(Interned):
     """The layout of the parts of valuations over ``keys``, sorted: one
-    part per run of keys with one owner. ``layouts`` lays out each part,
-    ``part_of`` maps an owner to the index of its part and ``receivers``
-    holds the sorted indices of the parts its actions send to."""
+    part per run of keys with one owner. ``layouts`` lays out each part
+    and ``part_of`` maps an owner to the index of its part."""
 
     def __new__(cls, keys: tuple):
-        ref = cls._nodes.get(keys)
-        if ref is not None and ref() is not None:
-            return ref()
         layouts, part_of = [], {}
         for k in keys:
             owner = k.partition(".")[0]
@@ -156,7 +151,7 @@ class _Frame(Interned):
                 part_of[owner] = len(layouts)
                 layouts.append({})
             layouts[-1][k] = len(layouts[-1])
-        return interned(cls, keys, layouts=tuple(layouts), part_of=part_of, receivers=())
+        return interned(cls, keys, layouts=tuple(layouts), part_of=part_of)
 
     def split(self, sigma: Valuation) -> tuple:
         parts, n = [], 0
@@ -169,15 +164,14 @@ class _Frame(Interned):
 class _Part(Part, Interned):
     """A component's share of a configuration: the valuation of its
     variables and its ``queue`` of pending (receipt, value) entries, oldest
-    first; one live object per layout, values and queue. ``delivery``
-    keeps the delivery of its oldest entry (see ``_deliver``)."""
+    first; one live object per layout, values and queue."""
 
-    __slots__ = ("__weakref__", "queue", "delivery")
+    __slots__ = ("__weakref__", "queue")
 
 
 def _part(slots: dict, values: tuple, queue: tuple = ()) -> _Part:
     return interned(_Part, (id(slots), values, queue and tuple([(id(r), v) for r, v in queue])),
-                    _slots=slots, _values=values, queue=queue, delivery=None)
+                    _slots=slots, _values=values, queue=queue)
 
 
 class Running(tuple):
@@ -205,7 +199,7 @@ class Running(tuple):
 
 def _final(config: Running) -> bool:
     """Whether the term has terminated and nothing is pending."""
-    return config[0] is None and not any([config[1][i].queue for i in config[2].receivers])
+    return config[0] is None and not any([part.queue for part in config[1]])
 
 
 #: Builds a ``Running`` from its fields without the Python-level ``__new__``
@@ -304,14 +298,6 @@ def _compile(term: Chor) -> tuple:
     raise AssertionError(term)
 
 
-def _splice(parts: tuple, act: _Action, news: tuple) -> tuple:
-    """``parts`` with the parts ``act`` writes replaced by ``news``."""
-    out = list(parts)
-    for i, part in zip(act.writes, news):
-        out[i] = part
-    return tuple(out)
-
-
 def _run(act: _Action, parts: tuple):
     """``act`` on a configuration's ``parts``, each move on its own
     component's part: False if an owner has a pending entry or the guard
@@ -343,38 +329,31 @@ def _run(act: _Action, parts: tuple):
 
 def _deliver(part: _Part) -> tuple:
     """The delivery of ``part``'s oldest entry, (event, new part): the value
-    is assigned to the receive port's variable, then the update runs. Kept
-    on the part."""
+    is assigned to the receive port's variable, then the update runs."""
     (receipt, value), rest = part.queue[0], part.queue[1:]
     after = part.set(receipt.port.var.qname, value)
     if receipt.update.assignments:
         after = receipt.update.compiled(after)
-    part.delivery = receipt.event, _part(after._slots, after._values, rest)
-    return part.delivery
+    return receipt.event, _part(after._slots, after._values, rest)
 
 
 def chor_steps_tagged(config: Running):
     """Successors of a configuration as (event, configuration) pairs: the
     delivery of each queued part's oldest entry, in component order, then
     the term's steps that no component with a pending entry acts in. The
-    payload of a send is read before its update runs. A step that writes
-    one part copies ``scratch`` with that part in it."""
+    payload of a send is read before its update runs. Each successor writes
+    its new parts into ``scratch``, copies it and puts the old parts back."""
     term, parts, frame = config
     out = []
     scratch = list(parts)
-    for i in frame.receivers:
-        part = parts[i]
+    for i, part in enumerate(parts):
         if part.queue:
-            event, scratch[i] = part.delivery or _deliver(part)
+            event, scratch[i] = _deliver(part)
             out.append((event, _new(Running, (term, tuple(scratch), frame))))
             scratch[i] = part
     if term is None:
         return out
-    try:
-        steps = term._steps
-    except AttributeError:
-        steps = _steps(term)
-    for event, act, nxt in steps:
+    for event, act, nxt in _steps(term):
         if act.frame is not frame:
             act.lay_out(frame)
         k = act.key(parts)
@@ -383,14 +362,11 @@ def chor_steps_tagged(config: Running):
             news = act.cache[k] = _run(act, parts)
         if news is False:
             continue
-        i = act.sole
-        if i is None:
-            after = _splice(parts, act, news) if news else parts
-        else:
-            scratch[i] = news[0]
-            after = tuple(scratch)
+        for i, part in zip(act.writes, news):
+            scratch[i] = part
+        out.append((event, _new(Running, (nxt, tuple(scratch), frame))))
+        for i in act.writes:
             scratch[i] = parts[i]
-        out.append((event, _new(Running, (nxt, after, frame))))
     return out
 
 

@@ -416,13 +416,18 @@ class Valuation(Mapping):
 
     def set(self, qname: str, value: Value) -> "Valuation":
         """The valuation with ``qname`` rebound to ``value``; raises
-        ``EvalError`` if it does not bind ``qname``."""
+        ``EvalError`` if it does not bind ``qname``, or if ``value``'s type
+        is not that of the value bound (an ``int`` is no ``bool``)."""
         i = self._slots.get(qname)
         if i is None:
             raise EvalError(f"assignment to a variable the valuation does not bind: {qname}")
+        values = self._values
+        if type(value) is not type(values[i]):
+            raise EvalError(f"assignment of a value of type {type(value).__name__} to a "
+                            f"variable of type {type(values[i]).__name__}: {qname}")
         out = object.__new__(Valuation)
         out._slots = self._slots
-        out._values = self._values[:i] + (value,) + self._values[i + 1:]
+        out._values = values[:i] + (value,) + values[i + 1:]
         return out
 
 
@@ -481,8 +486,6 @@ _queue_key = operator.itemgetter(0)
 def find_queue(queues: tuple, key) -> tuple:
     """``key``'s position and queue in a table of nonempty FIFO queues kept
     as a tuple of (key, queue) pairs sorted by key; ``()`` if it has none."""
-    if not queues:  # the common case, and the simulator's hot path
-        return 0, ()
     i = bisect_left(queues, key, key=_queue_key)
     if i < len(queues) and queues[i][0] == key:
         return i, queues[i][1]

@@ -5,6 +5,7 @@ out by hand against the definitions; the final test measures rule-tag
 coverage over the whole corpus.
 """
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -15,7 +16,8 @@ import pytest
 
 from chorc import chorsem
 from chorc.chorsem import TAU, Running, chor_steps_tagged, explore, lts_to_dot
-from chorc.core import EvalError, Event, Valuation, explore_lts
+from chorc.cbs import CompositeSystem, sys_explore
+from chorc.core import BinOp, EvalError, Event, Lit, Ref, Update, Valuation, explore_lts
 from chorc.lang import Branch, Chor, Comm, Loop, Nil, Par, Seq, check_well_formed, faults
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, SynthError, synthesize
@@ -817,6 +819,35 @@ class TestFlatOracle:
             explore(ch, decl.initial_valuation())
         assert str(err.value) == found[0].message == "receiver B.r:int does not match sender A.d:bool"
 
+    @pytest.mark.parametrize("update, message", [
+        ("b := x + 1", "assignment of a value of type int to a variable of type bool: A.b"),
+        ("x := b", "assignment of a value of type bool to a variable of type int: A.x")])
+    def test_an_ill_typed_assignment_is_refused(self, update, message):
+        """``check_well_formed`` reports ``assign-type``, and the explorer
+        refuses the step with ``EvalError`` rather than bind a variable to a
+        value of another type, where ``1 == True`` would merge parts."""
+        decl, _, ch = parse_source(DECLS + f"choreography t = A.p[true, {update}] -> {{ B.r }}")
+        assert [d.code for d in check_well_formed(decl, ch)] == ["assign-type"]
+        with pytest.raises(EvalError) as err:
+            explore(ch, decl.initial_valuation())
+        assert str(err.value) == message
+
+    def test_an_ill_typed_send_update_is_refused_by_the_system(self):
+        """A synthesized system whose send update is replaced by an
+        ill-typed one raises the text the choreography's explorer raises."""
+        decl, _, ch = parse_source(DECLS + "choreography t = A.p[true, x := x + 1] -> { B.r }")
+        bad = Update((("A.b", BinOp("+", Ref("A.x"), Lit(1))),))
+        for profile in PROFILES:
+            system = synthesize(decl, ch, profile)
+            comps = tuple(dataclasses.replace(c, transitions=tuple(
+                dataclasses.replace(t, update=bad) if t.update.assignments else t
+                for t in c.transitions)) for c in system.components)
+            assert comps != system.components
+            with pytest.raises(EvalError) as err:
+                sys_explore(CompositeSystem(comps, system.gamma))
+            assert str(err.value) == (
+                "assignment of a value of type int to a variable of type bool: A.b")
+
     @pytest.mark.parametrize("code, base, breach", near_misses())
     def test_each_fault_is_refused(self, code, base, breach):
         """A term that breaks one ``faults`` rule is refused with the
@@ -865,8 +896,8 @@ class TestFlatOracle:
         assert re.fullmatch(locality, str(err.value)).groups() in reported
 
     def test_one_receiver_takes_many_values(self):
-        """Deliveries that differ only in their value each get their own
-        cache entry."""
+        """Sends that differ only in the value they queue each get their own
+        cache entry, and each delivery assigns its own value."""
         ch, sigma = setup("while (A.d[x < 4, x := x + 1]) { A.a -> { B.r[c := y > 2] } } ; "
                           "B.s[true, y := 0] -> { D.r }")
         assert_same_lts(explore(ch, sigma), flat_explore(ch, sigma), "values")
@@ -893,23 +924,22 @@ class TestFlatOracle:
             assert all(a is not b for a, b in zip(before, after))
         assert all(a is c for a, c in zip(frames[0], frames[2]))
 
-    def test_one_frame_learns_each_receiver(self):
-        """Terms explored in turn under one declaration share one frame,
-        which learns the parts their actions send to: the second term sends
-        to C, at which the first never receives, and each of C's deliveries
-        is taken, as B's are when the first term runs again."""
+    def test_terms_in_turn_share_one_frame(self):
+        """Terms explored in turn under one declaration share one frame: the
+        second term sends to C, at which the first never receives, and each
+        of C's deliveries is taken, as B's are when the first term runs
+        again."""
         first = "A.a[true, x := x + 1] -> { B.r[y := y + 1] } ; A.p -> { D.r }"
         second = "A.a -> { C.r[z := z + 1] } || D.s -> { B.r }"
-        terms, learnt = [], []
+        terms, frames = [], []
         for body in (first, second, first):
             ch, sigma = setup(body)
             res = explore(ch, sigma)
             assert_same_lts(res, flat_explore(ch, sigma), body)
             terms.append(ch)  # keeps the term's actions, and so the frame, alive
-            learnt.append(res.states[0][2])
+            frames.append(res.states[0][2])
             assert any(c.pending for c in res.states)
-        assert learnt[0] is learnt[1] is learnt[2]
-        assert learnt[0].receivers == (1, 2)  # B's part and C's
+        assert frames[0] is frames[1] is frames[2]
 
     @pytest.mark.parametrize("body", DIV_ZERO)
     def test_division_by_zero_raises_at_the_same_configuration(self, body):

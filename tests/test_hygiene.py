@@ -184,11 +184,31 @@ def _named(node) -> str:
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
 
 
+def _calls(node, owner=None):
+    """Each call in ``node``, as (name of the class it is made in or None,
+    call)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+
 def stored_attributes(tree) -> list:
     """Each attribute a class in ``tree`` stores, as (class, name): the
-    fields of a dataclass or a ``NamedTuple``, and every ``self.x`` that
-    one of its methods assigns."""
+    fields of a dataclass or a ``NamedTuple``, every ``self.x`` that one of
+    its methods assigns, the keyword fields of each ``interned(...)`` call,
+    under the class it names (``cls`` is the class it is made in), and the
+    literal name each ``object.__setattr__`` or ``_setattr`` call stores,
+    under the class it is made in, else its target's name."""
     stored = []
+    for owner, call in _calls(tree):
+        name, args = _named(call.func), call.args
+        if name == "interned" and args:
+            cls = owner if _named(args[0]) == "cls" else _named(args[0])
+            stored += [(cls, kw.arg) for kw in call.keywords if kw.arg]
+        elif (name in ("__setattr__", "_setattr") and len(args) == 3
+              and isinstance(args[1], ast.Constant)):
+            stored.append((owner or _named(args[0]), args[1].value))
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -251,10 +271,22 @@ class Box:
 
     def touch(me):
         me.count += 1
+
+
+class Node(Interned):
+    def __new__(cls, left):
+        return interned(cls, id(left), left=left, size=1)
+
+
+def leaf(value):
+    node = interned(Node, value, value=value)
+    object.__setattr__(node, "tag", None)
+    _setattr(node, name, value)
 """)
     assert sorted(stored_attributes(tree)) == [
-        ("Box", "count"), ("Box", "seen"), ("Box", "value"), ("Pair", "left"),
-        ("Record", "size"), ("Record", "text")]
+        ("Box", "count"), ("Box", "seen"), ("Box", "value"), ("Node", "left"),
+        ("Node", "size"), ("Node", "value"), ("Pair", "left"), ("Record", "size"),
+        ("Record", "text"), ("node", "tag")]
     read = attributes_read(ast.parse("x.a; getattr(y, 'b', None); z.c = 1; getattr(w, n)"))
     assert read == {"a", "b"}
 
