@@ -53,6 +53,8 @@ first equal one met. Each successor is hashed once, by the ``setdefault``
 that finds or hands out its number, and a stored state is expanded by its
 number; a running configuration's hash and a system state's combine
 addresses in C. The rules an exploration used are read off its events.
+``strong_components`` is the one routine for the strongly connected
+components of a graph over int node ids.
 """
 
 from __future__ import annotations
@@ -619,6 +621,50 @@ def explore_lts(start, successors, is_terminal,
         lo, depth = hi, depth + 1
     result.levels = depth
     return result
+
+
+def strong_components(succ: list) -> list:
+    """The strongly connected components of the graph whose nodes are
+    ``0 .. len(succ) - 1`` and whose edges go from each node ``v`` to each
+    node of ``succ[v]``: a component id per node. Ids count up in the order
+    the components close, which is reverse topological: an edge between two
+    components goes to the lower id. One iterative pass of Tarjan's
+    algorithm ("Depth-first search and linear graph algorithms", SIAM J.
+    Comput. 1972), so no graph is too deep for it."""
+    index = [-1] * len(succ)  # discovery number, -1 until visited
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)   # component id, -1 while open
+    stack = []                # visited nodes whose component is still open
+    seen = closed = 0
+    for start in range(len(succ)):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = seen
+        seen += 1
+        stack.append(start)
+        work = [(start, iter(succ[start]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if index[w] < 0:
+                    index[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while comp[v] < 0:  # v's component: v and the nodes above it
+                        comp[stack.pop()] = closed
+                    closed += 1
+    return comp
 
 
 # --------------------------------------------------------------------------

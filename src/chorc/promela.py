@@ -29,15 +29,22 @@ String values are interned to small integers (Promela has no string type);
 ``strict`` mode rejects string-typed data instead. Interned codes agree with
 the strings only on ``==`` and ``!=``, so ``+`` and the orderings on string
 operands are refused.
+
+``generate_promela`` builds the model's text, appending each line once at
+its final indentation, and makes every refusal (``PromelaError``) before it
+returns. The model's LTL formulas raise none; they are built from the
+call's wiring and names when ``Model.ltl`` is first read (by
+``inline_ltl`` during the call), so a caller that reads only the text
+builds none.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
-from .core import BinOp, Expr, Lit, Memo, Neg, Not, Port, Ref, TRUE, format_expr
+from .core import BinOp, Expr, Lit, Memo, Neg, Not, Port, Ref, TRUE, format_expr, strong_components
 from .cbs import AtomicComponent, CompositeSystem, Transition
 
 MAX_LEN = 8
@@ -74,7 +81,7 @@ _UNSAFE = re.compile(r"[^A-Za-z0-9_]")
 
 def sanitize(name: str) -> str:
     """Turn a port/variable identifier into a Promela-safe symbol."""
-    return _UNSAFE.sub("_", name)
+    return name if name.isascii() and name.isidentifier() else _UNSAFE.sub("_", name)
 
 
 def _qname_symbol(names: Memo, qname: str) -> str:
@@ -126,20 +133,15 @@ def _pexpr(e: Expr, sym: _Symbols) -> str:
     return sym.exprs.get(e) or _ptext(e, sym)
 
 
+def _literal(v, sym: _Symbols) -> str:
+    # A bool prints as true or false; lower() leaves an int's digits alone.
+    return str(sym.code(v)) if isinstance(v, str) else str(v).lower()
+
+
 def _ptext(e: Expr, sym: _Symbols) -> str:
     """The Promela text of ``e``, kept in ``sym.exprs``. Operands are looked
     up there first."""
-    if isinstance(e, Lit):
-        # A bool prints as true or false; lower() leaves an int's digits alone.
-        v = e.value
-        out = str(sym.code(v)) if isinstance(v, str) else str(v).lower()
-    elif isinstance(e, Ref):
-        out = sym.qnames[e.qname]
-    elif isinstance(e, Not):
-        out = f"!({_pexpr(e.operand, sym)})"
-    elif isinstance(e, Neg):
-        out = f"-({_pexpr(e.operand, sym)})"
-    elif isinstance(e, BinOp):
+    if isinstance(e, BinOp):
         operand = e.left  # _pexpr inlined: one frame per level of a left-deep chain
         left = sym.exprs.get(operand) or _ptext(operand, sym)
         # No operation yields a string, so only a literal or a variable is one.
@@ -153,6 +155,14 @@ def _ptext(e: Expr, sym: _Symbols) -> str:
         # into the divisor's sign. Only the divisor is repeated.
         out = (f"((({left} % {right}) + {right}) % {right})" if e.op == "mod"
                else f"({left} {_OPS.get(e.op, e.op)} {right})")
+    elif isinstance(e, Ref):
+        out = sym.qnames[e.qname]
+    elif isinstance(e, Lit):
+        out = _literal(e.value, sym)
+    elif isinstance(e, Not):
+        out = f"!({_pexpr(e.operand, sym)})"
+    elif isinstance(e, Neg):
+        out = f"-({_pexpr(e.operand, sym)})"
     else:
         raise AssertionError(e)
     sym.exprs[e] = out
@@ -163,10 +173,16 @@ def _ptext(e: Expr, sym: _Symbols) -> str:
 # Model generation
 # --------------------------------------------------------------------------
 
-@dataclass
 class Model:
-    text: str
-    ltl: list = field(default_factory=list)  # (name, formula)
+    """A generated model's text, and the system's LTL templates as
+    ``(name, formula)`` pairs, which are built when first read."""
+
+    def __init__(self, text: str, templates):
+        self.text, self._templates = text, templates
+
+    @cached_property
+    def ltl(self) -> list:
+        return self._templates()
 
 
 def _port_interactions(sys: CompositeSystem) -> dict:
@@ -249,7 +265,7 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
     for comp in sys.components:
         for var, init in comp.vars:
             dtype = "bool" if var.dtype == "bool" else "int"
-            w(f"{dtype} {declare(sym.qnames[var.qname])} = {_pexpr(Lit(init), sym)};")
+            w(f"{dtype} {declare(sym.qnames[var.qname])} = {_literal(init, sym)};")
     w("")
 
     # Channels: one per receive port occurring in gamma.
@@ -270,11 +286,13 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
         w("")
 
     lines += ["init {", "  atomic {", *(f"    run {names[c.id]}();" for c in sys.components),
-              "  }", "}", ""]  # the empty last line ends the text with a newline
-    text = "\n".join(lines)
-    ltl = _templates(sys, wiring, names)
+              "  }", "}"]
+    # Every refusal has been made: the formulas raise none, so they wait
+    # until they are read.
+    model = Model("", partial(_templates, sys, wiring, names))
     if opts.inline_ltl:
-        text += "".join(f"ltl {name} {{ {formula} }}\n" for name, formula in ltl)
+        lines += [f"ltl {name} {{ {formula} }}" for name, formula in model.ltl]
+    lines.append("")  # the empty last line ends the text with a newline
 
     if sym.table:
         header = ["/* interned strings:"]
@@ -283,15 +301,18 @@ def generate_promela(sys: CompositeSystem, opts: PromelaOptions = None) -> Model
             literal = repr(s).replace("*/", "*\\x2f")
             header.append(f"   {c} = {literal}")
         header.append("*/")
-        text = "\n".join(header) + "\n" + text
-
-    return Model(text=text, ltl=ltl)
+        lines[:0] = header
+    model.text = "\n".join(lines)
+    return model
 
 
 def _emit_process(lines, wiring, comp, sym, opts):
-    names = sym.names
+    """Append ``comp``'s proctype to ``lines``, each statement at its final
+    indentation."""
+    names, ports = sym.names, sym.ports
+    cid = names[comp.id]
     w = lines.append
-    lines += [f"proctype {names[comp.id]}() {{", "  int value;",
+    lines += [f"proctype {cid}() {{", "  int value;",
               f"  int currentLocation = {names[comp.init]};", "  do", "  :: if"]
     for loc in comp.locations:
         outs = comp.outgoing(loc)
@@ -301,23 +322,32 @@ def _emit_process(lines, wiring, comp, sym, opts):
         if not outs:
             continue
         w(f"     :: (currentLocation == {names[loc]}) ->")
-        lines += ["        " + stmt for stmt in _emit_location(wiring, comp, outs, sym, opts)]
+        p = outs[0].port
+        if len(outs) == 1 and (outs[0].guard == TRUE or p is not None and p.ctype == "r"):
+            # A lone receive blocks on its channel; a lone true guard is dropped.
+            _emit_arm(lines, "        ", wiring, cid, outs[0], True, sym, opts)
+            continue
+        # Otherwise an inner if with one executability condition per transition.
+        w("        if")
+        for t in outs:
+            p = t.port
+            cond = (f"recv({ports[p][1]})" if p is not None and p.ctype == "r"
+                    else f"({_pexpr(t.guard, sym)})")
+            w(f"        :: {cond} ->")
+            _emit_arm(lines, "           ", wiring, cid, t, False, sym, opts)
+        w("        fi;")
     lines += ["     fi;", "  od;", "}"]
 
 
-def _emit_location(wiring, comp, outs, sym, opts):
-    names, qnames, ports = sym.names, sym.qnames, sym.ports
-    cid = names[comp.id]
-
-    def receives(t: Transition) -> bool:
-        return t.port is not None and t.port.ctype == "r"
-
-    def arm(t: Transition, read: bool) -> list:
-        """The statements of ``t``. A receive reads its channel first when
-        ``read`` is set; otherwise the read is the alternative's condition."""
-        stmts = []
-        p = t.port
-        if receives(t):
+def _emit_arm(lines, pad, wiring, cid, t: Transition, read: bool, sym, opts):
+    """Append the statements of ``t``, a transition of the component whose
+    symbol is ``cid``, to ``lines``, each after ``pad``. A receive reads its
+    channel first when ``read`` is set; otherwise the read is the
+    alternative's condition."""
+    qnames, ports, w = sym.qnames, sym.ports, lines.append
+    p = t.port
+    if p is not None:
+        if p.ctype == "r":
             if t.guard != TRUE:
                 raise PromelaError(
                     f"receive {p.pid} has a guard ({format_expr(t.guard)}), "
@@ -326,41 +356,27 @@ def _emit_location(wiring, comp, outs, sym, opts):
             sync = inter is not None and inter.send.ctype == "ss"
             _, chan, ack = ports[p]
             if read and sync and opts.paper_ack:
-                stmts.append(f"synchRecv({chan});")
+                w(f"{pad}synchRecv({chan});")
             else:
                 if read:
-                    stmts.append(f"recv({chan});")
+                    w(f"{pad}recv({chan});")
                 if sync:
-                    stmts.append(f"sendAck({ack});")
-        elif p is not None and p.ctype != "in":  # send
+                    w(f"{pad}sendAck({ack});")
+        elif p.ctype != "in":  # send
             inter = wiring.get(p)
             if inter is None:
                 raise PromelaError(f"send port {p.pid} not wired in gamma")
-            stmts.append(f"value = {qnames[p.var.qname]};")
+            w(f"{pad}value = {qnames[p.var.qname]};")
             receivers = [ports[r] for r in inter.receivers]
-            stmts.extend(f"send({chan});" for _, chan, _ in receivers)
+            lines += [f"{pad}send({chan});" for _, chan, _ in receivers]
             if p.ctype == "ss":
-                stmts.extend(f"recvAck({ack});" for _, _, ack in receivers)
-        if p is not None:
-            stmts.append(f"currPort_{cid} = {ports[p][0]};")
-            if p.ctype == "r":
-                stmts.append(f"{qnames[p.var.qname]} = value;")
-        for target, expr in t.update.assignments:
-            stmts.append(f"{qnames[target]} = {_pexpr(expr, sym)};")
-        stmts.append(f"currentLocation = {names[t.dst]};")
-        return stmts
-
-    if len(outs) == 1 and (receives(outs[0]) or outs[0].guard == TRUE):
-        # A lone receive blocks on its channel; a lone true guard is dropped.
-        return arm(outs[0], read=True)
-    # Otherwise an inner if with one executability condition per transition.
-    stmts = ["if"]
-    for t in outs:
-        cond = f"recv({ports[t.port][1]})" if receives(t) else f"({_pexpr(t.guard, sym)})"
-        stmts.append(f":: {cond} ->")
-        stmts.extend("   " + s for s in arm(t, read=False))
-    stmts.append("fi;")
-    return stmts
+                lines += [f"{pad}recvAck({ack});" for _, _, ack in receivers]
+        w(f"{pad}currPort_{cid} = {ports[p][0]};")
+        if p.ctype == "r":
+            w(f"{pad}{qnames[p.var.qname]} = value;")
+    for target, expr in t.update.assignments:
+        w(f"{pad}{qnames[target]} = {_pexpr(expr, sym)};")
+    w(f"{pad}currentLocation = {sym.names[t.dst]};")
 
 
 # --------------------------------------------------------------------------
@@ -380,42 +396,16 @@ def _end_port(comp: AtomicComponent):
 def _cyclic_transitions(comp: AtomicComponent) -> list:
     """Transitions that lie on a cycle of the component's location graph,
     in declaration order: those whose source and target share a strongly
-    connected component, a self-loop included. One iterative pass of
-    Tarjan's algorithm finds the components."""
-    succ = {}
-    for t in comp.transitions:
-        succ.setdefault(t.src, []).append(t.dst)
-    index, low = {}, {}
-    root_of = {}   # location -> the root of its component, once it is closed
-    stack = []     # visited locations whose component is still open
-    for start in succ:
-        if start in index:
-            continue
-        index[start] = low[start] = len(index)
-        stack.append(start)
-        work = [(start, iter(succ[start]))]
-        while work:
-            v, targets = work[-1]
-            for w in targets:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    break
-                if w not in root_of:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        root_of[w] = v
-                        if w == v:
-                            break
-    return [t for t in comp.transitions if root_of[t.src] == root_of[t.dst]]
+    connected component, a self-loop included. Locations are numbered in
+    declaration order, and any a transition names undeclared after them."""
+    ids = {loc: i for i, loc in enumerate(comp.locations)}
+    edges = [(ids.setdefault(t.src, len(ids)), ids.setdefault(t.dst, len(ids)))
+             for t in comp.transitions]
+    succ = [[] for _ in ids]
+    for src, dst in edges:
+        succ[src].append(dst)
+    scc = strong_components(succ)
+    return [t for t, (src, dst) in zip(comp.transitions, edges) if scc[src] == scc[dst]]
 
 
 def _is_control(port: Port) -> bool:
@@ -478,10 +468,10 @@ def _templates(sys: CompositeSystem, wiring: dict, names: Memo) -> list:
     # 3. Uniqueness of interface calls: a non-recurring send port fires at
     #    most once.
     for comp, comp_cyclic in zip(sys.components, cyclic):
-        recurring = set(comp_cyclic)
+        recurring = set(map(id, comp_cyclic))  # by identity: a Transition hashes its fields
         for t in comp.transitions:
             p = t.port
-            if p is None or not p.is_send or _is_control(p) or t in recurring:
+            if p is None or not p.is_send or _is_control(p) or id(t) in recurring:
                 continue
             obs = _obs(names, comp.id, p)
             out.setdefault(f"uniqueness_{names[p.pid]}",

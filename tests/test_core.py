@@ -17,7 +17,7 @@ from chorc.cbs import component_steps, sys_explore
 from chorc.core import (
     BINARY_OPS, FALSE, SKIP, TAU, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Part, Port,
     Ref, Update, Valuation, Variable, default_value, explore_lts, expr_vars, format_expr,
-    format_update, infer_type, update_vars, value_dtype,
+    format_update, infer_type, strong_components, update_vars, value_dtype,
 )
 from chorc.lang import Branch, Comm, GuardedSend, Loop, Nil, Par, Seq
 from chorc.parser import parse_source
@@ -565,3 +565,94 @@ class TestExploreLts:
         res = explore_lts("s", lambda s: [("loop", s)], lambda s: False, 10, 10)
         assert res.graph == {"s": [("loop", "s")]}
         assert not res.truncated
+
+
+def reference_components(succ: list) -> list:
+    """Strongly connected components by brute force: each node's reachable
+    set, then a component per class of nodes that reach each other,
+    numbered from 0 in node order."""
+    reach = []
+    for v in range(len(succ)):
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    out = [-1] * len(succ)
+    classes = 0
+    for v in range(len(succ)):
+        if out[v] < 0:
+            for w in reach[v]:
+                if v in reach[w]:
+                    out[w] = classes
+            classes += 1
+    return out
+
+
+def assert_components(succ, where) -> list:
+    """``strong_components(succ)``, checked against the brute force: the
+    same partition, ids 0 to k - 1, and every edge between two components
+    going to the lower id."""
+    got = strong_components(succ)
+    want = reference_components(succ)
+    pairs = set(zip(got, want))
+    assert len(pairs) == len(set(got)) == len(set(want)), where
+    assert set(got) == set(range(len(pairs))), where
+    for v, targets in enumerate(succ):
+        assert all(got[w] <= got[v] for w in targets), where
+    return got
+
+
+def lts_graph(res) -> list:
+    """An untruncated exploration's successor lists, by state id."""
+    assert not res.truncated
+    succ = [[] for _ in res.states]
+    for i, hi in enumerate(res.ends):
+        succ[i] = res.targets[res.ends[i - 1] if i else 0:hi]
+    return succ
+
+
+class TestStrongComponents:
+    def test_hand_built(self):
+        assert assert_components([], "empty") == []
+        assert assert_components([[0]], "self-loop") == [0]
+        assert assert_components([[], [0], [1, 1]], "chain") == [0, 1, 2]
+        # 0 -> 1 -> 2 -> 0 holds the cycle 1 -> 3 -> 1 and leaves to 4.
+        nested = [[1], [2, 3], [0, 4], [1], []]
+        assert assert_components(nested, "nested") == [1, 1, 1, 1, 0]
+        # The cycle 2 <-> 3 cannot be reached from 0, and 4 only enters it.
+        unreachable = [[1], [1], [3], [2], [3]]
+        assert assert_components(unreachable, "unreachable") == [1, 0, 2, 2, 3]
+
+    def test_deeper_than_the_recursion_limit(self):
+        n = 5 * sys.getrecursionlimit()
+        assert strong_components([[(v + 1) % n] for v in range(n)]) == [0] * n
+        assert strong_components([[v + 1] for v in range(n - 1)] + [[]]) == \
+            list(range(n - 1, -1, -1))
+
+    def test_corpus_location_graphs_and_small_ltss(self, corpus):
+        # Every corpus LTS of at most 200 states is acyclic, since each
+        # loop changes a counter; the location graphs have the cycles.
+        cyclic = 0
+        for path, decl, _, ch in corpus:
+            graphs = []
+            res = chorsem.explore(ch, decl.initial_valuation())
+            if len(res.states) <= 200:
+                graphs.append(("chor", lts_graph(res)))
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                for comp in sys.components:
+                    ids = {loc: i for i, loc in enumerate(comp.locations)}
+                    succ = [[] for _ in ids]
+                    for t in comp.transitions:
+                        succ[ids[t.src]].append(ids[t.dst])
+                    graphs.append((comp.id, succ))
+                res = sys_explore(sys)
+                if len(res.states) <= 200:
+                    graphs.append((profile, lts_graph(res)))
+            for kind, succ in graphs:
+                got = assert_components(succ, (path, kind))
+                cyclic += len(set(got)) < len(got)
+        assert cyclic > 0

@@ -291,6 +291,11 @@ class TestSanitize:
         assert sanitize("B1.cr@2") == "B1_cr_2"
         assert sanitize("p#1") == "p_1"
 
+    def test_every_character_outside_ascii_word_is_replaced(self):
+        # An ASCII identifier is returned as it is, untouched by the regex.
+        for name in ("abc", "_x1", "A_B", "1a", "", "é", "xé", "x\u00b2", "a b", "ǅ", "x\n"):
+            assert sanitize(name) == re.sub(r"[^A-Za-z0-9_]", "_", name), name
+
 
 class TestEmissionWork:
     """Within one ``generate_promela`` call, each distinct name is sanitized
@@ -320,7 +325,7 @@ class TestEmissionWork:
             for opts in (PromelaOptions(), PromelaOptions(paper_ack=True, inline_ltl=True)):
                 names.clear()
                 nodes.clear()
-                generate_promela(sys, opts)
+                generate_promela(sys, opts).ltl  # the formulas share the memo
                 assert names and len(names) == len(set(names)), (profile, opts)
                 assert nodes and len(nodes) == len({id(e) for e in nodes}), (profile, opts)
 
@@ -480,7 +485,17 @@ class TestCyclicTransitions:
         chain = graph_component(locs, [(locs[i], locs[i + 1]) for i in range(n - 1)])
         assert promela._cyclic_transitions(chain) == []
 
+    def test_undeclared_locations(self):
+        # A transition may name a location the component does not declare
+        # (a structure finding): its cycles are still found.
+        comp = graph_component(["a"], [("a", "b"), ("b", "a"), ("b", "c"), ("c", "c")])
+        assert_cycles_match(CompositeSystem(components=(comp,), gamma=()), "undeclared")
+        assert len(promela._cyclic_transitions(comp)) == 3
+
     def test_computed_once_per_component(self, monkeypatch, corpus):
+        """``ltl_templates`` finds each component's cycles once, and so does
+        a model's first read of its formulas, or ``inline_ltl``; a model
+        whose formulas are never read finds none."""
         calls = []
         real = promela._cyclic_transitions
 
@@ -492,10 +507,27 @@ class TestCyclicTransitions:
         for _, decl, _, ch in corpus:
             for profile in PROFILES:
                 sys = synthesize(decl, ch, profile)
-                for run in (ltl_templates, generate_promela):
-                    calls.clear()
-                    run(sys)
-                    assert calls == list(sys.components), (run.__name__, profile)
+                comps = list(sys.components)
+                calls.clear()
+                ltl_templates(sys)
+                assert calls == comps, ("ltl_templates", profile)
+                calls.clear()
+                model = generate_promela(sys)
+                assert model.text and calls == [], ("text", profile)
+                assert model.ltl is model.ltl and calls == comps, ("ltl", profile)
+                calls.clear()
+                model = generate_promela(sys, PromelaOptions(inline_ltl=True))
+                assert calls == comps, ("inline_ltl", profile)
+                model.ltl
+                assert calls == comps, ("inline_ltl, then ltl", profile)
+
+    @pytest.mark.parametrize("paper_ack", [False, True])
+    def test_model_formulas_are_the_templates(self, corpus, paper_ack):
+        for path, decl, _, ch in corpus:
+            for profile in PROFILES:
+                sys = synthesize(decl, ch, profile)
+                model = generate_promela(sys, PromelaOptions(paper_ack=paper_ack))
+                assert model.ltl == ltl_templates(sys), (path, profile)
 
 
 #: The validator's line shapes and block opener, frozen as they were when
