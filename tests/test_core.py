@@ -642,14 +642,14 @@ class TestStrongComponents:
             if len(res.states) <= 200:
                 graphs.append(("chor", lts_graph(res)))
             for profile in PROFILES:
-                sys = synthesize(decl, ch, profile)
-                for comp in sys.components:
+                system = synthesize(decl, ch, profile)
+                for comp in system.components:
                     ids = {loc: i for i, loc in enumerate(comp.locations)}
                     succ = [[] for _ in ids]
                     for t in comp.transitions:
                         succ[ids[t.src]].append(ids[t.dst])
                     graphs.append((comp.id, succ))
-                res = sys_explore(sys)
+                res = sys_explore(system)
                 if len(res.states) <= 200:
                     graphs.append((profile, lts_graph(res)))
             for kind, succ in graphs:

@@ -20,7 +20,6 @@ Regenerate both (only for an intended change of output) with
 import hashlib
 import json
 import os
-
 import random
 
 from chorc.parser import parse_source
