@@ -8,12 +8,11 @@ global valuation and per-receive-port FIFO buffers.
 Every step is started by one component: the sender of an interaction (with
 its receivers for a synchronous one, alone for an asynchronous one, whose
 payload goes to the receivers' buffers) or the component taking a local
-recv/internal step. ``component_steps`` returns one component's steps; the
-simulator asks for them on a component's turn unless ``known_steps``, which
-reads the positions' caches (below) and runs no guard, says it starts none.
-``sys_steps_tagged``, the successor function of the explorer, returns every
-component's steps in turn. Both run one loop, ``_fire``, over a set of
-components.
+recv/internal step. ``sys_steps_tagged`` is the one successor function of
+the system side: the explorer asks it for every component's steps in turn,
+or a group's, and the simulator for one component's on that component's
+turn, unless ``known_steps``, which reads the positions' caches (below) and
+runs no guard, rules the turn out because the component starts none.
 
 The structure rules a component's own text breaks are found once per
 component object, with no closure built (``AtomicComponent._findings``), and
@@ -453,8 +452,8 @@ def _run(pos: _Position, part: _Part) -> tuple:
     hold on ``part``, as (sends, local steps), each in table order, or
     ``()`` if there are none. A local step is (event, new part). A send is
     (event, its key, its cache, the positions it writes, static step, the
-    sender's enabled alternatives), which ``_fire`` looks up by the parts
-    the send writes."""
+    sender's enabled alternatives), which ``sys_steps_tagged`` looks up by
+    the parts the send writes."""
     queues = part.queues
     sends, steps = [], []
     for step in pos.table[part.loc]:
@@ -520,18 +519,21 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -
     return tuple(out)
 
 
-def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
-    """The steps that components ``cis`` start from ``state``, in that
-    order, as (event, state): each component's steps from its part, read
-    from its position's cache (see ``_run``), a send's from the parts it
-    writes (see ``_rendezvous``). Each successor is one copy of ``parts``,
-    a list of the state's parts made for the first successor, into which a
-    step writes its new parts and from which it then restores the state's."""
+def sys_steps_tagged(sys: CompositeSystem, state: SysState, cis=None) -> list:
+    """Successors of a system state as (event, state): the steps of each
+    component in turn, or of components ``cis`` only, in their order. A
+    component's steps are the interactions it sends at its location, in
+    gamma order, then its own recv/internal steps, in transition order,
+    read from its position's cache (see ``_run``), a send's from the parts
+    it writes (see ``_rendezvous``). Each successor is one copy of
+    ``parts``, a list of the state's parts made for the first successor,
+    into which a step writes its new parts and from which it then restores
+    the state's."""
     positions = sys._steps
     out = []
     append = out.append
     parts = None
-    for i in cis:
+    for i in range(len(state)) if cis is None else cis:
         steps = positions[i][state[i]]
         if not steps:
             continue
@@ -564,26 +566,12 @@ def _fire(sys: CompositeSystem, state: SysState, cis) -> list:
     return out
 
 
-def component_steps(sys: CompositeSystem, state: SysState, ci: int) -> list:
-    """Steps that component ``ci`` starts from ``state``, as (event, state):
-    the interactions it sends at its location, in gamma order, then its own
-    recv/internal steps, in transition order."""
-    return _fire(sys, state, (ci,))
-
-
 def known_steps(sys: CompositeSystem, state: SysState) -> list:
     """Per component position, the steps its component starts from
     ``state`` as its position's cache holds them (see ``_run``): ``()`` if
     it starts none, None if no step has asked for them yet. Fills no miss,
     so it runs no guard."""
     return list(map(dict.get, sys._steps, state))
-
-
-def sys_steps_tagged(sys: CompositeSystem, state: SysState, cis=None) -> list:
-    """Successors of a system state as (event, state): the steps of each
-    component in turn (see ``component_steps``), or of components ``cis``
-    only."""
-    return _fire(sys, state, range(len(state)) if cis is None else cis)
 
 
 def is_terminal(sys: CompositeSystem, state: SysState, cis=None) -> bool:

@@ -3,11 +3,12 @@
 The choreography terms are hash-consed like the syntax in ``core``: one live
 object per term structure, compared and hashed by identity.
 
-One fold works out who takes part in a term, who starts it and who ends it
-under each synthesis profile: ``shape``, which keeps its ``Shape`` on the
-term, so each term is folded once however many terms enclose it. ``shared``
-reads it to decide whether the operands of a ``||`` are dependent, for both
-the ``parallel-independence`` warning and the choreography semantics.
+One fold works out who takes part in a term, who starts it, who ends it
+under each synthesis profile and whether it can stand at a term with no
+participants: ``shape``, which keeps its ``Shape`` on the term, so each
+term is folded once however many terms enclose it. ``shared`` reads it to
+decide whether the operands of a ``||`` are dependent, for both the
+``parallel-independence`` warning and the choreography semantics.
 
 ``faults`` states every static rule but the type rules for one term, in one
 place: ``check_well_formed`` reports each term's faults and then its type
@@ -19,6 +20,7 @@ a hand-built system's interactions to the same rule with the same texts."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import NamedTuple
 
 from .core import (
@@ -177,12 +179,20 @@ class Shape(NamedTuple):
     arm ports and the participants of its arms. Under compat a communication
     ends in its sender, and a choice in its arms' sender ends, or in its
     master if they have none.
+
+    ``idles`` says whether the term can stand, not yet ended, at a term
+    with no participants: ``nil`` can, and so can a choice with such an
+    arm, a ``;`` whose second operand can and a ``||`` with such an
+    operand; a communication and a loop never can. Two independent
+    operands of a ``||`` that both can may each stand at such a term while
+    the other has ended, which the semantics makes one configuration.
     """
 
     participants: frozenset[str]
     starts: frozenset[str]
     ends: frozenset[str]
     sender_ends: frozenset[str]
+    idles: bool
 
 
 def shape(term: Chor) -> Shape:
@@ -193,31 +203,33 @@ def shape(term: Chor) -> Shape:
         return out
     if isinstance(term, Nil):
         nobody = frozenset()
-        out = Shape(nobody, nobody, nobody, nobody)
+        out = Shape(nobody, nobody, nobody, nobody, True)
     elif isinstance(term, Comm):
         sender = frozenset([term.send.port.owner])
         rcvs = frozenset([p.owner for p, _ in term.rcvs])
         out = Shape(sender | rcvs, sender,
-                    rcvs if term.send.port.ctype == "ss" else sender, sender)
+                    rcvs if term.send.port.ctype == "ss" else sender, sender, False)
     elif isinstance(term, Branch):
         master = frozenset([term.master])
-        ends, sender_ends = set(), set()
+        ends, sender_ends, idles = set(), set(), False
         for gs, cont in term.conts:
             arm = shape(cont)
             ends.add(gs.port.owner)
             ends |= arm.participants
             sender_ends |= arm.sender_ends
+            idles |= arm.idles
         ends = frozenset(ends)
-        out = Shape(master | ends, master, ends, frozenset(sender_ends) or master)
+        out = Shape(master | ends, master, ends, frozenset(sender_ends) or master, idles)
     elif isinstance(term, Loop):
         master = frozenset([term.cond.port.owner])
-        out = Shape(master | shape(term.body).participants, master, master, master)
+        out = Shape(master | shape(term.body).participants, master, master, master, False)
     elif isinstance(term, Seq):
         first, second = shape(term.first), shape(term.second)
         out = Shape(first.participants | second.participants, first.starts,
-                    second.ends, second.sender_ends)
+                    second.ends, second.sender_ends, second.idles)
     elif isinstance(term, Par):
-        out = Shape(*map(frozenset.union, shape(term.left), shape(term.right)))
+        # ``|`` is the union of each set and the ``or`` of ``idles``.
+        out = Shape(*map(or_, shape(term.left), shape(term.right)))
     else:
         raise AssertionError(term)
     object.__setattr__(term, "_shape", out)

@@ -7,15 +7,17 @@ asynchronous ones); at receive locations it consumes the head of a port
 queue; internal and silent transitions execute locally.
 
 Logical concurrency is driven by a cooperative round-robin scheduler. On
-its turn a component asks the system semantics for the steps it starts
-(``cbs.component_steps``), drops those that backpressure refuses and takes
-one of the rest; the run ends at the step limit or after a full round of
-turns in which no component could move. A component whose part has not
-changed since the semantics last found that it starts nothing cannot move
-either, so after each step the scheduler reads every component's cached
-steps (``cbs.known_steps``) and counts such a turn idle without asking;
-it never asks for a component whose turn it is not, so no guard runs that
-the per-turn scheduler would not run. Each step taken becomes one trace
+its turn a component asks the system semantics for the steps it starts,
+through the successor function the explorer uses,
+``cbs.sys_steps_tagged`` restricted to that component, drops those that
+backpressure refuses and takes one of the rest; the run ends at the step
+limit or after a full round of turns in which no component could move. A
+component whose part has not changed since the semantics last found that
+it starts nothing cannot move either, so after each step the scheduler
+reads every component's cached steps (``cbs.known_steps``), which rule
+such a turn out: it counts idle without asking. The scheduler never asks
+for a component whose turn it is not, so no guard runs that the per-turn
+scheduler would not run. Each step taken becomes one trace
 line, read off the step's event: its rule and the ports of its label. The
 line is joined from JSON fragments that a per-run memo encodes once each:
 every component's id, every (component position, location) pair and every
@@ -35,9 +37,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .cbs import (
-    CompositeSystem, SysState, component_steps, is_terminal, known_steps, sys_steps_tagged,
-)
+from .cbs import CompositeSystem, SysState, is_terminal, known_steps, sys_steps_tagged
 from .core import Event, Memo
 from .promela import MAX_LEN
 
@@ -81,7 +81,7 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
         # A component known to start nothing makes no call. Backpressure:
         # refuse deliveries that would overfill a queue.
         mine = known[ci] != () and [
-            step for step in component_steps(sys, state, ci)
+            step for step in sys_steps_tagged(sys, state, (ci,))
             if all(len(q) <= max_chan_len for part in step[1] for _, q in part.queues)]
         if mine:
             event, succ = mine[rngs[ci].randrange(len(mine))]

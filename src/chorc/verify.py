@@ -30,12 +30,13 @@ is one final of each group, each projected on the keys its components
 hold. Where one exploration of the whole could tell otherwise, the whole
 is explored with the caller's limits, so every count, final, verdict and
 error is the one that exploration gives: one group, a key that no group
-holds, a group whose exploration raises or is truncated within what the
-groups before it leave of the limits (the product's states are the
-product of the groups', its depth the sum), or an operand that can stand
-at a term with no participants, such as ``nil``, which the whole can
-merge with another operand's. Each side is summed up in one record,
-``_Side``.
+holds, or a group whose exploration raises or is truncated within what
+the groups before it leave of the limits (the product's states are the
+product of the groups', its depth the sum). The choreography side reads
+one more such case off the term before it groups: two operands that can
+stand at a term with no participants, such as ``nil``
+(``lang.Shape.idles``), which the whole can merge. Each side is summed up
+in one record, ``_Side``.
 
 The module also carries the structural invariant suite and a small set of
 mutation operators used to validate that the checker actually has teeth. A
@@ -118,26 +119,31 @@ def _chor_side(decl: SystemDecl, ch: Chor, max_configs: int, max_depth: int) -> 
     """The choreography side of ``equiv_check`` under these limits, summed
     up from its ``operands`` (``_grouped``) on the first call for ``decl``
     and kept on it (``SystemDecl._chor_sides``). The explorations are
-    dropped on return; one that raises keeps nothing."""
+    dropped on return; one that raises keeps nothing.
+
+    The operands are handed to ``_grouped`` only if fewer than two of them
+    can stand, not yet ended, at a term with no participants
+    (``Shape.idles``), as a choice's ``nil`` arm. With two, the whole's
+    configuration with one at ``nil`` and the other ended can be the one
+    with the roles swapped, so the product would count it twice
+    (``05_branch_two`` beside a renamed copy: 24 configurations, not
+    5 x 5), and the whole term is explored instead. With at most one, the
+    operands that have not ended are those whose components the term
+    names, so the whole's configurations are one to one with the
+    product."""
     memo, key = decl._chor_sides, (ch, max_configs, max_depth)
     side = memo.get(key)
     if side is None:
         sigma0 = decl.initial_valuation()
+        ops = operands(ch) if sum(shape(t).idles for t in operands(ch)) < 2 else ()
         groups = [({var.qname for c in decl.components if c.id in shape(t).participants
                     for var, _ in c.vars},
-                   lambda *limits, t=t: _unmerged(explore(t, sigma0, *limits)))
-                  for t in operands(ch)]
+                   lambda *limits, t=t: explore(t, sigma0, *limits))
+                  for t in ops]
         side = memo[key] = _grouped(user_variables(decl), groups,
                                     lambda *limits: explore(ch, sigma0, *limits),
                                     max_configs, max_depth)
     return side
-
-
-def _unmerged(res: Exploration):
-    """``res``, or None if it stores a configuration that has not ended
-    and whose term has no participants (see ``_grouped``)."""
-    return None if any(t is not None and not shape(t).participants for t, _, _ in res.states) \
-        else res
 
 
 def _sys_side(sys: CompositeSystem, keys: tuple, max_configs: int, max_depth: int) -> _Side:
@@ -163,18 +169,13 @@ def _grouped(keys: tuple, groups: list, whole, max_configs: int, max_depth: int)
     ``max_depth`` less the sum of their depths. The side is summed up
     instead from ``whole``, one exploration of the whole under the
     caller's limits, where there are fewer than two groups or where that
-    exploration could tell otherwise: some key is held by no group; a
+    exploration could tell otherwise: some key is held by no group, or a
     group's exploration raises (another group's error may come first in
-    the whole's order) or is truncated, so that the product would be too;
-    or, on the choreography side, a group's exploration returns None
-    (``_unmerged``) because it stores a configuration that has not ended
-    and whose term has no participants, as a choice's ``nil`` arm. The
-    whole's configuration with one operand at ``nil`` and the other ended
-    can then be the one with the roles swapped, so the product counts it
-    twice (``05_branch_two`` beside a renamed copy: 24 configurations, not
-    5 x 5). Without such a term, the operands that have not ended are
-    those whose components the term names, so the whole's configurations
-    are one to one with the product."""
+    the whole's order) or is truncated, so that the product would be too.
+    It reads nothing but the explorations, the same on both sides: where
+    the groups' product is not the whole's state space, as for two
+    choreography operands that can idle (see ``_chor_side``), the caller
+    hands over no groups."""
     own = [[k for k in keys if k in names] for names, _ in groups]
     flat = [k for ks in own for k in ks]
     runs, states, depth = [], 1, 0
@@ -184,7 +185,7 @@ def _grouped(keys: tuple, groups: list, whole, max_configs: int, max_depth: int)
             res = run(max_configs // states, max_depth - depth)
         except EvalError:
             break
-        if res is None or res.truncated:
+        if res.truncated:
             break
         states, depth = states * len(res.states), depth + res.levels - 1
         runs.append(res)

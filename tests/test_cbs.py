@@ -20,7 +20,7 @@ import pytest
 from chorc import cbs, chorsem
 from chorc.cbs import (
     TAU, AtomicComponent, CompositeSystem, Interaction, SysState, Transition,
-    check_structure, component_steps, is_terminal, serialize_system,
+    check_structure, is_terminal, serialize_system,
     sys_explore, sys_steps_tagged, system_to_dot,
 )
 from chorc.core import (
@@ -205,7 +205,7 @@ class TestInternal:
 class TestComponentSteps:
     def test_each_step_is_started_by_its_component(self, corpus):
         """On every reached state of every corpus system, a send of
-        ``component_steps(sys, s, ci)`` is on a send port of ``ci`` and a
+        ``sys_steps_tagged(sys, s, (ci,))`` is on a send port of ``ci`` and a
         recv/internal step moves ``ci`` alone; the system's successors are
         the components' steps in component order."""
         for path, decl, _, ch in corpus:
@@ -214,7 +214,7 @@ class TestComponentSteps:
                 senders = {p.pid: c.id for c in sys.components
                            for p in c.ports if p.is_send}
                 for state in sys_explore(sys).graph:
-                    per_comp = [component_steps(sys, state, ci)
+                    per_comp = [sys_steps_tagged(sys, state, (ci,))
                                 for ci in range(len(sys.components))]
                     assert sys_steps_tagged(sys, state) == [
                         step for steps in per_comp for step in steps]
@@ -343,7 +343,7 @@ def flat_initial(sys):
 def flat_fire(sys, state, cis):
     """The reference successor function over flat states: each
     component's compiled static steps at its location (the same tables and
-    events ``cbs._fire`` uses) whose guards hold, run on the global
+    events ``cbs.sys_steps_tagged`` uses) whose guards hold, run on the global
     valuation and buffers, with nothing cached."""
     locations, sigma, buffers = state
     out = []
@@ -485,7 +485,7 @@ def assert_steps_match_reference(sys, where):
     res = assert_lts_matches_flat(sys, where, view)
     for state in res.graph:
         for ci in range(len(sys.components)):
-            assert [(e, view(s)) for e, s in component_steps(sys, state, ci)] == \
+            assert [(e, view(s)) for e, s in sys_steps_tagged(sys, state, (ci,))] == \
                 reference_component_steps(sys, view(state), ci), (where, view(state), ci)
     return res
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chorc import cbs, chorsem
-from chorc.cbs import component_steps, sys_explore
+from chorc.cbs import sys_explore, sys_steps_tagged
 from chorc.core import (
     BINARY_OPS, FALSE, SKIP, TAU, TRUE, BinOp, EvalError, Event, Lit, Neg, Not, Part, Port,
     Ref, Update, Valuation, Variable, default_value, explore_lts, expr_vars, format_expr,
@@ -396,7 +396,7 @@ class TestEvent:
                 for state in sys_explore(sys).graph:
                     for ci, loc in enumerate(state.locations):
                         static = [step[1] for step in sys._steps[ci].table[loc]]
-                        assert carried_in_order(component_steps(sys, state, ci), static), \
+                        assert carried_in_order(sys_steps_tagged(sys, state, (ci,)), static), \
                             (path, profile, state, ci)
         # Most static steps produce several edges.
         assert 2 * len({id(e) for e in carried}) < len(carried)

@@ -174,7 +174,7 @@ def scratch_system():
     """A's initial location starts a synchronous send to B, whose receive
     has two alternatives, an asynchronous send with two alternatives to C,
     and two local steps, so that one state's successors write and restore
-    every kind of slot of ``cbs._fire``'s scratch list."""
+    every kind of slot of ``cbs.sys_steps_tagged``'s scratch list."""
     ax, by, cz = Variable("x", "A", "int"), Variable("y", "B", "int"), Variable("z", "C", "int")
     ap, aa, ai = Port("p", "A", ax, "ss"), Port("a", "A", ax, "as"), Port("i", "A", ax, "in")
     br, cq = Port("r", "B", by, "r"), Port("q", "C", cz, "r")
@@ -211,7 +211,7 @@ class TestScratchSuccessors:
         assert [s.sigma["A.x"] for _, s in succs] == [3, 3, 3, 2, 3, 2]
         # B's second alternative keeps the payload it received.
         assert [s.sigma["B.y"] for _, s in succs[:2]] == [10, 2]
-        assert [cbs.component_steps(system, start, ci) for ci in range(3)] == [succs, [], []]
+        assert [cbs.sys_steps_tagged(system, start, (ci,)) for ci in range(3)] == [succs, [], []]
 
     def test_against_flat_and_reference_explorers(self):
         system = scratch_system()

@@ -4,7 +4,8 @@ class is referenced somewhere in the package, every public one, and every
 public name a module-level assignment binds, is read outside its own body
 in the package or the benchmark, every ``__slots__``
 entry is read somewhere in the package, every attribute a class stores is
-read in the package or the benchmark, no function matches with a literal
+read in the package or the benchmark, and in its own module if the class is
+private, no function matches with a literal
 pattern that ``re`` would look up again on every call, and no nested
 function reaches itself through its closure."""
 
@@ -240,14 +241,49 @@ def attributes_read(tree) -> set:
     return read
 
 
+def unread_attributes(trees: dict, others=()) -> list:
+    """Each attribute that a class in ``trees``, module name -> tree,
+    stores and that is not read where it must be, as "module.class.name":
+    anywhere in ``trees`` or ``others``, and, for a private class, whose
+    name starts with ``_``, in its own module, since no other module may
+    reach the class."""
+    read = {module: attributes_read(tree) for module, tree in trees.items()}
+    anywhere = set().union(*read.values(), *map(attributes_read, others))
+    return sorted({f"{module}.{cls}.{name}" for module, tree in trees.items()
+                   for cls, name in stored_attributes(tree)
+                   if name not in (read[module] if cls.startswith("_") else anywhere)})
+
+
 def test_stored_attributes_are_read():
     """An attribute that a class in the package stores is read somewhere in
-    the package or the benchmark, matched by name: a field that only the
-    tests read goes, and its tests read what the code keeps."""
-    read = set().union(*(attributes_read(_tree(path)) for path in MODULES + BENCH_MODULES))
-    unread = sorted({f"{path.stem}.{cls}.{name}" for path in MODULES
-                     for cls, name in stored_attributes(_tree(path)) if name not in read})
-    assert unread == []
+    the package or the benchmark, matched by name, and one that a private
+    class stores is read in its own module: a field that only the tests,
+    or only another module's same-named field, read goes, and its tests
+    read what the code keeps."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+    assert unread_attributes(trees, map(_tree, BENCH_MODULES)) == []
+
+
+def test_private_fields_are_read_in_their_module():
+    # _Frame stores receivers, which only another module reads, through
+    # another class's field of that name; Box's count is read elsewhere.
+    trees = {"chorsem": ast.parse("""
+class _Frame(Interned):
+    def __new__(cls, keys):
+        return interned(cls, keys, layouts=(), receivers=())
+
+    def split(self):
+        return self.layouts
+
+
+class Box:
+    def __init__(self):
+        self.count = 0
+"""), "cbs": ast.parse("inter.receivers; box.count")}
+    assert unread_attributes(trees) == ["chorsem._Frame.receivers"]
+    assert unread_attributes(trees, [ast.parse("x.layouts")]) == ["chorsem._Frame.receivers"]
+    del trees["cbs"]
+    assert unread_attributes(trees) == ["chorsem.Box.count", "chorsem._Frame.receivers"]
 
 
 def test_stored_attributes_are_found():

@@ -165,6 +165,23 @@ def ref_end_set_compat(ch):
     raise AssertionError(ch)
 
 
+def ref_idles(ch):
+    """Whether ``ch`` can stand, not yet ended, at a term with no
+    participants: ``nil``, a choice with such an arm, a ``;`` whose second
+    operand can, a ``||`` with such an operand."""
+    if isinstance(ch, Nil):
+        return True
+    if isinstance(ch, Branch):
+        return any(ref_idles(cont) for _, cont in ch.conts)
+    if isinstance(ch, Seq):
+        return ref_idles(ch.second)
+    if isinstance(ch, Par):
+        return ref_idles(ch.left) or ref_idles(ch.right)
+    if isinstance(ch, (Comm, Loop)):
+        return False
+    raise AssertionError(ch)
+
+
 def subterms(ch):
     """Every subterm of ``ch``, itself included, each once."""
     seen, todo = {}, [ch]
@@ -198,7 +215,8 @@ def test_shape_matches_the_folds_it_replaced():
     for name, ch in reference_inputs():
         for term in subterms(ch):
             assert shape(term) == Shape(ref_participants(term), ref_start_set(term),
-                                        ref_end_set(term), ref_end_set_compat(term)), name
+                                        ref_end_set(term), ref_end_set_compat(term),
+                                        ref_idles(term)), name
             if isinstance(term, Par):
                 assert shared(term) == (ref_participants(term.left)
                                         & ref_participants(term.right)), name

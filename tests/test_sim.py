@@ -7,17 +7,17 @@ import pytest
 
 import chorc.sim
 from chorc.cbs import (
-    CompositeSystem, Interaction, Transition, component_steps, is_terminal, sys_explore,
-    sys_steps_tagged,
+    CompositeSystem, Interaction, Transition, is_terminal, sys_explore, sys_steps_tagged,
 )
 from chorc.cli import main
 from chorc.core import SKIP, TRUE, BinOp, EvalError, Lit, Port, Ref, Update, Variable
+from chorc.parser import parse_source
 from chorc.promela import MAX_LEN
 from chorc.sim import RunResult, simulate, trace_text
 from chorc.synthesis import PROFILES, synthesize
-from chorc.verify import MUTATIONS, project, user_variables
+from chorc.verify import MUTATIONS, equiv_check, project, user_variables
 
-from conftest import corpus_path, corpus_paths, load, load_stem
+from conftest import corpus_path, corpus_paths, generated, load, load_stem
 from test_cbs import component
 
 
@@ -201,26 +201,31 @@ class TestScheduler:
                         (path, profile, seed, kw)
 
     def test_successors_computed_once_per_state(self, monkeypatch):
-        decl, _, ch = load_stem("buying")
+        # Every step goes through sys_steps_tagged, the explorer's successor
+        # function: one component's on its turn, every component's once at
+        # the end to classify the outcome.
+        decl, _, ch = parse_source(generated("longchain", 0))
         sys = synthesize(decl, ch)
-        turns, classified = [], []
+        calls = []
 
-        def counting_component(sys, state, ci):
-            turns.append((state, ci))  # keeps the state alive: ids stay unique
-            return component_steps(sys, state, ci)
-
-        def counting_all(*args):
-            classified.append(args)
+        def counting(*args):
+            calls.append(args)  # keeps the state alive: ids stay unique
             return sys_steps_tagged(*args)
 
-        monkeypatch.setattr(chorc.sim, "component_steps", counting_component)
-        monkeypatch.setattr(chorc.sim, "sys_steps_tagged", counting_all)
-        res = simulate(sys, 4)
-        assert res.outcome == "completed"
-        assert len({(id(state), ci) for state, ci in turns}) == len(turns)
-        assert len(classified) == 1
+        monkeypatch.setattr(chorc.sim, "sys_steps_tagged", counting)
+        res = simulate(sys, 0)
+        assert res.outcome == "completed" and res.steps == 132
+        turns = [(id(state), cis) for _, state, cis in calls[:-1]]
+        assert len(set(turns)) == len(turns) and all(len(cis) == 1 for _, cis in turns)
+        assert len(calls[-1]) == 2
         # A component known to start nothing is not asked on its turn.
-        assert len(turns) < turns_taken(sys, res)
+        assert len(calls) == 225 and len(turns) < turns_taken(sys, res)
+        # Once equiv_check has explored the system, its caches rule more
+        # turns out, and the trace stays the same.
+        assert equiv_check(decl, ch, sys).equivalent
+        del calls[:]
+        assert simulate(sys, 0).events == res.events
+        assert len(calls) == 133
 
 
 def turns_taken(sys, res) -> int:

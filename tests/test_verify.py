@@ -11,6 +11,7 @@ from chorc import cbs, verify
 from chorc.cbs import CompositeSystem, check_structure
 from chorc.chorsem import explore
 from chorc.core import EvalError
+from chorc.lang import shape
 from chorc.cli import main
 from chorc.parser import parse_source
 from chorc.synthesis import PROFILES, synthesize
@@ -376,16 +377,25 @@ def renamed(text: str, ids, suffix: str) -> str:
     return re.sub(r"\b(%s)\b" % "|".join(map(re.escape, ids)), r"\g<1>" + suffix, text)
 
 
+def beside(*texts: str) -> str:
+    """``t || t1 || ...`` for the sources ``texts`` of ``t``, ``t1``, ...,
+    the j-th operand after ``t`` with its component ids renamed
+    ``id + f"r{j}"``."""
+    copies = []
+    for j, text in enumerate(texts):
+        decl, name, _ = parse_source(text)
+        head, term = text.split(f"choreography {name} =")
+        if j:
+            head, term = [renamed(part, decl.component_ids(), f"r{j}") for part in (head, term)]
+        copies.append((head, term))
+    return "".join(h for h, _ in copies) + "choreography composed = " + \
+        " || ".join(f"( {t.strip()} )" for _, t in copies)
+
+
 def composed(text: str, k: int) -> str:
     """``t || t1 || ...``, ``k`` operands, for the source ``text`` of ``t``,
     each further operand ``t`` with its component ids renamed."""
-    decl, name, _ = parse_source(text)
-    head, term = text.split(f"choreography {name} =")
-    copies = [(head, term)] + [(renamed(head, decl.component_ids(), f"r{j}"),
-                                renamed(term, decl.component_ids(), f"r{j}"))
-                               for j in range(1, k)]
-    return "".join(h for h, _ in copies) + "choreography composed = " + \
-        " || ".join(f"( {t.strip()} )" for _, t in copies)
+    return beside(*[text] * k)
 
 
 def record_explorations(monkeypatch) -> list:
@@ -690,17 +700,63 @@ class TestChoreographyOperands:
         # The left operand's || is dependent, so it stays one operand.
         assert operands(mixed) == (mixed.left, mixed.right)
 
+    def test_idles_is_read_off_the_term(self, corpus):
+        # An operand can stand at a term with no participants exactly
+        # when its exploration stores such a configuration, on every
+        # corpus term and every generated one.
+        inputs = [(path, decl, ch) for path, decl, _, ch in corpus]
+        inputs += [((name, seed), *parse_source(generated(name, seed))[::2])
+                   for name in ("interleave", "longchain") for seed in range(4)]
+        for where, decl, ch in inputs:
+            for t in operands(ch):
+                stored = explore(t, decl.initial_valuation()).states
+                assert shape(t).idles == any(c.term is not None and not shape(c.term).participants
+                                             for c in stored), where
+        assert [path.rsplit("/", 1)[-1] for path, _, _, ch in corpus if shape(ch).idles] == [
+            "01_nil.chor", "05_branch_two.chor", "06_branch_single.chor", "15_buying.chor"]
+
+    def test_an_operand_that_idles_beside_one_that_cannot(self, monkeypatch, corpus):
+        # Each corpus term that can stand at nil beside a renamed copy of
+        # each one that cannot, in both orders, where their configurations
+        # multiply to at most 2,000: the whole term's configurations are
+        # one to one with the product, so each operand is explored once for
+        # both profiles and the whole term never, and every report equals
+        # one whole exploration's. nil's file declares a component that
+        # takes part in no operand, so beside it the whole term is
+        # explored, once.
+        calls = count_explorations(monkeypatch)
+        texts, sizes, idle, busy = {}, {}, [], []
+        for path, decl, _, ch in corpus:
+            with open(path) as fh:
+                texts[path] = fh.read()
+            sizes[path] = len(explore(ch, decl.initial_valuation()).states)
+            (idle if shape(ch).idles else busy).append(path)
+        pairs = [pair for a in idle for b in busy if sizes[a] * sizes[b] <= 2000
+                 for pair in ((a, b), (b, a))]
+        grouped = 0
+        for pair in pairs:
+            decl, _, ch = parse_source(beside(*[texts[path] for path in pair]))
+            del calls[:]
+            assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], pair,
+                            ORACLE_LIMITS[:1])
+            named = set().union(*[shape(t).participants for t in operands(ch)])
+            whole = not named.issuperset(decl.component_ids())
+            assert calls == ([ch] if whole else list(operands(ch))), pair
+            grouped += not whole
+        assert (len(pairs), grouped) == (98, 72)
+
     def test_a_nil_beside_an_ended_operand(self, monkeypatch):
         # branch_two's nil arm has no participants: "left at nil, right
         # ended" and "left ended, right at nil" are one configuration of
-        # the whole term, which stores 24, not 5 x 5. The first operand
-        # stores such a configuration, so the whole term is explored.
+        # the whole term, which stores 24, not 5 x 5. Both operands can
+        # stand at nil, so the whole term is explored and no operand is.
         calls = count_explorations(monkeypatch)
         with open(corpus_path("branch_two")) as fh:
             decl, _, ch = parse_source(composed(fh.read(), 2))
         sigma0 = decl.initial_valuation()
+        assert [shape(t).idles for t in operands(ch)] == [True, True]
         assert [len(explore(t, sigma0).states) for t in operands(ch)] == [5, 5]
         assert len(explore(ch, sigma0).states) == 24
         del calls[:]
         assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "nil")
-        assert calls[:2] == [operands(ch)[0], ch]
+        assert calls and set(calls) == {ch}
