@@ -25,18 +25,21 @@ guard and update as a compiled closure, or None for ``true`` and skip
 every location a state can hold there to a flat tuple of static steps, its
 send steps and then its local ones. A send step covers one interaction and
 all of its sender's transitions on the send port from that location, and
-holds the interaction's send record. The tables, like ``check_structure``'s
-findings, are cached on the instance, so ``dataclasses.replace`` yields a
-system with fresh ones.
+holds the interaction's send record; a synchronous send reads its
+receivers' alternatives from their own positions when it fires, so a
+position's steps follow from its own component and the interactions it
+sends alone. The tables, like ``check_structure``'s findings, are cached
+on the instance, so ``dataclasses.replace`` yields a system with fresh
+ones.
 
 A system made from another by a local change, as a mutant is, comes from
 ``CompositeSystem.derive``, and once its parent has stepped it shares the
 parent's positions (below) with their tables, parts and caches, and builds
 only the dirty ones: a position whose component's transitions, ports or
 initial location changed (a changed end location leaves every position
-clean), a position that sends to such a component, and a position whose
-sent interactions changed. Another number of components, other ids or
-other variables make every position dirty.
+clean), and a position whose sent interactions changed. Another number of
+components, other ids or other variables make every position dirty. It
+refuses exactly what a cold build of it refuses.
 
 A system state (``SysState``) is a tuple of one part per component
 position, partitioned as ``core`` describes: the valuation of the
@@ -94,7 +97,7 @@ from typing import Optional
 from .core import (
     TAU, TRUE, EvalError, Event, Exploration, Expr, Lit, Part, Port, Update, Valuation,
     cached_attr, explore_lts, expr_vars, find_queue, format_expr, format_update, requeue,
-    union_shared, update_vars,
+    strong_components, union_shared, update_vars,
 )
 from .lang import Diagnostic, wiring
 
@@ -239,16 +242,15 @@ class CompositeSystem:
         (``AtomicComponent._tables``, built here unless another system
         built them) and one pass over gamma: a component id names its
         position; a receive port's buffer lives in its owner's part; a
-        port's alternatives are those of its owner's transitions on it; and
-        each interaction becomes one send record and one send step per
-        location its sender leaves on the send port.
-        A send step is (rule, event, alternatives, sent variable,
-        receivers, key, writes, cache): an asynchronous send's receivers
-        are (component position, port id), a synchronous send's (component
-        position, port id, bound variable, location -> alternatives on the
-        port); its event and record (the positions it writes, the sender's
-        and then the receivers', the key that picks their parts from a
-        state, and the cache) are its interaction's.
+        port's alternatives are those of its owner's transitions on it,
+        which its owner's position holds; and each interaction becomes one
+        send record and one send step per location its sender leaves on
+        the send port. A send step is (rule, event, alternatives, sent
+        variable, receivers, key, writes, cache), its receivers (component
+        position, receive port) pairs, whether it is synchronous or not;
+        its event and record (the positions it writes, the sender's and
+        then the receivers', the key that picks their parts from a state,
+        and the cache) are its interaction's.
 
         A system ``derive`` made from a parent that has stepped, with the
         parent's component ids and variables at every position, takes each
@@ -256,74 +258,63 @@ class CompositeSystem:
         with its table, parts and caches, and builds only the dirty ones. A
         position is dirty if its component's transitions, ports or initial
         location differ from the parent's (its end location does not
-        count), if one of its sends has a receiver at such a position,
-        whose alternatives it holds, or if the interactions it sends differ
-        from the parent's, in order. A clean position's steps and send
-        records are then the parent's to the letter. A rebuilt
-        position has a table of parts of its own, so no cache entry whose
-        key holds one of its parts can be one the parent made; every
-        other entry follows from clean positions' parts and steps alone.
+        count), or if the interactions it sends differ from the parent's,
+        in order. A clean position's steps, send records and alternatives
+        are then the parent's to the letter. A rebuilt position has a table
+        of parts of its own, so no cache entry whose key holds one of its
+        parts can be one the parent made; every other entry follows from
+        clean positions' parts, steps and alternatives alone.
 
         Raises ``EvalError`` with the message of the first finding of
         ``_declarations`` or of the components' or interactions'
-        ``_findings`` whose code is in ``_REFUSED``, or of an undeclared
-        receive port's ``unknown-port`` (see the module docstring). A
-        system that keeps positions, and its parent's ports at each, skips
-        ``_declarations``, whose findings are then the parent's."""
+        ``_findings`` whose code is in ``_REFUSED``, or else of the first
+        interaction whose sender the system holds and one of whose receive
+        ports its owner does not declare (``unknown-port``; see the module
+        docstring), all before any position is built, so a derived system
+        refuses what a cold build refuses. One that keeps positions skips
+        ``_declarations``: with the parent's ids and variables, its
+        refused findings are the parent's, and the parent stepped."""
         components, parent = self.components, self._parent
         kept = parent is not None and vars(parent).get("_steps")
         if kept and [(c.id, c.vars) for c in components] != \
                 [(c.id, c.vars) for c in parent.components]:
             kept = None
         # The parent stepped, so its declarations hold nothing refused.
-        declared = () if kept and all(c.ports == old.ports for c, old in zip(
-            components, parent.components)) else _declarations(components)
-        for code, message in chain(declared, *[c._findings for c in components],
+        for code, message in chain(() if kept else _declarations(components),
+                                   *[c._findings for c in components],
                                    *[inter._findings for inter in self.gamma]):
             if code in _REFUSED:
                 raise EvalError(message)
         position = {c.id: i for i, c in enumerate(components)}  # ids are unique
-        tables = [c._tables for c in components]
+        for inter in self.gamma:
+            if inter.send.owner in position:  # no sender: it never fires
+                for r in inter.receivers:
+                    j = position.get(r.owner)
+                    if j is None or r.pid not in [p.pid for p in components[j].ports]:
+                        raise EvalError(_UNKNOWN_PORT.format(r.pid))
         dirty = range(len(components))
         if kept:
             sent = _sent(position, len(components), self.gamma)
             was = sent if self.gamma == parent.gamma else \
                 _sent(position, len(components), parent.gamma)
-            changed = {i for i, (c, old) in enumerate(zip(components, parent.components))
-                       if c is not old and (c.transitions, c.ports, c.init)
-                       != (old.transitions, old.ports, old.init)}
-            # The ids of the changed positions: a send to one holds its
-            # alternatives.
-            into = {components[i].id for i in changed}
-            dirty = {i for i, (now, then) in enumerate(zip(sent, was))
-                     if i in changed or now != then or into and any(
-                         not into.isdisjoint([r.owner for r in inter.receivers])
-                         for inter in now)}
+            dirty = {i for i, (c, old) in enumerate(zip(components, parent.components))
+                     if sent[i] != was[i] or c is not old and (c.transitions, c.ports, c.init)
+                     != (old.transitions, old.ports, old.init)}
         sends = [{} for _ in components]  # location -> its send steps
         for inter in self.gamma:
             snd = inter.send
             i = position.get(snd.owner)
-            if i is None or i not in dirty:
-                # No sender (``check_structure``): it never fires. A clean
-                # position's sends were checked when its parent stepped.
+            if i not in dirty:  # no sender, or a clean position's
                 continue
-            receiving = [position.get(r.owner) for r in inter.receivers]
-            for j, r in zip(receiving, inter.receivers):
-                if j is None or r.pid not in [p.pid for p in components[j].ports]:
-                    raise EvalError(_UNKNOWN_PORT.format(r.pid))
-            targets = tuple([(j, r.pid) if snd.ctype == "as" else
-                             (j, r.pid, r.var.qname, tables[j][2].get(r, {}))
-                             for j, r in zip(receiving, inter.receivers)])
-            event = inter._event
-            writes = (i, *receiving)
-            key, cache = itemgetter(*writes), {}
-            for src, alts in tables[i][2].get(snd, {}).items():
+            event, writes = inter._event, (i, *[position[r.owner] for r in inter.receivers])
+            targets, key, cache = tuple(zip(writes[1:], inter.receivers)), itemgetter(*writes), {}
+            for src, alts in components[i]._tables[2].get(snd, {}).items():
                 sends[i].setdefault(src, []).append(
                     (event.rules[0], event, alts, snd.var.qname, targets, key, writes, cache))
         positions = list(kept) if kept else [None] * len(components)
         for i in dirty:
-            sending, (vals, local, _, holdable) = sends[i], tables[i]
-            pos = positions[i] = _Position()
+            sending, (vals, local, offers, holdable) = sends[i], components[i]._tables
+            pos = positions[i] = _Position(offers)
             pos.table = {loc: (*sending.get(loc, ()), *local.get(loc, ())) for loc in holdable}
             pos.initial = _part(pos, holdable[0], vals, ())
         return tuple(positions)
@@ -332,29 +323,29 @@ class CompositeSystem:
     def _groups(self) -> tuple:
         """The component positions split into the most groups such that the
         sender and receivers of every interaction that can fire, one whose
-        sender the system holds, are in one group, as tuples of positions.
-        A step of one group then reads and writes only that group's parts,
-        so the reachable states are the product of each group's. Groups
-        follow their first positions, and each group's positions their
-        order, never a set's."""
-        components, group = self.components, {}  # id -> its group's positions
-        for i, c in enumerate(components):
-            group.setdefault(c.id, []).append(i)
-        get = group.get
+        sender the system holds, are in one group, as tuples of positions:
+        the components (``core.strong_components``) of the graph that links
+        each such sender to its receivers both ways, and each position to
+        the first that holds its component id. A step of one group then
+        reads and writes only that group's parts, so the reachable states
+        are the product of each group's. Groups follow their first
+        positions, and each group's positions their order, never a set's."""
+        components, first = self.components, {}  # id -> its first position
+        links = [(i, first.setdefault(c.id, i)) for i, c in enumerate(components)]
+        get = first.get
         for inter in self.gamma:
-            g = get(inter.send.owner)
-            if g is None:  # no sender: it never fires (see ``_steps``)
-                continue
-            for r in inter.receivers:
-                h = get(r.owner)
-                if h is not None and h is not g:
-                    if len(h) > len(g):
-                        g, h = h, g
-                    g += h  # the smaller group joins the larger
-                    for i in h:
-                        group[components[i].id] = g
-        firsts = {id(g): g for g in (group[c.id] for c in components)}
-        return tuple(tuple(sorted(g)) for g in firsts.values())
+            i = get(inter.send.owner)
+            if i is not None:  # no sender: it never fires (see ``_steps``)
+                links += [(i, j) for j in [get(r.owner) for r in inter.receivers]
+                          if j is not None]
+        succ = [[] for _ in components]
+        for i, j in links:
+            succ[i].append(j)
+            succ[j].append(i)
+        groups = {}  # strong component -> its positions, in order of first position
+        for i, g in enumerate(strong_components(succ)):
+            groups.setdefault(g, []).append(i)
+        return tuple(map(tuple, groups.values()))
 
     @cached_attr
     def _diagnostics(self) -> tuple:
@@ -421,12 +412,15 @@ class _Position(dict):
     """A component position's compiled semantics, and its cache of steps:
     a dict from each part asked for to the steps its component starts from
     it (see ``_run``), which a miss fills. It holds its static step table
-    (``CompositeSystem._steps``), its table of parts and its initial part."""
+    (``CompositeSystem._steps``), its table of parts, its initial part and
+    its component's alternatives on each port it owns, which a synchronous
+    send to it reads (``_rendezvous``)."""
 
-    __slots__ = ("table", "parts", "initial")
+    __slots__ = ("table", "parts", "initial", "offers")
 
-    def __init__(self):
+    def __init__(self, offers: dict):
         self.parts = {}  # (location, values, buffers) -> the part
+        self.offers = offers  # port -> source location -> alternatives
 
     def __missing__(self, part: _Part) -> tuple:
         steps = self[part] = _run(self, part)
@@ -486,29 +480,31 @@ def _rendezvous(positions: tuple, state: SysState, step: tuple, enabled: list) -
     Each way is a tuple of the new parts of the positions it writes. The
     payload is the sent variable's value before the update. An
     asynchronous send appends it to each receiver's buffer and runs each
-    alternative's update. A synchronous send checks the receivers' buffers
-    and guards first, then, for each choice of alternatives, runs the
-    sender's update and, for each receiver in order, sets its bound
-    variable to the payload and runs its update."""
+    alternative's update. A synchronous send first checks each receiver's
+    buffer and the guards of its alternatives, which its own position
+    holds, then, for each choice of alternatives, runs the sender's update
+    and, for each receiver in order, sets its bound variable to the payload
+    and runs its update."""
     rule, _, _, var, targets, _, writes, _ = step
     i = writes[0]
     sender = state[i]
     payload = sender[var]
     if rule == "asynch-send":
         received = [_part(positions[j], state[j].loc, state[j],
-                          requeue(state[j].queues, pid, push=(payload,))) for j, pid in targets]
+                          requeue(state[j].queues, r.pid, push=(payload,))) for j, r in targets]
         return tuple([(_part(positions[i], dst, sender if update is None else update(sender),
                              sender.queues), *received) for _, update, dst in enabled])
     choices, received = [], []
-    for j, pid, bound, by_loc in targets:
+    for j, r in targets:
         part = state[j]
-        if part.queues and find_queue(part.queues, pid)[1]:
+        if part.queues and find_queue(part.queues, r.pid)[1]:
             return ()
-        got = [alt for alt in by_loc.get(part.loc, ()) if alt[0] is None or alt[0](part)]
+        got = [alt for alt in positions[j].offers.get(r, {}).get(part.loc, ())
+               if alt[0] is None or alt[0](part)]
         if not got:
             return ()
         choices.append(got)
-        received.append(part.set(bound, payload))
+        received.append(part.set(r.var.qname, payload))
     out = []
     for moves in product(enabled, *choices):
         news = []

@@ -27,16 +27,18 @@ the initial state, and the reachable states are the product of the
 groups', so ``chor_states`` and ``sys_states`` are the product of the
 groups' counts, a state is stuck when every group's part is, and a final
 is one final of each group, each projected on the keys its components
-hold. Where one exploration of the whole could tell otherwise, the whole
-is explored with the caller's limits, so every count, final, verdict and
-error is the one that exploration gives: one group, a key that no group
-holds, or a group whose exploration raises or is truncated within what
-the groups before it leave of the limits (the product's states are the
-product of the groups', its depth the sum). The choreography side reads
-one more such case off the term before it groups: two operands that can
-stand at a term with no participants, such as ``nil``
-(``lang.Shape.idles``), which the whole can merge. Each side is summed up
-in one record, ``_Side``.
+hold. A key that no group holds never moves, so it is read off the first
+group's finals, and where the product has no terminal state no final is
+read, as the whole's projection reads none. Where one exploration of the
+whole could tell otherwise, the whole is explored with the caller's
+limits, so every count, final, verdict and error is the one that
+exploration gives: one group, or a group whose exploration raises or is
+truncated within what the groups before it leave of the limits (the
+product's states are the product of the groups', its depth the sum).
+The choreography side reads one more such case off the term before it
+groups: two operands that can stand at a term with no participants, such
+as ``nil`` (``lang.Shape.idles``), which the whole can merge. Each side
+is summed up in one record, ``_Side``.
 
 The module also carries the structural invariant suite and a small set of
 mutation operators used to validate that the checker actually has teeth. A
@@ -163,24 +165,28 @@ def _grouped(keys: tuple, groups: list, whole, max_configs: int, max_depth: int)
     state. The reachable states of the whole are the product of the
     groups', its stuck states the product of theirs, its terminals too,
     and its finals each combination of the groups' finals over the keys
-    each group holds; its breadth-first depth is the sum of theirs. Each
-    group is explored within what the groups before it leave of the
-    limits: ``max_configs`` over the product of their states,
-    ``max_depth`` less the sum of their depths. The side is summed up
-    instead from ``whole``, one exploration of the whole under the
-    caller's limits, where there are fewer than two groups or where that
-    exploration could tell otherwise: some key is held by no group, or a
-    group's exploration raises (another group's error may come first in
-    the whole's order) or is truncated, so that the product would be too.
+    each group holds, the first group's with the keys that no group holds,
+    which never move; with no terminal state it reads no finals, so an
+    unbound key raises exactly where the whole's projection does. Its
+    breadth-first depth is the sum of theirs. Each group is explored within
+    what the groups before it leave of the limits: ``max_configs`` over
+    the product of their states, ``max_depth`` less the sum of their
+    depths. The side is summed up instead from ``whole``, one exploration
+    of the whole under the caller's limits, where there are fewer than two
+    groups or where that exploration could tell otherwise: a group's
+    exploration raises (another group's error may come first in the
+    whole's order; a key declared twice is refused by every group) or is
+    truncated, so that the product would be too.
     It reads nothing but the explorations, the same on both sides: where
     the groups' product is not the whole's state space, as for two
     choreography operands that can idle (see ``_chor_side``), the caller
     hands over no groups."""
     own = [[k for k in keys if k in names] for names, _ in groups]
-    flat = [k for ks in own for k in ks]
+    if own:  # a key that no group holds never moves: the first group's finals hold it
+        held = set().union(*own)
+        own[0] += [k for k in keys if k not in held]
     runs, states, depth = [], 1, 0
-    # Two groups hold a key only if it is declared twice, which the whole refuses.
-    for _, run in groups if len(groups) > 1 and len(flat) == len(keys) else ():
+    for _, run in groups if len(groups) > 1 else ():
         try:
             res = run(max_configs // states, max_depth - depth)
         except EvalError:
@@ -195,11 +201,13 @@ def _grouped(keys: tuple, groups: list, whole, max_configs: int, max_depth: int)
     for res in runs:
         stuck *= len(res.terminals) + len(res.deadlocks)
         terminals *= len(res.terminals)
-    at = {k: n for n, k in enumerate(flat)}
-    order = [at[k] for k in keys]
-    per_group = [{project(s, ks) for s in res.finals} for res, ks in zip(runs, own)]
-    finals = frozenset([tuple([row[n] for n in order])
-                        for row in (sum(combo, ()) for combo in product(*per_group))])
+    finals = frozenset()
+    if terminals:
+        at = {k: n for n, k in enumerate(k for ks in own for k in ks)}
+        order = [at[k] for k in keys]
+        per_group = [{project(s, ks) for s in res.finals} for res, ks in zip(runs, own)]
+        finals = frozenset([tuple([row[n] for n in order])
+                            for row in (sum(combo, ()) for combo in product(*per_group))])
     return _Side(keys, states, finals, stuck - terminals, False)
 
 

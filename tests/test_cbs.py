@@ -343,8 +343,9 @@ def flat_initial(sys):
 def flat_fire(sys, state, cis):
     """The reference successor function over flat states: each
     component's compiled static steps at its location (the same tables and
-    events ``cbs.sys_steps_tagged`` uses) whose guards hold, run on the global
-    valuation and buffers, with nothing cached."""
+    events ``cbs.sys_steps_tagged`` uses, a synchronous receiver's
+    alternatives read from its own position) whose guards hold, run on the
+    global valuation and buffers, with nothing cached."""
     locations, sigma, buffers = state
     out = []
     for ci in cis:
@@ -376,18 +377,18 @@ def flat_fire(sys, state, cis):
                 continue
             if rule == "asynch-send":
                 payload, queues = (sigma[var],), buffers
-                for _, pid in rcvs:
-                    queues = requeue(queues, pid, push=payload)
+                for _, r in rcvs:
+                    queues = requeue(queues, r.pid, push=payload)
                 for _, update, dst in enabled:
                     out.append((event, FlatState(
                         locations[:ci] + (dst,) + locations[ci + 1:],
                         sigma if update is None else update(sigma), queues)))
                 continue
             choices = []
-            for ri, pid, _, by_loc in rcvs:
-                if find_queue(buffers, pid)[1]:
+            for ri, r in rcvs:
+                if find_queue(buffers, r.pid)[1]:
                     break
-                ts = [alt for alt in by_loc.get(locations[ri], ())
+                ts = [alt for alt in sys._steps[ri].offers.get(r, {}).get(locations[ri], ())
                       if alt[0] is None or alt[0](sigma)]
                 if not ts:
                     break
@@ -397,16 +398,16 @@ def flat_fire(sys, state, cis):
                 for _, update, dst in enabled:
                     for combo in itertools.product(*choices):
                         after = sigma
-                        for rcv in rcvs:
-                            after = after.set(rcv[2], payload)
+                        for _, r in rcvs:
+                            after = after.set(r.var.qname, payload)
                         if update is not None:
                             after = update(after)
                         locs = list(locations)
                         locs[ci] = dst
-                        for rcv, (_, r_update, r_dst) in zip(rcvs, combo):
+                        for (ri, _), (_, r_update, r_dst) in zip(rcvs, combo):
                             if r_update is not None:
                                 after = r_update(after)
-                            locs[rcv[0]] = r_dst
+                            locs[ri] = r_dst
                         out.append((event, FlatState(tuple(locs), after, buffers)))
     return out
 
@@ -669,15 +670,30 @@ class TestDerivedSystems:
             # Only the sender of the dropped interaction sends otherwise.
             mutant = MUTATIONS["drop-interaction"](sys)
             assert rebuilt(mutant, sys) == [position[sys.gamma[0].send.owner]], profile
-            # The mutated component, and each sender that holds its
-            # alternatives and reads as a receiver's.
+            # The mutated component alone, though other positions send to
+            # it: a send reads its receivers' alternatives from their
+            # positions.
             mutant = MUTATIONS["swap-break-guard"](sys)
             (changed,) = [c.id for c, old in zip(mutant.components, sys.components)
                           if c is not old]
             into = {position[inter.send.owner] for inter in sys.gamma
                     if changed in [r.owner for r in inter.receivers]}
             assert into - {position[changed]}, profile
-            assert rebuilt(mutant, sys) == sorted({position[changed], *into}), profile
+            assert rebuilt(mutant, sys) == [position[changed]], profile
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_mutated_component_rebuilds_alone_on_longchain(self, seed):
+        # Each chain link receives from another component, and neither
+        # mutation changes what its component sends.
+        decl, _, ch = parse_source(load_generator().GENERATORS["longchain"](seed).text)
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            sys_explore(sys)
+            for name in ("drop-eps", "swap-break-guard"):
+                mutant = MUTATIONS[name](sys)
+                assert len(rebuilt(mutant, sys)) == 1, (seed, profile, name)
+                assert_same_lts(sys_explore(mutant), sys_explore(
+                    CompositeSystem(mutant.components, mutant.gamma)), (seed, profile, name))
 
     def test_built_fresh_unless_derived_from_a_stepped_parent(self):
         decl, _, ch = load_stem("buying")
@@ -698,10 +714,11 @@ class TestDerivedSystems:
         assert len(rebuilt(other, sys)) == len(sys.components)
         assert_lts_matches_flat(other, "one more variable")
 
-    def test_a_sender_rebuilds_with_its_receivers_alternatives(self):
-        # B's receives get another update, and their sender A holds B's
-        # alternatives on B.r: both positions are rebuilt, C's is kept, and
-        # the mutant explores as a cold build of it does.
+    def test_a_receiver_rebuilds_without_its_sender(self):
+        # B's receives get another update. Their sender A reads B's
+        # alternatives on B.r from B's position, so only B's position is
+        # rebuilt, A's and C's are kept, and the mutant explores as a cold
+        # build of it does.
         cz = var("C", "z")
         c_r = port("C", "r", "r", cz)
         a = component("A", [(AX, 2)], [AP_SS], [
@@ -718,7 +735,7 @@ class TestDerivedSystems:
         mutant = sys.derive(components=(a, dataclasses.replace(
             b, transitions=tuple(dataclasses.replace(t, update=DBL_Y) for t in b.transitions)),
             c))
-        assert rebuilt(mutant, sys) == [0, 1]
+        assert rebuilt(mutant, sys) == [1]
         res = assert_lts_matches_flat(mutant, "receiver changed")
         assert_same_lts(res, sys_explore(CompositeSystem(mutant.components, mutant.gamma)),
                         "receiver changed")
@@ -735,6 +752,25 @@ class TestDerivedSystems:
             *sys.components[1:]))
         for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
             with pytest.raises(EvalError, match="^A: transition at a0 uses B.y$"):
+                twin.initial_state()
+
+    def test_a_derived_system_refuses_what_a_cold_one_does(self):
+        # S drops the receive port R#1 and its transitions. The sender of
+        # S.R#1 and its sends are unchanged, so its position is kept; the
+        # interaction is refused all the same, before any position is built.
+        decl, _, ch = load_stem("buying")
+        sys = synthesize(decl, ch, "default")
+        sys_explore(sys)
+        message = "interaction references undeclared port S.R#1"
+        bad = sys.derive(components=tuple(
+            c if c.id != "S" else dataclasses.replace(
+                c, ports=tuple([p for p in c.ports if p.pid != "S.R#1"]),
+                transitions=tuple([t for t in c.transitions
+                                   if t.port is None or t.port.pid != "S.R#1"]))
+            for c in sys.components))
+        assert message in [d.message for d in check_structure(bad)]
+        for twin in (bad, CompositeSystem(bad.components, bad.gamma)):
+            with pytest.raises(EvalError, match=f"^{message}$"):
                 twin.initial_state()
 
     def test_a_derived_system_that_declares_twice_is_refused(self):

@@ -533,7 +533,8 @@ class TestSystemSide:
         # C, the sender of C.p -> { D.q }, is dropped: the interaction
         # never fires and D waits for ever, alone in its group. Against
         # declarations without C, every key is held; against ones with C,
-        # C.z is held by no group, and the whole system is explored.
+        # C.z is held by no group, and D's group has no terminal state, so
+        # no final reads it.
         text = two_groups("choreography t = ( A.p[true, x := 0] -> { B.q } )"
                           " || ( C.p -> { D.q[v := v + 1] } )")
         decl, _, ch = parse_source(text)
@@ -548,6 +549,24 @@ class TestSystemSide:
             assert_as_whole(small, pair, [dropped], profile)
             assert_as_whole(decl, ch, [dropped], profile)
             assert equiv_check(small, pair, dropped).sys_deadlocks >= 1
+
+    def test_a_declared_variable_that_no_component_holds(self):
+        # E is dropped from a system of two groups that both terminate:
+        # E.e is held by no group, and reading it off the first group's
+        # finals raises, as reading it off the whole system's does.
+        decl, _, ch = parse_source(two_groups(
+            "comp E { var e: int = 3; }\n"
+            "choreography t = A.p -> { B.q } || C.p -> { D.q }"))
+        for profile in PROFILES:
+            sys = synthesize(decl, ch, profile)
+            dropped = dataclasses.replace(sys, components=tuple(
+                c for c in sys.components if c.id != "E"))
+            assert [[dropped.components[i].id for i in cis] for cis in dropped._groups] == \
+                [["A", "B"], ["C", "D"]]
+            assert all(cbs.sys_explore(dropped, cis=cis).terminals for cis in dropped._groups)
+            assert_as_whole(decl, ch, [dropped], profile)
+            with pytest.raises(EvalError, match="^unbound variable 'E.e'$"):
+                equiv_check(decl, ch, dropped)
 
     def test_no_component(self):
         # No group: the whole system, one terminated state, is explored;
@@ -677,7 +696,8 @@ class TestChoreographyOperands:
         assert calls == ops + ops + [ch] + ops + ops + ops + [ch]
 
     def test_a_component_in_no_operand(self, monkeypatch):
-        # E.e is held by no operand: the whole term is explored.
+        # E.e is held by no operand, so it never moves: it is read off the
+        # first operand's finals, and the whole term is never explored.
         calls = count_explorations(monkeypatch)
         decl, _, ch = parse_source(two_groups(
             "comp E { var e: int = 3; }\n"
@@ -685,7 +705,7 @@ class TestChoreographyOperands:
         assert len(operands(ch)) == 2
         assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], "idle",
                         ORACLE_LIMITS[:1])
-        assert calls[0] is ch
+        assert calls == list(operands(ch))
 
     def test_a_par_below_the_top_or_dependent_is_one_operand(self, monkeypatch):
         # (t || t') ; t'' has one operand, explored whole.
@@ -722,8 +742,8 @@ class TestChoreographyOperands:
         # one to one with the product, so each operand is explored once for
         # both profiles and the whole term never, and every report equals
         # one whole exploration's. nil's file declares a component that
-        # takes part in no operand, so beside it the whole term is
-        # explored, once.
+        # takes part in no operand, whose variables are read off the first
+        # operand's finals.
         calls = count_explorations(monkeypatch)
         texts, sizes, idle, busy = {}, {}, [], []
         for path, decl, _, ch in corpus:
@@ -733,17 +753,16 @@ class TestChoreographyOperands:
             (idle if shape(ch).idles else busy).append(path)
         pairs = [pair for a in idle for b in busy if sizes[a] * sizes[b] <= 2000
                  for pair in ((a, b), (b, a))]
-        grouped = 0
+        unnamed = 0
         for pair in pairs:
             decl, _, ch = parse_source(beside(*[texts[path] for path in pair]))
             del calls[:]
             assert_as_whole(decl, ch, [synthesize(decl, ch, p) for p in PROFILES], pair,
                             ORACLE_LIMITS[:1])
+            assert calls == list(operands(ch)), pair
             named = set().union(*[shape(t).participants for t in operands(ch)])
-            whole = not named.issuperset(decl.component_ids())
-            assert calls == ([ch] if whole else list(operands(ch))), pair
-            grouped += not whole
-        assert (len(pairs), grouped) == (98, 72)
+            unnamed += not named.issuperset(decl.component_ids())
+        assert (len(pairs), unnamed) == (98, 26)
 
     def test_a_nil_beside_an_ended_operand(self, monkeypatch):
         # branch_two's nil arm has no participants: "left at nil, right
