@@ -132,6 +132,11 @@ class AtomicComponent:
         return {src: tuple(ts) for src, ts in out.items()}
 
     @cached_attr
+    def _pids(self) -> frozenset:
+        """The ids of the ports it declares."""
+        return frozenset([p.pid for p in self.ports])
+
+    @cached_attr
     def _findings(self) -> tuple:
         """The (code, message) of each structure rule its own text breaks,
         in the order ``check_structure`` reports them; no closure is built."""
@@ -290,7 +295,7 @@ class CompositeSystem:
             if inter.send.owner in position:  # no sender: it never fires
                 for r in inter.receivers:
                     j = position.get(r.owner)
-                    if j is None or r.pid not in [p.pid for p in components[j].ports]:
+                    if j is None or r.pid not in components[j]._pids:
                         raise EvalError(_UNKNOWN_PORT.format(r.pid))
         dirty = range(len(components))
         if kept:
@@ -326,22 +331,25 @@ class CompositeSystem:
         sender the system holds, are in one group, as tuples of positions:
         the components (``core.strong_components``) of the graph that links
         each such sender to its receivers both ways, and each position to
-        the first that holds its component id. A step of one group then
-        reads and writes only that group's parts, so the reachable states
-        are the product of each group's. Groups follow their first
-        positions, and each group's positions their order, never a set's."""
+        the first that holds its component id, with one edge each way per
+        distinct linked pair and none from a position to itself. A step of
+        one group then reads and writes only that group's parts, so the
+        reachable states are the product of each group's. Groups follow
+        their first positions, and each group's positions their order,
+        never a set's, whatever order the edges are in."""
         components, first = self.components, {}  # id -> its first position
-        links = [(i, first.setdefault(c.id, i)) for i, c in enumerate(components)]
+        links = {(i, first.setdefault(c.id, i)) for i, c in enumerate(components)}
         get = first.get
         for inter in self.gamma:
             i = get(inter.send.owner)
             if i is not None:  # no sender: it never fires (see ``_steps``)
-                links += [(i, j) for j in [get(r.owner) for r in inter.receivers]
-                          if j is not None]
+                for r in inter.receivers:  # an absent receiver: a self-link
+                    links.add((i, get(r.owner, i)))
         succ = [[] for _ in components]
         for i, j in links:
-            succ[i].append(j)
-            succ[j].append(i)
+            if i != j:
+                succ[i].append(j)
+                succ[j].append(i)
         groups = {}  # strong component -> its positions, in order of first position
         for i, g in enumerate(strong_components(succ)):
             groups.setdefault(g, []).append(i)

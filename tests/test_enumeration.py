@@ -26,12 +26,14 @@ which takes the positions the mutation leaves clean from it, must get the
 very equivalence report, verdict and counts, of a cold rebuild of it. The
 mutant's check reads the choreography side that the system's check kept
 on the declarations; the cold rebuild is checked against fresh
-declarations, so its choreography is explored cold too.
+declarations, so its choreography is explored cold too. With ``traces``,
+the term's simulated traces at the default capacity and at
+``max_chan_len=0`` must also be ``test_sim.reference_simulate``'s.
 
 Tier-1 checks a fixed-seed sample of the size-2 terms, chosen without
 looking at any outcome, and the mutants of the first ones picked. The whole
-enumeration, mutants included, with its counts per profile, runs with
-``PYTHONPATH=src python tests/test_enumeration.py``.
+enumeration, mutants and traces included, with its counts per profile,
+runs with ``PYTHONPATH=src python tests/test_enumeration.py``.
 """
 
 import random
@@ -48,7 +50,7 @@ from chorc.lang import (
     Branch, Comm, GuardedSend, Loop, Par, Seq, check_well_formed, format_chor,
 )
 from chorc.parser import parse_source
-from chorc.sim import simulate
+from chorc.sim import simulate, trace_text
 from chorc.synthesis import PROFILES, synthesize
 from chorc.verify import MUTATIONS, equiv_check, invariant_suite, project, user_variables
 
@@ -123,14 +125,16 @@ def terms(ports, size):
     return out
 
 
-def outcomes(term, mutants=False):
+def outcomes(term, mutants=False, traces=False):
     """The term's outcome under each profile, after the checks common to
     both: its text parses back to it and it is well-formed. The outcome is
     the equivalence verdict, unless the invariant suite finds something or
     the simulation does not complete at a final of the choreography, or,
     with ``mutants``, a ``verify.MUTATIONS`` mutant of the explored system,
     which takes positions from it, gets another equivalence report than a
-    cold rebuild of the mutant checked against fresh declarations."""
+    cold rebuild of the mutant checked against fresh declarations, or, with
+    ``traces``, a simulated trace at the default capacity or at
+    ``max_chan_len=0`` differs from the per-turn reference's."""
     decl, _, parsed = parse_source(DECLS + "\nchoreography t = " + format_chor(term))
     assert parsed is term, format_chor(term)
     errors = [d for d in check_well_formed(decl, term) if d.severity == "error"]
@@ -152,6 +156,11 @@ def outcomes(term, mutants=False):
             out[profile] = "simulated final not a choreography final"
         else:
             out[profile] = report.verdict
+        for kw in ({}, {"max_chan_len": 0}) if traces else ():
+            from test_sim import reference_simulate  # test_sim imports this module
+            if trace_text(simulate(system, SIM_SEED, **kw)) != trace_text(
+                    reference_simulate(system, SIM_SEED, **kw)):
+                out[profile] = f"simulated trace differs from the reference, {kw}"
         for name, mutate in MUTATIONS.items() if mutants else ():
             mutant = mutate(system)
             if mutant is not None and equiv_check(decl, term, mutant) != equiv_check(
@@ -194,7 +203,7 @@ def main():
     ports = declared_ports()
     counts = {profile: Counter() for profile in PROFILES}
     for term in terms(ports, 2):
-        for profile, verdict in outcomes(term, mutants=True).items():
+        for profile, verdict in outcomes(term, mutants=True, traces=True).items():
             counts[profile][verdict] += 1
     for profile, tally in counts.items():
         print(profile, " ".join(f"{v}={n}" for v, n in sorted(tally.items())))

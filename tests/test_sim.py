@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -195,10 +196,27 @@ class TestScheduler:
         for profile in PROFILES:
             sys = synthesize(decl, ch, profile)
             for seed in range(5):
-                for kw in ({}, {"max_chan_len": 1}, {"max_steps": 5}):
+                for kw in ({}, {"max_chan_len": 1}, {"max_chan_len": 0}, {"max_steps": 5}):
                     assert (trace_text(simulate(sys, seed, **kw))
                             == trace_text(reference_simulate(sys, seed, **kw))), \
                         (path, profile, seed, kw)
+
+    @pytest.mark.parametrize("name", ["longchain", "interleave"])
+    def test_generated_traces_match_per_turn_reference(self, name):
+        # Capacity 0 is the one at which a synthesized system's step is
+        # refused: no synthesized buffer ever holds two messages. Each
+        # system runs fresh, then once equiv_check has filled its caches.
+        for seed, profile in product((0, 1), PROFILES):
+            decl, _, ch = parse_source(generated(name, seed))
+            sys = synthesize(decl, ch, profile)
+            for explored in (False, True):
+                if explored:
+                    assert equiv_check(decl, ch, sys).equivalent
+                for kw in ({}, {"max_chan_len": 0}):
+                    res = simulate(sys, seed, **kw)
+                    assert trace_text(res) == trace_text(reference_simulate(sys, seed, **kw)), \
+                        (name, seed, profile, explored, kw)
+                    assert res.outcome == ("backpressure" if kw else "completed")
 
     def test_successors_computed_once_per_state(self, monkeypatch):
         # Every step goes through sys_steps_tagged, the explorer's successor
@@ -290,13 +308,24 @@ class TestIdleTurns:
         assert simulate(sys, 0, **kw).outcome == ("step-limit" if kw.get("max_steps") else
                                                   "completed")
 
+    def test_escaped_ids_and_locations_under_backpressure_match_the_reference(self):
+        # At capacity 0, Q's first asynchronous send is refused for good.
+        sys = escaping_system()
+        for seed in range(5):
+            res = simulate(sys, seed, max_chan_len=0)
+            text = trace_text(res)
+            assert text == trace_text(reference_simulate(sys, seed, max_chan_len=0)), seed
+            assert '"Q\\"":"l\\"0"' in text and "\\u00c7" in text
+            assert (res.outcome, res.steps) == ("backpressure", 2)
+
     def test_no_guard_runs_for_a_component_whose_turn_it_is_not(self, monkeypatch):
         sys = lazy_system()
         assert trace_text(simulate(sys, 0)) == (
             '{"comp":"A","locations":{"A":"a1","C":"L2"},"ports":["A.p","C.r"],'
             '"rule":"synch-send","step":1}\n'
             '{"final":{"A.x":1,"C.z":1},"outcome":"completed","steps":1}\n')
-        # Filling every component's cache after each step runs C's guard.
+        # Filling every component's cache, as the run's first read would if
+        # it filled misses, runs C's guard.
         monkeypatch.setattr(chorc.sim, "known_steps", lambda sys, state: [
             pos[part] for pos, part in zip(sys._steps, state)])
         with pytest.raises(EvalError, match="division by zero"):
