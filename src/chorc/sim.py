@@ -33,7 +33,17 @@ per component in sorted component-id order, so the line is the one
 ``json.dumps(..., sort_keys=True)`` would write. All
 remaining nondeterminism (which enabled step a component takes on its
 turn) is resolved by a per-component PRNG seeded from the run seed, so a
-given (system, seed) pair always reproduces the same trace byte for byte.
+given (system, seed) pair always reproduces the same trace byte for byte:
+each step a component takes is one ``randrange(k)`` draw on its stream,
+``random.Random(f"{seed}:{id}")``, with k its candidates on that turn. In a
+master-triggered choreography only a master resolves a choice, so nearly
+every turn has one candidate, and ``randrange(1)`` can only return 0: the
+scheduler takes that step and counts the draw as pending. A component's
+generator is made at its first turn with two or more candidates, and before
+each such draw its pending draws are replayed as ``randrange(1)`` calls.
+Every stream thus receives an eager generator's calls before every draw
+that decides a step, whatever ``randrange(1)`` consumes on the running
+Python, and a run in which no component chooses makes no generator.
 Every executed action is one step of the composite-system semantics, which
 makes any reachable final state a member of the exhaustive exploration's
 terminal set by construction.
@@ -75,12 +85,24 @@ def _fields(event: Event) -> str:
 
 def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
              max_chan_len: int = MAX_LEN) -> RunResult:
-    rngs = [random.Random(f"{seed}:{c.id}") for c in sys.components]
+    """Run ``sys`` from its initial state under the round-robin scheduler
+    for at most ``max_steps`` steps, refusing every step that would leave a
+    queue longer than ``max_chan_len``.
+
+    Choices follow ``seed`` by one contract in draws: every step a
+    component takes is one ``randrange(k)`` call, with k its candidates on
+    that turn, on its stream ``random.Random(f"{seed}:{id}")``. One-candidate
+    calls are deferred to the component's next real choice (see the module
+    docstring), so every stream equals an eager generator's up to its last
+    real choice, and the trace is the one eager generators give.
+    """
+    n = len(sys.components)
+    rngs = [None] * n  # made at a component's first real choice
+    pending = [0] * n  # one-candidate draws not yet replayed
     state = sys.initial_state()
     positions = sys._steps
     # A trace line is its actor's id, every component's location in id
     # order, its event's fields and the step number (see the docstring).
-    n = len(sys.components)
     everyone = range(n)
     ids = [_encode(c.id) for c in sys.components]
     pairs = [Memo(lambda loc, key=key: f"{key}:{_encode(loc)}") for key in ids]
@@ -112,7 +134,19 @@ def simulate(sys: CompositeSystem, seed: int, max_steps: int = 100_000,
                 mine.append((step, moved))
         known[ci] = positions[ci].get(state[ci])  # the ask filled it
         if mine:
-            (event, succ), moved = mine[rngs[ci].randrange(len(mine))]
+            k = len(mine)
+            if k == 1:
+                pending[ci] += 1
+                pick = 0
+            else:
+                rng = rngs[ci]
+                if rng is None:
+                    rng = rngs[ci] = random.Random(f"{seed}:{sys.components[ci].id}")
+                for _ in range(pending[ci]):
+                    rng.randrange(1)
+                pending[ci] = 0
+                pick = rng.randrange(k)
+            (event, succ), moved = mine[pick]
             steps += 1
             for j in moved:
                 part = succ[j]

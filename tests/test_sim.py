@@ -330,3 +330,77 @@ class TestIdleTurns:
             pos[part] for pos, part in zip(sys._steps, state)])
         with pytest.raises(EvalError, match="division by zero"):
             simulate(lazy_system(), 0)
+
+
+class LoggedRandom(random.Random):
+    """A ``random.Random`` that records each generator made, under its seed,
+    and the candidate count of each ``randrange`` call on it."""
+    made: list = []
+
+    def __init__(self, x):
+        self.name, self.draws = x, []
+        super().__init__(x)
+        LoggedRandom.made.append(self)
+
+    def randrange(self, k):
+        self.draws.append(k)
+        return super().randrange(k)
+
+
+def draw_logs(run):
+    """The draws of each generator made during ``run()``, by seed string."""
+    LoggedRandom.made = []
+    result = run()
+    logs = {}
+    for rng in LoggedRandom.made:
+        assert rng.name not in logs
+        logs[rng.name] = rng.draws
+    return result, logs
+
+
+class TestLazyGenerators:
+    """The simulator makes a component's generator only at its first real
+    choice, and replays the one-candidate draws its component made before as
+    ``randrange(1)`` calls: every stream receives an eager generator's calls
+    up to its last real choice."""
+
+    def test_streams_are_an_eager_generators_up_to_the_last_real_choice(self, monkeypatch):
+        inputs = [(stem, load_stem(stem)) for stem in
+                  ("branch_two", "branch_in_loop", "buying", "microservice")]
+        inputs.append(("interleave", parse_source(generated("interleave", 0))))
+        systems = [(name, profile, synthesize(decl, ch, profile))
+                   for name, (decl, _, ch) in inputs for profile in PROFILES]
+        monkeypatch.setattr(random, "Random", LoggedRandom)
+        before_first = set()
+        between = set()
+        for name, profile, sys in systems:
+            for seed in range(20):
+                eager_res, eager = draw_logs(lambda: reference_simulate(sys, seed))
+                lazy_res, lazy = draw_logs(lambda: simulate(sys, seed))
+                where = (name, profile, seed)
+                assert trace_text(lazy_res) == trace_text(eager_res), where
+                assert len(eager) == len(sys.components), where
+                # One generator per choosing component, none for the rest.
+                choosing = {key for key, draws in eager.items() if max(draws, default=0) > 1}
+                assert set(lazy) == choosing, where
+                for key in choosing:
+                    draws = eager[key]
+                    real = [i for i, k in enumerate(draws) if k > 1]
+                    assert lazy[key] == draws[:real[-1] + 1], (where, key)
+                    if real[0] > 0:
+                        before_first.add(name)
+                    if any(draws[i] == 1 for i in range(real[0], real[-1])):
+                        between.add(where)
+        # Both replays matter in this sample: a component draws from one
+        # candidate before its first real choice, and one between two.
+        assert {"interleave", "branch_in_loop", "buying", "microservice"} <= before_first
+        assert {name for name, _, _ in between} == {"branch_in_loop"}
+        assert len(between) == 40
+
+    def test_no_generator_without_a_real_choice(self, monkeypatch):
+        # No longchain component ever has two candidates on its turn.
+        decl, _, ch = parse_source(generated("longchain", 0))
+        sys = synthesize(decl, ch)
+        monkeypatch.setattr(random, "Random", LoggedRandom)
+        res, lazy = draw_logs(lambda: simulate(sys, 0))
+        assert res.outcome == "completed" and lazy == {}
